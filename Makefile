@@ -4,7 +4,8 @@
 # heavyweight stress pass: the full task corpus with a collection before
 # every allocation and the post-collection heap verifier on, under the
 # race detector. tier2-bench is the benchmark-harness race smoke: the
-# pause harness with 4 workers over the lock-free plan/site caches.
+# pause harness with 4 workers over the lock-free plan/site caches, and
+# -par 4 workers first-touching unresolved type_gc nodes together.
 # tier2-nursery is the generational stress pass: the nursery differential
 # suite and write-barrier fuzz under the race detector, plus the nursery
 # telemetry corpus with torture collection and the heap verifier on.
@@ -38,8 +39,14 @@
 # scenario — pruning crossed with torture and the verifier, and pruning
 # pushed out of its envelope over sharded nurseries with injected
 # failures so the counted-degrade path runs under stress too.
+#
+# benchmark runs the repository benchmark (BENCHMARK.json, benchmark/):
+# eight seeded workloads, end-to-end metrics with tracing off.
+# benchmark-check BASE=<runs.json> is the regression gate: ten runs of each
+# workload compared against a run file an earlier commit wrote with
+# `go run ./benchmark -runs 10 -out <runs.json>`.
 
-.PHONY: tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness bench bench-json fuzz fuzz-scenario
+.PHONY: benchmark benchmark-check tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness bench bench-json fuzz fuzz-scenario
 
 tier1:
 	go build ./...
@@ -84,7 +91,16 @@ tier2-torture: tier1
 	GC_TORTURE_FULL=1 go test -race -run 'TestTorture|TestRecoveryLadder|TestWatchdog' -count=1 -timeout 30m ./internal/pipeline/
 
 tier2-bench: tier1
-	go test -race -run 'TestBenchSnapshot|TestFastPath' -count=1 ./internal/experiments/ ./internal/gc/ ./internal/pipeline/
+	go test -race -run 'TestBenchSnapshot|TestFastPath|TestFirstTouchRace|TestComponentsMatchResolutionTasks' -count=1 ./internal/experiments/ ./internal/gc/ ./internal/pipeline/
+
+benchmark:
+	go run ./benchmark
+
+BENCH_RUNS ?= benchmark-runs.json
+benchmark-check:
+	@test -n "$(BASE)" || { echo "usage: make benchmark-check BASE=<runs.json>"; exit 2; }
+	go run ./benchmark -runs 10 -out $(BENCH_RUNS)
+	go run ./benchmark -compare $(BASE) $(BENCH_RUNS)
 
 # Go micro-benchmarks (slot dedupe, parallel collect, E1-E8 mirrors).
 bench:

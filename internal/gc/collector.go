@@ -162,12 +162,14 @@ type Collector struct {
 
 	b *builder
 	// Generational state (generational.go): the typed remembered set with
-	// its dedup index, the store-descriptor→routine memo, whether the next
-	// collection must be a major, whether the in-progress trace should
-	// record old→young edges, and what the last collection was.
+	// its dedup index, the store-descriptor→routine and routine→kernel
+	// memos, whether the next collection must be a major, whether the
+	// in-progress trace should record old→young edges, and what the last
+	// collection was.
 	remembered    []remEntry
 	remIndex      map[remKey]int
 	storeG        map[*code.TypeDesc]TypeGC
+	remSlots      map[TypeGC]*planSlot
 	genForceMajor bool
 	genTracking   bool
 	lastMinor     bool
@@ -177,8 +179,9 @@ type Collector struct {
 	// siteCache is the pc→site lookup cache: siteIdx+1 per code index,
 	// zero = unfilled (see siteAtFast).
 	siteCache []int32
-	// plans is the frame-plan cache (compiled strategy fast path).
-	plans planCache
+	// plans is the frame-plan cache (compiled strategy fast path), keyed by
+	// (site, incoming type instantiation).
+	plans memoTable[planKey, *framePlan]
 	// conc is the in-flight concurrent mark cycle, nil when none is
 	// active (concurrent.go).
 	conc *concCycle
@@ -462,7 +465,7 @@ func (c *Collector) collectMinor(tasks []TaskRoots, globals []code.Word) {
 	c.traceGlobals(globals)
 	scans := make([]TaskScan, len(tasks))
 	c.collectSerial(tasks, scans)
-	c.traceRemembered()
+	c.traceRemembered(-1)
 	c.endPrune()
 
 	c.Stats.TypeGCBuilt = c.b.Built
@@ -510,7 +513,7 @@ func (c *Collector) CollectMinorShard(shard int, tasks []TaskRoots, globals []co
 	c.traceGlobals(globals)
 	scans := make([]TaskScan, len(tasks))
 	c.collectSerial(tasks, scans)
-	c.traceRememberedShard(shard)
+	c.traceRemembered(shard)
 	c.endPrune()
 
 	c.Stats.TypeGCBuilt = c.b.Built
@@ -564,7 +567,7 @@ func (c *Collector) collectSerial(tasks []TaskRoots, scans []TaskScan) {
 // gather frame pointers, one to trace).
 func (c *Collector) collectTask(t TaskRoots, sc *scratch) {
 	fps, pcs := frameChain(t)
-	fast := c.Strat == StratCompiled && !c.DisableFastPath
+	fast := c.planned()
 	var incoming pkg
 	var ic planIC
 	var prev *framePlan

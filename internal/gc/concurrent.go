@@ -274,68 +274,18 @@ func (c *Collector) ConcAbort() {
 // Field values are read at mark time: once the object is black, any later
 // re-pointing goes through ConcBarrier.
 func (c *Collector) concMark(g TypeGC, w code.Word) int64 {
-	repr := c.Heap.Repr
-	switch g := g.(type) {
-	case *constG:
+	sh, ok := c.shapeOf(g, w)
+	if !ok {
 		return 0
-	case *refG:
-		if !code.IsBoxedValue(repr, w) {
-			return 0
-		}
-		if _, fresh := c.Heap.VisitShared(w, 1); !fresh {
-			return 0
-		}
-		c.Stats.ObjectsCopied++
-		c.concPush(c.Heap.Field(w, 0), g.elem)
-		return 1
-	case *tupleG:
-		if !code.IsBoxedValue(repr, w) {
-			return 0
-		}
-		if _, fresh := c.Heap.VisitShared(w, len(g.fields)); !fresh {
-			return 0
-		}
-		c.Stats.ObjectsCopied++
-		for i, f := range g.fields {
-			c.concPush(c.Heap.Field(w, i), f)
-		}
-		return int64(len(g.fields))
-	case *dataG:
-		if !code.IsBoxedValue(repr, w) {
-			return 0
-		}
-		off, tag := 0, 0
-		if g.layout.HasTagWord {
-			tag = int(code.DecodeInt(repr, c.Heap.Field(w, 0)))
-			off = 1
-		}
-		fields := g.layout.Boxed[tag].Fields
-		if _, fresh := c.Heap.VisitShared(w, off+len(fields)); !fresh {
-			return 0
-		}
-		c.Stats.ObjectsCopied++
-		for i, fd := range fields {
-			c.concPush(c.Heap.Field(w, off+i), c.FromDesc(fd, g.args))
-		}
-		return int64(off + len(fields))
-	case *arrowG:
-		if !code.IsBoxedValue(repr, w) {
-			return 0 // null placeholder of a not-yet-patched recursive closure
-		}
-		fidx := int(code.DecodeInt(repr, c.Heap.Field(w, 0)))
-		fi := c.Prog.Funcs[fidx]
-		size := 1 + fi.NumRepWords + len(fi.Captures)
-		if _, fresh := c.Heap.VisitShared(w, size); !fresh {
-			return 0
-		}
-		c.Stats.ObjectsCopied++
-		env := c.closureEnv(fi, w, g)
-		for i, capDesc := range fi.Captures {
-			c.concPush(c.Heap.Field(w, 1+fi.NumRepWords+i), c.FromDesc(capDesc, env))
-		}
-		return int64(size)
 	}
-	panic("gc: concMark: unknown TypeGC node")
+	if _, fresh := c.Heap.VisitShared(w, sh.size()); !fresh {
+		return 0
+	}
+	c.Stats.ObjectsCopied++
+	for i, f := range sh.fields {
+		c.concPush(c.Heap.Field(w, sh.off+i), f)
+	}
+	return int64(sh.size())
 }
 
 // concPush queues one child value; const-typed children are dropped at the

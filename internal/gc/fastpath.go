@@ -5,7 +5,7 @@ package gc
 // presentation, still re-derived everything per frame per collection:
 // the gc_word was decoded from the instruction stream for every frame, a
 // polymorphic frame's []TypeGC and outgoing package were rebuilt through
-// the hash-consing builder (string keys under a mutex) for every frame of
+// the hash-consing builder (memo keys under a mutex) for every frame of
 // every collection, and every traced word paid a Trace interface call.
 // For the dominant workload shape — deep recursive stacks of one function
 // at one instantiation over list/tree structure — all of that work is
@@ -35,7 +35,6 @@ package gc
 // the fast path is required (and tested) to produce bit-identical heaps.
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"tagfree/internal/code"
@@ -191,8 +190,8 @@ type spineKernel struct {
 	steps  [][]spineField
 }
 
-// classify picks the kernel for a routine. Classification resolves the
-// same descriptors Trace would, so it builds no nodes Trace would not.
+// classify picks the kernel for a routine. Classification reads the same
+// constructor shapes Trace would, so it builds no nodes Trace would not.
 func (c *Collector) classify(g TypeGC) (kernel, *spineKernel, *boxKernel) {
 	switch g := g.(type) {
 	case *constG:
@@ -212,45 +211,9 @@ func (c *Collector) classify(g TypeGC) (kernel, *spineKernel, *boxKernel) {
 			return kBoxFlat, nil, bk
 		}
 	case *dataG:
-		sk := &spineKernel{
-			hasTag: g.layout.HasTagWord,
-			size:   make([]int, len(g.layout.Boxed)),
-			tail:   make([]int, len(g.layout.Boxed)),
-			steps:  make([][]spineField, len(g.layout.Boxed)),
+		if sk := c.spineKernelFor(g, false); sk != nil {
+			return kSpineFlat, sk, nil
 		}
-		off := 0
-		if sk.hasTag {
-			off = 1
-		}
-		for tag := range g.layout.Boxed {
-			fields := g.layout.Boxed[tag].Fields
-			sk.size[tag] = off + len(fields)
-			sk.tail[tag] = -1
-			for i, fd := range fields {
-				fgc := c.FromDesc(fd, g.args)
-				if fgc == g {
-					// Hash-consing makes node identity instantiation
-					// identity, so fgc == g is exactly "this datatype at
-					// this instantiation". The last field iterates as the
-					// spine; the rest (tree children) recurse.
-					if i == len(fields)-1 {
-						sk.tail[tag] = off + i
-					} else {
-						sk.steps[tag] = append(sk.steps[tag], spineField{off: off + i, kind: sfSelf, g: fgc})
-					}
-					continue
-				}
-				if _, ok := fgc.(*constG); ok {
-					continue
-				}
-				if bk := c.flatBox(fgc); bk != nil {
-					sk.steps[tag] = append(sk.steps[tag], spineField{off: off + i, kind: sfBox, g: fgc, box: bk})
-					continue
-				}
-				return kGeneric, nil, nil
-			}
-		}
-		return kSpineFlat, sk, nil
 	}
 	return kGeneric, nil, nil
 }
@@ -258,47 +221,55 @@ func (c *Collector) classify(g TypeGC) (kernel, *spineKernel, *boxKernel) {
 // classifyPrune builds the spine-only pruning kernel for a routine, or nil
 // when pruning does not apply. It is more permissive than classify: every
 // non-const, non-self field is pruned (sentinel-overwritten) rather than
-// traced, so payload shape does not matter. The one refusal is a
-// same-datatype field at a *different* instantiation (non-regular
-// recursion): the compile-side analysis treats any same-datatype field as
-// a spine step, so pruning it would sever a spine the program may still
-// walk.
+// traced, so payload shape does not matter.
 func (c *Collector) classifyPrune(g TypeGC) *spineKernel {
-	dg, ok := g.(*dataG)
-	if !ok {
-		return nil
+	if dg, ok := g.(*dataG); ok {
+		return c.spineKernelFor(dg, true)
 	}
-	sk := &spineKernel{
-		hasTag: dg.layout.HasTagWord,
-		size:   make([]int, len(dg.layout.Boxed)),
-		tail:   make([]int, len(dg.layout.Boxed)),
-		steps:  make([][]spineField, len(dg.layout.Boxed)),
-	}
-	off := 0
-	if sk.hasTag {
-		off = 1
-	}
-	for tag := range dg.layout.Boxed {
-		fields := dg.layout.Boxed[tag].Fields
-		sk.size[tag] = off + len(fields)
+	return nil
+}
+
+// spineKernelFor lays out the kSpineFlat loop for a datatype from its
+// constructor shapes, or returns nil when a payload field needs generic
+// dispatch. Hash-consing makes node identity instantiation identity, so a
+// field routine equal to g is exactly "this datatype at this
+// instantiation": as the last field it iterates as the spine (the shape's
+// tail), anywhere else (tree children) it recurses. Every other non-const
+// field must be a flat box — or, for a pruning kernel, is pruned whatever
+// its shape. Pruning's one refusal is a same-datatype field at a
+// *different* instantiation (non-regular recursion): the compile-side
+// analysis treats any same-datatype field as a spine step, so pruning it
+// would sever a spine the program may still walk.
+func (c *Collector) spineKernelFor(g *dataG, prune bool) *spineKernel {
+	n := len(g.layout.Boxed)
+	sk := &spineKernel{hasTag: g.layout.HasTagWord, size: make([]int, n), tail: make([]int, n), steps: make([][]spineField, n)}
+	for tag := range g.layout.Boxed {
+		sh := g.ctor(c, tag)
+		sk.size[tag] = sh.size()
 		sk.tail[tag] = -1
-		for i, fd := range fields {
-			fgc := c.FromDesc(fd, dg.args)
-			if fgc == g {
-				if i == len(fields)-1 {
-					sk.tail[tag] = off + i
-				} else {
-					sk.steps[tag] = append(sk.steps[tag], spineField{off: off + i, kind: sfSelf, g: fgc})
-				}
+		if sh.tail >= 0 {
+			sk.tail[tag] = sh.off + sh.tail
+		}
+		for i, f := range sh.fields {
+			step := spineField{off: sh.off + i, g: f}
+			fdg, _ := f.(*dataG)
+			_, isConst := f.(*constG)
+			switch {
+			case isConst || i == sh.tail:
 				continue
-			}
-			if fdg, same := fgc.(*dataG); same && fdg.layoutID == dg.layoutID {
+			case fdg == g:
+				step.kind = sfSelf
+			case prune && fdg != nil && fdg.layoutID == g.layoutID:
 				return nil // non-regular recursion: the analysis calls this a spine step
+			case prune:
+				step.kind = sfPrune
+			default:
+				step.kind = sfBox
+				if step.box = c.flatBox(f); step.box == nil {
+					return nil
+				}
 			}
-			if _, isConst := fgc.(*constG); isConst {
-				continue
-			}
-			sk.steps[tag] = append(sk.steps[tag], spineField{off: off + i, kind: sfPrune, g: fgc})
+			sk.steps[tag] = append(sk.steps[tag], step)
 		}
 	}
 	return sk
@@ -382,10 +353,10 @@ func (c *Collector) markBox(bk *boxKernel, w code.Word, st *Stats) int64 {
 }
 
 // traceSpine is the flattened loop for const-payload data spines: visit,
-// link the previous copy's tail, advance — dataG.Trace minus the
-// per-field FromDesc and Trace dispatch (payload words are correct
-// verbatim after the copy). g is the spine's own routine, threaded through
-// for the generational tail-link barrier (setField).
+// link the previous copy's tail, advance — dataG.Trace minus the per-field
+// Trace dispatch (payload words are correct verbatim after the copy). g is
+// the spine's own routine, threaded through for the generational tail-link
+// barrier (setField).
 func (c *Collector) traceSpine(sk *spineKernel, g TypeGC, w code.Word, st *Stats) code.Word {
 	head := code.Word(0)
 	haveHead := false
@@ -611,32 +582,6 @@ type planKey struct {
 	ids  [maxPlanTypeArgs]int32
 }
 
-// planCache memoizes frame plans with lock-free reads: an immutable
-// snapshot map consulted without locking, and a mutex-guarded dirty map
-// holding everything ever built. promote republishes the snapshot; the
-// collector promotes before each parallel phase so workers resolving deep
-// stacks never serialize on the mutex.
-type planCache struct {
-	snap     atomic.Pointer[map[planKey]*framePlan]
-	mu       sync.Mutex
-	dirty    map[planKey]*framePlan
-	promoted int
-}
-
-func (pc *planCache) promote() {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if len(pc.dirty) == pc.promoted {
-		return
-	}
-	m := make(map[planKey]*framePlan, len(pc.dirty))
-	for k, v := range pc.dirty {
-		m[k] = v
-	}
-	pc.snap.Store(&m)
-	pc.promoted = len(m)
-}
-
 // planIC is a one-entry inline cache in front of planFor, local to one
 // task's stack walk: a tower of N equal frames — deep recursion over one
 // instantiation, the dominant deep-stack shape — hits it N-1 times,
@@ -711,36 +656,17 @@ func (c *Collector) planFor(siteIdx int, site *code.SiteInfo, targs []TypeGC, st
 			key.ids[i] = -1
 		}
 	}
-	if m := c.plans.snap.Load(); m != nil {
-		if p, ok := (*m)[key]; ok {
-			st.PlanHits++
-			return p
-		}
-	}
-	c.plans.mu.Lock()
-	if p, ok := c.plans.dirty[key]; ok {
-		c.plans.mu.Unlock()
+	if p, ok := c.plans.get(key); ok {
 		st.PlanHits++
 		return p
 	}
-	c.plans.mu.Unlock()
 	// Build outside the lock: construction reaches into the TypeGC
 	// builder, and a slow build must not serialize unrelated lookups.
 	// A racing duplicate build is harmless — plans for one key are
 	// interchangeable — but only one wins publication.
 	st.PlanMisses++
 	p := c.buildPlan(siteIdx, site, targs)
-	c.plans.mu.Lock()
-	if prev, ok := c.plans.dirty[key]; ok {
-		p = prev
-	} else {
-		if c.plans.dirty == nil {
-			c.plans.dirty = make(map[planKey]*framePlan)
-		}
-		c.plans.dirty[key] = p
-	}
-	c.plans.mu.Unlock()
-	return p
+	return c.plans.add(key, func() *framePlan { return p })
 }
 
 // buildPlan resolves one frame routine completely: slot routines with
@@ -849,6 +775,10 @@ func (c *Collector) siteAtFast(pc int, st *Stats) (int, *code.SiteInfo) {
 	return idx, si
 }
 
+// planned reports whether roots trace through frame plans and kernels: the
+// compiled strategy with the fast path on.
+func (c *Collector) planned() bool { return c.Strat == StratCompiled && !c.DisableFastPath }
+
 // prepareFastPath promotes the memo-table and plan-cache snapshots so the
 // parallel phase's workers read both lock-free — the "pre-resolve before
 // the pause's parallel phase" step. Promotion is O(entries) and skipped
@@ -857,6 +787,7 @@ func (c *Collector) prepareFastPath() {
 	if c.DisableFastPath {
 		return
 	}
-	c.b.promote()
+	c.b.nodes.promote()
+	c.b.caps.promote()
 	c.plans.promote()
 }

@@ -183,36 +183,46 @@ func (c *Collector) setField(obj code.Word, i int, v code.Word, g TypeGC) {
 	}
 }
 
-// traceRemembered re-traces every remembered old→young edge during a minor
-// collection. Entries appended mid-loop (promotions discovering young
-// children) are already traced when recorded, and re-tracing an evacuated
-// object is a forwarding hit, so the growing-slice iteration is safe.
-func (c *Collector) traceRemembered() {
+// traceRemembered re-traces the remembered old→young edges during a minor
+// collection: all of them, or with shard >= 0 only the entries whose field
+// currently holds a pointer into that nursery shard — other shards are not
+// being collected, so their targets do not move and their entries stay
+// untouched. An edge is a root like a stack slot, so on the compiled fast
+// path it runs the kernel its routine classifies to (remSlot), bit-identical
+// to the generic walk. Entries appended mid-loop (promotions discovering
+// young children) are already traced when recorded, and re-tracing an
+// evacuated object is a forwarding hit, so the growing-slice iteration is
+// safe.
+func (c *Collector) traceRemembered(shard int) {
+	fast := c.planned()
 	for i := 0; i < len(c.remembered); i++ {
 		e := c.remembered[i] // copy: the slice may grow or move mid-loop
 		v := c.Heap.Field(e.obj, int(e.field))
-		nv := e.g.Trace(c, v)
-		c.Heap.SetField(e.obj, int(e.field), nv)
+		if shard >= 0 && !c.Heap.InYoungShard(v, shard) {
+			continue
+		}
+		if fast {
+			v = c.traceKernel(c.remSlot(e.g), v, &c.Stats)
+		} else {
+			v = e.g.Trace(c, v)
+		}
+		c.Heap.SetField(e.obj, int(e.field), v)
 		c.Stats.SlotsTraced++
 	}
 }
 
-// traceRememberedShard is traceRemembered restricted to one nursery shard:
-// only entries whose field currently holds a pointer into that shard are
-// re-traced. Entries for other shards stay untraced and untouched — their
-// shards are not being collected, so their targets do not move. The same
-// growing-slice iteration safety argument applies.
-func (c *Collector) traceRememberedShard(shard int) {
-	for i := 0; i < len(c.remembered); i++ {
-		e := c.remembered[i] // copy: the slice may grow or move mid-loop
-		v := c.Heap.Field(e.obj, int(e.field))
-		if !c.Heap.InYoungShard(v, shard) {
-			continue
+// remSlot classifies a remembered routine once per node, like a plan slot.
+func (c *Collector) remSlot(g TypeGC) *planSlot {
+	ps := c.remSlots[g]
+	if ps == nil {
+		ps = &planSlot{g: g}
+		ps.k, ps.spine, ps.box = c.classify(g)
+		if c.remSlots == nil {
+			c.remSlots = map[TypeGC]*planSlot{}
 		}
-		nv := e.g.Trace(c, v)
-		c.Heap.SetField(e.obj, int(e.field), nv)
-		c.Stats.SlotsTraced++
+		c.remSlots[g] = ps
 	}
+	return ps
 }
 
 // refilterRemembered drops entries whose field no longer holds a young

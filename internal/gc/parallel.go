@@ -243,7 +243,7 @@ func (c *Collector) ResolveRoots(tasks []TaskRoots) int {
 // (the top of the next collection).
 func (c *Collector) taskJobs(t TaskRoots, st *Stats, sc *scratch) []rootJob {
 	fps, pcs := frameChain(t)
-	fast := c.Strat == StratCompiled && !c.DisableFastPath
+	fast := c.planned()
 	jobs := sc.jobsWindow()
 	var incoming pkg
 	var ic planIC
@@ -371,85 +371,28 @@ func (c *Collector) collectParallelMark(tasks []TaskRoots, scans []TaskScan, glo
 // mark/sweep heaps (objects never move, so there is nothing to forward).
 // It returns the words newly marked, for per-task telemetry. First visits
 // are claimed through heap.VisitShared's compare-and-swap, making the walk
-// safe for any number of concurrent workers.
+// safe for any number of concurrent workers. A spine (shape.tail) iterates,
+// so long lists do not consume host stack proportional to their length.
 func (c *Collector) markValue(g TypeGC, w code.Word, st *Stats) int64 {
-	repr := c.Heap.Repr
-	switch g := g.(type) {
-	case *constG:
-		return 0
-	case *refG:
-		if !code.IsBoxedValue(repr, w) {
-			return 0
+	var words int64
+	for {
+		sh, ok := c.shapeOf(g, w)
+		if !ok {
+			return words
 		}
-		if _, fresh := c.Heap.VisitShared(w, 1); !fresh {
-			return 0
+		if _, fresh := c.Heap.VisitShared(w, sh.size()); !fresh {
+			return words
 		}
 		st.ObjectsCopied++
-		return 1 + c.markValue(g.elem, c.Heap.Field(w, 0), st)
-	case *tupleG:
-		if !code.IsBoxedValue(repr, w) {
-			return 0
-		}
-		if _, fresh := c.Heap.VisitShared(w, len(g.fields)); !fresh {
-			return 0
-		}
-		st.ObjectsCopied++
-		words := int64(len(g.fields))
-		for i, f := range g.fields {
-			words += c.markValue(f, c.Heap.Field(w, i), st)
-		}
-		return words
-	case *dataG:
-		// Iterate recursive tail fields (list spines) like dataG.Trace, so
-		// long lists do not consume host stack proportional to length.
-		var words int64
-		for {
-			if !code.IsBoxedValue(repr, w) {
-				return words
+		words += int64(sh.size())
+		for i, f := range sh.fields {
+			if i != sh.tail {
+				words += c.markValue(f, c.Heap.Field(w, sh.off+i), st)
 			}
-			off, tag := 0, 0
-			if g.layout.HasTagWord {
-				tag = int(code.DecodeInt(repr, c.Heap.Field(w, 0)))
-				off = 1
-			}
-			fields := g.layout.Boxed[tag].Fields
-			if _, fresh := c.Heap.VisitShared(w, off+len(fields)); !fresh {
-				return words
-			}
-			st.ObjectsCopied++
-			words += int64(off + len(fields))
-			tailField := -1
-			for i, fd := range fields {
-				fgc := c.FromDesc(fd, g.args)
-				if fgc == g && i == len(fields)-1 {
-					tailField = off + i
-					continue
-				}
-				words += c.markValue(fgc, c.Heap.Field(w, off+i), st)
-			}
-			if tailField < 0 {
-				return words
-			}
-			w = c.Heap.Field(w, tailField)
 		}
-	case *arrowG:
-		if !code.IsBoxedValue(repr, w) {
-			return 0 // null placeholder of a not-yet-patched recursive closure
+		if sh.tail < 0 {
+			return words
 		}
-		fidx := int(code.DecodeInt(repr, c.Heap.Field(w, 0)))
-		fi := c.Prog.Funcs[fidx]
-		size := 1 + fi.NumRepWords + len(fi.Captures)
-		if _, fresh := c.Heap.VisitShared(w, size); !fresh {
-			return 0
-		}
-		st.ObjectsCopied++
-		words := int64(size)
-		env := c.closureEnv(fi, w, g)
-		for i, capDesc := range fi.Captures {
-			fgc := c.FromDesc(capDesc, env)
-			words += c.markValue(fgc, c.Heap.Field(w, 1+fi.NumRepWords+i), st)
-		}
-		return words
+		w = c.Heap.Field(w, sh.off+sh.tail)
 	}
-	panic("gc: markValue: unknown TypeGC node")
 }

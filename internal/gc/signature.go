@@ -87,82 +87,29 @@ func (s *signer) raw(w code.Word) { s.out = append(s.out, 0, w) }
 
 func (s *signer) walk(g TypeGC, w code.Word) {
 	c := s.c
-	repr := c.Heap.Repr
-	switch g := g.(type) {
-	case *constG:
-		s.raw(w)
-	case *refG:
-		if !code.IsBoxedValue(repr, w) {
+	for {
+		sh, ok := c.shapeOf(g, w)
+		if !ok {
 			s.raw(w)
 			return
 		}
-		if s.enter(w, 1) {
-			s.walk(g.elem, c.Heap.Field(w, 0))
-		}
-	case *tupleG:
-		if !code.IsBoxedValue(repr, w) {
-			s.raw(w)
+		if !s.enter(w, sh.size()) {
 			return
 		}
-		if s.enter(w, len(g.fields)) {
-			for i, f := range g.fields {
-				s.walk(f, c.Heap.Field(w, i))
-			}
-		}
-	case *dataG:
-		for {
-			if !code.IsBoxedValue(repr, w) {
-				s.raw(w)
-				return
-			}
-			off, tag := 0, 0
-			if g.layout.HasTagWord {
-				tag = int(code.DecodeInt(repr, c.Heap.Field(w, 0)))
-				off = 1
-			}
-			fields := g.layout.Boxed[tag].Fields
-			if !s.enter(w, off+len(fields)) {
-				return
-			}
-			if off == 1 {
-				s.raw(c.Heap.Field(w, 0))
-			}
-			tailField := -1
-			for i, fd := range fields {
-				fgc := c.FromDesc(fd, g.args)
-				if fgc == g && i == len(fields)-1 {
-					tailField = off + i
-					continue
-				}
-				s.walk(fgc, c.Heap.Field(w, off+i))
-			}
-			if tailField < 0 {
-				return
-			}
-			w = c.Heap.Field(w, tailField)
-		}
-	case *arrowG:
-		if !code.IsBoxedValue(repr, w) {
-			s.raw(w)
-			return
-		}
-		fidx := int(code.DecodeInt(repr, c.Heap.Field(w, 0)))
-		fi := c.Prog.Funcs[fidx]
-		size := 1 + fi.NumRepWords + len(fi.Captures)
-		if !s.enter(w, size) {
-			return
-		}
-		// Code index and representation words are immediates (the collector
-		// never traces them); captures are walked through their descriptors.
-		for i := 0; i <= fi.NumRepWords; i++ {
+		// A constructor tag, a closure's code index and its representation
+		// words are immediates: the collector never traces them.
+		for i := 0; i < sh.off; i++ {
 			s.raw(c.Heap.Field(w, i))
 		}
-		env := c.closureEnv(fi, w, g)
-		for i, capDesc := range fi.Captures {
-			s.walk(c.FromDesc(capDesc, env), c.Heap.Field(w, 1+fi.NumRepWords+i))
+		for i, f := range sh.fields {
+			if i != sh.tail {
+				s.walk(f, c.Heap.Field(w, sh.off+i))
+			}
 		}
-	default:
-		panic("gc: signer: unknown TypeGC node")
+		if sh.tail < 0 {
+			return
+		}
+		w = c.Heap.Field(w, sh.off+sh.tail)
 	}
 }
 

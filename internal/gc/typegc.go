@@ -23,12 +23,11 @@
 package gc
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"tagfree/internal/code"
-	"tagfree/internal/heap"
 )
 
 // TypeGC traces values of one type and decomposes into component routines.
@@ -42,116 +41,175 @@ type TypeGC interface {
 	gcID() int
 }
 
+// memoTable is a grow-only memo with lock-free steady-state reads: an
+// immutable snapshot map is consulted first without locking, and a mutex
+// guards the map of everything ever stored. The collector republishes the
+// snapshot before each parallel phase (prepareFastPath), so once the
+// program's types and plans have been seen, workers never serialize on the
+// mutex — the PR-1 profile showed -par 4 collections spending most of
+// their resolution time queued here.
+type memoTable[K comparable, V any] struct {
+	snap atomic.Pointer[map[K]V]
+	mu   sync.Mutex
+	all  map[K]V
+	// promoted is len(all) at the last snapshot, so promote can skip
+	// republication when nothing new was stored.
+	promoted int
+}
+
+func (t *memoTable[K, V]) get(k K) (V, bool) {
+	if m := t.snap.Load(); m != nil {
+		if v, ok := (*m)[k]; ok {
+			return v, true
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v, ok := t.all[k]
+	return v, ok
+}
+
+// add stores mk() under k unless a racing caller stored first, and returns
+// the stored value either way. mk runs under the table's lock.
+func (t *memoTable[K, V]) add(k K, mk func() V) V {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if v, ok := t.all[k]; ok {
+		return v
+	}
+	if t.all == nil {
+		t.all = map[K]V{}
+	}
+	v := mk()
+	t.all[k] = v
+	return v
+}
+
+// promote republishes the lock-free snapshot from the locked map.
+func (t *memoTable[K, V]) promote() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.all) == t.promoted {
+		return
+	}
+	m := make(map[K]V, len(t.all))
+	for k, v := range t.all {
+		m[k] = v
+	}
+	t.snap.Store(&m)
+	t.promoted = len(m)
+}
+
+// nodeKey identifies a hash-consed entry: its kind, an index (the datatype
+// layout id; the function index of a capture list) and the ids of its
+// children — node identity is type identity, so child ids stand for child
+// types. Four ids sit inline, so the keys of ordinary types are built and
+// compared without allocating; a wider tuple spills the rest into a string.
+type nodeKey struct {
+	kind  code.TDKind
+	index int32
+	n     int32
+	ids   [4]int32
+	spill string
+}
+
+func (k *nodeKey) push(id int) {
+	if int(k.n) < len(k.ids) {
+		k.ids[k.n] = int32(id)
+	} else {
+		k.spill = string(strconv.AppendInt(append([]byte(k.spill), ':'), int64(id), 10))
+	}
+	k.n++
+}
+
+func nodeKeyOf(kind code.TDKind, index int, children ...TypeGC) nodeKey {
+	k := nodeKey{kind: kind, index: int32(index)}
+	for _, ch := range children {
+		k.push(ch.gcID())
+	}
+	return k
+}
+
 // builder hash-conses TypeGC nodes, mirroring the paper's observation that
 // type_gc_routine closures for equal types are shared (Figure 3). The
-// mutex makes memoization safe for the parallel collection path, where
-// several workers resolve descriptors concurrently; the set of nodes ever
-// built is determined by the program alone, so Built stays deterministic
-// even though construction order is not.
-//
-// Reads are lock-free in the steady state: an immutable snapshot map is
-// consulted first without locking, and the mutex guards only misses. The
-// collector republishes the snapshot before each parallel phase
-// (prepareFastPath), so once the program's descriptor set has been seen,
-// workers never serialize on the mutex — the PR-1 profile showed -par 4
-// collections spending most of their resolution time queued here.
+// table's mutex makes memoization safe for the parallel collection path,
+// where several workers resolve descriptors concurrently; the set of nodes
+// ever built is determined by the program alone, so Built stays
+// deterministic even though construction order is not.
 type builder struct {
-	snap   atomic.Pointer[map[string]TypeGC]
-	mu     sync.Mutex
-	nextID int
-	cache  map[string]TypeGC
-	// promoted is the cache size at the last snapshot, so promote can
-	// skip republication when nothing new was built.
-	promoted int
+	nodes memoTable[nodeKey, TypeGC]
+	// caps memoizes closure capture routines (Collector.captures); its
+	// entries are lists of nodes, not nodes, and do not count as Built.
+	caps memoTable[nodeKey, []TypeGC]
 	// Built counts constructor calls that created a new node (experiment
-	// instrumentation: "type_gc closures constructed").
+	// instrumentation: "type_gc closures constructed"); it doubles as the
+	// id of the newest node. Guarded by nodes.mu.
 	Built int64
 }
 
-func newBuilder() *builder {
-	return &builder{cache: map[string]TypeGC{}}
-}
+func newBuilder() *builder { return &builder{} }
 
-func (b *builder) memo(key string, mk func(id int) TypeGC) TypeGC {
-	if m := b.snap.Load(); m != nil {
-		if g, ok := (*m)[key]; ok {
-			return g
-		}
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if g, ok := b.cache[key]; ok {
+func (b *builder) memo(key nodeKey, mk func(id int) TypeGC) TypeGC {
+	if g, ok := b.nodes.get(key); ok {
 		return g
 	}
-	b.nextID++
-	g := mk(b.nextID)
-	b.cache[key] = g
-	b.Built++
-	return g
-}
-
-// promote republishes the lock-free snapshot from the locked cache.
-func (b *builder) promote() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.cache) == b.promoted {
-		return
-	}
-	m := make(map[string]TypeGC, len(b.cache))
-	for k, v := range b.cache {
-		m[k] = v
-	}
-	b.snap.Store(&m)
-	b.promoted = len(m)
+	return b.nodes.add(key, func() TypeGC {
+		b.Built++
+		return mk(int(b.Built))
+	})
 }
 
 // Const returns the routine for unboxed values (const_gc in the paper).
 func (b *builder) Const() TypeGC {
-	return b.memo("const", func(id int) TypeGC { return &constG{id: id} })
+	return b.memo(nodeKeyOf(code.TDConst, 0), func(id int) TypeGC { return &constG{id: id} })
 }
 
 // Ref returns the routine for reference cells.
 func (b *builder) Ref(elem TypeGC) TypeGC {
-	return b.memo(fmt.Sprintf("ref:%d", elem.gcID()), func(id int) TypeGC {
-		return &refG{id: id, elem: elem}
+	return b.memo(nodeKeyOf(code.TDRef, 0, elem), func(id int) TypeGC {
+		return &refG{id: id, elem: elem, shape: shape{fields: []TypeGC{elem}, tail: -1}}
 	})
 }
 
-// Tuple returns the routine for tuples.
+// Tuple returns the routine for tuples. Like Data, it copies fields when it
+// builds a node, so callers may resolve into a stack buffer.
 func (b *builder) Tuple(fields []TypeGC) TypeGC {
-	key := "tup"
-	for _, f := range fields {
-		key += fmt.Sprintf(":%d", f.gcID())
-	}
-	return b.memo(key, func(id int) TypeGC {
-		return &tupleG{id: id, fields: fields}
+	return b.memo(nodeKeyOf(code.TDTuple, 0, fields...), func(id int) TypeGC {
+		return &tupleG{id: id, shape: shape{fields: append([]TypeGC(nil), fields...), tail: -1}}
 	})
 }
 
 // Data returns the routine for a datatype instantiation (trace_list_of and
 // friends).
 func (b *builder) Data(layoutID int, layout *code.DataLayout, args []TypeGC) TypeGC {
-	key := fmt.Sprintf("data:%d", layoutID)
-	for _, a := range args {
-		key += fmt.Sprintf(":%d", a.gcID())
-	}
-	return b.memo(key, func(id int) TypeGC {
-		return &dataG{id: id, layoutID: layoutID, layout: layout, args: args}
+	return b.memo(nodeKeyOf(code.TDData, layoutID, args...), func(id int) TypeGC {
+		return &dataG{id: id, layoutID: layoutID, layout: layout, args: append([]TypeGC(nil), args...),
+			ctors: make([]atomic.Pointer[shape], len(layout.Boxed))}
 	})
 }
 
 // Arrow returns the routine for function values (Figure 4): it traces
 // closures through their code pointers and offers dom/cod decomposition.
 func (b *builder) Arrow(dom, cod TypeGC) TypeGC {
-	return b.memo(fmt.Sprintf("arr:%d:%d", dom.gcID(), cod.gcID()), func(id int) TypeGC {
+	return b.memo(nodeKeyOf(code.TDArrow, 0, dom, cod), func(id int) TypeGC {
 		return &arrowG{id: id, dom: dom, cod: cod}
 	})
+}
+
+// fromDescs resolves descriptors into buf, which callers point at a small
+// stack array so resolving an already-built type allocates nothing.
+func (c *Collector) fromDescs(buf []TypeGC, ds []*code.TypeDesc, env []TypeGC) []TypeGC {
+	for _, d := range ds {
+		buf = append(buf, c.FromDesc(d, env))
+	}
+	return buf
 }
 
 // FromDesc builds the routine for a compiler descriptor, resolving TDVar
 // nodes against env (a frame's or datatype's type arguments).
 func (c *Collector) FromDesc(d *code.TypeDesc, env []TypeGC) TypeGC {
 	b := c.b
+	var buf [4]TypeGC
 	switch d.Kind {
 	case code.TDConst, code.TDOpaque:
 		return b.Const()
@@ -163,17 +221,9 @@ func (c *Collector) FromDesc(d *code.TypeDesc, env []TypeGC) TypeGC {
 	case code.TDRef:
 		return b.Ref(c.FromDesc(d.Args[0], env))
 	case code.TDTuple:
-		fields := make([]TypeGC, len(d.Args))
-		for i, a := range d.Args {
-			fields[i] = c.FromDesc(a, env)
-		}
-		return b.Tuple(fields)
+		return b.Tuple(c.fromDescs(buf[:0], d.Args, env))
 	case code.TDData:
-		args := make([]TypeGC, len(d.Args))
-		for i, a := range d.Args {
-			args[i] = c.FromDesc(a, env)
-		}
-		return b.Data(d.Index, c.Prog.Data[d.Index], args)
+		return b.Data(d.Index, c.Prog.Data[d.Index], c.fromDescs(buf[:0], d.Args, env))
 	case code.TDArrow:
 		return b.Arrow(c.FromDesc(d.Args[0], env), c.FromDesc(d.Args[1], env))
 	}
@@ -184,25 +234,22 @@ func (c *Collector) FromDesc(d *code.TypeDesc, env []TypeGC) TypeGC {
 // closure's rep words at creation).
 func (c *Collector) FromRep(h int) TypeGC {
 	e := c.Prog.Reps.Entry(h)
+	var buf [4]TypeGC
+	children := buf[:0]
+	for _, ch := range e.Children {
+		children = append(children, c.FromRep(ch))
+	}
 	switch e.Kind {
 	case code.TDConst, code.TDOpaque:
 		return c.b.Const()
 	case code.TDRef:
-		return c.b.Ref(c.FromRep(e.Children[0]))
+		return c.b.Ref(children[0])
 	case code.TDTuple:
-		fields := make([]TypeGC, len(e.Children))
-		for i, ch := range e.Children {
-			fields[i] = c.FromRep(ch)
-		}
-		return c.b.Tuple(fields)
+		return c.b.Tuple(children)
 	case code.TDData:
-		args := make([]TypeGC, len(e.Children))
-		for i, ch := range e.Children {
-			args[i] = c.FromRep(ch)
-		}
-		return c.b.Data(e.Index, c.Prog.Data[e.Index], args)
+		return c.b.Data(e.Index, c.Prog.Data[e.Index], children)
 	case code.TDArrow:
-		return c.b.Arrow(c.FromRep(e.Children[0]), c.FromRep(e.Children[1]))
+		return c.b.Arrow(children[0], children[1])
 	}
 	panic("FromRep: unknown rep kind")
 }
@@ -219,6 +266,61 @@ func ApplyPath(g TypeGC, path []code.PathStep) TypeGC {
 // Node implementations.
 // ---------------------------------------------------------------------------
 
+// shape is one heap object's layout as its routine sees it: off immediate
+// words (constructor tag; code pointer and rep words) followed by one word
+// per field routine. tail is the index of a last field typed by the
+// routine itself — a list's or tree's spine, which every walker iterates
+// instead of recursing so long lists cost no host stack — or -1. Shapes
+// are what make a node a closure over its components (Figure 3): resolved
+// once, immutable once published, read by every tracer.
+type shape struct {
+	fields []TypeGC
+	off    int
+	tail   int
+}
+
+func (s *shape) size() int { return s.off + len(s.fields) }
+
+// shapeOf returns the shape of the object w under routine g, or false when
+// there is no object to walk (an unboxed word, or a const-typed one that
+// merely looks like a pointer).
+func (c *Collector) shapeOf(g TypeGC, w code.Word) (shape, bool) {
+	if !code.IsBoxedValue(c.Heap.Repr, w) {
+		return shape{}, false // includes the null placeholder of a not-yet-patched recursive closure
+	}
+	switch g := g.(type) {
+	case *constG:
+		return shape{}, false
+	case *refG:
+		return g.shape, true
+	case *tupleG:
+		return g.shape, true
+	case *dataG:
+		return *g.ctor(c, g.tag(c, w)), true
+	case *arrowG:
+		// The function identity comes from the code pointer (field 0),
+		// exactly the paper's "word preceding the code" lookup (§2.2).
+		fidx := int(code.DecodeInt(c.Heap.Repr, c.Heap.Field(w, 0)))
+		fi := c.Prog.Funcs[fidx]
+		return shape{fields: c.captures(g, fidx, fi, w), off: 1 + fi.NumRepWords, tail: -1}, true
+	}
+	panic("gc: shapeOf: unknown TypeGC node")
+}
+
+// traceObject copies one object and traces its fields in order — the whole
+// of Trace for every shape without a spine.
+func (c *Collector) traceObject(sh *shape, w code.Word) code.Word {
+	nw, fresh := c.Heap.VisitObject(w, sh.size())
+	if !fresh {
+		return nw
+	}
+	c.Stats.ObjectsCopied++
+	for i, f := range sh.fields {
+		c.setField(nw, sh.off+i, f.Trace(c, c.Heap.Field(nw, sh.off+i)), f)
+	}
+	return nw
+}
+
 type constG struct{ id int }
 
 func (g *constG) gcID() int { return g.id }
@@ -232,6 +334,7 @@ func (g *constG) Child(code.PathStep) TypeGC { return g }
 type refG struct {
 	id   int
 	elem TypeGC
+	shape
 }
 
 func (g *refG) gcID() int { return g.id }
@@ -242,18 +345,12 @@ func (g *refG) Trace(c *Collector, w code.Word) code.Word {
 	if !code.IsBoxedValue(c.Heap.Repr, w) {
 		return w
 	}
-	nw, fresh := c.Heap.VisitObject(w, 1)
-	if !fresh {
-		return nw
-	}
-	c.Stats.ObjectsCopied++
-	c.setField(nw, 0, g.elem.Trace(c, c.Heap.Field(nw, 0)), g.elem)
-	return nw
+	return c.traceObject(&g.shape, w)
 }
 
 type tupleG struct {
-	id     int
-	fields []TypeGC
+	id int
+	shape
 }
 
 func (g *tupleG) gcID() int { return g.id }
@@ -264,15 +361,7 @@ func (g *tupleG) Trace(c *Collector, w code.Word) code.Word {
 	if !code.IsBoxedValue(c.Heap.Repr, w) {
 		return w
 	}
-	nw, fresh := c.Heap.VisitObject(w, len(g.fields))
-	if !fresh {
-		return nw
-	}
-	c.Stats.ObjectsCopied++
-	for i, f := range g.fields {
-		c.setField(nw, i, f.Trace(c, c.Heap.Field(nw, i)), f)
-	}
-	return nw
+	return c.traceObject(&g.shape, w)
 }
 
 type dataG struct {
@@ -280,11 +369,46 @@ type dataG struct {
 	layoutID int
 	layout   *code.DataLayout
 	args     []TypeGC
+	// ctors holds each boxed constructor's shape, nil until first use.
+	ctors []atomic.Pointer[shape]
 }
 
 func (g *dataG) gcID() int { return g.id }
 
 func (g *dataG) Child(step code.PathStep) TypeGC { return g.args[step.Index] }
+
+// tag reads the constructor of the boxed value w.
+func (g *dataG) tag(c *Collector, w code.Word) int {
+	if !g.layout.HasTagWord {
+		return 0
+	}
+	return int(code.DecodeInt(c.Heap.Repr, c.Heap.Field(w, 0)))
+}
+
+// ctor returns one constructor's shape. The field routines are a pure
+// function of node and tag — hash-consing fixes g.args — so they are
+// resolved on first use and published with a compare-and-swap: parallel
+// mark workers that first-touch a constructor together resolve the same
+// hash-consed nodes, and whichever shape wins is the one all of them read.
+// The interpreted method alone re-derives them for every object: paying
+// for descriptors at trace time is the design the paper measures against.
+func (g *dataG) ctor(c *Collector, tag int) *shape {
+	if sh := g.ctors[tag].Load(); sh != nil {
+		return sh
+	}
+	fds := g.layout.Boxed[tag].Fields
+	sh := &shape{fields: c.fromDescs(make([]TypeGC, 0, len(fds)), fds, g.args), tail: -1}
+	if g.layout.HasTagWord {
+		sh.off = 1
+	}
+	if n := len(fds); n > 0 && sh.fields[n-1] == TypeGC(g) {
+		sh.tail = n - 1
+	}
+	if c.Strat == StratInterp || g.ctors[tag].CompareAndSwap(nil, sh) {
+		return sh
+	}
+	return g.ctors[tag].Load()
+}
 
 // Trace copies a datatype value. Recursive tail fields whose routine is g
 // itself (list spines, tree right-spines) are traced iteratively so a long
@@ -307,34 +431,23 @@ func (g *dataG) Trace(c *Collector, w code.Word) code.Word {
 			link(w)
 			return head0(head, haveHead, w)
 		}
-		off := 0
-		tag := 0
-		if g.layout.HasTagWord {
-			tag = int(code.DecodeInt(c.Heap.Repr, c.Heap.Field(w, 0)))
-			off = 1
-		}
-		fields := g.layout.Boxed[tag].Fields
-		nw, fresh := c.Heap.VisitObject(w, off+len(fields))
+		sh := g.ctor(c, g.tag(c, w))
+		nw, fresh := c.Heap.VisitObject(w, sh.size())
 		link(nw)
 		if !fresh {
 			return head0(head, haveHead, nw)
 		}
 		c.Stats.ObjectsCopied++
-
-		tailField := -1
-		for i, fd := range fields {
-			fgc := c.FromDesc(fd, g.args)
-			if fgc == g && i == len(fields)-1 {
-				tailField = off + i
-				continue
+		for i, f := range sh.fields {
+			if i != sh.tail {
+				c.setField(nw, sh.off+i, f.Trace(c, c.Heap.Field(nw, sh.off+i)), f)
 			}
-			c.setField(nw, off+i, fgc.Trace(c, c.Heap.Field(nw, off+i)), fgc)
 		}
-		if tailField < 0 {
+		if sh.tail < 0 {
 			return head0(head, haveHead, nw)
 		}
-		prevPtr, prevField = nw, tailField
-		w = c.Heap.Field(nw, tailField)
+		prevPtr, prevField = nw, sh.off+sh.tail
+		w = c.Heap.Field(nw, prevField)
 	}
 }
 
@@ -361,31 +474,40 @@ func (g *arrowG) Child(step code.PathStep) TypeGC {
 	return g.cod
 }
 
-// Trace copies a closure. The function identity comes from the code
-// pointer (field 0), exactly the paper's "word preceding the code" lookup
-// (§2.2); capture types resolve against the function's type environment,
-// derived from this routine's own dom/cod (Figure 4) and from rep words
-// stored at creation.
+// Trace copies a closure and traces its captures.
 func (g *arrowG) Trace(c *Collector, w code.Word) code.Word {
-	if !code.IsBoxedValue(c.Heap.Repr, w) {
-		return w // null placeholder of a not-yet-patched recursive closure
+	sh, ok := c.shapeOf(g, w)
+	if !ok {
+		return w
 	}
-	fidx := int(code.DecodeInt(c.Heap.Repr, c.Heap.Field(w, 0)))
-	fi := c.Prog.Funcs[fidx]
-	size := 1 + fi.NumRepWords + len(fi.Captures)
-	nw, fresh := c.Heap.VisitObject(w, size)
-	if !fresh {
-		return nw
-	}
-	c.Stats.ObjectsCopied++
+	return c.traceObject(&sh, w)
+}
 
-	env := c.closureEnv(fi, nw, g)
-	for i, capDesc := range fi.Captures {
-		off := 1 + fi.NumRepWords + i
-		fgc := c.FromDesc(capDesc, env)
-		c.setField(nw, off, fgc.Trace(c, c.Heap.Field(nw, off)), fgc)
+// captures returns the routines for a closure's captured fields. Capture
+// types resolve against the function's type environment, derived from the
+// reference routine's own dom/cod (Figure 4) and from rep words stored at
+// creation — so they are a pure function of the function, the routine and
+// the rep handles, and are memoized on exactly that key beside the nodes
+// (a monomorphic function's key is its index alone). As in dataG.ctor, the
+// interpreted method re-derives them per closure.
+func (c *Collector) captures(g *arrowG, fidx int, fi *code.FuncInfo, clos code.Word) []TypeGC {
+	resolve := func() []TypeGC {
+		return c.fromDescs(make([]TypeGC, 0, len(fi.Captures)), fi.Captures, c.closureEnv(fi, clos, g))
 	}
-	return nw
+	if c.Strat == StratInterp {
+		return resolve()
+	}
+	key := nodeKey{index: int32(fidx)}
+	if fi.TypeEnvLen > 0 {
+		key.push(g.id)
+		for i := 1; i <= fi.NumRepWords; i++ {
+			key.push(int(code.DecodeInt(c.Heap.Repr, c.Heap.Field(clos, i))))
+		}
+	}
+	if caps, ok := c.b.caps.get(key); ok {
+		return caps
+	}
+	return c.b.caps.add(key, resolve)
 }
 
 // closureEnv reconstructs a closure's type environment from the reference
@@ -409,6 +531,3 @@ func (c *Collector) closureEnv(fi *code.FuncInfo, clos code.Word, ref TypeGC) []
 	}
 	return env
 }
-
-// Silence the unused-import check for heap in this file (used by siblings).
-var _ = heap.Stats{}

@@ -1,6 +1,10 @@
 package gc
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -321,5 +325,265 @@ func TestStrategyReprCompatibility(t *testing.T) {
 	hT := heap.New(code.ReprTagged, 64)
 	if _, err := New(progT, hT, StratCompiled); err == nil {
 		t.Fatal("compiled strategy over a tagged program must be rejected")
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Node-resident components: cached ≡ resolved, first-touch race, allocation
+// guard. typegc_corpus_test.go runs CheckComponents over the corpora.
+// ---------------------------------------------------------------------------
+
+// CheckComponents walks every entry of the collector's hash-cons table and
+// checks each cached constructor shape and capture list against a fresh
+// descriptor resolution: pointer-identical routines, the right immediate
+// prefix and spine field — and the re-resolution must build no node, since
+// whatever the caches hold was resolved through the same table.
+func CheckComponents(c *Collector) error {
+	b := c.b
+	built := b.Built
+	byID := map[int]TypeGC{}
+	for _, g := range b.nodes.all {
+		byID[g.gcID()] = g
+	}
+	for _, g := range b.nodes.all {
+		dg, ok := g.(*dataG)
+		if !ok {
+			continue
+		}
+		for tag := range dg.ctors {
+			sh := dg.ctors[tag].Load()
+			if sh == nil {
+				continue
+			}
+			fds := dg.layout.Boxed[tag].Fields
+			off, tail := 0, -1
+			if dg.layout.HasTagWord {
+				off = 1
+			}
+			if len(sh.fields) != len(fds) {
+				return fmt.Errorf("%s tag %d: %d cached fields, layout has %d", dg.layout.Name, tag, len(sh.fields), len(fds))
+			}
+			for i, fd := range fds {
+				fresh := c.FromDesc(fd, dg.args)
+				if fresh != sh.fields[i] {
+					return fmt.Errorf("%s tag %d field %d: cached routine is not the resolved one", dg.layout.Name, tag, i)
+				}
+				if fresh == g && i == len(fds)-1 {
+					tail = i
+				}
+			}
+			if sh.off != off || sh.tail != tail {
+				return fmt.Errorf("%s tag %d: cached off/tail %d/%d, want %d/%d", dg.layout.Name, tag, sh.off, sh.tail, off, tail)
+			}
+		}
+	}
+	for key, caps := range b.caps.all {
+		fi := c.Prog.Funcs[key.index]
+		ids := key.ids[:min(int(key.n), len(key.ids))]
+		for _, s := range strings.Split(key.spill, ":")[1:] {
+			id, err := strconv.Atoi(s)
+			if err != nil {
+				return fmt.Errorf("%s: capture key spill %q: %v", fi.Name, key.spill, err)
+			}
+			ids = append(ids, int32(id))
+		}
+		env := make([]TypeGC, fi.TypeEnvLen)
+		for i := range env {
+			switch {
+			case fi.RepWord != nil && fi.RepWord[i] >= 0:
+				env[i] = c.FromRep(int(ids[1+fi.RepWord[i]]))
+			case fi.Derivs != nil && fi.Derivs[i] != nil:
+				env[i] = ApplyPath(byID[int(ids[0])], fi.Derivs[i])
+			default:
+				env[i] = b.Const()
+			}
+		}
+		if len(caps) != len(fi.Captures) {
+			return fmt.Errorf("%s: %d cached captures, function has %d", fi.Name, len(caps), len(fi.Captures))
+		}
+		for i, d := range fi.Captures {
+			if c.FromDesc(d, env) != caps[i] {
+				return fmt.Errorf("%s capture %d: cached routine is not the resolved one", fi.Name, i)
+			}
+		}
+	}
+	if b.Built != built {
+		return fmt.Errorf("re-resolving cached components built %d new nodes", b.Built-built)
+	}
+	return nil
+}
+
+// TestFirstTouchRace has four workers first-touch the same unresolved
+// nodes at once, the way -par 4 mark workers do: every worker must read
+// the one published shape, and racing resolutions must build each node
+// once. Run under -race (make tier2, tier2-bench).
+func TestFirstTouchRace(t *testing.T) {
+	intList := &code.TypeDesc{Kind: code.TDData, Index: 0, Args: []*code.TypeDesc{{Kind: code.TDConst}}}
+	nested := &code.TypeDesc{Kind: code.TDData, Index: 0, Args: []*code.TypeDesc{
+		{Kind: code.TDTuple, Args: []*code.TypeDesc{intList, {Kind: code.TDData, Index: 1}}}}}
+	serial := newTestCollector(t, code.ReprTagFree, StratCompiled, 64)
+	serial.FromDesc(nested, nil).(*dataG).ctor(serial, 0)
+	for round := 0; round < 50; round++ {
+		prog := listProgram(code.ReprTagFree)
+		c, err := New(prog, heap.NewMarkSweep(prog.Repr, 1<<12), StratCompiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each worker marks its own list of (int list, tree) pairs.
+		const workers = 4
+		roots := make([]code.Word, workers)
+		for i := range roots {
+			pair := c.Heap.MustAlloc(2)
+			c.Heap.SetField(pair, 0, mkList(c.Heap, []int64{1, 2, 3}))
+			c.Heap.SetField(pair, 1, 0)
+			cell := c.Heap.MustAlloc(2)
+			c.Heap.SetField(cell, 0, pair)
+			c.Heap.SetField(cell, 1, 0)
+			roots[i] = cell
+		}
+		c.Heap.BeginGC()
+		shapes := make([]*shape, workers)
+		words := make([]int64, workers)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				g := c.FromDesc(nested, nil)
+				var st Stats
+				words[i] = c.markValue(g, roots[i], &st)
+				shapes[i] = g.(*dataG).ctor(c, 0)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		c.Heap.EndGC()
+		for i := range shapes {
+			if shapes[i] != shapes[0] {
+				t.Fatalf("round %d: workers read different shapes for one constructor", round)
+			}
+			if words[i] != 10 {
+				t.Fatalf("round %d: worker %d marked %d words, want 10", round, i, words[i])
+			}
+		}
+		if c.b.Built != serial.b.Built {
+			t.Fatalf("round %d: racing first touches built %d nodes, serial resolution builds %d", round, c.b.Built, serial.b.Built)
+		}
+		if err := CheckComponents(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// closureProgram extends listProgram with three closure bodies: a
+// monomorphic one capturing an int list, one whose type environment comes
+// from a stored rep word, and one deriving it from the arrow routine's
+// domain (Figure 4) — the three ways captures resolves its key.
+func closureProgram(repr code.Repr) *code.Program {
+	prog := listProgram(repr)
+	intList := &code.TypeDesc{Kind: code.TDData, Index: 0, Args: []*code.TypeDesc{{Kind: code.TDConst}}}
+	varList := &code.TypeDesc{Kind: code.TDData, Index: 0, Args: []*code.TypeDesc{{Kind: code.TDVar, Index: 0}}}
+	prog.Funcs = []*code.FuncInfo{
+		{Name: "ground", Captures: []*code.TypeDesc{intList}},
+		{Name: "byrep", TypeEnvLen: 1, RepWord: []int{0}, NumRepWords: 1, Captures: []*code.TypeDesc{varList}},
+		{Name: "byderiv", TypeEnvLen: 1, RepWord: []int{-1}, Derivs: [][]code.PathStep{{{Kind: 0}}},
+			Captures: []*code.TypeDesc{{Kind: code.TDVar, Index: 0}}},
+	}
+	return prog
+}
+
+// TestTraceAllocatesNothingPerObject is the guard that keeps descriptor
+// resolution (and fmt) out of the tracers: once a shape has been seen,
+// copying or marking a thousand objects of it makes no host allocation
+// under the strategies that read node-resident components (a mark/sweep
+// EndGC makes one, for the collection). Each case re-collects its
+// structure several times over.
+func TestTraceAllocatesNothingPerObject(t *testing.T) {
+	intList := &code.TypeDesc{Kind: code.TDData, Index: 0, Args: []*code.TypeDesc{{Kind: code.TDConst}}}
+	arrow := &code.TypeDesc{Kind: code.TDArrow, Args: []*code.TypeDesc{intList, {Kind: code.TDConst}}}
+	cases := []struct {
+		name    string
+		desc    *code.TypeDesc
+		objects int64
+		build   func(h *heap.Heap, prog *code.Program) code.Word
+	}{
+		{"int list of 1000", intList, 1000, func(h *heap.Heap, _ *code.Program) code.Word {
+			return mkList(h, make([]int64, 1000))
+		}},
+		{"tree of depth 10", &code.TypeDesc{Kind: code.TDData, Index: 1}, 1023, func(h *heap.Heap, _ *code.Program) code.Word {
+			var grow func(d int) code.Word
+			grow = func(d int) code.Word {
+				if d == 0 {
+					return 0
+				}
+				n := h.MustAlloc(3)
+				h.SetField(n, 0, grow(d-1))
+				h.SetField(n, 1, code.EncodeInt(h.Repr, int64(d)))
+				h.SetField(n, 2, grow(d-1))
+				return n
+			}
+			return grow(10)
+		}},
+		{"list of 300 closures", &code.TypeDesc{Kind: code.TDData, Index: 0, Args: []*code.TypeDesc{arrow}}, 900,
+			func(h *heap.Heap, prog *code.Program) code.Word {
+				rep := prog.Reps.Intern(code.TDConst, 0, nil)
+				tail := code.Word(0)
+				for i := 0; i < 300; i++ {
+					fi := prog.Funcs[i%3]
+					clos := h.MustAlloc(1 + fi.NumRepWords + 1)
+					h.SetField(clos, 0, code.EncodeInt(h.Repr, int64(i%3)))
+					if fi.NumRepWords == 1 {
+						h.SetField(clos, 1, code.EncodeInt(h.Repr, int64(rep)))
+					}
+					h.SetField(clos, 1+fi.NumRepWords, mkList(h, []int64{int64(i)}))
+					cell := h.MustAlloc(2)
+					h.SetField(cell, 0, clos)
+					h.SetField(cell, 1, tail)
+					tail = cell
+				}
+				return tail
+			}},
+	}
+	for _, tc := range cases {
+		for _, strat := range []Strategy{StratCompiled, StratAppel} {
+			for _, ms := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%v/ms=%v", tc.name, strat, ms), func(t *testing.T) {
+					prog := closureProgram(code.ReprTagFree)
+					h := heap.New(prog.Repr, 1<<14)
+					if ms {
+						h = heap.NewMarkSweep(prog.Repr, 1<<14)
+					}
+					c, err := New(prog, h, strat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					root := tc.build(h, prog)
+					g := c.FromDesc(tc.desc, nil)
+					var st Stats
+					collect := func() {
+						h.BeginGC()
+						if ms {
+							c.markValue(g, root, &st)
+						} else {
+							root = g.Trace(c, root)
+						}
+						h.EndGC()
+					}
+					collect() // first touch resolves the shapes
+					before := c.Stats.ObjectsCopied + st.ObjectsCopied
+					if allocs := testing.AllocsPerRun(5, collect); allocs > 1 || allocs > 0 && !ms {
+						t.Fatalf("%v host allocations per collection of %d objects", allocs, tc.objects)
+					}
+					if got := (c.Stats.ObjectsCopied + st.ObjectsCopied - before) / 6; got != tc.objects {
+						t.Fatalf("each collection visited %d objects, want %d", got, tc.objects)
+					}
+					if err := CheckComponents(c); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
 	}
 }

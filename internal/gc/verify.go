@@ -89,79 +89,47 @@ func (v *verifier) checkBlock(w code.Word, n int) bool {
 	return true
 }
 
-// walk mirrors markValue's structure: same type dispatch, same dataG
-// tail-spine iteration, but checking extents instead of setting marks.
-func (v *verifier) walk(g TypeGC, w code.Word) {
+// badHeader reports (and records) a constructor tag or closure code index
+// outside the program, which shapeOf would index with unchecked.
+func (v *verifier) badHeader(g TypeGC, w code.Word) bool {
 	c := v.c
-	repr := c.Heap.Repr
+	if !code.IsBoxedValue(c.Heap.Repr, w) {
+		return false
+	}
 	switch g := g.(type) {
-	case *constG:
-		return
-	case *refG:
-		if !code.IsBoxedValue(repr, w) || !v.checkBlock(w, 1) {
-			return
-		}
-		v.walk(g.elem, c.Heap.Field(w, 0))
-	case *tupleG:
-		if !code.IsBoxedValue(repr, w) || !v.checkBlock(w, len(g.fields)) {
-			return
-		}
-		for i, f := range g.fields {
-			v.walk(f, c.Heap.Field(w, i))
-		}
 	case *dataG:
-		for {
-			if !code.IsBoxedValue(repr, w) {
-				return
-			}
-			off, tag := 0, 0
-			if g.layout.HasTagWord {
-				tag = int(code.DecodeInt(repr, c.Heap.Field(w, 0)))
-				off = 1
-			}
-			if tag < 0 || tag >= len(g.layout.Boxed) {
-				v.errs = append(v.errs, fmt.Errorf("reachable from %s: constructor tag %d outside layout (%d boxed forms)",
-					v.where, tag, len(g.layout.Boxed)))
-				return
-			}
-			fields := g.layout.Boxed[tag].Fields
-			if !v.checkBlock(w, off+len(fields)) {
-				return
-			}
-			tailField := -1
-			for i, fd := range fields {
-				fgc := c.FromDesc(fd, g.args)
-				if fgc == g && i == len(fields)-1 {
-					tailField = off + i
-					continue
-				}
-				v.walk(fgc, c.Heap.Field(w, off+i))
-			}
-			if tailField < 0 {
-				return
-			}
-			w = c.Heap.Field(w, tailField)
+		if tag := g.tag(c, w); tag < 0 || tag >= len(g.layout.Boxed) {
+			v.errs = append(v.errs, fmt.Errorf("reachable from %s: constructor tag %d outside layout (%d boxed forms)",
+				v.where, tag, len(g.layout.Boxed)))
+			return true
 		}
 	case *arrowG:
-		if !code.IsBoxedValue(repr, w) {
-			return
-		}
-		fidx := int(code.DecodeInt(repr, c.Heap.Field(w, 0)))
-		if fidx < 0 || fidx >= len(c.Prog.Funcs) {
+		if fidx := int(code.DecodeInt(c.Heap.Repr, c.Heap.Field(w, 0))); fidx < 0 || fidx >= len(c.Prog.Funcs) {
 			v.errs = append(v.errs, fmt.Errorf("reachable from %s: closure code index %d outside program (%d functions)",
 				v.where, fidx, len(c.Prog.Funcs)))
+			return true
+		}
+	}
+	return false
+}
+
+// walk mirrors markValue: the same shapes, the same tail-spine iteration,
+// but checking extents instead of setting marks.
+func (v *verifier) walk(g TypeGC, w code.Word) {
+	c := v.c
+	for !v.badHeader(g, w) {
+		sh, ok := c.shapeOf(g, w)
+		if !ok || !v.checkBlock(w, sh.size()) {
 			return
 		}
-		fi := c.Prog.Funcs[fidx]
-		size := 1 + fi.NumRepWords + len(fi.Captures)
-		if !v.checkBlock(w, size) {
+		for i, f := range sh.fields {
+			if i != sh.tail {
+				v.walk(f, c.Heap.Field(w, sh.off+i))
+			}
+		}
+		if sh.tail < 0 {
 			return
 		}
-		env := c.closureEnv(fi, w, g)
-		for i, capDesc := range fi.Captures {
-			v.walk(c.FromDesc(capDesc, env), c.Heap.Field(w, 1+fi.NumRepWords+i))
-		}
-	default:
-		panic("gc: verifier: unknown TypeGC node")
+		w = c.Heap.Field(w, sh.off+sh.tail)
 	}
 }

@@ -169,7 +169,9 @@ fast path: plan-hits=179 plan-misses=6 site-cache-hits=179 kernel-words=80
 // a nursery every collection carries a kind, and the table grows kind,
 // prom, rem and barrier columns. The program promotes its long-lived ref
 // cell (seq 1), then repoints it at a fresh young list — one barrier hit
-// and one remembered entry (seq 4) — whose words tenure at seq 5.
+// and one remembered entry (seq 4) — whose words tenure at seq 5. The
+// remembered list copies through the spine kernel like a stack root's, so
+// its 20 words count as kernel words at seq 4 and again at seq 5.
 func TestTelemetryTableGoldenGenerational(t *testing.T) {
 	src := `
 let rec upto n = if n = 0 then [] else n :: upto (n - 1)
@@ -202,7 +204,7 @@ seq   kind  par  before  live  surv%  words  frames  slots  flhit%  prom  rem  b
   7  minor    1      87    47   54.0     24      13      2       -     0    0        0
   8  minor    1      87    47   54.0     24      14      2       -     0    0        0
 survivor histogram: 30-40%=2 40-50%=4 50-60%=3
-fast path: plan-hits=128 plan-misses=6 site-cache-hits=128 kernel-words=168
+fast path: plan-hits=128 plan-misses=6 site-cache-hits=128 kernel-words=208
 `
 	if got != want {
 		t.Errorf("table mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"tagfree/internal/code"
+	"tagfree/internal/heap"
 	"tagfree/internal/pipeline"
 	"tagfree/internal/tasking"
 	"tagfree/internal/workloads"
@@ -420,16 +421,23 @@ func (d *driver) capacity() int {
 // decision. Ticks run at round boundaries, so the instantaneous reading
 // systematically misses the sawtooth peak a collection just reset; any
 // collection since the previous reading proves the heap reached its
-// recorded UsedBefore words in between.
+// recorded UsedBefore words in between. On a mark/sweep heap only the
+// instantaneous reading counts, and it is OccupiedWords: Used and
+// UsedBefore are there the bump high-water mark, which no sweep lowers —
+// judged on those the watermark latches the first time the heap fills and
+// every later arrival is shed.
 func (d *driver) peakUsed() int {
-	used := d.g.Heap.Used()
-	if d.g.Heap.NurseryEnabled() {
-		used += d.g.Heap.YoungUsed()
+	h := d.g.Heap
+	used := h.OccupiedWords() // Used on a copying heap: nothing is parked on free lists
+	if h.NurseryEnabled() {
+		used += h.YoungUsed()
 	}
 	recs := d.g.Col.Telem.Records
-	for _, r := range recs[d.seenRecords:] {
-		if int(r.UsedBefore) > used {
-			used = int(r.UsedBefore)
+	if h.Kind() != heap.MarkSweep {
+		for _, r := range recs[d.seenRecords:] {
+			if int(r.UsedBefore) > used {
+				used = int(r.UsedBefore)
+			}
 		}
 	}
 	d.seenRecords = len(recs)

@@ -201,6 +201,45 @@ func TestDegradationLadderEscalates(t *testing.T) {
 	}
 }
 
+// TestHeapWatermarkUnlatchesAfterSweep: on a mark/sweep heap Used() is the
+// bump high-water mark, which fills once and never falls; the watermark
+// must be judged on occupancy, which every sweep lowers. At a sustainable
+// arrival rate the heap fills and is swept many times over — reading the
+// high-water mark, the first fill latched the watermark and every later
+// arrival was shed and dropped (596 of 600 on overload.tfs's sustained cell).
+func TestHeapWatermarkUnlatchesAfterSweep(t *testing.T) {
+	w := serveWorkload(t)
+	cfg := Config{
+		Workload:    w,
+		Mix:         []MixEntry{{"req_tiny", 6}, {"req_small", 3}, {"req_medium", 2}, {"req_heavy", 1}},
+		Opts:        pipeline.Options{Strategy: gc.StratCompiled, HeapWords: w.HeapWords, MarkSweep: true},
+		Period:      12000,
+		Burst:       1,
+		Requests:    300,
+		Seed:        7,
+		QueueDepth:  8,
+		MaxInflight: 4,
+		ShedHeapPct: 85,
+		MaxRetries:  3,
+	}
+	res, err := Run(cfg) // Run itself enforces the ledger
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Stats
+	h := res.Group.Heap
+	if s.Completed+s.Dropped+s.Canceled+s.Faulted != s.Requests {
+		t.Fatalf("loss unaccounted: %+v", s)
+	}
+	if s.Completed < s.Requests*9/10 || s.WrongResults != 0 {
+		t.Fatalf("a sustainable rate lost requests to a latched watermark: %+v", s)
+	}
+	if res.Group.Col.Stats.Collections < 3 || 100*h.Used()/h.SemiWords() < cfg.ShedHeapPct {
+		t.Fatalf("the bump region never filled past the watermark (%d collections, used %d of %d): the run does not exercise the latch",
+			res.Group.Col.Stats.Collections, h.Used(), h.SemiWords())
+	}
+}
+
 func TestMixValidation(t *testing.T) {
 	w := serveWorkload(t)
 	if _, err := Run(Config{Workload: w, Mix: []MixEntry{{"nope", 1}}, Period: 10, Requests: 1}); err == nil {
