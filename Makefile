@@ -18,10 +18,15 @@
 # torture-mode scenario from the committed corpus — torture and the heap
 # verifier requested through the DSL's faults block rather than flags.
 # tier2-serve is the overload pass: the serve-harness suites (admission,
-# shedding, backoff, ladder), the per-task budget suites, and the combined
-# nursery+TLAB recovery-ladder test under the race detector, plus the
-# committed overload-torture scenario (arrivals, shedding and the faults
-# block's torture/injection knobs all through the DSL).
+# shedding, backoff, ladder), the per-task budget suites, the run-queue and
+# stack-pool scheduler suites, and the combined nursery+TLAB
+# recovery-ladder test under the race detector, plus the committed
+# overload-torture scenario (arrivals, shedding and the faults block's
+# torture/injection knobs all through the DSL) and a 16000-request run
+# under a timeout: it takes ~0.4 s while a serve run is linear in its
+# requests and ~3 s with a per-tick or per-round rescan, far more under a
+# loaded machine — a reintroduced rescan fails here instead of slowing a
+# benchmark row.
 # tier2-concurrent is the incremental-marking pass: the concurrent
 # differential, interleaving-fuzz, watchdog and validation suites under
 # the race detector, plus the committed concurrent-torture scenario —
@@ -72,7 +77,10 @@ tier2-scenario:
 tier2-serve:
 	go test -race -count=1 -timeout 30m ./internal/serve/ ./cmd/tfserve/
 	go test -race -run 'TestBudget|TestLadderOutcomeSplit|TestNurseryTLABLadder' -count=1 -timeout 30m ./internal/pipeline/
+	go test -race -run 'TestSchedulerOrder|TestRunQueue|TestRecycledStack' -count=1 -timeout 30m ./internal/tasking/
 	go run -race ./cmd/tfbench -scenario testdata/scenarios/overload-torture.tfs >/dev/null
+	go build -o .bench_build/tfserve ./cmd/tfserve
+	timeout 2 .bench_build/tfserve -marksweep -period 3000 -requests 16000 -queue 8 -inflight 4 -retries 6 >/dev/null
 
 tier2-concurrent:
 	go test -race -run 'TestDifferentialConcurrent|TestConcurrent' -count=1 -timeout 30m ./internal/pipeline/

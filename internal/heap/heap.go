@@ -100,8 +100,11 @@ type Heap struct {
 	// marks holds one mark word per heap word (nonzero = marked). It is
 	// uint32 rather than bool so parallel marking can claim objects with an
 	// atomic compare-and-swap (VisitShared).
-	marks   []uint32
-	free    map[int][]int
+	marks []uint32
+	// free[n] is the LIFO list of swept n-word blocks (their start
+	// offsets); indexed by size and grown on demand, so the allocation path
+	// never hashes.
+	free    [][]int
 	gapSize []int32
 	// debugAccess validates every field access against the mark/sweep
 	// allocation map (tests only).

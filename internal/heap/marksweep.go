@@ -47,7 +47,6 @@ func NewMarkSweep(repr code.Repr, totalWords int) *Heap {
 		limit:   totalWords,
 		objSize: make([]int32, totalWords),
 		marks:   make([]uint32, totalWords),
-		free:    map[int][]int{},
 	}
 	return h
 }
@@ -57,26 +56,46 @@ func (h *Heap) Kind() GCKind { return h.kind }
 
 // msCanAlloc reports whether n object words fit without collecting.
 func (h *Heap) msCanAlloc(n int) bool {
-	if h.alloc+n <= h.limit {
-		return true
+	return h.alloc+n <= h.limit || h.freeLen(n) > 0
+}
+
+// freeLen is the number of n-word blocks parked on their free list.
+func (h *Heap) freeLen(n int) int {
+	if n >= len(h.free) {
+		return 0
 	}
-	return len(h.free[n]) > 0
+	return len(h.free[n])
+}
+
+// freePush parks the n-word block at base on its size class's list.
+func (h *Heap) freePush(n, base int) {
+	if n >= len(h.free) {
+		h.free = append(h.free, make([][]int, n+1-len(h.free))...)
+	}
+	h.free[n] = append(h.free[n], base)
+}
+
+// freePop takes the most recently freed n-word block, if any.
+func (h *Heap) freePop(n int) (int, bool) {
+	if h.freeLen(n) == 0 {
+		return 0, false
+	}
+	l := h.free[n]
+	h.free[n] = l[:len(l)-1]
+	h.Stats.FreeListHits++
+	return l[len(l)-1], true
 }
 
 // msAlloc allocates n words from the bump region or the free lists,
 // returning a typed *OutOfMemoryError when neither can serve the request.
 func (h *Heap) msAlloc(n int) (code.Word, error) {
 	var base int
-	switch {
-	case h.alloc+n <= h.limit:
+	if h.alloc+n <= h.limit {
 		base = h.alloc
 		h.alloc += n
-	case len(h.free[n]) > 0:
-		l := h.free[n]
-		base = l[len(l)-1]
-		h.free[n] = l[:len(l)-1]
-		h.Stats.FreeListHits++
-	default:
+	} else if b, ok := h.freePop(n); ok {
+		base = b
+	} else {
 		return 0, h.oomError(n)
 	}
 	h.objSize[base] = int32(n)
@@ -193,14 +212,16 @@ func (h *Heap) msEndGC() {
 	live := int64(0)
 	// Reset free lists; rebuild from the sweep (freed blocks may have been
 	// reallocated and re-freed across cycles).
-	h.free = map[int][]int{}
+	for n := range h.free {
+		h.free[n] = h.free[n][:0]
+	}
 	for base := h.fromOff; base < h.alloc; {
 		n := int(h.objSize[base])
 		if n == 0 {
 			// A gap left by an earlier sweep whose block was never
 			// reallocated: recover its extent from the gap table.
 			n = int(h.gapSize[base])
-			h.free[n] = append(h.free[n], base)
+			h.freePush(n, base)
 			base += n
 			continue
 		}
@@ -208,7 +229,7 @@ func (h *Heap) msEndGC() {
 			live += int64(n)
 			h.marks[base] = 0
 		} else {
-			h.free[n] = append(h.free[n], base)
+			h.freePush(n, base)
 			if h.gapSize == nil {
 				h.gapSize = make([]int32, len(h.mem))
 			}

@@ -492,16 +492,12 @@ func (h *Heap) youngVisit(ptr code.Word, base, n int) (code.Word, bool) {
 func (h *Heap) promoteDest(n int) (int, bool) {
 	var base int
 	if h.kind == MarkSweep {
-		switch {
-		case h.alloc+n <= h.limit:
+		if h.alloc+n <= h.limit {
 			base = h.alloc
 			h.alloc += n
-		case len(h.free[n]) > 0:
-			l := h.free[n]
-			base = l[len(l)-1]
-			h.free[n] = l[:len(l)-1]
-			h.Stats.FreeListHits++
-		default:
+		} else if b, ok := h.freePop(n); ok {
+			base = b
+		} else {
 			return 0, false
 		}
 		h.objSize[base] = int32(n)

@@ -255,7 +255,7 @@ func (h *Heap) RetireTLAB(t *TLAB) (waste, returned int) {
 				h.gapSize = make([]int32, len(h.mem))
 			}
 			h.gapSize[t.top] = int32(unused)
-			h.free[unused] = append(h.free[unused], t.top)
+			h.freePush(unused, t.top)
 		}
 	}
 	h.Stats.TLABWasteWords += int64(waste)
@@ -292,7 +292,7 @@ func (h *Heap) NeedTLAB(n int) bool {
 		// The carve failed but the slow-path fallback may still serve the
 		// object from a mark/sweep free list.
 		if h.kind == MarkSweep {
-			return len(h.free[total]) == 0
+			return h.freeLen(total) == 0
 		}
 		return true
 	}

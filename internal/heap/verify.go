@@ -154,13 +154,8 @@ func (h *Heap) verifyMarkSweep() []error {
 	// Free-list disjointness: no block on two lists, every entry a swept
 	// gap of exactly its size class, inside the allocated region.
 	seen := map[int]int{} // base -> size class
-	classes := make([]int, 0, len(h.free))
-	for n := range h.free {
-		classes = append(classes, n)
-	}
-	sort.Ints(classes)
-	for _, n := range classes {
-		for _, base := range h.free[n] {
+	for n, list := range h.free {
+		for _, base := range list {
 			if prev, dup := seen[base]; dup {
 				errs = append(errs, fmt.Errorf("heap verify: block %d on both the %d-word and %d-word free lists", base, prev, n))
 				continue

@@ -39,7 +39,7 @@ type Report struct {
 
 	Stats Stats `json:"stats"`
 
-	// Steps is the virtual run length; ThroughputKRPS the completed
+	// Steps is the virtual run length; ThroughputRPMS the completed
 	// requests per million steps; WallNS the wall-clock run time.
 	Steps          int64   `json:"steps"`
 	WallNS         int64   `json:"wall_ns"`

@@ -89,12 +89,12 @@ type Stats struct {
 	Arrivals     int64 `json:"arrivals"` // admission attempts incl. retries
 	Admitted     int64 `json:"admitted"`
 	Completed    int64 `json:"completed"`
-	Shed         int64 `json:"shed,omitempty"`         // shed events (queue or heap watermark)
-	ShedHeap     int64 `json:"shed_heap,omitempty"`    // the subset shed on heap occupancy
-	Retries      int64 `json:"retries,omitempty"`      // sheds that rescheduled
-	Dropped      int64 `json:"dropped,omitempty"`      // gave up after MaxRetries
-	Canceled     int64 `json:"canceled,omitempty"`     // deadline cancellations (rung 3)
-	Faulted      int64 `json:"faulted,omitempty"`      // other task faults (OOM ladder, budgets, runtime)
+	Shed         int64 `json:"shed,omitempty"`      // shed events (queue or heap watermark)
+	ShedHeap     int64 `json:"shed_heap,omitempty"` // the subset shed on heap occupancy
+	Retries      int64 `json:"retries,omitempty"`   // sheds that rescheduled
+	Dropped      int64 `json:"dropped,omitempty"`   // gave up after MaxRetries
+	Canceled     int64 `json:"canceled,omitempty"`  // deadline cancellations (rung 3)
+	Faulted      int64 `json:"faulted,omitempty"`   // other task faults (OOM ladder, budgets, runtime)
 	WrongResults int64 `json:"wrong_results,omitempty"`
 	ForcedMajors int64 `json:"forced_majors,omitempty"` // rung-2 escalations
 }
@@ -131,14 +131,84 @@ type request struct {
 	canceled bool
 }
 
+// arrivals is a binary min-heap of requests ordered by (arriveAt, id): the
+// deterministic order in which requests due at the same tick are judged.
+// (container/heap would collide with the runtime's own heap package.)
+type arrivals []*request
+
+func (a arrivals) less(i, j int) bool {
+	if a[i].arriveAt != a[j].arriveAt {
+		return a[i].arriveAt < a[j].arriveAt
+	}
+	return a[i].id < a[j].id
+}
+
+func (a *arrivals) push(r *request) {
+	h := append(*a, r)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	*a = h
+}
+
+// pop removes and returns the earliest request; the heap must be non-empty.
+func (a *arrivals) pop() *request {
+	h := *a
+	top := h[0]
+	n := len(h) - 1
+	h[0], h[n] = h[n], nil
+	h = h[:n]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && h.less(child+1, child) {
+			child++
+		}
+		if !h.less(child, i) {
+			break
+		}
+		h[i], h[child] = h[child], h[i]
+		i = child
+	}
+	*a = h
+	return top
+}
+
+// fifo is the bounded admission queue: a ring over QueueDepth slots, so an
+// admitted request is not kept reachable from the queue's storage.
+type fifo struct {
+	buf     []*request
+	head, n int
+}
+
+func (q *fifo) push(r *request) {
+	q.buf[(q.head+q.n)%len(q.buf)] = r
+	q.n++
+}
+
+func (q *fifo) pop() *request {
+	r := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return r
+}
+
 // driver holds the open-loop run state threaded through the Tick hook.
 type driver struct {
-	cfg      Config
-	g        *tasking.Group
-	rng      *rand.Rand
-	waiting  []*request // issued, not yet admitted (future arrivals + backoffs)
-	queue    []*request // admitted queue
-	inflight []*request
+	cfg         Config
+	g           *tasking.Group
+	rng         *rand.Rand
+	waiting     arrivals // issued, not yet admitted (future arrivals + backoffs)
+	queue       fifo     // admitted, waiting for a server
+	inflight    []*request
 	resolved    int
 	total       int
 	stats       *Stats
@@ -196,33 +266,28 @@ func Run(cfg Config) (*Result, error) {
 // completion times but mutates nothing, so execution is bit-identical to
 // pipeline.RunTasks.
 func runClosedLoop(cfg Config, g *tasking.Group, entries []int, res *Result) error {
-	var reqs []*request
-	for i, e := range entries {
-		t := g.Spawn(e)
-		reqs = append(reqs, &request{id: i, task: t})
+	var pending []*tasking.Task // unresolved, in entry order
+	for _, e := range entries {
+		pending = append(pending, g.Spawn(e))
 		res.Stats.Requests++
 		res.Stats.Arrivals++
 		res.Stats.Admitted++
 	}
-	done := 0
 	g.Tick = func(now int64) bool {
-		for _, r := range reqs {
-			if r.task == nil {
-				continue
-			}
-			switch r.task.Status {
+		keep := pending[:0]
+		for _, t := range pending {
+			switch t.Status {
 			case tasking.Done:
-				res.Latencies = append(res.Latencies, now-r.first)
+				res.Latencies = append(res.Latencies, now) // every entry arrived at step 0
 				res.Stats.Completed++
 			case tasking.Faulted:
 				res.Stats.Faulted++
 			default:
-				continue
+				keep = append(keep, t)
 			}
-			r.task = nil
-			done++
 		}
-		return done < len(reqs)
+		pending = keep
+		return len(pending) > 0
 	}
 	if err := g.RunInit(); err != nil {
 		return err
@@ -253,6 +318,7 @@ func runOpenLoop(cfg Config, g *tasking.Group, mix []MixEntry, fidx map[string]i
 		total: cfg.Requests,
 		stats: &res.Stats,
 	}
+	d.queue.buf = make([]*request, max(d.cfg.QueueDepth, 0))
 	total := 0
 	for _, m := range mix {
 		total += m.Weight
@@ -268,7 +334,7 @@ func runOpenLoop(cfg Config, g *tasking.Group, mix []MixEntry, fidx map[string]i
 			pick -= m.Weight
 		}
 		at := int64(i/d.cfg.Burst) * cfg.Period
-		d.waiting = append(d.waiting, &request{
+		d.waiting.push(&request{
 			id: i, entry: entry, fidx: fidx[entry], expect: expect[entry],
 			arriveAt: at, first: at,
 		})
@@ -345,23 +411,6 @@ func (d *driver) tick(now int64) bool {
 	}
 	d.inflight = keep
 
-	// Arrivals due now, in deterministic (time, id) order.
-	var due []*request
-	wait := d.waiting[:0]
-	for _, r := range d.waiting {
-		if r.arriveAt <= now {
-			due = append(due, r)
-		} else {
-			wait = append(wait, r)
-		}
-	}
-	d.waiting = wait
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].arriveAt != due[j].arriveAt {
-			return due[i].arriveAt < due[j].arriveAt
-		}
-		return due[i].id < due[j].id
-	})
 	heapPressure := false
 	if d.cfg.ShedHeapPct > 0 {
 		heapPressure = 100*d.peakUsed()/d.capacity() >= d.cfg.ShedHeapPct
@@ -369,18 +418,20 @@ func (d *driver) tick(now int64) bool {
 			d.majorReq = false // occupancy back under the watermark; re-arm rung 2
 		}
 	}
-	for _, r := range due {
+	// Arrivals due now, in deterministic (time, id) order. A shed request
+	// re-enters the heap strictly after now, so it is not judged twice.
+	for len(d.waiting) > 0 && d.waiting[0].arriveAt <= now {
+		r := d.waiting.pop()
 		d.stats.Arrivals++
 		if reason := d.shedReason(heapPressure); reason != "" {
 			d.shed(r, now, reason)
 			continue
 		}
-		d.queue = append(d.queue, r)
+		d.queue.push(r)
 	}
 
-	for len(d.queue) > 0 && len(d.inflight) < d.cfg.MaxInflight {
-		r := d.queue[0]
-		d.queue = d.queue[1:]
+	for d.queue.n > 0 && len(d.inflight) < d.cfg.MaxInflight {
+		r := d.queue.pop()
 		r.task = d.g.Spawn(r.fidx)
 		r.admitted = now
 		d.stats.Admitted++
@@ -398,7 +449,7 @@ func (d *driver) shedReason(heapPressure bool) string {
 	if heapPressure {
 		return "heap"
 	}
-	if len(d.queue) >= d.cfg.QueueDepth {
+	if d.queue.n >= d.cfg.QueueDepth {
 		return "queue"
 	}
 	return ""
@@ -471,7 +522,7 @@ func (d *driver) shed(r *request, now int64, reason string) {
 	backoff += d.rng.Int63n(backoff/2 + 1) // jitter de-synchronizes retry herds
 	r.arriveAt = now + backoff
 	d.stats.Retries++
-	d.waiting = append(d.waiting, r)
+	d.waiting.push(r)
 }
 
 // resolveMix validates the service mix (defaulting to uniform over the

@@ -1,0 +1,117 @@
+package tasking
+
+import "fmt"
+
+// Windows for the external test package onto the scheduler's unexported
+// state, and the reference scheduler the run queue is checked against.
+
+// RunQueueIDs lists the run queue's task IDs in queue order.
+func (g *Group) RunQueueIDs() []int {
+	ids := make([]int, len(g.runq))
+	for i, t := range g.runq {
+		ids[i] = t.ID
+	}
+	return ids
+}
+
+// PooledStacks returns the length and the count of nonzero words of every
+// stack waiting in the pool, bottom first.
+func (g *Group) PooledStacks() (lens, nonzero []int) {
+	for _, s := range g.stackPool {
+		n := 0
+		for _, w := range s.stack {
+			if w != 0 {
+				n++
+			}
+		}
+		lens = append(lens, len(s.stack))
+		nonzero = append(nonzero, n)
+	}
+	return lens, nonzero
+}
+
+// RunScanningAllTasks is Run with the scheduling loop the run queue
+// replaced: every round ranges over every task the group ever spawned,
+// nothing is compacted and no stack is recycled (so the run queue the
+// collection helpers walk stays equal to Tasks). It exists only as the
+// reference of the scheduler-order test.
+func (g *Group) RunScanningAllTasks() error {
+	for {
+		pending, err := g.runUntilSuspendedScanningAll()
+		if err != nil || !pending {
+			return err
+		}
+		g.collectSuspended()
+	}
+}
+
+func (g *Group) runUntilSuspendedScanningAll() (bool, error) {
+	g.setupTLABs()
+	g.setupShards()
+	sharded := g.sharded()
+	for {
+		external := false
+		if g.Tick != nil && g.rgc == 0 {
+			external = g.Tick(g.steps)
+		}
+		if g.forceMajor && g.rgc == 0 {
+			anyRunning := false
+			for _, t := range g.Tasks {
+				if t.Status == Running {
+					anyRunning = true
+					break
+				}
+			}
+			if anyRunning {
+				g.rgc = 1
+			} else {
+				g.collectSuspended()
+			}
+		}
+		allDone := true
+		anyRan := false
+		for _, t := range g.Tasks {
+			if t.Status == Done || t.Status == Faulted {
+				continue
+			}
+			allDone = false
+			if t.Status == SuspendedAlloc || t.Status == SuspendedCall {
+				continue
+			}
+			anyRan = true
+			if sharded {
+				g.Heap.SetAllocShard(g.shardOf(t))
+			}
+			if err := g.step(t, g.Quantum); err != nil {
+				g.faultTask(t, FaultRuntime, 0, err)
+				continue
+			}
+			if t.Status == Done {
+				g.retireTaskTLAB(t)
+			}
+			g.steps += int64(g.Quantum)
+			if g.steps > g.MaxSteps {
+				return false, fmt.Errorf("tasking: step limit exceeded")
+			}
+		}
+		if allDone {
+			if external {
+				g.steps += int64(g.Quantum)
+				if g.steps > g.MaxSteps {
+					return false, fmt.Errorf("tasking: step limit exceeded")
+				}
+				continue
+			}
+			return false, nil
+		}
+		if sharded {
+			g.serviceShardMinors()
+		}
+		if g.rgc != 0 && g.allSuspended() {
+			return true, nil
+		}
+		if !anyRan && g.rgc == 0 {
+			return false, fmt.Errorf("tasking: deadlock: tasks suspended with no collection pending")
+		}
+	}
+}

@@ -269,8 +269,11 @@ type Group struct {
 	Heap    *heap.Heap
 	Col     *gc.Collector
 	Globals []code.Word
-	Tasks   []*Task
-	Stats   Stats
+	// Tasks is the registry of every task ever spawned, indexed by ID:
+	// results, faults and per-task accounting are read from it after the
+	// run. The scheduler never ranges over it — it walks runq.
+	Tasks []*Task
+	Stats Stats
 
 	rgc     code.Word
 	latency int64
@@ -371,6 +374,22 @@ type Group struct {
 	// stacks, the globals and the shard-filtered remembered set.
 	rgcShard []code.Word
 	exposed  []bool
+
+	// runq is the scheduler's run queue: the unfinished tasks in spawn
+	// order, plus any that finished since the last compaction (every scan
+	// still judges a task by its Status). compactRunQueue drops the finished
+	// ones once per round, so a round costs the live tasks, not every task
+	// the group ever ran.
+	runq []*Task
+	// stackPool holds the zeroed stacks of tasks that left the run queue,
+	// for Spawn to hand out again (LIFO).
+	stackPool []taskStack
+}
+
+// taskStack is one task's activation-record stack and shadow stack.
+type taskStack struct {
+	stack  []code.Word
+	shadow []int
 }
 
 // NewGroup builds a tasking group over a fresh semispace copying heap.
@@ -409,11 +428,55 @@ func NewGroupWith(prog *code.Program, h *heap.Heap, strat gc.Strategy, entries [
 // order, so spawning every entry up front is execution-identical to
 // constructing the group with those entries.
 func (g *Group) Spawn(entry int) *Task {
-	t := &Task{ID: len(g.Tasks), stack: make([]code.Word, 1024), fp: -1}
+	t := g.newTask(len(g.Tasks))
 	g.pushFrame(t, entry, -1)
 	t.stack[t.fp+2] = code.EncodeInt(g.Prog.Repr, 0) // the unit argument
 	g.Tasks = append(g.Tasks, t)
+	g.runq = append(g.runq, t)
 	return t
+}
+
+// newTask returns a task with an empty, all-zero stack: a recycled one when
+// the pool has any, otherwise a fresh 1024-word allocation. A recycled stack
+// may be longer than 1024 words (its previous task grew it); it only saves
+// the new task the growth.
+func (g *Group) newTask(id int) *Task {
+	t := &Task{ID: id, fp: -1}
+	if n := len(g.stackPool); n > 0 {
+		s := g.stackPool[n-1]
+		g.stackPool = g.stackPool[:n-1]
+		t.stack, t.shadow = s.stack, s.shadow
+	} else {
+		t.stack = make([]code.Word, 1024)
+	}
+	return t
+}
+
+// releaseStack returns a finished task's stacks to the pool, zeroed, so the
+// next task cannot tell it from a fresh one (the compiled strategy does not
+// zero a new frame's slots). The whole stack is cleared rather than the part
+// the task reached: tracking that mark is a compare in pushFrame on every
+// call, and clearing 1024 words once per task is cheaper than that. The task
+// keeps its result, fault (the backtrace was captured when it faulted) and
+// accounting.
+func (g *Group) releaseStack(t *Task) {
+	clear(t.stack)
+	g.stackPool = append(g.stackPool, taskStack{stack: t.stack, shadow: t.shadow[:0]})
+	t.stack, t.shadow = nil, nil
+}
+
+// compactRunQueue drops finished tasks from the run queue, keeping the rest
+// in spawn order, and recycles their stacks.
+func (g *Group) compactRunQueue() {
+	live := g.runq[:0]
+	for _, t := range g.runq {
+		if t.Status == Done || t.Status == Faulted {
+			g.releaseStack(t)
+			continue
+		}
+		live = append(live, t)
+	}
+	g.runq = live
 }
 
 // Now returns the group's virtual time: the cumulative scheduler steps
@@ -527,7 +590,7 @@ func (g *Group) retireTaskTLAB(t *Task) {
 // runs it (via PreCollect) before any collection so the heap it scans is
 // fully tiled.
 func (g *Group) retireAllTLABs() {
-	for _, t := range g.Tasks {
+	for _, t := range g.runq {
 		g.retireTaskTLAB(t)
 	}
 	if g.initTask != nil {
@@ -584,11 +647,12 @@ func (g *Group) allocBlocked(n int) bool {
 func (g *Group) RunInit() error {
 	g.setupTLABs()
 	g.setupShards()
-	t := &Task{ID: -1, stack: make([]code.Word, 1024), fp: -1}
+	t := g.newTask(-1)
 	g.initTask = t
 	defer func() {
 		g.retireTaskTLAB(t)
 		g.initTask = nil
+		g.releaseStack(t)
 	}()
 	g.pushFrame(t, g.Prog.InitFunc, -1)
 	for t.Status == Running {
@@ -663,6 +727,9 @@ func (g *Group) runUntilSuspended() (bool, error) {
 	g.setupShards()
 	sharded := g.sharded()
 	for {
+		// Before the supervisor hook, so the stacks of tasks that finished
+		// last round are in the pool when it spawns their successors.
+		g.compactRunQueue()
 		external := false
 		if g.Tick != nil && g.rgc == 0 {
 			// The supervisor hook runs only between collections: a task it
@@ -679,7 +746,7 @@ func (g *Group) runUntilSuspended() (bool, error) {
 			// (the normal stop-the-world path consumes forceMajor); with no
 			// runnable task, collect right here over the globals alone.
 			anyRunning := false
-			for _, t := range g.Tasks {
+			for _, t := range g.runq {
 				if t.Status == Running {
 					anyRunning = true
 					break
@@ -696,7 +763,7 @@ func (g *Group) runUntilSuspended() (bool, error) {
 		}
 		allDone := true
 		anyRan := false
-		for _, t := range g.Tasks {
+		for _, t := range g.runq {
 			if t.Status == Done || t.Status == Faulted {
 				continue
 			}
@@ -773,7 +840,7 @@ func (g *Group) RunUntilCollection() ([]gc.TaskRoots, bool, error) {
 // pendingTasks lists the live tasks suspended for the coming collection.
 func (g *Group) pendingTasks() []*Task {
 	var live []*Task
-	for _, t := range g.Tasks {
+	for _, t := range g.runq {
 		if t.Status == SuspendedAlloc || t.Status == SuspendedCall {
 			live = append(live, t)
 		}
@@ -797,7 +864,7 @@ func (g *Group) rootSet(live []*Task) []gc.TaskRoots {
 }
 
 func (g *Group) allSuspended() bool {
-	for _, t := range g.Tasks {
+	for _, t := range g.runq {
 		if t.Status == Running {
 			return false
 		}
@@ -811,7 +878,7 @@ func (g *Group) allSuspended() bool {
 // final re-scan ride the same Rgc suspend wave a stop-the-world collection
 // uses, while mark slices — which touch no stacks — run between rounds.
 const (
-	concIdle = iota
+	concIdle          = iota
 	concStartPending  // wave raised to snapshot roots and start the cycle
 	concMarking       // cycle active; one mark slice per scheduling round
 	concFinishPending // gray queue drained; wave raised for the final pause
@@ -1000,7 +1067,7 @@ func (g *Group) serviceShardMinors() {
 		var mine []*Task
 		ready := true
 		overlap := 0
-		for _, t := range g.Tasks {
+		for _, t := range g.runq {
 			switch t.Status {
 			case Running:
 				if g.shardOf(t) == s {
