@@ -44,6 +44,17 @@
 # scenario — pruning crossed with torture and the verifier, and pruning
 # pushed out of its envelope over sharded nurseries with injected
 # failures so the counted-degrade path runs under stress too.
+# tier2-single is the one-machine pass: a single-task run is a task group of
+# one, so the single-task suites (the golden recorded on the interpreter the
+# group replaced, the resilience-counter, torture, concurrent and nursery
+# differentials, the lone-task slice tests) run under the race detector, and
+# every program in testdata/progs runs with a collection before every
+# allocation and the verifier on, on the copying, mark/sweep and nursery
+# heaps.
+#
+# loc prints the non-test Go lines outside benchmark/ — raw, and without
+# blank and comment-only lines — so a simplification's "net negative" is a
+# number that can be checked against the parent commit.
 #
 # benchmark runs the repository benchmark (BENCHMARK.json, benchmark/):
 # eight seeded workloads, end-to-end metrics with tracing off.
@@ -51,14 +62,14 @@
 # workload compared against a run file an earlier commit wrote with
 # `go run ./benchmark -runs 10 -out <runs.json>`.
 
-.PHONY: benchmark benchmark-check tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness bench bench-json fuzz fuzz-scenario
+.PHONY: benchmark benchmark-check tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single loc bench bench-json fuzz fuzz-scenario
 
 tier1:
 	go build ./...
 	go vet ./...
 	go test ./...
 
-tier2: tier1 tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness
+tier2: tier1 tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single
 	go test -race ./...
 	go test -run TestDifferential -count=1 ./internal/pipeline/
 
@@ -94,6 +105,20 @@ tier2-shard:
 tier2-liveness:
 	go test -race -run 'TestHeapLiveness|TestPoisonTraps' -count=1 -timeout 30m ./internal/pipeline/
 	go run -race ./cmd/tfbench -scenario testdata/scenarios/liveness-torture.tfs >/dev/null
+
+tier2-single:
+	go test -race -run 'TestSingleTask|TestStepLimit|TestResilienceCounters|TestTortureDifferentialSingle|TestDifferentialConcurrentVM|TestDifferentialNurseryWorkloads' -count=1 -timeout 30m ./internal/pipeline/
+	go test -race -run 'TestLoneTask|TestStepLimit' -count=1 -timeout 30m ./internal/tasking/
+	go test -race -count=1 -timeout 30m ./internal/vm/ ./internal/workloads/
+	go build -race -o .bench_build/tfgc-race ./cmd/tfgc
+	for p in testdata/progs/*.ml; do for d in "" -marksweep "-gc-nursery 256"; do \
+		.bench_build/tfgc-race run -heap 4096 -gc-torture -verify-heap $$d $$p >/dev/null || exit 1; \
+	done; done
+
+LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*'
+loc:
+	@echo "non-test Go lines outside benchmark/: $$($(LOC_FILES) | xargs cat | wc -l)" \
+		"($$($(LOC_FILES) | xargs cat | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//') without blank and comment lines)"
 
 tier2-torture: tier1
 	GC_TORTURE_FULL=1 go test -race -run 'TestTorture|TestRecoveryLadder|TestWatchdog' -count=1 -timeout 30m ./internal/pipeline/

@@ -127,10 +127,8 @@ func InstrLen(codeArr []Word, pc int) int {
 		OpTMod, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpTagIs, OpLdFld,
 		OpStFld, OpBuiltin:
 		return 4
-	case OpCall:
-		return 5 + int(codeArr[pc+4])
-	case OpCallC:
-		return 5
+	case OpCall, OpCallC:
+		return CallLen(codeArr, pc)
 	case OpMkRef:
 		return 4
 	case OpMkTuple:
@@ -143,6 +141,16 @@ func InstrLen(codeArr []Word, pc int) int {
 		return 5 + int(codeArr[pc+4])
 	}
 	panic(fmt.Sprintf("InstrLen: unknown opcode %d at %d", codeArr[pc], pc))
+}
+
+// CallLen is InstrLen for the call instruction at pc, small enough to
+// inline into the interpreter's return path: a frame's return address is
+// the pc of its call, and execution resumes CallLen words after it.
+func CallLen(codeArr []Word, pc int) int {
+	if codeArr[pc] == OpCall {
+		return 5 + int(codeArr[pc+4])
+	}
+	return 5
 }
 
 // ---------------------------------------------------------------------------

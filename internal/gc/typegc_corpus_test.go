@@ -16,9 +16,8 @@ import (
 
 	"tagfree/internal/code"
 	"tagfree/internal/gc"
-	"tagfree/internal/heap"
 	"tagfree/internal/pipeline"
-	"tagfree/internal/vm"
+	"tagfree/internal/tasking"
 	"tagfree/internal/workloads"
 )
 
@@ -62,12 +61,12 @@ func TestComponentsMatchResolutionSingleTask(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m, err := vm.NewWith(prog, heap.New(prog.Repr, w.HeapWords), strat)
+				m, err := tasking.NewGroup(prog, w.HeapWords, strat, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				m.Col.Verify = true
-				raw, err := m.Run()
+				raw, err := m.RunMain()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -220,7 +220,7 @@ func (h *Heap) objWords(fields int) int {
 
 // Alloc allocates an object with n fields and returns its encoded pointer,
 // or a *OutOfMemoryError when the space is exhausted. Exhaustion is an
-// ordinary return value — not a panic — so callers (the VM, the tasking
+// ordinary return value — not a panic — so callers (the tasking
 // scheduler) can climb the recovery ladder: collect, retry, grow, and only
 // then fault. Fields are uninitialized; in tagged mode the header is
 // written.

@@ -9,7 +9,7 @@ import (
 	"tagfree/internal/code"
 	"tagfree/internal/gc"
 	"tagfree/internal/heap"
-	"tagfree/internal/vm"
+	"tagfree/internal/tasking"
 	"tagfree/internal/workloads"
 )
 
@@ -51,7 +51,7 @@ func nurseryRun(t *testing.T, src string, strat gc.Strategy, hw int, ms bool, pa
 	if nurseryWords > 0 {
 		h.EnableNursery(nurseryWords, promote)
 	}
-	m, err := vm.NewWith(prog, h, strat)
+	m, err := tasking.NewGroupWith(prog, h, strat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func nurseryRun(t *testing.T, src string, strat gc.Strategy, hw int, ms bool, pa
 	m.Col.Verify = true
 	m.Heap.SetVerify(true)
 	m.MaxSteps = 500_000_000
-	raw, err := m.Run()
+	raw, err := m.RunMain()
 	if err != nil {
 		t.Fatalf("nursery=%d: %v", nurseryWords, err)
 	}
@@ -69,7 +69,7 @@ func nurseryRun(t *testing.T, src string, strat gc.Strategy, hw int, ms bool, pa
 	m.Heap.SetTenureAll(false)
 	live := m.Heap.Stats.LiveAfterLastGC + int64(m.Heap.YoungUsed())
 	return nurseryOutcome{
-		output:    m.Out.String(),
+		output:    m.InitTask().Out.String() + m.Tasks[0].Out.String(),
 		value:     code.DecodeInt(prog.Repr, raw),
 		liveWords: live,
 		col:       m.Col,

@@ -18,6 +18,7 @@ import (
 	"tagfree/internal/mlang/exhaust"
 	"tagfree/internal/mlang/parser"
 	"tagfree/internal/mlang/types"
+	"tagfree/internal/tasking"
 	"tagfree/internal/vm"
 )
 
@@ -29,8 +30,9 @@ type Options struct {
 	// HeapWords is the semispace size in words (default 1 << 16).
 	HeapWords int
 	// DisableGCWordElision keeps a gc_word on every call site even when
-	// the §5.1 analysis proves it cannot collect. Required for tasking
-	// (any call can become a suspension point) and used by ablations.
+	// the §5.1 analysis proves it cannot collect. Required when tasks
+	// suspend at calls (any call can become a suspension point), so
+	// BuildTaskGroup sets it; also used by ablations.
 	DisableGCWordElision bool
 	// UseCFA additionally runs the higher-order (0-CFA) GC-possible
 	// refinement, eliding gc_words on closure-call sites whose every
@@ -38,8 +40,9 @@ type Options struct {
 	// extension the paper defers).
 	UseCFA bool
 	// DisableLiveness makes every frame map contain all pointer-bearing
-	// slots (ablation for experiment E3). Note Appel mode ignores frame
-	// maps entirely.
+	// slots (ablation for experiment E3), and frames zero-filled at entry so
+	// the slots not yet initialized hold no stale word. Note Appel mode
+	// ignores frame maps entirely.
 	DisableLiveness bool
 	// MarkSweep runs the collector in mark/sweep discipline over a single
 	// space of HeapWords words instead of semispace copying (the paper's
@@ -47,7 +50,8 @@ type Options struct {
 	// strategies only.
 	MarkSweep bool
 	// SuspendAtAllocs selects the paper's first §4 suspension policy for
-	// tasking runs: Rgc is checked only inside allocation routines.
+	// tasking runs: Rgc is checked only inside allocation routines. A
+	// single-task run always uses it.
 	SuspendAtAllocs bool
 	// Parallelism is the number of workers scanning task stacks during
 	// each collection (0 or 1 = the sequential oracle). Parallel and
@@ -86,8 +90,8 @@ type Options struct {
 	// NurseryWords words per young half in front of the old region(s).
 	// Minor collections evacuate only the nursery, re-tracing stacks and
 	// globals as usual (the paper's frame routines make that free) and
-	// consulting the old→young remembered set fed by the VM's write
-	// barrier. Tag-free strategies only — young objects are headerless and
+	// consulting the old→young remembered set fed by the interpreter's
+	// write barrier. Tag-free strategies only — young objects are headerless and
 	// evacuation is type-directed.
 	NurseryWords int
 	// PromoteAfter is the survival count at which nursery objects tenure
@@ -95,18 +99,18 @@ type Options struct {
 	PromoteAfter int
 	// TLABWords > 0 gives every task a private allocation buffer refilled
 	// from the shared heap (or the nursery) in chunks of this many words
-	// (-tlab N). Tasking runs only: the single-task VM path has no
-	// allocation contention and is left bit-identical.
+	// (-tlab N). A single-task run is a group of one and gets one too.
 	TLABWords int
 	// FailRefillsOnly restricts FailAllocNth/FailAllocEvery to TLAB refill
 	// carves, so injection schedules target the refill path specifically.
 	FailRefillsOnly bool
 	// BudgetSteps > 0 faults any task that executes more than this many
 	// instructions with a BudgetExceeded TaskFault (checked at the same
-	// safe points as Rgc). Tasking runs only.
+	// safe points as Rgc). In a single-task run the fault is the run's
+	// error.
 	BudgetSteps int64
 	// BudgetAllocWords > 0 faults any task whose cumulative heap allocation
-	// would exceed this many words. Tasking runs only.
+	// would exceed this many words.
 	BudgetAllocWords int64
 	// GCConcurrent arms mostly-concurrent marking (-gc-concurrent): the mark
 	// phase runs in budgeted slices interleaved with mutator execution at
@@ -127,7 +131,7 @@ type Options struct {
 	// whose young space fills runs a minor collection over its own tasks
 	// alone, without suspending the other shards' mutators. Requires a
 	// tag-free strategy and a nursery (NurseryWords > 0), and composes
-	// with neither GCConcurrent nor the single-task VM path. Major
+	// with neither GCConcurrent nor a single-task run. Major
 	// collections stay global (all shards, stop-the-world). Tasking runs
 	// only. 0 or 1 = the unsharded heap.
 	Shards int
@@ -153,47 +157,48 @@ type Options struct {
 	PoisonPruned bool
 }
 
-// validateConcurrent checks the -gc-concurrent gating common to both
-// execution paths: the incremental marker only exists for the mark/sweep
-// discipline, needs typed frame maps (the tagged baseline has none of the
-// store descriptors the barrier relies on), and composes with neither the
-// nursery (minor cycles move objects mid-mark) nor the parallel markers.
-func (o Options) validateConcurrent() error {
-	if !o.GCConcurrent {
-		return nil
-	}
-	if !o.MarkSweep {
-		return fmt.Errorf("-gc-concurrent requires the mark/sweep discipline (-marksweep)")
-	}
-	if o.Strategy == gc.StratTagged {
-		return fmt.Errorf("-gc-concurrent requires a tag-free strategy")
-	}
-	if o.NurseryWords > 0 {
-		return fmt.Errorf("-gc-concurrent does not compose with the generational nursery")
-	}
-	if o.Parallelism > 1 {
-		return fmt.Errorf("-gc-concurrent does not compose with parallel marking (-par)")
-	}
-	return nil
-}
-
-// validateShards checks the -shards gating: per-shard minor collection is
-// the nursery's machinery partitioned by task group, so it needs the
-// typed generational substrate (tag-free strategy + nursery) and cannot
-// compose with the concurrent marker (whose cycles assume one global
-// collection epoch).
-func (o Options) validateShards() error {
-	if o.Shards <= 1 {
-		return nil
-	}
-	if o.Strategy == gc.StratTagged {
-		return fmt.Errorf("-shards requires a tag-free strategy")
-	}
-	if o.NurseryWords <= 0 {
-		return fmt.Errorf("-shards requires a generational nursery (-gc-nursery)")
+// validate refuses option combinations no runtime is built for. Every run
+// passes through it (newGroup); the one refusal it cannot make is runMain's,
+// which depends on the run being single-task.
+//
+// Mark/sweep, the nursery and everything layered on them need a tag-free
+// strategy: young objects are headerless and their evacuation, like the
+// mark phase, is type-directed. Concurrent marking exists only for the
+// mark/sweep discipline, needs typed frame maps (the tagged baseline has
+// none of the store descriptors its barrier relies on) and composes with
+// neither the nursery (minor cycles move objects mid-mark) nor the parallel
+// markers. Per-shard minor collection is the nursery's machinery partitioned
+// by task group, so it needs the nursery and cannot compose with the
+// concurrent marker, whose cycles assume one global collection epoch.
+func (o Options) validate() error {
+	tagged := o.Strategy == gc.StratTagged
+	switch {
+	case o.MarkSweep && tagged:
+		return fmt.Errorf("mark/sweep is implemented for the tag-free strategies")
+	case o.NurseryWords > 0 && tagged:
+		return fmt.Errorf("the generational nursery requires a tag-free strategy")
 	}
 	if o.GCConcurrent {
-		return fmt.Errorf("-shards does not compose with -gc-concurrent")
+		switch {
+		case !o.MarkSweep:
+			return fmt.Errorf("-gc-concurrent requires the mark/sweep discipline (-marksweep)")
+		case tagged:
+			return fmt.Errorf("-gc-concurrent requires a tag-free strategy")
+		case o.NurseryWords > 0:
+			return fmt.Errorf("-gc-concurrent does not compose with the generational nursery")
+		case o.Parallelism > 1:
+			return fmt.Errorf("-gc-concurrent does not compose with parallel marking (-par)")
+		}
+	}
+	if o.Shards > 1 {
+		switch {
+		case tagged:
+			return fmt.Errorf("-shards requires a tag-free strategy")
+		case o.NurseryWords <= 0:
+			return fmt.Errorf("-shards requires a generational nursery (-gc-nursery)")
+		case o.GCConcurrent:
+			return fmt.Errorf("-shards does not compose with -gc-concurrent")
+		}
 	}
 	return nil
 }
@@ -264,6 +269,12 @@ func Build(src string, opts Options) (*code.Program, *gcanal.Result, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	return compileIR(irp, opts)
+}
+
+// compileIR is the back half of Build: GC-possible analysis, the optional
+// heap-liveness analysis and code generation over a lowered program.
+func compileIR(irp *ir.Program, opts Options) (*code.Program, *gcanal.Result, error) {
 	var anal *gcanal.Result
 	if opts.UseCFA {
 		anal = gcanal.AnalyzeCFA(irp)
@@ -317,90 +328,132 @@ func Run(src string, opts Options) (*Result, error) {
 	return RunProgram(prog, anal, opts)
 }
 
-// RunProgram executes an already compiled program.
-func RunProgram(prog *code.Program, anal *gcanal.Result, opts Options) (*Result, error) {
-	if prog.MainFunc < 0 {
-		return nil, fmt.Errorf("program has no main function")
-	}
-	if opts.Shards > 1 {
-		return nil, fmt.Errorf("-shards requires the tasking runtime (-tasks); the single-task VM has one mutator and nothing to overlap")
+// newGroup assembles the runtime for a compiled program — heap, nursery,
+// collector and every option wired onto a task group with no task spawned.
+// Every run goes through it: RunProgram and Eval (a group of one),
+// BuildTaskGroup (the tasking and serving paths).
+func newGroup(prog *code.Program, opts Options) (*tasking.Group, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
 	}
 	semi := opts.HeapWords
 	if semi == 0 {
 		semi = 1 << 16
 	}
-	// Appel and tagged modes must zero-fill frames; liveness-disabled maps
-	// must also only see initialized slots.
 	var h *heap.Heap
 	if opts.MarkSweep {
-		if opts.Strategy == gc.StratTagged {
-			return nil, fmt.Errorf("mark/sweep is implemented for the tag-free strategies")
-		}
 		h = heap.NewMarkSweep(prog.Repr, semi)
 	} else {
 		h = heap.New(prog.Repr, semi)
 	}
 	if opts.NurseryWords > 0 {
-		if opts.Strategy == gc.StratTagged {
-			return nil, fmt.Errorf("the generational nursery requires a tag-free strategy")
-		}
 		promote := opts.PromoteAfter
 		if promote == 0 {
 			promote = 2
 		}
-		// Must run before the VM's first allocation: the nursery re-lays
-		// the heap out with the young halves in front of the old region.
-		h.EnableNursery(opts.NurseryWords, promote)
+		// Before the first allocation: the nursery re-lays the heap out with
+		// the young halves (one pair per shard) in front of the old region.
+		h.EnableNurseryShards(opts.NurseryWords, promote, max(opts.Shards, 1))
 	}
-	m, err := vm.NewWith(prog, h, opts.Strategy)
+	g, err := tasking.NewGroupWith(prog, h, opts.Strategy, nil)
 	if err != nil {
 		return nil, err
 	}
-	if opts.DisableLiveness {
-		m.SetZeroFill(true)
+	g.Col.Parallelism = opts.Parallelism
+	g.Col.DisableFastPath = opts.DisableGCFastPath
+	g.Col.Faults = opts.faultPlan()
+	if opts.VerifyHeap {
+		g.Col.Verify = true
+		h.SetVerify(true)
+	}
+	g.Col.ConcMarkBudget = opts.ConcMarkBudget
+	g.Col.ConcMaxSlices = opts.ConcMaxSlices
+	g.Col.HeapLiveness = opts.GCHeapLiveness
+	// Frame maps widened by DisableLiveness name slots the function has not
+	// initialized yet, so they need zeroed frames as much as the Appel and
+	// tagged strategies (the constructor's default) do.
+	g.ZeroFill = g.ZeroFill || opts.DisableLiveness
+	g.GrowFactor = opts.GrowFactor
+	g.MaxHeapWords = opts.MaxHeapWords
+	g.TLABWords = opts.TLABWords
+	if opts.Shards > 1 {
+		g.Shards = opts.Shards
+		g.ShardAssign = opts.ShardAssign
+	}
+	g.GCConcurrent = opts.GCConcurrent
+	g.ConcTriggerPct = opts.ConcTriggerPct
+	g.PoisonPruned = opts.PoisonPruned
+	g.BudgetSteps = opts.BudgetSteps
+	g.BudgetAllocWords = opts.BudgetAllocWords
+	if opts.SuspendAtAllocs {
+		g.Policy = tasking.SuspendAtAllocs
 	}
 	if opts.MaxSteps > 0 {
-		m.MaxSteps = opts.MaxSteps
+		g.MaxSteps = opts.MaxSteps
 	}
-	m.Col.Parallelism = opts.Parallelism
-	m.Col.DisableFastPath = opts.DisableGCFastPath
-	m.Col.Faults = opts.faultPlan()
-	if opts.VerifyHeap {
-		m.Col.Verify = true
-		m.Heap.SetVerify(true)
-	}
-	m.GrowFactor = opts.GrowFactor
-	m.MaxHeapWords = opts.MaxHeapWords
-	if err := opts.validateConcurrent(); err != nil {
-		return nil, err
-	}
-	m.GCConcurrent = opts.GCConcurrent
-	m.ConcTriggerPct = opts.ConcTriggerPct
-	m.Col.ConcMarkBudget = opts.ConcMarkBudget
-	m.Col.ConcMaxSlices = opts.ConcMaxSlices
-	m.Col.HeapLiveness = opts.GCHeapLiveness
-	m.PoisonPruned = opts.PoisonPruned
-	raw, err := m.Run()
+	return g, nil
+}
+
+// RunProgram executes an already compiled program.
+func RunProgram(prog *code.Program, anal *gcanal.Result, opts Options) (*Result, error) {
+	g, raw, err := runMain(prog, opts)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Raw:           raw,
-		Value:         code.DecodeInt(prog.Repr, raw),
-		Output:        m.Out.String(),
-		VMStats:       m.Stats,
-		GCStats:       m.Col.Stats,
-		HeapStats:     m.Heap.Stats,
-		Liveness:      m.Col.Liveness,
-		Telemetry:     &m.Col.Telem,
-		MetadataWords: m.Col.MetadataSize,
-		DescNodes:     prog.DescNodes,
-		CodeWords:     len(prog.Code),
-	}
+	res := singleResult(g, raw)
 	if anal != nil {
 		res.Anal = anal.Stats
 	}
 	return res, nil
+}
+
+// runMain runs a program's main as a group of one task. Every option means
+// what it means for a tasking run — allocation buffers and per-task budgets
+// included — except Shards, which is refused: one mutator has nothing to
+// overlap a shard's minor collection with.
+func runMain(prog *code.Program, opts Options) (*tasking.Group, code.Word, error) {
+	if prog.MainFunc < 0 {
+		return nil, 0, fmt.Errorf("program has no main function")
+	}
+	if opts.Shards > 1 {
+		return nil, 0, fmt.Errorf("-shards requires the tasking runtime (-tasks); a single-task run has one mutator and nothing to overlap")
+	}
+	g, err := newGroup(prog, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	raw, err := g.RunMain()
+	return g, raw, err
+}
+
+// singleResult gathers a finished group of one into a Result.
+func singleResult(g *tasking.Group, raw code.Word) *Result {
+	main := g.Tasks[0]
+	res := &Result{
+		Raw:           raw,
+		Value:         code.DecodeInt(g.Prog.Repr, raw),
+		Output:        g.InitTask().Out.String() + main.Out.String(),
+		GCStats:       g.Col.Stats,
+		HeapStats:     g.Heap.Stats,
+		Liveness:      g.Col.Liveness,
+		Telemetry:     &g.Col.Telem,
+		MetadataWords: g.Col.MetadataSize,
+		DescNodes:     g.Prog.DescNodes,
+		CodeWords:     len(g.Prog.Code),
+	}
+	// Init and main ran one after the other on an empty stack, as they would
+	// on one machine: counts add, high-water marks do not.
+	for _, t := range []*tasking.Task{g.InitTask(), main} {
+		st := &res.VMStats
+		st.Instructions += t.Steps
+		st.Calls += t.Calls
+		st.ClosCalls += t.ClosCalls
+		st.Allocations += t.Allocations
+		st.ZeroFilledWords += t.ZeroFilledWords
+		st.MaxStackWords = max(st.MaxStackWords, t.MaxStackWords)
+		st.MaxFrameDepth = max(st.MaxFrameDepth, t.MaxFrameDepth)
+	}
+	return res
 }
 
 // Warnings type-checks a program and returns its pattern-match

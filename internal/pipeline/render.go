@@ -7,12 +7,9 @@ import (
 	"time"
 
 	"tagfree/internal/code"
-	"tagfree/internal/compile/codegen"
-	"tagfree/internal/compile/gcanal"
 	"tagfree/internal/gc"
 	"tagfree/internal/heap"
 	"tagfree/internal/mlang/types"
-	"tagfree/internal/vm"
 )
 
 // EvalResult is the outcome of Eval: the program's main value rendered as
@@ -41,52 +38,19 @@ func Eval(src string, opts Options) (*EvalResult, error) {
 	}
 	retType := arrow.Cod
 
-	if opts.UseCFA {
-		gcanal.AnalyzeCFA(irp)
-	} else {
-		gcanal.Analyze(irp)
-	}
-	prog, err := codegen.Compile(irp, opts.Strategy.CompatibleRepr())
+	prog, _, err := compileIR(irp, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	semi := opts.HeapWords
-	if semi == 0 {
-		semi = 1 << 16
-	}
-	var m *vm.VM
-	if opts.MarkSweep {
-		m, err = vm.NewWith(prog, heap.NewMarkSweep(prog.Repr, semi), opts.Strategy)
-	} else {
-		m, err = vm.New(prog, semi, opts.Strategy)
-	}
+	g, raw, err := runMain(prog, opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.MaxSteps > 0 {
-		m.MaxSteps = opts.MaxSteps
-	}
-	m.Col.Parallelism = opts.Parallelism
-	m.Col.DisableFastPath = opts.DisableGCFastPath
-	raw, err := m.Run()
-	if err != nil {
-		return nil, err
-	}
-
-	r := &renderer{m: m, repr: prog.Repr}
+	r := &renderer{heap: g.Heap, strings: prog.Strings, repr: prog.Repr}
 	return &EvalResult{
-		Value: r.render(raw, retType, 0),
-		Type:  types.TypeString(retType),
-		Result: &Result{
-			Raw:       raw,
-			Value:     code.DecodeInt(prog.Repr, raw),
-			Output:    m.Out.String(),
-			VMStats:   m.Stats,
-			GCStats:   m.Col.Stats,
-			HeapStats: m.Heap.Stats,
-			Telemetry: &m.Col.Telem,
-		},
+		Value:  r.render(raw, retType, 0),
+		Type:   types.TypeString(retType),
+		Result: singleResult(g, raw),
 	}, nil
 }
 
@@ -371,8 +335,9 @@ func TelemetryJSON(t *gc.Telemetry, opt TelemetryOptions) ([]byte, error) {
 
 // renderer walks heap values by type.
 type renderer struct {
-	m    *vm.VM
-	repr code.Repr
+	heap    *heap.Heap
+	strings []string
+	repr    code.Repr
 }
 
 const maxRenderDepth = 12
@@ -391,7 +356,7 @@ func (r *renderer) render(w code.Word, t types.Type, depth int) string {
 		case types.UnitK:
 			return "()"
 		case types.StringK:
-			return fmt.Sprintf("%q", r.m.Prog.Strings[code.DecodeInt(r.repr, w)])
+			return fmt.Sprintf("%q", r.strings[code.DecodeInt(r.repr, w)])
 		}
 	case *types.Var:
 		return "<poly>"
@@ -400,12 +365,12 @@ func (r *renderer) render(w code.Word, t types.Type, depth int) string {
 	case *types.TupleT:
 		parts := make([]string, len(t.Elems))
 		for i, et := range t.Elems {
-			parts[i] = r.render(r.m.Heap.Field(w, i), et, depth+1)
+			parts[i] = r.render(r.heap.Field(w, i), et, depth+1)
 		}
 		return "(" + strings.Join(parts, ", ") + ")"
 	case *types.Con:
 		if t.Name == "ref" {
-			return "ref (" + r.render(r.m.Heap.Field(w, 0), t.Args[0], depth+1) + ")"
+			return "ref (" + r.render(r.heap.Field(w, 0), t.Args[0], depth+1) + ")"
 		}
 		if t.Name == "list" {
 			return r.renderList(w, t.Args[0], depth)
@@ -422,8 +387,8 @@ func (r *renderer) renderList(w code.Word, elem types.Type, depth int) string {
 			parts = append(parts, "...")
 			break
 		}
-		parts = append(parts, r.render(r.m.Heap.Field(w, 0), elem, depth+1))
-		w = r.m.Heap.Field(w, 1)
+		parts = append(parts, r.render(r.heap.Field(w, 0), elem, depth+1))
+		w = r.heap.Field(w, 1)
 	}
 	return "[" + strings.Join(parts, "; ") + "]"
 }
@@ -447,7 +412,7 @@ func (r *renderer) renderData(w code.Word, t *types.Con, depth int) string {
 	off := 0
 	var ctor *types.CtorInfo
 	if data.BoxedCtors > 1 {
-		tag := int(code.DecodeInt(r.repr, r.m.Heap.Field(w, 0)))
+		tag := int(code.DecodeInt(r.repr, r.heap.Field(w, 0)))
 		off = 1
 		for _, ci := range data.Ctors {
 			if !ci.IsNullary() && ci.Tag == tag {
@@ -469,7 +434,7 @@ func (r *renderer) renderData(w code.Word, t *types.Con, depth int) string {
 	fieldTypes := ctor.Instantiate(t.Args)
 	parts := make([]string, len(fieldTypes))
 	for i, ft := range fieldTypes {
-		parts[i] = r.render(r.m.Heap.Field(w, off+i), ft, depth+1)
+		parts[i] = r.render(r.heap.Field(w, off+i), ft, depth+1)
 	}
 	if len(parts) == 0 {
 		return ctor.Name

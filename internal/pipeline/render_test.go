@@ -135,6 +135,7 @@ seq  par  before  live  surv%  words  frames  slots  flhit%
   4    1     256    16    6.2     16      45      1       -
 survivor histogram: 0-10%=5
 fast path: plan-hits=179 plan-misses=6 site-cache-hits=179 kernel-words=80
+resilience: injected-ooms=0 torture-collections=0 emergency-collections=5 ladder-recovered=5 ladder-exhausted=0 heap-growths=0 watchdog-trips=0 serial-fallbacks=0 task-faults=0 budget-faults=0 conc-aborts=0
 `
 	if got != want {
 		t.Errorf("table mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -159,6 +160,7 @@ seq  par  before  live  surv%  words  frames  slots  flhit%
   4    1     256    16    6.2     16      45      1   100.0
 survivor histogram: 0-10%=5
 fast path: plan-hits=179 plan-misses=6 site-cache-hits=179 kernel-words=80
+resilience: injected-ooms=0 torture-collections=0 emergency-collections=5 ladder-recovered=5 ladder-exhausted=0 heap-growths=0 watchdog-trips=0 serial-fallbacks=0 task-faults=0 budget-faults=0 conc-aborts=0
 `
 	if got != want {
 		t.Errorf("table mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -205,6 +207,7 @@ seq   kind  par  before  live  surv%  words  frames  slots  flhit%  prom  rem  b
   8  minor    1      87    47   54.0     24      14      2       -     0    0        0
 survivor histogram: 30-40%=2 40-50%=4 50-60%=3
 fast path: plan-hits=128 plan-misses=6 site-cache-hits=128 kernel-words=208
+resilience: injected-ooms=0 torture-collections=0 emergency-collections=9 ladder-recovered=9 ladder-exhausted=0 heap-growths=0 watchdog-trips=0 serial-fallbacks=0 task-faults=0 budget-faults=0 conc-aborts=0
 `
 	if got != want {
 		t.Errorf("table mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -306,7 +309,11 @@ func TestTelemetryJSONGolden(t *testing.T) {
     0,
     0,
     0
-  ]
+  ],
+  "resilience": {
+    "emergency_collections": 1,
+    "ladder_recovered": 1
+  }
 }`
 	if string(got) != want {
 		t.Errorf("json mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)

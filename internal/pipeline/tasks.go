@@ -6,7 +6,6 @@ import (
 	"tagfree/internal/code"
 	"tagfree/internal/gc"
 	"tagfree/internal/heap"
-	"tagfree/internal/mlang/types"
 	"tagfree/internal/tasking"
 )
 
@@ -39,13 +38,13 @@ type TaskResult struct {
 }
 
 // BuildTaskGroup compiles src for the tasking runtime (gc_word elision
-// disabled: any call can become a suspension point), validates each named
-// entry as a top-level function of type unit -> int, and assembles a task
-// group with every option knob wired but no tasks spawned. It returns the
-// group and the compiled function indices aligned with entryNames; callers
-// spawn tasks themselves (all up front for a closed corpus run, or
-// on demand from a Tick hook for open-loop serving) and then drive
-// RunInit/Run.
+// disabled: under the default policy any call can become a suspension
+// point), validates each named entry as a top-level function of type
+// unit -> int, and assembles a task group with every option knob wired but
+// no tasks spawned. It returns the group and the compiled function indices
+// aligned with entryNames; callers spawn tasks themselves (all up front for
+// a closed corpus run, or on demand from a Tick hook for open-loop serving)
+// and then drive RunInit/Run.
 func BuildTaskGroup(src string, entryNames []string, opts Options) (*tasking.Group, []int, error) {
 	irp, info, err := Frontend(src)
 	if err != nil {
@@ -60,11 +59,8 @@ func BuildTaskGroup(src string, entryNames []string, opts Options) (*tasking.Gro
 			return nil, nil, fmt.Errorf("tasking: entry %s has type %s, need unit -> int", name, s)
 		}
 	}
-	_ = irp
-
-	buildOpts := opts
-	buildOpts.DisableGCWordElision = true
-	prog, _, err := Build(src, buildOpts)
+	opts.DisableGCWordElision = true
+	prog, _, err := compileIR(irp, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -75,71 +71,9 @@ func BuildTaskGroup(src string, entryNames []string, opts Options) (*tasking.Gro
 			return nil, nil, fmt.Errorf("tasking: function %s not found after compilation", name)
 		}
 	}
-
-	semi := opts.HeapWords
-	if semi == 0 {
-		semi = 1 << 16
-	}
-	var h *heap.Heap
-	if opts.MarkSweep {
-		if opts.Strategy == gc.StratTagged {
-			return nil, nil, fmt.Errorf("mark/sweep is implemented for the tag-free strategies")
-		}
-		h = heap.NewMarkSweep(prog.Repr, semi)
-	} else {
-		h = heap.New(prog.Repr, semi)
-	}
-	if err := opts.validateShards(); err != nil {
-		return nil, nil, err
-	}
-	if opts.NurseryWords > 0 {
-		if opts.Strategy == gc.StratTagged {
-			return nil, nil, fmt.Errorf("the generational nursery requires a tag-free strategy")
-		}
-		promote := opts.PromoteAfter
-		if promote == 0 {
-			promote = 2
-		}
-		shards := opts.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		h.EnableNurseryShards(opts.NurseryWords, promote, shards)
-	}
-	group, err := tasking.NewGroupWith(prog, h, opts.Strategy, nil)
+	group, err := newGroup(prog, opts)
 	if err != nil {
 		return nil, nil, err
-	}
-	group.Col.Parallelism = opts.Parallelism
-	group.Col.DisableFastPath = opts.DisableGCFastPath
-	group.Col.Faults = opts.faultPlan()
-	if opts.VerifyHeap {
-		group.Col.Verify = true
-		group.Heap.SetVerify(true)
-	}
-	group.GrowFactor = opts.GrowFactor
-	group.MaxHeapWords = opts.MaxHeapWords
-	group.TLABWords = opts.TLABWords
-	if opts.Shards > 1 {
-		group.Shards = opts.Shards
-		group.ShardAssign = opts.ShardAssign
-	}
-	if err := opts.validateConcurrent(); err != nil {
-		return nil, nil, err
-	}
-	group.GCConcurrent = opts.GCConcurrent
-	group.ConcTriggerPct = opts.ConcTriggerPct
-	group.Col.ConcMarkBudget = opts.ConcMarkBudget
-	group.Col.ConcMaxSlices = opts.ConcMaxSlices
-	group.Col.HeapLiveness = opts.GCHeapLiveness
-	group.PoisonPruned = opts.PoisonPruned
-	group.BudgetSteps = opts.BudgetSteps
-	group.BudgetAllocWords = opts.BudgetAllocWords
-	if opts.SuspendAtAllocs {
-		group.Policy = tasking.SuspendAtAllocs
-	}
-	if opts.MaxSteps > 0 {
-		group.MaxSteps = opts.MaxSteps
 	}
 	return group, entries, nil
 }
@@ -183,5 +117,3 @@ func RunTasks(src string, entryNames []string, opts Options) (*TaskResult, error
 	}
 	return res, nil
 }
-
-var _ = types.TypeString // keep the types import for the scheme check API

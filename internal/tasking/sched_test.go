@@ -279,3 +279,89 @@ func TestRecycledStackIsAllZero(t *testing.T) {
 		})
 	}
 }
+
+// TestLoneTaskSliceLeavesInterleavingAlone runs the four entries with no
+// Tick hook, so the long slice a lone task gets is in play once the others
+// have finished, against the reference scheduler, which gives every turn one
+// quantum. With two or more unfinished tasks every turn must still be one
+// quantum, so each task executes the same instructions between the same
+// collections: per-task steps, allocation and results, the group counters
+// (suspension latencies included) and the heap counters are identical.
+// (TestSchedulerOrderMatchesAllTaskScan covers the Tick-hook half: there the
+// run is often down to one task and must stay turn-for-turn identical.)
+func TestLoneTaskSliceLeavesInterleavingAlone(t *testing.T) {
+	for _, allocs := range []bool{false, true} {
+		t.Run(fmt.Sprintf("at-allocs=%v", allocs), func(t *testing.T) {
+			run := func(sched func(*tasking.Group) error) string {
+				g, entries, err := pipeline.BuildTaskGroup(schedSrc, schedEntries,
+					pipeline.Options{Strategy: gc.StratCompiled, HeapWords: 2048, SuspendAtAllocs: allocs})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					g.Spawn(e)
+				}
+				if err := g.RunInit(); err != nil {
+					t.Fatal(err)
+				}
+				if err := sched(g); err != nil {
+					t.Fatal(err)
+				}
+				var b strings.Builder
+				for _, task := range g.Tasks {
+					fmt.Fprintf(&b, "task %d: %v steps=%d alloc=%d calls=%d result=%d\n", task.ID, task.Status,
+						task.Steps, task.AllocWords, task.Calls, code.DecodeInt(g.Prog.Repr, task.Result))
+				}
+				fmt.Fprintf(&b, "stats=%+v\nheap: allocs=%d words=%d copied=%d\n", g.Stats,
+					g.Heap.Stats.Allocations, g.Heap.Stats.WordsAllocated, g.Heap.Stats.WordsCopied)
+				return b.String()
+			}
+			want := run((*tasking.Group).RunScanningAllTasks)
+			got := run((*tasking.Group).Run)
+			if got != want {
+				t.Fatalf("final state diverges:\n got:\n%s\n want:\n%s", got, want)
+			}
+			if strings.Contains(want, " Collections:0 ") {
+				t.Error("run never collected")
+			}
+		})
+	}
+}
+
+// TestStepLimitWithinOneQuantum: a task that never finishes must stop the
+// group with the step-limit error no later than one quantum of virtual time
+// past MaxSteps — alone on the queue (the long slice is cut at the limit),
+// or with company.
+func TestStepLimitWithinOneQuantum(t *testing.T) {
+	const src = `
+let rec spin n = if n = 0 then 0 else spin n
+let forever () = spin 1
+`
+	for _, tasks := range []int{1, 3} {
+		for _, limit := range []int64{10_000, 1_000_000} {
+			g, entries, err := pipeline.BuildTaskGroup(src, []string{"forever"},
+				pipeline.Options{Strategy: gc.StratCompiled, MaxSteps: limit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tasks; i++ {
+				g.Spawn(entries[0])
+			}
+			if err := g.RunInit(); err != nil {
+				t.Fatal(err)
+			}
+			err = g.Run()
+			if err == nil || !strings.Contains(err.Error(), "step limit exceeded") {
+				t.Fatalf("%d tasks, limit %d: got %v, want the step-limit error", tasks, limit, err)
+			}
+			if now := g.Now(); now <= limit || now > limit+int64(g.Quantum) {
+				t.Errorf("%d tasks, limit %d: stopped at virtual time %d, want within one quantum (%d) past the limit",
+					tasks, limit, now, g.Quantum)
+			}
+			if tasks == 1 && g.Tasks[0].Steps != g.Now() {
+				t.Errorf("limit %d: the lone task executed %d instructions in %d steps of virtual time",
+					limit, g.Tasks[0].Steps, g.Now())
+			}
+		}
+	}
+}

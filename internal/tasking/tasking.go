@@ -26,9 +26,15 @@
 // latencies.
 //
 // Scheduling is deterministic round-robin with a fixed instruction
-// quantum, so runs are reproducible. Programs for the tasking VM must be
+// quantum, so runs are reproducible. Under SuspendAtCalls a program must be
 // compiled with gc_word elision disabled: any call can become a suspension
-// point, so every call site needs its frame map.
+// point, so every call site needs its frame map. Under SuspendAtAllocs a
+// task stops only inside an allocation, every frame below it is at a call
+// that reached that allocation, and §5.1's elision — which drops a gc_word
+// only from a call that can reach no allocation — stays sound.
+//
+// This is the repository's only interpreter: a single-task program runs as
+// a group of one (Group.RunMain).
 package tasking
 
 import (
@@ -83,14 +89,22 @@ type Task struct {
 	Fault *TaskFault
 	Out   bytes.Buffer
 
-	stack  []code.Word
-	sp     int
-	fp     int
-	pc     int
-	fidx   int
-	shadow []int // function index per frame (interpreter bookkeeping only)
+	stack []code.Word
+	sp    int
+	fp    int
+	pc    int
+	// shadow is the function index per frame, innermost last: interpreter
+	// bookkeeping for error text only. Collectors never consult it — they
+	// recover identities from return addresses and gc_words, as the paper
+	// requires.
+	shadow []int
 	// pendingAlloc is the retry size while suspended at an allocation.
 	pendingAlloc int
+	// parkedByRgc says why the task is SuspendedAlloc: true when it found a
+	// wave already raised and has not asked for memory yet, false when its
+	// own allocation failed, was failed by injection, or is being tortured —
+	// the cases that need a collection now. Written by every suspension.
+	parkedByRgc bool
 	// allocRetry marks a task resuming a suspended allocation: torture and
 	// fault injection skip the retry, or an injected failure would suspend
 	// the same allocation forever.
@@ -104,9 +118,19 @@ type Task struct {
 	// Steps counts instructions this task has executed; AllocWords counts
 	// the object field words it has requested. Both are the budget meters
 	// (Group.BudgetSteps / BudgetAllocWords) and feed the serve harness's
-	// per-request accounting.
+	// per-request accounting. An allocation that suspends is one step, and
+	// one more when it is retried.
 	Steps      int64
 	AllocWords int64
+	// Mutator work counters (pipeline.Result.VMStats sums them): direct and
+	// closure calls, objects allocated, frame words zero-filled at entry
+	// (Group.ZeroFill), and the high-water marks of the stack.
+	Calls           int64
+	ClosCalls       int64
+	Allocations     int64
+	ZeroFilledWords int64
+	MaxStackWords   int
+	MaxFrameDepth   int
 
 	// tlab is this task's private allocation buffer (Group.TLABWords > 0);
 	// TLAB accumulates its lifetime accounting.
@@ -341,6 +365,14 @@ type Group struct {
 	// words, that starts a concurrent cycle (0 = 75).
 	ConcTriggerPct int
 
+	// ZeroFill zeroes every frame's slots at entry. The Appel and tagged
+	// collectors trace (or scan) all slots, and frame maps widened by the E3
+	// ablation name uninitialized ones, so none may hold a stale word; the
+	// compiled and interpreted strategies' liveness-filtered maps never
+	// mention an uninitialized slot — the paper's critique of per-procedure
+	// descriptors (§1.1.1). NewGroupWith sets it from the strategy.
+	ZeroFill bool
+
 	// PoisonPruned faults any task whose compiled code loads the
 	// liveness-guided collector's PrunedWord sentinel — the debug mode
 	// that makes heap-liveness verdicts falsifiable: a verdict that pruned
@@ -361,7 +393,9 @@ type Group struct {
 	// every round reclaiming nothing.
 	concLastEnd int
 
-	// initTask is the transient init task while RunInit is running, so the
+	// initTask is the task RunInit ran the program's init function on
+	// (ID -1), kept after it finishes for its output and accounting
+	// (InitTask). It is never on the run queue; while it runs, the
 	// pre-collection retirement wave covers its buffer too.
 	initTask *Task
 
@@ -414,6 +448,7 @@ func NewGroupWith(prog *code.Program, h *heap.Heap, strat gc.Strategy, entries [
 		Globals:  make([]code.Word, len(prog.Globals)),
 		Quantum:  97,
 		MaxSteps: 1 << 40,
+		ZeroFill: strat == gc.StratAppel || strat == gc.StratTagged,
 	}
 	for _, e := range entries {
 		g.Spawn(e)
@@ -429,7 +464,7 @@ func NewGroupWith(prog *code.Program, h *heap.Heap, strat gc.Strategy, entries [
 // constructing the group with those entries.
 func (g *Group) Spawn(entry int) *Task {
 	t := g.newTask(len(g.Tasks))
-	g.pushFrame(t, entry, -1)
+	g.enter(t, entry)
 	t.stack[t.fp+2] = code.EncodeInt(g.Prog.Repr, 0) // the unit argument
 	g.Tasks = append(g.Tasks, t)
 	g.runq = append(g.runq, t)
@@ -642,8 +677,13 @@ func (g *Group) allocBlocked(n int) bool {
 	return g.Heap.Need(n)
 }
 
+// InitTask returns the task the init function ran on, for its output and
+// counters; nil before RunInit.
+func (g *Group) InitTask() *Task { return g.initTask }
+
 // RunInit executes the program's init function to completion on a
-// dedicated task before the group starts.
+// dedicated task before the group starts. MaxSteps bounds it as it bounds
+// Run: a diverging top-level binding fails with "step limit exceeded".
 func (g *Group) RunInit() error {
 	g.setupTLABs()
 	g.setupShards()
@@ -651,12 +691,18 @@ func (g *Group) RunInit() error {
 	g.initTask = t
 	defer func() {
 		g.retireTaskTLAB(t)
-		g.initTask = nil
 		g.releaseStack(t)
 	}()
-	g.pushFrame(t, g.Prog.InitFunc, -1)
+	g.enter(t, g.Prog.InitFunc)
 	for t.Status == Running {
-		if err := g.step(t, 1_000_000); err != nil {
+		// Init's instructions count against MaxSteps on the init task's own
+		// counter, not the group clock: Now() is still 0 when the first task
+		// starts, however much top-level code ran.
+		left := g.MaxSteps - t.Steps
+		if left <= 0 {
+			return t.errf(g, "step limit exceeded (%d)", g.MaxSteps)
+		}
+		if err := g.step(t, int(min(left, 1_000_000))); err != nil {
 			return err
 		}
 		if t.Status == SuspendedAlloc {
@@ -777,7 +823,8 @@ func (g *Group) runUntilSuspended() (bool, error) {
 				// shard.
 				g.Heap.SetAllocShard(g.shardOf(t))
 			}
-			if err := g.step(t, g.Quantum); err != nil {
+			before := t.Steps
+			if err := g.step(t, g.slice()); err != nil {
 				// Fault isolation: the error stops this task only.
 				g.faultTask(t, FaultRuntime, 0, err)
 				continue
@@ -787,7 +834,11 @@ func (g *Group) runUntilSuspended() (bool, error) {
 				// accounting and release the tail.
 				g.retireTaskTLAB(t)
 			}
-			g.steps += int64(g.Quantum)
+			// Virtual time passes in whole quanta: a turn costs one however
+			// early the task left it, a lone task's slice as many as it
+			// started.
+			q := int64(g.Quantum)
+			g.steps += (t.Steps - before + q - 1) / q * q
 			if g.steps > g.MaxSteps {
 				return false, fmt.Errorf("tasking: step limit exceeded")
 			}
@@ -821,6 +872,48 @@ func (g *Group) runUntilSuspended() (bool, error) {
 			return false, fmt.Errorf("tasking: deadlock: tasks suspended with no collection pending")
 		}
 	}
+}
+
+// loneQuanta is how many quanta a task that is alone on the run queue may
+// run before the scheduler looks again.
+const loneQuanta = 1 << 12
+
+// slice is the instruction count of the next scheduling turn: one quantum,
+// or — when exactly one task is unfinished and nothing can need the
+// scheduler before that task suspends or finishes (no Tick hook to give
+// virtual time to, no concurrent marker to give slices to) — up to
+// loneQuanta of them, cut to the first quantum boundary past MaxSteps.
+// Called after compactRunQueue, so the queue holds unfinished tasks only;
+// with two or more of them every turn is one quantum and the interleaving
+// is untouched.
+func (g *Group) slice() int {
+	if len(g.runq) != 1 || g.Tick != nil || g.GCConcurrent {
+		return g.Quantum
+	}
+	q := int64(g.Quantum)
+	n := loneQuanta * q
+	if left := g.MaxSteps - g.steps; left < n {
+		n = (left/q + 1) * q
+	}
+	return int(n)
+}
+
+// RunMain runs the program as a group of one: the init function, then main
+// applied to unit as the only task. It returns main's result word (decode
+// with code.DecodeInt etc.) or the error that stopped the run. The policy
+// is SuspendAtAllocs: with one task no other can be waiting on a call, and
+// it is the policy under which code compiled with §5.1 gc_word elision
+// stays sound (see the package comment).
+func (g *Group) RunMain() (code.Word, error) {
+	g.Policy = SuspendAtAllocs
+	t := g.Spawn(g.Prog.MainFunc)
+	if err := g.RunInit(); err != nil {
+		return 0, err
+	}
+	if err := g.Run(); err != nil {
+		return 0, err
+	}
+	return t.Result, t.Err
 }
 
 // RunUntilCollection schedules the group until a stop-the-world collection
@@ -944,9 +1037,11 @@ func (g *Group) concAdvance() {
 // (start or finish) rather than a collection: every live task is at a safe
 // point, so the stacks can be scanned. It reports whether the wave was
 // consumed here — tasks resumed, scheduling continues. A wave carrying a
-// genuine allocation failure (any SuspendedAlloc task, including torture
-// injections) returns false and hands over to the stop-the-world path,
-// whose CollectFull aborts any in-flight cycle automatically.
+// genuine allocation failure (a SuspendedAlloc task that asked for memory,
+// including torture and injections — not one merely parked by the raised
+// Rgc under SuspendAtAllocs) returns false and hands over to the
+// stop-the-world path, whose CollectFull aborts any in-flight cycle
+// automatically.
 func (g *Group) concPause() bool {
 	if g.concPhase != concStartPending && g.concPhase != concFinishPending {
 		// A genuine collection wave (allocation failure, forced major). The
@@ -957,7 +1052,7 @@ func (g *Group) concPause() bool {
 	}
 	live := g.pendingTasks()
 	for _, t := range live {
-		if t.Status == SuspendedAlloc {
+		if t.Status == SuspendedAlloc && !t.parkedByRgc {
 			// An allocation failure shares the wave: memory is needed NOW,
 			// and only a full collection (with the rescue ladder behind it)
 			// guarantees it. Let collectSuspended take over.
@@ -1193,15 +1288,11 @@ func (g *Group) oomCause(n int) error {
 
 // faultTask transitions one task to Faulted with a captured TaskFault.
 func (g *Group) faultTask(t *Task, kind FaultKind, allocSize int, cause error) {
-	name := "?"
-	if t.fidx >= 0 && t.fidx < len(g.Prog.Funcs) {
-		name = g.Prog.Funcs[t.fidx].Name
-	}
 	f := &TaskFault{
 		Task:      t.ID,
 		Kind:      kind,
 		PC:        t.pc,
-		Func:      name,
+		Func:      g.funcName(t),
 		AllocSize: allocSize,
 		Frames:    g.backtrace(t),
 		Cause:     cause,
@@ -1293,34 +1384,49 @@ func (g *Group) tenureCollect(live []*Task) {
 // Per-task execution.
 // ---------------------------------------------------------------------------
 
-func (g *Group) pushFrame(t *Task, fidx, retPC int) {
-	fi := g.Prog.Funcs[fidx]
-	fp := t.sp
-	size := 2 + fi.NSlots
-	if fp+size > len(t.stack) {
-		ns := make([]code.Word, (fp+size)*2)
-		copy(ns, t.stack)
-		t.stack = ns
-	}
-	t.stack[fp] = code.Word(t.fp)
-	t.stack[fp+1] = code.Word(retPC)
-	if g.Col.Strat == gc.StratAppel || g.Col.Strat == gc.StratTagged {
-		for i := 0; i < fi.NSlots; i++ {
-			t.stack[fp+2+i] = 0
-		}
-	}
-	t.sp = fp + size
-	t.fp = fp
-	t.shadow = append(t.shadow, fidx)
-	t.fidx = fidx
-	t.pc = fi.Entry
+// enter makes fidx the task's root frame: the first instruction it executes
+// is the function's entry, and returning from it finishes the task.
+func (g *Group) enter(t *Task, fidx int) {
+	t.fp = g.pushFrame(t, fidx, -1, -1)
+	t.pc = g.Prog.Funcs[fidx].Entry
 }
 
-func (t *Task) atom(g *Group, w code.Word) code.Word {
+// pushFrame lays out an activation record for fidx on top of the task's
+// stack — dynamic link, return address, then the slots (Figure 1) — and
+// returns its frame pointer. The caller moves fp and pc.
+func (g *Group) pushFrame(t *Task, fidx, retPC, callerFP int) int {
+	fi := g.Prog.Funcs[fidx]
+	fp := t.sp
+	sp := fp + 2 + fi.NSlots
+	if sp > t.MaxStackWords {
+		// Only a stack deeper than any before it can outgrow the array.
+		t.MaxStackWords = sp
+		if sp > len(t.stack) {
+			ns := make([]code.Word, sp*2)
+			copy(ns, t.stack)
+			t.stack = ns
+		}
+	}
+	t.stack[fp] = code.Word(callerFP)
+	t.stack[fp+1] = code.Word(retPC)
+	if g.ZeroFill {
+		clear(t.stack[fp+2 : sp])
+		t.ZeroFilledWords += int64(fi.NSlots)
+	}
+	t.sp = sp
+	t.shadow = append(t.shadow, fidx)
+	if len(t.shadow) > t.MaxFrameDepth {
+		t.MaxFrameDepth = len(t.shadow)
+	}
+	return fp
+}
+
+// atom reads an operand against the frame at fp.
+func (g *Group) atom(stack []code.Word, fp int, w code.Word) code.Word {
 	kind, idx := code.DecodeAtom(w)
 	switch kind {
 	case code.AtomSlot:
-		return t.stack[t.fp+2+idx]
+		return stack[fp+2+idx]
 	case code.AtomConst:
 		return g.Prog.Consts[idx]
 	default:
@@ -1328,126 +1434,149 @@ func (t *Task) atom(g *Group, w code.Word) code.Word {
 	}
 }
 
-func (t *Task) errf(g *Group, format string, args ...any) error {
-	name := "?"
-	if t.fidx >= 0 && t.fidx < len(g.Prog.Funcs) {
-		name = g.Prog.Funcs[t.fidx].Name
+// funcName names the function the task is executing.
+func (g *Group) funcName(t *Task) string {
+	if n := len(t.shadow); n > 0 {
+		return g.Prog.Funcs[t.shadow[n-1]].Name
 	}
-	return fmt.Errorf("task %d: runtime error in %s at pc %d: %s%s",
-		t.ID, name, t.pc, fmt.Sprintf(format, args...), backtraceString(g.backtrace(t)))
+	return "?"
 }
 
-// step executes up to quantum instructions of one task.
+func (t *Task) errf(g *Group, format string, args ...any) error {
+	return fmt.Errorf("task %d: runtime error in %s at pc %d: %s%s",
+		t.ID, g.funcName(t), t.pc, fmt.Sprintf(format, args...), backtraceString(g.backtrace(t)))
+}
+
+// step executes up to quantum instructions of one task: the dispatch loop
+// of the repository's one interpreter.
+//
+// pc and fp live in locals and are written back when the slice ends and
+// before anything that reads them from the task (an allocation, a fault).
+// Per-instruction bookkeeping is hoisted out of the loop: no instruction
+// inside a slice can change whether a wave is raised except the one that
+// ends it — an allocation that suspends its own task — so whether this task
+// must park, and whether its instructions count towards the suspension
+// latency, are decided once; the instruction, step and Rgc-check counts are
+// added when the slice ends, and are exact there and at every budget check.
 func (g *Group) step(t *Task, quantum int) error {
 	prog := g.Prog
 	c := prog.Code
 	repr := prog.Repr
-	nursery := g.Heap.NurseryEnabled()
-	conc := g.GCConcurrent
+	h := g.Heap
 	sharded := g.sharded()
 	tShard := 0
 	if sharded {
 		tShard = g.shardOf(t)
 	}
+	waveUp := g.rgc != 0
+	// The Rgc register is added to every call target (SuspendAtCalls):
+	// nonzero diverts into the suspension stub (§4). A sharded group has
+	// one more register per shard — only the task's own shard's wave parks
+	// it.
+	atCalls := g.Policy == SuspendAtCalls
+	parked := waveUp || (sharded && g.rgcShard[tShard] != 0)
+	budgeted := g.BudgetSteps > 0 || g.BudgetAllocWords > 0
+	loadHook := g.PoisonPruned || sharded
+	storeHook := h.NurseryEnabled() || g.GCConcurrent
 
-	for i := 0; i < quantum; i++ {
-		if t.Status != Running {
-			return nil
-		}
-		g.Stats.Instructions++
-		t.Steps++
-		if g.rgc != 0 {
-			g.latency++
-		}
-		pc := t.pc
+	stack := t.stack
+	pc, fp := t.pc, t.fp
+	steps0 := t.Steps
+	var rgcChecks int64
+	var fail string
+	n := 0
+loop:
+	for n < quantum {
+		n++
 		op := c[pc]
 		switch op {
 		case code.OpRet:
-			val := t.atom(g, c[pc+1])
-			retPC := int(t.stack[t.fp+1])
-			callerFP := int(t.stack[t.fp])
-			t.sp = t.fp
+			val := g.atom(stack, fp, c[pc+1])
+			retPC := int(stack[fp+1])
+			t.sp = fp
 			t.shadow = t.shadow[:len(t.shadow)-1]
 			if retPC < 0 {
 				t.Status = Done
 				t.Result = val
-				return nil
+				break loop
 			}
-			t.fp = callerFP
-			t.fidx = t.shadow[len(t.shadow)-1]
-			t.stack[t.fp+2+int(c[retPC+1])] = val
-			t.pc = retPC + code.InstrLen(c, retPC)
+			fp = int(stack[fp])
+			stack[fp+2+int(c[retPC+1])] = val
+			pc = retPC + code.CallLen(c, retPC)
 
 		case code.OpJmp:
-			t.pc = int(c[pc+1])
+			pc = int(c[pc+1])
 
 		case code.OpJz:
-			if !code.DecodeBool(repr, t.atom(g, c[pc+1])) {
-				t.pc = int(c[pc+2])
+			if !code.DecodeBool(repr, g.atom(stack, fp, c[pc+1])) {
+				pc = int(c[pc+2])
 			} else {
-				t.pc = pc + 3
+				pc += 3
 			}
 
 		case code.OpMove:
-			t.stack[t.fp+2+int(c[pc+1])] = t.atom(g, c[pc+2])
-			t.pc = pc + 3
+			stack[fp+2+int(c[pc+1])] = g.atom(stack, fp, c[pc+2])
+			pc += 3
 
+		// Tagged variants strip and reinstate the tag bit: add/sub use the
+		// classic one-instruction identity, mul/div/mod pay the full strip
+		// cost — the paper's "tag manipulation" overhead.
 		case code.OpAdd:
-			t.stack[t.fp+2+int(c[pc+1])] = t.atom(g, c[pc+2]) + t.atom(g, c[pc+3])
-			t.pc = pc + 4
+			stack[fp+2+int(c[pc+1])] = g.atom(stack, fp, c[pc+2]) + g.atom(stack, fp, c[pc+3])
+			pc += 4
 		case code.OpSub:
-			t.stack[t.fp+2+int(c[pc+1])] = t.atom(g, c[pc+2]) - t.atom(g, c[pc+3])
-			t.pc = pc + 4
+			stack[fp+2+int(c[pc+1])] = g.atom(stack, fp, c[pc+2]) - g.atom(stack, fp, c[pc+3])
+			pc += 4
 		case code.OpMul:
-			t.stack[t.fp+2+int(c[pc+1])] = t.atom(g, c[pc+2]) * t.atom(g, c[pc+3])
-			t.pc = pc + 4
+			stack[fp+2+int(c[pc+1])] = g.atom(stack, fp, c[pc+2]) * g.atom(stack, fp, c[pc+3])
+			pc += 4
 		case code.OpDiv, code.OpMod:
-			b := t.atom(g, c[pc+3])
+			b := g.atom(stack, fp, c[pc+3])
 			if b == 0 {
-				return t.errf(g, "division by zero")
+				fail = "division by zero"
+				break loop
 			}
-			a := t.atom(g, c[pc+2])
-			var v code.Word
+			a := g.atom(stack, fp, c[pc+2])
 			if op == code.OpDiv {
-				v = a / b
+				a /= b
 			} else {
-				v = a % b
+				a %= b
 			}
-			t.stack[t.fp+2+int(c[pc+1])] = v
-			t.pc = pc + 4
+			stack[fp+2+int(c[pc+1])] = a
+			pc += 4
 		case code.OpTAdd:
-			t.stack[t.fp+2+int(c[pc+1])] = t.atom(g, c[pc+2]) + t.atom(g, c[pc+3]) - 1
-			t.pc = pc + 4
+			stack[fp+2+int(c[pc+1])] = g.atom(stack, fp, c[pc+2]) + g.atom(stack, fp, c[pc+3]) - 1
+			pc += 4
 		case code.OpTSub:
-			t.stack[t.fp+2+int(c[pc+1])] = t.atom(g, c[pc+2]) - t.atom(g, c[pc+3]) + 1
-			t.pc = pc + 4
+			stack[fp+2+int(c[pc+1])] = g.atom(stack, fp, c[pc+2]) - g.atom(stack, fp, c[pc+3]) + 1
+			pc += 4
 		case code.OpTMul:
-			t.stack[t.fp+2+int(c[pc+1])] = ((t.atom(g, c[pc+2]) >> 1) * (t.atom(g, c[pc+3]) >> 1) << 1) | 1
-			t.pc = pc + 4
+			stack[fp+2+int(c[pc+1])] = ((g.atom(stack, fp, c[pc+2]) >> 1) * (g.atom(stack, fp, c[pc+3]) >> 1) << 1) | 1
+			pc += 4
 		case code.OpTDiv, code.OpTMod:
-			b := t.atom(g, c[pc+3]) >> 1
+			b := g.atom(stack, fp, c[pc+3]) >> 1
 			if b == 0 {
-				return t.errf(g, "division by zero")
+				fail = "division by zero"
+				break loop
 			}
-			a := t.atom(g, c[pc+2]) >> 1
-			var v code.Word
+			a := g.atom(stack, fp, c[pc+2]) >> 1
 			if op == code.OpTDiv {
-				v = a / b
+				a /= b
 			} else {
-				v = a % b
+				a %= b
 			}
-			t.stack[t.fp+2+int(c[pc+1])] = v<<1 | 1
-			t.pc = pc + 4
+			stack[fp+2+int(c[pc+1])] = a<<1 | 1
+			pc += 4
 		case code.OpNeg:
-			t.stack[t.fp+2+int(c[pc+1])] = -t.atom(g, c[pc+2])
-			t.pc = pc + 3
+			stack[fp+2+int(c[pc+1])] = -g.atom(stack, fp, c[pc+2])
+			pc += 3
 		case code.OpTNeg:
-			t.stack[t.fp+2+int(c[pc+1])] = 2 - t.atom(g, c[pc+2])
-			t.pc = pc + 3
+			stack[fp+2+int(c[pc+1])] = 2 - g.atom(stack, fp, c[pc+2])
+			pc += 3
 
 		case code.OpEq, code.OpNe, code.OpLt, code.OpLe, code.OpGt, code.OpGe:
-			a := t.atom(g, c[pc+2])
-			b := t.atom(g, c[pc+3])
+			a := g.atom(stack, fp, c[pc+2])
+			b := g.atom(stack, fp, c[pc+3])
 			var r bool
 			switch op {
 			case code.OpEq:
@@ -1463,142 +1592,189 @@ func (g *Group) step(t *Task, quantum int) error {
 			case code.OpGe:
 				r = a >= b
 			}
-			t.stack[t.fp+2+int(c[pc+1])] = code.EncodeBool(repr, r)
-			t.pc = pc + 4
+			stack[fp+2+int(c[pc+1])] = code.EncodeBool(repr, r)
+			pc += 4
 
 		case code.OpNot:
-			v := code.DecodeBool(repr, t.atom(g, c[pc+2]))
-			t.stack[t.fp+2+int(c[pc+1])] = code.EncodeBool(repr, !v)
-			t.pc = pc + 3
+			v := code.DecodeBool(repr, g.atom(stack, fp, c[pc+2]))
+			stack[fp+2+int(c[pc+1])] = code.EncodeBool(repr, !v)
+			pc += 3
 
 		case code.OpIsBoxed:
-			v := code.IsBoxedValue(repr, t.atom(g, c[pc+2]))
-			t.stack[t.fp+2+int(c[pc+1])] = code.EncodeBool(repr, v)
-			t.pc = pc + 3
+			v := code.IsBoxedValue(repr, g.atom(stack, fp, c[pc+2]))
+			stack[fp+2+int(c[pc+1])] = code.EncodeBool(repr, v)
+			pc += 3
 
 		case code.OpTagIs:
-			obj := t.atom(g, c[pc+2])
-			tag := code.DecodeInt(repr, g.Heap.Field(obj, 0))
-			t.stack[t.fp+2+int(c[pc+1])] = code.EncodeBool(repr, tag == c[pc+3])
-			t.pc = pc + 4
+			tag := code.DecodeInt(repr, h.Field(g.atom(stack, fp, c[pc+2]), 0))
+			stack[fp+2+int(c[pc+1])] = code.EncodeBool(repr, tag == c[pc+3])
+			pc += 4
 
 		case code.OpLdFld:
-			v := g.Heap.Field(t.atom(g, c[pc+2]), int(c[pc+3]))
-			if g.PoisonPruned && v == code.PrunedWord {
-				return t.errf(g, "poison: load of pruned field %d — heap-liveness verdict was wrong", int(c[pc+3]))
-			}
-			if sharded && g.Heap.InYoung(v) && g.Heap.YoungShardOf(v) != tShard {
-				// A foreign shard's young pointer just landed on this stack;
-				// that shard's minors no longer see all their roots. (The word
-				// may be an integer aliasing a young address — the exposure is
-				// conservative, see expose.)
-				g.expose(v)
-			}
-			t.stack[t.fp+2+int(c[pc+1])] = v
-			t.pc = pc + 4
-
-		case code.OpStFld:
-			obj := t.atom(g, c[pc+1])
-			v := t.atom(g, c[pc+3])
-			g.Heap.SetField(obj, int(c[pc+2]), v)
-			if nursery {
-				// Old→young write barrier: the compiler's store descriptor
-				// tells us the stored value's type, so only stores that can
-				// hold a pointer ever consult the remembered set.
-				if d := g.Prog.StoreDescs[pc]; d != nil && g.Heap.InOld(obj) && g.Heap.InYoung(v) {
-					g.Col.Remember(obj, int(c[pc+2]), d)
+			v := h.Field(g.atom(stack, fp, c[pc+2]), int(c[pc+3]))
+			if loadHook {
+				if g.PoisonPruned && v == code.PrunedWord {
+					fail = fmt.Sprintf("poison: load of pruned field %d — heap-liveness verdict was wrong", int(c[pc+3]))
+					break loop
 				}
-				if sharded && g.Heap.InYoung(v) && g.Heap.InYoung(obj) &&
-					g.Heap.YoungShardOf(v) != g.Heap.YoungShardOf(obj) {
-					// A cross-shard young→young edge: v's shard can no longer
-					// collect alone (the edge lives in an object its minors
-					// will not trace). Old→young stores need no flag — the
-					// remembered set covers them shard-filtered.
+				if sharded && h.InYoung(v) && h.YoungShardOf(v) != tShard {
+					// A foreign shard's young pointer just landed on this stack;
+					// that shard's minors no longer see all their roots. (The word
+					// may be an integer aliasing a young address — the exposure is
+					// conservative, see expose.)
 					g.expose(v)
 				}
-			} else if conc && g.Col.ConcActive() {
-				// Incremental-update barrier: graying the stored value keeps
-				// marking sound when the mutator re-points a field of an
-				// already-scanned (black) object at an unmarked target. Same
-				// typed-store discipline as the generational barrier — the
-				// store descriptor tells the collector how to trace v.
-				if d := g.Prog.StoreDescs[pc]; d != nil {
-					g.Col.ConcBarrier(d, v)
-				}
 			}
-			t.pc = pc + 4
+			stack[fp+2+int(c[pc+1])] = v
+			pc += 4
+
+		case code.OpStFld:
+			obj := g.atom(stack, fp, c[pc+1])
+			v := g.atom(stack, fp, c[pc+3])
+			h.SetField(obj, int(c[pc+2]), v)
+			if storeHook {
+				g.storeBarrier(pc, obj, int(c[pc+2]), v)
+			}
+			pc += 4
 
 		case code.OpCall, code.OpCallC:
-			if g.Policy == SuspendAtCalls {
-				// The Rgc register is added to every call target: nonzero
-				// diverts into the suspension stub (§4). A sharded group has
-				// one more register per shard — only the task's own shard's
-				// wave parks it.
-				g.Stats.RgcChecks++
-				if g.rgc != 0 || (sharded && g.rgcShard[tShard] != 0) {
+			if atCalls {
+				rgcChecks++
+				if parked {
 					t.Status = SuspendedCall
-					return nil
+					break loop
 				}
 			}
-			if g.BudgetSteps > 0 || g.BudgetAllocWords > 0 {
+			if budgeted {
 				// Budgets are enforced at the same safe points as Rgc: call
 				// dispatch is where a task can be stopped without leaving a
 				// half-built frame or heap object.
+				t.Steps = steps0 + int64(n)
 				if cause, over := g.overBudget(t, 0); over {
+					t.pc, t.fp = pc, fp
 					g.faultTask(t, FaultBudget, 0, cause)
-					return nil
+					break loop
 				}
 			}
 			if op == code.OpCall {
 				callee := int(c[pc+2])
 				nargs := int(c[pc+4])
 				fi := prog.Funcs[callee]
-				callerFP := t.fp
-				g.pushFrame(t, callee, pc)
+				newFP := g.pushFrame(t, callee, pc, fp)
+				stack = t.stack
 				for j := 0; j < nargs; j++ {
-					v := readAtomFrom(g, t, callerFP, c[pc+5+j])
+					v := g.atom(stack, fp, c[pc+5+j])
 					if j < fi.NParams {
-						t.stack[t.fp+2+j] = v
+						stack[newFP+2+j] = v
 					} else {
-						t.stack[t.fp+2+fi.RepArgBase+(j-fi.NParams)] = v
+						stack[newFP+2+fi.RepArgBase+(j-fi.NParams)] = v
 					}
 				}
+				t.Calls++
+				fp = newFP
+				pc = fi.Entry
 			} else {
-				clos := t.atom(g, c[pc+3])
+				clos := g.atom(stack, fp, c[pc+3])
 				if !code.IsBoxedValue(repr, clos) {
-					return t.errf(g, "application of an undefined recursive closure")
+					fail = "application of an undefined recursive closure"
+					break loop
 				}
-				callee := int(code.DecodeInt(repr, g.Heap.Field(clos, 0)))
-				arg := t.atom(g, c[pc+4])
-				g.pushFrame(t, callee, pc)
-				t.stack[t.fp+2] = clos
-				t.stack[t.fp+3] = arg
+				callee := int(code.DecodeInt(repr, h.Field(clos, 0)))
+				arg := g.atom(stack, fp, c[pc+4])
+				fp = g.pushFrame(t, callee, pc, fp)
+				stack = t.stack
+				stack[fp+2] = clos
+				stack[fp+3] = arg
+				t.ClosCalls++
+				pc = prog.Funcs[callee].Entry
 			}
 
-		case code.OpMkRef, code.OpMkTuple, code.OpMkBox, code.OpMkClos:
-			if err := g.stepAlloc(t, pc, op); err != nil {
-				return err
+		// The allocation instructions. alloc is the safe point where a
+		// collection can happen (the task suspends and the instruction runs
+		// again afterwards); operands are read from their slots only once
+		// the object exists, so a moving collector's updates are observed
+		// (§2.1).
+		case code.OpMkRef:
+			t.pc, t.fp, t.Steps = pc, fp, steps0+int64(n)
+			ptr, ok := g.alloc(t, 1)
+			if !ok {
+				break loop
 			}
+			h.SetField(ptr, 0, g.atom(stack, fp, c[pc+3]))
+			stack[fp+2+int(c[pc+1])] = ptr
+			pc += 4
+
+		case code.OpMkTuple:
+			nf := int(c[pc+3])
+			t.pc, t.fp, t.Steps = pc, fp, steps0+int64(n)
+			ptr, ok := g.alloc(t, nf)
+			if !ok {
+				break loop
+			}
+			for i := 0; i < nf; i++ {
+				h.SetField(ptr, i, g.atom(stack, fp, c[pc+4+i]))
+			}
+			stack[fp+2+int(c[pc+1])] = ptr
+			pc += 4 + nf
+
+		case code.OpMkBox:
+			tag := c[pc+3]
+			nf := int(c[pc+4])
+			off := 0
+			if tag >= 0 {
+				off = 1
+			}
+			t.pc, t.fp, t.Steps = pc, fp, steps0+int64(n)
+			ptr, ok := g.alloc(t, off+nf)
+			if !ok {
+				break loop
+			}
+			if tag >= 0 {
+				h.SetField(ptr, 0, code.EncodeInt(repr, tag))
+			}
+			for i := 0; i < nf; i++ {
+				h.SetField(ptr, off+i, g.atom(stack, fp, c[pc+5+i]))
+			}
+			stack[fp+2+int(c[pc+1])] = ptr
+			pc += 5 + nf
+
+		case code.OpMkClos:
+			self := int(c[pc+4])
+			nrep := int(c[pc+5])
+			ncap := int(c[pc+6])
+			t.pc, t.fp, t.Steps = pc, fp, steps0+int64(n)
+			ptr, ok := g.alloc(t, 1+nrep+ncap)
+			if !ok {
+				break loop
+			}
+			h.SetField(ptr, 0, code.EncodeInt(repr, c[pc+3]))
+			for i := 0; i < nrep+ncap; i++ {
+				h.SetField(ptr, 1+i, g.atom(stack, fp, c[pc+7+i]))
+			}
+			if self >= 0 {
+				h.SetField(ptr, 1+nrep+self, ptr)
+			}
+			stack[fp+2+int(c[pc+1])] = ptr
+			pc += 7 + nrep + ncap
 
 		case code.OpMkRep:
-			n := int(c[pc+4])
-			children := make([]int, n)
-			for j := 0; j < n; j++ {
-				children[j] = int(code.DecodeInt(repr, t.atom(g, c[pc+5+j])))
+			nc := int(c[pc+4])
+			children := make([]int, nc)
+			for j := 0; j < nc; j++ {
+				children[j] = int(code.DecodeInt(repr, g.atom(stack, fp, c[pc+5+j])))
 			}
-			h := prog.Reps.Intern(code.TDKind(c[pc+2]), int(c[pc+3]), children)
-			t.stack[t.fp+2+int(c[pc+1])] = code.EncodeInt(repr, int64(h))
-			t.pc = pc + 5 + n
+			rep := prog.Reps.Intern(code.TDKind(c[pc+2]), int(c[pc+3]), children)
+			stack[fp+2+int(c[pc+1])] = code.EncodeInt(repr, int64(rep))
+			pc += 5 + nc
 
 		case code.OpBuiltin:
-			arg := t.atom(g, c[pc+3])
-			g.builtin(t, c[pc+2], arg)
-			t.stack[t.fp+2+int(c[pc+1])] = code.EncodeInt(repr, 0)
-			t.pc = pc + 4
+			g.builtin(t, c[pc+2], g.atom(stack, fp, c[pc+3]))
+			stack[fp+2+int(c[pc+1])] = code.EncodeInt(repr, 0)
+			pc += 4
 
 		case code.OpSetGlobal:
-			v := t.atom(g, c[pc+2])
-			if sharded && g.Heap.InYoung(v) {
+			v := g.atom(stack, fp, c[pc+2])
+			if sharded && h.InYoung(v) {
 				// Globals are traced during every shard minor, so the stored
 				// pointer itself stays sound — but any task can now copy it
 				// onto a stack the shard's minors never scan, so the shard
@@ -1606,69 +1782,91 @@ func (g *Group) step(t *Task, quantum int) error {
 				g.expose(v)
 			}
 			g.Globals[int(c[pc+1])] = v
-			t.pc = pc + 3
+			pc += 3
 
 		case code.OpMatchFail:
-			return t.errf(g, "match failure: no pattern matched")
+			fail = "match failure: no pattern matched"
+			break loop
 
 		case code.OpHalt:
 			t.Status = Done
-			return nil
+			break loop
 
 		default:
-			return t.errf(g, "illegal opcode %d", op)
+			fail = fmt.Sprintf("illegal opcode %d", op)
+			break loop
 		}
+	}
+	t.pc, t.fp = pc, fp
+	t.Steps = steps0 + int64(n)
+	g.Stats.Instructions += int64(n)
+	g.Stats.RgcChecks += rgcChecks
+	if waveUp {
+		g.latency += int64(n)
+	}
+	if fail != "" {
+		return t.errf(g, "%s", fail)
 	}
 	return nil
 }
 
+// storeBarrier runs after an OpStFld on a heap that needs one. Stack slots
+// and globals need no barrier — they are re-traced as roots on every
+// collection; only interior heap stores can create edges a partial trace
+// would miss. The compiler records the stored value's static type per store
+// site (Program.StoreDescs), omitting types that cannot hold pointers, so a
+// missing descriptor means a dynamic range check would be matching an
+// integer that merely aliases a young address.
+func (g *Group) storeBarrier(pc int, obj code.Word, field int, v code.Word) {
+	h := g.Heap
+	if !h.NurseryEnabled() {
+		// Incremental-update barrier: graying the stored value keeps
+		// marking sound when the mutator re-points a field of an
+		// already-scanned (black) object at an unmarked target.
+		if g.Col.ConcActive() {
+			if d := g.Prog.StoreDescs[pc]; d != nil {
+				g.Col.ConcBarrier(d, v)
+			}
+		}
+		return
+	}
+	// Old→young write barrier: only stores that can hold a pointer ever
+	// consult the remembered set.
+	if d := g.Prog.StoreDescs[pc]; d != nil && h.InOld(obj) && h.InYoung(v) {
+		g.Col.Remember(obj, field, d)
+	}
+	if g.Shards > 1 && h.InYoung(v) && h.InYoung(obj) &&
+		h.YoungShardOf(v) != h.YoungShardOf(obj) {
+		// A cross-shard young→young edge: v's shard can no longer
+		// collect alone (the edge lives in an object its minors
+		// will not trace). Old→young stores need no flag — the
+		// remembered set covers them shard-filtered.
+		g.expose(v)
+	}
+}
+
 // suspendAlloc parks a task at an allocation of n fields until the coming
-// collection, marking the retry so fault injection skips it.
-func (t *Task) suspendAlloc(n int) {
+// collection, marking the retry so fault injection skips it. byRgc is false
+// when this allocation is the reason a collection is needed.
+func (t *Task) suspendAlloc(n int, byRgc bool) {
 	t.Status = SuspendedAlloc
 	t.pendingAlloc = n
 	t.allocRetry = true
+	t.parkedByRgc = byRgc
 }
 
-// readAtomFrom reads an atom against an explicit frame pointer (the caller
-// frame during argument copying).
-func readAtomFrom(g *Group, t *Task, fp int, w code.Word) code.Word {
-	kind, idx := code.DecodeAtom(w)
-	switch kind {
-	case code.AtomSlot:
-		return t.stack[fp+2+idx]
-	case code.AtomConst:
-		return g.Prog.Consts[idx]
-	default:
-		return g.Globals[idx]
-	}
-}
-
-// stepAlloc executes one allocation instruction, or suspends the task.
-func (g *Group) stepAlloc(t *Task, pc int, op code.Op) error {
-	c := g.Prog.Code
-	repr := g.Prog.Repr
-	var n int
-	switch op {
-	case code.OpMkRef:
-		n = 1
-	case code.OpMkTuple:
-		n = int(c[pc+3])
-	case code.OpMkBox:
-		n = int(c[pc+4])
-		if c[pc+3] >= 0 {
-			n++
-		}
-	case code.OpMkClos:
-		n = 1 + int(c[pc+5]) + int(c[pc+6])
-	}
+// alloc is the allocation gate of an allocation instruction at the task's
+// pc: it returns a fresh object of n fields, or suspends (or faults) the
+// task and reports false — the instruction then runs again when the task
+// resumes.
+func (g *Group) alloc(t *Task, n int) (code.Word, bool) {
 	if g.BudgetSteps > 0 || g.BudgetAllocWords > 0 {
 		// Allocation sites are the other safe point: fault the task before
 		// the request touches the heap so an over-quota task cannot trigger
 		// collections on its siblings' behalf.
 		if cause, over := g.overBudget(t, n); over {
 			g.faultTask(t, FaultBudget, n, cause)
-			return nil
+			return 0, false
 		}
 	}
 	sharded := g.sharded()
@@ -1680,10 +1878,10 @@ func (g *Group) stepAlloc(t *Task, pc int, op code.Op) error {
 		g.Stats.RgcChecks++
 		if g.rgc != 0 || (sharded && g.rgcShard[tShard] != 0) {
 			// Another task exhausted the heap (or this task's shard has a
-			// minor pending); wait here and retry this allocation after the
-			// collection.
-			t.suspendAlloc(n)
-			return nil
+			// minor pending, or a concurrent cycle wants its pause); wait
+			// here and retry this allocation after the wave.
+			t.suspendAlloc(n, true)
+			return 0, false
 		}
 	}
 	if f := g.Col.Faults; f != nil && !t.allocRetry {
@@ -1697,8 +1895,8 @@ func (g *Group) stepAlloc(t *Task, pc int, op code.Op) error {
 				g.Col.Telem.Resilience.TortureCollections++
 			}
 			g.rgc = 1
-			t.suspendAlloc(n)
-			return nil
+			t.suspendAlloc(n, false)
+			return 0, false
 		}
 		// A RefillOnly plan targets the moment a TLAB chunk would be carved
 		// from the shared heap; every other attempt passes through untouched.
@@ -1710,8 +1908,8 @@ func (g *Group) stepAlloc(t *Task, pc int, op code.Op) error {
 			}
 			g.rgc = 1
 			t.allocEmergency = true
-			t.suspendAlloc(n)
-			return nil
+			t.suspendAlloc(n, false)
+			return 0, false
 		}
 	}
 	ptr, err := g.taskAlloc(t, n)
@@ -1724,8 +1922,8 @@ func (g *Group) stepAlloc(t *Task, pc int, op code.Op) error {
 			// serviceShardMinors escalates to the global ladder if the shard
 			// minor is not enough.
 			g.rgcShard[tShard] = 1
-			t.suspendAlloc(n)
-			return nil
+			t.suspendAlloc(n, false)
+			return 0, false
 		}
 		// The typed allocation failure is the ladder's first rung: raise
 		// Rgc and suspend for an emergency collection; collectSuspended
@@ -1735,9 +1933,10 @@ func (g *Group) stepAlloc(t *Task, pc int, op code.Op) error {
 		}
 		g.rgc = 1
 		t.allocEmergency = true
-		t.suspendAlloc(n)
-		return nil
+		t.suspendAlloc(n, false)
+		return 0, false
 	}
+	t.Allocations++
 	t.AllocWords += int64(n)
 	t.allocRetry = false
 	if g.Heap.NurseryEnabled() && !g.Heap.InYoung(ptr) {
@@ -1745,46 +1944,7 @@ func (g *Group) stepAlloc(t *Task, pc int, op code.Op) error {
 		// never ran the write barrier, so force the next cycle major.
 		g.Col.NoteTenuredAlloc()
 	}
-	switch op {
-	case code.OpMkRef:
-		g.Heap.SetField(ptr, 0, t.atom(g, c[pc+3]))
-		t.pc = pc + 4
-	case code.OpMkTuple:
-		for i := 0; i < n; i++ {
-			g.Heap.SetField(ptr, i, t.atom(g, c[pc+4+i]))
-		}
-		t.pc = pc + 4 + n
-	case code.OpMkBox:
-		tag := c[pc+3]
-		nf := int(c[pc+4])
-		off := 0
-		if tag >= 0 {
-			g.Heap.SetField(ptr, 0, code.EncodeInt(repr, tag))
-			off = 1
-		}
-		for i := 0; i < nf; i++ {
-			g.Heap.SetField(ptr, off+i, t.atom(g, c[pc+5+i]))
-		}
-		t.pc = pc + 5 + nf
-	case code.OpMkClos:
-		target := c[pc+3]
-		self := int(c[pc+4])
-		nrep := int(c[pc+5])
-		ncap := int(c[pc+6])
-		g.Heap.SetField(ptr, 0, code.EncodeInt(repr, target))
-		for i := 0; i < nrep; i++ {
-			g.Heap.SetField(ptr, 1+i, t.atom(g, c[pc+7+i]))
-		}
-		for i := 0; i < ncap; i++ {
-			g.Heap.SetField(ptr, 1+nrep+i, t.atom(g, c[pc+7+nrep+i]))
-		}
-		if self >= 0 {
-			g.Heap.SetField(ptr, 1+nrep+self, ptr)
-		}
-		t.pc = pc + 7 + nrep + ncap
-	}
-	t.stack[t.fp+2+int(c[pc+1])] = ptr
-	return nil
+	return ptr, true
 }
 
 func (g *Group) builtin(t *Task, id code.BuiltinID, arg code.Word) {

@@ -1,48 +1,21 @@
-// Package vm implements the abstract machine that executes compiled MinML
-// programs against the simulated heap.
+// Package vm names the mutator-side counters of a single-task run.
 //
-// The stack is one flat word array holding activation records laid out as
-// in Figure 1 of the paper: dynamic link, return address, then the frame's
-// slots (parameters first). The return address stored in a callee's frame
-// is the program counter of the call instruction itself, so collectors
-// recover each frame's gc_word from the code stream at a fixed offset from
-// it. Collection can happen only inside allocation instructions — the
-// machine checks the heap before allocating and runs the collector at that
-// safe point (§2.1); operands of allocation instructions are re-read from
-// their slots afterwards, so a moving collector's updates are observed.
-//
-// In Appel and tagged modes the machine zero-fills every frame at entry:
-// those collectors trace (or scan) all slots, so uninitialized slots must
-// not contain stale words. The compiled and interpreted modes skip the
-// zero-fill — their liveness-filtered maps never mention uninitialized
-// slots, which is precisely the paper's critique of per-procedure
-// descriptors (§1.1.1).
+// The abstract machine itself — Figure-1 activation records on one flat
+// word array, gc_words recovered from return addresses, collection only at
+// allocation safe points (§2.1) — is implemented once, in internal/tasking:
+// a single-task program runs as a task group of one (Group.RunMain), which
+// is §4's observation read backwards (tasks are that machine with an Rgc
+// check added). This package keeps the type pipeline.Result reports that
+// run's work in, and the tests of the machine's behaviour as a program
+// sees it (vm_test.go, through pipeline.Run).
 package vm
 
-import (
-	"bytes"
-	"fmt"
-
-	"tagfree/internal/code"
-	"tagfree/internal/gc"
-	"tagfree/internal/heap"
-)
-
-// RuntimeError is an execution failure (match failure, division by zero,
-// heap exhaustion, step-limit overrun).
-type RuntimeError struct {
-	PC   int
-	Func string
-	Msg  string
-}
-
-// Error implements the error interface.
-func (e *RuntimeError) Error() string {
-	return fmt.Sprintf("runtime error in %s at pc %d: %s", e.Func, e.PC, e.Msg)
-}
-
-// Stats counts mutator work.
+// Stats counts mutator work: the init function and main, summed (the two
+// high-water marks are the larger of the two).
 type Stats struct {
+	// Instructions counts executed instructions. An allocation that found
+	// the heap full and suspended for a collection is counted again when it
+	// is retried.
 	Instructions    int64
 	Calls           int64
 	ClosCalls       int64
@@ -50,711 +23,4 @@ type Stats struct {
 	ZeroFilledWords int64
 	MaxStackWords   int
 	MaxFrameDepth   int
-}
-
-// VM executes one program.
-type VM struct {
-	Prog    *code.Program
-	Heap    *heap.Heap
-	Col     *gc.Collector
-	Globals []code.Word
-	Out     bytes.Buffer
-	Stats   Stats
-
-	// MaxSteps bounds execution (0 = 2^62).
-	MaxSteps int64
-	// GrowFactor, when > 1, enables the recovery ladder's growth rung:
-	// when a collection leaves an allocation unsatisfied, the heap grows
-	// by this factor until it fits or MaxHeapWords (0 = unbounded) caps it.
-	GrowFactor   float64
-	MaxHeapWords int
-
-	// GCConcurrent arms mostly-concurrent marking (mark/sweep heaps without
-	// a nursery). The single-task machine's safe points are its allocation
-	// instructions: a cycle starts there when occupancy crosses
-	// ConcTriggerPct, one budgeted mark slice runs per allocation while the
-	// cycle is active, and the final pause re-scans the stack at the next
-	// allocation after the gray queue drains. See gc/concurrent.go.
-	GCConcurrent bool
-	// ConcTriggerPct is the occupancy watermark, in percent of the heap's
-	// words, that starts a concurrent cycle (0 = 75).
-	ConcTriggerPct int
-
-	// PoisonPruned turns any load of the liveness-guided collector's
-	// PrunedWord sentinel into a runtime error — the debug mode that makes
-	// heap-liveness verdicts falsifiable.
-	PoisonPruned bool
-
-	zeroFill bool
-	stack    []code.Word
-	sp       int
-	shadow   []shadowFrame
-	// concAbortSeen is the ConcAborts count at the last safe point; a delta
-	// with no active cycle means the write barrier aborted mid-run and the
-	// heap still needs a stop-the-world reclaim.
-	concAbortSeen int64
-	// concLastEnd is heap occupancy right after the last collection of any
-	// kind — the trigger's hysteresis baseline (see concAdvance).
-	concLastEnd int
-}
-
-// shadowFrame is interpreter bookkeeping only (function identity per
-// frame); collectors never consult it — they recover identities from
-// return addresses and gc_words, as the paper requires.
-type shadowFrame struct {
-	fidx int
-	fp   int
-}
-
-// New builds a machine with a fresh semispace heap of semiWords words per
-// space and a collector of the given strategy (which must match the
-// program's representation).
-func New(prog *code.Program, semiWords int, strat gc.Strategy) (*VM, error) {
-	return NewWith(prog, heap.New(prog.Repr, semiWords), strat)
-}
-
-// NewWith builds a machine over a caller-constructed heap (e.g. a
-// mark/sweep heap from heap.NewMarkSweep).
-func NewWith(prog *code.Program, h *heap.Heap, strat gc.Strategy) (*VM, error) {
-	col, err := gc.New(prog, h, strat)
-	if err != nil {
-		return nil, err
-	}
-	vm := &VM{
-		Prog:     prog,
-		Heap:     h,
-		Col:      col,
-		Globals:  make([]code.Word, len(prog.Globals)),
-		zeroFill: strat == gc.StratAppel || strat == gc.StratTagged,
-		stack:    make([]code.Word, 4096),
-		MaxSteps: 1 << 62,
-	}
-	return vm, nil
-}
-
-// SetZeroFill overrides frame zero-filling (ablations that widen frame
-// maps must not let the collector see uninitialized slots).
-func (vm *VM) SetZeroFill(on bool) { vm.zeroFill = on }
-
-// Run executes the program: the init function, then main applied to unit.
-// It returns main's result word (decode with code.DecodeInt etc.).
-func (vm *VM) Run() (code.Word, error) {
-	if _, err := vm.call(vm.Prog.InitFunc, nil); err != nil {
-		return 0, err
-	}
-	res, err := vm.call(vm.Prog.MainFunc, []code.Word{code.EncodeInt(vm.Prog.Repr, 0)})
-	if err == nil && vm.Col.ConcActive() {
-		// The program ended with a cycle in flight: finish it over the
-		// globals alone so the sweep, the telemetry record and the verifier
-		// all still run rather than abandoning a half-marked heap.
-		vm.Col.ConcFinish(nil, vm.Globals)
-	}
-	return res, err
-}
-
-func (vm *VM) errf(pc, fidx int, format string, args ...any) *RuntimeError {
-	name := "?"
-	if fidx >= 0 && fidx < len(vm.Prog.Funcs) {
-		name = vm.Prog.Funcs[fidx].Name
-	}
-	return &RuntimeError{PC: pc, Func: name, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (vm *VM) ensureStack(n int) {
-	if n <= len(vm.stack) {
-		return
-	}
-	ns := make([]code.Word, n*2)
-	copy(ns, vm.stack)
-	vm.stack = ns
-}
-
-// pushFrame creates a frame for fidx and returns its frame pointer.
-func (vm *VM) pushFrame(fidx, retPC, callerFP int) int {
-	fi := vm.Prog.Funcs[fidx]
-	fp := vm.sp
-	size := 2 + fi.NSlots
-	vm.ensureStack(fp + size)
-	vm.stack[fp] = code.Word(callerFP)
-	vm.stack[fp+1] = code.Word(retPC)
-	if vm.zeroFill {
-		for i := 0; i < fi.NSlots; i++ {
-			vm.stack[fp+2+i] = 0
-		}
-		vm.Stats.ZeroFilledWords += int64(fi.NSlots)
-	}
-	vm.sp = fp + size
-	if vm.sp > vm.Stats.MaxStackWords {
-		vm.Stats.MaxStackWords = vm.sp
-	}
-	vm.shadow = append(vm.shadow, shadowFrame{fidx: fidx, fp: fp})
-	if len(vm.shadow) > vm.Stats.MaxFrameDepth {
-		vm.Stats.MaxFrameDepth = len(vm.shadow)
-	}
-	return fp
-}
-
-func (vm *VM) atom(fp int, w code.Word) code.Word {
-	kind, idx := code.DecodeAtom(w)
-	switch kind {
-	case code.AtomSlot:
-		return vm.stack[fp+2+idx]
-	case code.AtomConst:
-		return vm.Prog.Consts[idx]
-	default:
-		return vm.Globals[idx]
-	}
-}
-
-// collect runs a garbage collection at the current safe point (a minor one
-// when the heap has a nursery and the remembered set is trustworthy).
-func (vm *VM) collect(pc, fp int) {
-	vm.Col.Collect(vm.roots(pc, fp), vm.Globals)
-	// A stop-the-world collection aborts any concurrent cycle itself; the
-	// heap is reclaimed, so the abort needs no further fallback collect.
-	vm.concAbortSeen = vm.Col.Telem.Resilience.ConcAborts
-	vm.concLastEnd = vm.Heap.OccupiedWords()
-}
-
-// fullCollect forces a full (major) collection regardless of nursery state.
-func (vm *VM) fullCollect(pc, fp int) {
-	vm.Col.CollectFull(vm.roots(pc, fp), vm.Globals)
-	vm.concAbortSeen = vm.Col.Telem.Resilience.ConcAborts
-	vm.concLastEnd = vm.Heap.OccupiedWords()
-}
-
-// tenureCollect runs a full collection that promotes every nursery
-// survivor into the old region regardless of age — the ladder's way of
-// emptying the young space, which ordinary collections cannot guarantee
-// (survivors below the promotion age stay young forever otherwise).
-func (vm *VM) tenureCollect(pc, fp int) {
-	vm.Heap.SetTenureAll(true)
-	vm.fullCollect(pc, fp)
-	vm.Heap.SetTenureAll(false)
-}
-
-// concAdvance drives the concurrent collector at an allocation safe point:
-// start a cycle at the occupancy watermark, run one mark slice per
-// allocation while it is active, finish when the gray queue drains, and
-// fall back to a stop-the-world collection when the slice watchdog trips.
-func (vm *VM) concAdvance(pc, fp int) {
-	if !vm.Col.ConcActive() {
-		if ab := vm.Col.Telem.Resilience.ConcAborts; ab != vm.concAbortSeen {
-			// The write barrier aborted the cycle since the last safe point
-			// (a non-ground store it cannot type): reclaim with an ordinary
-			// stop-the-world collection — the fallback the abort rung
-			// promises — before the trigger may re-arm.
-			vm.concAbortSeen = ab
-			vm.Col.CollectFull(vm.roots(pc, fp), vm.Globals)
-			// Refresh the hysteresis baseline: without it the trigger still
-			// compares against the occupancy before the abort and can re-arm
-			// a second cycle in the same occupancy epoch.
-			vm.concLastEnd = vm.Heap.OccupiedWords()
-			return
-		}
-		pct := vm.ConcTriggerPct
-		if pct <= 0 {
-			pct = 75
-		}
-		// Occupancy, not Used(): the mark/sweep bump pointer saturates once
-		// the region fills while freed storage parks on the free lists.
-		occ := vm.Heap.OccupiedWords()
-		if 100*occ < pct*vm.Heap.SemiWords() {
-			return
-		}
-		// Hysteresis: a mostly-live heap sitting above the watermark must
-		// not re-cycle on every allocation reclaiming nothing — require
-		// real growth since the last collection.
-		if occ < vm.concLastEnd+vm.Heap.SemiWords()/8 {
-			return
-		}
-		vm.Col.ConcStart(vm.roots(pc, fp), vm.Globals)
-		return
-	}
-	switch vm.Col.ConcSlice() {
-	case gc.ConcDrained:
-		vm.Col.ConcFinish(vm.roots(pc, fp), vm.Globals)
-		vm.concLastEnd = vm.Heap.OccupiedWords()
-	case gc.ConcOverBudget:
-		// The watchdog rung: abort the cycle and reclaim with an ordinary
-		// stop-the-world collection right here.
-		vm.Col.ConcAbort()
-		vm.concAbortSeen = vm.Col.Telem.Resilience.ConcAborts
-		vm.Col.CollectFull(vm.roots(pc, fp), vm.Globals)
-		// Same baseline refresh as the abort fallback above: the watchdog's
-		// stop-the-world reclaim ends this occupancy epoch.
-		vm.concLastEnd = vm.Heap.OccupiedWords()
-	}
-}
-
-func (vm *VM) roots(pc, fp int) []gc.TaskRoots {
-	return []gc.TaskRoots{{
-		Stack: vm.stack,
-		FP:    fp,
-		SP:    vm.sp,
-		PC:    pc,
-	}}
-}
-
-// barrier is the generational write barrier, called after every OpStFld.
-// Stack slots and globals need no barrier — they are re-traced as roots on
-// every collection; only interior heap stores can create old→young edges
-// the minor trace would miss. The compiler records the stored value's
-// static type per store site (Program.StoreDescs), omitting types that
-// cannot hold pointers, so a missing descriptor means the dynamic range
-// check would be matching an integer that merely aliases a young address.
-func (vm *VM) barrier(pc int, obj code.Word, field int, v code.Word) {
-	if d := vm.Prog.StoreDescs[pc]; d != nil && vm.Heap.InOld(obj) && vm.Heap.InYoung(v) {
-		vm.Col.Remember(obj, field, d)
-	}
-}
-
-// notePreTenure reports an allocation the nursery could not take (oversize
-// for a young half, so placed directly in the old region): its initializing
-// stores bypass the barrier, forcing the next collection to be a major.
-func (vm *VM) notePreTenure(ptr code.Word) {
-	if !vm.Heap.InYoung(ptr) {
-		vm.Col.NoteTenuredAlloc()
-	}
-}
-
-// ensureHeap guarantees room for an n-field object, climbing the recovery
-// ladder as needed: collect, retry, grow (when GrowFactor enables it), and
-// only then fail. A fault plan adds two entry points: torture mode
-// collects before every allocation, and an injected failure forces an
-// emergency collection even when the heap has room — both exercise exactly
-// the paths a genuine exhaustion would take.
-func (vm *VM) ensureHeap(n, pc, fp, fidx int) error {
-	// A "climb" is any trip past the routine collect-on-demand: an injected
-	// failure, or a first collection that did not free enough. Its outcome is
-	// split into recovered vs exhausted so resilience stats distinguish a
-	// rescue from a mere delay of death.
-	climb := false
-	recovered := func() error {
-		if climb {
-			vm.Col.Telem.Resilience.LadderRecovered++
-		}
-		return nil
-	}
-	if vm.GCConcurrent {
-		// Allocation instructions are the single-task machine's safe points:
-		// pc carries a frame map here, so the cycle's pauses may scan the
-		// stack. A genuine exhaustion below still works mid-cycle — the
-		// stop-the-world collect aborts the cycle automatically.
-		vm.concAdvance(pc, fp)
-	}
-	if f := vm.Col.Faults; f != nil {
-		switch {
-		case f.Torture:
-			vm.Col.Telem.Resilience.TortureCollections++
-			vm.collect(pc, fp)
-		case f.FailAlloc():
-			vm.Col.Telem.Resilience.InjectedOOMs++
-			vm.Col.Telem.Resilience.EmergencyCollections++
-			climb = true
-			vm.collect(pc, fp)
-		}
-	}
-	if !vm.Heap.Need(n) {
-		return recovered()
-	}
-	vm.collect(pc, fp)
-	if !vm.Heap.Need(n) {
-		return recovered()
-	}
-	climb = true
-	// Generational escalation: a minor collection may not free enough young
-	// space (survivors below the promotion age stay young), so escalate to
-	// a full collection, then to a tenure-everything one that drains the
-	// nursery into the old region, before concluding the heap is full.
-	if vm.Heap.NurseryEnabled() {
-		if vm.Col.LastCollectionMinor() {
-			vm.fullCollect(pc, fp)
-			if !vm.Heap.Need(n) {
-				return recovered()
-			}
-		}
-		vm.tenureCollect(pc, fp)
-		if !vm.Heap.Need(n) {
-			return recovered()
-		}
-	}
-	for vm.GrowFactor > 1 {
-		cur := vm.Heap.SemiWords()
-		next := int(float64(cur) * vm.GrowFactor)
-		if next <= cur {
-			next = cur + 1
-		}
-		if vm.MaxHeapWords > 0 && next > vm.MaxHeapWords {
-			next = vm.MaxHeapWords
-		}
-		if next <= cur {
-			break // ceiling reached
-		}
-		if err := vm.Heap.Grow(next); err != nil {
-			break
-		}
-		vm.Col.Telem.Resilience.HeapGrowths++
-		if !vm.Heap.Need(n) {
-			return recovered()
-		}
-		if vm.Heap.NurseryEnabled() {
-			// Grow extends only the old region; tenure-all moves the young
-			// survivors into the new space so a young-sized request that was
-			// blocked on nursery occupancy can finally succeed.
-			vm.tenureCollect(pc, fp)
-			if !vm.Heap.Need(n) {
-				return recovered()
-			}
-		}
-	}
-	vm.Col.Telem.Resilience.LadderExhausted++
-	return vm.errf(pc, fidx, "heap exhausted (%d fields requested, %d words live)",
-		n, vm.Heap.Used())
-}
-
-// call runs function fidx with the given arguments as a root invocation.
-func (vm *VM) call(fidx int, args []code.Word) (code.Word, error) {
-	fi := vm.Prog.Funcs[fidx]
-	fp := vm.pushFrame(fidx, -1, -1)
-	for i, a := range args {
-		vm.stack[fp+2+i] = a
-	}
-	_ = fi
-	return vm.loop(fidx, fp, fi.Entry)
-}
-
-// loop is the dispatch loop; it runs until the root frame returns.
-func (vm *VM) loop(fidx, fp, pc int) (code.Word, error) {
-	prog := vm.Prog
-	c := prog.Code
-	repr := prog.Repr
-	nursery := vm.Heap.NurseryEnabled()
-	steps := int64(0)
-
-	for {
-		steps++
-		if steps > vm.MaxSteps {
-			return 0, vm.errf(pc, fidx, "step limit exceeded (%d)", vm.MaxSteps)
-		}
-		op := c[pc]
-		switch op {
-		case code.OpHalt:
-			return 0, nil
-
-		case code.OpRet:
-			val := vm.atom(fp, c[pc+1])
-			retPC := int(vm.stack[fp+1])
-			callerFP := int(vm.stack[fp])
-			vm.sp = fp
-			vm.shadow = vm.shadow[:len(vm.shadow)-1]
-			if retPC < 0 {
-				vm.Stats.Instructions += steps
-				return val, nil
-			}
-			fp = callerFP
-			fidx = vm.shadow[len(vm.shadow)-1].fidx
-			dst := int(c[retPC+1])
-			vm.stack[fp+2+dst] = val
-			pc = retPC + code.InstrLen(c, retPC)
-
-		case code.OpJmp:
-			pc = int(c[pc+1])
-
-		case code.OpJz:
-			if !code.DecodeBool(repr, vm.atom(fp, c[pc+1])) {
-				pc = int(c[pc+2])
-			} else {
-				pc += 3
-			}
-
-		case code.OpMove:
-			vm.stack[fp+2+int(c[pc+1])] = vm.atom(fp, c[pc+2])
-			pc += 3
-
-		case code.OpAdd, code.OpSub, code.OpMul, code.OpDiv, code.OpMod,
-			code.OpTAdd, code.OpTSub, code.OpTMul, code.OpTDiv, code.OpTMod:
-			a := vm.atom(fp, c[pc+2])
-			b := vm.atom(fp, c[pc+3])
-			v, err := vm.arith(op, a, b, pc, fidx)
-			if err != nil {
-				return 0, err
-			}
-			vm.stack[fp+2+int(c[pc+1])] = v
-			pc += 4
-
-		case code.OpNeg:
-			vm.stack[fp+2+int(c[pc+1])] = -vm.atom(fp, c[pc+2])
-			pc += 3
-
-		case code.OpTNeg:
-			vm.stack[fp+2+int(c[pc+1])] = 2 - vm.atom(fp, c[pc+2])
-			pc += 3
-
-		case code.OpEq, code.OpNe, code.OpLt, code.OpLe, code.OpGt, code.OpGe:
-			a := vm.atom(fp, c[pc+2])
-			b := vm.atom(fp, c[pc+3])
-			var r bool
-			switch op {
-			case code.OpEq:
-				r = a == b
-			case code.OpNe:
-				r = a != b
-			case code.OpLt:
-				r = a < b
-			case code.OpLe:
-				r = a <= b
-			case code.OpGt:
-				r = a > b
-			case code.OpGe:
-				r = a >= b
-			}
-			vm.stack[fp+2+int(c[pc+1])] = code.EncodeBool(repr, r)
-			pc += 4
-
-		case code.OpNot:
-			v := code.DecodeBool(repr, vm.atom(fp, c[pc+2]))
-			vm.stack[fp+2+int(c[pc+1])] = code.EncodeBool(repr, !v)
-			pc += 3
-
-		case code.OpIsBoxed:
-			v := code.IsBoxedValue(repr, vm.atom(fp, c[pc+2]))
-			vm.stack[fp+2+int(c[pc+1])] = code.EncodeBool(repr, v)
-			pc += 3
-
-		case code.OpTagIs:
-			obj := vm.atom(fp, c[pc+2])
-			tag := code.DecodeInt(repr, vm.Heap.Field(obj, 0))
-			vm.stack[fp+2+int(c[pc+1])] = code.EncodeBool(repr, tag == c[pc+3])
-			pc += 4
-
-		case code.OpLdFld:
-			obj := vm.atom(fp, c[pc+2])
-			v := vm.Heap.Field(obj, int(c[pc+3]))
-			if vm.PoisonPruned && v == code.PrunedWord {
-				return 0, vm.errf(pc, fidx, "poison: load of pruned field %d — heap-liveness verdict was wrong", int(c[pc+3]))
-			}
-			vm.stack[fp+2+int(c[pc+1])] = v
-			pc += 4
-
-		case code.OpStFld:
-			obj := vm.atom(fp, c[pc+1])
-			v := vm.atom(fp, c[pc+3])
-			vm.Heap.SetField(obj, int(c[pc+2]), v)
-			if nursery {
-				vm.barrier(pc, obj, int(c[pc+2]), v)
-			} else if vm.GCConcurrent && vm.Col.ConcActive() {
-				// Incremental-update barrier: gray the stored value so a
-				// field of an already-scanned object re-pointed at an
-				// unmarked target cannot hide it from the cycle.
-				if d := vm.Prog.StoreDescs[pc]; d != nil {
-					vm.Col.ConcBarrier(d, v)
-				}
-			}
-			pc += 4
-
-		case code.OpCall:
-			callee := int(c[pc+2])
-			nargs := int(c[pc+4])
-			fi := prog.Funcs[callee]
-			newFP := vm.pushFrame(callee, pc, fp)
-			for i := 0; i < nargs; i++ {
-				v := vm.atom(fp, c[pc+5+i])
-				if i < fi.NParams {
-					vm.stack[newFP+2+i] = v
-				} else {
-					vm.stack[newFP+2+fi.RepArgBase+(i-fi.NParams)] = v
-				}
-			}
-			vm.Stats.Calls++
-			fp = newFP
-			fidx = callee
-			pc = fi.Entry
-
-		case code.OpCallC:
-			clos := vm.atom(fp, c[pc+3])
-			if !code.IsBoxedValue(repr, clos) {
-				return 0, vm.errf(pc, fidx, "application of an undefined recursive closure")
-			}
-			callee := int(code.DecodeInt(repr, vm.Heap.Field(clos, 0)))
-			arg := vm.atom(fp, c[pc+4])
-			fi := prog.Funcs[callee]
-			newFP := vm.pushFrame(callee, pc, fp)
-			vm.stack[newFP+2] = clos
-			vm.stack[newFP+3] = arg
-			vm.Stats.ClosCalls++
-			_ = fi
-			fp = newFP
-			fidx = callee
-			pc = prog.Funcs[callee].Entry
-
-		case code.OpMkRef:
-			if err := vm.ensureHeap(1, pc, fp, fidx); err != nil {
-				return 0, err
-			}
-			ptr := vm.Heap.MustAlloc(1)
-			vm.Heap.SetField(ptr, 0, vm.atom(fp, c[pc+3]))
-			if nursery {
-				vm.notePreTenure(ptr)
-			}
-			vm.stack[fp+2+int(c[pc+1])] = ptr
-			vm.Stats.Allocations++
-			pc += 4
-
-		case code.OpMkTuple:
-			n := int(c[pc+3])
-			if err := vm.ensureHeap(n, pc, fp, fidx); err != nil {
-				return 0, err
-			}
-			ptr := vm.Heap.MustAlloc(n)
-			for i := 0; i < n; i++ {
-				vm.Heap.SetField(ptr, i, vm.atom(fp, c[pc+4+i]))
-			}
-			if nursery {
-				vm.notePreTenure(ptr)
-			}
-			vm.stack[fp+2+int(c[pc+1])] = ptr
-			vm.Stats.Allocations++
-			pc += 4 + n
-
-		case code.OpMkBox:
-			tag := c[pc+3]
-			n := int(c[pc+4])
-			total := n
-			off := 0
-			if tag >= 0 {
-				total++
-				off = 1
-			}
-			if err := vm.ensureHeap(total, pc, fp, fidx); err != nil {
-				return 0, err
-			}
-			ptr := vm.Heap.MustAlloc(total)
-			if tag >= 0 {
-				vm.Heap.SetField(ptr, 0, code.EncodeInt(repr, tag))
-			}
-			for i := 0; i < n; i++ {
-				vm.Heap.SetField(ptr, off+i, vm.atom(fp, c[pc+5+i]))
-			}
-			if nursery {
-				vm.notePreTenure(ptr)
-			}
-			vm.stack[fp+2+int(c[pc+1])] = ptr
-			vm.Stats.Allocations++
-			pc += 5 + n
-
-		case code.OpMkClos:
-			target := int(c[pc+3])
-			self := int(c[pc+4])
-			nrep := int(c[pc+5])
-			ncap := int(c[pc+6])
-			total := 1 + nrep + ncap
-			if err := vm.ensureHeap(total, pc, fp, fidx); err != nil {
-				return 0, err
-			}
-			ptr := vm.Heap.MustAlloc(total)
-			vm.Heap.SetField(ptr, 0, code.EncodeInt(repr, int64(target)))
-			for i := 0; i < nrep; i++ {
-				vm.Heap.SetField(ptr, 1+i, vm.atom(fp, c[pc+7+i]))
-			}
-			for i := 0; i < ncap; i++ {
-				vm.Heap.SetField(ptr, 1+nrep+i, vm.atom(fp, c[pc+7+nrep+i]))
-			}
-			if self >= 0 {
-				vm.Heap.SetField(ptr, 1+nrep+self, ptr)
-			}
-			if nursery {
-				vm.notePreTenure(ptr)
-			}
-			vm.stack[fp+2+int(c[pc+1])] = ptr
-			vm.Stats.Allocations++
-			pc += 7 + nrep + ncap
-
-		case code.OpMkRep:
-			kind := code.TDKind(c[pc+2])
-			index := int(c[pc+3])
-			n := int(c[pc+4])
-			children := make([]int, n)
-			for i := 0; i < n; i++ {
-				children[i] = int(code.DecodeInt(repr, vm.atom(fp, c[pc+5+i])))
-			}
-			h := prog.Reps.Intern(kind, index, children)
-			vm.stack[fp+2+int(c[pc+1])] = code.EncodeInt(repr, int64(h))
-			pc += 5 + n
-
-		case code.OpBuiltin:
-			arg := vm.atom(fp, c[pc+3])
-			vm.builtin(c[pc+2], arg)
-			vm.stack[fp+2+int(c[pc+1])] = code.EncodeInt(repr, 0)
-			pc += 4
-
-		case code.OpSetGlobal:
-			vm.Globals[int(c[pc+1])] = vm.atom(fp, c[pc+2])
-			pc += 3
-
-		case code.OpMatchFail:
-			return 0, vm.errf(pc, fidx, "match failure: no pattern matched")
-
-		default:
-			return 0, vm.errf(pc, fidx, "illegal opcode %d", op)
-		}
-	}
-}
-
-// arith evaluates an arithmetic opcode. Tagged variants strip and
-// reinstate the tag bit (add/sub use the classic one-instruction identity;
-// mul/div/mod pay the full strip cost — the paper's "tag manipulation"
-// overhead).
-func (vm *VM) arith(op code.Op, a, b code.Word, pc, fidx int) (code.Word, error) {
-	switch op {
-	case code.OpAdd:
-		return a + b, nil
-	case code.OpSub:
-		return a - b, nil
-	case code.OpMul:
-		return a * b, nil
-	case code.OpDiv:
-		if b == 0 {
-			return 0, vm.errf(pc, fidx, "division by zero")
-		}
-		return a / b, nil
-	case code.OpMod:
-		if b == 0 {
-			return 0, vm.errf(pc, fidx, "division by zero")
-		}
-		return a % b, nil
-	case code.OpTAdd:
-		return a + b - 1, nil
-	case code.OpTSub:
-		return a - b + 1, nil
-	case code.OpTMul:
-		return ((a >> 1) * (b >> 1) << 1) | 1, nil
-	case code.OpTDiv:
-		bb := b >> 1
-		if bb == 0 {
-			return 0, vm.errf(pc, fidx, "division by zero")
-		}
-		return ((a >> 1) / bb << 1) | 1, nil
-	case code.OpTMod:
-		bb := b >> 1
-		if bb == 0 {
-			return 0, vm.errf(pc, fidx, "division by zero")
-		}
-		return ((a >> 1) % bb << 1) | 1, nil
-	}
-	panic("arith: unreachable")
-}
-
-func (vm *VM) builtin(id code.BuiltinID, arg code.Word) {
-	repr := vm.Prog.Repr
-	switch id {
-	case code.BuiltinPrintInt:
-		fmt.Fprintf(&vm.Out, "%d", code.DecodeInt(repr, arg))
-	case code.BuiltinPrintBool:
-		fmt.Fprintf(&vm.Out, "%t", code.DecodeBool(repr, arg))
-	case code.BuiltinPrintString:
-		vm.Out.WriteString(vm.Prog.Strings[code.DecodeInt(repr, arg)])
-	case code.BuiltinPrintNewline:
-		vm.Out.WriteByte('\n')
-	}
 }

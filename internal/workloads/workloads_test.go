@@ -7,7 +7,7 @@ import (
 	"tagfree/internal/gc"
 	"tagfree/internal/heap"
 	"tagfree/internal/pipeline"
-	"tagfree/internal/vm"
+	"tagfree/internal/tasking"
 	"tagfree/internal/workloads"
 )
 
@@ -143,12 +143,12 @@ func TestWorkloadsPoisonedMarkSweep(t *testing.T) {
 			h := heap.NewMarkSweep(prog.Repr, w.HeapWords)
 			h.SetPoison(true)
 			h.SetDebugAccess(true)
-			m, err := vm.NewWith(prog, h, gc.StratCompiled)
+			m, err := tasking.NewGroupWith(prog, h, gc.StratCompiled, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			m.MaxSteps = 500_000_000
-			raw, err := m.Run()
+			raw, err := m.RunMain()
 			if err != nil {
 				t.Fatalf("poisoned run: %v", err)
 			}
