@@ -56,13 +56,24 @@
 # blank and comment-only lines — so a simplification's "net negative" is a
 # number that can be checked against the parent commit.
 #
+# profile-interp is the register-regression check for the one dispatch loop,
+# tasking.(*Group).step: it runs BenchmarkDispatch (ns/instr on a call-,
+# an allocation- and a store-barrier-shaped program) under a CPU profile,
+# prints the profile's top entries, and counts — from the disassembly of step
+# — the machine instructions of the inner loop (everything between the
+# `dispatch:` label and the write-back after it, inlined helpers included),
+# the CALLs among them other than bounds-check panics (there must be none:
+# anything that calls leaves the loop as an event) and the operands that
+# address the stack frame (spills and reloads of loop state; the number to
+# watch when the loop's locals change).
+#
 # benchmark runs the repository benchmark (BENCHMARK.json, benchmark/):
 # eight seeded workloads, end-to-end metrics with tracing off.
 # benchmark-check BASE=<runs.json> is the regression gate: ten runs of each
 # workload compared against a run file an earlier commit wrote with
 # `go run ./benchmark -runs 10 -out <runs.json>`.
 
-.PHONY: benchmark benchmark-check tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single loc bench bench-json fuzz fuzz-scenario
+.PHONY: benchmark benchmark-check profile-interp tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single loc bench bench-json fuzz fuzz-scenario
 
 tier1:
 	go build ./...
@@ -119,6 +130,24 @@ LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -p
 loc:
 	@echo "non-test Go lines outside benchmark/: $$($(LOC_FILES) | xargs cat | wc -l)" \
 		"($$($(LOC_FILES) | xargs cat | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//') without blank and comment lines)"
+
+STEP_SRC = internal/tasking/tasking.go
+profile-interp:
+	mkdir -p .bench_build
+	go test -c -o .bench_build/tasking.test ./internal/tasking
+	cd internal/tasking && ../../.bench_build/tasking.test -test.run xxx -test.bench BenchmarkDispatch \
+		-test.benchtime 1s -test.cpuprofile ../../.bench_build/interp.prof
+	go tool pprof -top -nodecount 12 .bench_build/tasking.test .bench_build/interp.prof 2>/dev/null
+	@go tool objdump -s 'tasking.\(\*Group\).step$$' .bench_build/tasking.test | awk \
+		-v top=$$(grep -n '^func (g \*Group) step(' $(STEP_SRC) | cut -d: -f1) \
+		-v lo=$$(grep -n '^	dispatch:$$' $(STEP_SRC) | cut -d: -f1) \
+		-v hi=$$(grep -n '^		n -= left$$' $(STEP_SRC) | cut -d: -f1) \
+		-v end=$$(grep -n '^func (g \*Group) event(' $(STEP_SRC) | cut -d: -f1) ' \
+		/^TEXT/ { next } \
+		{ split($$1, w, ":"); ln = w[2] + 0 } \
+		w[1] == "tasking.go" && ((ln >= top && ln < lo) || (ln >= hi && ln < end)) { next } \
+		{ n++ } /CALL/ && !/runtime\.panic/ { calls++ } /\(SP\)/ { sp++ } \
+		END { printf "inner loop of step: %d machine instructions, %d CALLs (bounds-check panics aside), %d stack-relative operands\n", n, calls, sp }'
 
 tier2-torture: tier1
 	GC_TORTURE_FULL=1 go test -race -run 'TestTorture|TestRecoveryLadder|TestWatchdog' -count=1 -timeout 30m ./internal/pipeline/

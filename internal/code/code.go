@@ -21,7 +21,10 @@
 //     compiler metadata — this is the baseline the paper argues against.
 package code
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Word is the machine word: stack slots, heap cells and code are all words.
 type Word = int64
@@ -164,14 +167,32 @@ const (
 	AtomGlobal = 2
 )
 
-// EncodeAtom packs an operand reference into one word.
-func EncodeAtom(kind int, idx int) Word {
-	return Word(kind)<<32 | Word(idx)
+// EncodeAtom packs an operand reference into one word, coded by sign so the
+// interpreter reads an operand with one test and one load. A slot is its
+// non-negative index into the frame. A global or constant is the complement
+// of its index into the run's statics array — the nGlobals global cells, then
+// the constant pool (Program.Consts): global g is ^g, constant c is
+// ^(nGlobals+c). The global count is fixed before any code is emitted.
+func EncodeAtom(kind, idx, nGlobals int) Word {
+	switch kind {
+	case AtomSlot:
+		return Word(idx)
+	case AtomConst:
+		return ^Word(nGlobals + idx)
+	}
+	return ^Word(idx)
 }
 
-// DecodeAtom unpacks an operand reference.
-func DecodeAtom(w Word) (kind, idx int) {
-	return int(w >> 32), int(w & 0xffffffff)
+// DecodeAtom unpacks an operand reference encoded for nGlobals globals.
+func DecodeAtom(w Word, nGlobals int) (kind, idx int) {
+	switch i := int(^w); {
+	case w >= 0:
+		return AtomSlot, int(w)
+	case i < nGlobals:
+		return AtomGlobal, i
+	default:
+		return AtomConst, i - nGlobals
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -411,9 +432,11 @@ var BuiltinIDByName = map[string]BuiltinID{
 
 // Program is a compiled program.
 type Program struct {
-	Repr    Repr
-	Code    []Word
-	Consts  []Word // mode-encoded constants referenced by AtomConst operands
+	Repr   Repr
+	Code   []Word
+	Consts []Word // mode-encoded constants referenced by AtomConst operands
+	// Funcs is in code order: function i's instructions run from its Entry
+	// to function i+1's (FuncAt searches it).
 	Funcs   []*FuncInfo
 	Sites   []*SiteInfo
 	Globals []GlobalInfo
@@ -434,6 +457,16 @@ type Program struct {
 	// design: both are rescanned as roots on every minor collection
 	// (the paper's frame-routine model).
 	StoreDescs map[int]*TypeDesc
+}
+
+// FuncAt returns the index of the function whose code holds pc, or -1. It is
+// how diagnostics name a frame from its return address — the lookup the
+// collector makes for a frame's gc_word (Figure 1), made for its name.
+func (p *Program) FuncAt(pc int) int {
+	if pc < 0 || pc >= len(p.Code) {
+		return -1
+	}
+	return sort.Search(len(p.Funcs), func(i int) bool { return p.Funcs[i].Entry > pc }) - 1
 }
 
 // FuncByName returns the index of the named function, or -1.

@@ -71,15 +71,54 @@ func TestBoolEncoding(t *testing.T) {
 	}
 }
 
+// TestAtomEncoding round-trips the sign-coded operand at the ends of each
+// kind's index range, for a program with no globals and with many: a slot is
+// its own index, a global or constant the complement of its statics index
+// (globals first), so one sign test splits frame from statics.
 func TestAtomEncoding(t *testing.T) {
-	cases := []struct{ kind, idx int }{
-		{AtomSlot, 0}, {AtomSlot, 500}, {AtomConst, 3}, {AtomGlobal, 77},
-	}
-	for _, c := range cases {
-		k, i := DecodeAtom(EncodeAtom(c.kind, c.idx))
-		if k != c.kind || i != c.idx {
-			t.Errorf("atom (%d,%d) decoded as (%d,%d)", c.kind, c.idx, k, i)
+	const maxIdx = 1<<31 - 1
+	for _, nGlobals := range []int{0, 1, 77, maxIdx} {
+		cases := []struct{ kind, idx int }{
+			{AtomSlot, 0}, {AtomSlot, 500}, {AtomSlot, maxIdx},
+			{AtomConst, 0}, {AtomConst, 3}, {AtomConst, maxIdx},
 		}
+		if nGlobals > 0 {
+			cases = append(cases, []struct{ kind, idx int }{{AtomGlobal, 0}, {AtomGlobal, nGlobals - 1}}...)
+		}
+		for _, c := range cases {
+			w := EncodeAtom(c.kind, c.idx, nGlobals)
+			if k, i := DecodeAtom(w, nGlobals); k != c.kind || i != c.idx {
+				t.Errorf("%d globals: atom (%d,%d) encoded as %d decoded as (%d,%d)", nGlobals, c.kind, c.idx, w, k, i)
+			}
+			switch c.kind {
+			case AtomSlot:
+				if w != Word(c.idx) {
+					t.Errorf("slot %d encoded as %d, want the index itself", c.idx, w)
+				}
+			case AtomGlobal:
+				if w >= 0 || ^w != Word(c.idx) {
+					t.Errorf("global %d encoded as %d, want its complement", c.idx, w)
+				}
+			case AtomConst:
+				if w >= 0 || ^w != Word(nGlobals+c.idx) {
+					t.Errorf("constant %d after %d globals encoded as %d, want ^%d", c.idx, nGlobals, w, nGlobals+c.idx)
+				}
+			}
+		}
+	}
+}
+
+// TestFuncAt maps every pc of a three-function code array to its function.
+func TestFuncAt(t *testing.T) {
+	p := &Program{Code: make([]Word, 10), Funcs: []*FuncInfo{{Entry: 0}, {Entry: 3}, {Entry: 4}}}
+	want := []int{0, 0, 0, 1, 2, 2, 2, 2, 2, 2}
+	for pc, w := range want {
+		if got := p.FuncAt(pc); got != w {
+			t.Errorf("FuncAt(%d) = %d, want %d", pc, got, w)
+		}
+	}
+	if p.FuncAt(-1) != -1 || p.FuncAt(10) != -1 {
+		t.Error("a pc outside the code array must map to no function")
 	}
 }
 
@@ -145,6 +184,31 @@ func TestRepTableChildrenCopied(t *testing.T) {
 	children[0] = 999 // mutate the caller's slice
 	if rt.Entry(h).Children[0] == 999 {
 		t.Fatal("rep table aliased the caller's slice")
+	}
+}
+
+// TestRepTableWideReps: children past the key's inline arity still tell reps
+// apart, a shorter rep is not a prefix-match of a longer one, and finding a
+// rep of inline arity again allocates nothing.
+func TestRepTableWideReps(t *testing.T) {
+	rt := NewRepTable()
+	wide := []int{1, 2, 3, 4, 5, 6}
+	h := rt.Intern(TDTuple, 0, wide)
+	if rt.Intern(TDTuple, 0, []int{1, 2, 3, 4, 5, 6}) != h {
+		t.Error("identical wide reps not shared")
+	}
+	for _, other := range [][]int{{1, 2, 3, 4, 5, 7}, {1, 2, 3, 4, 5}, {1, 2, 3, 4}, {1, 2, 3, 4, 0, 0}, {1, 2, 3, 4, 56}} {
+		if rt.Intern(TDTuple, 0, other) == h {
+			t.Errorf("rep %v merged with %v", other, wide)
+		}
+	}
+	if rt.Intern(TDTuple, 0, []int{1, 2, 3}) == rt.Intern(TDTuple, 0, []int{1, 2, 3, 0}) {
+		t.Error("a rep merged with its zero-padded extension")
+	}
+	four := wide[:repKeyArity]
+	rt.Intern(TDData, 7, four)
+	if n := testing.AllocsPerRun(100, func() { rt.Intern(TDData, 7, four) }); n != 0 {
+		t.Errorf("finding an interned rep of %d children allocates %v times", len(four), n)
 	}
 }
 

@@ -26,8 +26,8 @@ func OpName(op Op) string {
 	return fmt.Sprintf("op%d", op)
 }
 
-func atomString(w Word) string {
-	kind, idx := DecodeAtom(w)
+func (p *Program) atomString(w Word) string {
+	kind, idx := DecodeAtom(w, len(p.Globals))
 	switch kind {
 	case AtomSlot:
 		return fmt.Sprintf("s%d", idx)
@@ -43,6 +43,7 @@ func atomString(w Word) string {
 func (p *Program) DisasmInstr(pc int) string {
 	c := p.Code
 	op := c[pc]
+	atomString := p.atomString
 	var b strings.Builder
 	fmt.Fprintf(&b, "%5d  %-9s", pc, OpName(op))
 	switch op {

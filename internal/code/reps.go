@@ -1,9 +1,6 @@
 package code
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // RepTable is the runtime type-representation table: hash-consed, immortal
 // descriptions of ground types. Rep handles are plain words (table
@@ -15,7 +12,7 @@ import (
 // stack-only type reconstruction, quantified by experiment E8).
 type RepTable struct {
 	entries []RepEntry
-	index   map[string]int
+	index   map[repKey]int
 }
 
 // RepEntry is one interned type representation.
@@ -27,22 +24,38 @@ type RepEntry struct {
 
 // NewRepTable returns an empty table.
 func NewRepTable() *RepTable {
-	return &RepTable{index: map[string]int{}}
+	return &RepTable{index: map[repKey]int{}}
 }
 
-func repKey(kind TDKind, index int, children []int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d:%d", kind, index)
-	for _, c := range children {
-		fmt.Fprintf(&b, ",%d", c)
+// repKey is a representation as a map key. The first repKeyArity children
+// are held inline, so looking up a rep of ordinary arity — every OpMkRep of
+// a polymorphic call chain — allocates nothing; only the children past them
+// spill into a string.
+type repKey struct {
+	kind     TDKind
+	index, n int
+	children [repKeyArity]int
+	rest     string
+}
+
+const repKeyArity = 4
+
+func makeRepKey(kind TDKind, index int, children []int) repKey {
+	k := repKey{kind: kind, index: index, n: len(children)}
+	if n := copy(k.children[:], children); n < len(children) {
+		var rest []byte
+		for _, c := range children[n:] {
+			rest = append(strconv.AppendInt(rest, int64(c), 10), ',')
+		}
+		k.rest = string(rest)
 	}
-	return b.String()
+	return k
 }
 
 // Intern returns the handle for the given representation, creating it if
 // needed.
 func (t *RepTable) Intern(kind TDKind, index int, children []int) int {
-	key := repKey(kind, index, children)
+	key := makeRepKey(kind, index, children)
 	if h, ok := t.index[key]; ok {
 		return h
 	}

@@ -84,17 +84,18 @@ func CompileWith(irp *ir.Program, repr code.Repr, hl *gcanal.HeapLiveness) (*cod
 	for _, f := range irp.Funcs {
 		c.prog.Funcs = append(c.prog.Funcs, c.funcShell(f))
 	}
-	for i, f := range irp.Funcs {
-		if err := c.emitFunc(f, c.prog.Funcs[i]); err != nil {
-			return nil, err
-		}
-	}
-
+	// The globals come before any function body: a constant operand's
+	// encoding counts them (code.EncodeAtom).
 	for _, g := range irp.Globals {
 		c.prog.Globals = append(c.prog.Globals, code.GlobalInfo{
 			Name: g.Name,
 			Desc: c.descOf(g.Type, nil),
 		})
+	}
+	for i, f := range irp.Funcs {
+		if err := c.emitFunc(f, c.prog.Funcs[i]); err != nil {
+			return nil, err
+		}
 	}
 	c.prog.InitFunc = c.funcIdx[irp.InitFunc]
 	c.prog.MainFunc = -1
@@ -270,8 +271,14 @@ func (c *Compiler) constAtom(w code.Word) code.Word {
 		c.prog.Consts = append(c.prog.Consts, w)
 		c.constIdx[w] = idx
 	}
-	return code.EncodeAtom(code.AtomConst, idx)
+	return c.encodeAtom(code.AtomConst, idx)
 }
+
+func (c *Compiler) encodeAtom(kind, idx int) code.Word {
+	return code.EncodeAtom(kind, idx, len(c.prog.Globals))
+}
+
+func (c *Compiler) slotAtom(idx int) code.Word { return c.encodeAtom(code.AtomSlot, idx) }
 
 func (c *Compiler) atom(a ir.Atom) code.Word {
 	switch a := a.(type) {
@@ -285,9 +292,9 @@ func (c *Compiler) atom(a ir.Atom) code.Word {
 			return c.constAtom(code.EncodeInt(c.repr, 0))
 		}
 	case *ir.ASlot:
-		return code.EncodeAtom(code.AtomSlot, a.Slot.Idx)
+		return c.slotAtom(a.Slot.Idx)
 	case *ir.AGlobal:
-		return code.EncodeAtom(code.AtomGlobal, a.Global.Idx)
+		return c.encodeAtom(code.AtomGlobal, a.Global.Idx)
 	case *ir.ANullCtor:
 		return c.constAtom(code.EncodeNullCtor(c.repr, a.Ctor.Tag))
 	case *ir.AStr:
@@ -716,8 +723,8 @@ func (fe *femit) repAtom(t types.Type) code.Word {
 			}
 			s := fe.scratch()
 			fe.emit(code.OpLdFld, code.Word(s),
-				code.EncodeAtom(code.AtomSlot, 0), code.Word(1+fe.f.RepWord[idx]))
-			return code.EncodeAtom(code.AtomSlot, s)
+				c.slotAtom(0), code.Word(1+fe.f.RepWord[idx]))
+			return c.slotAtom(s)
 		}
 		pos := -1
 		if fe.fi.RepArgPos != nil {
@@ -726,7 +733,7 @@ func (fe *femit) repAtom(t types.Type) code.Word {
 		if pos < 0 {
 			panic(fmt.Sprintf("repAtom: %s: type variable %d not passed as hidden argument", fe.f.Name, idx))
 		}
-		return code.EncodeAtom(code.AtomSlot, fe.fi.RepArgBase+pos)
+		return c.slotAtom(fe.fi.RepArgBase + pos)
 
 	case *types.Base:
 		return fe.groundRepAtom(code.TDConst, 0, nil)
@@ -748,19 +755,17 @@ func (fe *femit) repAtom(t types.Type) code.Word {
 // compile-time constant the whole rep is interned at compile time.
 func (fe *femit) compositeRep(kind code.TDKind, index int, children []types.Type) code.Word {
 	atoms := make([]code.Word, len(children))
+	handles := make([]int, len(children))
 	allConst := true
 	for i, ch := range children {
 		atoms[i] = fe.repAtom(ch)
-		if k, _ := code.DecodeAtom(atoms[i]); k != code.AtomConst {
+		if k, ci := code.DecodeAtom(atoms[i], len(fe.c.prog.Globals)); k != code.AtomConst {
 			allConst = false
+		} else {
+			handles[i] = int(code.DecodeInt(fe.c.repr, fe.c.prog.Consts[ci]))
 		}
 	}
 	if allConst {
-		handles := make([]int, len(atoms))
-		for i, a := range atoms {
-			_, ci := code.DecodeAtom(a)
-			handles[i] = int(code.DecodeInt(fe.c.repr, fe.c.prog.Consts[ci]))
-		}
 		return fe.groundRepAtom(kind, index, handles)
 	}
 	s := fe.scratch()
@@ -768,7 +773,7 @@ func (fe *femit) compositeRep(kind code.TDKind, index int, children []types.Type
 		code.Word(len(atoms))}
 	ws = append(ws, atoms...)
 	fe.emit(ws...)
-	return code.EncodeAtom(code.AtomSlot, s)
+	return fe.c.slotAtom(s)
 }
 
 func (fe *femit) groundRepAtom(kind code.TDKind, index int, children []int) code.Word {

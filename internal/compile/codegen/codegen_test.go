@@ -1,6 +1,9 @@
 package codegen_test
 
 import (
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -248,5 +251,68 @@ func TestMainOptional(t *testing.T) {
 	}
 	if p.FuncByName("job") < 0 {
 		t.Fatal("job not compiled")
+	}
+}
+
+var updateDisasm = flag.Bool("update-disasm", false, "rewrite testdata/disasm.golden")
+
+// disasmSrc puts every operand kind in the code: slots, constants of each
+// encoding (integers, booleans, nullary constructors, strings, interned
+// type reps), globals read and written, and rep atoms built at run time.
+const disasmSrc = `
+type color = Red | Green | Blue of int
+let limit = 40
+let cell = ref [1; 2]
+let rec len xs = match xs with | [] -> 0 | _ :: r -> len r + 1
+let pair x = (x, x)
+let rec copy xs = match xs with | [] -> [] | x :: r -> pair x :: copy r
+let paint n = if n > limit then Blue n else if n = 0 then Red else Green
+let make_thunk x =
+  let th = fun () -> (let _ = [(x, x)] in 0) in
+  th
+let wrap y = make_thunk [y]
+let note b = (let _ = print_string "n=" in let _ = print_bool b in print_newline ())
+let main () =
+  let th = wrap limit in
+  let _ = th () in
+  let old = !cell in
+  let _ = cell := 3 :: old in
+  let _ = note (len (copy [true; false]) = 2) in
+  let now = !cell in
+  (match paint (len now) with | Blue k -> k | Red -> 0 - 1 | Green -> limit / 2)
+`
+
+// TestDisasmGolden pins the disassembly of disasmSrc under both
+// representations against text recorded before the operand encoding changed:
+// s/c/g operands, their indexes and every instruction's pc must read the same
+// whatever the words of an operand look like.
+func TestDisasmGolden(t *testing.T) {
+	var b strings.Builder
+	for _, repr := range []code.Repr{code.ReprTagFree, code.ReprTagged} {
+		p := compile(t, disasmSrc, repr)
+		fmt.Fprintf(&b, "== %v: %d code words, %d consts, %d globals\n", repr, len(p.Code), len(p.Consts), len(p.Globals))
+		for i := range p.Funcs {
+			b.WriteString(p.DisasmFunc(i))
+		}
+	}
+	const path = "testdata/disasm.golden"
+	if *updateDisasm {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("disassembly differs at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("disassembly has %d lines, golden %d", len(gl), len(wl))
 	}
 }

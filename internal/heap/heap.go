@@ -314,6 +314,14 @@ func (h *Heap) fieldBase(ptr code.Word) int {
 	return base
 }
 
+// Words exposes the word array to the interpreter's dispatch loop, which
+// reads and writes fields without a call per access: field i of the object at
+// address a is mem[a-code.HeapBase+i], one word further under the tagged
+// representation (the header). Grow replaces the array, so it is fetched
+// again after anything that may have grown the heap. checked reports
+// SetDebugAccess: such a heap wants every load validated through Field.
+func (h *Heap) Words() (mem []code.Word, checked bool) { return h.mem, h.debugAccess }
+
 // Field reads field i of an object.
 func (h *Heap) Field(ptr code.Word, i int) code.Word {
 	if h.debugAccess {

@@ -70,8 +70,10 @@ type nursery struct {
 	promoteAfter uint8
 	// minorGC is true while the in-progress collection is a minor one.
 	minorGC bool
-	// minorShard is the shard being collected by an in-progress shard
-	// minor, or -1 when the collection (minor or major) spans all shards.
+	// minorShard is the shard collected by the in-progress — or, between
+	// collections, the most recent — shard minor, or -1 when that
+	// collection (minor or major) spans all shards. VerifyTLABs reads it
+	// after the collection to know whose buffers had to be retired.
 	minorShard int
 	// tenureAll promotes every survivor regardless of age. The recovery
 	// ladder sets it for its escalation collections: without it, survivors
@@ -313,6 +315,17 @@ func (h *Heap) YoungShardOf(w code.Word) int {
 	return h.youngShardOf(int(w) - code.HeapBase)
 }
 
+// YoungRange returns the first address and the length in words of one shard's
+// nursery, both halves — or, for shard < 0, of every shard's: InYoung and
+// YoungShardOf as one compare each, for a caller that cannot afford the calls.
+func (h *Heap) YoungRange(shard int) (lo, span uint64) {
+	per := 2 * h.young.youngWords
+	if shard < 0 {
+		return code.HeapBase, uint64(h.young.prefixWords())
+	}
+	return uint64(code.HeapBase + shard*per), uint64(per)
+}
+
 // InYoungShard reports whether w is a young pointer owned by the given
 // shard.
 func (h *Heap) InYoungShard(w code.Word, shard int) bool {
@@ -358,7 +371,6 @@ func (h *Heap) endYoungGC() {
 		n.shards[i].flip(n.youngWords)
 	}
 	n.minorGC = false
-	n.minorShard = -1
 }
 
 // BeginMinorGC starts a global minor collection: every shard's nursery is

@@ -299,9 +299,18 @@ func (h *Heap) NeedTLAB(n int) bool {
 	return h.Need(n)
 }
 
-// VerifyTLABs checks the TLAB bookkeeping invariants after a collection:
-// no buffer may survive into (or out of) a collection un-retired.
+// VerifyTLABs checks the TLAB bookkeeping invariant after a collection: no
+// buffer of the collected space may survive it un-retired. A single-shard
+// minor collects one shard's nursery and leaves every other shard's tasks
+// running with their buffers live, so only that shard's young buffers are
+// held to it; any other collection demands zero live buffers.
 func (h *Heap) VerifyTLABs() []error {
+	if s := h.young.minorShard; h.young.enabled && s >= 0 {
+		if n := h.tlabs.liveYoungIn(s); n != 0 {
+			return []error{fmt.Errorf("heap verify: %d young TLABs of shard %d still live after its minor collection", n, s)}
+		}
+		return nil
+	}
 	if h.tlabs.live != 0 {
 		return []error{fmt.Errorf("heap verify: %d TLABs still live after a collection", h.tlabs.live)}
 	}

@@ -136,6 +136,48 @@ func TestShardMinorsRun(t *testing.T) {
 	}
 }
 
+// TestShardMinorKeepsOtherShardsTLABs pins the verifier's buffer invariant
+// to the shard that collected: a single-shard minor retires only its own
+// shard's allocation buffers — the other shards' tasks keep running, buffers
+// live, which is the overlap sharding exists for — so the post-collection
+// check may demand zero live buffers of that shard only. (It demanded zero
+// of the whole heap, and `-shards 2 -tlab 64 -verify-heap` panicked on the
+// first shard minor.) The overlap must be what it is without the verifier.
+func TestShardMinorKeepsOtherShardsTLABs(t *testing.T) {
+	for _, ms := range []bool{false, true} {
+		for _, w := range workloads.Tasking {
+			opts := Options{
+				Strategy:     gc.StratCompiled,
+				HeapWords:    w.HeapWords,
+				MarkSweep:    ms,
+				NurseryWords: 256,
+				TLABWords:    64,
+				Shards:       2,
+			}
+			plain, err := RunTasks(w.Source, w.Entries, opts)
+			if err != nil {
+				t.Fatalf("%s ms=%v: %v", w.Name, ms, err)
+			}
+			opts.VerifyHeap = true
+			res, err := RunTasks(w.Source, w.Entries, opts)
+			if err != nil {
+				t.Fatalf("%s ms=%v verified: %v", w.Name, ms, err)
+			}
+			for i, e := range w.Expect {
+				if res.Values[i] != e {
+					t.Errorf("%s ms=%v: task %d = %d, want %d", w.Name, ms, i, res.Values[i], e)
+				}
+			}
+			if fmt.Sprintf("%+v", res.Stats) != fmt.Sprintf("%+v", plain.Stats) {
+				t.Errorf("%s ms=%v: the verifier changed the run:\n with    %+v\n without %+v", w.Name, ms, res.Stats, plain.Stats)
+			}
+			if w.Name == "taskchurn" && (res.Stats.ShardMinors == 0 || res.Stats.ShardMinorOverlapTasks == 0) {
+				t.Errorf("taskchurn ms=%v: no shard minor overlapped another shard's tasks: %+v", ms, res.Stats)
+			}
+		}
+	}
+}
+
 // TestShardRecordsAbsentUnsharded pins JSON stability: unsharded runs must
 // not grow a shard field (it is 1-based and omitempty precisely so the
 // existing telemetry streams are byte-identical).

@@ -19,12 +19,12 @@ func (g *Group) RunQueueIDs() []int {
 func (g *Group) PooledStacks() (lens, nonzero []int) {
 	for _, s := range g.stackPool {
 		n := 0
-		for _, w := range s.stack {
+		for _, w := range s {
 			if w != 0 {
 				n++
 			}
 		}
-		lens = append(lens, len(s.stack))
+		lens = append(lens, len(s))
 		nonzero = append(nonzero, n)
 	}
 	return lens, nonzero
@@ -48,7 +48,6 @@ func (g *Group) RunScanningAllTasks() error {
 func (g *Group) runUntilSuspendedScanningAll() (bool, error) {
 	g.setupTLABs()
 	g.setupShards()
-	sharded := g.sharded()
 	for {
 		external := false
 		if g.Tick != nil && g.rgc == 0 {
@@ -79,8 +78,8 @@ func (g *Group) runUntilSuspendedScanningAll() (bool, error) {
 				continue
 			}
 			anyRan = true
-			if sharded {
-				g.Heap.SetAllocShard(g.shardOf(t))
+			if g.sharded {
+				g.Heap.SetAllocShard(t.shard)
 			}
 			if err := g.step(t, g.Quantum); err != nil {
 				g.faultTask(t, FaultRuntime, 0, err)
@@ -104,7 +103,7 @@ func (g *Group) runUntilSuspendedScanningAll() (bool, error) {
 			}
 			return false, nil
 		}
-		if sharded {
+		if g.sharded {
 			g.serviceShardMinors()
 		}
 		if g.rgc != 0 && g.allSuspended() {
@@ -115,3 +114,6 @@ func (g *Group) runUntilSuspendedScanningAll() (bool, error) {
 		}
 	}
 }
+
+// Step runs one instruction slice of t, as a scheduling turn does.
+func (g *Group) Step(t *Task, quantum int) error { return g.step(t, quantum) }

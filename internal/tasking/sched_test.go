@@ -118,10 +118,8 @@ func TestSchedulerOrderMatchesAllTaskScan(t *testing.T) {
 		"marksweep": {Strategy: gc.StratCompiled, HeapWords: 4096, MarkSweep: true, BudgetSteps: 60_000},
 		"shards": {Strategy: gc.StratCompiled, HeapWords: 8192, NurseryWords: 1024,
 			Shards: 2, BudgetSteps: 60_000, VerifyHeap: true},
-		// No verifier here: it rejects the other shards' live TLABs after a
-		// single-shard minor, with or without a run queue.
 		"shards-tlab": {Strategy: gc.StratCompiled, HeapWords: 8192, NurseryWords: 1024, TLABWords: 32,
-			Shards: 2, BudgetSteps: 60_000},
+			Shards: 2, BudgetSteps: 60_000, VerifyHeap: true},
 		"at-allocs": {Strategy: gc.StratCompiled, HeapWords: 2048, BudgetSteps: 60_000, SuspendAtAllocs: true},
 	}
 	for name, opts := range configs {

@@ -34,7 +34,13 @@
 // only from a call that can reach no allocation — stays sound.
 //
 // This is the repository's only interpreter: a single-task program runs as
-// a group of one (Group.RunMain).
+// a group of one (Group.RunMain). Its dispatch loop (Group.step, DESIGN.md
+// §12) keeps what one instruction hands the next — code, stack, pc, fp, sp,
+// the instructions left — in locals and makes no call; whatever needs one
+// (allocation, a load or store hook, a diverted call, frame growth, a fault)
+// leaves the loop as an event and re-enters it. Nothing is kept per frame for
+// diagnostics: a backtrace names each frame from its return address, the way
+// the collector finds its gc_word.
 package tasking
 
 import (
@@ -93,11 +99,12 @@ type Task struct {
 	sp    int
 	fp    int
 	pc    int
-	// shadow is the function index per frame, innermost last: interpreter
-	// bookkeeping for error text only. Collectors never consult it — they
-	// recover identities from return addresses and gc_words, as the paper
-	// requires.
-	shadow []int
+	// depth is the number of frames on the stack. Nothing records which
+	// functions they belong to: diagnostics recover a frame's function from
+	// its return address, as the collectors do (Figure 1).
+	depth int
+	// shard is the task's heap shard (Group.shardOf), 0 when unsharded.
+	shard int
 	// pendingAlloc is the retry size while suspended at an allocation.
 	pendingAlloc int
 	// parkedByRgc says why the task is SuspendedAlloc: true when it found a
@@ -289,9 +296,11 @@ const (
 
 // Group is a set of tasks over one shared heap.
 type Group struct {
-	Prog    *code.Program
-	Heap    *heap.Heap
-	Col     *gc.Collector
+	Prog *code.Program
+	Heap *heap.Heap
+	Col  *gc.Collector
+	// Globals is the global roots: the prefix of statics the collectors are
+	// handed.
 	Globals []code.Word
 	// Tasks is the registry of every task ever spawned, indexed by ID:
 	// results, faults and per-task accounting are read from it after the
@@ -299,6 +308,9 @@ type Group struct {
 	Tasks []*Task
 	Stats Stats
 
+	// statics is what a negative operand indexes (code.EncodeAtom): the
+	// global cells, then the program's constants.
+	statics []code.Word
 	rgc     code.Word
 	latency int64
 	steps   int64
@@ -408,6 +420,9 @@ type Group struct {
 	// stacks, the globals and the shard-filtered remembered set.
 	rgcShard []code.Word
 	exposed  []bool
+	// sharded says per-shard scheduling is live: more than one shard over a
+	// generational heap (setupShards).
+	sharded bool
 
 	// runq is the scheduler's run queue: the unfinished tasks in spawn
 	// order, plus any that finished since the last compaction (every scan
@@ -417,13 +432,7 @@ type Group struct {
 	runq []*Task
 	// stackPool holds the zeroed stacks of tasks that left the run queue,
 	// for Spawn to hand out again (LIFO).
-	stackPool []taskStack
-}
-
-// taskStack is one task's activation-record stack and shadow stack.
-type taskStack struct {
-	stack  []code.Word
-	shadow []int
+	stackPool [][]code.Word
 }
 
 // NewGroup builds a tasking group over a fresh semispace copying heap.
@@ -441,11 +450,14 @@ func NewGroupWith(prog *code.Program, h *heap.Heap, strat gc.Strategy, entries [
 	if err != nil {
 		return nil, err
 	}
+	nG := len(prog.Globals)
+	statics := append(make([]code.Word, nG, nG+len(prog.Consts)), prog.Consts...)
 	g := &Group{
 		Prog:     prog,
 		Heap:     h,
 		Col:      col,
-		Globals:  make([]code.Word, len(prog.Globals)),
+		Globals:  statics[:nG:nG],
+		statics:  statics,
 		Quantum:  97,
 		MaxSteps: 1 << 40,
 		ZeroFill: strat == gc.StratAppel || strat == gc.StratTagged,
@@ -477,27 +489,26 @@ func (g *Group) Spawn(entry int) *Task {
 // the new task the growth.
 func (g *Group) newTask(id int) *Task {
 	t := &Task{ID: id, fp: -1}
+	t.shard = g.shardOf(t)
 	if n := len(g.stackPool); n > 0 {
-		s := g.stackPool[n-1]
+		t.stack = g.stackPool[n-1]
 		g.stackPool = g.stackPool[:n-1]
-		t.stack, t.shadow = s.stack, s.shadow
 	} else {
 		t.stack = make([]code.Word, 1024)
 	}
 	return t
 }
 
-// releaseStack returns a finished task's stacks to the pool, zeroed, so the
+// releaseStack returns a finished task's stack to the pool, zeroed, so the
 // next task cannot tell it from a fresh one (the compiled strategy does not
-// zero a new frame's slots). The whole stack is cleared rather than the part
-// the task reached: tracking that mark is a compare in pushFrame on every
-// call, and clearing 1024 words once per task is cheaper than that. The task
-// keeps its result, fault (the backtrace was captured when it faulted) and
-// accounting.
+// zero a new frame's slots). The whole stack is cleared, not the part the
+// task reached: MaxStackWords stops at the last frame pushed, and a faulted
+// task may have written above it. The task keeps its result, fault (the
+// backtrace was captured when it faulted) and accounting.
 func (g *Group) releaseStack(t *Task) {
 	clear(t.stack)
-	g.stackPool = append(g.stackPool, taskStack{stack: t.stack, shadow: t.shadow[:0]})
-	t.stack, t.shadow = nil, nil
+	g.stackPool = append(g.stackPool, t.stack)
+	t.stack = nil
 }
 
 // compactRunQueue drops finished tasks from the run queue, keeping the rest
@@ -545,20 +556,19 @@ func (g *Group) setupTLABs() {
 	}
 }
 
-// setupShards lazily sizes the per-shard wave and exposure state.
+// setupShards lazily sizes the per-shard wave and exposure state and places
+// the tasks spawned before Shards was set (later ones are placed by newTask).
 // Idempotent; called from every scheduling entry point. The heap itself is
 // sharded by the caller (heap.EnableNurseryShards) before the run starts.
 func (g *Group) setupShards() {
 	if g.Shards > 1 && g.rgcShard == nil {
 		g.rgcShard = make([]code.Word, g.Shards)
 		g.exposed = make([]bool, g.Shards)
+		g.sharded = g.Heap.NurseryEnabled()
+		for _, t := range g.runq {
+			t.shard = g.shardOf(t)
+		}
 	}
-}
-
-// sharded reports whether per-shard scheduling is live: more than one
-// shard over a generational heap.
-func (g *Group) sharded() bool {
-	return g.Shards > 1 && g.Heap.NurseryEnabled()
 }
 
 // shardOf maps a task to its heap shard: ShardAssign[ID] when set,
@@ -734,7 +744,7 @@ func (g *Group) RunInit() error {
 // exposure flags can be cleared and every shard starts with an empty,
 // private nursery.
 func (g *Group) sealInit() {
-	if !g.sharded() {
+	if !g.sharded {
 		return
 	}
 	if g.Heap.YoungUsed() > 0 {
@@ -771,7 +781,6 @@ func (g *Group) Run() error {
 func (g *Group) runUntilSuspended() (bool, error) {
 	g.setupTLABs()
 	g.setupShards()
-	sharded := g.sharded()
 	for {
 		// Before the supervisor hook, so the stacks of tasks that finished
 		// last round are in the pool when it spawns their successors.
@@ -818,10 +827,10 @@ func (g *Group) runUntilSuspended() (bool, error) {
 				continue
 			}
 			anyRan = true
-			if sharded {
+			if g.sharded {
 				// Route this quantum's allocations at the task's own nursery
 				// shard.
-				g.Heap.SetAllocShard(g.shardOf(t))
+				g.Heap.SetAllocShard(t.shard)
 			}
 			before := t.Steps
 			if err := g.step(t, g.slice()); err != nil {
@@ -859,7 +868,7 @@ func (g *Group) runUntilSuspended() (bool, error) {
 			}
 			return false, nil
 		}
-		if sharded {
+		if g.sharded {
 			g.serviceShardMinors()
 		}
 		if g.rgc != 0 && g.allSuspended() {
@@ -1118,10 +1127,10 @@ func (g *Group) collectSuspended() {
 		if t.Status != SuspendedAlloc {
 			continue
 		}
-		if g.sharded() {
+		if g.sharded {
 			// The retry and the ladder's Need checks judge headroom against
 			// the blocked task's own nursery shard.
-			g.Heap.SetAllocShard(g.shardOf(t))
+			g.Heap.SetAllocShard(t.shard)
 		}
 		ok := g.rescueAlloc(live, t.pendingAlloc)
 		g.noteLadderOutcome(t, ok)
@@ -1165,13 +1174,13 @@ func (g *Group) serviceShardMinors() {
 		for _, t := range g.runq {
 			switch t.Status {
 			case Running:
-				if g.shardOf(t) == s {
+				if t.shard == s {
 					ready = false
 				} else {
 					overlap++
 				}
 			case SuspendedAlloc, SuspendedCall:
-				if g.shardOf(t) == s {
+				if t.shard == s {
 					mine = append(mine, t)
 				}
 			}
@@ -1292,7 +1301,7 @@ func (g *Group) faultTask(t *Task, kind FaultKind, allocSize int, cause error) {
 		Task:      t.ID,
 		Kind:      kind,
 		PC:        t.pc,
-		Func:      g.funcName(t),
+		Func:      g.funcNameAt(t.pc),
 		AllocSize: allocSize,
 		Frames:    g.backtrace(t),
 		Cause:     cause,
@@ -1338,18 +1347,14 @@ func (g *Group) overBudget(t *Task, extraAlloc int) (error, bool) {
 
 // backtrace captures the task's frame chain, innermost first, bounded so
 // a fault deep in a recursion does not snapshot thousands of identical
-// frames. Function names come from the shadow stack; each caller's pc is
-// the call instruction stored as its callee's return address.
+// frames. Each caller's pc is the call instruction stored as its callee's
+// return address, and a frame's function is the one whose code holds its pc.
 func (g *Group) backtrace(t *Task) []Frame {
 	const maxFrames = 64
 	var frames []Frame
 	fp, pc := t.fp, t.pc
-	for i := len(t.shadow) - 1; i >= 0 && fp >= 0 && len(frames) < maxFrames; i-- {
-		name := "?"
-		if fidx := t.shadow[i]; fidx >= 0 && fidx < len(g.Prog.Funcs) {
-			name = g.Prog.Funcs[fidx].Name
-		}
-		frames = append(frames, Frame{FP: fp, PC: pc, Func: name})
+	for d := t.depth; d > 0 && fp >= 0 && len(frames) < maxFrames; d-- {
+		frames = append(frames, Frame{FP: fp, PC: pc, Func: g.funcNameAt(pc)})
 		pc = int(t.stack[fp+1])
 		fp = int(t.stack[fp])
 	}
@@ -1384,429 +1389,556 @@ func (g *Group) tenureCollect(live []*Task) {
 // Per-task execution.
 // ---------------------------------------------------------------------------
 
-// enter makes fidx the task's root frame: the first instruction it executes
-// is the function's entry, and returning from it finishes the task.
+// enter makes fidx the root frame of a fresh task: the first instruction it
+// executes is the function's entry, and returning from it finishes the task.
+// The record is laid out as a call lays one out (Figure 1): dynamic link,
+// return address, then the slots.
 func (g *Group) enter(t *Task, fidx int) {
-	t.fp = g.pushFrame(t, fidx, -1, -1)
-	t.pc = g.Prog.Funcs[fidx].Entry
-}
-
-// pushFrame lays out an activation record for fidx on top of the task's
-// stack — dynamic link, return address, then the slots (Figure 1) — and
-// returns its frame pointer. The caller moves fp and pc.
-func (g *Group) pushFrame(t *Task, fidx, retPC, callerFP int) int {
 	fi := g.Prog.Funcs[fidx]
 	fp := t.sp
-	sp := fp + 2 + fi.NSlots
-	if sp > t.MaxStackWords {
-		// Only a stack deeper than any before it can outgrow the array.
-		t.MaxStackWords = sp
-		if sp > len(t.stack) {
-			ns := make([]code.Word, sp*2)
-			copy(ns, t.stack)
-			t.stack = ns
-		}
-	}
-	t.stack[fp] = code.Word(callerFP)
-	t.stack[fp+1] = code.Word(retPC)
+	t.sp = fp + 2 + fi.NSlots
+	t.reserve(t.sp)
+	t.MaxStackWords = max(t.MaxStackWords, t.sp)
+	t.stack[fp], t.stack[fp+1] = -1, -1
 	if g.ZeroFill {
-		clear(t.stack[fp+2 : sp])
+		clear(t.stack[fp+2 : t.sp])
 		t.ZeroFilledWords += int64(fi.NSlots)
 	}
-	t.sp = sp
-	t.shadow = append(t.shadow, fidx)
-	if len(t.shadow) > t.MaxFrameDepth {
-		t.MaxFrameDepth = len(t.shadow)
-	}
-	return fp
+	t.depth++
+	t.MaxFrameDepth = max(t.MaxFrameDepth, t.depth)
+	t.fp, t.pc = fp, fi.Entry
 }
 
-// atom reads an operand against the frame at fp.
-func (g *Group) atom(stack []code.Word, fp int, w code.Word) code.Word {
-	kind, idx := code.DecodeAtom(w)
-	switch kind {
-	case code.AtomSlot:
-		return stack[fp+2+idx]
-	case code.AtomConst:
-		return g.Prog.Consts[idx]
-	default:
-		return g.Globals[idx]
+// reserve grows the task's stack array to hold at least sp words.
+func (t *Task) reserve(sp int) {
+	if sp > len(t.stack) {
+		ns := make([]code.Word, sp*2)
+		copy(ns, t.stack)
+		t.stack = ns
 	}
 }
 
-// funcName names the function the task is executing.
-func (g *Group) funcName(t *Task) string {
-	if n := len(t.shadow); n > 0 {
-		return g.Prog.Funcs[t.shadow[n-1]].Name
+// operand reads an instruction operand (code.EncodeAtom): a slot of the frame
+// at fp when the word is non-negative, else a cell of the statics array.
+func operand(stack, statics []code.Word, fp int, w code.Word) code.Word {
+	if w >= 0 {
+		return stack[fp+2+int(w)]
+	}
+	return statics[^w]
+}
+
+// funcNameAt names the function whose code holds pc.
+func (g *Group) funcNameAt(pc int) string {
+	if i := g.Prog.FuncAt(pc); i >= 0 {
+		return g.Prog.Funcs[i].Name
 	}
 	return "?"
 }
 
 func (t *Task) errf(g *Group, format string, args ...any) error {
 	return fmt.Errorf("task %d: runtime error in %s at pc %d: %s%s",
-		t.ID, g.funcName(t), t.pc, fmt.Sprintf(format, args...), backtraceString(g.backtrace(t)))
+		t.ID, g.funcNameAt(t.pc), t.pc, fmt.Sprintf(format, args...), backtraceString(g.backtrace(t)))
 }
 
-// step executes up to quantum instructions of one task: the dispatch loop
-// of the repository's one interpreter.
+// Events: why the dispatch loop of step handed the instruction at pc to the
+// event loop around it.
+const (
+	evSlice      = iota // the instruction limit is reached
+	evCold              // an instruction that calls into Go (Group.cold)
+	evDone              // a return from the root frame
+	evCall              // a call diverted by a raised Rgc or a spent budget
+	evFrame             // a callee frame that ends past the stack array
+	evLoad              // a field load with a hook to run on the loaded word
+	evStore             // a field store with a barrier to run after it
+	evDivZero           // a division or modulus by zero
+	evBadClosure        // an application of an unboxed word
+)
+
+// boolWord encodes r under the representation whose integer tag bit is tag:
+// the integers 0 and 1.
+func boolWord(tag code.Word, r bool) code.Word {
+	if r {
+		return tag<<1 | 1
+	}
+	return tag
+}
+
+// fieldIndex is the index, in the heap's word array, of field i of the object
+// at encoded pointer p: tag is 1 under the tagged representation, which
+// shifts its pointers one bit and heads every object with one word, else 0.
+func fieldIndex(p, tag code.Word, i int) int {
+	return int(p>>(uint(tag)&1)) + int(tag) - code.HeapBase + i
+}
+
+// sliceConsts is what the dispatch loop reads and never writes. It is one
+// struct so that it lives in step's frame: a struct of more than four fields
+// stays in memory and a field is loaded where it is used, which leaves the
+// registers to the loop-carried state. As separate locals these values made
+// the loop store and reload pc and the count on every instruction
+// (`make profile-interp` counts the loop's stack-relative operands).
+type sliceConsts struct {
+	funcs []*code.FuncInfo
+	// mem is the heap's word array, which is replaced only when the heap
+	// grows — a rung of the recovery ladder, climbed between slices.
+	mem, statics []code.Word
+	// tag fixes the value representation — the tag bit of its integers, 0
+	// when tag-free: false is tag and true 2·tag+1 (the integers 0 and 1),
+	// and fieldIndex has the rest.
+	tag  code.Word
+	repr code.Repr
+	// zeroFill is Group.ZeroFill; stHook says that a field store is followed
+	// by its event, divert that a call is.
+	zeroFill, stHook, divert bool
+	// A field load is followed by its event when ldHook is set and the loaded
+	// word can trip a hook: it is the pruning sentinel, or lies in young (every
+	// nursery of a sharded group) and not in own, the task's shard's. ldAll
+	// traps every load: a SetDebugAccess heap validates the access itself.
+	ldHook, ldAll bool
+	young, own    wordRange
+}
+
+// wordRange is the words lo ≤ w < lo+span.
+type wordRange struct{ lo, span uint64 }
+
+func (r wordRange) has(w code.Word) bool { return uint64(w)-r.lo < r.span }
+
+// step executes up to quantum instructions of one task: the dispatch loop of
+// the repository's one interpreter (DESIGN.md §12).
 //
-// pc and fp live in locals and are written back when the slice ends and
-// before anything that reads them from the task (an allocation, a fault).
-// Per-instruction bookkeeping is hoisted out of the loop: no instruction
-// inside a slice can change whether a wave is raised except the one that
-// ends it — an allocation that suspends its own task — so whether this task
-// must park, and whether its instructions count towards the suspension
-// latency, are decided once; the instruction, step and Rgc-check counts are
-// added when the slice ends, and are exact there and at every budget check.
+// The inner loop carries the code, the stack, pc, fp, sp and the instructions
+// left in locals, makes no Go call, and implements every instruction that
+// needs none. Anything else is an event: the loop writes its state back to the
+// task, event handles it with the task as the only state, and the loop is
+// entered again. A hooked load or store does its plain work in the loop and
+// raises its event afterwards, so no instruction is implemented twice.
+//
+// Only the instruction that ends a slice — an allocation suspending its own
+// task — can raise a wave, so whether calls are diverted into the suspension
+// stub and whether instructions count towards the suspension latency are
+// decided once per slice; the group's instruction and Rgc-check counts are
+// added when it ends, and the task's own counters are exact at every event.
 func (g *Group) step(t *Task, quantum int) error {
-	prog := g.Prog
+	prog, h := g.Prog, g.Heap
 	c := prog.Code
-	repr := prog.Repr
-	h := g.Heap
-	sharded := g.sharded()
-	tShard := 0
-	if sharded {
-		tShard = g.shardOf(t)
+	mem, checked := h.Words()
+	k := sliceConsts{
+		funcs:    prog.Funcs,
+		mem:      mem,
+		statics:  g.statics,
+		repr:     prog.Repr,
+		tag:      code.EncodeInt(prog.Repr, 0),
+		zeroFill: g.ZeroFill,
+		stHook:   h.NurseryEnabled() || g.GCConcurrent,
+		ldHook:   g.PoisonPruned || g.sharded || checked,
+		ldAll:    checked,
+	}
+	if g.sharded {
+		k.young.lo, k.young.span = h.YoungRange(-1)
+		k.own.lo, k.own.span = h.YoungRange(t.shard)
 	}
 	waveUp := g.rgc != 0
 	// The Rgc register is added to every call target (SuspendAtCalls):
-	// nonzero diverts into the suspension stub (§4). A sharded group has
-	// one more register per shard — only the task's own shard's wave parks
-	// it.
+	// nonzero diverts into the suspension stub (§4). A sharded group has one
+	// more register per shard — only the task's own shard's wave parks it.
+	// Budgets are enforced at the same safe point, so a spent one diverts
+	// calls as well: from the start, or — the step budget — from the
+	// instruction that spends it, the slice's divertAt-th.
 	atCalls := g.Policy == SuspendAtCalls
-	parked := waveUp || (sharded && g.rgcShard[tShard] != 0)
-	budgeted := g.BudgetSteps > 0 || g.BudgetAllocWords > 0
-	loadHook := g.PoisonPruned || sharded
-	storeHook := h.NurseryEnabled() || g.GCConcurrent
+	k.divert = atCalls && (waveUp || (g.sharded && g.rgcShard[t.shard] != 0))
+	divertAt := quantum
+	if _, over := g.overBudget(t, 0); over {
+		k.divert = true
+	} else if g.BudgetSteps > 0 {
+		divertAt = int(min(int64(quantum), g.BudgetSteps-t.Steps))
+	}
 
-	stack := t.stack
-	pc, fp := t.pc, t.fp
-	steps0 := t.Steps
-	var rgcChecks int64
-	var fail string
+	steps0, calls0 := t.Steps, t.Calls+t.ClosCalls
 	n := 0
-loop:
-	for n < quantum {
-		n++
-		op := c[pc]
-		switch op {
-		case code.OpRet:
-			val := g.atom(stack, fp, c[pc+1])
-			retPC := int(stack[fp+1])
-			t.sp = fp
-			t.shadow = t.shadow[:len(t.shadow)-1]
-			if retPC < 0 {
-				t.Status = Done
-				t.Result = val
-				break loop
-			}
-			fp = int(stack[fp])
-			stack[fp+2+int(c[retPC+1])] = val
-			pc = retPC + code.CallLen(c, retPC)
+	var err error
+	for {
+		// The loop carries pc, fp, sp and the instructions left; the counters
+		// and high-water marks a call or a return touches are updated in the
+		// task, off the path from one instruction to the next.
+		stack := t.stack
+		pc, fp, sp := t.pc, t.fp, t.sp
+		left := quantum - n
+		if !k.divert {
+			left = divertAt - n
+		}
+		n += left
+		ev := evSlice
+	dispatch:
+		for left > 0 {
+			left--
+			switch c[pc] {
+			case code.OpRet:
+				ret := int(stack[fp+1])
+				if ret < 0 {
+					ev = evDone
+					break dispatch
+				}
+				val := operand(stack, k.statics, fp, c[pc+1])
+				sp, fp = fp, int(stack[fp])
+				t.depth--
+				stack[fp+2+int(c[ret+1])] = val
+				pc = ret + code.CallLen(c, ret)
 
-		case code.OpJmp:
-			pc = int(c[pc+1])
+			case code.OpJmp:
+				pc = int(c[pc+1])
 
-		case code.OpJz:
-			if !code.DecodeBool(repr, g.atom(stack, fp, c[pc+1])) {
-				pc = int(c[pc+2])
-			} else {
-				pc += 3
-			}
+			case code.OpJz:
+				// DecodeBool for both representations: false is the smallest
+				// boolean word, and no smaller word is true.
+				if uint64(operand(stack, k.statics, fp, c[pc+1])) > uint64(k.tag) {
+					pc += 3
+				} else {
+					pc = int(c[pc+2])
+				}
 
-		case code.OpMove:
-			stack[fp+2+int(c[pc+1])] = g.atom(stack, fp, c[pc+2])
-			pc += 3
+			case code.OpMove:
+				stack[fp+2+int(c[pc+1])], pc = operand(stack, k.statics, fp, c[pc+2]), pc+3
 
-		// Tagged variants strip and reinstate the tag bit: add/sub use the
-		// classic one-instruction identity, mul/div/mod pay the full strip
-		// cost — the paper's "tag manipulation" overhead.
-		case code.OpAdd:
-			stack[fp+2+int(c[pc+1])] = g.atom(stack, fp, c[pc+2]) + g.atom(stack, fp, c[pc+3])
-			pc += 4
-		case code.OpSub:
-			stack[fp+2+int(c[pc+1])] = g.atom(stack, fp, c[pc+2]) - g.atom(stack, fp, c[pc+3])
-			pc += 4
-		case code.OpMul:
-			stack[fp+2+int(c[pc+1])] = g.atom(stack, fp, c[pc+2]) * g.atom(stack, fp, c[pc+3])
-			pc += 4
-		case code.OpDiv, code.OpMod:
-			b := g.atom(stack, fp, c[pc+3])
-			if b == 0 {
-				fail = "division by zero"
-				break loop
-			}
-			a := g.atom(stack, fp, c[pc+2])
-			if op == code.OpDiv {
-				a /= b
-			} else {
-				a %= b
-			}
-			stack[fp+2+int(c[pc+1])] = a
-			pc += 4
-		case code.OpTAdd:
-			stack[fp+2+int(c[pc+1])] = g.atom(stack, fp, c[pc+2]) + g.atom(stack, fp, c[pc+3]) - 1
-			pc += 4
-		case code.OpTSub:
-			stack[fp+2+int(c[pc+1])] = g.atom(stack, fp, c[pc+2]) - g.atom(stack, fp, c[pc+3]) + 1
-			pc += 4
-		case code.OpTMul:
-			stack[fp+2+int(c[pc+1])] = ((g.atom(stack, fp, c[pc+2]) >> 1) * (g.atom(stack, fp, c[pc+3]) >> 1) << 1) | 1
-			pc += 4
-		case code.OpTDiv, code.OpTMod:
-			b := g.atom(stack, fp, c[pc+3]) >> 1
-			if b == 0 {
-				fail = "division by zero"
-				break loop
-			}
-			a := g.atom(stack, fp, c[pc+2]) >> 1
-			if op == code.OpTDiv {
-				a /= b
-			} else {
-				a %= b
-			}
-			stack[fp+2+int(c[pc+1])] = a<<1 | 1
-			pc += 4
-		case code.OpNeg:
-			stack[fp+2+int(c[pc+1])] = -g.atom(stack, fp, c[pc+2])
-			pc += 3
-		case code.OpTNeg:
-			stack[fp+2+int(c[pc+1])] = 2 - g.atom(stack, fp, c[pc+2])
-			pc += 3
+			// Tagged variants strip and reinstate the tag bit: add/sub use the
+			// classic one-instruction identity, mul/div/mod pay the full strip
+			// cost — the paper's "tag manipulation" overhead.
+			case code.OpAdd:
+				stack[fp+2+int(c[pc+1])], pc = operand(stack, k.statics, fp, c[pc+2])+operand(stack, k.statics, fp, c[pc+3]), pc+4
+			case code.OpSub:
+				stack[fp+2+int(c[pc+1])], pc = operand(stack, k.statics, fp, c[pc+2])-operand(stack, k.statics, fp, c[pc+3]), pc+4
+			case code.OpMul:
+				stack[fp+2+int(c[pc+1])], pc = operand(stack, k.statics, fp, c[pc+2])*operand(stack, k.statics, fp, c[pc+3]), pc+4
+			case code.OpDiv:
+				b := operand(stack, k.statics, fp, c[pc+3])
+				if b == 0 {
+					ev = evDivZero
+					break dispatch
+				}
+				stack[fp+2+int(c[pc+1])], pc = operand(stack, k.statics, fp, c[pc+2])/b, pc+4
+			case code.OpMod:
+				b := operand(stack, k.statics, fp, c[pc+3])
+				if b == 0 {
+					ev = evDivZero
+					break dispatch
+				}
+				stack[fp+2+int(c[pc+1])], pc = operand(stack, k.statics, fp, c[pc+2])%b, pc+4
+			case code.OpTAdd:
+				stack[fp+2+int(c[pc+1])], pc = operand(stack, k.statics, fp, c[pc+2])+operand(stack, k.statics, fp, c[pc+3])-1, pc+4
+			case code.OpTSub:
+				stack[fp+2+int(c[pc+1])], pc = operand(stack, k.statics, fp, c[pc+2])-operand(stack, k.statics, fp, c[pc+3])+1, pc+4
+			case code.OpTMul:
+				stack[fp+2+int(c[pc+1])], pc = ((operand(stack, k.statics, fp, c[pc+2])>>1)*(operand(stack, k.statics, fp, c[pc+3])>>1)<<1)|1, pc+4
+			case code.OpTDiv:
+				b := operand(stack, k.statics, fp, c[pc+3]) >> 1
+				if b == 0 {
+					ev = evDivZero
+					break dispatch
+				}
+				stack[fp+2+int(c[pc+1])], pc = (operand(stack, k.statics, fp, c[pc+2])>>1)/b<<1|1, pc+4
+			case code.OpTMod:
+				b := operand(stack, k.statics, fp, c[pc+3]) >> 1
+				if b == 0 {
+					ev = evDivZero
+					break dispatch
+				}
+				stack[fp+2+int(c[pc+1])], pc = (operand(stack, k.statics, fp, c[pc+2])>>1)%b<<1|1, pc+4
+			case code.OpNeg:
+				stack[fp+2+int(c[pc+1])], pc = -operand(stack, k.statics, fp, c[pc+2]), pc+3
+			case code.OpTNeg:
+				stack[fp+2+int(c[pc+1])], pc = 2-operand(stack, k.statics, fp, c[pc+2]), pc+3
 
-		case code.OpEq, code.OpNe, code.OpLt, code.OpLe, code.OpGt, code.OpGe:
-			a := g.atom(stack, fp, c[pc+2])
-			b := g.atom(stack, fp, c[pc+3])
-			var r bool
-			switch op {
 			case code.OpEq:
-				r = a == b
+				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, operand(stack, k.statics, fp, c[pc+2]) == operand(stack, k.statics, fp, c[pc+3])), pc+4
 			case code.OpNe:
-				r = a != b
+				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, operand(stack, k.statics, fp, c[pc+2]) != operand(stack, k.statics, fp, c[pc+3])), pc+4
 			case code.OpLt:
-				r = a < b
+				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, operand(stack, k.statics, fp, c[pc+2]) < operand(stack, k.statics, fp, c[pc+3])), pc+4
 			case code.OpLe:
-				r = a <= b
+				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, operand(stack, k.statics, fp, c[pc+2]) <= operand(stack, k.statics, fp, c[pc+3])), pc+4
 			case code.OpGt:
-				r = a > b
+				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, operand(stack, k.statics, fp, c[pc+2]) > operand(stack, k.statics, fp, c[pc+3])), pc+4
 			case code.OpGe:
-				r = a >= b
-			}
-			stack[fp+2+int(c[pc+1])] = code.EncodeBool(repr, r)
-			pc += 4
+				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, operand(stack, k.statics, fp, c[pc+2]) >= operand(stack, k.statics, fp, c[pc+3])), pc+4
 
-		case code.OpNot:
-			v := code.DecodeBool(repr, g.atom(stack, fp, c[pc+2]))
-			stack[fp+2+int(c[pc+1])] = code.EncodeBool(repr, !v)
-			pc += 3
+			case code.OpNot:
+				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, uint64(operand(stack, k.statics, fp, c[pc+2])) <= uint64(k.tag)), pc+3
+			case code.OpIsBoxed:
+				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, code.IsBoxedValue(k.repr, operand(stack, k.statics, fp, c[pc+2]))), pc+3
 
-		case code.OpIsBoxed:
-			v := code.IsBoxedValue(repr, g.atom(stack, fp, c[pc+2]))
-			stack[fp+2+int(c[pc+1])] = code.EncodeBool(repr, v)
-			pc += 3
-
-		case code.OpTagIs:
-			tag := code.DecodeInt(repr, h.Field(g.atom(stack, fp, c[pc+2]), 0))
-			stack[fp+2+int(c[pc+1])] = code.EncodeBool(repr, tag == c[pc+3])
-			pc += 4
-
-		case code.OpLdFld:
-			v := h.Field(g.atom(stack, fp, c[pc+2]), int(c[pc+3]))
-			if loadHook {
-				if g.PoisonPruned && v == code.PrunedWord {
-					fail = fmt.Sprintf("poison: load of pruned field %d — heap-liveness verdict was wrong", int(c[pc+3]))
-					break loop
+			case code.OpTagIs:
+				w := k.mem[fieldIndex(operand(stack, k.statics, fp, c[pc+2]), k.tag, 0)] >> (uint(k.tag) & 1)
+				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, w == c[pc+3]), pc+4
+				if k.ldAll {
+					ev = evLoad
+					break dispatch
 				}
-				if sharded && h.InYoung(v) && h.YoungShardOf(v) != tShard {
-					// A foreign shard's young pointer just landed on this stack;
-					// that shard's minors no longer see all their roots. (The word
-					// may be an integer aliasing a young address — the exposure is
-					// conservative, see expose.)
-					g.expose(v)
-				}
-			}
-			stack[fp+2+int(c[pc+1])] = v
-			pc += 4
 
-		case code.OpStFld:
-			obj := g.atom(stack, fp, c[pc+1])
-			v := g.atom(stack, fp, c[pc+3])
-			h.SetField(obj, int(c[pc+2]), v)
-			if storeHook {
-				g.storeBarrier(pc, obj, int(c[pc+2]), v)
-			}
-			pc += 4
+			case code.OpLdFld:
+				v := k.mem[fieldIndex(operand(stack, k.statics, fp, c[pc+2]), k.tag, int(c[pc+3]))]
+				stack[fp+2+int(c[pc+1])], pc = v, pc+4
+				if k.ldHook && (k.ldAll || v == code.PrunedWord || k.young.has(v) && !k.own.has(v)) {
+					ev = evLoad
+					break dispatch
+				}
 
-		case code.OpCall, code.OpCallC:
-			if atCalls {
-				rgcChecks++
-				if parked {
-					t.Status = SuspendedCall
-					break loop
+			case code.OpStFld:
+				p := operand(stack, k.statics, fp, c[pc+1])
+				k.mem[fieldIndex(p, k.tag, int(c[pc+2]))] = operand(stack, k.statics, fp, c[pc+3])
+				pc += 4
+				if k.stHook {
+					ev = evStore
+					break dispatch
 				}
-			}
-			if budgeted {
-				// Budgets are enforced at the same safe points as Rgc: call
-				// dispatch is where a task can be stopped without leaving a
-				// half-built frame or heap object.
-				t.Steps = steps0 + int64(n)
-				if cause, over := g.overBudget(t, 0); over {
-					t.pc, t.fp = pc, fp
-					g.faultTask(t, FaultBudget, 0, cause)
-					break loop
+
+			// A call lays the callee's record on top of the stack — dynamic
+			// link, return address (the pc of the call itself, from which the
+			// collector and the diagnostics recover the frame's gc_word and
+			// function), then the slots — and copies the arguments out of the
+			// caller's slots.
+			case code.OpCall, code.OpCallC:
+				if k.divert {
+					ev = evCall
+					break dispatch
 				}
-			}
-			if op == code.OpCall {
-				callee := int(c[pc+2])
-				nargs := int(c[pc+4])
-				fi := prog.Funcs[callee]
-				newFP := g.pushFrame(t, callee, pc, fp)
-				stack = t.stack
-				for j := 0; j < nargs; j++ {
-					v := g.atom(stack, fp, c[pc+5+j])
-					if j < fi.NParams {
-						stack[newFP+2+j] = v
-					} else {
-						stack[newFP+2+fi.RepArgBase+(j-fi.NParams)] = v
+				var fi *code.FuncInfo
+				var clos code.Word
+				if c[pc] == code.OpCall {
+					fi = k.funcs[c[pc+2]]
+				} else {
+					clos = operand(stack, k.statics, fp, c[pc+3])
+					if !code.IsBoxedValue(k.repr, clos) {
+						ev = evBadClosure
+						break dispatch
 					}
+					fi = k.funcs[k.mem[fieldIndex(clos, k.tag, 0)]>>(uint(k.tag)&1)]
 				}
-				t.Calls++
-				fp = newFP
-				pc = fi.Entry
-			} else {
-				clos := g.atom(stack, fp, c[pc+3])
-				if !code.IsBoxedValue(repr, clos) {
-					fail = "application of an undefined recursive closure"
-					break loop
+				nsp := sp + 2 + fi.NSlots
+				if nsp > t.MaxStackWords {
+					if nsp > len(stack) {
+						ev = evFrame
+						break dispatch
+					}
+					t.MaxStackWords = nsp
 				}
-				callee := int(code.DecodeInt(repr, h.Field(clos, 0)))
-				arg := g.atom(stack, fp, c[pc+4])
-				fp = g.pushFrame(t, callee, pc, fp)
-				stack = t.stack
-				stack[fp+2] = clos
-				stack[fp+3] = arg
-				t.ClosCalls++
-				pc = prog.Funcs[callee].Entry
-			}
+				stack[sp], stack[sp+1] = code.Word(fp), code.Word(pc)
+				if k.zeroFill {
+					for j := sp + 2; j < nsp; j++ {
+						stack[j] = 0
+					}
+					t.ZeroFilledWords += int64(fi.NSlots)
+				}
+				if c[pc] == code.OpCall {
+					for j, w := range c[pc+5 : pc+5+int(c[pc+4])] {
+						v := operand(stack, k.statics, fp, w)
+						if j < fi.NParams {
+							stack[sp+2+j] = v
+						} else {
+							stack[sp+2+fi.RepArgBase+(j-fi.NParams)] = v
+						}
+					}
+					t.Calls++
+				} else {
+					stack[sp+2], stack[sp+3] = clos, operand(stack, k.statics, fp, c[pc+4])
+					t.ClosCalls++
+				}
+				fp, sp, pc = sp, nsp, fi.Entry
+				if t.depth++; t.depth > t.MaxFrameDepth {
+					t.MaxFrameDepth = t.depth
+				}
 
-		// The allocation instructions. alloc is the safe point where a
-		// collection can happen (the task suspends and the instruction runs
-		// again afterwards); operands are read from their slots only once
-		// the object exists, so a moving collector's updates are observed
-		// (§2.1).
-		case code.OpMkRef:
-			t.pc, t.fp, t.Steps = pc, fp, steps0+int64(n)
-			ptr, ok := g.alloc(t, 1)
-			if !ok {
-				break loop
+			default:
+				ev = evCold
+				break dispatch
 			}
-			h.SetField(ptr, 0, g.atom(stack, fp, c[pc+3]))
-			stack[fp+2+int(c[pc+1])] = ptr
-			pc += 4
+		}
+		n -= left
+		if ev == evFrame {
+			n-- // the call has not executed: it runs again on a longer stack
+		}
+		t.pc, t.fp, t.sp = pc, fp, sp
+		t.Steps = steps0 + int64(n)
 
-		case code.OpMkTuple:
-			nf := int(c[pc+3])
-			t.pc, t.fp, t.Steps = pc, fp, steps0+int64(n)
-			ptr, ok := g.alloc(t, nf)
-			if !ok {
-				break loop
+		if ev == evSlice {
+			if n >= quantum {
+				break
 			}
-			for i := 0; i < nf; i++ {
-				h.SetField(ptr, i, g.atom(stack, fp, c[pc+4+i]))
-			}
-			stack[fp+2+int(c[pc+1])] = ptr
-			pc += 4 + nf
-
-		case code.OpMkBox:
-			tag := c[pc+3]
-			nf := int(c[pc+4])
-			off := 0
-			if tag >= 0 {
-				off = 1
-			}
-			t.pc, t.fp, t.Steps = pc, fp, steps0+int64(n)
-			ptr, ok := g.alloc(t, off+nf)
-			if !ok {
-				break loop
-			}
-			if tag >= 0 {
-				h.SetField(ptr, 0, code.EncodeInt(repr, tag))
-			}
-			for i := 0; i < nf; i++ {
-				h.SetField(ptr, off+i, g.atom(stack, fp, c[pc+5+i]))
-			}
-			stack[fp+2+int(c[pc+1])] = ptr
-			pc += 5 + nf
-
-		case code.OpMkClos:
-			self := int(c[pc+4])
-			nrep := int(c[pc+5])
-			ncap := int(c[pc+6])
-			t.pc, t.fp, t.Steps = pc, fp, steps0+int64(n)
-			ptr, ok := g.alloc(t, 1+nrep+ncap)
-			if !ok {
-				break loop
-			}
-			h.SetField(ptr, 0, code.EncodeInt(repr, c[pc+3]))
-			for i := 0; i < nrep+ncap; i++ {
-				h.SetField(ptr, 1+i, g.atom(stack, fp, c[pc+7+i]))
-			}
-			if self >= 0 {
-				h.SetField(ptr, 1+nrep+self, ptr)
-			}
-			stack[fp+2+int(c[pc+1])] = ptr
-			pc += 7 + nrep + ncap
-
-		case code.OpMkRep:
-			nc := int(c[pc+4])
-			children := make([]int, nc)
-			for j := 0; j < nc; j++ {
-				children[j] = int(code.DecodeInt(repr, g.atom(stack, fp, c[pc+5+j])))
-			}
-			rep := prog.Reps.Intern(code.TDKind(c[pc+2]), int(c[pc+3]), children)
-			stack[fp+2+int(c[pc+1])] = code.EncodeInt(repr, int64(rep))
-			pc += 5 + nc
-
-		case code.OpBuiltin:
-			g.builtin(t, c[pc+2], g.atom(stack, fp, c[pc+3]))
-			stack[fp+2+int(c[pc+1])] = code.EncodeInt(repr, 0)
-			pc += 4
-
-		case code.OpSetGlobal:
-			v := g.atom(stack, fp, c[pc+2])
-			if sharded && h.InYoung(v) {
-				// Globals are traced during every shard minor, so the stored
-				// pointer itself stays sound — but any task can now copy it
-				// onto a stack the shard's minors never scan, so the shard
-				// must be blocked from here on.
-				g.expose(v)
-			}
-			g.Globals[int(c[pc+1])] = v
-			pc += 3
-
-		case code.OpMatchFail:
-			fail = "match failure: no pattern matched"
-			break loop
-
-		case code.OpHalt:
-			t.Status = Done
-			break loop
-
-		default:
-			fail = fmt.Sprintf("illegal opcode %d", op)
-			break loop
+			k.divert = true // the step budget's undiverted prefix is over
+		} else if err = g.event(t, ev); err != nil || t.Status != Running {
+			break
 		}
 	}
-	t.pc, t.fp = pc, fp
-	t.Steps = steps0 + int64(n)
 	g.Stats.Instructions += int64(n)
-	g.Stats.RgcChecks += rgcChecks
+	if atCalls {
+		// Every call dispatched under this policy compared Rgc once; event
+		// counted the ones that did not complete.
+		g.Stats.RgcChecks += t.Calls + t.ClosCalls - calls0
+	}
 	if waveUp {
 		g.latency += int64(n)
 	}
-	if fail != "" {
-		return t.errf(g, "%s", fail)
+	return err
+}
+
+// event handles what the dispatch loop of step left it: the instruction at
+// t.pc (or, for the hooks that run after a load or a store, the four words
+// before it), with the task written back. The slice ends when it returns an
+// error — a runtime fault of the task — or leaves the task not Running.
+func (g *Group) event(t *Task, ev int) error {
+	c, h := g.Prog.Code, g.Heap
+	atom := func(w code.Word) code.Word { return operand(t.stack, g.statics, t.fp, w) }
+	switch ev {
+	case evCold:
+		return g.cold(t)
+
+	case evDone:
+		t.Result = atom(c[t.pc+1])
+		t.sp = t.fp
+		t.depth--
+		t.Status = Done
+
+	case evCall:
+		// Call dispatch is where a task can be stopped without leaving a
+		// half-built frame or heap object: the instruction runs again when a
+		// parked task resumes.
+		if g.Policy == SuspendAtCalls {
+			g.Stats.RgcChecks++
+			if g.rgc != 0 || (g.sharded && g.rgcShard[t.shard] != 0) {
+				t.Status = SuspendedCall
+				return nil
+			}
+		}
+		cause, over := g.overBudget(t, 0)
+		if !over {
+			panic("tasking: call diverted with no wave raised and no budget spent")
+		}
+		g.faultTask(t, FaultBudget, 0, cause)
+
+	case evFrame:
+		t.reserve(len(t.stack) + 1)
+
+	case evLoad:
+		// The pointer is still in its slot: a load's destination is a slot the
+		// instruction itself defines, and codegen reuses none.
+		pc := t.pc - 4
+		field, v := int(c[pc+3]), t.stack[t.fp+2+int(c[pc+1])]
+		if c[pc] == code.OpTagIs {
+			field = 0 // the tag word; v is the boolean, which trips no hook below
+		}
+		h.Field(atom(c[pc+2]), field) // validates the access on a SetDebugAccess heap
+		if g.PoisonPruned && v == code.PrunedWord {
+			t.pc = pc
+			return t.errf(g, "poison: load of pruned field %d — heap-liveness verdict was wrong", field)
+		}
+		if g.sharded && h.InYoung(v) && h.YoungShardOf(v) != t.shard {
+			// A foreign shard's young pointer just landed on this stack; that
+			// shard's minors no longer see all their roots. (The word may be
+			// an integer aliasing a young address — the exposure is
+			// conservative, see expose.)
+			g.expose(v)
+		}
+
+	case evStore:
+		pc := t.pc - 4
+		g.storeBarrier(pc, atom(c[pc+1]), int(c[pc+2]), atom(c[pc+3]))
+
+	case evDivZero:
+		return t.errf(g, "division by zero")
+
+	case evBadClosure:
+		if g.Policy == SuspendAtCalls {
+			g.Stats.RgcChecks++
+		}
+		return t.errf(g, "application of an undefined recursive closure")
 	}
+	return nil
+}
+
+// cold executes the instruction at t.pc for the dispatch loop: one that
+// allocates, or calls into Go for another reason. alloc is the safe point
+// where a collection can happen (the task suspends and the instruction runs
+// again afterwards); operands are read from their slots only once the object
+// exists, so a moving collector's updates are observed (§2.1).
+func (g *Group) cold(t *Task) error {
+	prog, h := g.Prog, g.Heap
+	c, repr := prog.Code, prog.Repr
+	stack, pc, fp := t.stack, t.pc, t.fp
+	atom := func(w code.Word) code.Word { return operand(stack, g.statics, fp, w) }
+	var res code.Word
+	next := pc
+	switch op := c[pc]; op {
+	case code.OpMkRef, code.OpMkTuple, code.OpMkBox, code.OpMkClos:
+		// An object is its header field, if it has one — a constructor's tag,
+		// a closure's function index — and then the operands at c[args:].
+		hdr, args, nargs, self := code.Word(-1), pc+3, 1, -1
+		switch op {
+		case code.OpMkTuple:
+			args, nargs = pc+4, int(c[pc+3])
+		case code.OpMkBox:
+			hdr, args, nargs = c[pc+3], pc+5, int(c[pc+4])
+		case code.OpMkClos:
+			hdr, args, nargs = c[pc+3], pc+7, int(c[pc+5]+c[pc+6])
+			if c[pc+4] >= 0 {
+				self = 1 + int(c[pc+5]+c[pc+4]) // the closure captures itself here
+			}
+		}
+		off := 0
+		if hdr >= 0 {
+			off = 1
+		}
+		ptr, ok := g.alloc(t, off+nargs)
+		if !ok {
+			return nil
+		}
+		if hdr >= 0 {
+			h.SetField(ptr, 0, code.EncodeInt(repr, hdr))
+		}
+		for i := 0; i < nargs; i++ {
+			h.SetField(ptr, off+i, atom(c[args+i]))
+		}
+		if self >= 0 {
+			h.SetField(ptr, self, ptr)
+		}
+		res, next = ptr, args+nargs
+
+	case code.OpMkRep:
+		// The handles go through a stack buffer (Intern copies what it
+		// keeps), so a polymorphic call chain allocates nothing on the host.
+		var buf [8]int
+		children := buf[:0]
+		for _, w := range c[pc+5 : pc+5+int(c[pc+4])] {
+			children = append(children, int(code.DecodeInt(repr, atom(w))))
+		}
+		rep := prog.Reps.Intern(code.TDKind(c[pc+2]), int(c[pc+3]), children)
+		res, next = code.EncodeInt(repr, int64(rep)), pc+5+len(children)
+
+	case code.OpBuiltin:
+		g.builtin(t, c[pc+2], atom(c[pc+3]))
+		res, next = code.EncodeInt(repr, 0), pc+4
+
+	case code.OpSetGlobal:
+		v := atom(c[pc+2])
+		if g.sharded && h.InYoung(v) {
+			// Globals are traced during every shard minor, so the stored
+			// pointer itself stays sound — but any task can now copy it
+			// onto a stack the shard's minors never scan, so the shard
+			// must be blocked from here on.
+			g.expose(v)
+		}
+		g.Globals[int(c[pc+1])] = v
+		t.pc = pc + 3
+		return nil
+
+	case code.OpMatchFail:
+		return t.errf(g, "match failure: no pattern matched")
+
+	case code.OpHalt:
+		t.Status = Done
+		return nil
+
+	default:
+		return t.errf(g, "illegal opcode %d", op)
+	}
+	stack[fp+2+int(c[pc+1])] = res
+	t.pc = next
 	return nil
 }
 
@@ -1830,13 +1962,15 @@ func (g *Group) storeBarrier(pc int, obj code.Word, field int, v code.Word) {
 		}
 		return
 	}
+	if !h.InYoung(v) {
+		return
+	}
 	// Old→young write barrier: only stores that can hold a pointer ever
 	// consult the remembered set.
-	if d := g.Prog.StoreDescs[pc]; d != nil && h.InOld(obj) && h.InYoung(v) {
+	if d := g.Prog.StoreDescs[pc]; d != nil && h.InOld(obj) {
 		g.Col.Remember(obj, field, d)
 	}
-	if g.Shards > 1 && h.InYoung(v) && h.InYoung(obj) &&
-		h.YoungShardOf(v) != h.YoungShardOf(obj) {
+	if g.Shards > 1 && h.InYoung(obj) && h.YoungShardOf(v) != h.YoungShardOf(obj) {
 		// A cross-shard young→young edge: v's shard can no longer
 		// collect alone (the edge lives in an object its minors
 		// will not trace). Old→young stores need no flag — the
@@ -1869,11 +2003,7 @@ func (g *Group) alloc(t *Task, n int) (code.Word, bool) {
 			return 0, false
 		}
 	}
-	sharded := g.sharded()
-	tShard := 0
-	if sharded {
-		tShard = g.shardOf(t)
-	}
+	sharded, tShard := g.sharded, t.shard
 	if g.Policy == SuspendAtAllocs {
 		g.Stats.RgcChecks++
 		if g.rgc != 0 || (sharded && g.rgcShard[tShard] != 0) {
