@@ -10,39 +10,43 @@
 //	tfbench -scenario testdata/scenarios/          # declarative scenario matrix
 //	tfbench -scenario run.tfs -json                # ... as a tagfree-bench/v1 snapshot
 //	tfbench -scenario run.tfs -bench-json out.json # table + snapshot file
+//
+// The telemetry report takes the runtime flags of pipeline.Knobs (bound by
+// pipeline.BindFlags, listed in README's "Modes, flags and keys" table);
+// -repeats, -json, -bench-json and -scenario are this tool's own.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"tagfree/internal/experiments"
-	"tagfree/internal/gc"
 	"tagfree/internal/pipeline"
 	"tagfree/internal/scenario"
 	"tagfree/internal/workloads"
 )
 
 func main() {
+	opts := pipeline.Options{Parallelism: 1}
+	pipeline.BindFlags(flag.CommandLine, &opts)
 	repeats := flag.Int("repeats", 3, "timing repetitions (best-of)")
-	par := flag.Int("par", 1, "parallel collection workers for the telemetry report")
 	asJSON := flag.Bool("json", false, "emit the telemetry report as JSON instead of tables")
-	verifyHeap := flag.Bool("verify-heap", false, "verify heap invariants after every collection (telemetry report)")
-	torture := flag.Bool("gc-torture", false, "collect before every allocation (telemetry report)")
-	nursery := flag.Int("gc-nursery", 0, "generational nursery size in words per young half (telemetry report)")
-	tlab := flag.Int("tlab", 0, "per-task allocation buffer chunk in words (telemetry report)")
-	gcConc := flag.Bool("gc-concurrent", false, "mostly-concurrent marking on the mark/sweep rows (telemetry report)")
-	shards := flag.Int("shards", 0, "heap shards with independent minor collections (telemetry report; needs -gc-nursery)")
-	heapLive := flag.Bool("gc-heap-liveness", false, "liveness-guided tracing: prune provably dead element fields (telemetry report)")
 	benchJSON := flag.String("bench-json", "", "write the benchmark snapshot (schema tagfree-bench/v1) to this file and exit; \"-\" for stdout")
 	scenarioPath := flag.String("scenario", "", "run the scenario matrix from a .tfs file or a directory of .tfs files")
 	flag.Parse()
 
 	if *scenarioPath != "" {
-		runScenarioMatrix(*scenarioPath, *asJSON, *benchJSON)
+		if err := scenario.RunPath(*scenarioPath, *asJSON, *benchJSON, os.Stdout, os.Stderr); err != nil {
+			fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
+			if errors.Is(err, scenario.ErrInput) {
+				os.Exit(2)
+			}
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -78,7 +82,7 @@ func main() {
 	}
 	for _, name := range selected {
 		if strings.EqualFold(name, "telemetry") {
-			telemetryReport(*par, *asJSON, *verifyHeap, *torture, *nursery, *tlab, *gcConc, *shards, *heapLive)
+			telemetryReport(opts, *asJSON)
 			continue
 		}
 		r, ok := runners[strings.ToLower(name)]
@@ -87,52 +91,6 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Println(r().Render())
-	}
-}
-
-// runScenarioMatrix loads .tfs scenarios from a file or directory,
-// compiles them against the tasking corpus, executes every cell and emits
-// the comparative report: the aligned table by default, the
-// tagfree-bench/v1 snapshot on stdout with -json, and additionally to a
-// file when -bench-json names one. On a directory, every failing file is
-// reported (not just the first) and the scenarios that did load still
-// compile and run; the exit status turns nonzero only after the rest of
-// the matrix has been emitted.
-func runScenarioMatrix(path string, asJSON bool, benchJSON string) {
-	scs, loadErrs := scenario.LoadPathAll(path)
-	for _, err := range loadErrs {
-		fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-	}
-	if len(scs) == 0 {
-		os.Exit(2)
-	}
-	cells, err := scenario.Compile(scs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-		os.Exit(2)
-	}
-	snap := scenario.RunMatrix(cells)
-	js, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-		os.Exit(1)
-	}
-	js = append(js, '\n')
-	if asJSON {
-		os.Stdout.Write(js)
-	} else {
-		fmt.Print(snap.Table())
-	}
-	if benchJSON != "" && benchJSON != "-" {
-		if err := os.WriteFile(benchJSON, js, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d cells, schema %s)\n", benchJSON, len(snap.Runs), snap.Schema)
-	}
-	if len(loadErrs) > 0 {
-		fmt.Fprintf(os.Stderr, "scenario: %d file(s) failed to load\n", len(loadErrs))
-		os.Exit(2)
 	}
 }
 
@@ -159,35 +117,39 @@ func writeBenchSnapshot(path string, repeats int) {
 	fmt.Printf("wrote %s (%d runs, schema %s)\n", path, len(snap.Runs), snap.Schema)
 }
 
-// telemetryReport runs the multi-task workload corpus under the compiled
-// strategy in both heap disciplines and emits each run's per-collection
-// telemetry — the table form for reading, the JSON form for tooling.
-// verify and torture thread the robustness knobs through, turning the
-// report into a GC stress run over the whole corpus; nursery > 0 runs it
-// generationally (tier2-nursery combines all three under -race); tlab > 0
-// gives each task a private allocation buffer of that many words and grows
-// the refill/fast/shared/waste columns plus the cumulative tlab line.
-func telemetryReport(par int, asJSON, verify, torture bool, nursery, tlab int, conc bool, shards int, heapLive bool) {
+// telemetryReport runs the multi-task workload corpus in both heap
+// disciplines (mark/sweep alone under -marksweep) and emits each run's
+// per-collection telemetry — the table form for reading, the JSON form for
+// tooling. Every runtime flag applies to every run, so -verify-heap and
+// -gc-torture turn the report into a GC stress run over the whole corpus,
+// -gc-nursery runs it generationally (tier2-nursery combines all three under
+// -race) and -tlab grows the refill/fast/shared/waste columns plus the
+// cumulative tlab line. A row whose discipline the flags' modes refuse
+// (pipeline.Rules) is reported as a skip with the reasons, never run with
+// the mode quietly dropped.
+func telemetryReport(base pipeline.Options, asJSON bool) {
+	disciplines := []scenario.Discipline{scenario.Copying, scenario.MarkSweep}
+	if base.MarkSweep {
+		disciplines = disciplines[1:]
+	}
 	for _, w := range workloads.Tasking {
-		for _, ms := range []bool{false, true} {
-			opts := pipeline.Options{
-				Strategy:       gc.StratCompiled,
-				HeapWords:      w.HeapWords,
-				MarkSweep:      ms,
-				Parallelism:    par,
-				VerifyHeap:     verify,
-				Torture:        torture,
-				NurseryWords:   nursery,
-				TLABWords:      tlab,
-				GCHeapLiveness: heapLive,
+		for _, disc := range disciplines {
+			opts := base
+			opts.MarkSweep = disc == scenario.MarkSweep
+			if opts.HeapWords == 0 {
+				opts.HeapWords = w.HeapWords
 			}
-			if shards > 1 && nursery > 0 {
-				opts.Shards = shards
+			if err := opts.CheckSizes(); err != nil {
+				fmt.Fprintf(os.Stderr, "telemetry %s: %v\n", w.Name, err)
+				os.Exit(2)
 			}
-			if conc && ms && nursery == 0 && par <= 1 {
-				// -gc-concurrent applies only where the incremental marker
-				// exists: the sequential, non-nursery mark/sweep rows.
-				opts.GCConcurrent = true
+			if reasons := opts.Refusals(); len(reasons) > 0 {
+				skip := os.Stdout
+				if asJSON {
+					skip = os.Stderr // stdout is a stream of JSON objects
+				}
+				fmt.Fprintf(skip, "%s (%d tasks) %s: skip: %s\n\n", w.Name, len(w.Entries), disc, strings.Join(reasons, "; "))
+				continue
 			}
 			res, err := pipeline.RunTasks(w.Source, w.Entries, opts)
 			if err != nil {

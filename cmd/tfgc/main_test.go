@@ -111,10 +111,26 @@ func TestTasksGrowthRescuesGreedyTask(t *testing.T) {
 }
 
 func TestUsageErrors(t *testing.T) {
+	prog := writeProg(t, greedySrc)
 	for _, args := range [][]string{
 		nil,
 		{"frobnicate", "x.ml"},
-		{"tasks", writeProg(t, greedySrc)},
+		{"tasks", prog},
+		// Out-of-range values: the sentence the .tfs front end prints for the
+		// same key, as a usage error. At the parent -heap -1 panicked in
+		// heap.New and the others ran without a word.
+		{"run", "-heap", "-1", prog},
+		{"run", "-gc", "wizard", prog},
+		{"run", "-tlab", "-5", prog},
+		{"run", "-gc-nursery", "3", prog},
+		{"tasks", "-entry", "modest", "-par", "-3", prog},
+		{"run", "-gc-promote", "-1", prog},
+		{"run", "-heap-grow", "0.5", prog},
+		{"run", "-gc-conc-trigger", "500", prog},
+		{"run", "-fail-alloc", "-1", prog},
+		{"run", "-budget-steps", "0", prog},
+		{"run", "-gc-nursery", "256", "-tlab", "512", prog}, // a buffer larger than the space it is carved from
+		{"repl", "-heap", "64"},
 	} {
 		if _, err := run(t, args...); err == nil {
 			t.Fatalf("cli(%v) succeeded, want usage error", args)

@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"tagfree/internal/serve"
 )
@@ -63,18 +65,47 @@ func TestCLIScenario(t *testing.T) {
 }
 
 func TestCLIBadFlags(t *testing.T) {
-	for _, args := range [][]string{
+	// Out-of-range values are usage errors carrying the sentence the .tfs
+	// front end prints for the same key. At the parent -heap -1 panicked in
+	// heap.New, -inflight -2 never terminated (hence the timeout) and the
+	// rest of the numeric ones ran without a word.
+	usage := [][]string{
 		{"-workload", "nosuch"},
 		{"-gc", "wizard"},
-		{"-mix", "req_tiny"},          // missing weight
-		{"-mix", "req_tiny:0"},        // non-positive weight
-		{"-period", "10"},             // open loop without -requests
-		{"-mix", "nope:1", "-period", "10", "-requests", "1"}, // unknown entry
+		{"-mix", "req_tiny"},   // missing weight
+		{"-mix", "req_tiny:0"}, // non-positive weight
 		{"stray-arg"},
-	} {
-		var out strings.Builder
-		if err := cli(args, &out); err == nil {
-			t.Errorf("args %v not rejected", args)
+		{"-heap", "-1"},
+		{"-period", "3000", "-requests", "50", "-inflight", "-2"},
+		{"-period", "3000", "-requests", "50", "-queue", "-1"},
+		{"-period", "-5"},
+		{"-shed-heap", "500"},
+		{"-retries", "-1"},
+		{"-burst", "0"},
+		{"-tlab", "-5"},
+		{"-gc-nursery", "3"},
+		{"-par", "-3"},
+		{"-gc-promote", "-1"},
+		{"-heap-grow", "0.5"},
+		{"-gc-conc-trigger", "500"},
+		{"-fail-alloc", "-1"},
+		{"-gc-nursery", "256", "-tlab", "512"}, // a buffer larger than the space it is carved from
+	}
+	refused := [][]string{
+		{"-period", "10"}, // open loop without -requests
+		{"-mix", "nope:1", "-period", "10", "-requests", "1"}, // unknown entry
+		{"-gc", "tagged", "-marksweep"},                       // a pipeline.Rules refusal
+	}
+	for i, args := range append(usage, refused...) {
+		done := make(chan error, 1)
+		go func() { done <- cli(args, io.Discard) }()
+		select {
+		case err := <-done:
+			if _, ok := err.(*usageError); err == nil || i < len(usage) && !ok {
+				t.Errorf("args %v: got %v, want a usage error (the first %d) or a refusal", args, err, len(usage))
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("args %v: cli does not terminate", args)
 		}
 	}
 }

@@ -211,7 +211,7 @@ func serveOverloadRuns(conc bool) []BenchRun {
 	}
 	for _, sc := range scs {
 		sc.Disciplines = []scenario.Discipline{scenario.MarkSweep}
-		sc.GCConcurrent = conc
+		sc.Opts.GCConcurrent = conc
 	}
 	cells, err := scenario.Compile(scs)
 	if err != nil {

@@ -41,6 +41,17 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
+// ParseStrategy is the inverse of String: the one place a strategy's
+// spelling (the -gc flag, the .tfs strategies axis) is resolved.
+func ParseStrategy(name string) (Strategy, error) {
+	for s := StratCompiled; s <= StratTagged; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q (have compiled, interp, appel, tagged)", name)
+}
+
 // CompatibleRepr returns the value representation a strategy requires.
 func (s Strategy) CompatibleRepr() code.Repr {
 	if s == StratTagged {

@@ -228,7 +228,7 @@ func TestSingleTaskHonoursTaskOptions(t *testing.T) {
 
 	opts = base
 	opts.NurseryWords, opts.Shards = 256, 2
-	if _, err := Run(w.Source, opts); err == nil || !strings.Contains(err.Error(), "-shards requires the tasking runtime") {
+	if _, err := Run(w.Source, opts); err == nil || !strings.Contains(err.Error(), "heap sharding requires the tasking runtime") {
 		t.Fatalf("Shards: got %v, want the refusal", err)
 	}
 }

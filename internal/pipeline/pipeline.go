@@ -46,8 +46,7 @@ type Options struct {
 	DisableLiveness bool
 	// MarkSweep runs the collector in mark/sweep discipline over a single
 	// space of HeapWords words instead of semispace copying (the paper's
-	// "will support mark/sweep collection as well", §2). Tag-free
-	// strategies only.
+	// "will support mark/sweep collection as well", §2).
 	MarkSweep bool
 	// SuspendAtAllocs selects the paper's first §4 suspension policy for
 	// tasking runs: Rgc is checked only inside allocation routines. A
@@ -91,8 +90,7 @@ type Options struct {
 	// Minor collections evacuate only the nursery, re-tracing stacks and
 	// globals as usual (the paper's frame routines make that free) and
 	// consulting the old→young remembered set fed by the interpreter's
-	// write barrier. Tag-free strategies only — young objects are headerless and
-	// evacuation is type-directed.
+	// write barrier.
 	NurseryWords int
 	// PromoteAfter is the survival count at which nursery objects tenure
 	// into the old region (0 = the default of 2).
@@ -115,8 +113,8 @@ type Options struct {
 	// GCConcurrent arms mostly-concurrent marking (-gc-concurrent): the mark
 	// phase runs in budgeted slices interleaved with mutator execution at
 	// the existing safe points, bracketed by a brief root-snapshot pause and
-	// a bounded final pause that re-scans the stacks and sweeps. Requires
-	// MarkSweep, a tag-free typed strategy, and no nursery.
+	// a bounded final pause that re-scans the stacks and sweeps. Rules lists
+	// what it requires and excludes.
 	GCConcurrent bool
 	// ConcTriggerPct is the heap-occupancy watermark, in percent, that
 	// starts a concurrent cycle (0 = 75).
@@ -129,11 +127,9 @@ type Options struct {
 	// Shards > 1 partitions the nursery into per-shard young generations
 	// and the task set into shard groups (task ID mod Shards): a shard
 	// whose young space fills runs a minor collection over its own tasks
-	// alone, without suspending the other shards' mutators. Requires a
-	// tag-free strategy and a nursery (NurseryWords > 0), and composes
-	// with neither GCConcurrent nor a single-task run. Major
-	// collections stay global (all shards, stop-the-world). Tasking runs
-	// only. 0 or 1 = the unsharded heap.
+	// alone, without suspending the other shards' mutators. Major
+	// collections stay global (all shards, stop-the-world). Rules lists
+	// what it requires and excludes. 0 or 1 = the unsharded heap.
 	Shards int
 	// ShardAssign, when non-nil, overrides the task→shard map by task ID
 	// (the interleaving fuzz permutes assignments; entries are reduced mod
@@ -144,10 +140,10 @@ type Options struct {
 	// recursive datatype at each GC point, whether only the structure's
 	// spine can ever be walked again, and eligible collections replace the
 	// provably dead element fields with a sentinel instead of retaining
-	// them (internal/gc/liveness.go). Compiled strategy only; ineligible
-	// collections (other strategies, fast path off, parallel trace, shard
-	// minors, concurrent cycles) degrade to full tracing with the refusal
-	// counted in Result.Liveness.
+	// them (internal/gc/liveness.go). Ineligible collections (other
+	// strategies — the one static case, a Degrade row of Rules — fast path
+	// off, parallel trace, shard minors, concurrent cycles) degrade to full
+	// tracing with the refusal counted in Result.Liveness.
 	GCHeapLiveness bool
 	// PoisonPruned (-poison-pruned) turns any mutator load of the pruning
 	// sentinel into a deterministic runtime error — the debug mode that
@@ -157,50 +153,12 @@ type Options struct {
 	PoisonPruned bool
 }
 
-// validate refuses option combinations no runtime is built for. Every run
-// passes through it (newGroup); the one refusal it cannot make is runMain's,
-// which depends on the run being single-task.
-//
-// Mark/sweep, the nursery and everything layered on them need a tag-free
-// strategy: young objects are headerless and their evacuation, like the
-// mark phase, is type-directed. Concurrent marking exists only for the
-// mark/sweep discipline, needs typed frame maps (the tagged baseline has
-// none of the store descriptors its barrier relies on) and composes with
-// neither the nursery (minor cycles move objects mid-mark) nor the parallel
-// markers. Per-shard minor collection is the nursery's machinery partitioned
-// by task group, so it needs the nursery and cannot compose with the
-// concurrent marker, whose cycles assume one global collection epoch.
-func (o Options) validate() error {
-	tagged := o.Strategy == gc.StratTagged
-	switch {
-	case o.MarkSweep && tagged:
-		return fmt.Errorf("mark/sweep is implemented for the tag-free strategies")
-	case o.NurseryWords > 0 && tagged:
-		return fmt.Errorf("the generational nursery requires a tag-free strategy")
+// heapWords is the semispace size a run gets: HeapWords, or the default.
+func (o Options) heapWords() int {
+	if o.HeapWords == 0 {
+		return 1 << 16
 	}
-	if o.GCConcurrent {
-		switch {
-		case !o.MarkSweep:
-			return fmt.Errorf("-gc-concurrent requires the mark/sweep discipline (-marksweep)")
-		case tagged:
-			return fmt.Errorf("-gc-concurrent requires a tag-free strategy")
-		case o.NurseryWords > 0:
-			return fmt.Errorf("-gc-concurrent does not compose with the generational nursery")
-		case o.Parallelism > 1:
-			return fmt.Errorf("-gc-concurrent does not compose with parallel marking (-par)")
-		}
-	}
-	if o.Shards > 1 {
-		switch {
-		case tagged:
-			return fmt.Errorf("-shards requires a tag-free strategy")
-		case o.NurseryWords <= 0:
-			return fmt.Errorf("-shards requires a generational nursery (-gc-nursery)")
-		case o.GCConcurrent:
-			return fmt.Errorf("-shards does not compose with -gc-concurrent")
-		}
-	}
-	return nil
+	return o.HeapWords
 }
 
 // faultPlan assembles the fault-injection plan implied by the options, or
@@ -330,16 +288,13 @@ func Run(src string, opts Options) (*Result, error) {
 
 // newGroup assembles the runtime for a compiled program — heap, nursery,
 // collector and every option wired onto a task group with no task spawned.
-// Every run goes through it: RunProgram and Eval (a group of one),
-// BuildTaskGroup (the tasking and serving paths).
-func newGroup(prog *code.Program, opts Options) (*tasking.Group, error) {
-	if err := opts.validate(); err != nil {
+// Every run goes through it: RunProgram and Eval (a group of one, single
+// set), BuildTaskGroup (the tasking and serving paths).
+func newGroup(prog *code.Program, opts Options, single bool) (*tasking.Group, error) {
+	if err := opts.validate(single); err != nil {
 		return nil, err
 	}
-	semi := opts.HeapWords
-	if semi == 0 {
-		semi = 1 << 16
-	}
+	semi := opts.heapWords()
 	var h *heap.Heap
 	if opts.MarkSweep {
 		h = heap.NewMarkSweep(prog.Repr, semi)
@@ -409,16 +364,12 @@ func RunProgram(prog *code.Program, anal *gcanal.Result, opts Options) (*Result,
 
 // runMain runs a program's main as a group of one task. Every option means
 // what it means for a tasking run — allocation buffers and per-task budgets
-// included — except Shards, which is refused: one mutator has nothing to
-// overlap a shard's minor collection with.
+// included — except Shards, which Rules refuses for a single-task run.
 func runMain(prog *code.Program, opts Options) (*tasking.Group, code.Word, error) {
 	if prog.MainFunc < 0 {
 		return nil, 0, fmt.Errorf("program has no main function")
 	}
-	if opts.Shards > 1 {
-		return nil, 0, fmt.Errorf("-shards requires the tasking runtime (-tasks); a single-task run has one mutator and nothing to overlap")
-	}
-	g, err := newGroup(prog, opts)
+	g, err := newGroup(prog, opts, true)
 	if err != nil {
 		return nil, 0, err
 	}

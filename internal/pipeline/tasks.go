@@ -71,7 +71,7 @@ func BuildTaskGroup(src string, entryNames []string, opts Options) (*tasking.Gro
 			return nil, nil, fmt.Errorf("tasking: function %s not found after compilation", name)
 		}
 	}
-	group, err := newGroup(prog, opts)
+	group, err := newGroup(prog, opts, false)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -64,19 +64,14 @@ func Compile(scs []*Scenario) ([]Cell, error) {
 			return nil, sc.compileErrorf(sc.keyPos["workload"],
 				"unknown task workload %q (have %s)", sc.Workload, taskWorkloadList())
 		}
-		heapWords := sc.HeapWords
-		if heapWords == 0 {
-			heapWords = w.HeapWords
+		sized := sc.Opts
+		if sized.HeapWords == 0 {
+			sized.HeapWords = w.HeapWords
 		}
-		if sc.TLABWords >= heapWords {
-			return nil, sc.compileErrorf(sc.keyPos["tlab"],
-				"tlab size %d words must be smaller than the heap (%d words)", sc.TLABWords, heapWords)
+		if err := sized.CheckSizes(); err != nil {
+			return nil, sc.compileErrorf(sc.keyPos["tlab"], "%v", err)
 		}
-		if sc.NurseryWords > 0 && sc.TLABWords >= sc.NurseryWords {
-			return nil, sc.compileErrorf(sc.keyPos["tlab"],
-				"tlab size %d words must be smaller than the nursery (%d words)", sc.TLABWords, sc.NurseryWords)
-		}
-		w.HeapWords = heapWords
+		w.HeapWords = sized.HeapWords
 		srv, err := compileServe(sc, w)
 		if err != nil {
 			return nil, err
@@ -114,21 +109,9 @@ func compileServe(sc *Scenario, w workloads.TaskWorkload) (*serve.Config, error)
 		}
 		mix = append(mix, serve.MixEntry{Entry: m.Entry, Weight: m.Weight})
 	}
-	a := sc.Arrivals
-	return &serve.Config{
-		Mix:         mix,
-		Period:      a.Period,
-		Burst:       a.Burst,
-		Requests:    a.Requests,
-		Seed:        a.Seed,
-		QueueDepth:  a.Queue,
-		MaxInflight: a.Inflight,
-		ShedHeapPct: a.ShedHeapPct,
-		MaxRetries:  a.Retries,
-		Backoff:     a.Backoff,
-		BackoffCap:  a.BackoffCap,
-		Deadline:    a.Deadline,
-	}, nil
+	cfg := *sc.Arrivals
+	cfg.Mix = mix
+	return &cfg, nil
 }
 
 // compileCell resolves one (strategy, discipline, par, shards) point.
@@ -147,88 +130,32 @@ func compileCell(sc *Scenario, w workloads.TaskWorkload, srv *serve.Config, stra
 		Shards:     shards,
 		Repeats:    sc.Repeats,
 		Serve:      srv,
-		Opts: pipeline.Options{
-			Strategy:        strat,
-			HeapWords:       w.HeapWords,
-			MarkSweep:       disc == MarkSweep,
-			Parallelism:     par,
-			NurseryWords:    sc.NurseryWords,
-			PromoteAfter:    sc.PromoteAfter,
-			TLABWords:       sc.TLABWords,
-			VerifyHeap:      sc.Faults.VerifyHeap,
-			Torture:         sc.Faults.Torture,
-			FailAllocNth:    sc.Faults.FailAlloc,
-			FailAllocEvery:  sc.Faults.FailEvery,
-			FailRefillsOnly: sc.Faults.FailRefills,
-			GrowFactor:      sc.Faults.HeapGrow,
-			MaxHeapWords:    sc.Faults.HeapMax,
-		},
+		Opts:       sc.Opts,
 	}
-	if sc.Arrivals != nil {
-		c.Opts.BudgetSteps = sc.Arrivals.BudgetSteps
-		c.Opts.BudgetAllocWords = sc.Arrivals.BudgetAlloc
-	}
-	// Combinations the runtime rejects by design become reported skips, so
-	// the matrix still covers every strategy × discipline cell. ALL
-	// applicable reasons are collected into the one Skip string (joined
-	// with "; "), so a cell out of the envelope on several counts is still
-	// exactly one skipped row in the matrix totals — never double-reported.
-	var reasons []string
-	if strat == gc.StratTagged && disc == MarkSweep {
-		reasons = append(reasons, "mark/sweep is implemented for the tag-free strategies")
-	}
-	if strat == gc.StratTagged && sc.NurseryWords > 0 {
-		reasons = append(reasons, "the generational nursery requires a tag-free strategy")
-	}
-	if sc.GCConcurrent {
-		if strat == gc.StratTagged {
-			reasons = append(reasons, "concurrent marking requires a tag-free strategy")
-		}
-		if disc != MarkSweep {
-			reasons = append(reasons, "concurrent marking requires the mark/sweep discipline")
-		}
-		if sc.NurseryWords > 0 {
-			reasons = append(reasons, "concurrent marking requires the nursery off")
-		}
-		if par > 1 {
-			reasons = append(reasons, "concurrent marking uses a single incremental marker")
-		}
-	}
+	c.Opts.Strategy = strat
+	c.Opts.HeapWords = w.HeapWords
+	c.Opts.MarkSweep = disc == MarkSweep
+	c.Opts.Parallelism = par
 	if shards > 1 {
-		if strat == gc.StratTagged {
-			reasons = append(reasons, "heap sharding requires a tag-free strategy")
-		}
-		if sc.NurseryWords == 0 {
-			reasons = append(reasons, "heap sharding requires a nursery (per-shard minor collections)")
-		}
-		if sc.GCConcurrent {
-			reasons = append(reasons, "heap sharding does not compose with concurrent marking")
-		}
+		// shards 1 stays zero-valued so a defaulted axis compiles to an
+		// Options struct identical to its hand-written twin.
+		c.Opts.Shards = shards
 	}
-	if sc.GCHeapLiveness && strat != gc.StratCompiled {
-		// Other out-of-envelope combinations (parallel collections, shard
-		// minors, concurrent cycles) run and degrade to full tracing with
-		// the refusal counted in LivenessStats; only the strategy axis is a
-		// skip, because the pruning kernels exist solely in compiled mode.
-		reasons = append(reasons, "heap-liveness pruning requires the compiled strategy")
-	}
-	c.Skip = strings.Join(reasons, "; ")
-	if c.Skip == "" {
-		if sc.GCConcurrent {
-			c.Opts.GCConcurrent = true
-		}
-		if sc.GCHeapLiveness {
-			// Scenario cells are correctness harnesses, so the poison debug
-			// mode rides along: a wrong spine verdict faults the loading
-			// task instead of silently computing on a pruned word.
-			c.Opts.GCHeapLiveness = true
-			c.Opts.PoisonPruned = true
-		}
-		if shards > 1 {
-			// shards 1 stays zero-valued so a defaulted axis compiles to an
-			// Options struct identical to its hand-written twin.
-			c.Opts.Shards = shards
-		}
+	// Scenario cells are correctness harnesses, so the poison debug mode
+	// rides along with gc_heap_liveness: a wrong spine verdict faults the
+	// loading task instead of silently computing on a pruned word.
+	c.Opts.PoisonPruned = c.Opts.GCHeapLiveness
+	// Combinations pipeline.Rules rejects become reported skips, so the
+	// matrix still covers every strategy × discipline cell. ALL applicable
+	// reasons go into the one Skip string, so a cell out of the envelope on
+	// several counts is still exactly one skipped row in the matrix totals.
+	// A degrade is a skip too: the cell would run, but not the mode it is
+	// there to measure.
+	c.Skip = strings.Join(append(c.Opts.Refusals(), c.Opts.Degrades()...), "; ")
+	if c.Skip != "" {
+		// The row reports the plain configuration: none of the modes that
+		// put it outside the envelope ran.
+		c.Opts.GCConcurrent, c.Opts.GCHeapLiveness, c.Opts.PoisonPruned, c.Opts.Shards = false, false, false, 0
 	}
 	return c
 }

@@ -30,16 +30,23 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add("scenario x { workload \xff }")
 	f.Add("scenario x {\n  workload taskserve\n  arrivals {\n    period 3000\n    requests 40\n  }\n}")
 	f.Add("scenario x {\n  workload taskserve\n  arrivals {\n    period 3000\n    requests 40\n    queue 8\n    shed-heap 85\n    deadline 400000\n    budget-steps 50000\n  }\n  mix {\n    req_tiny 3\n    req_heavy 1\n  }\n}")
-	f.Add("scenario x {\n  workload taskserve\n  arrivals { requests 40 }\n}")   // missing period
-	f.Add("scenario x {\n  workload taskserve\n  mix { req_tiny 1 }\n}")         // mix without arrivals
-	f.Add("scenario x {\n  arrivals { period 1 period 2 requests 1 }\n}")        // duplicate key
-	f.Add("scenario x {\n  arrivals { period 1 requests 1 shed-heap 200 }\n}")   // watermark out of range
+	f.Add("scenario x {\n  workload taskserve\n  arrivals { requests 40 }\n}") // missing period
+	f.Add("scenario x {\n  workload taskserve\n  mix { req_tiny 1 }\n}")       // mix without arrivals
+	f.Add("scenario x {\n  arrivals { period 1 period 2 requests 1 }\n}")      // duplicate key
+	f.Add("scenario x {\n  arrivals { period 1 requests 1 shed-heap 200 }\n}") // watermark out of range
 	f.Add("scenario x {\n  arrivals { period 1 requests 1 budget-steps 99999999999999999999 }\n}")
 	f.Add("scenario x {\n  arrivals { period 1 requests 1 }\n  mix { req_tiny 0 }\n}")
 	f.Add("scenario x {\n  workload taskspine\n  gc_heap_liveness\n}")
 	f.Add("scenario x {\n  workload taskspine\n  strategies tagged\n  disciplines marksweep\n  gc_heap_liveness\n  gc_concurrent\n}") // multi-reason skip cells
-	f.Add("scenario x {\n  workload taskspine\n  gc_heap_liveness extra\n}") // key takes no argument
-	f.Add("scenario x {\n  gc_heap_liveness\n  gc_heap_liveness\n}")         // duplicate key
+	f.Add("scenario x {\n  workload taskspine\n  gc_heap_liveness extra\n}")                                                          // key takes no argument
+	f.Add("scenario x {\n  gc_heap_liveness\n  gc_heap_liveness\n}")                                                                  // duplicate key
+	// Two per block at the table's range boundaries: all inside, one just outside.
+	f.Add("scenario x {\n  workload taskchurn\n  heap 128\n  nursery 16\n  promote 64\n  tlab 8\n  repeats 100\n  par 64\n  shards 1\n}")
+	f.Add("scenario x {\n  workload taskchurn\n  heap 67108865\n}")
+	f.Add("scenario x {\n  workload taskchurn\n  faults {\n    fail-alloc 1\n    fail-every 1\n    heap-grow 16\n    heap-max 128\n  }\n}")
+	f.Add("scenario x {\n  workload taskchurn\n  faults { heap-grow 1 }\n}")
+	f.Add("scenario x {\n  workload taskserve\n  arrivals {\n    period 1073741824\n    requests 1048576\n    burst 1024\n    seed 0\n    queue 65536\n    inflight 1024\n    shed-heap 100\n    retries 0\n    backoff 1\n    backoff-cap 1\n    deadline 1099511627776\n    budget-steps 1\n    budget-alloc 1099511627776\n  }\n}")
+	f.Add("scenario x {\n  workload taskserve\n  arrivals {\n    period 1\n    requests 1\n    retries 65\n  }\n}")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		scs, err := Parse(src)

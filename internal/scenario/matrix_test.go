@@ -187,7 +187,7 @@ func TestScenarioCorpusCompiles(t *testing.T) {
 	// tier2-scenario torture gate depends on it.
 	torture := false
 	for _, sc := range scs {
-		if sc.Faults.Torture && sc.Faults.VerifyHeap {
+		if sc.Opts.Torture && sc.Opts.VerifyHeap {
 			torture = true
 		}
 	}

@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"fmt"
-	"strconv"
+	"strings"
 
+	"tagfree/internal/gc"
 	"tagfree/internal/mlang/token"
+	"tagfree/internal/pipeline"
+	"tagfree/internal/serve"
 )
 
 // The scenario parser: a recursive-descent walk over the token stream
@@ -13,8 +16,9 @@ import (
 // out-of-range size) — is reported as a *PosError carrying the offending
 // token's position, so `tfbench -scenario` failures always read
 // "file.tfs:line:col: message". Validation happens here rather than in a
-// separate pass so the position is still at hand; the ranges mirror the
-// flag constraints cmd/tfgc and cmd/tfbench enforce.
+// separate pass so the position is still at hand. The axes and mix have
+// list parsers of their own; every scalar key is a row of pipeline.Knobs,
+// which holds its range and sentence (parseKnob).
 
 // Parse parses .tfs source into its scenarios. It returns the first
 // error encountered; the error is always a *PosError.
@@ -127,9 +131,7 @@ func (p *parser) parseScenario() (*Scenario, error) {
 	// Unset axes default to the full comparative shape on the strategy
 	// axis and the minimal one elsewhere.
 	if len(sc.Strategies) == 0 {
-		for _, s := range strategyNames {
-			sc.Strategies = append(sc.Strategies, s.strat)
-		}
+		sc.Strategies = append(sc.Strategies, pipeline.Strategies...)
 	}
 	if len(sc.Disciplines) == 0 {
 		sc.Disciplines = []Discipline{Copying}
@@ -143,8 +145,6 @@ func (p *parser) parseScenario() (*Scenario, error) {
 	return sc, nil
 }
 
-const scenarioKeys = "workload, strategies, disciplines, par, shards, repeats, heap, nursery, promote, tlab, gc_concurrent, gc_heap_liveness, faults, arrivals, mix"
-
 // parseStmt parses one `key values` statement inside a scenario body.
 func (p *parser) parseStmt(sc *Scenario) error {
 	if p.tok.Kind != IDENT {
@@ -157,18 +157,15 @@ func (p *parser) parseStmt(sc *Scenario) error {
 	sc.keyPos[key] = keyPos
 	p.advance()
 
+	var err error
 	switch key {
 	case "workload":
-		name, err := p.ident("workload name")
-		if err != nil {
-			return err
-		}
-		sc.Workload = name
+		sc.Workload, err = p.ident("workload name")
 	case "strategies":
 		for p.tok.Kind == IDENT {
-			strat, ok := strategyByName(p.tok.Text)
-			if !ok {
-				return posErrorf(p.tok.Pos, "unknown strategy %q (have %s)", p.tok.Text, strategyList())
+			strat, err := gc.ParseStrategy(p.tok.Text)
+			if err != nil {
+				return &PosError{Pos: p.tok.Pos, Err: err}
 			}
 			for _, have := range sc.Strategies {
 				if have == strat {
@@ -204,112 +201,68 @@ func (p *parser) parseStmt(sc *Scenario) error {
 			return p.fail("expected at least one discipline, found %s", p.describe())
 		}
 	case "par":
-		for p.tok.Kind == INT {
-			n, err := p.intValue("par")
-			if err != nil {
-				return err
-			}
-			if n < 1 || n > maxPar {
-				return posErrorf(p.tok.Pos, "par %d out of range (1..%d)", n, maxPar)
-			}
-			for _, have := range sc.Par {
-				if have == n {
-					return posErrorf(p.tok.Pos, "duplicate par %d", n)
-				}
-			}
-			sc.Par = append(sc.Par, n)
-			p.advance()
-		}
-		if len(sc.Par) == 0 {
-			return p.fail("expected at least one worker count, found %s", p.describe())
-		}
+		sc.Par, err = p.intAxis(key, "worker count")
 	case "shards":
-		for p.tok.Kind == INT {
-			n, err := p.intValue("shards")
-			if err != nil {
-				return err
-			}
-			if n < 1 || n > maxShards {
-				return posErrorf(p.tok.Pos, "shards %d out of range (1..%d)", n, maxShards)
-			}
-			for _, have := range sc.Shards {
-				if have == n {
-					return posErrorf(p.tok.Pos, "duplicate shards %d", n)
-				}
-			}
-			sc.Shards = append(sc.Shards, n)
-			p.advance()
-		}
-		if len(sc.Shards) == 0 {
-			return p.fail("expected at least one shard count, found %s", p.describe())
-		}
-	case "repeats":
-		n, pos, err := p.intArgAt("repeats")
-		if err != nil {
-			return err
-		}
-		if n < 1 || n > maxRepeats {
-			return posErrorf(pos, "repeats %d out of range (1..%d)", n, maxRepeats)
-		}
-		sc.Repeats = n
-	case "heap":
-		n, pos, err := p.intArgAt("heap")
-		if err != nil {
-			return err
-		}
-		if n < minHeapWords || n > maxHeapWords {
-			return posErrorf(pos, "heap size %d words out of range (%d..%d)", n, minHeapWords, maxHeapWords)
-		}
-		sc.HeapWords = n
-	case "nursery":
-		n, pos, err := p.intArgAt("nursery")
-		if err != nil {
-			return err
-		}
-		if n != 0 && (n < minNursery || n > maxNursery) {
-			return posErrorf(pos, "nursery size %d words out of range (0 to disable, or %d..%d)", n, minNursery, maxNursery)
-		}
-		sc.NurseryWords = n
-	case "promote":
-		n, pos, err := p.intArgAt("promote")
-		if err != nil {
-			return err
-		}
-		if n < 0 || n > maxPromote {
-			return posErrorf(pos, "promote %d out of range (0..%d)", n, maxPromote)
-		}
-		sc.PromoteAfter = n
-	case "tlab":
-		n, pos, err := p.intArgAt("tlab")
-		if err != nil {
-			return err
-		}
-		if n != 0 && (n < minTLAB || n > maxTLAB) {
-			return posErrorf(pos, "tlab size %d words out of range (0 to disable, or %d..%d)", n, minTLAB, maxTLAB)
-		}
-		sc.TLABWords = n
-	case "gc_concurrent":
-		sc.GCConcurrent = true
-	case "gc_heap_liveness":
-		sc.GCHeapLiveness = true
+		sc.Shards, err = p.intAxis(key, "shard count")
 	case "faults":
-		return p.parseFaults(sc)
+		if err := p.parseBlock(sc, key); err != nil {
+			return err
+		}
+		return p.expectEndOfLine("faults block")
 	case "arrivals":
-		return p.parseArrivals(sc, keyPos)
+		// period and requests are required; everything else defaults like
+		// the tfserve flags.
+		sc.Arrivals = &serve.Config{}
+		if err := p.parseBlock(sc, key); err != nil {
+			return err
+		}
+		if sc.Arrivals.Period == 0 {
+			return posErrorf(keyPos, "arrivals block missing required key \"period\"")
+		}
+		if sc.Arrivals.Requests == 0 {
+			return posErrorf(keyPos, "arrivals block missing required key \"requests\"")
+		}
+		return p.expectEndOfLine("arrivals block")
 	case "mix":
 		return p.parseMix(sc)
 	default:
-		return posErrorf(keyPos, "unknown scenario key %q (have %s)", key, scenarioKeys)
+		err = p.parseKnob(sc, "", key, keyPos)
+	}
+	if err != nil {
+		return err
 	}
 	return p.expectEndOfLine(key)
 }
 
-const faultKeys = "torture, verify-heap, fail-alloc, fail-every, fail-refills, heap-grow, heap-max"
+// intAxis parses the values of a list axis (par, shards), each checked
+// against the range of the axis's table row.
+func (p *parser) intAxis(key, what string) ([]int, error) {
+	k := pipeline.FindKey("", key)
+	var out []int
+	for p.tok.Kind == INT {
+		n, err := k.ParseInt(p.tok.Text)
+		if err != nil {
+			return nil, &PosError{Pos: p.tok.Pos, Err: err}
+		}
+		for _, have := range out {
+			if have == int(n) {
+				return nil, posErrorf(p.tok.Pos, "duplicate %s %d", key, n)
+			}
+		}
+		out = append(out, int(n))
+		p.advance()
+	}
+	if len(out) == 0 {
+		return nil, p.fail("expected at least one %s, found %s", what, p.describe())
+	}
+	return out, nil
+}
 
-// parseFaults parses the `faults { ... }` block.
-func (p *parser) parseFaults(sc *Scenario) error {
+// parseBlock parses a `{ key [value] ... }` block of scalar keys — faults,
+// arrivals — one table row per key.
+func (p *parser) parseBlock(sc *Scenario, block string) error {
 	if p.tok.Kind != LBRACE {
-		return p.fail("expected { after faults, found %s", p.describe())
+		return p.fail("expected { after %s, found %s", block, p.describe())
 	}
 	p.advance()
 	seen := map[string]token.Pos{}
@@ -317,10 +270,10 @@ func (p *parser) parseFaults(sc *Scenario) error {
 		p.skipNewlines()
 		if p.tok.Kind == RBRACE {
 			p.advance()
-			return p.expectEndOfLine("faults block")
+			return nil
 		}
 		if p.tok.Kind != IDENT {
-			return p.fail("expected faults key, found %s", p.describe())
+			return p.fail("expected %s key, found %s", block, p.describe())
 		}
 		key, keyPos := p.tok.Text, p.tok.Pos
 		if prev, dup := seen[key]; dup {
@@ -328,55 +281,8 @@ func (p *parser) parseFaults(sc *Scenario) error {
 		}
 		seen[key] = keyPos
 		p.advance()
-		switch key {
-		case "torture":
-			sc.Faults.Torture = true
-		case "verify-heap":
-			sc.Faults.VerifyHeap = true
-		case "fail-refills":
-			sc.Faults.FailRefills = true
-		case "fail-alloc":
-			n, pos, err := p.intArgAt("fail-alloc")
-			if err != nil {
-				return err
-			}
-			if n < 1 {
-				return posErrorf(pos, "fail-alloc %d out of range (must be at least 1)", n)
-			}
-			sc.Faults.FailAlloc = int64(n)
-		case "fail-every":
-			n, pos, err := p.intArgAt("fail-every")
-			if err != nil {
-				return err
-			}
-			if n < 1 {
-				return posErrorf(pos, "fail-every %d out of range (must be at least 1)", n)
-			}
-			sc.Faults.FailEvery = int64(n)
-		case "heap-max":
-			n, pos, err := p.intArgAt("heap-max")
-			if err != nil {
-				return err
-			}
-			if n != 0 && (n < minHeapWords || n > maxHeapWords) {
-				return posErrorf(pos, "heap-max %d words out of range (0 for unbounded, or %d..%d)", n, minHeapWords, maxHeapWords)
-			}
-			sc.Faults.HeapMax = n
-		case "heap-grow":
-			if p.tok.Kind != FLOAT && p.tok.Kind != INT {
-				return p.fail("expected number after heap-grow, found %s", p.describe())
-			}
-			f, err := strconv.ParseFloat(p.tok.Text, 64)
-			if err != nil {
-				return posErrorf(p.tok.Pos, "malformed heap-grow factor %q", p.tok.Text)
-			}
-			if f <= 1 || f > maxHeapGrow {
-				return posErrorf(p.tok.Pos, "heap-grow %s out of range (must exceed 1, at most %g)", p.tok.Text, maxHeapGrow)
-			}
-			sc.Faults.HeapGrow = f
-			p.advance()
-		default:
-			return posErrorf(keyPos, "unknown faults key %q (have %s)", key, faultKeys)
+		if err := p.parseKnob(sc, block, key, keyPos); err != nil {
+			return err
 		}
 		if err := p.expectEndOfLine(key); err != nil {
 			return err
@@ -384,117 +290,64 @@ func (p *parser) parseFaults(sc *Scenario) error {
 	}
 }
 
-const arrivalsKeys = "period, burst, requests, seed, queue, inflight, shed-heap, retries, backoff, backoff-cap, deadline, budget-steps, budget-alloc"
+// knob resolves a scalar key of a block ("" = the scenario body) to its
+// table row and the struct the row's field lives in.
+func (sc *Scenario) knob(block, key string) (*pipeline.Knob, any) {
+	if block == "" && key == repeatsKnob.Key {
+		return &repeatsKnob, sc
+	}
+	k := pipeline.FindKey(block, key)
+	switch {
+	case k == nil || k.Axis:
+		return nil, nil
+	case k.Serve:
+		return k, sc.Arrivals
+	}
+	return k, &sc.Opts
+}
 
-// parseArrivals parses the `arrivals { ... }` block — the open-loop
-// serving plan. period and requests are required; everything else
-// defaults like the tfserve flags.
-func (p *parser) parseArrivals(sc *Scenario, blockPos token.Pos) error {
-	if p.tok.Kind != LBRACE {
-		return p.fail("expected { after arrivals, found %s", p.describe())
+// keyList renders the keys a block accepts, for the unknown-key diagnostic.
+func keyList(block string) string {
+	var keys []string
+	for _, k := range pipeline.Knobs {
+		if k.Block == block && k.Key != "" && !k.Axis {
+			keys = append(keys, k.Key)
+		}
+	}
+	list := strings.Join(keys, ", ")
+	if block == "" {
+		list = "workload, strategies, disciplines, par, shards, repeats, " + list + ", faults, arrivals, mix"
+	}
+	return list
+}
+
+// parseKnob parses the value of one scalar key through its table row: a
+// bare key sets a Bool, anything else takes one number, range-checked by
+// the row with the sentence the CLIs print for the same flag.
+func (p *parser) parseKnob(sc *Scenario, block, key string, keyPos token.Pos) error {
+	k, target := sc.knob(block, key)
+	if k == nil {
+		name := block
+		if block == "" {
+			name = "scenario"
+		}
+		return posErrorf(keyPos, "unknown %s key %q (have %s)", name, key, keyList(block))
+	}
+	if k.Kind == pipeline.Bool {
+		return k.Set(target, "true")
+	}
+	if p.tok.Kind != INT && !(p.tok.Kind == FLOAT && k.Kind == pipeline.Float) {
+		what := "integer"
+		if k.Kind == pipeline.Float {
+			what = "number"
+		}
+		return p.fail("expected %s after %s, found %s", what, key, p.describe())
+	}
+	if err := k.Set(target, p.tok.Text); err != nil {
+		return &PosError{Pos: p.tok.Pos, Err: err}
 	}
 	p.advance()
-	a := &ArrivalsBlock{}
-	seen := map[string]token.Pos{}
-	for {
-		p.skipNewlines()
-		if p.tok.Kind == RBRACE {
-			p.advance()
-			if a.Period == 0 {
-				return posErrorf(blockPos, "arrivals block missing required key \"period\"")
-			}
-			if a.Requests == 0 {
-				return posErrorf(blockPos, "arrivals block missing required key \"requests\"")
-			}
-			sc.Arrivals = a
-			return p.expectEndOfLine("arrivals block")
-		}
-		if p.tok.Kind != IDENT {
-			return p.fail("expected arrivals key, found %s", p.describe())
-		}
-		key, keyPos := p.tok.Text, p.tok.Pos
-		if prev, dup := seen[key]; dup {
-			return posErrorf(keyPos, "duplicate key %q (first set at %s)", key, prev)
-		}
-		seen[key] = keyPos
-		p.advance()
-		n, pos, err := p.intArgAt(key)
-		if err != nil {
-			return err
-		}
-		switch key {
-		case "period":
-			if n < 1 || n > maxPeriod {
-				return posErrorf(pos, "period %d out of range (1..%d)", n, maxPeriod)
-			}
-			a.Period = int64(n)
-		case "burst":
-			if n < 1 || n > maxBurst {
-				return posErrorf(pos, "burst %d out of range (1..%d)", n, maxBurst)
-			}
-			a.Burst = n
-		case "requests":
-			if n < 1 || n > maxRequests {
-				return posErrorf(pos, "requests %d out of range (1..%d)", n, maxRequests)
-			}
-			a.Requests = n
-		case "seed":
-			if n < 0 {
-				return posErrorf(pos, "seed %d out of range (must not be negative)", n)
-			}
-			a.Seed = int64(n)
-		case "queue":
-			if n < 1 || n > maxQueue {
-				return posErrorf(pos, "queue depth %d out of range (1..%d)", n, maxQueue)
-			}
-			a.Queue = n
-		case "inflight":
-			if n < 1 || n > maxInflight {
-				return posErrorf(pos, "inflight %d out of range (1..%d)", n, maxInflight)
-			}
-			a.Inflight = n
-		case "shed-heap":
-			if n < 1 || n > 100 {
-				return posErrorf(pos, "shed-heap %d out of range (1..100 percent)", n)
-			}
-			a.ShedHeapPct = n
-		case "retries":
-			if n < 0 || n > maxRetries {
-				return posErrorf(pos, "retries %d out of range (0..%d)", n, maxRetries)
-			}
-			a.Retries = n
-		case "backoff":
-			if n < 1 || n > maxPeriod {
-				return posErrorf(pos, "backoff %d out of range (1..%d)", n, maxPeriod)
-			}
-			a.Backoff = int64(n)
-		case "backoff-cap":
-			if n < 1 || n > maxPeriod {
-				return posErrorf(pos, "backoff-cap %d out of range (1..%d)", n, maxPeriod)
-			}
-			a.BackoffCap = int64(n)
-		case "deadline":
-			if n < 1 || int64(n) > maxBudget {
-				return posErrorf(pos, "deadline %d out of range (1..%d)", n, maxBudget)
-			}
-			a.Deadline = int64(n)
-		case "budget-steps":
-			if n < 1 || int64(n) > maxBudget {
-				return posErrorf(pos, "budget-steps %d out of range (1..%d)", n, maxBudget)
-			}
-			a.BudgetSteps = int64(n)
-		case "budget-alloc":
-			if n < 1 || int64(n) > maxBudget {
-				return posErrorf(pos, "budget-alloc %d out of range (1..%d)", n, maxBudget)
-			}
-			a.BudgetAlloc = int64(n)
-		default:
-			return posErrorf(keyPos, "unknown arrivals key %q (have %s)", key, arrivalsKeys)
-		}
-		if err := p.expectEndOfLine(key); err != nil {
-			return err
-		}
-	}
+	return nil
 }
 
 // parseMix parses the `mix { <entry> <weight> ... }` block: the weighted
@@ -525,14 +378,15 @@ func (p *parser) parseMix(sc *Scenario) error {
 		}
 		seen[entry] = entryPos
 		p.advance()
-		n, pos, err := p.intArgAt("mix weight")
+		if p.tok.Kind != INT {
+			return p.fail("expected integer after mix weight, found %s", p.describe())
+		}
+		n, err := mixWeightKnob.ParseInt(p.tok.Text)
 		if err != nil {
-			return err
+			return &PosError{Pos: p.tok.Pos, Err: err}
 		}
-		if n < 1 || n > maxMixWeight {
-			return posErrorf(pos, "mix weight %d out of range (1..%d)", n, maxMixWeight)
-		}
-		sc.Mix = append(sc.Mix, MixItem{Entry: entry, Weight: n, Pos: entryPos})
+		p.advance()
+		sc.Mix = append(sc.Mix, MixItem{Entry: entry, Weight: int(n), Pos: entryPos})
 		if err := p.expectEndOfLine(entry); err != nil {
 			return err
 		}
@@ -547,28 +401,4 @@ func (p *parser) ident(what string) (string, error) {
 	name := p.tok.Text
 	p.advance()
 	return name, nil
-}
-
-// intValue reads the current INT token without consuming it, so callers
-// can keep its position for range diagnostics.
-func (p *parser) intValue(what string) (int, error) {
-	n, err := strconv.Atoi(p.tok.Text)
-	if err != nil {
-		return 0, posErrorf(p.tok.Pos, "malformed %s value %q", what, p.tok.Text)
-	}
-	return n, nil
-}
-
-// intArgAt consumes one integer argument, returning its position.
-func (p *parser) intArgAt(what string) (int, token.Pos, error) {
-	if p.tok.Kind != INT {
-		return 0, p.tok.Pos, p.fail("expected integer after %s, found %s", what, p.describe())
-	}
-	pos := p.tok.Pos
-	n, err := p.intValue(what)
-	if err != nil {
-		return 0, pos, err
-	}
-	p.advance()
-	return n, pos, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tagfree/internal/gc"
+	"tagfree/internal/pipeline"
 )
 
 func TestScenarioParseFull(t *testing.T) {
@@ -53,16 +54,13 @@ scenario kitchen-sink {
 	if want := []int{1, 4}; !reflect.DeepEqual(sc.Par, want) {
 		t.Errorf("par = %v, want %v", sc.Par, want)
 	}
-	if sc.Repeats != 3 || sc.HeapWords != 4096 || sc.NurseryWords != 256 ||
-		sc.PromoteAfter != 3 || sc.TLABWords != 64 {
-		t.Errorf("knobs = %+v", sc)
+	wantOpts := pipeline.Options{
+		HeapWords: 4096, NurseryWords: 256, PromoteAfter: 3, TLABWords: 64,
+		Torture: true, VerifyHeap: true, FailRefillsOnly: true,
+		FailAllocNth: 100, FailAllocEvery: 50, GrowFactor: 1.5, MaxHeapWords: 65536,
 	}
-	wantFaults := FaultBlock{
-		Torture: true, VerifyHeap: true, FailRefills: true,
-		FailAlloc: 100, FailEvery: 50, HeapGrow: 1.5, HeapMax: 65536,
-	}
-	if sc.Faults != wantFaults {
-		t.Errorf("faults = %+v, want %+v", sc.Faults, wantFaults)
+	if sc.Repeats != 3 || !reflect.DeepEqual(sc.Opts, wantOpts) {
+		t.Errorf("knobs: repeats=%d opts=%+v, want 3 and %+v", sc.Repeats, sc.Opts, wantOpts)
 	}
 }
 
@@ -102,7 +100,7 @@ scenario conc {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if !scs[0].GCConcurrent {
+	if !scs[0].Opts.GCConcurrent {
 		t.Fatalf("gc_concurrent not set on the scenario")
 	}
 	cells, err := Compile(scs)
@@ -155,7 +153,7 @@ scenario live {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if !scs[0].GCHeapLiveness {
+	if !scs[0].Opts.GCHeapLiveness {
 		t.Fatalf("gc_heap_liveness not set on the scenario")
 	}
 	cells, err := Compile(scs)

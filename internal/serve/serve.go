@@ -219,6 +219,15 @@ type driver struct {
 
 // Run executes the configured serve run.
 func Run(cfg Config) (*Result, error) {
+	// The front ends range-check what they are given; a Go caller gets the
+	// part of that which no run survives: a negative bound never admits a
+	// request (the run would not end), a watermark above 100 never sheds.
+	if err := pipeline.RefuseNegative(&cfg); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	if cfg.ShedHeapPct > 100 {
+		return nil, fmt.Errorf("serve: shed-heap %d percent is above 100", cfg.ShedHeapPct)
+	}
 	mix, err := resolveMix(cfg)
 	if err != nil {
 		return nil, err
@@ -318,7 +327,7 @@ func runOpenLoop(cfg Config, g *tasking.Group, mix []MixEntry, fidx map[string]i
 		total: cfg.Requests,
 		stats: &res.Stats,
 	}
-	d.queue.buf = make([]*request, max(d.cfg.QueueDepth, 0))
+	d.queue.buf = make([]*request, d.cfg.QueueDepth)
 	total := 0
 	for _, m := range mix {
 		total += m.Weight

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"tagfree/internal/gc"
 	"tagfree/internal/pipeline"
@@ -250,6 +252,43 @@ func TestMixValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Workload: w, Period: 10}); err == nil {
 		t.Fatal("open loop without Requests not rejected")
+	}
+	// What the front ends' ranges refuse, a Go caller is refused too where no
+	// run survives it: MaxInflight -2 never admits a request, so the run
+	// never ends (hence the timeout); QueueDepth -1 sheds every arrival and
+	// reports success.
+	for _, cfg := range []Config{
+		{MaxInflight: -2}, {QueueDepth: -1}, {Burst: -1}, {MaxRetries: -1}, {Backoff: -1},
+		{BackoffCap: -1}, {Deadline: -1}, {ShedHeapPct: -1}, {ShedHeapPct: 101}, {Period: -5},
+	} {
+		cfg.Workload = w
+		if cfg.Period == 0 {
+			cfg.Period, cfg.Requests = 3000, 50
+		}
+		done := make(chan error, 1)
+		go func() { _, err := Run(cfg); done <- err }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%+v not rejected", cfg)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("Run(%+v) does not terminate", cfg)
+		}
+	}
+}
+
+// TestKnobRowsNameConfigFields holds the Serve rows of pipeline.Knobs, which
+// name Config's fields without being able to import them, to the struct.
+func TestKnobRowsNameConfigFields(t *testing.T) {
+	for _, k := range pipeline.Knobs {
+		if !k.Serve {
+			continue
+		}
+		f, ok := reflect.TypeOf(Config{}).FieldByName(k.Field)
+		if !ok || f.Type.Kind() != reflect.Int && f.Type.Kind() != reflect.Int64 || k.Kind != pipeline.Int {
+			t.Errorf("-%s: Config has no integer field %q", k.Flag, k.Field)
+		}
 	}
 }
 
