@@ -67,13 +67,23 @@
 # address the stack frame (spills and reloads of loop state; the number to
 # watch when the loop's locals change).
 #
+# profile-compile is the same for the compiler: it runs BenchmarkBuild
+# (internal/pipeline: pipeline.Build over eight suffixed copies of the
+# committed corpus, about 1200 functions, with B/op, allocs/op and MB/s) under
+# a CPU profile and then under an allocation profile (apart, so that sampling
+# allocations does not show up as CPU) and prints the top 12 of each — flat
+# CPU, then allocated bytes. A Build is healthy when the runtime (gcBgMarkWorker,
+# mallocgc, map assign/access) is not the top of the first and no single site
+# of internal/mlang or internal/compile owns the second; TestBuildAllocBudget
+# holds the object count per source byte in tier-1.
+#
 # benchmark runs the repository benchmark (BENCHMARK.json, benchmark/):
 # eight seeded workloads, end-to-end metrics with tracing off.
 # benchmark-check BASE=<runs.json> is the regression gate: ten runs of each
 # workload compared against a run file an earlier commit wrote with
 # `go run ./benchmark -runs 10 -out <runs.json>`.
 
-.PHONY: benchmark benchmark-check profile-interp tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single loc bench bench-json fuzz fuzz-scenario
+.PHONY: benchmark benchmark-check profile-interp profile-compile tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single loc bench bench-json fuzz fuzz-scenario
 
 tier1:
 	go build ./...
@@ -148,6 +158,16 @@ profile-interp:
 		w[1] == "tasking.go" && ((ln >= top && ln < lo) || (ln >= hi && ln < end)) { next } \
 		{ n++ } /CALL/ && !/runtime\.panic/ { calls++ } /\(SP\)/ { sp++ } \
 		END { printf "inner loop of step: %d machine instructions, %d CALLs (bounds-check panics aside), %d stack-relative operands\n", n, calls, sp }'
+
+profile-compile:
+	mkdir -p .bench_build
+	go test -c -o .bench_build/pipeline.test ./internal/pipeline
+	cd internal/pipeline && ../../.bench_build/pipeline.test -test.run xxx -test.bench 'BenchmarkBuild$$' \
+		-test.benchtime 3s -test.cpuprofile ../../.bench_build/compile.prof
+	cd internal/pipeline && ../../.bench_build/pipeline.test -test.run xxx -test.bench 'BenchmarkBuild$$' \
+		-test.benchtime 1s -test.memprofile ../../.bench_build/compile-mem.prof -test.memprofilerate 4096 >/dev/null
+	go tool pprof -top -nodecount 12 .bench_build/pipeline.test .bench_build/compile.prof 2>/dev/null
+	go tool pprof -sample_index=alloc_space -top -nodecount 12 .bench_build/pipeline.test .bench_build/compile-mem.prof 2>/dev/null
 
 tier2-torture: tier1
 	GC_TORTURE_FULL=1 go test -race -run 'TestTorture|TestRecoveryLadder|TestWatchdog' -count=1 -timeout 30m ./internal/pipeline/

@@ -24,7 +24,6 @@ package codegen
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"tagfree/internal/code"
 	"tagfree/internal/compile/gcanal"
@@ -40,11 +39,35 @@ type Compiler struct {
 	prog *code.Program
 	hl   *gcanal.HeapLiveness
 
-	descCache map[string]*code.TypeDesc
-	constIdx  map[code.Word]int
-	dataID    map[*types.Data]int
-	funcIdx   map[*ir.Func]int
-	liveMaps  map[*ir.Func][][]*ir.Slot
+	// descs and argLists hash-cons type descriptors (see intern); argStack
+	// holds the children of the descriptors being looked up.
+	descs    map[descKey]*code.TypeDesc
+	argLists map[argListKey]int
+	argStack []*code.TypeDesc
+	constIdx map[code.Word]int
+	dataID   map[*types.Data]int
+	// argWords is the buffer a call's operand words are encoded into.
+	argWords []code.Word
+	// slotDescs[f.ID][slot] is the descriptor of each of f's slots, computed
+	// once with the function's metadata and read at every site.
+	slotDescs [][]*code.TypeDesc
+}
+
+// descKey identifies a descriptor by value. Children are interned before
+// their parent, so a child's pointer stands for the child; the argument list
+// is itself hash-consed (argListKey) so that the key is comparable whatever
+// the arity.
+type descKey struct {
+	kind  code.TDKind
+	index int
+	args  int // id of the argument list; 0 is the empty list
+}
+
+// argListKey identifies a non-empty argument list as a shorter list (by id)
+// plus its last element.
+type argListKey struct {
+	front int
+	last  *code.TypeDesc
 }
 
 // Compile translates an IR program for the given representation. The
@@ -66,23 +89,21 @@ func CompileWith(irp *ir.Program, repr code.Repr, hl *gcanal.HeapLiveness) (*cod
 			Strings: irp.Strings,
 			Reps:    code.NewRepTable(),
 		},
-		descCache: map[string]*code.TypeDesc{},
+		descs:     map[descKey]*code.TypeDesc{},
+		argLists:  map[argListKey]int{},
 		constIdx:  map[code.Word]int{},
 		dataID:    map[*types.Data]int{},
-		funcIdx:   map[*ir.Func]int{},
-		liveMaps:  map[*ir.Func][][]*ir.Slot{},
+		slotDescs: make([][]*code.TypeDesc, len(irp.Funcs)),
 	}
 
 	c.buildDataLayouts()
 
-	for i, f := range irp.Funcs {
-		c.funcIdx[f] = i
-		c.liveMaps[f] = liveness.Analyze(f)
-	}
 	// Create FuncInfo shells first so call instructions can reference any
-	// function index.
-	for _, f := range irp.Funcs {
-		c.prog.Funcs = append(c.prog.Funcs, c.funcShell(f))
+	// function index — a function's ID: lowering numbers functions in the
+	// order it appends them to the program.
+	c.prog.Funcs = make([]*code.FuncInfo, len(irp.Funcs))
+	for i, f := range irp.Funcs {
+		c.prog.Funcs[i] = c.funcShell(f)
 	}
 	// The globals come before any function body: a constant operand's
 	// encoding counts them (code.EncodeAtom).
@@ -92,17 +113,16 @@ func CompileWith(irp *ir.Program, repr code.Repr, hl *gcanal.HeapLiveness) (*cod
 			Desc: c.descOf(g.Type, nil),
 		})
 	}
+	c.prog.Code = make([]code.Word, 0, codeWordsHint(irp))
 	for i, f := range irp.Funcs {
-		if err := c.emitFunc(f, c.prog.Funcs[i]); err != nil {
-			return nil, err
-		}
+		c.emitFunc(f, c.prog.Funcs[i])
 	}
-	c.prog.InitFunc = c.funcIdx[irp.InitFunc]
+	c.prog.InitFunc = irp.InitFunc.ID
 	c.prog.MainFunc = -1
 	if irp.MainFunc != nil {
-		c.prog.MainFunc = c.funcIdx[irp.MainFunc]
+		c.prog.MainFunc = irp.MainFunc.ID
 	}
-	c.prog.DescNodes = len(c.descCache)
+	c.prog.DescNodes = len(c.descs)
 	return c.prog, nil
 }
 
@@ -151,58 +171,80 @@ func (c *Compiler) buildDataLayouts() {
 // datatype's parameters; quantified variables not visible in fn are
 // parametric positions and become TDOpaque.
 func (c *Compiler) descOf(t types.Type, fn *ir.Func) *code.TypeDesc {
+	base := len(c.argStack)
 	switch t := types.Resolve(t).(type) {
 	case *types.Base:
-		return c.intern(&code.TypeDesc{Kind: code.TDConst})
+		return c.intern(code.TDConst, 0, base)
 	case *types.Var:
 		if t.Quant == nil {
 			// A leftover free variable (should have been defaulted).
-			return c.intern(&code.TypeDesc{Kind: code.TDOpaque})
+			return c.intern(code.TDOpaque, 0, base)
 		}
 		if t.Quant.Owner == nil {
 			// Datatype parameter reference inside a constructor layout.
-			return c.intern(&code.TypeDesc{Kind: code.TDVar, Index: t.Quant.Index})
+			return c.intern(code.TDVar, t.Quant.Index, base)
 		}
 		if fn != nil {
 			if idx := fn.TypeEnvIndex(t); idx >= 0 {
-				return c.intern(&code.TypeDesc{Kind: code.TDVar, Index: idx})
+				return c.intern(code.TDVar, idx, base)
 			}
 		}
-		return c.intern(&code.TypeDesc{Kind: code.TDOpaque})
+		return c.intern(code.TDOpaque, 0, base)
 	case *types.Arrow:
-		return c.intern(&code.TypeDesc{Kind: code.TDArrow,
-			Args: []*code.TypeDesc{c.descOf(t.Dom, fn), c.descOf(t.Cod, fn)}})
+		c.pushArg(t.Dom, fn)
+		c.pushArg(t.Cod, fn)
+		return c.intern(code.TDArrow, 0, base)
 	case *types.TupleT:
-		args := make([]*code.TypeDesc, len(t.Elems))
-		for i, e := range t.Elems {
-			args[i] = c.descOf(e, fn)
+		for _, e := range t.Elems {
+			c.pushArg(e, fn)
 		}
-		return c.intern(&code.TypeDesc{Kind: code.TDTuple, Args: args})
+		return c.intern(code.TDTuple, 0, base)
 	case *types.Con:
 		if t.Name == "ref" {
-			return c.intern(&code.TypeDesc{Kind: code.TDRef,
-				Args: []*code.TypeDesc{c.descOf(t.Args[0], fn)}})
+			c.pushArg(t.Args[0], fn)
+			return c.intern(code.TDRef, 0, base)
 		}
-		args := make([]*code.TypeDesc, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = c.descOf(a, fn)
+		for _, a := range t.Args {
+			c.pushArg(a, fn)
 		}
-		return c.intern(&code.TypeDesc{Kind: code.TDData, Index: c.dataID[t.Data], Args: args})
+		return c.intern(code.TDData, c.dataID[t.Data], base)
 	}
 	panic("descOf: unreachable")
 }
 
-func (c *Compiler) intern(d *code.TypeDesc) *code.TypeDesc {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d:%d", d.Kind, d.Index)
-	for _, a := range d.Args {
-		fmt.Fprintf(&b, ":%p", a) // children are already interned
+// pushArg leaves the descriptor of t on the argument stack.
+func (c *Compiler) pushArg(t types.Type, fn *ir.Func) {
+	d := c.descOf(t, fn)
+	c.argStack = append(c.argStack, d)
+}
+
+// intern returns the one descriptor of the given kind and index whose
+// children are argStack[base:], and pops them. It looks the key up before it
+// allocates anything: a node and its Args slice are built only for a
+// descriptor never seen before, so finding one of a program's few thousand
+// unique descriptors costs no garbage however often it is asked for.
+func (c *Compiler) intern(kind code.TDKind, index, base int) *code.TypeDesc {
+	args := c.argStack[base:]
+	c.argStack = c.argStack[:base]
+	list := 0
+	for _, a := range args {
+		k := argListKey{front: list, last: a}
+		id, ok := c.argLists[k]
+		if !ok {
+			id = len(c.argLists) + 1
+			c.argLists[k] = id
+		}
+		list = id
 	}
-	key := b.String()
-	if e, ok := c.descCache[key]; ok {
-		return e
+	key := descKey{kind: kind, index: index, args: list}
+	if d, ok := c.descs[key]; ok {
+		return d
 	}
-	c.descCache[key] = d
+	d := &code.TypeDesc{Kind: kind, Index: index}
+	if len(args) > 0 {
+		d.Args = append([]*code.TypeDesc(nil), args...)
+	}
+	c.descs[key] = d
 	return d
 }
 
@@ -251,10 +293,21 @@ func (c *Compiler) funcShell(f *ir.Func) *code.FuncInfo {
 	for _, cap := range f.Captures {
 		fi.Captures = append(fi.Captures, c.descOf(cap.Type, f))
 	}
-	for _, s := range f.Slots {
-		d := c.descOf(s.Type, f)
-		if d.MayHoldPointer() {
-			fi.AllSlots = append(fi.AllSlots, code.SlotEntry{Slot: s.Idx, Desc: d})
+	descs := make([]*code.TypeDesc, len(f.Slots))
+	pointers := 0
+	for i, s := range f.Slots {
+		descs[i] = c.descOf(s.Type, f)
+		if descs[i].MayHoldPointer() {
+			pointers++
+		}
+	}
+	c.slotDescs[f.ID] = descs
+	if pointers > 0 {
+		fi.AllSlots = make([]code.SlotEntry, 0, pointers)
+		for i, d := range descs {
+			if d.MayHoldPointer() {
+				fi.AllSlots = append(fi.AllSlots, code.SlotEntry{Slot: f.Slots[i].Idx, Desc: d})
+			}
 		}
 	}
 	return fi
@@ -319,14 +372,25 @@ type label struct {
 }
 
 type femit struct {
-	c        *Compiler
-	f        *ir.Func
-	fi       *code.FuncInfo
+	c  *Compiler
+	f  *ir.Func
+	fi *code.FuncInfo
+	// live[site] is the §5.2 frame map of each of f's sites; slotDesc[slot]
+	// the descriptor of each of its slots.
+	live     [][]*ir.Slot
+	slotDesc []*code.TypeDesc
 	scratchN int
 }
 
 func (fe *femit) emit(ws ...code.Word) {
 	fe.c.prog.Code = append(fe.c.prog.Code, ws...)
+}
+
+// emitAtoms appends the operand word of each atom.
+func (fe *femit) emitAtoms(as []ir.Atom) {
+	for _, a := range as {
+		fe.emit(fe.c.atom(a))
+	}
 }
 
 func (fe *femit) newLabel() *label { return &label{} }
@@ -372,16 +436,15 @@ func (fe *femit) scratch() int {
 // remembered-set entries. Values that can never be heap pointers
 // (constants, nullary constructors, strings) get no entry.
 func (fe *femit) noteStore(pc int, a ir.Atom) {
-	var t types.Type
+	var d *code.TypeDesc
 	switch a := a.(type) {
 	case *ir.ASlot:
-		t = a.Slot.Type
+		d = fe.slotDesc[a.Slot.Idx]
 	case *ir.AGlobal:
-		t = a.Global.Type
+		d = fe.c.descOf(a.Global.Type, fe.f)
 	default:
 		return
 	}
-	d := fe.c.descOf(t, fe.f)
 	if !d.MayHoldPointer() {
 		return
 	}
@@ -391,12 +454,31 @@ func (fe *femit) noteStore(pc int, a ir.Atom) {
 	fe.c.prog.StoreDescs[pc] = d
 }
 
-func (c *Compiler) emitFunc(f *ir.Func, fi *code.FuncInfo) error {
-	fe := &femit{c: c, f: f, fi: fi}
+// codeWordsHint estimates the length of the program's code from the size of
+// its IR, so that emit appends into one reservation instead of growing the
+// code through a series of copies: four words beside its operands for a
+// computation (opcode, destination, and a gc_word, count or immediate or
+// two), three for a control node. On the committed corpus that is 7-10 %
+// above the code emitted; a short estimate would only cost a regrowth.
+func codeWordsHint(irp *ir.Program) int {
+	n := 0
+	for _, f := range irp.Funcs {
+		ir.WalkExprs(f.Body, func(e ir.Expr) {
+			n += 3
+			if let, ok := e.(*ir.ELet); ok {
+				n++
+				ir.WalkAtoms(let.Rhs, func(ir.Atom) { n++ })
+			}
+		})
+	}
+	return n
+}
+
+func (c *Compiler) emitFunc(f *ir.Func, fi *code.FuncInfo) {
+	fe := &femit{c: c, f: f, fi: fi, live: liveness.Analyze(f), slotDesc: c.slotDescs[f.ID]}
 	fi.Entry = len(c.prog.Code)
 	fe.emitExpr(f.Body, nil)
 	fi.NSlots = fi.RepArgBase + fi.NRepArgs + fe.scratchN
-	return nil
 }
 
 func (fe *femit) emitExpr(e ir.Expr, jt *joinTarget) {
@@ -537,11 +619,8 @@ func (fe *femit) emitRhs(dst *ir.Slot, r ir.Rhs) {
 
 	case *ir.RTuple:
 		gcw := fe.site(r.Site, code.SiteAlloc, nil, nil)
-		ws := []code.Word{code.OpMkTuple, d, gcw, code.Word(len(r.Elems))}
-		for _, a := range r.Elems {
-			ws = append(ws, c.atom(a))
-		}
-		fe.emit(ws...)
+		fe.emit(code.OpMkTuple, d, gcw, code.Word(len(r.Elems)))
+		fe.emitAtoms(r.Elems)
 
 	case *ir.RCtor:
 		layout := c.prog.Data[c.dataID[r.Ctor.Data]]
@@ -550,11 +629,8 @@ func (fe *femit) emitRhs(dst *ir.Slot, r ir.Rhs) {
 			tag = code.Word(r.Ctor.Tag)
 		}
 		gcw := fe.site(r.Site, code.SiteAlloc, nil, nil)
-		ws := []code.Word{code.OpMkBox, d, gcw, tag, code.Word(len(r.Args))}
-		for _, a := range r.Args {
-			ws = append(ws, c.atom(a))
-		}
-		fe.emit(ws...)
+		fe.emit(code.OpMkBox, d, gcw, tag, code.Word(len(r.Args)))
+		fe.emitAtoms(r.Args)
 
 	case *ir.RField:
 		off := r.Index
@@ -570,7 +646,7 @@ func (fe *femit) emitRhs(dst *ir.Slot, r ir.Rhs) {
 
 	case *ir.RClosure:
 		target := r.Target
-		tidx := c.funcIdx[target]
+		tidx := target.ID
 		// Rep words, in closure layout order.
 		var repAtoms []code.Word
 		for i, v := range target.TypeEnv {
@@ -580,18 +656,18 @@ func (fe *femit) emitRhs(dst *ir.Slot, r ir.Rhs) {
 			repAtoms = append(repAtoms, fe.repAtom(v))
 		}
 		gcw := fe.site(r.Site, code.SiteAlloc, nil, nil)
-		ws := []code.Word{code.OpMkClos, d, gcw, code.Word(tidx),
-			code.Word(r.SelfCapture), code.Word(len(repAtoms)), code.Word(len(r.Captures))}
-		ws = append(ws, repAtoms...)
-		for _, a := range r.Captures {
-			ws = append(ws, c.atom(a))
-		}
-		fe.emit(ws...)
+		fe.emit(code.OpMkClos, d, gcw, code.Word(tidx),
+			code.Word(r.SelfCapture), code.Word(len(repAtoms)), code.Word(len(r.Captures)))
+		fe.emit(repAtoms...)
+		fe.emitAtoms(r.Captures)
 
 	case *ir.RCall:
 		callee := r.Callee
-		cidx := c.funcIdx[callee]
-		args := make([]code.Word, 0, len(r.Args)+2)
+		cidx := callee.ID
+		// The operands are encoded before the call's own words: a hidden
+		// type-rep argument may emit the instructions that build it, and the
+		// constant pool is numbered in the order operands are first seen.
+		args := fe.c.argWords[:0]
 		for _, a := range r.Args {
 			args = append(args, c.atom(a))
 		}
@@ -604,6 +680,7 @@ func (fe *femit) emitRhs(dst *ir.Slot, r ir.Rhs) {
 				args = append(args, fe.repAtom(r.Inst[i]))
 			}
 		}
+		fe.c.argWords = args
 		gcw := code.Word(-1)
 		if r.CanGC {
 			var inst []*code.TypeDesc
@@ -613,9 +690,8 @@ func (fe *femit) emitRhs(dst *ir.Slot, r ir.Rhs) {
 			gcw = fe.siteCall(r.Site, cidx, inst)
 			fe.addSiteArgs(gcw, r.Site, r.Args)
 		}
-		ws := []code.Word{code.OpCall, d, code.Word(cidx), gcw, code.Word(len(args))}
-		ws = append(ws, args...)
-		fe.emit(ws...)
+		fe.emit(code.OpCall, d, code.Word(cidx), gcw, code.Word(len(args)))
+		fe.emit(args...)
 
 	case *ir.RCallClos:
 		gcw := code.Word(-1)
@@ -654,12 +730,12 @@ func (fe *femit) emitRhs(dst *ir.Slot, r ir.Rhs) {
 // site registers GC metadata for a call/alloc site and returns its gc_word.
 func (fe *femit) site(irSite int, kind code.SiteKind, calleeInst []*code.TypeDesc, siteType *code.TypeDesc) code.Word {
 	si := &code.SiteInfo{
-		Func:     fe.c.funcIdx[fe.f],
+		Func:     fe.f.ID,
 		Kind:     kind,
 		SiteType: siteType,
 	}
-	for _, s := range fe.c.liveMaps[fe.f][irSite] {
-		d := fe.c.descOf(s.Type, fe.f)
+	for _, s := range fe.live[irSite] {
+		d := fe.slotDesc[s.Idx]
 		if !d.MayHoldPointer() {
 			continue
 		}
@@ -689,7 +765,7 @@ func (fe *femit) addSiteArgs(gcw code.Word, irSite int, args []ir.Atom) {
 		if !ok {
 			continue
 		}
-		d := fe.c.descOf(s.Slot.Type, fe.f)
+		d := fe.slotDesc[s.Slot.Idx]
 		if !d.MayHoldPointer() {
 			continue
 		}

@@ -81,12 +81,14 @@ func AnalyzeCFA(p *ir.Program) *Result {
 	// GC-possible fixpoint with resolved closure targets.
 	res := &Result{CanGCFunc: make(map[*ir.Func]bool, len(p.Funcs))}
 	for _, f := range p.Funcs {
-		for _, r := range ir.Rhss(f) {
+		ir.WalkRhss(f, func(r ir.Rhs) bool {
 			switch r.(type) {
 			case *ir.RRef, *ir.RTuple, *ir.RCtor, *ir.RClosure:
 				res.CanGCFunc[f] = true
+				return false
 			}
-		}
+			return true
+		})
 	}
 	for changed := true; changed; {
 		changed = false
@@ -95,21 +97,15 @@ func AnalyzeCFA(p *ir.Program) *Result {
 				continue
 			}
 			gc := false
-			for _, r := range ir.Rhss(f) {
+			ir.WalkRhss(f, func(r ir.Rhs) bool {
 				switch r := r.(type) {
 				case *ir.RCall:
-					if res.CanGCFunc[r.Callee] {
-						gc = true
-					}
+					gc = res.CanGCFunc[r.Callee]
 				case *ir.RCallClos:
-					if c.calleesCanGC(f, r, res) {
-						gc = true
-					}
+					gc = c.calleesCanGC(f, r, res)
 				}
-				if gc {
-					break
-				}
-			}
+				return !gc
+			})
 			if gc {
 				res.CanGCFunc[f] = true
 				changed = true
@@ -119,7 +115,7 @@ func AnalyzeCFA(p *ir.Program) *Result {
 
 	// Refine sites and collect statistics.
 	for _, f := range p.Funcs {
-		for _, r := range ir.Rhss(f) {
+		ir.WalkRhss(f, func(r ir.Rhs) bool {
 			switch r := r.(type) {
 			case *ir.RCall:
 				res.Stats.Sites++
@@ -138,7 +134,8 @@ func AnalyzeCFA(p *ir.Program) *Result {
 			case *ir.RRef, *ir.RTuple, *ir.RCtor, *ir.RClosure:
 				res.Stats.Sites++
 			}
-		}
+			return true
+		})
 	}
 	return res
 }

@@ -49,12 +49,14 @@ func Analyze(p *ir.Program) *Result {
 
 	// Seed: functions with allocation or closure-call sites.
 	for _, f := range p.Funcs {
-		for _, r := range ir.Rhss(f) {
+		ir.WalkRhss(f, func(r ir.Rhs) bool {
 			switch r.(type) {
 			case *ir.RRef, *ir.RTuple, *ir.RCtor, *ir.RClosure, *ir.RCallClos:
 				res.CanGCFunc[f] = true
+				return false
 			}
-		}
+			return true
+		})
 	}
 
 	// Propagate along direct call edges to a fixpoint.
@@ -64,19 +66,20 @@ func Analyze(p *ir.Program) *Result {
 			if res.CanGCFunc[f] {
 				continue
 			}
-			for _, r := range ir.Rhss(f) {
+			ir.WalkRhss(f, func(r ir.Rhs) bool {
 				if call, ok := r.(*ir.RCall); ok && res.CanGCFunc[call.Callee] {
 					res.CanGCFunc[f] = true
 					changed = true
-					break
+					return false
 				}
-			}
+				return true
+			})
 		}
 	}
 
 	// Refine call sites and collect statistics.
 	for _, f := range p.Funcs {
-		for _, r := range ir.Rhss(f) {
+		ir.WalkRhss(f, func(r ir.Rhs) bool {
 			switch r := r.(type) {
 			case *ir.RCall:
 				res.Stats.Sites++
@@ -91,7 +94,8 @@ func Analyze(p *ir.Program) *Result {
 			case *ir.RRef, *ir.RTuple, *ir.RCtor, *ir.RClosure:
 				res.Stats.Sites++
 			}
-		}
+			return true
+		})
 	}
 	return res
 }

@@ -20,32 +20,57 @@
 package liveness
 
 import (
-	"sort"
+	"math/bits"
 
 	"tagfree/internal/ir"
 )
 
-// slotSet is a set of slots keyed by index.
-type slotSet map[int]*ir.Slot
+// slotSet is a set of a function's slots: bit Idx of word Idx/64. Every set
+// of one analysis has the same length, (len(f.Slots)+63)/64 words, so a set
+// costs one small allocation where it is created (the leaves of the body
+// tree) and nothing where it is updated.
+type slotSet []uint64
 
-func (s slotSet) clone() slotSet {
-	c := make(slotSet, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
+func (s slotSet) clone() slotSet { return append(slotSet(nil), s...) }
+
+func (s slotSet) add(idx int)    { s[idx>>6] |= 1 << (idx & 63) }
+func (s slotSet) remove(idx int) { s[idx>>6] &^= 1 << (idx & 63) }
 
 func (s slotSet) addAtom(a ir.Atom) {
 	if sl, ok := a.(*ir.ASlot); ok {
-		s[sl.Slot.Idx] = sl.Slot
+		s.add(sl.Slot.Idx)
 	}
 }
 
-func (s slotSet) union(o slotSet) slotSet {
-	out := s.clone()
-	for k, v := range o {
-		out[k] = v
+// union adds o's members to s.
+func (s slotSet) union(o slotSet) {
+	for i, w := range o {
+		s[i] |= w
+	}
+}
+
+// analysis is the state of one function's pass.
+type analysis struct {
+	f *ir.Func
+	// liveAt[site] is the frame map of a site, left nil for a call that
+	// cannot collect.
+	liveAt [][]*ir.Slot
+}
+
+func (an *analysis) newSet() slotSet { return make(slotSet, (len(an.f.Slots)+63)/64) }
+
+// slots lists a set's members. Walking the words low to high yields them in
+// ascending Idx — the order frame maps are emitted in — with no sort.
+func (an *analysis) slots(s slotSet) []*ir.Slot {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	out := make([]*ir.Slot, 0, n)
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, an.f.Slots[i<<6+bits.TrailingZeros64(w)])
+		}
 	}
 	return out
 }
@@ -60,100 +85,75 @@ type joinCtx struct {
 // Analyze returns, for each call/allocation site id of f, the slots live
 // across that site, sorted by slot index.
 func Analyze(f *ir.Func) [][]*ir.Slot {
-	liveAt := make([]slotSet, f.NumCallSites)
-	analyzeExpr(f.Body, nil, liveAt)
-
-	out := make([][]*ir.Slot, f.NumCallSites)
-	for i, set := range liveAt {
-		slots := make([]*ir.Slot, 0, len(set))
-		for _, s := range set {
-			slots = append(slots, s)
-		}
-		sort.Slice(slots, func(a, b int) bool { return slots[a].Idx < slots[b].Idx })
-		out[i] = slots
-	}
-	return out
+	an := &analysis{f: f, liveAt: make([][]*ir.Slot, f.NumCallSites)}
+	an.expr(f.Body, nil)
+	return an.liveAt
 }
 
-// analyzeExpr returns the live set at the entry of e.
-func analyzeExpr(e ir.Expr, jc *joinCtx, liveAt []slotSet) slotSet {
+// expr returns the live set at the entry of e. The caller owns the result
+// and may update it in place.
+func (an *analysis) expr(e ir.Expr, jc *joinCtx) slotSet {
 	switch e := e.(type) {
 	case *ir.ERet:
-		s := slotSet{}
+		s := an.newSet()
 		s.addAtom(e.A)
 		return s
 
 	case *ir.EJoin:
 		if jc == nil {
 			// A join with no context is a lowering bug; treat as return.
-			s := slotSet{}
+			s := an.newSet()
 			s.addAtom(e.A)
 			return s
 		}
 		s := jc.live.clone()
 		if jc.dst != nil {
-			delete(s, jc.dst.Idx)
+			s.remove(jc.dst.Idx)
 		}
 		s.addAtom(e.A)
 		return s
 
-	case *ir.EMatchFail:
-		return slotSet{}
-
 	case *ir.ELet:
-		after := analyzeExpr(e.Cont, jc, liveAt)
-		live := after.clone()
-		delete(live, e.Dst.Idx)
+		live := an.expr(e.Cont, jc)
+		live.remove(e.Dst.Idx)
 
+		// A call site's map is the set live after it: arguments are copied
+		// into the callee's frame before it can allocate. An allocation
+		// site's map also holds the operands, which are re-read after a
+		// collection — so the operands join the set before the site is
+		// recorded instead of after.
 		switch r := e.Rhs.(type) {
 		case *ir.RCall:
 			if r.CanGC {
-				liveAt[r.Site] = live.clone()
+				an.liveAt[r.Site] = an.slots(live)
 			}
 		case *ir.RCallClos:
 			if r.CanGC {
-				liveAt[r.Site] = live.clone()
+				an.liveAt[r.Site] = an.slots(live)
 			}
-		case *ir.RRef:
-			m := live.clone()
-			m.addAtom(r.Init)
-			liveAt[r.Site] = m
-		case *ir.RTuple:
-			m := live.clone()
-			for _, a := range r.Elems {
-				m.addAtom(a)
-			}
-			liveAt[r.Site] = m
-		case *ir.RCtor:
-			m := live.clone()
-			for _, a := range r.Args {
-				m.addAtom(a)
-			}
-			liveAt[r.Site] = m
-		case *ir.RClosure:
-			m := live.clone()
-			for _, a := range r.Captures {
-				m.addAtom(a)
-			}
-			liveAt[r.Site] = m
 		}
-		for _, a := range ir.RhsAtoms(e.Rhs) {
-			live.addAtom(a)
+		ir.WalkAtoms(e.Rhs, live.addAtom)
+		switch r := e.Rhs.(type) {
+		case *ir.RRef:
+			an.liveAt[r.Site] = an.slots(live)
+		case *ir.RTuple:
+			an.liveAt[r.Site] = an.slots(live)
+		case *ir.RCtor:
+			an.liveAt[r.Site] = an.slots(live)
+		case *ir.RClosure:
+			an.liveAt[r.Site] = an.slots(live)
 		}
 		return live
 
 	case *ir.ECond:
 		inner := jc
-		var contLive slotSet
 		if e.Dst != nil || e.Cont != nil {
-			contLive = analyzeExpr(e.Cont, jc, liveAt)
-			inner = &joinCtx{dst: e.Dst, live: contLive}
+			inner = &joinCtx{dst: e.Dst, live: an.expr(e.Cont, jc)}
 		}
-		thenLive := analyzeExpr(e.Then, inner, liveAt)
-		elseLive := analyzeExpr(e.Else, inner, liveAt)
-		live := thenLive.union(elseLive)
+		live := an.expr(e.Then, inner)
+		live.union(an.expr(e.Else, inner))
 		live.addAtom(e.Cond)
 		return live
 	}
-	return slotSet{}
+	return an.newSet() // EMatchFail
 }

@@ -63,10 +63,10 @@ func (c *fctx) liftClosure(lam *ast.Lam, scheme *types.Scheme, em *emitter, hook
 		switch b := b.(type) {
 		case *slotBinding:
 			idx := len(fn.Captures)
-			fn.Captures = append(fn.Captures, ir.CaptureInfo{Name: name, Type: b.slot.Type})
-			atom := ir.Atom(&ir.ASlot{Slot: b.slot})
+			fn.Captures = append(fn.Captures, ir.CaptureInfo{Name: name, Type: b.atom.Slot.Type})
+			atom := ir.Atom(&b.atom)
 			if hook != nil {
-				if repl, isSelf := hook(b.slot, idx); isSelf {
+				if repl, isSelf := hook(b.atom.Slot, idx); isSelf {
 					selfCapture = idx
 					atom = &ir.AConst{Kind: ir.ConstInt, Val: 0}
 				} else if repl != nil {
@@ -74,7 +74,7 @@ func (c *fctx) liftClosure(lam *ast.Lam, scheme *types.Scheme, em *emitter, hook
 				}
 			}
 			capAtoms = append(capAtoms, atom)
-			childScope = childScope.bind(name, &captureBinding{index: idx, typ: b.slot.Type})
+			childScope = childScope.bind(name, &captureBinding{index: idx, typ: b.atom.Slot.Type})
 		case *captureBinding:
 			idx := len(fn.Captures)
 			fn.Captures = append(fn.Captures, ir.CaptureInfo{Name: name, Type: b.typ})
@@ -93,7 +93,7 @@ func (c *fctx) liftClosure(lam *ast.Lam, scheme *types.Scheme, em *emitter, hook
 		}
 	}
 	if lam.Param != "_" {
-		childScope = childScope.bind(lam.Param, &slotBinding{slot: paramSlot})
+		childScope = childScope.bind(lam.Param, bindSlot(paramSlot))
 	}
 	child.scope = childScope
 

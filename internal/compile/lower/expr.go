@@ -86,7 +86,7 @@ func (c *fctx) lowerVarValue(v *ast.Var, em *emitter) ir.Atom {
 	}
 	switch b := b.(type) {
 	case *slotBinding:
-		return &ir.ASlot{Slot: b.slot}
+		return &b.atom
 	case *captureBinding:
 		dst := c.newSlot(v.Name, b.typ)
 		em.let(dst, &ir.RField{
@@ -118,7 +118,7 @@ func (c *fctx) lowerVarValue(v *ast.Var, em *emitter) ir.Atom {
 // polymorphic call would pass no type arguments and deeper frames would
 // trace their polymorphic slots as constants — a collector soundness bug.
 func (c *fctx) occInst(fb *funcBinding, occ *ast.Var) []types.Type {
-	occInst := c.l.info.Inst[occ]
+	occInst := c.l.info.Inst(occ)
 	if occInst == nil && fb.inst == nil && fb.scheme != nil && fb.scheme.IsPoly() {
 		vars := fb.scheme.Vars()
 		out := make([]types.Type, len(vars))
@@ -130,11 +130,11 @@ func (c *fctx) occInst(fb *funcBinding, occ *ast.Var) []types.Type {
 	if fb.inst == nil {
 		return occInst
 	}
-	sch := c.l.info.VarScheme[occ]
+	sch := c.l.info.VarScheme(occ)
 	out := make([]types.Type, len(fb.inst))
 	for i, t := range fb.inst {
 		if sch != nil && sch.Group != nil {
-			out[i] = substQuant(t, sch.Group, occInst)
+			out[i] = types.SubstGroup(t, sch.Group, occInst)
 		} else {
 			out[i] = t
 		}
@@ -144,13 +144,13 @@ func (c *fctx) occInst(fb *funcBinding, occ *ast.Var) []types.Type {
 
 // lowerCtor lowers a constructor application.
 func (c *fctx) lowerCtor(ex *ast.Ctor, em *emitter) ir.Atom {
-	ci := c.l.info.ExprCtor[ex]
-	inst := c.l.info.Inst[ex]
+	ci := c.l.info.ExprCtor(ex)
+	inst := c.l.info.Inst(ex)
 	if ci.IsNullary() {
 		return &ir.ANullCtor{Ctor: ci, Inst: inst}
 	}
 	args := ex.Args
-	if c.l.info.CtorSplat[ex] {
+	if c.l.info.CtorSplat(ex) {
 		args = args[0].(*ast.Tuple).Elems
 	}
 	atoms := make([]ir.Atom, len(args))
@@ -201,19 +201,17 @@ func (c *fctx) lowerPrim(ex *ast.Prim, em *emitter) ir.Atom {
 func (c *fctx) lowerApp(app *ast.App, em *emitter) ir.Atom {
 	// Collect the spine: innermost function and argument list, left to
 	// right. spineNodes[i] is the App node after i+1 arguments.
-	var spineNodes []*ast.App
-	head := ast.Expr(app)
-	for {
-		a, ok := head.(*ast.App)
-		if !ok {
-			break
-		}
-		spineNodes = append([]*ast.App{a}, spineNodes...)
-		head = a.Fn
+	depth := 1
+	for a, ok := app.Fn.(*ast.App); ok; a, ok = a.Fn.(*ast.App) {
+		depth++
 	}
-	args := make([]ast.Expr, len(spineNodes))
-	for i, n := range spineNodes {
-		args[i] = n.Arg
+	spineNodes := make([]*ast.App, depth)
+	args := make([]ast.Expr, depth)
+	head := ast.Expr(app)
+	for i := depth - 1; i >= 0; i-- {
+		a := head.(*ast.App)
+		spineNodes[i], args[i] = a, a.Arg
+		head = a.Fn
 	}
 
 	if v, ok := head.(*ast.Var); ok {
@@ -305,14 +303,14 @@ func (c *fctx) lowerLet(ex *ast.Let, em *emitter) ir.Atom {
 	} else {
 		for i := range ex.Binds {
 			b := &ex.Binds[i]
-			scheme := c.l.info.Scheme[b.Expr]
+			scheme := c.l.info.Scheme(b.Expr)
 			switch rhs := b.Expr.(type) {
 			case *ast.Lam:
 				atom := c.liftClosureValue(rhs, scheme, em)
 				slot := c.newSlot(b.Name, scheme.Body)
 				em.let(slot, &ir.RAtom{A: atom})
 				if b.Name != "_" {
-					c.scope = c.scope.bind(b.Name, &slotBinding{slot: slot})
+					c.scope = c.scope.bind(b.Name, bindSlot(slot))
 				}
 				continue
 			case *ast.Var:
@@ -331,7 +329,7 @@ func (c *fctx) lowerLet(ex *ast.Let, em *emitter) ir.Atom {
 			slot := c.newSlot(b.Name, scheme.Body)
 			em.let(slot, &ir.RAtom{A: atom})
 			if b.Name != "_" {
-				c.scope = c.scope.bind(b.Name, &slotBinding{slot: slot})
+				c.scope = c.scope.bind(b.Name, bindSlot(slot))
 			}
 		}
 	}
@@ -353,14 +351,14 @@ func (c *fctx) lowerLocalRec(binds []ast.Bind, em *emitter) {
 		if _, ok := b.Expr.(*ast.Lam); !ok {
 			c.errf(b.P, "let rec supports only function bindings")
 		}
-		scheme := c.l.info.Scheme[b.Expr]
+		scheme := c.l.info.Scheme(b.Expr)
 		slots[i] = c.newSlot(b.Name, scheme.Body)
 	}
 	// Bind all names before lowering any body so captures resolve to the
 	// group's slots.
 	for i := range binds {
 		if binds[i].Name != "_" {
-			c.scope = c.scope.bind(binds[i].Name, &slotBinding{slot: slots[i]})
+			c.scope = c.scope.bind(binds[i].Name, bindSlot(slots[i]))
 		}
 	}
 	type patch struct {
@@ -373,7 +371,7 @@ func (c *fctx) lowerLocalRec(binds []ast.Bind, em *emitter) {
 	defined := map[*ir.Slot]bool{}
 	for i := range binds {
 		b := &binds[i]
-		scheme := c.l.info.Scheme[b.Expr]
+		scheme := c.l.info.Scheme(b.Expr)
 		var memberPatches []*patch
 		atom, target := c.liftClosure(b.Expr.(*ast.Lam), scheme, em, func(capSlot *ir.Slot, capIdx int) (ir.Atom, bool) {
 			// A capture of this group's own slots needs special handling.

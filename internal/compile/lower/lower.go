@@ -23,6 +23,7 @@ package lower
 
 import (
 	"fmt"
+	"strconv"
 
 	"tagfree/internal/ir"
 	"tagfree/internal/mlang/ast"
@@ -45,7 +46,10 @@ type Lowerer struct {
 	info    *types.Info
 	prog    *ir.Program
 	strPool map[string]int
-	nextID  int
+	// tmpNames[n] is "t<n>": every function numbers its temporaries from 0,
+	// so the names are spelled once and shared.
+	tmpNames []string
+	nextID   int
 	// top maps top-level names to bindings visible everywhere below them.
 	top *scope
 	// initEm accumulates the init function's body statements.
@@ -87,6 +91,13 @@ func (l *Lowerer) newFunc(name string) *ir.Func {
 	l.nextID++
 	l.prog.Funcs = append(l.prog.Funcs, f)
 	return f
+}
+
+func (l *Lowerer) tmpName(n int) string {
+	for len(l.tmpNames) <= n {
+		l.tmpNames = append(l.tmpNames, "t"+strconv.Itoa(len(l.tmpNames)))
+	}
+	return l.tmpNames[n]
 }
 
 func (l *Lowerer) internString(s string) int {
@@ -144,7 +155,7 @@ type fctx struct {
 
 func (c *fctx) newSlot(name string, t types.Type) *ir.Slot {
 	if name == "" {
-		name = fmt.Sprintf("t%d", c.tmpN)
+		name = c.l.tmpName(c.tmpN)
 		c.tmpN++
 	}
 	s := &ir.Slot{Idx: len(c.fn.Slots), Name: name, Type: t}
@@ -164,8 +175,8 @@ func (c *fctx) errf(pos token.Pos, format string, args ...any) {
 
 // typeOf returns the checker's type for an expression.
 func (c *fctx) typeOf(e ast.Expr) types.Type {
-	t, ok := c.l.info.ExprType[e]
-	if !ok {
+	t := c.l.info.ExprType(e)
+	if t == nil {
 		c.errf(e.Pos(), "internal: no type recorded for expression")
 	}
 	return t
@@ -241,17 +252,17 @@ func (l *Lowerer) lowerTopDecl(vd *ast.ValDecl, initCtx *fctx) {
 			fns[i] = l.newFunc(b.Name)
 			params, _ := collectParams(b.Expr.(*ast.Lam))
 			fns[i].NParams = len(params)
-			scheme := l.info.Scheme[b.Expr]
+			scheme := l.info.Scheme(b.Expr)
 			l.top = l.top.bind(b.Name, &funcBinding{fn: fns[i], scheme: scheme})
 		}
 		for i, b := range vd.Binds {
-			l.lowerTopFunc(fns[i], b.Expr.(*ast.Lam), l.info.Scheme[b.Expr])
+			l.lowerTopFunc(fns[i], b.Expr.(*ast.Lam), l.info.Scheme(b.Expr))
 		}
 		return
 	}
 
 	for _, b := range vd.Binds {
-		scheme := l.info.Scheme[b.Expr]
+		scheme := l.info.Scheme(b.Expr)
 		switch rhs := b.Expr.(type) {
 		case *ast.Lam:
 			fn := l.newFunc(b.Name)
@@ -287,17 +298,17 @@ func (l *Lowerer) lowerTopDecl(vd *ast.ValDecl, initCtx *fctx) {
 // (over h's quantified variables) at which f's type variables are
 // instantiated.
 func (l *Lowerer) composeAliasInst(fb *funcBinding, occ *ast.Var) []types.Type {
-	occInst := l.info.Inst[occ] // f's (or previous alias's) vars, in order
+	occInst := l.info.Inst(occ) // f's (or previous alias's) vars, in order
 	if fb.inst == nil {
 		return occInst
 	}
 	// fb.inst maps the ultimate target's vars over fb's scheme vars; those
 	// are instantiated by occInst here.
-	sch := l.info.VarScheme[occ]
+	sch := l.info.VarScheme(occ)
 	out := make([]types.Type, len(fb.inst))
 	for i, t := range fb.inst {
 		if sch != nil && sch.Group != nil {
-			out[i] = substQuant(t, sch.Group, occInst)
+			out[i] = types.SubstGroup(t, sch.Group, occInst)
 		} else {
 			out[i] = t
 		}
@@ -308,15 +319,17 @@ func (l *Lowerer) composeAliasInst(fb *funcBinding, occ *ast.Var) []types.Type {
 // collectParams walks a direct lambda chain, returning parameters and the
 // innermost body.
 func collectParams(lam *ast.Lam) (params []*ast.Lam, body ast.Expr) {
-	cur := lam
-	for {
-		params = append(params, cur)
-		next, ok := cur.Body.(*ast.Lam)
-		if !ok {
-			return params, cur.Body
-		}
-		cur = next
+	n := 1
+	for l, ok := lam.Body.(*ast.Lam); ok; l, ok = l.Body.(*ast.Lam) {
+		n++
 	}
+	params = make([]*ast.Lam, n)
+	for i := range params {
+		params[i] = lam
+		body = lam.Body
+		lam, _ = body.(*ast.Lam)
+	}
+	return params, body
 }
 
 // lowerTopFunc lowers a top-level function binding into fn (direct-called,
@@ -325,13 +338,13 @@ func (l *Lowerer) lowerTopFunc(fn *ir.Func, lam *ast.Lam, scheme *types.Scheme) 
 	params, body := collectParams(lam)
 	c := &fctx{l: l, fn: fn, scope: l.top}
 	for _, p := range params {
-		arrow, ok := types.Resolve(l.info.ExprType[p]).(*types.Arrow)
+		arrow, ok := types.Resolve(l.info.ExprType(p)).(*types.Arrow)
 		if !ok {
 			l.errf(p.P, "internal: lambda without arrow type")
 		}
 		slot := c.newSlot(p.Param, arrow.Dom)
 		if p.Param != "_" {
-			c.scope = c.scope.bind(p.Param, &slotBinding{slot: slot})
+			c.scope = c.scope.bind(p.Param, bindSlot(slot))
 		}
 	}
 	fn.NParams = len(params)

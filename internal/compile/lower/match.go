@@ -119,11 +119,7 @@ func (c *fctx) genTest(pat ast.Pattern, v ir.Atom, em *emitter) ir.Atom {
 }
 
 func (c *fctx) tupleElemTypes(pat ast.Pattern) []types.Type {
-	t, ok := c.l.info.PatType[pat]
-	if !ok {
-		panic("genTest: tuple pattern without recorded type")
-	}
-	tup, ok := types.Resolve(t).(*types.TupleT)
+	tup, ok := types.Resolve(c.l.info.PatType(pat)).(*types.TupleT)
 	if !ok {
 		panic("genTest: tuple pattern with non-tuple type")
 	}
@@ -131,9 +127,9 @@ func (c *fctx) tupleElemTypes(pat ast.Pattern) []types.Type {
 }
 
 func (c *fctx) genCtorTest(p *ast.PCtor, v ir.Atom, em *emitter) ir.Atom {
-	ci := c.l.info.PatCtor[p]
+	ci := c.l.info.PatCtor(p)
 	data := ci.Data
-	inst := c.l.info.PatInst[p]
+	inst := c.l.info.PatInst(p)
 
 	if ci.IsNullary() {
 		return c.emitPrimBool(ir.PEq, v, &ir.ANullCtor{Ctor: ci, Inst: inst}, em)
@@ -142,7 +138,7 @@ func (c *fctx) genCtorTest(p *ast.PCtor, v ir.Atom, em *emitter) ir.Atom {
 	hasNullary := len(data.Ctors) > data.BoxedCtors
 	fieldTypes := ci.Instantiate(inst)
 	args := p.Args
-	if c.l.info.PatSplat[p] {
+	if c.l.info.PatSplat(p) {
 		args = args[0].(*ast.PTuple).Elems
 	}
 
@@ -236,10 +232,10 @@ func (c *fctx) genBind(pat ast.Pattern, v ir.Atom, em *emitter) {
 	case *ast.PWild, *ast.PInt, *ast.PBool, *ast.PUnit:
 
 	case *ast.PVar:
-		t := c.l.info.PatType[pat]
+		t := c.l.info.PatType(pat)
 		slot := c.newSlot(p.Name, t)
 		em.let(slot, &ir.RAtom{A: v})
-		c.scope = c.scope.bind(p.Name, &slotBinding{slot: slot})
+		c.scope = c.scope.bind(p.Name, bindSlot(slot))
 
 	case *ast.PTuple:
 		elemTypes := c.tupleElemTypes(pat)
@@ -252,14 +248,14 @@ func (c *fctx) genBind(pat ast.Pattern, v ir.Atom, em *emitter) {
 		}
 
 	case *ast.PCtor:
-		ci := c.l.info.PatCtor[p]
+		ci := c.l.info.PatCtor(p)
 		if ci.IsNullary() {
 			return
 		}
-		inst := c.l.info.PatInst[p]
+		inst := c.l.info.PatInst(p)
 		fieldTypes := ci.Instantiate(inst)
 		args := p.Args
-		if c.l.info.PatSplat[p] {
+		if c.l.info.PatSplat(p) {
 			args = args[0].(*ast.PTuple).Elems
 		}
 		for i, a := range args {

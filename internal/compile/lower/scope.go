@@ -9,8 +9,11 @@ import (
 // binding is what a name resolves to during lowering.
 type binding interface{ binding() }
 
-// slotBinding: a local slot of the current function.
-type slotBinding struct{ slot *ir.Slot }
+// slotBinding: a local slot of the current function. Every occurrence of the
+// name reads it through the one atom.
+type slotBinding struct{ atom ir.ASlot }
+
+func bindSlot(slot *ir.Slot) *slotBinding { return &slotBinding{atom: ir.ASlot{Slot: slot}} }
 
 // captureBinding: a capture of the current function (index into Captures).
 type captureBinding struct {
@@ -200,36 +203,4 @@ func quantVarsIn(t types.Type, acc []*types.Var) []*types.Var {
 		}
 	}
 	return acc
-}
-
-// substQuant replaces quantified variables owned by group with the
-// corresponding entries of args.
-func substQuant(t types.Type, group *types.GenGroup, args []types.Type) types.Type {
-	switch t := types.Resolve(t).(type) {
-	case *types.Base:
-		return t
-	case *types.Var:
-		if t.Quant != nil && t.Quant.Owner == group {
-			return args[t.Quant.Index]
-		}
-		return t
-	case *types.Arrow:
-		return &types.Arrow{
-			Dom: substQuant(t.Dom, group, args),
-			Cod: substQuant(t.Cod, group, args),
-		}
-	case *types.TupleT:
-		elems := make([]types.Type, len(t.Elems))
-		for i, e := range t.Elems {
-			elems[i] = substQuant(e, group, args)
-		}
-		return &types.TupleT{Elems: elems}
-	case *types.Con:
-		as := make([]types.Type, len(t.Args))
-		for i, a := range t.Args {
-			as[i] = substQuant(a, group, args)
-		}
-		return &types.Con{Name: t.Name, Args: as, Data: t.Data}
-	}
-	panic("substQuant: unreachable")
 }

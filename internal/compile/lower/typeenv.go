@@ -27,18 +27,9 @@ import (
 //     universal runtime type passing — the completeness gap in the paper's
 //     stack-only protocol — and is rejected with a diagnostic.
 func ComputeTypeInfo(p *ir.Program) error {
-	inEnv := make([]map[*types.Var]int, len(p.Funcs))
-
-	// Pass A: complete TypeEnv top-down (parents have smaller IDs).
+	// Pass A: complete TypeEnv top-down (parents have smaller IDs, so a
+	// parent's environment is complete when its children are visited).
 	for _, f := range p.Funcs {
-		own := map[*types.Var]bool{}
-		for _, v := range f.TypeEnv {
-			own[v] = true
-		}
-		var parentEnv map[*types.Var]int
-		if f.Parent != nil {
-			parentEnv = inEnv[f.Parent.ID]
-		}
 		var scanned []*types.Var
 		scan := func(t types.Type) {
 			if t != nil {
@@ -52,7 +43,14 @@ func ComputeTypeInfo(p *ir.Program) error {
 			scan(c.Type)
 		}
 		scan(f.RetType)
-		for _, r := range ir.Rhss(f) {
+		scanAtom := func(a ir.Atom) {
+			if nc, ok := a.(*ir.ANullCtor); ok {
+				for _, t := range nc.Inst {
+					scan(t)
+				}
+			}
+		}
+		ir.WalkRhss(f, func(r ir.Rhs) bool {
 			switch r := r.(type) {
 			case *ir.RCall:
 				for _, t := range r.Inst {
@@ -69,36 +67,22 @@ func ComputeTypeInfo(p *ir.Program) error {
 					scan(t)
 				}
 			}
-			for _, a := range ir.RhsAtoms(r) {
-				if nc, ok := a.(*ir.ANullCtor); ok {
-					for _, t := range nc.Inst {
-						scan(t)
-					}
-				}
-			}
-		}
+			ir.WalkAtoms(r, scanAtom)
+			return true
+		})
 		for _, v := range scanned {
-			if own[v] {
+			if f.TypeEnvIndex(v) >= 0 {
 				continue
 			}
-			if parentEnv != nil {
-				if _, visible := parentEnv[v]; visible {
-					f.TypeEnv = append(f.TypeEnv, v)
-					own[v] = true
-					continue
-				}
+			if f.Parent != nil && f.Parent.TypeEnvIndex(v) >= 0 {
+				f.TypeEnv = append(f.TypeEnv, v)
 			}
-			// Not visible through the lexical chain: the variable belongs to
-			// an inner polymorphic binding's scheme. Values typed by it are
-			// parametric (they cannot carry pointers reachable only through
-			// such positions), so the collector treats those positions as
-			// opaque; nothing to record.
+			// Otherwise not visible through the lexical chain: the variable
+			// belongs to an inner polymorphic binding's scheme. Values typed
+			// by it are parametric (they cannot carry pointers reachable only
+			// through such positions), so the collector treats those
+			// positions as opaque; nothing to record.
 		}
-		env := make(map[*types.Var]int, len(f.TypeEnv))
-		for i, v := range f.TypeEnv {
-			env[v] = i
-		}
-		inEnv[f.ID] = env
 
 		if len(f.TypeEnv) == 0 {
 			f.TypeSource = ir.TypeSourceNone
@@ -125,10 +109,9 @@ func ComputeTypeInfo(p *ir.Program) error {
 		}
 	}
 
-	// Pass C: the rep fixpoint.
-	runtimeNeeded := make([]map[int]bool, len(p.Funcs))
+	// Pass C: the rep fixpoint, over each function's RuntimeNeeded.
 	for _, f := range p.Funcs {
-		runtimeNeeded[f.ID] = map[int]bool{}
+		f.RuntimeNeeded = make([]bool, len(f.TypeEnv))
 	}
 	stored := func(g *ir.Func, i int) bool {
 		if !g.HasEnv {
@@ -137,7 +120,7 @@ func ComputeTypeInfo(p *ir.Program) error {
 		if g.TypeDerivs != nil && g.TypeDerivs[i] == nil {
 			return true
 		}
-		return runtimeNeeded[g.ID][i]
+		return g.RuntimeNeeded[i]
 	}
 	need := func(f *ir.Func, v *types.Var) bool {
 		idx := f.TypeEnvIndex(v)
@@ -146,8 +129,8 @@ func ComputeTypeInfo(p *ir.Program) error {
 			// rep, available at compile time.
 			return false
 		}
-		if !runtimeNeeded[f.ID][idx] {
-			runtimeNeeded[f.ID][idx] = true
+		if !f.RuntimeNeeded[idx] {
+			f.RuntimeNeeded[idx] = true
 			return true
 		}
 		return false
@@ -155,7 +138,7 @@ func ComputeTypeInfo(p *ir.Program) error {
 	for changed := true; changed; {
 		changed = false
 		for _, f := range p.Funcs {
-			for _, r := range ir.Rhss(f) {
+			ir.WalkRhss(f, func(r ir.Rhs) bool {
 				switch r := r.(type) {
 				case *ir.RClosure:
 					g := r.Target
@@ -173,7 +156,7 @@ func ComputeTypeInfo(p *ir.Program) error {
 				case *ir.RCall:
 					g := r.Callee
 					for i := range g.TypeEnv {
-						if !runtimeNeeded[g.ID][i] {
+						if !g.RuntimeNeeded[i] {
 							continue
 						}
 						var t types.Type
@@ -190,20 +173,16 @@ func ComputeTypeInfo(p *ir.Program) error {
 						}
 					}
 				}
-			}
+				return true
+			})
 		}
 	}
 
 	// Finalize per-function rep layouts and detect the unobtainable case.
 	for _, f := range p.Funcs {
-		f.RuntimeNeeded = make([]bool, len(f.TypeEnv))
 		f.RepWord = make([]int, len(f.TypeEnv))
 		for i := range f.RepWord {
 			f.RepWord[i] = -1
-		}
-		rn := runtimeNeeded[f.ID]
-		for i := range f.TypeEnv {
-			f.RuntimeNeeded[i] = rn[i]
 		}
 		if f.HasEnv {
 			n := 0
@@ -223,8 +202,8 @@ func ComputeTypeInfo(p *ir.Program) error {
 			}
 			f.NumRepWords = n
 		} else {
-			for i := range f.TypeEnv {
-				if rn[i] {
+			for _, needed := range f.RuntimeNeeded {
+				if needed {
 					f.NeedsReps = true
 				}
 			}

@@ -97,7 +97,9 @@ func TestRhsAtomsCoverage(t *testing.T) {
 		{&RPatchCapture{Clos: a, Val: b, Target: f}, 2},
 	}
 	for i, c := range cases {
-		if got := len(RhsAtoms(c.r)); got != c.n {
+		got := 0
+		WalkAtoms(c.r, func(Atom) { got++ })
+		if got != c.n {
 			t.Errorf("case %d (%T): %d atoms, want %d", i, c.r, got, c.n)
 		}
 	}

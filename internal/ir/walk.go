@@ -16,48 +16,80 @@ func WalkExprs(body Expr, visit func(Expr)) {
 	}
 }
 
-// Rhss returns every computation in the function body, in preorder.
+// WalkRhss calls visit on every computation in the function body, in
+// preorder, until visit returns false. It allocates nothing: the compiler's
+// passes walk bodies with it instead of materialising them.
+func WalkRhss(f *Func, visit func(Rhs) bool) { walkRhss(f.Body, visit) }
+
+func walkRhss(e Expr, visit func(Rhs) bool) bool {
+	for {
+		switch n := e.(type) {
+		case *ELet:
+			if !visit(n.Rhs) {
+				return false
+			}
+			e = n.Cont
+		case *ECond:
+			if !walkRhss(n.Then, visit) || !walkRhss(n.Else, visit) {
+				return false
+			}
+			e = n.Cont
+		default:
+			return true
+		}
+	}
+}
+
+// Rhss returns every computation in the function body, in preorder: WalkRhss
+// as a list, for tests and tools.
 func Rhss(f *Func) []Rhs {
 	var out []Rhs
-	WalkExprs(f.Body, func(e Expr) {
-		if let, ok := e.(*ELet); ok {
-			out = append(out, let.Rhs)
-		}
+	WalkRhss(f, func(r Rhs) bool {
+		out = append(out, r)
+		return true
 	})
 	return out
 }
 
-// RhsAtoms returns the operand atoms of a computation.
-func RhsAtoms(r Rhs) []Atom {
+// WalkAtoms calls visit on each operand atom of a computation, in operand
+// order.
+func WalkAtoms(r Rhs, visit func(Atom)) {
+	each := func(as []Atom) {
+		for _, a := range as {
+			visit(a)
+		}
+	}
 	switch r := r.(type) {
 	case *RAtom:
-		return []Atom{r.A}
+		visit(r.A)
 	case *RPrim:
-		return r.Args
+		each(r.Args)
 	case *RRef:
-		return []Atom{r.Init}
+		visit(r.Init)
 	case *RDeref:
-		return []Atom{r.Ref}
+		visit(r.Ref)
 	case *RAssign:
-		return []Atom{r.Ref, r.Val}
+		visit(r.Ref)
+		visit(r.Val)
 	case *RTuple:
-		return r.Elems
+		each(r.Elems)
 	case *RCtor:
-		return r.Args
+		each(r.Args)
 	case *RField:
-		return []Atom{r.Obj}
+		visit(r.Obj)
 	case *RClosure:
-		return r.Captures
+		each(r.Captures)
 	case *RCall:
-		return r.Args
+		each(r.Args)
 	case *RCallClos:
-		return []Atom{r.Clos, r.Arg}
+		visit(r.Clos)
+		visit(r.Arg)
 	case *RBuiltin:
-		return r.Args
+		each(r.Args)
 	case *RSetGlobal:
-		return []Atom{r.Val}
+		visit(r.Val)
 	case *RPatchCapture:
-		return []Atom{r.Clos, r.Val}
+		visit(r.Clos)
+		visit(r.Val)
 	}
-	return nil
 }

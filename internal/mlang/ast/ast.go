@@ -93,40 +93,53 @@ func (t *TETuple) String() string {
 // Patterns.
 // ---------------------------------------------------------------------------
 
-// Pattern is a match pattern.
+// Pattern is a match pattern. Index is the node's dense index among the
+// program's patterns (0 <= Index < Program.Pats), stamped by the parser: the
+// checker's per-pattern tables are slices indexed by it.
 type Pattern interface {
 	Node
 	pattern()
+	Index() int
 	String() string
 }
 
 // PWild is the wildcard pattern _.
-type PWild struct{ P token.Pos }
+type PWild struct {
+	P  token.Pos
+	ID int
+}
 
 // PVar binds a variable.
 type PVar struct {
 	P    token.Pos
+	ID   int
 	Name string
 }
 
 // PInt matches an integer literal.
 type PInt struct {
 	P   token.Pos
+	ID  int
 	Val int64
 }
 
 // PBool matches true or false.
 type PBool struct {
 	P   token.Pos
+	ID  int
 	Val bool
 }
 
 // PUnit matches ().
-type PUnit struct{ P token.Pos }
+type PUnit struct {
+	P  token.Pos
+	ID int
+}
 
 // PTuple matches a tuple.
 type PTuple struct {
 	P     token.Pos
+	ID    int
 	Elems []Pattern
 }
 
@@ -134,6 +147,7 @@ type PTuple struct {
 // nullary constructor. List patterns desugar to PCtor{"::"} and PCtor{"[]"}.
 type PCtor struct {
 	P    token.Pos
+	ID   int
 	Name string
 	Args []Pattern
 }
@@ -145,6 +159,14 @@ func (p *PBool) Pos() token.Pos  { return p.P }
 func (p *PUnit) Pos() token.Pos  { return p.P }
 func (p *PTuple) Pos() token.Pos { return p.P }
 func (p *PCtor) Pos() token.Pos  { return p.P }
+
+func (p *PWild) Index() int  { return p.ID }
+func (p *PVar) Index() int   { return p.ID }
+func (p *PInt) Index() int   { return p.ID }
+func (p *PBool) Index() int  { return p.ID }
+func (p *PUnit) Index() int  { return p.ID }
+func (p *PTuple) Index() int { return p.ID }
+func (p *PCtor) Index() int  { return p.ID }
 
 func (*PWild) pattern()  {}
 func (*PVar) pattern()   {}
@@ -184,36 +206,46 @@ func (p *PCtor) String() string {
 // Expressions.
 // ---------------------------------------------------------------------------
 
-// Expr is an expression.
+// Expr is an expression. Index is the node's dense index among the program's
+// expressions (0 <= Index < Program.Exprs), stamped by the parser: the
+// checker's per-expression tables are slices indexed by it.
 type Expr interface {
 	Node
 	expr()
+	Index() int
 }
 
 // IntLit is an integer literal.
 type IntLit struct {
 	P   token.Pos
+	ID  int
 	Val int64
 }
 
 // BoolLit is true or false.
 type BoolLit struct {
 	P   token.Pos
+	ID  int
 	Val bool
 }
 
 // UnitLit is ().
-type UnitLit struct{ P token.Pos }
+type UnitLit struct {
+	P  token.Pos
+	ID int
+}
 
 // StrLit is a string literal (only used by print_string).
 type StrLit struct {
 	P   token.Pos
+	ID  int
 	Val string
 }
 
 // Var is a variable reference.
 type Var struct {
 	P    token.Pos
+	ID   int
 	Name string
 }
 
@@ -221,6 +253,7 @@ type Var struct {
 // List literals and :: desugar into Ctor nodes.
 type Ctor struct {
 	P    token.Pos
+	ID   int
 	Name string
 	Args []Expr
 }
@@ -229,6 +262,7 @@ type Ctor struct {
 // Apps).
 type App struct {
 	P       token.Pos
+	ID      int
 	Fn, Arg Expr
 }
 
@@ -237,6 +271,7 @@ type App struct {
 // the parameter and may be nil.
 type Lam struct {
 	P        token.Pos
+	ID       int
 	Param    string
 	ParamAnn TypeExpr
 	Body     Expr
@@ -247,6 +282,7 @@ type Lam struct {
 // always a plain expression.
 type Let struct {
 	P     token.Pos
+	ID    int
 	Rec   bool
 	Binds []Bind
 	Body  Expr
@@ -263,12 +299,14 @@ type Bind struct {
 // If is a conditional.
 type If struct {
 	P                token.Pos
+	ID               int
 	Cond, Then, Else Expr
 }
 
 // Match is pattern matching.
 type Match struct {
 	P     token.Pos
+	ID    int
 	Scrut Expr
 	Arms  []Arm
 }
@@ -283,6 +321,7 @@ type Arm struct {
 // Tuple is (e1, e2, ...), always with at least two elements.
 type Tuple struct {
 	P     token.Pos
+	ID    int
 	Elems []Expr
 }
 
@@ -290,6 +329,7 @@ type Tuple struct {
 // and reference operators.
 type Prim struct {
 	P    token.Pos
+	ID   int
 	Op   PrimOp
 	Args []Expr
 }
@@ -297,12 +337,14 @@ type Prim struct {
 // Seq is e1; e2 — evaluate e1 for effect, yield e2.
 type Seq struct {
 	P           token.Pos
+	ID          int
 	First, Rest Expr
 }
 
 // Ann is a type-annotated expression (e : t).
 type Ann struct {
 	P    token.Pos
+	ID   int
 	Expr Expr
 	Type TypeExpr
 }
@@ -322,6 +364,22 @@ func (e *Tuple) Pos() token.Pos   { return e.P }
 func (e *Prim) Pos() token.Pos    { return e.P }
 func (e *Seq) Pos() token.Pos     { return e.P }
 func (e *Ann) Pos() token.Pos     { return e.P }
+
+func (e *IntLit) Index() int  { return e.ID }
+func (e *BoolLit) Index() int { return e.ID }
+func (e *UnitLit) Index() int { return e.ID }
+func (e *StrLit) Index() int  { return e.ID }
+func (e *Var) Index() int     { return e.ID }
+func (e *Ctor) Index() int    { return e.ID }
+func (e *App) Index() int     { return e.ID }
+func (e *Lam) Index() int     { return e.ID }
+func (e *Let) Index() int     { return e.ID }
+func (e *If) Index() int      { return e.ID }
+func (e *Match) Index() int   { return e.ID }
+func (e *Tuple) Index() int   { return e.ID }
+func (e *Prim) Index() int    { return e.ID }
+func (e *Seq) Index() int     { return e.ID }
+func (e *Ann) Index() int     { return e.ID }
 
 func (*IntLit) expr()  {}
 func (*BoolLit) expr() {}
@@ -419,7 +477,64 @@ func (d *ValDecl) Pos() token.Pos  { return d.P }
 func (*TypeDecl) decl() {}
 func (*ValDecl) decl()  {}
 
-// Program is a parsed compilation unit.
+// Program is a parsed compilation unit. Exprs and Pats count its expression
+// and pattern nodes: every node's Index is below them.
 type Program struct {
 	Decls []Decl
+	Exprs int
+	Pats  int
+}
+
+// WalkExprs visits every expression of the program in preorder, declarations
+// and their bindings in source order.
+func WalkExprs(prog *Program, visit func(Expr)) {
+	for _, d := range prog.Decls {
+		if vd, ok := d.(*ValDecl); ok {
+			for _, b := range vd.Binds {
+				walkExpr(b.Expr, visit)
+			}
+		}
+	}
+}
+
+func walkExpr(e Expr, visit func(Expr)) {
+	visit(e)
+	switch e := e.(type) {
+	case *Ctor:
+		for _, a := range e.Args {
+			walkExpr(a, visit)
+		}
+	case *App:
+		walkExpr(e.Fn, visit)
+		walkExpr(e.Arg, visit)
+	case *Lam:
+		walkExpr(e.Body, visit)
+	case *Let:
+		for _, b := range e.Binds {
+			walkExpr(b.Expr, visit)
+		}
+		walkExpr(e.Body, visit)
+	case *If:
+		walkExpr(e.Cond, visit)
+		walkExpr(e.Then, visit)
+		walkExpr(e.Else, visit)
+	case *Match:
+		walkExpr(e.Scrut, visit)
+		for _, arm := range e.Arms {
+			walkExpr(arm.Body, visit)
+		}
+	case *Tuple:
+		for _, el := range e.Elems {
+			walkExpr(el, visit)
+		}
+	case *Prim:
+		for _, a := range e.Args {
+			walkExpr(a, visit)
+		}
+	case *Seq:
+		walkExpr(e.First, visit)
+		walkExpr(e.Rest, visit)
+	case *Ann:
+		walkExpr(e.Expr, visit)
+	}
 }

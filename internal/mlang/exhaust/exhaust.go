@@ -30,13 +30,11 @@ func (w Warning) String() string { return fmt.Sprintf("%s: warning: %s", w.Pos, 
 // Check analyzes every match expression in the program.
 func Check(prog *ast.Program, info *types.Info) []Warning {
 	c := &checker{info: info}
-	for _, d := range prog.Decls {
-		if vd, ok := d.(*ast.ValDecl); ok {
-			for _, b := range vd.Binds {
-				c.walkExpr(b.Expr)
-			}
+	ast.WalkExprs(prog, func(e ast.Expr) {
+		if m, ok := e.(*ast.Match); ok {
+			c.checkMatch(m)
 		}
-	}
+	})
 	return c.warnings
 }
 
@@ -49,50 +47,8 @@ func (c *checker) warnf(pos token.Pos, format string, args ...any) {
 	c.warnings = append(c.warnings, Warning{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (c *checker) walkExpr(e ast.Expr) {
-	switch e := e.(type) {
-	case *ast.Ctor:
-		for _, a := range e.Args {
-			c.walkExpr(a)
-		}
-	case *ast.App:
-		c.walkExpr(e.Fn)
-		c.walkExpr(e.Arg)
-	case *ast.Lam:
-		c.walkExpr(e.Body)
-	case *ast.Let:
-		for _, b := range e.Binds {
-			c.walkExpr(b.Expr)
-		}
-		c.walkExpr(e.Body)
-	case *ast.If:
-		c.walkExpr(e.Cond)
-		c.walkExpr(e.Then)
-		c.walkExpr(e.Else)
-	case *ast.Match:
-		c.checkMatch(e)
-		c.walkExpr(e.Scrut)
-		for _, arm := range e.Arms {
-			c.walkExpr(arm.Body)
-		}
-	case *ast.Tuple:
-		for _, el := range e.Elems {
-			c.walkExpr(el)
-		}
-	case *ast.Prim:
-		for _, a := range e.Args {
-			c.walkExpr(a)
-		}
-	case *ast.Seq:
-		c.walkExpr(e.First)
-		c.walkExpr(e.Rest)
-	case *ast.Ann:
-		c.walkExpr(e.Expr)
-	}
-}
-
 func (c *checker) checkMatch(m *ast.Match) {
-	scrutType := c.info.ExprType[m.Scrut]
+	scrutType := c.info.ExprType(m.Scrut)
 	rows := make([]patRow, 0, len(m.Arms))
 	for i, arm := range m.Arms {
 		row := patRow{pats: []pat{c.convert(arm.Pat)}}
@@ -164,9 +120,9 @@ type patRow struct{ pats []pat }
 func (c *checker) convert(p ast.Pattern) pat {
 	switch p := p.(type) {
 	case *ast.PWild:
-		return pat{wild: true, ty: c.info.PatType[p]}
+		return pat{wild: true, ty: c.info.PatType(p)}
 	case *ast.PVar:
-		return pat{wild: true, ty: c.info.PatType[p]}
+		return pat{wild: true, ty: c.info.PatType(p)}
 	case *ast.PUnit:
 		return pat{head: "()", complete: []headInfo{{name: "()"}}}
 	case *ast.PBool:
@@ -182,15 +138,15 @@ func (c *checker) convert(p ast.Pattern) pat {
 		tys := make([]types.Type, len(p.Elems))
 		for i, el := range p.Elems {
 			args[i] = c.convert(el)
-			tys[i] = c.info.PatType[el]
+			tys[i] = c.info.PatType(el)
 		}
 		return pat{head: "(,)", arity: len(args), args: args,
 			complete: []headInfo{{name: "(,)", arity: len(args), subTypes: tys}}}
 	case *ast.PCtor:
-		ci := c.info.PatCtor[p]
-		inst := c.info.PatInst[p]
+		ci := c.info.PatCtor(p)
+		inst := c.info.PatInst(p)
 		argPats := p.Args
-		if c.info.PatSplat[p] {
+		if c.info.PatSplat(p) {
 			argPats = argPats[0].(*ast.PTuple).Elems
 		}
 		args := make([]pat, len(argPats))

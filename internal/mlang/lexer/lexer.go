@@ -44,31 +44,33 @@ func (l *Lexer) errorf(pos token.Pos, format string, args ...any) {
 	l.errs = append(l.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (l *Lexer) peek() rune {
-	if l.off >= len(l.src) {
-		return -1
+// runeAt decodes the rune at byte offset off (-1 past the end) and its width.
+func (l *Lexer) runeAt(off int) (rune, int) {
+	if off >= len(l.src) {
+		return -1, 0
 	}
-	r, _ := utf8.DecodeRuneInString(l.src[l.off:])
+	if c := l.src[off]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[off:])
+}
+
+func (l *Lexer) peek() rune {
+	r, _ := l.runeAt(l.off)
 	return r
 }
 
 func (l *Lexer) peek2() rune {
-	if l.off >= len(l.src) {
-		return -1
-	}
-	_, w := utf8.DecodeRuneInString(l.src[l.off:])
-	if l.off+w >= len(l.src) {
-		return -1
-	}
-	r, _ := utf8.DecodeRuneInString(l.src[l.off+w:])
+	_, w := l.runeAt(l.off)
+	r, _ := l.runeAt(l.off + w)
 	return r
 }
 
 func (l *Lexer) next() rune {
-	if l.off >= len(l.src) {
+	r, w := l.runeAt(l.off)
+	if w == 0 {
 		return -1
 	}
-	r, w := utf8.DecodeRuneInString(l.src[l.off:])
 	l.off += w
 	if r == '\n' {
 		l.line++
@@ -291,7 +293,8 @@ func (l *Lexer) scanString(pos token.Pos) token.Token {
 }
 
 // All scans the entire input and returns every token up to and including the
-// first EOF. It is a convenience for tests and the parser.
+// first EOF. It is a convenience for tests and tools; the parser pulls its
+// tokens one at a time through Next.
 func (l *Lexer) All() []token.Token {
 	var out []token.Token
 	for {

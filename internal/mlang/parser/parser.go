@@ -36,65 +36,86 @@ type Error struct {
 // Error implements the error interface.
 func (e *Error) Error() string { return fmt.Sprintf("%s: syntax error: %s", e.Pos, e.Msg) }
 
+// parser pulls tokens from the lexer through a three-token window: the
+// grammar never rewinds and looks at most two tokens past the current one
+// (parseParams), so the token stream is never materialised.
 type parser struct {
-	toks []token.Token
-	pos  int
+	lx *lexer.Lexer
+	// win[0] is the current token, win[1] and win[2] the lookahead. Past the
+	// end of input every entry is EOF.
+	win [3]token.Token
+	// exprs and pats count the expression and pattern nodes built so far;
+	// each node's index is the count at its creation.
+	exprs, pats int
+}
+
+func newParser(src string) *parser {
+	p := &parser{lx: lexer.New(src)}
+	for i := range p.win {
+		p.win[i] = p.lx.Next()
+	}
+	return p
 }
 
 // Parse parses a full MinML program.
 func Parse(src string) (*ast.Program, error) {
-	lx := lexer.New(src)
-	toks := lx.All()
-	if errs := lx.Errors(); len(errs) > 0 {
-		return nil, errs[0]
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	prog := &ast.Program{}
 	for !p.at(token.EOF) {
 		d, err := p.parseDecl()
 		if err != nil {
-			return nil, err
+			return nil, p.finish(err)
 		}
 		prog.Decls = append(prog.Decls, d)
 		for p.at(token.SEMISEMI) {
 			p.next()
 		}
 	}
+	if err := p.finish(nil); err != nil {
+		return nil, err
+	}
+	prog.Exprs, prog.Pats = p.exprs, p.pats
 	return prog, nil
 }
 
 // ParseExpr parses a single expression (used by tests and the REPL-style
 // tooling).
 func ParseExpr(src string) (ast.Expr, error) {
-	lx := lexer.New(src)
-	toks := lx.All()
-	if errs := lx.Errors(); len(errs) > 0 {
-		return nil, errs[0]
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
+	if err == nil && !p.at(token.EOF) {
+		err = p.errf("unexpected %s after expression", p.cur())
 	}
-	if !p.at(token.EOF) {
-		return nil, p.errf("unexpected %s after expression", p.cur())
+	if err = p.finish(err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-func (p *parser) cur() token.Token     { return p.toks[p.pos] }
-func (p *parser) at(k token.Kind) bool { return p.toks[p.pos].Kind == k }
-func (p *parser) peekKind(n int) token.Kind {
-	if p.pos+n >= len(p.toks) {
-		return token.EOF
+// finish decides the error of a parse that ended with err (nil at EOF). The
+// first lexical error anywhere in the input wins over a syntax error, even an
+// earlier one, so the rest of the input is scanned before answering.
+func (p *parser) finish(err error) error {
+	for p.win[2].Kind != token.EOF {
+		p.win[2] = p.lx.Next()
 	}
-	return p.toks[p.pos+n].Kind
+	if errs := p.lx.Errors(); len(errs) > 0 {
+		return errs[0]
+	}
+	return err
 }
 
+func (p *parser) newExpr() int { p.exprs++; return p.exprs - 1 }
+func (p *parser) newPat() int  { p.pats++; return p.pats - 1 }
+
+func (p *parser) cur() token.Token          { return p.win[0] }
+func (p *parser) at(k token.Kind) bool      { return p.win[0].Kind == k }
+func (p *parser) peekKind(n int) token.Kind { return p.win[n].Kind }
+
 func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
+	t := p.win[0]
 	if t.Kind != token.EOF {
-		p.pos++
+		p.win[0], p.win[1], p.win[2] = p.win[1], p.win[2], p.lx.Next()
 	}
 	return t
 }
@@ -316,11 +337,11 @@ func (p *parser) parseBind() (ast.Bind, error) {
 	}
 	// Result annotation on a function binding annotates the innermost body.
 	if ann != nil && len(params) > 0 {
-		body = &ast.Ann{P: body.Pos(), Expr: body, Type: ann}
+		body = &ast.Ann{P: body.Pos(), ID: p.newExpr(), Expr: body, Type: ann}
 		ann = nil
 	}
 	for i := len(params) - 1; i >= 0; i-- {
-		body = &ast.Lam{P: params[i].pos, Param: params[i].name, ParamAnn: params[i].ann, Body: body}
+		body = &ast.Lam{P: params[i].pos, ID: p.newExpr(), Param: params[i].name, ParamAnn: params[i].ann, Body: body}
 	}
 	return ast.Bind{P: name.Pos, Name: nm, Expr: body, Ann: ann}, nil
 }
@@ -448,7 +469,7 @@ func (p *parser) parseSeq() (ast.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ast.Seq{P: t.Pos, First: first, Rest: rest}, nil
+	return &ast.Seq{P: t.Pos, ID: p.newExpr(), First: first, Rest: rest}, nil
 }
 
 func (p *parser) parseAssign() (ast.Expr, error) {
@@ -465,7 +486,7 @@ func (p *parser) parseAssign() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Prim{P: t.Pos, Op: ast.OpAssign, Args: []ast.Expr{lhs, rhs}}, nil
+		return &ast.Prim{P: t.Pos, ID: p.newExpr(), Op: ast.OpAssign, Args: []ast.Expr{lhs, rhs}}, nil
 	}
 	return lhs, nil
 }
@@ -492,7 +513,7 @@ func (p *parser) parseOr() (ast.Expr, error) {
 			return nil, err
 		}
 		// Short-circuit: a || b  ==>  if a then true else b.
-		lhs = &ast.If{P: t.Pos, Cond: lhs, Then: &ast.BoolLit{P: t.Pos, Val: true}, Else: rhs}
+		lhs = &ast.If{P: t.Pos, ID: p.newExpr(), Cond: lhs, Then: &ast.BoolLit{P: t.Pos, ID: p.newExpr(), Val: true}, Else: rhs}
 	}
 	return lhs, nil
 }
@@ -509,7 +530,7 @@ func (p *parser) parseAnd() (ast.Expr, error) {
 			return nil, err
 		}
 		// Short-circuit: a && b  ==>  if a then b else false.
-		lhs = &ast.If{P: t.Pos, Cond: lhs, Then: rhs, Else: &ast.BoolLit{P: t.Pos, Val: false}}
+		lhs = &ast.If{P: t.Pos, ID: p.newExpr(), Cond: lhs, Then: rhs, Else: &ast.BoolLit{P: t.Pos, ID: p.newExpr(), Val: false}}
 	}
 	return lhs, nil
 }
@@ -530,7 +551,7 @@ func (p *parser) parseCmp() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Prim{P: t.Pos, Op: op, Args: []ast.Expr{lhs, rhs}}, nil
+		return &ast.Prim{P: t.Pos, ID: p.newExpr(), Op: op, Args: []ast.Expr{lhs, rhs}}, nil
 	}
 	return lhs, nil
 }
@@ -546,7 +567,7 @@ func (p *parser) parseCons() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Ctor{P: t.Pos, Name: "::", Args: []ast.Expr{lhs, rhs}}, nil
+		return &ast.Ctor{P: t.Pos, ID: p.newExpr(), Name: "::", Args: []ast.Expr{lhs, rhs}}, nil
 	}
 	return lhs, nil
 }
@@ -566,7 +587,7 @@ func (p *parser) parseAdd() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = &ast.Prim{P: t.Pos, Op: op, Args: []ast.Expr{lhs, rhs}}
+		lhs = &ast.Prim{P: t.Pos, ID: p.newExpr(), Op: op, Args: []ast.Expr{lhs, rhs}}
 	}
 	return lhs, nil
 }
@@ -591,7 +612,7 @@ func (p *parser) parseMul() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = &ast.Prim{P: t.Pos, Op: op, Args: []ast.Expr{lhs, rhs}}
+		lhs = &ast.Prim{P: t.Pos, ID: p.newExpr(), Op: op, Args: []ast.Expr{lhs, rhs}}
 	}
 	return lhs, nil
 }
@@ -607,34 +628,34 @@ func (p *parser) parseUnary() (ast.Expr, error) {
 			if err != nil {
 				return nil, &Error{Pos: lit.Pos, Msg: "integer literal out of range"}
 			}
-			return &ast.IntLit{P: t.Pos, Val: v}, nil
+			return &ast.IntLit{P: t.Pos, ID: p.newExpr(), Val: v}, nil
 		}
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Prim{P: t.Pos, Op: ast.OpNeg, Args: []ast.Expr{e}}, nil
+		return &ast.Prim{P: t.Pos, ID: p.newExpr(), Op: ast.OpNeg, Args: []ast.Expr{e}}, nil
 	case token.BANG:
 		t := p.next()
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Prim{P: t.Pos, Op: ast.OpDeref, Args: []ast.Expr{e}}, nil
+		return &ast.Prim{P: t.Pos, ID: p.newExpr(), Op: ast.OpDeref, Args: []ast.Expr{e}}, nil
 	case token.NOT:
 		t := p.next()
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Prim{P: t.Pos, Op: ast.OpNot, Args: []ast.Expr{e}}, nil
+		return &ast.Prim{P: t.Pos, ID: p.newExpr(), Op: ast.OpNot, Args: []ast.Expr{e}}, nil
 	case token.REF:
 		t := p.next()
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Prim{P: t.Pos, Op: ast.OpRef, Args: []ast.Expr{e}}, nil
+		return &ast.Prim{P: t.Pos, ID: p.newExpr(), Op: ast.OpRef, Args: []ast.Expr{e}}, nil
 	}
 	return p.parseApp()
 }
@@ -652,7 +673,7 @@ func (p *parser) parseApp() (ast.Expr, error) {
 	// A constructor application: Ctor atom?
 	if p.at(token.CTOR) {
 		t := p.next()
-		c := &ast.Ctor{P: t.Pos, Name: t.Text}
+		c := &ast.Ctor{P: t.Pos, ID: p.newExpr(), Name: t.Text}
 		if p.atomStart() {
 			arg, err := p.parseAtom()
 			if err != nil {
@@ -674,7 +695,7 @@ func (p *parser) parseApp() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		fn = &ast.App{P: arg.Pos(), Fn: fn, Arg: arg}
+		fn = &ast.App{P: arg.Pos(), ID: p.newExpr(), Fn: fn, Arg: arg}
 	}
 	return fn, nil
 }
@@ -688,27 +709,27 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 		if err != nil {
 			return nil, &Error{Pos: t.Pos, Msg: "integer literal out of range"}
 		}
-		return &ast.IntLit{P: t.Pos, Val: v}, nil
+		return &ast.IntLit{P: t.Pos, ID: p.newExpr(), Val: v}, nil
 	case token.TRUE:
 		p.next()
-		return &ast.BoolLit{P: t.Pos, Val: true}, nil
+		return &ast.BoolLit{P: t.Pos, ID: p.newExpr(), Val: true}, nil
 	case token.FALSE:
 		p.next()
-		return &ast.BoolLit{P: t.Pos, Val: false}, nil
+		return &ast.BoolLit{P: t.Pos, ID: p.newExpr(), Val: false}, nil
 	case token.STRING:
 		p.next()
-		return &ast.StrLit{P: t.Pos, Val: t.Text}, nil
+		return &ast.StrLit{P: t.Pos, ID: p.newExpr(), Val: t.Text}, nil
 	case token.IDENT:
 		p.next()
-		return &ast.Var{P: t.Pos, Name: t.Text}, nil
+		return &ast.Var{P: t.Pos, ID: p.newExpr(), Name: t.Text}, nil
 	case token.CTOR:
 		p.next()
-		return &ast.Ctor{P: t.Pos, Name: t.Text}, nil
+		return &ast.Ctor{P: t.Pos, ID: p.newExpr(), Name: t.Text}, nil
 	case token.LPAREN:
 		p.next()
 		if p.at(token.RPAREN) {
 			p.next()
-			return &ast.UnitLit{P: t.Pos}, nil
+			return &ast.UnitLit{P: t.Pos, ID: p.newExpr()}, nil
 		}
 		first, err := p.parseExpr()
 		if err != nil {
@@ -720,7 +741,7 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			first = &ast.Ann{P: t.Pos, Expr: first, Type: ty}
+			first = &ast.Ann{P: t.Pos, ID: p.newExpr(), Expr: first, Type: ty}
 		}
 		if p.at(token.COMMA) {
 			elems := []ast.Expr{first}
@@ -735,7 +756,7 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 			if _, err := p.expect(token.RPAREN); err != nil {
 				return nil, err
 			}
-			return &ast.Tuple{P: t.Pos, Elems: elems}, nil
+			return &ast.Tuple{P: t.Pos, ID: p.newExpr(), Elems: elems}, nil
 		}
 		if _, err := p.expect(token.RPAREN); err != nil {
 			return nil, err
@@ -753,7 +774,7 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 		return e, nil
 	case token.LBRACKET:
 		p.next()
-		nilExpr := func(pos token.Pos) ast.Expr { return &ast.Ctor{P: pos, Name: "[]"} }
+		nilExpr := func(pos token.Pos) ast.Expr { return &ast.Ctor{P: pos, ID: p.newExpr(), Name: "[]"} }
 		if p.at(token.RBRACKET) {
 			p.next()
 			return nilExpr(t.Pos), nil
@@ -775,7 +796,7 @@ func (p *parser) parseAtom() (ast.Expr, error) {
 		}
 		list := nilExpr(t.Pos)
 		for i := len(elems) - 1; i >= 0; i-- {
-			list = &ast.Ctor{P: elems[i].Pos(), Name: "::", Args: []ast.Expr{elems[i], list}}
+			list = &ast.Ctor{P: elems[i].Pos(), ID: p.newExpr(), Name: "::", Args: []ast.Expr{elems[i], list}}
 		}
 		return list, nil
 	}
@@ -804,7 +825,7 @@ func (p *parser) parseBig() (ast.Expr, error) {
 			return nil, err
 		}
 		for i := len(params) - 1; i >= 0; i-- {
-			body = &ast.Lam{P: params[i].pos, Param: params[i].name, ParamAnn: params[i].ann, Body: body}
+			body = &ast.Lam{P: params[i].pos, ID: p.newExpr(), Param: params[i].name, ParamAnn: params[i].ann, Body: body}
 		}
 		return body, nil
 
@@ -830,7 +851,7 @@ func (p *parser) parseBig() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.If{P: t.Pos, Cond: cond, Then: thn, Else: els}, nil
+		return &ast.If{P: t.Pos, ID: p.newExpr(), Cond: cond, Then: thn, Else: els}, nil
 
 	case token.MATCH:
 		p.next()
@@ -844,7 +865,7 @@ func (p *parser) parseBig() (ast.Expr, error) {
 		if p.at(token.BAR) {
 			p.next()
 		}
-		m := &ast.Match{P: t.Pos, Scrut: scrut}
+		m := &ast.Match{P: t.Pos, ID: p.newExpr(), Scrut: scrut}
 		for {
 			pat, err := p.parsePattern()
 			if err != nil {
@@ -891,7 +912,7 @@ func (p *parser) parseBig() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Let{P: t.Pos, Rec: rec, Binds: binds, Body: body}, nil
+		return &ast.Let{P: t.Pos, ID: p.newExpr(), Rec: rec, Binds: binds, Body: body}, nil
 	}
 	return nil, p.errf("expected expression, found %s", t)
 }
@@ -915,7 +936,7 @@ func (p *parser) parseConsPat() (ast.Pattern, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.PCtor{P: t.Pos, Name: "::", Args: []ast.Pattern{lhs, rhs}}, nil
+		return &ast.PCtor{P: t.Pos, ID: p.newPat(), Name: "::", Args: []ast.Pattern{lhs, rhs}}, nil
 	}
 	return lhs, nil
 }
@@ -925,17 +946,17 @@ func (p *parser) parseAtomPat() (ast.Pattern, error) {
 	switch t.Kind {
 	case token.UNDERSCORE:
 		p.next()
-		return &ast.PWild{P: t.Pos}, nil
+		return &ast.PWild{P: t.Pos, ID: p.newPat()}, nil
 	case token.IDENT:
 		p.next()
-		return &ast.PVar{P: t.Pos, Name: t.Text}, nil
+		return &ast.PVar{P: t.Pos, ID: p.newPat(), Name: t.Text}, nil
 	case token.INT:
 		p.next()
 		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
 			return nil, &Error{Pos: t.Pos, Msg: "integer literal out of range"}
 		}
-		return &ast.PInt{P: t.Pos, Val: v}, nil
+		return &ast.PInt{P: t.Pos, ID: p.newPat(), Val: v}, nil
 	case token.MINUS:
 		p.next()
 		lit, err := p.expect(token.INT)
@@ -946,16 +967,16 @@ func (p *parser) parseAtomPat() (ast.Pattern, error) {
 		if err != nil {
 			return nil, &Error{Pos: lit.Pos, Msg: "integer literal out of range"}
 		}
-		return &ast.PInt{P: t.Pos, Val: v}, nil
+		return &ast.PInt{P: t.Pos, ID: p.newPat(), Val: v}, nil
 	case token.TRUE:
 		p.next()
-		return &ast.PBool{P: t.Pos, Val: true}, nil
+		return &ast.PBool{P: t.Pos, ID: p.newPat(), Val: true}, nil
 	case token.FALSE:
 		p.next()
-		return &ast.PBool{P: t.Pos, Val: false}, nil
+		return &ast.PBool{P: t.Pos, ID: p.newPat(), Val: false}, nil
 	case token.CTOR:
 		p.next()
-		c := &ast.PCtor{P: t.Pos, Name: t.Text}
+		c := &ast.PCtor{P: t.Pos, ID: p.newPat(), Name: t.Text}
 		if p.patAtomStart() {
 			arg, err := p.parseAtomPat()
 			if err != nil {
@@ -968,7 +989,7 @@ func (p *parser) parseAtomPat() (ast.Pattern, error) {
 		p.next()
 		if p.at(token.RPAREN) {
 			p.next()
-			return &ast.PUnit{P: t.Pos}, nil
+			return &ast.PUnit{P: t.Pos, ID: p.newPat()}, nil
 		}
 		first, err := p.parsePattern()
 		if err != nil {
@@ -987,7 +1008,7 @@ func (p *parser) parseAtomPat() (ast.Pattern, error) {
 			if _, err := p.expect(token.RPAREN); err != nil {
 				return nil, err
 			}
-			return &ast.PTuple{P: t.Pos, Elems: elems}, nil
+			return &ast.PTuple{P: t.Pos, ID: p.newPat(), Elems: elems}, nil
 		}
 		if _, err := p.expect(token.RPAREN); err != nil {
 			return nil, err
@@ -1012,9 +1033,9 @@ func (p *parser) parseAtomPat() (ast.Pattern, error) {
 		if _, err := p.expect(token.RBRACKET); err != nil {
 			return nil, err
 		}
-		var list ast.Pattern = &ast.PCtor{P: t.Pos, Name: "[]"}
+		var list ast.Pattern = &ast.PCtor{P: t.Pos, ID: p.newPat(), Name: "[]"}
 		for i := len(elems) - 1; i >= 0; i-- {
-			list = &ast.PCtor{P: elems[i].Pos(), Name: "::", Args: []ast.Pattern{elems[i], list}}
+			list = &ast.PCtor{P: elems[i].Pos(), ID: p.newPat(), Name: "::", Args: []ast.Pattern{elems[i], list}}
 		}
 		return list, nil
 	}

@@ -17,32 +17,13 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("%s: type error: %s", e.Pos, e.Msg) }
 
 // Info is the result of type checking: everything later compiler stages
-// need, keyed by AST node identity.
+// need. What is known about a node is read through the accessors below; the
+// tables behind them are slices indexed by the parser's node indices
+// (ast.Expr.Index, ast.Pattern.Index), sized once from the program's node
+// counts.
 type Info struct {
-	// ExprType gives the resolved type of every expression.
-	ExprType map[ast.Expr]Type
-	// PatType gives the resolved type of every pattern node.
-	PatType map[ast.Pattern]Type
-	// ExprCtor resolves constructor expressions to their declarations.
-	ExprCtor map[*ast.Ctor]*CtorInfo
-	// PatCtor resolves constructor patterns to their declarations.
-	PatCtor map[*ast.PCtor]*CtorInfo
-	// CtorSplat marks constructor applications C (e1, ..., en) whose single
-	// tuple argument fills the constructor's n fields directly.
-	CtorSplat map[*ast.Ctor]bool
-	// PatSplat is the same for patterns.
-	PatSplat map[*ast.PCtor]bool
-	// Scheme gives the generalized scheme of each binding, keyed by the
-	// binding's bound expression (unique per binding).
-	Scheme map[ast.Expr]*Scheme
-	// Inst gives, for each occurrence of a variable with a polymorphic
-	// scheme and for each constructor occurrence, the types instantiated for
-	// the quantified variables, in scheme order.
-	Inst map[ast.Expr][]Type
-	// PatInst is the instantiation for constructor patterns.
-	PatInst map[*ast.PCtor][]Type
-	// VarScheme maps each variable occurrence to the scheme it referenced.
-	VarScheme map[*ast.Var]*Scheme
+	exprs []exprFacts
+	pats  []patFacts
 	// Datatypes and Ctors index the declared datatypes.
 	Datatypes map[string]*Data
 	Ctors     map[string]*CtorInfo
@@ -50,6 +31,72 @@ type Info struct {
 	TopScheme map[string]*Scheme
 	// ListData is the built-in list datatype.
 	ListData *Data
+}
+
+// exprFacts is what the checker records about one expression node.
+type exprFacts struct {
+	typ Type
+	// inst: at an occurrence of a variable with a polymorphic scheme, and at
+	// every constructor occurrence, the types instantiated for the quantified
+	// variables, in scheme order.
+	inst []Type
+	// scheme: on the bound expression of a binding (unique per binding), the
+	// binding's generalized scheme.
+	scheme *Scheme
+	// ref: on a variable occurrence, the scheme it referenced.
+	ref *Scheme
+}
+
+// patFacts is what the checker records about one pattern node; inst is the
+// instantiation at a constructor pattern.
+type patFacts struct {
+	typ  Type
+	inst []Type
+}
+
+// ExprType is the resolved type of an expression (nil if none was recorded).
+func (in *Info) ExprType(e ast.Expr) Type { return in.exprs[e.Index()].typ }
+
+// Scheme is the generalized scheme of the binding whose bound expression is e.
+func (in *Info) Scheme(e ast.Expr) *Scheme { return in.exprs[e.Index()].scheme }
+
+// Inst is the instantiation recorded at a polymorphic variable occurrence or
+// a constructor occurrence (nil elsewhere).
+func (in *Info) Inst(e ast.Expr) []Type { return in.exprs[e.Index()].inst }
+
+// VarScheme is the scheme a variable occurrence referenced.
+func (in *Info) VarScheme(v *ast.Var) *Scheme { return in.exprs[v.ID].ref }
+
+// ExprCtor resolves a constructor expression to its declaration (constructor
+// names are unique across the program's datatypes).
+func (in *Info) ExprCtor(c *ast.Ctor) *CtorInfo { return in.Ctors[c.Name] }
+
+// CtorSplat reports whether a constructor application is C (e1, ..., en) with
+// the single tuple argument filling the constructor's n > 1 fields directly.
+func (in *Info) CtorSplat(c *ast.Ctor) bool {
+	if ci := in.Ctors[c.Name]; ci != nil && len(ci.Args) > 1 && len(c.Args) == 1 {
+		tup, ok := c.Args[0].(*ast.Tuple)
+		return ok && len(tup.Elems) == len(ci.Args)
+	}
+	return false
+}
+
+// PatType is the resolved type of a pattern node.
+func (in *Info) PatType(p ast.Pattern) Type { return in.pats[p.Index()].typ }
+
+// PatCtor resolves a constructor pattern to its declaration.
+func (in *Info) PatCtor(p *ast.PCtor) *CtorInfo { return in.Ctors[p.Name] }
+
+// PatInst is the instantiation recorded at a constructor pattern.
+func (in *Info) PatInst(p *ast.PCtor) []Type { return in.pats[p.ID].inst }
+
+// PatSplat is CtorSplat for patterns.
+func (in *Info) PatSplat(p *ast.PCtor) bool {
+	if ci := in.Ctors[p.Name]; ci != nil && len(ci.Args) > 1 && len(p.Args) == 1 {
+		tup, ok := p.Args[0].(*ast.PTuple)
+		return ok && len(tup.Elems) == len(ci.Args)
+	}
+	return false
 }
 
 // checker carries inference state. Errors abort inference via panic with a
@@ -100,16 +147,8 @@ func (c *checker) fresh() *Var {
 func Check(prog *ast.Program) (info *Info, err error) {
 	c := &checker{
 		info: &Info{
-			ExprType:  map[ast.Expr]Type{},
-			PatType:   map[ast.Pattern]Type{},
-			ExprCtor:  map[*ast.Ctor]*CtorInfo{},
-			PatCtor:   map[*ast.PCtor]*CtorInfo{},
-			CtorSplat: map[*ast.Ctor]bool{},
-			PatSplat:  map[*ast.PCtor]bool{},
-			Scheme:    map[ast.Expr]*Scheme{},
-			Inst:      map[ast.Expr][]Type{},
-			PatInst:   map[*ast.PCtor][]Type{},
-			VarScheme: map[*ast.Var]*Scheme{},
+			exprs:     make([]exprFacts, prog.Exprs),
+			pats:      make([]patFacts, prog.Pats),
 			Datatypes: map[string]*Data{},
 			Ctors:     map[string]*CtorInfo{},
 			TopScheme: map[string]*Scheme{},
@@ -433,40 +472,41 @@ func (c *checker) instantiate(s *Scheme) (Type, []Type) {
 		return s.Body, nil
 	}
 	fresh := make([]Type, len(vars))
-	subst := map[*Var]Type{}
-	for i, v := range vars {
-		f := c.fresh()
-		fresh[i] = f
-		subst[v] = f
+	for i := range vars {
+		fresh[i] = c.fresh()
 	}
-	return substVars(s.Body, subst), fresh
+	return SubstGroup(s.Body, s.Group, fresh), fresh
 }
 
-func substVars(t Type, subst map[*Var]Type) Type {
+// SubstGroup replaces the variables g quantifies (each knows its owner and
+// its index in g.Vars) with the types at the same positions of inst. A nil g
+// stands for a datatype declaration: its parameter references (ParamRef) have
+// no owner.
+func SubstGroup(t Type, g *GenGroup, inst []Type) Type {
 	switch t := Resolve(t).(type) {
 	case *Base:
 		return t
 	case *Var:
-		if r, ok := subst[t]; ok {
-			return r
+		if t.Quant != nil && t.Quant.Owner == g {
+			return inst[t.Quant.Index]
 		}
 		return t
 	case *Arrow:
-		return &Arrow{Dom: substVars(t.Dom, subst), Cod: substVars(t.Cod, subst)}
+		return &Arrow{Dom: SubstGroup(t.Dom, g, inst), Cod: SubstGroup(t.Cod, g, inst)}
 	case *TupleT:
 		elems := make([]Type, len(t.Elems))
 		for i, e := range t.Elems {
-			elems[i] = substVars(e, subst)
+			elems[i] = SubstGroup(e, g, inst)
 		}
 		return &TupleT{Elems: elems}
 	case *Con:
 		args := make([]Type, len(t.Args))
 		for i, a := range t.Args {
-			args[i] = substVars(a, subst)
+			args[i] = SubstGroup(a, g, inst)
 		}
 		return &Con{Name: t.Name, Args: args, Data: t.Data}
 	}
-	panic("substVars: unreachable")
+	panic("SubstGroup: unreachable")
 }
 
 // isSyntacticValue implements the ML value restriction: only syntactic
@@ -566,7 +606,7 @@ func (c *checker) checkBinds(pos token.Pos, rec bool, binds []ast.Bind, e *env) 
 	schemes := make([]*Scheme, len(binds))
 	for i, b := range binds {
 		schemes[i] = &Scheme{Group: group, Body: rhsTypes[i]}
-		c.info.Scheme[b.Expr] = schemes[i]
+		c.info.exprs[b.Expr.Index()].scheme = schemes[i]
 	}
 	_ = pos
 	return schemes
@@ -584,7 +624,7 @@ func (c *checker) inferBind(b ast.Bind, e *env) Type {
 
 func (c *checker) infer(expr ast.Expr, e *env) Type {
 	t := c.inferRaw(expr, e)
-	c.info.ExprType[expr] = t
+	c.info.exprs[expr.Index()].typ = t
 	return t
 }
 
@@ -604,11 +644,8 @@ func (c *checker) inferRaw(expr ast.Expr, e *env) Type {
 		if !ok {
 			c.errf(ex.P, "unbound variable %s", ex.Name)
 		}
-		c.info.VarScheme[ex] = s
 		t, inst := c.instantiate(s)
-		if len(inst) > 0 {
-			c.info.Inst[ex] = inst
-		}
+		c.info.exprs[ex.ID].ref, c.info.exprs[ex.ID].inst = s, inst
 		return t
 
 	case *ast.Ctor:
@@ -692,25 +729,22 @@ func (c *checker) inferCtor(ex *ast.Ctor, e *env) Type {
 	if !ok {
 		c.errf(ex.P, "unknown constructor %s", ex.Name)
 	}
-	c.info.ExprCtor[ex] = ci
 
 	inst := make([]Type, ci.Data.Params)
 	for i := range inst {
 		inst[i] = c.fresh()
 	}
-	c.info.Inst[ex] = inst
+	c.info.exprs[ex.ID].inst = inst
 	fieldTypes := ci.Instantiate(inst)
 
 	args := ex.Args
 	// Splat C (e1, ..., en) onto an n-field constructor.
-	if len(ci.Args) > 1 && len(args) == 1 {
-		if tup, ok := args[0].(*ast.Tuple); ok && len(tup.Elems) == len(ci.Args) {
-			args = tup.Elems
-			c.info.CtorSplat[ex] = true
-			// The tuple node itself still needs a recorded type; give it the
-			// product of the field types so later stages can consult it.
-			c.info.ExprType[tup] = &TupleT{Elems: fieldTypes}
-		}
+	if c.info.CtorSplat(ex) {
+		tup := args[0].(*ast.Tuple)
+		args = tup.Elems
+		// The tuple node itself still needs a recorded type; give it the
+		// product of the field types so later stages can consult it.
+		c.info.exprs[tup.ID].typ = &TupleT{Elems: fieldTypes}
 	}
 	if len(args) != len(ci.Args) {
 		c.errf(ex.P, "constructor %s expects %d argument(s), got %d", ex.Name, len(ci.Args), len(args))
@@ -767,7 +801,7 @@ func (c *checker) inferPrim(ex *ast.Prim, e *env) Type {
 // ---------------------------------------------------------------------------
 
 func (c *checker) checkPattern(p ast.Pattern, scrut Type, binds map[string]Type, e *env) {
-	c.info.PatType[p] = scrut
+	c.info.pats[p.Index()].typ = scrut
 	switch pat := p.(type) {
 	case *ast.PWild:
 	case *ast.PVar:
@@ -795,22 +829,19 @@ func (c *checker) checkPattern(p ast.Pattern, scrut Type, binds map[string]Type,
 		if !ok {
 			c.errf(pat.P, "unknown constructor %s in pattern", pat.Name)
 		}
-		c.info.PatCtor[pat] = ci
 		inst := make([]Type, ci.Data.Params)
 		for i := range inst {
 			inst[i] = c.fresh()
 		}
-		c.info.PatInst[pat] = inst
+		c.info.pats[pat.ID].inst = inst
 		c.unify(pat.P, scrut, &Con{Name: ci.Data.Name, Args: inst, Data: ci.Data})
 		fieldTypes := ci.Instantiate(inst)
 
 		args := pat.Args
-		if len(ci.Args) > 1 && len(args) == 1 {
-			if tup, ok := args[0].(*ast.PTuple); ok && len(tup.Elems) == len(ci.Args) {
-				args = tup.Elems
-				c.info.PatSplat[pat] = true
-				c.info.PatType[tup] = &TupleT{Elems: fieldTypes}
-			}
+		if c.info.PatSplat(pat) {
+			tup := args[0].(*ast.PTuple)
+			args = tup.Elems
+			c.info.pats[tup.ID].typ = &TupleT{Elems: fieldTypes}
 		}
 		if len(args) != len(ci.Args) {
 			c.errf(pat.P, "constructor %s expects %d argument(s) in pattern, got %d",
@@ -830,29 +861,44 @@ func (c *checker) checkPattern(p ast.Pattern, scrut Type, binds map[string]Type,
 // that every recorded type is ground or quantified. This mirrors ML
 // implementations that default unresolved weak types.
 func (c *checker) defaultAll() {
-	def := func(t Type) {
-		for _, v := range FreeVars(t) {
-			v.Link = Int
+	for i := range c.info.exprs {
+		f := &c.info.exprs[i]
+		defaultFree(f.typ)
+		for _, t := range f.inst {
+			defaultFree(t)
+		}
+		if f.scheme != nil {
+			defaultFree(f.scheme.Body)
 		}
 	}
-	for _, t := range c.info.ExprType {
-		def(t)
-	}
-	for _, t := range c.info.PatType {
-		def(t)
-	}
-	for _, inst := range c.info.Inst {
-		for _, t := range inst {
-			def(t)
+	for i := range c.info.pats {
+		f := &c.info.pats[i]
+		defaultFree(f.typ)
+		for _, t := range f.inst {
+			defaultFree(t)
 		}
 	}
-	for _, inst := range c.info.PatInst {
-		for _, t := range inst {
-			def(t)
+}
+
+// defaultFree links every unbound, un-generalized variable of t (nil for a
+// node nothing was recorded on) to int.
+func defaultFree(t Type) {
+	switch t := Resolve(t).(type) {
+	case *Var:
+		if t.Quant == nil {
+			t.Link = Int
 		}
-	}
-	for _, s := range c.info.Scheme {
-		def(s.Body)
+	case *Arrow:
+		defaultFree(t.Dom)
+		defaultFree(t.Cod)
+	case *TupleT:
+		for _, e := range t.Elems {
+			defaultFree(e)
+		}
+	case *Con:
+		for _, a := range t.Args {
+			defaultFree(a)
+		}
 	}
 }
 

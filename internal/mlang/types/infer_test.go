@@ -11,6 +11,13 @@ import (
 // checkSrc type-checks a program and returns its Info.
 func checkSrc(t *testing.T, src string) *Info {
 	t.Helper()
+	_, info := checkProg(t, src)
+	return info
+}
+
+// checkProg is checkSrc for tests that look facts up node by node.
+func checkProg(t *testing.T, src string) (*ast.Program, *Info) {
+	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -19,7 +26,7 @@ func checkSrc(t *testing.T, src string) *Info {
 	if err != nil {
 		t.Fatalf("check: %v\nsource:\n%s", err, src)
 	}
-	return info
+	return prog, info
 }
 
 // wantErr asserts that checking fails and the message contains substr.
@@ -196,16 +203,16 @@ let s = Rect (3, 4)
 }
 
 func TestCtorSplat(t *testing.T) {
-	info := checkSrc(t, `
+	prog, info := checkProg(t, `
 type pair = P of int * bool
 let p = P (1, true)
 `)
 	found := false
-	for c, splat := range info.CtorSplat {
-		if c.Name == "P" && splat {
+	ast.WalkExprs(prog, func(e ast.Expr) {
+		if c, ok := e.(*ast.Ctor); ok && c.Name == "P" && info.CtorSplat(c) {
 			found = true
 		}
-	}
+	})
 	if !found {
 		t.Errorf("P (1, true) should be a splatted constructor application")
 	}
@@ -248,16 +255,17 @@ let pairfn = (fun x -> x, [])
 }
 
 func TestInstRecorded(t *testing.T) {
-	info := checkSrc(t, `
+	prog, info := checkProg(t, `
 let id x = x
 let a = id 7
 `)
 	var found bool
-	for e, inst := range info.Inst {
+	ast.WalkExprs(prog, func(e ast.Expr) {
 		v, ok := e.(*ast.Var)
 		if !ok || v.Name != "id" {
-			continue
+			return
 		}
+		inst := info.Inst(v)
 		if len(inst) != 1 {
 			t.Fatalf("id instantiation has %d types, want 1", len(inst))
 		}
@@ -265,7 +273,7 @@ let a = id 7
 			t.Fatalf("id instantiated at %s, want int", TypeString(inst[0]))
 		}
 		found = true
-	}
+	})
 	if !found {
 		t.Fatal("no instantiation recorded for id occurrence")
 	}

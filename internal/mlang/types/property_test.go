@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tagfree/internal/mlang/ast"
 	"tagfree/internal/mlang/parser"
 )
 
@@ -106,6 +107,29 @@ func TestTypeStringStable(t *testing.T) {
 	}
 }
 
+// hasFreeVar reports whether t mentions an unbound, un-generalized variable.
+func hasFreeVar(t Type) bool {
+	switch t := Resolve(t).(type) {
+	case *Var:
+		return t.Quant == nil
+	case *Arrow:
+		return hasFreeVar(t.Dom) || hasFreeVar(t.Cod)
+	case *TupleT:
+		for _, e := range t.Elems {
+			if hasFreeVar(e) {
+				return true
+			}
+		}
+	case *Con:
+		for _, a := range t.Args {
+			if hasFreeVar(a) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestFreeVarsAfterDefaulting: a checked program has no free unquantified
 // variables left in any recorded type.
 func TestFreeVarsAfterDefaulting(t *testing.T) {
@@ -121,11 +145,11 @@ let main () = (match !r with | [] -> 0 | x :: _ -> x) + (match map (fun x -> x) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e, ty := range info.ExprType {
-		if vs := FreeVars(ty); len(vs) != 0 {
+	ast.WalkExprs(prog, func(e ast.Expr) {
+		if ty := info.ExprType(e); hasFreeVar(ty) {
 			t.Fatalf("expression at %v has free vars in type %s", e.Pos(), TypeString(ty))
 		}
-	}
+	})
 }
 
 // TestSchemeInstantiationFreshness: instantiating a polymorphic scheme at

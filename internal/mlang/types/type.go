@@ -16,7 +16,6 @@ package types
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -166,41 +165,17 @@ func ParamRef(i int) *Var {
 }
 
 // Instantiate substitutes args for the datatype parameters in the
-// constructor's field types.
+// constructor's field types. The result is read-only: a datatype without
+// parameters has nothing to substitute and gets its field types as declared.
 func (c *CtorInfo) Instantiate(args []Type) []Type {
+	if c.Data.Params == 0 {
+		return c.Args
+	}
 	out := make([]Type, len(c.Args))
 	for i, a := range c.Args {
-		out[i] = substParams(a, args)
+		out[i] = SubstGroup(a, nil, args) // parameter references have no owner
 	}
 	return out
-}
-
-// substParams replaces quantified parameter references with the given types.
-func substParams(t Type, args []Type) Type {
-	switch t := Resolve(t).(type) {
-	case *Base:
-		return t
-	case *Var:
-		if t.Quant != nil && t.Quant.Index < len(args) {
-			return args[t.Quant.Index]
-		}
-		return t
-	case *Arrow:
-		return &Arrow{Dom: substParams(t.Dom, args), Cod: substParams(t.Cod, args)}
-	case *TupleT:
-		elems := make([]Type, len(t.Elems))
-		for i, e := range t.Elems {
-			elems[i] = substParams(e, args)
-		}
-		return &TupleT{Elems: elems}
-	case *Con:
-		as := make([]Type, len(t.Args))
-		for i, a := range t.Args {
-			as[i] = substParams(a, args)
-		}
-		return &Con{Name: t.Name, Args: as, Data: t.Data}
-	}
-	panic("substParams: unreachable")
 }
 
 // ---------------------------------------------------------------------------
@@ -286,43 +261,6 @@ func typeString(t Type, names map[int]string, paren bool) string {
 		return "(" + strings.Join(parts, ", ") + ") " + t.Name
 	}
 	return "?"
-}
-
-// FreeVars returns the unbound, un-generalized variables of t in a
-// deterministic order.
-func FreeVars(t Type) []*Var {
-	seen := map[int]*Var{}
-	var walk func(Type)
-	walk = func(t Type) {
-		switch t := Resolve(t).(type) {
-		case *Var:
-			if t.Quant == nil {
-				seen[t.ID] = t
-			}
-		case *Arrow:
-			walk(t.Dom)
-			walk(t.Cod)
-		case *TupleT:
-			for _, e := range t.Elems {
-				walk(e)
-			}
-		case *Con:
-			for _, a := range t.Args {
-				walk(a)
-			}
-		}
-	}
-	walk(t)
-	ids := make([]int, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]*Var, len(ids))
-	for i, id := range ids {
-		out[i] = seen[id]
-	}
-	return out
 }
 
 // Equal reports structural equality of two resolved types. Quantified

@@ -241,14 +241,15 @@ func compileIR(irp *ir.Program, opts Options) (*code.Program, *gcanal.Result, er
 	}
 	if opts.DisableGCWordElision {
 		for _, f := range irp.Funcs {
-			for _, r := range ir.Rhss(f) {
+			ir.WalkRhss(f, func(r ir.Rhs) bool {
 				switch call := r.(type) {
 				case *ir.RCall:
 					call.CanGC = true
 				case *ir.RCallClos:
 					call.CanGC = true
 				}
-			}
+				return true
+			})
 		}
 	}
 	// Heap liveness runs after the CanGC refinement (and the elision
