@@ -67,6 +67,19 @@
 # address the stack frame (spills and reloads of loop state; the number to
 # watch when the loop's locals change).
 #
+# It also prints those operands case by case for the six hot ones (OpRet,
+# OpCall, OpMove, OpAdd, OpJz, OpLdFld — a machine instruction belongs to the
+# case whose source lines it was last seen in, inlined helpers included): the
+# total moves when any case changes, only these say whether pc, fp, sp and the
+# count still live in registers where it matters.
+#
+# profile-gc is the same for the collector's fixed cost: it runs
+# BenchmarkStackWalk (internal/gc: one collection over a depth-640 polymorphic
+# tower at four instantiations, and over a three-function mutual recursion —
+# ns per frame walked, B/op and allocs/op) under a CPU profile and prints the
+# top 12. A healthy walk has no growslice/makeslice/mallocgc under it, 0
+# allocs/op, and B/op is the telemetry records' amortized growth alone.
+#
 # profile-compile is the same for the compiler: it runs BenchmarkBuild
 # (internal/pipeline: pipeline.Build over eight suffixed copies of the
 # committed corpus, about 1200 functions, with B/op, allocs/op and MB/s) under
@@ -83,7 +96,7 @@
 # workload compared against a run file an earlier commit wrote with
 # `go run ./benchmark -runs 10 -out <runs.json>`.
 
-.PHONY: benchmark benchmark-check profile-interp profile-compile tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single loc bench bench-json fuzz fuzz-scenario
+.PHONY: benchmark benchmark-check profile-interp profile-compile profile-gc tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single loc bench bench-json fuzz fuzz-scenario
 
 tier1:
 	go build ./...
@@ -152,12 +165,25 @@ profile-interp:
 		-v top=$$(grep -n '^func (g \*Group) step(' $(STEP_SRC) | cut -d: -f1) \
 		-v lo=$$(grep -n '^	dispatch:$$' $(STEP_SRC) | cut -d: -f1) \
 		-v hi=$$(grep -n '^		n -= left$$' $(STEP_SRC) | cut -d: -f1) \
-		-v end=$$(grep -n '^func (g \*Group) event(' $(STEP_SRC) | cut -d: -f1) ' \
+		-v end=$$(grep -n '^func (g \*Group) event(' $(STEP_SRC) | cut -d: -f1) \
+		-v cases="$$(grep -n '^			\(case \|default:\)' $(STEP_SRC) | sed 's/:[^A-Za-z]*case code\./ /; s/[,:].*//' | tr '\n' ';')" ' \
+		BEGIN { nc = split(cases, cs, ";"); for (i = 1; i < nc; i++) { split(cs[i], f, " "); at[i] = f[1] + 0; name[i] = f[2] } } \
 		/^TEXT/ { next } \
 		{ split($$1, w, ":"); ln = w[2] + 0 } \
-		w[1] == "tasking.go" && ((ln >= top && ln < lo) || (ln >= hi && ln < end)) { next } \
-		{ n++ } /CALL/ && !/runtime\.panic/ { calls++ } /\(SP\)/ { sp++ } \
-		END { printf "inner loop of step: %d machine instructions, %d CALLs (bounds-check panics aside), %d stack-relative operands\n", n, calls, sp }'
+		w[1] == "tasking.go" && ((ln >= top && ln < lo) || (ln >= hi && ln < end)) { cur = ""; next } \
+		w[1] == "tasking.go" && ln >= lo && ln < hi { cur = ""; for (i = 1; i < nc; i++) if (at[i] <= ln && at[i] >= lo) cur = name[i] } \
+		{ n++ } /CALL/ && !/runtime\.panic/ { calls++ } /\(SP\)/ { sp++; per[cur]++ } \
+		END { printf "inner loop of step: %d machine instructions, %d CALLs (bounds-check panics aside), %d stack-relative operands\n", n, calls, sp; \
+		      printf "  of which in the hot cases:"; split("OpRet OpCall OpMove OpAdd OpJz OpLdFld", hot, " "); \
+		      for (i = 1; i <= 6; i++) printf " %s %d", hot[i], per[hot[i]]; printf " (loop head and slice bookkeeping %d)\n", per[""] }'
+
+GC_BENCH = BenchmarkStackWalk
+profile-gc:
+	mkdir -p .bench_build
+	go test -c -o .bench_build/gc.test ./internal/gc
+	cd internal/gc && ../../.bench_build/gc.test -test.run xxx -test.bench '$(GC_BENCH)$$' \
+		-test.benchtime 2s -test.cpuprofile ../../.bench_build/gc.prof
+	go tool pprof -top -nodecount 12 .bench_build/gc.test .bench_build/gc.prof 2>/dev/null
 
 profile-compile:
 	mkdir -p .bench_build

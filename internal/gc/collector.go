@@ -276,16 +276,20 @@ func isGround(d *code.TypeDesc) bool {
 	return true
 }
 
-// scratch is one worker's per-collection arena. Type-argument windows and
-// root-job lists used to be allocated per frame and per stack walk — on a
-// deep polymorphic tower that is thousands of short-lived slices per
-// collection; now both bump-allocate here and the whole arena resets at the
-// top of the next collection. Growth never invalidates a window already
-// handed out: when a block fills, a fresh block simply becomes the arena
-// and earlier windows keep their old backing array.
+// scratch is one worker's per-collection arena. Type-argument windows,
+// root-job lists and the frame list of a stack walk used to be allocated per
+// frame and per stack walk — on a deep polymorphic tower that is thousands of
+// short-lived slices per collection; now they bump-allocate here, the whole
+// arena resets at the top of the next collection, and a collection of a
+// warmed collector allocates nothing on the host that grows with the stack.
+// Growth never invalidates a window already handed out: when a block fills,
+// a fresh block simply becomes the arena and earlier windows keep their old
+// backing array.
 type scratch struct {
 	targs []TypeGC
 	jobs  []rootJob
+	// frames is the one stack walk's record (walk), overwritten by the next.
+	frames []frame
 }
 
 func (s *scratch) reset() {
@@ -416,7 +420,7 @@ func (c *Collector) CollectFull(tasks []TaskRoots, globals []code.Word) {
 	markedAtStart := c.Heap.Stats.WordsCopied
 	c.traceGlobals(globals)
 
-	scans := make([]TaskScan, len(tasks))
+	scans := c.Telem.scanList(len(tasks))
 	// Parallel marking cannot run over a nursery: young objects move during
 	// evacuation and VisitShared refuses them. Copying's parallel phase only
 	// resolves roots — the trace that moves objects is the ordered serial
@@ -474,7 +478,7 @@ func (c *Collector) collectMinor(tasks []TaskRoots, globals []code.Word) {
 
 	c.beginPrune(false, false)
 	c.traceGlobals(globals)
-	scans := make([]TaskScan, len(tasks))
+	scans := c.Telem.scanList(len(tasks))
 	c.collectSerial(tasks, scans)
 	c.traceRemembered(-1)
 	c.endPrune()
@@ -522,7 +526,7 @@ func (c *Collector) CollectMinorShard(shard int, tasks []TaskRoots, globals []co
 	// only reach spine-only — beginPrune refuses and counts the reason.
 	c.beginPrune(false, true)
 	c.traceGlobals(globals)
-	scans := make([]TaskScan, len(tasks))
+	scans := c.Telem.scanList(len(tasks))
 	c.collectSerial(tasks, scans)
 	c.traceRemembered(shard)
 	c.endPrune()
@@ -559,7 +563,7 @@ func (c *Collector) collectSerial(tasks []TaskRoots, scans []TaskScan) {
 		wordsBefore := c.Heap.Stats.WordsCopied
 		snap := c.Stats
 		if c.Strat == StratTagged {
-			c.collectTaggedTask(tasks[i])
+			c.collectTaggedTask(tasks[i], sc)
 		} else {
 			c.collectTask(tasks[i], sc)
 		}
@@ -573,17 +577,18 @@ func (c *Collector) collectSerial(tasks []TaskRoots, scans []TaskScan) {
 	}
 }
 
-// collectTask walks one task's stack oldest→newest, passing type packages
+// collectTask traces one task's stack oldest→newest, passing type packages
 // frame to frame (§3: "the stack is traversed at most twice" — one pass to
-// gather frame pointers, one to trace).
+// gather the frames, one to trace).
 func (c *Collector) collectTask(t TaskRoots, sc *scratch) {
-	fps, pcs := frameChain(t)
+	fr := sc.walk(t)
 	fast := c.planned()
 	var incoming pkg
 	var ic planIC
 	var prev *framePlan
-	for i, fp := range fps {
-		siteIdx, site := c.siteAtFast(pcs[i], &c.Stats)
+	for i := len(fr) - 1; i >= 0; i-- {
+		fp := fr[i].fp
+		siteIdx, site := c.siteAtFast(fr[i].pc, &c.Stats)
 		fi := c.Prog.Funcs[site.Func]
 		if fast {
 			// Compiled fast path: resolve the frame's plan — through the
@@ -591,45 +596,44 @@ func (c *Collector) collectTask(t TaskRoots, sc *scratch) {
 			// arguments — then run it: slot routines, kernels, dedupe and
 			// outgoing package all precomputed per (site, instantiation).
 			plan := c.planForEdge(prev, &ic, siteIdx, site, fi, incoming, t.Stack, fp, sc, &c.Stats)
-			c.tracePlan(plan, t.Stack, fp+2, t.AtCall && i == len(fps)-1)
+			c.tracePlan(plan, t.Stack, fp+2, t.AtCall && i == 0)
 			incoming, prev = plan.out, plan
 			continue
 		}
 		var targs []TypeGC
 		if c.Strat == StratAppel {
-			targs = c.appelTypeArgs(t, fps, pcs, i, &c.Stats, sc)
+			targs = c.appelTypeArgs(t, fr, i, &c.Stats, sc)
 		} else {
 			targs = c.frameTypeArgs(fi, incoming, t.Stack, fp, sc)
 		}
-		c.traceFrame(siteIdx, site, fi, t.Stack, fp, targs, t.AtCall && i == len(fps)-1)
-		if i < len(fps)-1 && c.Strat != StratAppel {
+		c.traceFrame(siteIdx, site, fi, t.Stack, fp, targs, t.AtCall && i == 0)
+		if i > 0 && c.Strat != StratAppel {
 			incoming = c.outgoing(site, targs)
 		}
 	}
-	c.Stats.FramesTraced += int64(len(fps))
+	c.Stats.FramesTraced += int64(len(fr))
 }
 
-// frameChain returns the frame pointers oldest-first and the pc each frame
-// is blocked at (the callee's stored return address, or the task's current
-// pc for the newest frame). Gathering the chain is the paper's initial
-// pointer-reversal traversal, realized as an index pass.
-func frameChain(t TaskRoots) (fps, pcs []int) {
+// frame is one activation record of a stack walk: its base and the pc it is
+// blocked at.
+type frame struct{ fp, pc int }
+
+// walk is the one function that follows a stack's dynamic links — the
+// paper's initial pointer-reversal traversal, realized as an index pass. It
+// lists the task's frames newest first into the arena; every consumer reads
+// the list from the far end, which is the oldest→newest order a trace needs,
+// so nothing is reversed and nothing is copied. One newest→oldest pass is
+// enough to learn every pc: a frame is blocked at the return address stored
+// in the record above it (the task's own pc for the newest), and that record
+// was visited just before. The list is valid until the arena's next walk.
+func (s *scratch) walk(t TaskRoots) []frame {
+	fr, pc := s.frames[:0], t.PC
 	for fp := t.FP; fp >= 0; fp = int(t.Stack[fp]) {
-		fps = append(fps, fp)
+		fr = append(fr, frame{fp, pc})
+		pc = int(t.Stack[fp+1])
 	}
-	// Reverse to oldest-first.
-	for i, j := 0, len(fps)-1; i < j; i, j = i+1, j-1 {
-		fps[i], fps[j] = fps[j], fps[i]
-	}
-	pcs = make([]int, len(fps))
-	for i := range fps {
-		if i == len(fps)-1 {
-			pcs[i] = t.PC
-		} else {
-			pcs[i] = int(t.Stack[fps[i+1]+1])
-		}
-	}
-	return fps, pcs
+	s.frames = fr
+	return fr
 }
 
 // siteAt reads the gc_word embedded next to the call/alloc instruction at
@@ -757,17 +761,18 @@ func (c *Collector) traceFrame(siteIdx int, site *code.SiteInfo, fi *code.FuncIn
 // Appel-mode type resolution: re-walk the chain for every frame.
 // ---------------------------------------------------------------------------
 
-// appelTypeArgs resolves frame i's type arguments by walking the dynamic
-// chain from the bottom every time — "the tracing of each polymorphic
-// function's activation record may involve traversing a fair amount of the
-// stack" (§1.1.1/§3). The work is O(i) per frame, O(n²) per collection.
-// Chain steps land in st so parallel workers can count into local stats.
-func (c *Collector) appelTypeArgs(t TaskRoots, fps, pcs []int, target int, st *Stats, sc *scratch) []TypeGC {
+// appelTypeArgs resolves the type arguments of frame target (an index into
+// fr, newest first) by walking the dynamic chain from the bottom every time —
+// "the tracing of each polymorphic function's activation record may involve
+// traversing a fair amount of the stack" (§1.1.1/§3). The work is O(depth)
+// per frame, O(n²) per collection. Chain steps land in st so parallel
+// workers can count into local stats.
+func (c *Collector) appelTypeArgs(t TaskRoots, fr []frame, target int, st *Stats, sc *scratch) []TypeGC {
 	var incoming pkg
-	for j := 0; j <= target; j++ {
-		_, site := c.siteAtFast(pcs[j], st)
+	for j := len(fr) - 1; j >= target; j-- {
+		_, site := c.siteAtFast(fr[j].pc, st)
 		fi := c.Prog.Funcs[site.Func]
-		targs := c.frameTypeArgs(fi, incoming, t.Stack, fps[j], sc)
+		targs := c.frameTypeArgs(fi, incoming, t.Stack, fr[j].fp, sc)
 		st.ChainSteps++
 		if j == target {
 			return targs
@@ -784,21 +789,19 @@ func (c *Collector) appelTypeArgs(t TaskRoots, fps, pcs []int, target int, st *S
 // collectTaggedTask scans every word of every frame by tag bits. No
 // compiler metadata is consulted: frame extents come from the dynamic
 // links alone.
-func (c *Collector) collectTaggedTask(t TaskRoots) {
-	fps, _ := frameChain(t)
-	for i, fp := range fps {
-		var end int
-		if i == len(fps)-1 {
-			end = t.SP
-		} else {
-			end = fps[i+1]
+func (c *Collector) collectTaggedTask(t TaskRoots, sc *scratch) {
+	fr := sc.walk(t)
+	for i := len(fr) - 1; i >= 0; i-- {
+		end := t.SP
+		if i > 0 {
+			end = fr[i-1].fp
 		}
-		for j := fp + 2; j < end; j++ {
+		for j := fr[i].fp + 2; j < end; j++ {
 			c.Stats.WordsScanned++
 			t.Stack[j] = c.traceTaggedWord(t.Stack[j])
 		}
 	}
-	c.Stats.FramesTraced += int64(len(fps))
+	c.Stats.FramesTraced += int64(len(fr))
 }
 
 // traceTaggedWord forwards one word if it is a pointer.

@@ -535,10 +535,18 @@ type framePlan struct {
 	edges atomic.Pointer[map[int]*framePlan]
 }
 
-// edge returns the cached callee plan for a callee site, or nil.
-func (p *framePlan) edge(site int) *framePlan {
+// edge returns the cached callee plan for a callee site, or nil. The edge
+// the walk took last is checked before the map: a tower of one recursive
+// site takes the same edge at every frame, and pays a pointer compare for it.
+func (p *framePlan) edge(ic *planIC, site int) *framePlan {
+	if ic.from == p && ic.via == site {
+		return ic.to
+	}
 	if m := p.edges.Load(); m != nil {
-		return (*m)[site]
+		if to := (*m)[site]; to != nil {
+			ic.from, ic.via, ic.to = p, site, to
+			return to
+		}
 	}
 	return nil
 }
@@ -592,6 +600,10 @@ type planIC struct {
 	site  int
 	targs []TypeGC
 	plan  *framePlan
+	// The last edge taken (framePlan.edge): caller plan, callee site, callee
+	// plan. Walk-local like the rest, so it needs no publication.
+	from, to *framePlan
+	via      int
 }
 
 func (ic *planIC) match(site int, targs []TypeGC) bool {
@@ -614,7 +626,7 @@ func (c *Collector) planForIC(ic *planIC, siteIdx int, site *code.SiteInfo, targ
 		return ic.plan
 	}
 	p := c.planFor(siteIdx, site, targs, st)
-	*ic = planIC{site: siteIdx, targs: targs, plan: p}
+	ic.site, ic.targs, ic.plan = siteIdx, targs, p
 	return p
 }
 
@@ -627,7 +639,7 @@ func (c *Collector) planForIC(ic *planIC, siteIdx int, site *code.SiteInfo, targ
 func (c *Collector) planForEdge(prev *framePlan, ic *planIC, siteIdx int, site *code.SiteInfo, fi *code.FuncInfo, incoming pkg, stack []code.Word, fp int, sc *scratch, st *Stats) *framePlan {
 	cacheable := prev != nil && fi.TypeSource != code.TypeSourceEnv
 	if cacheable {
-		if p := prev.edge(siteIdx); p != nil {
+		if p := prev.edge(ic, siteIdx); p != nil {
 			st.PlanHits++
 			return p
 		}
@@ -636,6 +648,7 @@ func (c *Collector) planForEdge(prev *framePlan, ic *planIC, siteIdx int, site *
 	p := c.planForIC(ic, siteIdx, site, targs, st)
 	if cacheable {
 		prev.addEdge(siteIdx, p)
+		ic.from, ic.via, ic.to = prev, siteIdx, p
 	}
 	return p
 }

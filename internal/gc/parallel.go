@@ -242,14 +242,15 @@ func (c *Collector) ResolveRoots(tasks []TaskRoots) int {
 // returned slice lives in sc's arena, valid until the arena's next reset
 // (the top of the next collection).
 func (c *Collector) taskJobs(t TaskRoots, st *Stats, sc *scratch) []rootJob {
-	fps, pcs := frameChain(t)
+	fr := sc.walk(t)
 	fast := c.planned()
 	jobs := sc.jobsWindow()
 	var incoming pkg
 	var ic planIC
 	var prev *framePlan
-	for i, fp := range fps {
-		siteIdx, site := c.siteAtFast(pcs[i], st)
+	for i := len(fr) - 1; i >= 0; i-- {
+		fp := fr[i].fp
+		siteIdx, site := c.siteAtFast(fr[i].pc, st)
 		fi := c.Prog.Funcs[site.Func]
 		if fast {
 			// Compiled fast path: the memoized plan already carries the
@@ -261,7 +262,7 @@ func (c *Collector) taskJobs(t TaskRoots, st *Stats, sc *scratch) []rootJob {
 			for k := range plan.slots {
 				jobs = append(jobs, planJob(base, &plan.slots[k]))
 			}
-			if t.AtCall && i == len(fps)-1 {
+			if t.AtCall && i == 0 {
 				for k := range plan.args {
 					jobs = append(jobs, planJob(base, &plan.args[k]))
 				}
@@ -271,16 +272,16 @@ func (c *Collector) taskJobs(t TaskRoots, st *Stats, sc *scratch) []rootJob {
 		}
 		var targs []TypeGC
 		if c.Strat == StratAppel {
-			targs = c.appelTypeArgs(t, fps, pcs, i, st, sc)
+			targs = c.appelTypeArgs(t, fr, i, st, sc)
 		} else {
 			targs = c.frameTypeArgs(fi, incoming, t.Stack, fp, sc)
 		}
-		jobs = c.frameJobs(jobs, siteIdx, site, fi, fp, targs, t.AtCall && i == len(fps)-1, st)
-		if i < len(fps)-1 && c.Strat != StratAppel {
+		jobs = c.frameJobs(jobs, siteIdx, site, fi, fp, targs, t.AtCall && i == 0, st)
+		if i > 0 && c.Strat != StratAppel {
 			incoming = c.outgoing(site, targs)
 		}
 	}
-	st.FramesTraced += int64(len(fps))
+	st.FramesTraced += int64(len(fr))
 	sc.commitJobs(jobs)
 	return jobs
 }

@@ -1,0 +1,81 @@
+package gc_test
+
+import (
+	"testing"
+	"time"
+
+	"tagfree/internal/gc"
+	"tagfree/internal/pipeline"
+)
+
+// polyTowerSrc is the benchmark's polystack shape: four tasks, each a tower
+// of one polymorphic frame at its own instantiation, stopped when the probes
+// at the top have filled the heap.
+const polyTowerSrc = `
+let probe x = (let _ = [x; x] in 1)
+let rec pdepth x acc n = if n = 0 then acc else probe x + pdepth x acc (n - 1)
+let rec towers x n acc = if n = 0 then acc else towers x (n - 1) (acc + pdepth x 7 640)
+let tower_a () = towers (5, true) 30 0
+let tower_b () = towers [6] 30 0
+let tower_c () = towers 7 30 0
+let tower_d () = towers ((8, 9), [10]) 30 0
+`
+
+// mutualTowerSrc is the shape the plan edges exist for: a tower of three
+// mutually recursive polymorphic frames, ping calling pong from two sites, so
+// no frame's caller plan is its own and one caller plan has two callees.
+const mutualTowerSrc = `
+let probe x = (let _ = [x; x] in 1)
+let rec ping x n = if n = 0 then 0 else (if n mod 2 = 0 then probe x + pong x (n - 1) else pong x (n - 1) + 1)
+and pong x n = if n = 0 then 0 else probe x + pang (x, x) (n - 1)
+and pang p n = (match p with | (x, _) -> if n = 0 then 0 else probe x + ping x (n - 1))
+let rec rounds x n acc = if n = 0 then acc else rounds x (n - 1) (acc + ping x 640)
+let mutual_a () = rounds (5, true) 30 0
+let mutual_b () = rounds [6] 30 0
+`
+
+// BenchmarkStackWalk times one collection over deep stacks that hold almost
+// nothing — the per-collection fixed cost of the tag-free scheme, §3's "the
+// stack is traversed at most twice" — and reports it per frame walked, with
+// the host bytes a collection allocates: the walk's frame list, the
+// type-argument windows and the plans all come from the scratch arena and the
+// caches, so B/op is the telemetry record (`make profile-gc` adds the CPU
+// profile).
+func BenchmarkStackWalk(b *testing.B) {
+	for _, shape := range []struct {
+		name, src string
+		entries   []string
+	}{
+		{"polytower", polyTowerSrc, []string{"tower_a", "tower_b", "tower_c", "tower_d"}},
+		{"mutual", mutualTowerSrc, []string{"mutual_a", "mutual_b"}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			g, entries, err := pipeline.BuildTaskGroup(shape.src, shape.entries,
+				pipeline.Options{Strategy: gc.StratCompiled, HeapWords: 1 << 12})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, e := range entries {
+				g.Spawn(e)
+			}
+			if err := g.RunInit(); err != nil {
+				b.Fatal(err)
+			}
+			roots, pending, err := g.RunUntilCollection()
+			if err != nil || !pending {
+				b.Fatalf("no collection to measure: %v", err)
+			}
+			g.Col.Collect(roots, g.Globals) // plans and arenas
+			frames := g.Col.Stats.FramesTraced
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				g.Col.Collect(roots, g.Globals)
+			}
+			frames = g.Col.Stats.FramesTraced - frames
+			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(frames), "ns/frame")
+			b.ReportMetric(float64(frames)/float64(b.N), "frames/op")
+		})
+	}
+}

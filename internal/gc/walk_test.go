@@ -7,9 +7,9 @@ import (
 	"tagfree/internal/heap"
 )
 
-// TestFrameChainOrdering builds a synthetic stack and checks the
-// oldest-first chain and per-frame blocked pcs (the callee's stored return
-// address, the task pc for the newest frame).
+// TestFrameChainOrdering builds a synthetic stack and checks the walk: read
+// from the far end it is the oldest-first chain, with per-frame blocked pcs
+// (the callee's stored return address, the task pc for the newest frame).
 func TestFrameChainOrdering(t *testing.T) {
 	// Three frames at 0, 10, 24; dynamic links chain newest→oldest.
 	stack := make([]code.Word, 64)
@@ -19,13 +19,16 @@ func TestFrameChainOrdering(t *testing.T) {
 	stack[11] = 100
 	stack[24] = 10 // frame2 dynlink → frame1
 	stack[25] = 200
-	fps, pcs := frameChain(TaskRoots{Stack: stack, FP: 24, PC: 300})
+	fr := new(scratch).walk(TaskRoots{Stack: stack, FP: 24, PC: 300})
 	wantFPs := []int{0, 10, 24}
 	wantPCs := []int{100, 200, 300}
+	if len(fr) != len(wantFPs) {
+		t.Fatalf("%d frames, want %d", len(fr), len(wantFPs))
+	}
 	for i := range wantFPs {
-		if fps[i] != wantFPs[i] || pcs[i] != wantPCs[i] {
+		if f := fr[len(fr)-1-i]; f.fp != wantFPs[i] || f.pc != wantPCs[i] {
 			t.Fatalf("frame %d: fp=%d pc=%d, want fp=%d pc=%d",
-				i, fps[i], pcs[i], wantFPs[i], wantPCs[i])
+				i, f.fp, f.pc, wantFPs[i], wantPCs[i])
 		}
 	}
 }

@@ -87,12 +87,16 @@ type Heap struct {
 	// fromOff and toOff are the base mem indexes of the two spaces.
 	fromOff, toOff int
 	alloc, limit   int
-	// forward is the tag-free side forwarding table (from-space offsets to
-	// to-space absolute indexes; -1 = not forwarded). Its storage is
+	// forward is the tag-free side forwarding table: from-space offsets to
+	// to-space absolute indexes, each stamped with the epoch it was written
+	// in (fwdEntry). An entry forwards only while its stamp is fwdEpoch,
+	// which EndGC advances — the whole table is reset by one increment, not
+	// by a store per word of the semispace per collection. Its storage is
 	// bookkeeping of the collector, not program memory, and is excluded
 	// from all space accounting.
-	forward []int
-	inGC    bool
+	forward  []int
+	fwdEpoch int
+	inGC     bool
 	// Mark/sweep side metadata (see marksweep.go): per-object sizes at
 	// their start offsets, mark bits, exact-size free lists, and the sizes
 	// of swept gaps awaiting reuse.
@@ -152,13 +156,15 @@ func New(repr code.Repr, semiWords int) *Heap {
 		limit:   semiWords,
 	}
 	if repr == code.ReprTagFree {
-		h.forward = make([]int, semiWords)
-		for i := range h.forward {
-			h.forward[i] = -1
-		}
+		h.forward, h.fwdEpoch = make([]int, semiWords), 1
 	}
 	return h
 }
+
+// fwdShift splits a forwarding entry: the epoch above, the to-space index
+// (always far below 2^32) beneath. A zero entry carries epoch 0, which is
+// never current.
+const fwdShift = 32
 
 // SemiWords returns the semispace size.
 func (h *Heap) SemiWords() int { return h.semi }
@@ -218,38 +224,140 @@ func (h *Heap) objWords(fields int) int {
 	return fields
 }
 
-// Alloc allocates an object with n fields and returns its encoded pointer,
-// or a *OutOfMemoryError when the space is exhausted. Exhaustion is an
-// ordinary return value — not a panic — so callers (the tasking
-// scheduler) can climb the recovery ladder: collect, retry, grow, and only
-// then fault. Fields are uninitialized; in tagged mode the header is
-// written.
-func (h *Heap) Alloc(n int) (code.Word, error) {
+// Window is a stretch [HP, Limit) of the word array (Words) in which its
+// holder lays objects end to end without a call per object: an object of t
+// words fits when HP+t <= Limit, starts at HP (its header word first under
+// the tagged representation, written by the holder), and moves HP past it
+// and Objects up by one. The heap learns of them from Settle. The
+// interpreter's dispatch loop is the holder that matters (tasking.step,
+// DESIGN.md §15); Alloc and AllocTLAB are holders of one-object windows.
+//
+// A window is one object long wherever the heap keeps something per object —
+// a mark/sweep block's size, the forced major an object born in the old
+// region of a generational heap owes — or the opener asks for that (one);
+// otherwise it is the rest of its region: the semispace, a young half, a
+// buffer. At most one window is in use at a time, and none across a
+// collection.
+type Window struct {
+	HP, Limit int
+	// Objects counts what was laid since the last Settle.
+	Objects int
+	// start is HP at the last Settle. The window bumps tlab's top when it
+	// has one; else region says whose bump pointer: a nursery shard's young
+	// half (its index), the old region, or none — a recycled free-list block.
+	start  int
+	tlab   *TLAB
+	region int
+}
+
+// Window regions other than a nursery shard's index.
+const (
+	regionOld   = -1
+	regionBlock = -2
+)
+
+// Buffered reports whether the window lies in a task-local buffer.
+func (w *Window) Buffered() bool { return w.tlab != nil }
+
+// youngFits reports whether a request of total words is served by the
+// nursery: there is one, the mutator is asking, and a young half can hold it.
+func (h *Heap) youngFits(total int) bool {
+	return h.young.enabled && !h.inGC && total <= h.young.youngWords
+}
+
+// OpenWindow opens w on the shared heap for a request of n fields, where
+// Alloc would have put the object: the allocation shard's young half,
+// else a mark/sweep block (bumped or recycled), else the semispace. It
+// reports false — and counts the shared-heap request, as a failed Alloc
+// always has — when that object does not fit; the caller climbs the recovery
+// ladder and Alloc builds the typed error for whoever reports it.
+func (h *Heap) OpenWindow(w *Window, n int, one bool) bool {
 	total := h.objWords(n)
-	h.Stats.SharedAllocs++
-	if h.young.enabled && !h.inGC && total <= h.young.youngWords {
-		if ptr, ok := h.youngAllocFast(total); ok {
-			return ptr, nil
-		}
+	hp, limit, region := h.alloc, h.limit, regionOld
+	switch {
+	case h.youngFits(total):
 		s := &h.young.shards[h.young.allocShard]
-		return 0, &OutOfMemoryError{Discipline: "nursery", Requested: total,
-			Free: s.youngOff + h.young.youngWords - s.youngAlloc}
+		hp, limit, region = s.youngAlloc, s.youngOff+h.young.youngWords, h.young.allocShard
+	case h.kind == MarkSweep:
+		one = true
+		if hp+total > limit {
+			b, ok := h.freePop(total)
+			if !ok {
+				break
+			}
+			hp, limit, region = b, b+total, regionBlock
+		}
+		h.objSize[hp] = int32(total)
+	default:
+		one = one || h.young.enabled
 	}
-	if h.kind == MarkSweep {
-		return h.msAlloc(total)
+	if hp+total > limit {
+		h.Stats.SharedAllocs++
+		return false
 	}
-	if h.alloc+total > h.limit {
-		return 0, h.oomError(total)
+	if one {
+		limit = hp + total
 	}
-	base := h.alloc
-	h.alloc += total
+	*w = Window{HP: hp, Limit: limit, start: hp, region: region}
 	h.spansValid = false
-	h.Stats.Allocations++
-	h.Stats.WordsAllocated += int64(total)
+	return true
+}
+
+// Settle books what the holder laid in w since the last Settle — the bump
+// pointer of the window's region, the allocation counters — and returns the
+// objects and words (headers included) for the holder's own accounts. The
+// window stays open where it is. The heap's state is exact after every
+// Settle, so a holder settles before anything else looks at the heap.
+func (h *Heap) Settle(w *Window) (objects, words int64) {
+	objects, words = int64(w.Objects), int64(w.HP-w.start)
+	switch {
+	case w.tlab != nil:
+		w.tlab.top = w.HP
+		h.Stats.TLABAllocs += objects
+		h.Stats.TLABAllocWords += words
+	case w.region == regionOld:
+		h.alloc = w.HP
+		h.Stats.SharedAllocs += objects
+	case w.region == regionBlock:
+		h.Stats.SharedAllocs += objects
+	default:
+		h.young.shards[w.region].youngAlloc = w.HP
+		h.Stats.SharedAllocs += objects
+	}
+	h.Stats.Allocations += objects
+	h.Stats.WordsAllocated += words
+	w.start, w.Objects = w.HP, 0
+	return objects, words
+}
+
+// lay puts one n-field object at the head of w, as the dispatch loop does
+// for itself, and settles: fields uninitialized, the header written in
+// tagged mode.
+func (h *Heap) lay(w *Window, n int) code.Word {
+	base := w.HP
 	if h.Repr == code.ReprTagged {
 		h.mem[base] = code.Word(n)<<1 | 1 // odd header: field count
 	}
-	return code.EncodePtr(h.Repr, code.HeapBase+base), nil
+	w.HP += h.objWords(n)
+	w.Objects++
+	h.Settle(w)
+	return code.EncodePtr(h.Repr, code.HeapBase+base)
+}
+
+// Alloc allocates an object with n fields and returns its encoded pointer,
+// or a *OutOfMemoryError when the space is exhausted. Exhaustion is an
+// ordinary return value — not a panic — so callers can climb a recovery
+// ladder: collect, retry, grow, and only then fault. Fields are
+// uninitialized; in tagged mode the header is written. This is the API for
+// callers outside the interpreter (tests, experiments, the scheduler
+// materializing an exhaustion it is about to report); the interpreter holds
+// windows.
+func (h *Heap) Alloc(n int) (code.Word, error) {
+	var w Window
+	if !h.OpenWindow(&w, n, true) {
+		return 0, h.oomError(h.objWords(n))
+	}
+	return h.lay(&w, n), nil
 }
 
 // MustAlloc is Alloc for callers that have already ensured space (Need
@@ -292,6 +400,11 @@ func (e *OutOfMemoryError) Error() string {
 // oomError builds the typed exhaustion failure for a request of total
 // words, capturing the current discipline's free-space picture.
 func (h *Heap) oomError(total int) *OutOfMemoryError {
+	if h.youngFits(total) {
+		s := &h.young.shards[h.young.allocShard]
+		return &OutOfMemoryError{Discipline: "nursery", Requested: total,
+			Free: s.youngOff + h.young.youngWords - s.youngAlloc}
+	}
 	e := &OutOfMemoryError{Discipline: "copying", Requested: total, Free: h.limit - h.alloc}
 	if h.kind == MarkSweep {
 		e.Discipline = "mark/sweep"
@@ -397,11 +510,7 @@ func (h *Heap) EndGC() {
 	if live > h.Stats.PeakLive {
 		h.Stats.PeakLive = live
 	}
-	if h.forward != nil {
-		for i := range h.forward {
-			h.forward[i] = -1
-		}
-	}
+	h.fwdEpoch++ // every forwarding entry of this collection is stale at once
 	h.spansValid = h.verify
 }
 
@@ -413,10 +522,11 @@ func (h *Heap) InGC() bool { return h.inGC }
 func (h *Heap) Forwarded(ptr code.Word) (code.Word, bool) {
 	off := h.addrIndex(ptr) - h.fromOff
 	if h.Repr == code.ReprTagFree {
-		if h.forward[off] < 0 {
+		e := h.forward[off]
+		if e>>fwdShift != h.fwdEpoch {
 			return 0, false
 		}
-		return code.EncodePtr(h.Repr, code.HeapBase+h.forward[off]), true
+		return code.EncodePtr(h.Repr, code.HeapBase+e&(1<<fwdShift-1)), true
 	}
 	// Tagged: broken heart replaces the (odd) header with the (even) new
 	// pointer.
@@ -498,7 +608,7 @@ func (h *Heap) CopyObject(ptr code.Word, n int) code.Word {
 	h.Stats.WordsCopied += int64(total)
 	newPtr := code.EncodePtr(h.Repr, code.HeapBase+newBase)
 	if h.Repr == code.ReprTagFree {
-		h.forward[oldBase-h.fromOff] = newBase
+		h.forward[oldBase-h.fromOff] = h.fwdEpoch<<fwdShift | newBase
 	} else {
 		h.mem[oldBase] = newPtr // broken heart (even)
 	}
@@ -559,9 +669,6 @@ func (h *Heap) Grow(newWords int) error {
 	h.semi = newWords
 	if h.Repr == code.ReprTagFree {
 		h.forward = make([]int, newWords)
-		for i := range h.forward {
-			h.forward[i] = -1
-		}
 	}
 	h.spansValid = false
 	h.Stats.Growths++

@@ -86,25 +86,6 @@ func (h *Heap) freePop(n int) (int, bool) {
 	return l[len(l)-1], true
 }
 
-// msAlloc allocates n words from the bump region or the free lists,
-// returning a typed *OutOfMemoryError when neither can serve the request.
-func (h *Heap) msAlloc(n int) (code.Word, error) {
-	var base int
-	if h.alloc+n <= h.limit {
-		base = h.alloc
-		h.alloc += n
-	} else if b, ok := h.freePop(n); ok {
-		base = b
-	} else {
-		return 0, h.oomError(n)
-	}
-	h.objSize[base] = int32(n)
-	h.spansValid = false
-	h.Stats.Allocations++
-	h.Stats.WordsAllocated += int64(n)
-	return code.EncodePtr(h.Repr, code.HeapBase+base), nil
-}
-
 // VisitObject is the collector's single object-retention primitive: under
 // copying it forwards (copying on first visit); under mark/sweep it marks.
 // It returns the object's current pointer and whether its fields still

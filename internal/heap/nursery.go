@@ -27,8 +27,8 @@ import (
 // divided by the per-shard extent. The write barrier stays two compares.
 //
 // Allocation in the nursery is a pure bump in the allocation shard's
-// active half (SetAllocShard routes each task to its shard; a single-shard
-// heap never changes it). Every collection evacuates active young halves:
+// active half — a window on it (OpenWindow; SetAllocShard routes each task
+// to its shard, a single-shard heap never changes it). Every collection evacuates active young halves:
 // an object that has survived promoteAfter collections is copied into the
 // shared old region (the discipline's normal allocation: semispace bump
 // under copying, bump-or-free-list under mark/sweep); younger survivors
@@ -103,7 +103,8 @@ type nurseryShard struct {
 	// the copying forward table).
 	youngFwd []int
 	// ages[i] holds per-object survival counts for half i, indexed by the
-	// object's base offset within that half.
+	// object's base offset within that half; a half's are cleared when it is
+	// armed for evacuation (armEvac), so an object born in it has age 0.
 	ages [2][]uint8
 }
 
@@ -115,13 +116,14 @@ func (s *nurseryShard) activeIdx() int {
 	return 1
 }
 
-// armEvac points the shard's evacuation bump at its inactive half.
+// armEvac points the shard's evacuation bump at its inactive half and
+// clears that half's ages: survivors write theirs as they are copied in, and
+// whatever the mutator lays behind them once the half is active is already
+// aged 0 — allocation writes no age.
 func (s *nurseryShard) armEvac(youngWords int) {
-	if s.youngOff == s.base {
-		s.youngEvac = s.base + youngWords
-	} else {
-		s.youngEvac = s.base
-	}
+	to := 1 - s.activeIdx()
+	s.youngEvac = s.base + to*youngWords
+	clear(s.ages[to])
 }
 
 // flip makes the inactive half (holding this collection's survivors)
@@ -330,23 +332,6 @@ func (h *Heap) YoungRange(shard int) (lo, span uint64) {
 // shard.
 func (h *Heap) InYoungShard(w code.Word, shard int) bool {
 	return h.InYoung(w) && h.YoungShardOf(w) == shard
-}
-
-// youngAllocFast bump-allocates total words in the allocation shard's
-// active half, or reports false when that half cannot take the request.
-func (h *Heap) youngAllocFast(total int) (code.Word, bool) {
-	n := &h.young
-	s := &n.shards[n.allocShard]
-	if s.youngAlloc+total > s.youngOff+n.youngWords {
-		return 0, false
-	}
-	base := s.youngAlloc
-	s.youngAlloc += total
-	s.ages[s.activeIdx()][base-s.youngOff] = 0
-	h.spansValid = false
-	h.Stats.Allocations++
-	h.Stats.WordsAllocated += int64(total)
-	return code.EncodePtr(h.Repr, code.HeapBase+base), true
 }
 
 // beginYoungGC arms survivor evacuation into every shard's inactive half

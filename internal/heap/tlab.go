@@ -191,37 +191,41 @@ func (h *Heap) CarveTLAB(n int) (TLAB, bool) {
 		young: h.young.enabled, shard: h.young.allocShard, active: true}, true
 }
 
-// AllocTLAB bump-allocates an n-field object inside the buffer, or
-// reports false when the buffer cannot take it (empty, retired, or full —
-// the caller refills via CarveTLAB). This is the allocation fast path: no
-// shared-heap state is consulted beyond the side metadata the object
-// itself needs (age slot in the nursery, size under mark/sweep, header in
-// tagged mode).
-func (h *Heap) AllocTLAB(t *TLAB, n int) (code.Word, bool) {
+// OpenTLABWindow opens w inside the buffer for a request of n fields, or
+// reports false when the buffer cannot take the object (empty, retired,
+// or full — the caller refills via CarveTLAB). This is the allocation fast
+// path: no shared-heap state is consulted beyond the side metadata an object
+// itself needs (its size under mark/sweep), and a buffer that needs it is
+// opened one object at a time.
+func (h *Heap) OpenTLABWindow(w *Window, t *TLAB, n int, one bool) bool {
 	total := h.objWords(n)
 	if !t.active || total > t.limit-t.top {
-		return 0, false
+		return false
 	}
 	if h.inGC {
-		panic("AllocTLAB: collection in progress")
+		panic("OpenTLABWindow: collection in progress")
 	}
-	base := t.top
-	t.top += total
-	if t.young {
-		s := &h.young.shards[t.shard]
-		s.ages[s.activeIdx()][base-s.youngOff] = 0
-	} else if h.kind == MarkSweep {
-		h.objSize[base] = int32(total)
+	*w = Window{HP: t.top, Limit: t.limit, start: t.top, tlab: t}
+	if !t.young && h.kind == MarkSweep {
+		h.objSize[w.HP] = int32(total)
+		one = true
 	}
-	if h.Repr == code.ReprTagged {
-		h.mem[base] = code.Word(n)<<1 | 1 // odd header: field count
+	if one {
+		w.Limit = w.HP + total
 	}
 	h.spansValid = false
-	h.Stats.Allocations++
-	h.Stats.WordsAllocated += int64(total)
-	h.Stats.TLABAllocs++
-	h.Stats.TLABAllocWords += int64(total)
-	return code.EncodePtr(h.Repr, code.HeapBase+base), true
+	return true
+}
+
+// AllocTLAB allocates one n-field object inside the buffer, or reports
+// false when the buffer cannot take it: Alloc's counterpart for callers
+// outside the interpreter.
+func (h *Heap) AllocTLAB(t *TLAB, n int) (code.Word, bool) {
+	var w Window
+	if !h.OpenTLABWindow(&w, t, n, true) {
+		return 0, false
+	}
+	return h.lay(&w, n), true
 }
 
 // RetireTLAB returns a buffer to the heap, leaving a tiling the sweep,

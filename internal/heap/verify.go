@@ -58,9 +58,9 @@ func (h *Heap) verifyCopying() []error {
 	}
 	if h.Repr == code.ReprTagFree && h.forward != nil {
 		for i, f := range h.forward {
-			if f >= 0 {
-				errs = append(errs, fmt.Errorf("heap verify: forwarding entry %d not reset (still %d) after collection", i, f))
-				break // one stale entry implies the reset loop never ran; don't spam
+			if f>>fwdShift == h.fwdEpoch {
+				errs = append(errs, fmt.Errorf("heap verify: forwarding entry %d not reset (still %d) after collection", i, f&(1<<fwdShift-1)))
+				break // one live entry implies the epoch never advanced; don't spam
 			}
 		}
 	}

@@ -117,3 +117,7 @@ func (g *Group) runUntilSuspendedScanningAll() (bool, error) {
 
 // Step runs one instruction slice of t, as a scheduling turn does.
 func (g *Group) Step(t *Task, quantum int) error { return g.step(t, quantum) }
+
+// CollectSuspended collects with every task stopped and resumes them, as Run
+// does between two calls of the scheduling loop.
+func (g *Group) CollectSuspended() { g.collectSuspended() }

@@ -37,8 +37,9 @@
 // a group of one (Group.RunMain). Its dispatch loop (Group.step, DESIGN.md
 // §12) keeps what one instruction hands the next — code, stack, pc, fp, sp,
 // the instructions left — in locals and makes no call; whatever needs one
-// (allocation, a load or store hook, a diverted call, frame growth, a fault)
-// leaves the loop as an event and re-enters it. Nothing is kept per frame for
+// (an allocation window, a load or store hook, a diverted call, frame growth,
+// a fault) leaves the loop as an event and re-enters it. Objects are built in
+// the loop, in a window of the heap the allocation gate opened (§15). Nothing is kept per frame for
 // diagnostics: a backtrace names each frame from its return address, the way
 // the collector finds its gc_word.
 package tasking
@@ -46,6 +47,7 @@ package tasking
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"tagfree/internal/code"
@@ -107,6 +109,9 @@ type Task struct {
 	shard int
 	// pendingAlloc is the retry size while suspended at an allocation.
 	pendingAlloc int
+	// parked holds the dispatch loop's instruction count while it lays an
+	// object (step); it means nothing between instructions.
+	parked int
 	// parkedByRgc says why the task is SuspendedAlloc: true when it found a
 	// wave already raised and has not asked for memory yet, false when its
 	// own allocation failed, was failed by injection, or is being tortured —
@@ -433,6 +438,9 @@ type Group struct {
 	// stackPool holds the zeroed stacks of tasks that left the run queue,
 	// for Spawn to hand out again (LIFO).
 	stackPool [][]code.Word
+	// pending and roots back pendingTasks and rootSet.
+	pending []*Task
+	roots   []gc.TaskRoots
 }
 
 // NewGroup builds a tasking group over a fresh semispace copying heap.
@@ -643,36 +651,56 @@ func (g *Group) retireAllTLABs() {
 	}
 }
 
-// taskAlloc is the tasking allocation path. With TLABs armed, an eligible
-// request is served from the task's private buffer — a bounds-check-and-
-// bump with no shared-heap acquisition — refilling via one chunked carve
-// when the buffer is full. Oversize requests, and carve failures (the
-// region cannot take even the clamped chunk), fall back to the shared
-// Heap.Alloc, whose failure feeds the ordinary recovery ladder.
-func (g *Group) taskAlloc(t *Task, n int) (code.Word, error) {
-	if g.TLABWords > 0 && g.Heap.TLABEligible(n) {
-		if ptr, ok := g.Heap.AllocTLAB(&t.tlab, n); ok {
-			t.TLAB.FastAllocs++
-			return ptr, nil
-		}
-		g.retireTaskTLAB(t)
-		if tl, ok := g.Heap.CarveTLAB(n); ok {
-			t.tlab = tl
-			t.TLAB.Refills++
-			t.TLAB.RefillWords += int64(tl.Cap())
-			ptr, ok := g.Heap.AllocTLAB(&t.tlab, n)
-			if !ok {
-				panic("tasking: allocation failed inside a fresh TLAB carve")
-			}
-			t.TLAB.FastAllocs++
-			return ptr, nil
-		}
+// openBuffered opens w, the allocation window a request of n fields is
+// granted, in the task's private buffer (TLABs armed): the rest of the buffer
+// — no shared-heap acquisition — refilled via one chunked carve when it is
+// full. Oversize requests, and carve failures (the region cannot take even
+// the clamped chunk), are reported false and fall back to a window on the
+// shared heap, whose failure feeds the ordinary recovery ladder. one asks for
+// a window of exactly the one object.
+func (g *Group) openBuffered(w *heap.Window, t *Task, n int, one bool) bool {
+	h := g.Heap
+	if !h.TLABEligible(n) {
+		return false
 	}
-	ptr, err := g.Heap.Alloc(n)
-	if err == nil && g.TLABWords > 0 {
-		t.TLAB.SlowAllocs++
+	if h.OpenTLABWindow(w, &t.tlab, n, one) {
+		return true
 	}
-	return ptr, err
+	g.retireTaskTLAB(t)
+	tl, ok := h.CarveTLAB(n)
+	if !ok {
+		return false
+	}
+	t.tlab = tl
+	t.TLAB.Refills++
+	t.TLAB.RefillWords += int64(tl.Cap())
+	if !h.OpenTLABWindow(w, &t.tlab, n, one) {
+		panic("tasking: allocation failed inside a fresh TLAB carve")
+	}
+	return true
+}
+
+// settle books the objects the dispatch loop laid in its window since it was
+// last left: the heap's counters and bump pointer (heap.Settle), and the
+// task's — one Rgc comparison per object where allocation is the policy's
+// suspension point, as calls settle theirs when the slice ends.
+func (g *Group) settle(t *Task, w *heap.Window) {
+	buffered := w.Buffered()
+	objs, words := g.Heap.Settle(w)
+	t.Allocations += objs
+	t.AllocWords += words
+	if g.Prog.Repr == code.ReprTagged {
+		t.AllocWords -= objs // a header is not a field
+	}
+	t.allocRetry = false
+	if buffered {
+		t.TLAB.FastAllocs += objs
+	} else if g.TLABWords > 0 {
+		t.TLAB.SlowAllocs += objs
+	}
+	if g.Policy == SuspendAtAllocs {
+		g.Stats.RgcChecks += objs
+	}
 }
 
 // allocBlocked reports whether a pending allocation would still fail if
@@ -936,23 +964,27 @@ func (g *Group) RunUntilCollection() ([]gc.TaskRoots, bool, error) {
 	if err != nil || !pending {
 		return nil, false, err
 	}
-	return g.rootSet(g.pendingTasks()), true, nil
+	return slices.Clone(g.rootSet(g.pendingTasks())), true, nil
 }
 
-// pendingTasks lists the live tasks suspended for the coming collection.
+// pendingTasks lists the live tasks suspended for the coming collection. The
+// list is the group's own, good until the next one is made: a collection
+// allocates nothing on the host for the tasks it stops.
 func (g *Group) pendingTasks() []*Task {
-	var live []*Task
+	live := g.pending[:0]
 	for _, t := range g.runq {
 		if t.Status == SuspendedAlloc || t.Status == SuspendedCall {
 			live = append(live, t)
 		}
 	}
+	g.pending = live
 	return live
 }
 
-// rootSet builds the collector's view of the suspended tasks.
+// rootSet builds the collector's view of the suspended tasks, in a list the
+// group reuses like pendingTasks'.
 func (g *Group) rootSet(live []*Task) []gc.TaskRoots {
-	roots := make([]gc.TaskRoots, 0, len(live))
+	roots := g.roots[:0]
 	for _, t := range live {
 		roots = append(roots, gc.TaskRoots{
 			Stack:  t.stack,
@@ -962,6 +994,7 @@ func (g *Group) rootSet(live []*Task) []gc.TaskRoots {
 			AtCall: t.Status == SuspendedCall,
 		})
 	}
+	g.roots = roots
 	return roots
 }
 
@@ -1332,17 +1365,21 @@ func (g *Group) noteLadderOutcome(t *Task, ok bool) {
 	}
 }
 
-// overBudget reports whether the task has exceeded a per-task budget,
-// with the typed cause. extraAlloc is the field-word size of an
-// allocation about to be requested (0 at call dispatch).
-func (g *Group) overBudget(t *Task, extraAlloc int) (error, bool) {
+// spent reports whether the task has exceeded a per-task budget. extraAlloc
+// is the field-word size of an allocation about to be requested (0 at call
+// dispatch). It is the test both safe points make on every visit, and small
+// enough to be made in line; overBudget words the cause.
+func (g *Group) spent(t *Task, extraAlloc int) bool {
+	return g.BudgetSteps > 0 && t.Steps > g.BudgetSteps ||
+		g.BudgetAllocWords > 0 && t.AllocWords+int64(extraAlloc) > g.BudgetAllocWords
+}
+
+// overBudget is the typed cause of a spent budget.
+func (g *Group) overBudget(t *Task, extraAlloc int) error {
 	if g.BudgetSteps > 0 && t.Steps > g.BudgetSteps {
-		return fmt.Errorf("step budget exhausted: %d instructions executed, limit %d", t.Steps, g.BudgetSteps), true
+		return fmt.Errorf("step budget exhausted: %d instructions executed, limit %d", t.Steps, g.BudgetSteps)
 	}
-	if g.BudgetAllocWords > 0 && t.AllocWords+int64(extraAlloc) > g.BudgetAllocWords {
-		return fmt.Errorf("allocation budget exhausted: %d words requested, quota %d", t.AllocWords+int64(extraAlloc), g.BudgetAllocWords), true
-	}
-	return nil, false
+	return fmt.Errorf("allocation budget exhausted: %d words requested, quota %d", t.AllocWords+int64(extraAlloc), g.BudgetAllocWords)
 }
 
 // backtrace captures the task's frame chain, innermost first, bounded so
@@ -1448,6 +1485,7 @@ const (
 	evDone              // a return from the root frame
 	evCall              // a call diverted by a raised Rgc or a spent budget
 	evFrame             // a callee frame that ends past the stack array
+	evAlloc             // an object that ends past the allocation window
 	evLoad              // a field load with a hook to run on the loaded word
 	evStore             // a field store with a barrier to run after it
 	evDivZero           // a division or modulus by zero
@@ -1470,8 +1508,8 @@ func fieldIndex(p, tag code.Word, i int) int {
 	return int(p>>(uint(tag)&1)) + int(tag) - code.HeapBase + i
 }
 
-// sliceConsts is what the dispatch loop reads and never writes. It is one
-// struct so that it lives in step's frame: a struct of more than four fields
+// sliceConsts is what the dispatch loop reads and — the allocation window
+// aside — never writes. It is one struct so that it lives in step's frame: a struct of more than four fields
 // stays in memory and a field is loaded where it is used, which leaves the
 // registers to the loop-carried state. As separate locals these values made
 // the loop store and reload pc and the count on every instruction
@@ -1495,6 +1533,12 @@ type sliceConsts struct {
 	// traps every load: a SetDebugAccess heap validates the access itself.
 	ldHook, ldAll bool
 	young, own    wordRange
+	// win is the allocation window: the loop lays objects at win.HP while
+	// they end at or before win.Limit, and raises evAlloc — with the field
+	// count in need — for the gate to open another (Group.alloc). It is the
+	// one part of this struct the loop writes, and it stays a memory operand.
+	win  heap.Window
+	need int
 }
 
 // wordRange is the words lo ≤ w < lo+span.
@@ -1507,10 +1551,17 @@ func (r wordRange) has(w code.Word) bool { return uint64(w)-r.lo < r.span }
 //
 // The inner loop carries the code, the stack, pc, fp, sp and the instructions
 // left in locals, makes no Go call, and implements every instruction that
-// needs none. Anything else is an event: the loop writes its state back to the
-// task, event handles it with the task as the only state, and the loop is
-// entered again. A hooked load or store does its plain work in the loop and
-// raises its event afterwards, so no instruction is implemented twice.
+// needs none — the allocating ones included: an object is laid in the
+// allocation window (sliceConsts.win), a bump and a store per field. Anything
+// else is an event: the loop writes its state back to the task, event handles
+// it with the task as the only state, and the loop is entered again. A hooked
+// load or store does its plain work in the loop and raises its event
+// afterwards, and an allocation whose window is too short raises its event
+// before doing anything (the gate, alloc, opens another window or stops the
+// task, and the instruction runs again), so no instruction is implemented
+// twice. The objects laid are booked — heap and task counters, the bump
+// pointer — whenever the loop is left (settle): every count is exact at
+// every event, as the task's own are.
 //
 // Only the instruction that ends a slice — an allocation suspending its own
 // task — can raise a wave, so whether calls are diverted into the suspension
@@ -1546,7 +1597,7 @@ func (g *Group) step(t *Task, quantum int) error {
 	atCalls := g.Policy == SuspendAtCalls
 	k.divert = atCalls && (waveUp || (g.sharded && g.rgcShard[t.shard] != 0))
 	divertAt := quantum
-	if _, over := g.overBudget(t, 0); over {
+	if g.spent(t, 0) {
 		k.divert = true
 	} else if g.BudgetSteps > 0 {
 		divertAt = int(min(int64(quantum), g.BudgetSteps-t.Steps))
@@ -1745,6 +1796,63 @@ func (g *Group) step(t *Task, quantum int) error {
 					t.MaxFrameDepth = t.depth
 				}
 
+			// An object is laid at the head of the allocation window: its
+			// header word under the tagged representation, its header field
+			// if it has one — a constructor's tag, a closure's function index
+			// — then the operands at c[args:], read once the object exists
+			// (nothing can intervene: an instruction is not a safe point).
+			// One that does not fit is the safe point: the gate opens another
+			// window, or a collection happens first, and it runs again.
+			//
+			// Laying an object needs more registers than the loop can spare,
+			// and a value the compiler evicts here it stores where it is
+			// defined — for the count, at the head of the loop, on every
+			// instruction of every program. So the count is parked in the
+			// task for the length of this case and read back where its two
+			// paths meet (a load the compiler cannot forward), which keeps it
+			// in its register everywhere else (`make profile-interp`).
+			case code.OpMkRef, code.OpMkTuple, code.OpMkBox, code.OpMkClos:
+				t.parked = left
+				args, nargs, hdr := pc+3, 1, false
+				switch c[pc] {
+				case code.OpMkTuple:
+					args, nargs = pc+4, int(c[pc+3])
+				case code.OpMkBox:
+					args, nargs, hdr = pc+5, int(c[pc+4]), c[pc+3] >= 0
+				case code.OpMkClos:
+					args, nargs, hdr = pc+7, int(c[pc+5]+c[pc+6]), true
+				}
+				f := k.win.HP + int(k.tag) // the first operand's word: past the header word
+				if hdr {
+					f++ // and past the header field
+				}
+				if f+nargs > k.win.Limit {
+					k.need = f + nargs - k.win.HP - int(k.tag)
+					ev = evAlloc
+				} else {
+					ptr := code.Word(code.HeapBase + k.win.HP)
+					if k.tag != 0 {
+						k.mem[k.win.HP] = code.Word(f+nargs-k.win.HP-1)<<1 | 1 // odd header: field count
+						ptr <<= 1
+					}
+					if hdr {
+						k.mem[f-1] = c[pc+3]*(1+k.tag) | k.tag // EncodeInt, without a shift by a variable
+					}
+					for i := 0; i < nargs; i++ {
+						k.mem[f+i] = operand(stack, k.statics, fp, c[args+i])
+					}
+					if c[pc] == code.OpMkClos && c[pc+4] >= 0 {
+						// The closure captures itself in this capture.
+						k.mem[k.win.HP+int(k.tag)+1+int(c[pc+5]+c[pc+4])] = ptr
+					}
+					k.win.HP, k.win.Objects = f+nargs, k.win.Objects+1
+					stack[fp+2+int(c[pc+1])], pc = ptr, args+nargs
+				}
+				left = t.parked
+				if ev == evAlloc {
+					break dispatch
+				}
+
 			default:
 				ev = evCold
 				break dispatch
@@ -1756,12 +1864,21 @@ func (g *Group) step(t *Task, quantum int) error {
 		}
 		t.pc, t.fp, t.sp = pc, fp, sp
 		t.Steps = steps0 + int64(n)
-
+		if k.win.Objects != 0 {
+			g.settle(t, &k.win)
+		}
 		if ev == evSlice {
 			if n >= quantum {
 				break
 			}
 			k.divert = true // the step budget's undiverted prefix is over
+		} else if ev == evAlloc {
+			// The gate judges the attempt as a counted step. One it grants a
+			// window has not executed: it runs again, in the window.
+			if !g.alloc(t, &k) {
+				break
+			}
+			n--
 		} else if err = g.event(t, ev); err != nil || t.Status != Running {
 			break
 		}
@@ -1806,11 +1923,10 @@ func (g *Group) event(t *Task, ev int) error {
 				return nil
 			}
 		}
-		cause, over := g.overBudget(t, 0)
-		if !over {
+		if !g.spent(t, 0) {
 			panic("tasking: call diverted with no wave raised and no budget spent")
 		}
-		g.faultTask(t, FaultBudget, 0, cause)
+		g.faultTask(t, FaultBudget, 0, g.overBudget(t, 0))
 
 	case evFrame:
 		t.reserve(len(t.stack) + 1)
@@ -1852,11 +1968,10 @@ func (g *Group) event(t *Task, ev int) error {
 	return nil
 }
 
-// cold executes the instruction at t.pc for the dispatch loop: one that
-// allocates, or calls into Go for another reason. alloc is the safe point
-// where a collection can happen (the task suspends and the instruction runs
-// again afterwards); operands are read from their slots only once the object
-// exists, so a moving collector's updates are observed (§2.1).
+// cold executes the instruction at t.pc for the dispatch loop: one that calls
+// into Go — a type rep to intern, a builtin, a global to set, a trap. None of
+// them allocates in the heap or is a safe point; the allocating instructions
+// are the loop's own (step), and their safe point is the gate (alloc).
 func (g *Group) cold(t *Task) error {
 	prog, h := g.Prog, g.Heap
 	c, repr := prog.Code, prog.Repr
@@ -1865,40 +1980,6 @@ func (g *Group) cold(t *Task) error {
 	var res code.Word
 	next := pc
 	switch op := c[pc]; op {
-	case code.OpMkRef, code.OpMkTuple, code.OpMkBox, code.OpMkClos:
-		// An object is its header field, if it has one — a constructor's tag,
-		// a closure's function index — and then the operands at c[args:].
-		hdr, args, nargs, self := code.Word(-1), pc+3, 1, -1
-		switch op {
-		case code.OpMkTuple:
-			args, nargs = pc+4, int(c[pc+3])
-		case code.OpMkBox:
-			hdr, args, nargs = c[pc+3], pc+5, int(c[pc+4])
-		case code.OpMkClos:
-			hdr, args, nargs = c[pc+3], pc+7, int(c[pc+5]+c[pc+6])
-			if c[pc+4] >= 0 {
-				self = 1 + int(c[pc+5]+c[pc+4]) // the closure captures itself here
-			}
-		}
-		off := 0
-		if hdr >= 0 {
-			off = 1
-		}
-		ptr, ok := g.alloc(t, off+nargs)
-		if !ok {
-			return nil
-		}
-		if hdr >= 0 {
-			h.SetField(ptr, 0, code.EncodeInt(repr, hdr))
-		}
-		for i := 0; i < nargs; i++ {
-			h.SetField(ptr, off+i, atom(c[args+i]))
-		}
-		if self >= 0 {
-			h.SetField(ptr, self, ptr)
-		}
-		res, next = ptr, args+nargs
-
 	case code.OpMkRep:
 		// The handles go through a stack buffer (Intern copies what it
 		// keeps), so a polymorphic call chain allocates nothing on the host.
@@ -1989,61 +2070,78 @@ func (t *Task) suspendAlloc(n int, byRgc bool) {
 	t.parkedByRgc = byRgc
 }
 
-// alloc is the allocation gate of an allocation instruction at the task's
-// pc: it returns a fresh object of n fields, or suspends (or faults) the
-// task and reports false — the instruction then runs again when the task
-// resumes.
-func (g *Group) alloc(t *Task, n int) (code.Word, bool) {
+// park suspends a task at the allocation the gate is judging. The attempt
+// compared Rgc if that is where the policy compares it (an allocation that
+// goes ahead is counted by settle instead).
+func (g *Group) park(t *Task, n int, byRgc bool) bool {
+	if g.Policy == SuspendAtAllocs {
+		g.Stats.RgcChecks++
+	}
+	t.suspendAlloc(n, byRgc)
+	return false
+}
+
+// alloc is the allocation gate: the allocating instruction at the task's pc
+// needs k.need fields and the window is too short for them — the safe point
+// where a collection can happen. The gate either grants a window (true: the
+// instruction runs again and lays its object there) or suspends or faults
+// the task (false: the instruction runs again when the task resumes).
+//
+// What must be judged per allocation is judged here, and holds for the whole
+// window granted: a window is one object long when a budget is set or a fault
+// plan is armed (and where the heap needs it, heap.Window), so the next
+// allocation comes back; otherwise it is the rest of its region, and nothing
+// the gate checks can change before the slice ends — only an allocation that
+// suspends its own task, which ends the slice, raises a wave.
+func (g *Group) alloc(t *Task, k *sliceConsts) bool {
+	n, one := k.need, false
 	if g.BudgetSteps > 0 || g.BudgetAllocWords > 0 {
 		// Allocation sites are the other safe point: fault the task before
 		// the request touches the heap so an over-quota task cannot trigger
 		// collections on its siblings' behalf.
-		if cause, over := g.overBudget(t, n); over {
-			g.faultTask(t, FaultBudget, n, cause)
-			return 0, false
+		if g.spent(t, n) {
+			g.faultTask(t, FaultBudget, n, g.overBudget(t, n))
+			return false
 		}
+		one = true
 	}
 	sharded, tShard := g.sharded, t.shard
-	if g.Policy == SuspendAtAllocs {
-		g.Stats.RgcChecks++
-		if g.rgc != 0 || (sharded && g.rgcShard[tShard] != 0) {
-			// Another task exhausted the heap (or this task's shard has a
-			// minor pending, or a concurrent cycle wants its pause); wait
-			// here and retry this allocation after the wave.
-			t.suspendAlloc(n, true)
-			return 0, false
+	if g.Policy == SuspendAtAllocs && (g.rgc != 0 || (sharded && g.rgcShard[tShard] != 0)) {
+		// Another task exhausted the heap (or this task's shard has a
+		// minor pending, or a concurrent cycle wants its pause); wait
+		// here and retry this allocation after the wave.
+		return g.park(t, n, true)
+	}
+	if f := g.Col.Faults; f != nil {
+		one = true
+		if !t.allocRetry {
+			// Fault injection runs before the real allocation and rides the
+			// same suspend/collect path a genuine exhaustion would, so injected
+			// failures exercise the full ladder. allocRetry guards the
+			// post-collection retry: without it, torture (and FailEvery=1)
+			// would re-suspend the same allocation forever.
+			if f.Torture {
+				if g.rgc == 0 {
+					g.Col.Telem.Resilience.TortureCollections++
+				}
+				g.rgc = 1
+				return g.park(t, n, false)
+			}
+			// A RefillOnly plan targets the moment a TLAB chunk would be carved
+			// from the shared heap; every other attempt passes through untouched.
+			refill := g.TLABWords > 0 && g.Heap.TLABEligible(n) && !g.Heap.TLABRoom(&t.tlab, n)
+			if f.FailAllocAt(refill) {
+				g.Col.Telem.Resilience.InjectedOOMs++
+				if g.rgc == 0 {
+					g.Col.Telem.Resilience.EmergencyCollections++
+				}
+				g.rgc = 1
+				t.allocEmergency = true
+				return g.park(t, n, false)
+			}
 		}
 	}
-	if f := g.Col.Faults; f != nil && !t.allocRetry {
-		// Fault injection runs before the real allocation and rides the
-		// same suspend/collect path a genuine exhaustion would, so injected
-		// failures exercise the full ladder. allocRetry guards the
-		// post-collection retry: without it, torture (and FailEvery=1)
-		// would re-suspend the same allocation forever.
-		if f.Torture {
-			if g.rgc == 0 {
-				g.Col.Telem.Resilience.TortureCollections++
-			}
-			g.rgc = 1
-			t.suspendAlloc(n, false)
-			return 0, false
-		}
-		// A RefillOnly plan targets the moment a TLAB chunk would be carved
-		// from the shared heap; every other attempt passes through untouched.
-		refill := g.TLABWords > 0 && g.Heap.TLABEligible(n) && !g.Heap.TLABRoom(&t.tlab, n)
-		if f.FailAllocAt(refill) {
-			g.Col.Telem.Resilience.InjectedOOMs++
-			if g.rgc == 0 {
-				g.Col.Telem.Resilience.EmergencyCollections++
-			}
-			g.rgc = 1
-			t.allocEmergency = true
-			t.suspendAlloc(n, false)
-			return 0, false
-		}
-	}
-	ptr, err := g.taskAlloc(t, n)
-	if err != nil {
+	if !(g.TLABWords > 0 && g.openBuffered(&k.win, t, n, one)) && !g.Heap.OpenWindow(&k.win, n, one) {
 		if sharded && g.rgc == 0 && g.rgcShard[tShard] == 0 &&
 			!g.exposed[tShard] && g.Col.MinorEligible() && n <= g.Heap.YoungWords() {
 			// A nursery-sized request failed in an unexposed, minor-eligible
@@ -2052,29 +2150,24 @@ func (g *Group) alloc(t *Task, n int) (code.Word, bool) {
 			// serviceShardMinors escalates to the global ladder if the shard
 			// minor is not enough.
 			g.rgcShard[tShard] = 1
-			t.suspendAlloc(n, false)
-			return 0, false
+			return g.park(t, n, false)
 		}
-		// The typed allocation failure is the ladder's first rung: raise
-		// Rgc and suspend for an emergency collection; collectSuspended
-		// climbs the rest (retry, grow, fault).
+		// Exhaustion is the ladder's first rung: raise Rgc and suspend for
+		// an emergency collection; collectSuspended climbs the rest (retry,
+		// grow, fault — oomCause builds the typed error for the last).
 		if g.rgc == 0 {
 			g.Col.Telem.Resilience.EmergencyCollections++
 		}
 		g.rgc = 1
 		t.allocEmergency = true
-		t.suspendAlloc(n, false)
-		return 0, false
+		return g.park(t, n, false)
 	}
-	t.Allocations++
-	t.AllocWords += int64(n)
-	t.allocRetry = false
-	if g.Heap.NurseryEnabled() && !g.Heap.InYoung(ptr) {
+	if g.Heap.NurseryEnabled() && !g.Heap.InYoung(code.Word(code.HeapBase+k.win.HP)) {
 		// Objects too large for the nursery are born old; their stores
 		// never ran the write barrier, so force the next cycle major.
 		g.Col.NoteTenuredAlloc()
 	}
-	return ptr, true
+	return true
 }
 
 func (g *Group) builtin(t *Task, id code.BuiltinID, arg code.Word) {
