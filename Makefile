@@ -77,8 +77,9 @@
 # BenchmarkStackWalk (internal/gc: one collection over a depth-640 polymorphic
 # tower at four instantiations, and over a three-function mutual recursion —
 # ns per frame walked, B/op and allocs/op) under a CPU profile and prints the
-# top 12. A healthy walk has no growslice/makeslice/mallocgc under it, 0
-# allocs/op, and B/op is the telemetry records' amortized growth alone.
+# top 12. A healthy walk has no growslice/makeslice under it, 1 allocs/op
+# (the record's per-task scan list), and B/op is that and the telemetry
+# records' amortized growth alone.
 #
 # profile-compile is the same for the compiler: it runs BenchmarkBuild
 # (internal/pipeline: pipeline.Build over eight suffixed copies of the

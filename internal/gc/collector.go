@@ -420,7 +420,7 @@ func (c *Collector) CollectFull(tasks []TaskRoots, globals []code.Word) {
 	markedAtStart := c.Heap.Stats.WordsCopied
 	c.traceGlobals(globals)
 
-	scans := c.Telem.scanList(len(tasks))
+	scans := make([]TaskScan, len(tasks))
 	// Parallel marking cannot run over a nursery: young objects move during
 	// evacuation and VisitShared refuses them. Copying's parallel phase only
 	// resolves roots — the trace that moves objects is the ordered serial
@@ -478,7 +478,7 @@ func (c *Collector) collectMinor(tasks []TaskRoots, globals []code.Word) {
 
 	c.beginPrune(false, false)
 	c.traceGlobals(globals)
-	scans := c.Telem.scanList(len(tasks))
+	scans := make([]TaskScan, len(tasks))
 	c.collectSerial(tasks, scans)
 	c.traceRemembered(-1)
 	c.endPrune()
@@ -526,7 +526,7 @@ func (c *Collector) CollectMinorShard(shard int, tasks []TaskRoots, globals []co
 	// only reach spine-only — beginPrune refuses and counts the reason.
 	c.beginPrune(false, true)
 	c.traceGlobals(globals)
-	scans := c.Telem.scanList(len(tasks))
+	scans := make([]TaskScan, len(tasks))
 	c.collectSerial(tasks, scans)
 	c.traceRemembered(shard)
 	c.endPrune()

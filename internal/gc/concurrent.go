@@ -229,7 +229,7 @@ func (c *Collector) ConcFinish(tasks []TaskRoots, globals []code.Word) {
 		c.concMark(e.g, e.w)
 	}
 	c.traceGlobals(globals)
-	scans := c.Telem.scanList(len(tasks))
+	scans := make([]TaskScan, len(tasks))
 	c.collectSerial(tasks, scans)
 	c.Stats.TypeGCBuilt = c.b.Built
 	c.Heap.EndGC()

@@ -21,9 +21,8 @@ let deep2000 () = down [1; 2; 3] 2000
 
 // TestCollectionHostAllocsIndependentOfDepth: what a collection allocates on
 // the host is its product — the telemetry record and the per-task scan list
-// in it, both cut from blocks that many collections share — and the fixed
-// cost of fanning out workers, never something that grows with the stacks it
-// walks. The frame list of a walk, the type-argument
+// in it — and the fixed cost of fanning out workers, never something that
+// grows with the stacks it walks. The frame list of a walk, the type-argument
 // windows and the root jobs all live in the per-worker scratch arena, so a
 // warmed collector allocates the same over a tower of 100 frames and of 2 000.
 func TestCollectionHostAllocsIndependentOfDepth(t *testing.T) {
@@ -58,10 +57,10 @@ func TestCollectionHostAllocsIndependentOfDepth(t *testing.T) {
 			t.Errorf("par %d: a collection allocates %v times on the host over 100-frame towers and %v times over 2 000-frame towers",
 				par, counts[0], counts[1])
 		}
-		// Serial: the record list's and the scan-list block's growth, amortized
-		// to nothing over the runs.
-		if par == 1 && counts[0] != 0 {
-			t.Errorf("a serial collection allocates %v times on the host; its record is amortized", counts[0])
+		// Serial, nothing else is left: the record (its list's growth is
+		// amortized over the runs) and its scan list.
+		if par == 1 && counts[0] > 2 {
+			t.Errorf("a serial collection allocates %v times on the host; its record and scan list are two", counts[0])
 		}
 	}
 }

@@ -195,22 +195,6 @@ type Telemetry struct {
 	lastBarrier int64
 	lastSpine   int64
 	lastTLAB    TLABRecord
-	// scanSlab is what is left of the block the records' Tasks lists are cut
-	// from (scanList).
-	scanSlab []TaskScan
-}
-
-// scanList returns the n-entry per-task scan list of the coming record, cut
-// from a block shared with its neighbours: a small-heap run makes thousands
-// of collections of a few tasks each, and a list apiece was most of what a
-// collection still allocated on the host.
-func (t *Telemetry) scanList(n int) []TaskScan {
-	if len(t.scanSlab) < n {
-		t.scanSlab = make([]TaskScan, max(n, 256))
-	}
-	list := t.scanSlab[:n:n]
-	t.scanSlab = t.scanSlab[n:]
-	return list
 }
 
 // ResilienceStats counts memory-pressure events and their outcomes: what

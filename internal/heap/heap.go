@@ -94,8 +94,8 @@ type Heap struct {
 	// by a store per word of the semispace per collection. Its storage is
 	// bookkeeping of the collector, not program memory, and is excluded
 	// from all space accounting.
-	forward  []int
-	fwdEpoch int
+	forward  []uint64
+	fwdEpoch uint64
 	inGC     bool
 	// Mark/sweep side metadata (see marksweep.go): per-object sizes at
 	// their start offsets, mark bits, exact-size free lists, and the sizes
@@ -156,15 +156,18 @@ func New(repr code.Repr, semiWords int) *Heap {
 		limit:   semiWords,
 	}
 	if repr == code.ReprTagFree {
-		h.forward, h.fwdEpoch = make([]int, semiWords), 1
+		h.forward, h.fwdEpoch = make([]uint64, semiWords), 1
 	}
 	return h
 }
 
 // fwdShift splits a forwarding entry: the epoch above, the to-space index
-// (always far below 2^32) beneath. A zero entry carries epoch 0, which is
-// never current.
+// (always far below 2^32) beneath — 64 bits on every platform. A zero entry
+// carries epoch 0, which is never current.
 const fwdShift = 32
+
+// fwdIndex is the to-space index a forwarding entry holds.
+func fwdIndex(e uint64) int { return int(e & (1<<fwdShift - 1)) }
 
 // SemiWords returns the semispace size.
 func (h *Heap) SemiWords() int { return h.semi }
@@ -526,7 +529,7 @@ func (h *Heap) Forwarded(ptr code.Word) (code.Word, bool) {
 		if e>>fwdShift != h.fwdEpoch {
 			return 0, false
 		}
-		return code.EncodePtr(h.Repr, code.HeapBase+e&(1<<fwdShift-1)), true
+		return code.EncodePtr(h.Repr, code.HeapBase+fwdIndex(e)), true
 	}
 	// Tagged: broken heart replaces the (odd) header with the (even) new
 	// pointer.
@@ -608,7 +611,7 @@ func (h *Heap) CopyObject(ptr code.Word, n int) code.Word {
 	h.Stats.WordsCopied += int64(total)
 	newPtr := code.EncodePtr(h.Repr, code.HeapBase+newBase)
 	if h.Repr == code.ReprTagFree {
-		h.forward[oldBase-h.fromOff] = h.fwdEpoch<<fwdShift | newBase
+		h.forward[oldBase-h.fromOff] = h.fwdEpoch<<fwdShift | uint64(newBase)
 	} else {
 		h.mem[oldBase] = newPtr // broken heart (even)
 	}
@@ -668,7 +671,7 @@ func (h *Heap) Grow(newWords int) error {
 	h.limit = h.fromOff + newWords
 	h.semi = newWords
 	if h.Repr == code.ReprTagFree {
-		h.forward = make([]int, newWords)
+		h.forward = make([]uint64, newWords)
 	}
 	h.spansValid = false
 	h.Stats.Growths++

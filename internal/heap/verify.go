@@ -15,10 +15,10 @@ import (
 //
 //   - Copying: the objects copied this cycle must tile the new from-space
 //     exactly (forwarding completeness: every allocated word belongs to
-//     exactly one copied object), and the tag-free forwarding table must be
-//     fully reset. Tagged heaps additionally re-walk headers, checking that
-//     each is odd, extents tile the space, and every pointer-shaped field
-//     lands on an object start.
+//     exactly one copied object), and every tag-free forwarding entry the
+//     cycle wrote must point into that space. Tagged heaps additionally
+//     re-walk headers, checking that each is odd, extents tile the space,
+//     and every pointer-shaped field lands on an object start.
 //   - Mark/sweep: object and gap extents must tile the allocated region
 //     with no overlap or unaccounted words, every mark bit must be clear
 //     after the sweep, and the free lists must be disjoint — no block on
@@ -56,11 +56,15 @@ func (h *Heap) verifyCopying() []error {
 			h.alloc, h.fromOff, h.limit))
 		return errs
 	}
-	if h.Repr == code.ReprTagFree && h.forward != nil {
+	// EndGC advanced the epoch past the cycle's stamp, so no entry forwards
+	// any more; what the cycle did write must point into what it copied.
+	// (Epoch 0 is the stamp of entries never written.)
+	if last := h.fwdEpoch - 1; h.Repr == code.ReprTagFree && last > 0 {
 		for i, f := range h.forward {
-			if f>>fwdShift == h.fwdEpoch {
-				errs = append(errs, fmt.Errorf("heap verify: forwarding entry %d not reset (still %d) after collection", i, f&(1<<fwdShift-1)))
-				break // one live entry implies the epoch never advanced; don't spam
+			if to := fwdIndex(f); f>>fwdShift == last && (to < h.fromOff || to >= h.alloc) {
+				errs = append(errs, fmt.Errorf("heap verify: forwarding entry %d of the last collection points to %d, outside the copied region [%d, %d)",
+					i, to, h.fromOff, h.alloc))
+				break // one is enough; don't spam
 			}
 		}
 	}

@@ -140,6 +140,27 @@ func TestVerifyCatchesMissedCopy(t *testing.T) {
 	h.alloc -= 2
 }
 
+func TestVerifyCatchesStrayForwarding(t *testing.T) {
+	h := New(code.ReprTagFree, 64)
+	h.SetVerify(true)
+	a := h.MustAlloc(2)
+	collectAll(h, []code.Word{a}, []int{2})
+	if errs := h.VerifyHeap(); len(errs) != 0 {
+		t.Fatalf("a clean collection does not verify: %v", errs)
+	}
+	// The cycle forwarded a to the start of the new space; point the entry
+	// past everything it copied.
+	for i, f := range h.forward {
+		if f != 0 {
+			h.forward[i] = f + 2
+		}
+	}
+	errs := h.VerifyHeap()
+	if len(errs) == 0 || !strings.Contains(errs[0].Error(), "outside the copied region") {
+		t.Fatalf("a forwarding entry past the copied region not reported: %v", errs)
+	}
+}
+
 func TestGrowCopyingPreservesPointers(t *testing.T) {
 	for _, repr := range []code.Repr{code.ReprTagFree, code.ReprTagged} {
 		h := New(repr, 16)

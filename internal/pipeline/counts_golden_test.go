@@ -39,7 +39,33 @@ var allocCountConfigs = []struct {
 	{"fail-every", Options{FailAllocEvery: 7}},
 	{"fail-refills", Options{TLABWords: 64, FailAllocEvery: 3, FailRefillsOnly: true}},
 	{"torture", Options{Torture: true}},
+	{"tlab-small", Options{TLABWords: 8}},
+	{"nursery+tlab-small", Options{NurseryWords: 256, TLABWords: 8}},
 }
+
+// wideTuplesSrc is the program the corpus lacks: objects wider than a small
+// buffer chunk (the ten-tuple) between objects that fit one (the pairs and
+// list cells), so under the *-small rows a slice opens the shared heap and a
+// buffer by turns.
+const wideTuplesSrc = `
+let rec build n acc =
+  if n = 0 then acc
+  else (let w = (n, n + 1, n + 2, n + 3, n + 4, n + 5, n + 6, n + 7, n + 8, n + 9) in
+        match w with | (a, _, _, _, _, _, _, _, _, j) -> build (n - 1) ((a, j) :: acc))
+let rec sum xs = match xs with | [] -> 0 | (a, j) :: r -> a + j + sum r
+let round () = sum (build 30 [])
+let rec rounds k acc = if k = 0 then acc else rounds (k - 1) (acc + round ())
+let main () = rounds 40 0
+let wide_a () = rounds 30 0
+let wide_b () = rounds 20 1
+`
+
+var (
+	allocCountPrograms = append(workloads.All[:len(workloads.All):len(workloads.All)],
+		workloads.Workload{Name: "widetuples", Source: wideTuplesSrc, HeapWords: 1 << 10})
+	allocCountTasking = append(workloads.Tasking[:len(workloads.Tasking):len(workloads.Tasking)],
+		workloads.TaskWorkload{Name: "taskwide", Source: wideTuplesSrc, Entries: []string{"wide_a", "wide_b"}, HeapWords: 1 << 11})
+)
 
 // tortureAllocLimit keeps the torture rows to the programs that allocate
 // little enough for a collection per allocation to stay cheap in tier-1.
@@ -128,7 +154,7 @@ func TestAllocCountsGolden(t *testing.T) {
 	}
 	for _, strat := range []gc.Strategy{gc.StratCompiled, gc.StratTagged} {
 		for _, cfg := range allocCountConfigs {
-			for _, w := range workloads.All {
+			for _, w := range allocCountPrograms {
 				opts := cfg.opts
 				opts.Strategy, opts.HeapWords = strat, w.HeapWords
 				if len(opts.violated(true, false)) > 0 {
@@ -162,7 +188,7 @@ func TestAllocCountsGolden(t *testing.T) {
 				g.Policy = tasking.SuspendAtAllocs
 				line(fmt.Sprintf("%s/%v/%s", w.Name, strat, cfg.name), g, []int{prog.MainFunc})
 			}
-			for _, w := range workloads.Tasking {
+			for _, w := range allocCountTasking {
 				for _, atAllocs := range []bool{false, true} {
 					opts := cfg.opts
 					opts.Strategy, opts.HeapWords, opts.SuspendAtAllocs = strat, w.HeapWords, atAllocs

@@ -1,8 +1,8 @@
 package tasking_test
 
 import (
-	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"tagfree/internal/code"
@@ -40,6 +40,9 @@ let spin_long () = tree 13
 // rep's child list, not an interning key, not a frame record — and neither
 // must a slice that ends in a full heap (fullWindowsAllocateNothingOnTheHost).
 func TestSliceAllocatesNothingOnTheHost(t *testing.T) {
+	// The counts are the process's: with the host's collector off, a cycle
+	// starting mid-measurement (and the mark workers it spawns) is not in them.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fullWindowsAllocateNothingOnTheHost(t)
 	for _, strat := range []gc.Strategy{gc.StratCompiled, gc.StratTagged} {
 		g, entries, err := pipeline.BuildTaskGroup(noHostAllocSrc, []string{"spin"},
@@ -52,20 +55,16 @@ func TestSliceAllocatesNothingOnTheHost(t *testing.T) {
 			t.Fatal(err)
 		}
 		const slice = 100_000
-		least := math.Inf(1)
 		for i := 0; i < 3; i++ {
 			// One warm-up slice and one measured, so the count is not an average.
-			// The least of three: the runtime now and then allocates for itself
-			// while a measurement runs (a mark worker it starts), the loop would
-			// allocate in every one.
-			least = min(least, testing.AllocsPerRun(1, func() {
+			n := testing.AllocsPerRun(1, func() {
 				if err := g.Step(task, slice); err != nil {
 					t.Fatal(err)
 				}
-			}))
-		}
-		if least != 0 {
-			t.Errorf("%v: a slice of %d instructions allocated %v times on the host", strat, slice, least)
+			})
+			if n != 0 {
+				t.Errorf("%v: a slice of %d instructions allocated %v times on the host", strat, slice, n)
+			}
 		}
 		if task.Status != tasking.Running || task.Steps != 6*slice {
 			t.Fatalf("%v: the task is %v after %d instructions; the slices must all be full", strat, task.Status, task.Steps)
@@ -120,8 +119,10 @@ func fullWindowsAllocateNothingOnTheHost(t *testing.T) {
 		if err := g.RunInit(); err != nil {
 			t.Fatal(err)
 		}
-		// A gate that allocates does so in every slice that ends at it; the
-		// runtime's own stray allocation (see above) lands in one in hundreds.
+		// A gate that allocates does so in every slice that ends at it. These
+		// slices run once each and cannot be measured again, so a stray
+		// allocation of the runtime's own — one slice in hundreds, if any — is
+		// tolerated here and nowhere else.
 		var dirty int64
 		for slices := 0; g.Stats.Collections < 300; slices++ {
 			n := mallocs(func() { err = g.Step(task, 10_000) })
@@ -132,7 +133,7 @@ func fullWindowsAllocateNothingOnTheHost(t *testing.T) {
 				g.CollectSuspended()
 			}
 			if slices >= 2 && n != 0 {
-				dirty++ // the first slices grow the stack and the lists a collection reuses
+				dirty++ // the first slices grow the stack
 			}
 		}
 		if dirty > g.Stats.Collections/20 {

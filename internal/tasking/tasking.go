@@ -47,7 +47,6 @@ package tasking
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strings"
 
 	"tagfree/internal/code"
@@ -438,9 +437,6 @@ type Group struct {
 	// stackPool holds the zeroed stacks of tasks that left the run queue,
 	// for Spawn to hand out again (LIFO).
 	stackPool [][]code.Word
-	// pending and roots back pendingTasks and rootSet.
-	pending []*Task
-	roots   []gc.TaskRoots
 }
 
 // NewGroup builds a tasking group over a fresh semispace copying heap.
@@ -964,27 +960,23 @@ func (g *Group) RunUntilCollection() ([]gc.TaskRoots, bool, error) {
 	if err != nil || !pending {
 		return nil, false, err
 	}
-	return slices.Clone(g.rootSet(g.pendingTasks())), true, nil
+	return g.rootSet(g.pendingTasks()), true, nil
 }
 
-// pendingTasks lists the live tasks suspended for the coming collection. The
-// list is the group's own, good until the next one is made: a collection
-// allocates nothing on the host for the tasks it stops.
+// pendingTasks lists the live tasks suspended for the coming collection.
 func (g *Group) pendingTasks() []*Task {
-	live := g.pending[:0]
+	var live []*Task
 	for _, t := range g.runq {
 		if t.Status == SuspendedAlloc || t.Status == SuspendedCall {
 			live = append(live, t)
 		}
 	}
-	g.pending = live
 	return live
 }
 
-// rootSet builds the collector's view of the suspended tasks, in a list the
-// group reuses like pendingTasks'.
+// rootSet builds the collector's view of the suspended tasks.
 func (g *Group) rootSet(live []*Task) []gc.TaskRoots {
-	roots := g.roots[:0]
+	roots := make([]gc.TaskRoots, 0, len(live))
 	for _, t := range live {
 		roots = append(roots, gc.TaskRoots{
 			Stack:  t.stack,
@@ -994,7 +986,6 @@ func (g *Group) rootSet(live []*Task) []gc.TaskRoots {
 			AtCall: t.Status == SuspendedCall,
 		})
 	}
-	g.roots = roots
 	return roots
 }
 
@@ -1365,18 +1356,28 @@ func (g *Group) noteLadderOutcome(t *Task, ok bool) {
 	}
 }
 
-// spent reports whether the task has exceeded a per-task budget. extraAlloc
-// is the field-word size of an allocation about to be requested (0 at call
-// dispatch). It is the test both safe points make on every visit, and small
-// enough to be made in line; overBudget words the cause.
-func (g *Group) spent(t *Task, extraAlloc int) bool {
-	return g.BudgetSteps > 0 && t.Steps > g.BudgetSteps ||
-		g.BudgetAllocWords > 0 && t.AllocWords+int64(extraAlloc) > g.BudgetAllocWords
+// stepsSpent and wordsSpent are the two per-task budgets, each stated once.
+// extraAlloc is the field-word size of an allocation about to be requested
+// (0 at call dispatch).
+func (g *Group) stepsSpent(t *Task) bool {
+	return g.BudgetSteps > 0 && t.Steps > g.BudgetSteps
 }
 
-// overBudget is the typed cause of a spent budget.
+func (g *Group) wordsSpent(t *Task, extraAlloc int) bool {
+	return g.BudgetAllocWords > 0 && t.AllocWords+int64(extraAlloc) > g.BudgetAllocWords
+}
+
+// spent reports whether the task has exceeded a per-task budget. It is the
+// test both safe points make on every visit, and small enough to be made in
+// line; overBudget words the cause.
+func (g *Group) spent(t *Task, extraAlloc int) bool {
+	return g.stepsSpent(t) || g.wordsSpent(t, extraAlloc)
+}
+
+// overBudget is the typed cause of a spent budget: the step budget's if both
+// are.
 func (g *Group) overBudget(t *Task, extraAlloc int) error {
-	if g.BudgetSteps > 0 && t.Steps > g.BudgetSteps {
+	if g.stepsSpent(t) {
 		return fmt.Errorf("step budget exhausted: %d instructions executed, limit %d", t.Steps, g.BudgetSteps)
 	}
 	return fmt.Errorf("allocation budget exhausted: %d words requested, quota %d", t.AllocWords+int64(extraAlloc), g.BudgetAllocWords)
@@ -2088,11 +2089,12 @@ func (g *Group) park(t *Task, n int, byRgc bool) bool {
 // the task (false: the instruction runs again when the task resumes).
 //
 // What must be judged per allocation is judged here, and holds for the whole
-// window granted: a window is one object long when a budget is set or a fault
-// plan is armed (and where the heap needs it, heap.Window), so the next
-// allocation comes back; otherwise it is the rest of its region, and nothing
-// the gate checks can change before the slice ends — only an allocation that
-// suspends its own task, which ends the slice, raises a wave.
+// window granted: a window is one object long when a budget is set, a fault
+// plan is armed or the shared heap is opened with buffers armed (and where the
+// heap needs it, heap.Window), so the next allocation comes back; otherwise it
+// is the rest of its region, and nothing the gate checks can change before
+// the slice ends — only an allocation that suspends its own task, which ends
+// the slice, raises a wave.
 func (g *Group) alloc(t *Task, k *sliceConsts) bool {
 	n, one := k.need, false
 	if g.BudgetSteps > 0 || g.BudgetAllocWords > 0 {
@@ -2141,7 +2143,11 @@ func (g *Group) alloc(t *Task, k *sliceConsts) bool {
 			}
 		}
 	}
-	if !(g.TLABWords > 0 && g.openBuffered(&k.win, t, n, one)) && !g.Heap.OpenWindow(&k.win, n, one) {
+	// With buffers armed the shared heap takes only what no buffer can — an
+	// oversize object, a failed carve — and one of it: the next object may fit
+	// a buffer again.
+	buffers := g.TLABWords > 0
+	if !(buffers && g.openBuffered(&k.win, t, n, one)) && !g.Heap.OpenWindow(&k.win, n, one || buffers) {
 		if sharded && g.rgc == 0 && g.rgcShard[tShard] == 0 &&
 			!g.exposed[tShard] && g.Col.MinorEligible() && n <= g.Heap.YoungWords() {
 			// A nursery-sized request failed in an unexposed, minor-eligible
