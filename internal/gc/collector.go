@@ -2,6 +2,7 @@ package gc
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"tagfree/internal/code"
@@ -108,9 +109,6 @@ type Stats struct {
 	PrunedWords int64
 }
 
-// DebugTrace, when set, logs every frame and slot traced (tests only).
-var DebugTrace = false
-
 // Collector runs collections over a heap for one compiled program.
 type Collector struct {
 	Prog  *code.Program
@@ -172,6 +170,9 @@ type Collector struct {
 	Gen GenStats
 
 	b *builder
+	// own is the collector's own tracer: VisitObject claims, counted in
+	// Stats. Every trace but a -par mark worker's runs through it.
+	own tracer
 	// Generational state (generational.go): the typed remembered set with
 	// its dedup index, the store-descriptor→routine and routine→kernel
 	// memos, whether the next collection must be a major, whether the
@@ -180,12 +181,11 @@ type Collector struct {
 	remembered    []remEntry
 	remIndex      map[remKey]int
 	storeG        map[*code.TypeDesc]TypeGC
-	remSlots      map[TypeGC]*planSlot
+	remSlots      map[TypeGC]*routine
 	genForceMajor bool
 	genTracking   bool
 	lastMinor     bool
-	// scratches holds one per-worker scratch arena (worker 0 doubles as the
-	// serial path's); reset at the top of every collection.
+	// scratches holds one scratch arena per worker (see arena).
 	scratches []*scratch
 	// siteCache is the pc→site lookup cache: siteIdx+1 per code index,
 	// zero = unfilled (see siteAtFast).
@@ -226,6 +226,7 @@ func New(prog *code.Program, h *heap.Heap, strat Strategy) (*Collector, error) {
 			strat, strat.CompatibleRepr(), prog.Repr)
 	}
 	c := &Collector{Prog: prog, Heap: h, Strat: strat, b: newBuilder()}
+	c.own = tracer{c: c, st: &c.Stats}
 	if strat != StratTagged {
 		c.siteCache = make([]int32, len(prog.Code))
 	}
@@ -276,14 +277,15 @@ func isGround(d *code.TypeDesc) bool {
 	return true
 }
 
-// scratch is one worker's per-collection arena. Type-argument windows,
-// root-job lists and the frame list of a stack walk used to be allocated per
-// frame and per stack walk — on a deep polymorphic tower that is thousands of
-// short-lived slices per collection; now they bump-allocate here, the whole
-// arena resets at the top of the next collection, and a collection of a
-// warmed collector allocates nothing on the host that grows with the stack.
-// Growth never invalidates a window already handed out: when a block fills,
-// a fresh block simply becomes the arena and earlier windows keep their old
+// scratch is one worker's arena. Type-argument windows, root-job lists and
+// the frame list of a stack walk used to be allocated per frame and per stack
+// walk — on a deep polymorphic tower that is thousands of short-lived slices
+// per collection; now they bump-allocate here, the arena resets when its
+// windows are dead (before each task on the serial and marking paths, before
+// each fan-out for job lists awaiting the ordered trace), and a collection of
+// a warmed collector allocates nothing on the host that grows with the stack.
+// Growth never invalidates a window already handed out: a block that fills
+// is replaced (targs) or copied (jobs), and earlier windows keep the old
 // backing array.
 type scratch struct {
 	targs []TypeGC
@@ -298,10 +300,14 @@ func (s *scratch) reset() {
 }
 
 // typeArgs returns an n-slot window at the arena tail. Callers assign every
-// slot, so stale contents from a previous cycle never leak.
+// slot, so stale contents from a previous cycle never leak. A nil arena
+// allocates: what a frame plan keeps outlives every collection.
 func (s *scratch) typeArgs(n int) []TypeGC {
 	if n == 0 {
 		return nil
+	}
+	if s == nil {
+		return make([]TypeGC, n)
 	}
 	if cap(s.targs)-len(s.targs) < n {
 		size := 2 * cap(s.targs)
@@ -318,74 +324,37 @@ func (s *scratch) typeArgs(n int) []TypeGC {
 	return s.targs[l : l+n : l+n]
 }
 
-// jobsWindow opens a job window at the arena tail for one task's root set;
-// commitJobs closes it. If appends outgrew the block, the window's new
-// backing array becomes the arena and earlier windows keep the old one.
-func (s *scratch) jobsWindow() []rootJob {
-	return s.jobs[len(s.jobs):len(s.jobs)]
-}
-
-func (s *scratch) commitJobs(jobs []rootJob) {
-	if cap(jobs) > 0 {
-		s.jobs = jobs
-	}
-}
-
-// resetScratches sizes one arena per worker (worker 0 doubles as the serial
-// path's) and resets them for this collection.
-func (c *Collector) resetScratches() {
-	n := c.Parallelism
-	if n < 1 {
-		n = 1
-	}
-	for len(c.scratches) < n {
+// arena returns worker w's scratch arena, making it on first use. Worker 0's
+// doubles as the serial path's and as that of callers outside a collection
+// (ResolveRoots, the verifier); every user resets it before resolving into
+// it, which is when its earlier windows are dead.
+func (c *Collector) arena(w int) *scratch {
+	for len(c.scratches) <= w {
 		c.scratches = append(c.scratches, &scratch{})
 	}
-	for _, s := range c.scratches {
-		s.reset()
-	}
-}
-
-// scratch0 returns the serial path's arena (allocating it on first use, for
-// callers that run outside a collection, like ResolveRoots).
-func (c *Collector) scratch0() *scratch {
-	if len(c.scratches) == 0 {
-		c.scratches = append(c.scratches, &scratch{})
-	}
-	return c.scratches[0]
-}
-
-// pkg is the type information a frame's gc routine hands to its callee's:
-// resolved type arguments for direct calls, or the closure's structured
-// type_gc_routine for closure calls (Figure 4).
-type pkg struct {
-	direct []TypeGC
-	arrow  TypeGC
+	return c.scratches[w]
 }
 
 // Collect runs one collection over all task stacks and globals: a minor
 // nursery collection when the remembered set can stand in for the old
 // region's interior edges (see generational.go), else a full one.
 func (c *Collector) Collect(tasks []TaskRoots, globals []code.Word) {
-	if c.shouldMinor() {
-		c.collectMinor(tasks, globals)
+	if c.MinorEligible() {
+		// Minors are always serial: the pause is bounded by the nursery size,
+		// so there is nothing worth fanning workers out over.
+		c.cycle(tasks, globals, cycleKind{minor: true})
 		return
 	}
 	c.CollectFull(tasks, globals)
 }
 
-// shouldMinor reports whether the next collection may be a minor one: a
-// nursery is configured and nothing has poisoned the remembered set since
-// the last major (untyped store, overflow, pre-tenured allocation).
-func (c *Collector) shouldMinor() bool {
-	return c.nurseryOn() && !c.genForceMajor
-}
-
-// MinorEligible reports whether a minor collection (global or single-shard)
-// is currently permissible. The sharded scheduler consults it before
-// attempting a shard minor: a poisoned remembered set forces the next
-// collection to be a full one regardless of shard.
-func (c *Collector) MinorEligible() bool { return c.shouldMinor() }
+// MinorEligible reports whether the next collection may be a minor one
+// (global or single-shard): a nursery is configured and nothing has poisoned
+// the remembered set since the last major (untyped store, overflow,
+// pre-tenured allocation). The sharded scheduler consults it before
+// attempting a shard minor: a poisoned set forces a full collection
+// regardless of shard.
+func (c *Collector) MinorEligible() bool { return c.nurseryOn() && !c.genForceMajor }
 
 // CollectFull runs one full (major) collection over all task stacks and
 // globals. On a nursery heap it also rebuilds the remembered set from the
@@ -394,105 +363,10 @@ func (c *Collector) MinorEligible() bool { return c.shouldMinor() }
 func (c *Collector) CollectFull(tasks []TaskRoots, globals []code.Word) {
 	// A stop-the-world collection entered mid-cycle (the OOM recovery
 	// ladder, torture mode, a forced major) invalidates the incremental
-	// marking: the sweep below would treat its partial mark set as the
-	// whole truth. Abort the cycle first — a no-op when none is active.
+	// marking: the sweep would treat its partial mark set as the whole
+	// truth. Abort the cycle first — a no-op when none is active.
 	c.ConcAbort()
-	if c.PreCollect != nil {
-		c.PreCollect()
-	}
-	start := time.Now()
-	c.Stats.Collections++
-	c.lastMinor = false
-	nursery := c.nurseryOn()
-	kind := ""
-	if nursery {
-		kind = "major"
-		c.Gen.MajorCollections++
-		c.resetRemembered()
-	}
-	statsBefore := c.Stats
-	heapBefore := c.Heap.Stats
-	usedBefore := c.Heap.Used() + c.Heap.YoungUsed()
-	c.resetScratches()
-	c.Heap.BeginGC()
-	c.genTracking = nursery
-
-	markedAtStart := c.Heap.Stats.WordsCopied
-	c.traceGlobals(globals)
-
-	scans := make([]TaskScan, len(tasks))
-	// Parallel marking cannot run over a nursery: young objects move during
-	// evacuation and VisitShared refuses them. Copying's parallel phase only
-	// resolves roots — the trace that moves objects is the ordered serial
-	// phase 2 — so it stays parallel with a nursery.
-	parallel := c.Parallelism > 1 && c.Strat != StratTagged &&
-		!(nursery && c.Heap.Kind() == heap.MarkSweep)
-	c.beginPrune(parallel, false)
-	fallback := false
-	if parallel {
-		// Republish the memo-table and plan-cache snapshots so workers
-		// resolve descriptors lock-free (fastpath.go).
-		c.prepareFastPath()
-		fallback = !c.collectParallel(tasks, scans, globals, markedAtStart)
-	} else {
-		c.collectSerial(tasks, scans)
-	}
-	c.endPrune()
-
-	if c.Strat == StratTagged {
-		c.cheneyScan()
-	}
-
-	c.Stats.TypeGCBuilt = c.b.Built
-	c.genTracking = false
-	c.Heap.EndGC()
-	pause := time.Since(start).Nanoseconds()
-	c.Stats.PauseNS += pause
-	c.Telem.record(c, kind, 0, pause, parallel, fallback, scans, usedBefore, statsBefore, heapBefore)
-	if c.Verify {
-		c.verifyCollection(tasks, globals)
-	}
-}
-
-// collectMinor evacuates the nursery only: globals and every task stack are
-// re-traced exactly as in a full collection (the paper's frame routines
-// make that re-trace cheap, and VisitObject stops the walk at the young/old
-// boundary by returning old objects untouched), then the remembered set
-// supplies the interior old→young edges. Minors are always serial: the
-// pause is bounded by the nursery size, so there is nothing worth fanning
-// workers out over.
-func (c *Collector) collectMinor(tasks []TaskRoots, globals []code.Word) {
-	if c.PreCollect != nil {
-		c.PreCollect()
-	}
-	start := time.Now()
-	c.Stats.Collections++
-	c.lastMinor = true
-	c.Gen.MinorCollections++
-	statsBefore := c.Stats
-	heapBefore := c.Heap.Stats
-	usedBefore := c.Heap.Used() + c.Heap.YoungUsed()
-	c.resetScratches()
-	c.Heap.BeginMinorGC()
-	c.genTracking = true
-
-	c.beginPrune(false, false)
-	c.traceGlobals(globals)
-	scans := make([]TaskScan, len(tasks))
-	c.collectSerial(tasks, scans)
-	c.traceRemembered(-1)
-	c.endPrune()
-
-	c.Stats.TypeGCBuilt = c.b.Built
-	c.genTracking = false
-	c.Heap.EndMinorGC()
-	c.refilterRemembered()
-	pause := time.Since(start).Nanoseconds()
-	c.Stats.PauseNS += pause
-	c.Telem.record(c, "minor", 0, pause, false, false, scans, usedBefore, statsBefore, heapBefore)
-	if c.Verify {
-		c.verifyCollection(tasks, globals)
-	}
+	c.cycle(tasks, globals, cycleKind{})
 }
 
 // CollectMinorShard evacuates a single nursery shard: tasks must be exactly
@@ -507,37 +381,123 @@ func (c *Collector) collectMinor(tasks []TaskRoots, globals []code.Word) {
 // collection themselves when a shard minor is not permitted or did not
 // free enough.
 func (c *Collector) CollectMinorShard(shard int, tasks []TaskRoots, globals []code.Word) {
-	if !c.shouldMinor() {
+	if !c.MinorEligible() {
 		panic("gc: CollectMinorShard without minor eligibility (check MinorEligible)")
+	}
+	c.cycle(tasks, globals, cycleKind{minor: true, shard: shard + 1})
+}
+
+// cycleKind is what a collection's entry point decides; the rest — the
+// prologue, the root order, the epilogue — is cycle's and the same for all
+// (DESIGN.md §16 tabulates what each kind sets).
+type cycleKind struct {
+	// minor evacuates the nursery only, with the remembered set standing in
+	// for the old region's interior edges.
+	minor bool
+	// shard, when nonzero, is the one nursery shard (1-based, as the record
+	// prints it) a minor collects while the other shards' mutators run.
+	shard int
+	// conc, when non-nil, is the concurrent mark cycle this collection is the
+	// final pause of.
+	conc *concCycle
+}
+
+// cycleStart is the snapshot a collection's record measures against.
+type cycleStart struct {
+	stats Stats
+	heap  heap.Stats
+	used  int // occupied words, old + young
+}
+
+func (c *Collector) cycleStart() cycleStart {
+	return cycleStart{stats: c.Stats, heap: c.Heap.Stats, used: c.Heap.Used() + c.Heap.YoungUsed()}
+}
+
+// cycle is the collection: the paper's Figure 2 loop with everything every
+// discipline hangs on it. Root order is stated here and nowhere else —
+// globals, then the stacks (fanned out or serial), then on a minor the
+// remembered set, then the deferred spine-verdict roots (which is what makes
+// pruning sound: liveness.go), then the tagged strategy's Cheney scan.
+func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
+	if k.shard == 0 && c.PreCollect != nil {
+		c.PreCollect()
 	}
 	start := time.Now()
 	c.Stats.Collections++
-	c.lastMinor = true
-	c.Gen.MinorCollections++
-	statsBefore := c.Stats
-	heapBefore := c.Heap.Stats
-	usedBefore := c.Heap.Used() + c.Heap.YoungUsed()
-	c.resetScratches()
-	c.Heap.BeginMinorGCShard(shard)
-	c.genTracking = true
+	c.lastMinor = k.minor
+	nursery := c.nurseryOn()
+	kind := ""
+	switch {
+	case k.minor:
+		kind = "minor"
+		c.Gen.MinorCollections++
+	case nursery:
+		kind = "major"
+		c.Gen.MajorCollections++
+		c.resetRemembered()
+	}
+	before := c.cycleStart()
+	switch {
+	case k.shard > 0:
+		c.Heap.BeginMinorGCShard(k.shard - 1)
+	case k.minor:
+		c.Heap.BeginMinorGC()
+	default:
+		c.Heap.BeginGC()
+	}
+	c.genTracking = nursery
+	if k.conc != nil {
+		// The residual gray set first: every marked object's children are
+		// marked before the roots are re-scanned, and Trace stops at marked
+		// objects, so the re-scan pays only for what the mutator created or
+		// re-pointed since the snapshot.
+		before = k.conc.before
+		c.concDrain(math.MaxInt64)
+		c.conc = nil
+	}
 
-	// Never prune during a shard minor: other shards' mutators keep
-	// running and may hold live paths into structures this shard's roots
-	// only reach spine-only — beginPrune refuses and counts the reason.
-	c.beginPrune(false, true)
+	markedAtStart := c.Heap.Stats.WordsCopied
 	c.traceGlobals(globals)
 	scans := make([]TaskScan, len(tasks))
-	c.collectSerial(tasks, scans)
-	c.traceRemembered(shard)
+	// Only a full collection fans out, and parallel marking cannot run over
+	// a nursery: young objects move during evacuation and VisitShared refuses
+	// them. Copying's parallel phase only resolves roots — the trace that
+	// moves objects is the ordered serial phase 2 — so it stays parallel
+	// with a nursery.
+	parallel := !k.minor && k.conc == nil && c.Parallelism > 1 && c.Strat != StratTagged &&
+		!(nursery && c.Heap.Kind() == heap.MarkSweep)
+	c.beginPrune(parallel, k)
+	fallback := false
+	if parallel {
+		// Republish the memo-table and plan-cache snapshots so workers
+		// resolve descriptors lock-free (fastpath.go).
+		c.prepareFastPath()
+		fallback = !c.collectParallel(tasks, scans, globals, markedAtStart)
+	} else {
+		c.collectSerial(tasks, scans)
+	}
+	if k.minor {
+		c.traceRemembered(k.shard - 1)
+	}
 	c.endPrune()
+	if c.Strat == StratTagged {
+		c.cheneyScan()
+	}
 
 	c.Stats.TypeGCBuilt = c.b.Built
 	c.genTracking = false
-	c.Heap.EndMinorGC()
-	c.refilterRemembered()
+	if k.minor {
+		c.Heap.EndMinorGC()
+		c.refilterRemembered()
+	} else {
+		c.Heap.EndGC()
+	}
 	pause := time.Since(start).Nanoseconds()
 	c.Stats.PauseNS += pause
-	c.Telem.record(c, "minor", shard+1, pause, false, false, scans, usedBefore, statsBefore, heapBefore)
+	if k.conc != nil {
+		pause += k.conc.initialPauseNS // the mutator stopped for both ends
+	}
+	c.Telem.record(c, kind, k.shard, pause, parallel, fallback, scans, before.used, before.stats, before.heap)
 	if c.Verify {
 		c.verifyCollection(tasks, globals)
 	}
@@ -549,237 +509,27 @@ func (c *Collector) traceGlobals(globals []code.Word) {
 		if c.Strat == StratTagged {
 			globals[i] = c.traceTaggedWord(globals[i])
 		} else {
-			gc := c.FromDesc(g.Desc, nil)
-			globals[i] = gc.Trace(c, globals[i])
+			globals[i] = c.FromDesc(g.Desc, nil).Trace(&c.own, globals[i])
 		}
 	}
 }
 
 // collectSerial is the sequential oracle: task stacks scanned one at a
-// time, in task order. The parallel path re-runs it after a watchdog abort.
+// time, in task order — resolve a task's roots into the arena, trace them in
+// order, hand the arena back. The parallel path re-runs it after a watchdog
+// abort.
 func (c *Collector) collectSerial(tasks []TaskRoots, scans []TaskScan) {
-	sc := c.scratch0()
+	sc := c.arena(0)
 	for i := range tasks {
-		wordsBefore := c.Heap.Stats.WordsCopied
-		snap := c.Stats
+		snap, before := c.Stats, c.Heap.Stats.WordsCopied
 		if c.Strat == StratTagged {
 			c.collectTaggedTask(tasks[i], sc)
 		} else {
-			c.collectTask(tasks[i], sc)
+			sc.reset()
+			c.applyJobs(&c.own, tasks[i].Stack, c.taskJobs(tasks[i], &c.Stats, sc))
 		}
-		scans[i] = TaskScan{
-			Task:    i,
-			Frames:  c.Stats.FramesTraced - snap.FramesTraced,
-			Slots:   c.Stats.SlotsTraced - snap.SlotsTraced,
-			Objects: c.Stats.ObjectsCopied - snap.ObjectsCopied,
-			Words:   c.Heap.Stats.WordsCopied - wordsBefore,
-		}
+		scans[i] = taskScan(i, &c.Stats, &snap, c.Heap.Stats.WordsCopied-before)
 	}
-}
-
-// collectTask traces one task's stack oldest→newest, passing type packages
-// frame to frame (§3: "the stack is traversed at most twice" — one pass to
-// gather the frames, one to trace).
-func (c *Collector) collectTask(t TaskRoots, sc *scratch) {
-	fr := sc.walk(t)
-	fast := c.planned()
-	var incoming pkg
-	var ic planIC
-	var prev *framePlan
-	for i := len(fr) - 1; i >= 0; i-- {
-		fp := fr[i].fp
-		siteIdx, site := c.siteAtFast(fr[i].pc, &c.Stats)
-		fi := c.Prog.Funcs[site.Func]
-		if fast {
-			// Compiled fast path: resolve the frame's plan — through the
-			// caller plan's edge cache when possible, otherwise by type
-			// arguments — then run it: slot routines, kernels, dedupe and
-			// outgoing package all precomputed per (site, instantiation).
-			plan := c.planForEdge(prev, &ic, siteIdx, site, fi, incoming, t.Stack, fp, sc, &c.Stats)
-			c.tracePlan(plan, t.Stack, fp+2, t.AtCall && i == 0)
-			incoming, prev = plan.out, plan
-			continue
-		}
-		var targs []TypeGC
-		if c.Strat == StratAppel {
-			targs = c.appelTypeArgs(t, fr, i, &c.Stats, sc)
-		} else {
-			targs = c.frameTypeArgs(fi, incoming, t.Stack, fp, sc)
-		}
-		c.traceFrame(siteIdx, site, fi, t.Stack, fp, targs, t.AtCall && i == 0)
-		if i > 0 && c.Strat != StratAppel {
-			incoming = c.outgoing(site, targs)
-		}
-	}
-	c.Stats.FramesTraced += int64(len(fr))
-}
-
-// frame is one activation record of a stack walk: its base and the pc it is
-// blocked at.
-type frame struct{ fp, pc int }
-
-// walk is the one function that follows a stack's dynamic links — the
-// paper's initial pointer-reversal traversal, realized as an index pass. It
-// lists the task's frames newest first into the arena; every consumer reads
-// the list from the far end, which is the oldest→newest order a trace needs,
-// so nothing is reversed and nothing is copied. One newest→oldest pass is
-// enough to learn every pc: a frame is blocked at the return address stored
-// in the record above it (the task's own pc for the newest), and that record
-// was visited just before. The list is valid until the arena's next walk.
-func (s *scratch) walk(t TaskRoots) []frame {
-	fr, pc := s.frames[:0], t.PC
-	for fp := t.FP; fp >= 0; fp = int(t.Stack[fp]) {
-		fr = append(fr, frame{fp, pc})
-		pc = int(t.Stack[fp+1])
-	}
-	s.frames = fr
-	return fr
-}
-
-// siteAt reads the gc_word embedded next to the call/alloc instruction at
-// pc — the Figure 1 lookup.
-func (c *Collector) siteAt(pc int) (int, *code.SiteInfo) {
-	op := c.Prog.Code[pc]
-	off := code.GCWordOffset(op)
-	if off < 0 {
-		panic(fmt.Sprintf("gc: no gc_word at pc %d (op %s)", pc, code.OpName(op)))
-	}
-	gcw := c.Prog.Code[pc+off]
-	if gcw < 0 {
-		panic(fmt.Sprintf("gc: collection at elided gc_word (pc %d)", pc))
-	}
-	return int(gcw), c.Prog.Sites[gcw]
-}
-
-// frameTypeArgs resolves a frame's type environment. Windows come from the
-// caller's scratch arena, valid until the next collection begins.
-func (c *Collector) frameTypeArgs(fi *code.FuncInfo, incoming pkg, stack []code.Word, fp int, sc *scratch) []TypeGC {
-	switch fi.TypeSource {
-	case code.TypeSourceNone:
-		return nil
-	case code.TypeSourceCallSite:
-		return incoming.direct
-	case code.TypeSourceEnv:
-		env := stack[fp+2] // slot 0: the closure being executed
-		return c.envTypeArgs(fi, env, incoming.arrow, sc)
-	}
-	return nil
-}
-
-// envTypeArgs derives a closure-called frame's type arguments from the
-// call-site package (derivable entries) and the closure's rep words.
-func (c *Collector) envTypeArgs(fi *code.FuncInfo, clos code.Word, ref TypeGC, sc *scratch) []TypeGC {
-	targs := sc.typeArgs(fi.TypeEnvLen)
-	for i := 0; i < fi.TypeEnvLen; i++ {
-		switch {
-		case fi.RepWord != nil && fi.RepWord[i] >= 0 && code.IsBoxedValue(c.Heap.Repr, clos):
-			h := int(code.DecodeInt(c.Heap.Repr, c.Heap.Field(clos, 1+fi.RepWord[i])))
-			targs[i] = c.FromRep(h)
-		case fi.Derivs != nil && fi.Derivs[i] != nil && ref != nil:
-			targs[i] = ApplyPath(ref, fi.Derivs[i])
-		default:
-			targs[i] = c.b.Const()
-		}
-	}
-	return targs
-}
-
-// outgoing builds the package this frame's routine passes to its callee's.
-func (c *Collector) outgoing(site *code.SiteInfo, targs []TypeGC) pkg {
-	switch site.Kind {
-	case code.SiteCall:
-		out := make([]TypeGC, len(site.CalleeInst))
-		for i, d := range site.CalleeInst {
-			out[i] = c.FromDesc(d, targs)
-		}
-		return pkg{direct: out}
-	case code.SiteCallC:
-		return pkg{arrow: c.FromDesc(site.SiteType, targs)}
-	}
-	return pkg{}
-}
-
-// traceFrame traces one frame's slots per the strategy.
-func (c *Collector) traceFrame(siteIdx int, site *code.SiteInfo, fi *code.FuncInfo, stack []code.Word, fp int, targs []TypeGC, atCall bool) {
-	base := fp + 2
-	if DebugTrace {
-		fmt.Printf("  frame %s (fp=%d targs=%d) site kind=%d live=%d calleeInst=%d callee=%s\n",
-			c.Prog.Funcs[site.Func].Name, fp, len(targs), site.Kind, len(site.Live),
-			len(site.CalleeInst), c.Prog.Funcs[site.Callee].Name)
-	}
-	// When the frame is suspended at a call, the site's argument map is
-	// walked after the frame's own slots; any slot both walks cover must be
-	// traced once only. A second Trace of the same slot would dereference
-	// the to-space pointer the first trace wrote there (Appel mode hits
-	// this: AllSlots ignores liveness and so covers the staged arguments).
-	var traced slotSet
-	note := func(slot int) {
-		if atCall {
-			traced.add(slot)
-		}
-	}
-	switch c.Strat {
-	case StratCompiled:
-		for _, st := range c.compiledSites[siteIdx] {
-			g := st.ground
-			if g == nil {
-				g = c.FromDesc(st.desc, targs)
-			}
-			if DebugTrace {
-				fmt.Printf("    slot %d val=%d desc=%s\n", st.slot, stack[base+st.slot], st.desc)
-			}
-			stack[base+st.slot] = g.Trace(c, stack[base+st.slot])
-			c.Stats.SlotsTraced++
-			note(st.slot)
-		}
-	case StratInterp:
-		c.interpTraceFrame(c.interpSites[siteIdx], stack, base, targs, &traced, atCall)
-	case StratAppel:
-		for _, e := range fi.AllSlots {
-			g := c.FromDesc(e.Desc, targs)
-			stack[base+e.Slot] = g.Trace(c, stack[base+e.Slot])
-			c.Stats.SlotsTraced++
-			note(e.Slot)
-		}
-	}
-	if atCall {
-		// A task suspended before executing a call still owns the call's
-		// argument values in its own slots; trace them through the site's
-		// argument map (tasking, §4).
-		for _, e := range site.Args {
-			if traced.has(e.Slot) {
-				continue
-			}
-			g := c.FromDesc(e.Desc, targs)
-			stack[base+e.Slot] = g.Trace(c, stack[base+e.Slot])
-			c.Stats.SlotsTraced++
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Appel-mode type resolution: re-walk the chain for every frame.
-// ---------------------------------------------------------------------------
-
-// appelTypeArgs resolves the type arguments of frame target (an index into
-// fr, newest first) by walking the dynamic chain from the bottom every time —
-// "the tracing of each polymorphic function's activation record may involve
-// traversing a fair amount of the stack" (§1.1.1/§3). The work is O(depth)
-// per frame, O(n²) per collection. Chain steps land in st so parallel
-// workers can count into local stats.
-func (c *Collector) appelTypeArgs(t TaskRoots, fr []frame, target int, st *Stats, sc *scratch) []TypeGC {
-	var incoming pkg
-	for j := len(fr) - 1; j >= target; j-- {
-		_, site := c.siteAtFast(fr[j].pc, st)
-		fi := c.Prog.Funcs[site.Func]
-		targs := c.frameTypeArgs(fi, incoming, t.Stack, fr[j].fp, sc)
-		st.ChainSteps++
-		if j == target {
-			return targs
-		}
-		incoming = c.outgoing(site, targs)
-	}
-	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import (
 // short ends:
 //
 //  1. Initial pause (ConcStart): snapshot the roots. Frame plans make this
-//     cheap — the pure resolution half of a collection (taskJobs) walks
+//     cheap — the pure resolution half of a collection (eachRoot) walks
 //     every stack without mutating anything, and the resolved root values
 //     seed an explicit gray stack.
 //  2. Incremental mark (ConcSlice): the scheduler runs bounded marking
@@ -27,10 +27,11 @@ import (
 //     run at safe points), so a new object is reachable either through a
 //     barriered store into a black object or through a root the final
 //     pause re-scans.
-//  3. Final pause (ConcFinish): drain the residual gray set, then re-run
+//  3. Final pause (ConcFinish): an ordinary collection cycle (cycle,
+//     collector.go) that drains the residual gray set before its roots:
 //     every stack's (memoized, cheap) frame-trace plan plus the globals
-//     through the ordinary serial marker — Trace stops at already-marked
-//     objects, which is what bounds this pause — and sweep.
+//     re-run through the serial tracer — Trace stops at already-marked
+//     objects, which is what bounds this pause — and the sweep.
 //
 // The scheduler is single-goroutine (tasks interleave at quantum
 // boundaries), so "concurrent" here is logical interleaving at safe
@@ -58,19 +59,18 @@ type grayEntry struct {
 // concCycle is the state of one in-flight concurrent mark cycle.
 type concCycle struct {
 	gray []grayEntry
-	// maxSlices is the cycle's resolved watchdog budget.
-	maxSlices int64
+	// budget is the words one slice may mark; maxSlices the cycle's resolved
+	// watchdog budget.
+	budget, maxSlices int64
 	// Telemetry for the finishing record's Conc block.
 	initialPauseNS int64
 	markSlices     int64
 	sliceWords     int64
 	barrierGrays   int64
-	// Cycle-start snapshots, so the finishing record's deltas cover the
-	// whole cycle (snapshot resolution, every slice, the final pause).
-	statsBefore   Stats
-	heapBefore    heap.Stats
-	usedBefore    int
-	markedAtStart int64
+	// before is the cycle-start snapshot, so the finishing record's deltas
+	// cover the whole cycle (snapshot resolution, every slice, the final
+	// pause) and an abort can roll the marked-word counter back.
+	before cycleStart
 }
 
 // DefaultConcMarkBudget is the per-slice marking budget in heap words when
@@ -113,35 +113,24 @@ func (c *Collector) ConcStart(tasks []TaskRoots, globals []code.Word) {
 		c.Liveness.DegradedConcurrent++
 	}
 	start := time.Now()
-	cy := &concCycle{
-		statsBefore:   c.Stats,
-		heapBefore:    c.Heap.Stats,
-		usedBefore:    c.Heap.Used(),
-		markedAtStart: c.Heap.Stats.WordsCopied,
-	}
-	budget := int64(c.ConcMarkBudget)
-	if budget <= 0 {
-		budget = DefaultConcMarkBudget
+	cy := &concCycle{before: c.cycleStart()}
+	cy.budget = int64(c.ConcMarkBudget)
+	if cy.budget <= 0 {
+		cy.budget = DefaultConcMarkBudget
 	}
 	cy.maxSlices = int64(c.ConcMaxSlices)
 	if cy.maxSlices <= 0 {
 		// Derived watchdog: marking visits at most the heap's words once,
 		// so 8× that many budgeted slices only trips when barrier regraying
 		// outruns the slices for the whole cycle.
-		cy.maxSlices = 64 + 8*int64(c.Heap.SemiWords())/budget
+		cy.maxSlices = 64 + 8*int64(c.Heap.SemiWords())/cy.budget
 	}
-	for i, g := range c.Prog.Globals {
-		cy.gray = append(cy.gray, grayEntry{w: globals[i], g: c.FromDesc(g.Desc, nil)})
-	}
-	sc := c.scratch0()
-	sc.reset()
-	for i := range tasks {
-		jobs := c.taskJobs(tasks[i], &c.Stats, sc)
-		for j := range jobs {
-			cy.gray = append(cy.gray, grayEntry{w: tasks[i].Stack[jobs[j].idx], g: jobs[j].g})
+	c.eachRoot(tasks, globals, &c.Stats, func(task, _ int, g TypeGC, w code.Word) {
+		cy.gray = append(cy.gray, grayEntry{w: w, g: g})
+		if task >= 0 {
 			c.Stats.SlotsTraced++
 		}
-	}
+	})
 	cy.initialPauseNS = time.Since(start).Nanoseconds()
 	c.Stats.PauseNS += cy.initialPauseNS
 	c.conc = cy
@@ -163,18 +152,8 @@ func (c *Collector) ConcSlice() ConcSliceResult {
 	if cy.markSlices >= cy.maxSlices {
 		return ConcOverBudget
 	}
-	budget := int64(c.ConcMarkBudget)
-	if budget <= 0 {
-		budget = DefaultConcMarkBudget
-	}
 	cy.markSlices++
-	var words int64
-	for words < budget && len(cy.gray) > 0 {
-		e := cy.gray[len(cy.gray)-1]
-		cy.gray = cy.gray[:len(cy.gray)-1]
-		words += c.concMark(e.g, e.w)
-	}
-	cy.sliceWords += words
+	cy.sliceWords += c.concDrain(cy.budget)
 	if len(cy.gray) == 0 {
 		return ConcDrained
 	}
@@ -204,49 +183,38 @@ func (c *Collector) ConcBarrier(desc *code.TypeDesc, v code.Word) {
 	cy.barrierGrays++
 }
 
+// concDrain pops and marks gray entries until budget words are claimed or
+// none is left, and returns the words claimed.
+func (c *Collector) concDrain(budget int64) (words int64) {
+	cy := c.conc
+	for words < budget && len(cy.gray) > 0 {
+		e := cy.gray[len(cy.gray)-1]
+		cy.gray = cy.gray[:len(cy.gray)-1]
+		words += c.concMark(e.g, e.w)
+	}
+	return words
+}
+
 // ConcFinish completes the cycle: the bounded final pause. The residual
 // gray set is drained first (establishing that every marked object's
 // children are marked), then every stack and the globals are re-scanned
 // through the ordinary serial path — Trace stops at marked objects, so the
 // re-scan only pays for what the mutator created or re-pointed since the
-// snapshot — and the sweep runs inside the usual BeginGC/EndGC window.
+// snapshot — and the sweep runs inside the usual BeginGC/EndGC window: all
+// of it cycle's (collector.go), measured against the cycle's own start.
 func (c *Collector) ConcFinish(tasks []TaskRoots, globals []code.Word) {
 	cy := c.conc
 	if cy == nil {
 		panic("gc: ConcFinish without an active cycle")
 	}
-	if c.PreCollect != nil {
-		c.PreCollect()
-	}
-	start := time.Now()
-	c.Stats.Collections++
-	c.lastMinor = false
-	c.resetScratches()
-	c.Heap.BeginGC()
-	for len(cy.gray) > 0 {
-		e := cy.gray[len(cy.gray)-1]
-		cy.gray = cy.gray[:len(cy.gray)-1]
-		c.concMark(e.g, e.w)
-	}
-	c.traceGlobals(globals)
-	scans := make([]TaskScan, len(tasks))
-	c.collectSerial(tasks, scans)
-	c.Stats.TypeGCBuilt = c.b.Built
-	c.Heap.EndGC()
-	finalPause := time.Since(start).Nanoseconds()
-	c.Stats.PauseNS += finalPause
-	c.conc = nil
-	c.Telem.record(c, "", 0, cy.initialPauseNS+finalPause, false, false, scans,
-		cy.usedBefore, cy.statsBefore, cy.heapBefore)
-	c.Telem.Records[len(c.Telem.Records)-1].Conc = &ConcRecord{
+	c.cycle(tasks, globals, cycleKind{conc: cy})
+	rec := &c.Telem.Records[len(c.Telem.Records)-1]
+	rec.Conc = &ConcRecord{
 		InitialPauseNS: cy.initialPauseNS,
-		FinalPauseNS:   finalPause,
+		FinalPauseNS:   rec.PauseNS - cy.initialPauseNS,
 		MarkSlices:     cy.markSlices,
 		SliceWords:     cy.sliceWords,
 		BarrierGrays:   cy.barrierGrays,
-	}
-	if c.Verify {
-		c.verifyCollection(tasks, globals)
 	}
 }
 
@@ -263,14 +231,14 @@ func (c *Collector) ConcAbort() {
 		return
 	}
 	c.Heap.ResetMarks()
-	c.Heap.Stats.WordsCopied = cy.markedAtStart
+	c.Heap.Stats.WordsCopied = cy.before.heap.WordsCopied
 	c.Telem.Resilience.ConcAborts++
 	c.conc = nil
 }
 
 // concMark traces one gray entry: claim the object through the VisitShared
 // CAS, account its words, push its children gray. The explicit stack
-// replaces markValue's recursion so a slice can stop between objects.
+// replaces Trace's recursion so a slice can stop between objects.
 // Field values are read at mark time: once the object is black, any later
 // re-pointing goes through ConcBarrier.
 func (c *Collector) concMark(g TypeGC, w code.Word) int64 {

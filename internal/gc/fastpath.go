@@ -25,7 +25,14 @@ package gc
 //   - Specialized trace kernels: flattened iterative loops for the
 //     dominant ground shapes (const, ref-of-const, tuple-of-const,
 //     const-payload data spines such as int lists) selected at plan-build
-//     time, replacing recursive Trace interface dispatch per word.
+//     time, replacing recursive Trace interface dispatch per word. Like
+//     Trace they run under a tracer (typegc.go), which is all that tells
+//     the serial trace from a -par mark worker's: there is one copy of
+//     each loop.
+//
+// Plans and kernels only ever reach a trace as root jobs (taskJobs,
+// roots.go): a plan slot becomes a job carrying its routine, its kernel
+// and — where the slot has a spine-only verdict — its pruning kernel.
 //
 // All three are read lock-free during parallel collection: the plan cache
 // and the TypeGC builder keep an immutable snapshot map (promoted before
@@ -165,7 +172,7 @@ const (
 	sfBox
 	// sfPrune writes the PrunedWord sentinel instead of tracing: the
 	// heap-liveness verdict proved the payload unreachable through this
-	// access path (classifyPrune kernels only; see tracePrune).
+	// access path (classifyPrune kernels only; see tracer.spine).
 	sfPrune
 )
 
@@ -188,6 +195,16 @@ type spineKernel struct {
 	size   []int
 	tail   []int
 	steps  [][]spineField
+}
+
+// routine is one root's resolved trace: the type_gc routine and the
+// specialized loop classify chose for it (kGeneric, with no layout, when the
+// fast path is off or the shape needs full dispatch).
+type routine struct {
+	g     TypeGC
+	k     kernel
+	spine *spineKernel
+	box   *boxKernel
 }
 
 // classify picks the kernel for a routine. Classification reads the same
@@ -216,6 +233,12 @@ func (c *Collector) classify(g TypeGC) (kernel, *spineKernel, *boxKernel) {
 		}
 	}
 	return kGeneric, nil, nil
+}
+
+// classified is g with the kernel classify picks for it.
+func (c *Collector) classified(g TypeGC) routine {
+	k, sk, bk := c.classify(g)
+	return routine{g: g, k: k, spine: sk, box: bk}
 }
 
 // classifyPrune builds the spine-only pruning kernel for a routine, or nil
@@ -275,96 +298,72 @@ func (c *Collector) spineKernelFor(g *dataG, prune bool) *spineKernel {
 	return sk
 }
 
-// traceKernel traces one root through its specialized loop (or the generic
-// Trace for kGeneric). It mutates the heap exactly as Trace would — same
-// visit order, same copies — so fast-path heaps stay bit-identical to the
-// oracle's. st receives the object/word counters (c.Stats on the serial
-// and ordered-trace paths; a worker-local block during parallel marking
-// never reaches here — see markKernel).
-func (c *Collector) traceKernel(ps *planSlot, w code.Word, st *Stats) code.Word {
-	switch ps.k {
+// kernel traces one root through its specialized loop (or the generic Trace
+// for kGeneric). It visits and stores exactly as Trace would — same order,
+// same copies — so fast-path heaps stay bit-identical to the oracle's.
+func (t *tracer) kernel(r *routine, w code.Word) code.Word {
+	n := 1
+	switch r.k {
+	case kGeneric:
+		return r.g.Trace(t, w)
 	case kConst:
 		return w
-	case kRefConst:
-		if !code.IsBoxedValue(c.Heap.Repr, w) {
-			return w
-		}
-		nw, fresh := c.Heap.VisitObject(w, 1)
-		if fresh {
-			st.ObjectsCopied++
-			st.KernelWords++
-		}
-		return nw
-	case kTupleFlat:
-		if !code.IsBoxedValue(c.Heap.Repr, w) {
-			return w
-		}
-		n := len(ps.g.(*tupleG).fields)
-		nw, fresh := c.Heap.VisitObject(w, n)
-		if fresh {
-			st.ObjectsCopied++
-			st.KernelWords += int64(n)
-		}
-		return nw
 	case kBoxFlat:
-		return c.traceBox(ps.box, w, st)
+		return t.box(r.box, w)
 	case kSpineFlat:
-		return c.traceSpine(ps.spine, ps.g, w, st)
+		return t.spine(r.spine, r.g, w)
+	case kTupleFlat:
+		n = len(r.g.(*tupleG).fields)
 	}
-	return ps.g.Trace(c, w)
-}
-
-// traceBox copies one flat box and its sub-boxes — tupleG/refG.Trace minus
-// the per-field dispatch. Sub-boxes are visited in field order, exactly
-// where Trace would dispatch on them, so heaps stay bit-identical.
-func (c *Collector) traceBox(bk *boxKernel, w code.Word, st *Stats) code.Word {
-	if !code.IsBoxedValue(c.Heap.Repr, w) {
+	// kRefConst, kTupleFlat: one object whose fields are correct verbatim.
+	if !code.IsBoxedValue(t.c.Heap.Repr, w) {
 		return w
 	}
-	nw, fresh := c.Heap.VisitObject(w, bk.size)
-	if !fresh {
-		return nw
-	}
-	st.ObjectsCopied++
-	st.KernelWords += int64(bk.size)
-	for i := range bk.subs {
-		s := &bk.subs[i]
-		c.setField(nw, s.off, c.traceBox(s.box, c.Heap.Field(nw, s.off), st), s.g)
+	nw, fresh := t.visit(w, n)
+	if fresh {
+		t.st.ObjectsCopied++
+		t.st.KernelWords += int64(n)
 	}
 	return nw
 }
 
-// markBox is traceBox's read-only twin for parallel mark/sweep marking.
-// Returns the words newly marked.
-func (c *Collector) markBox(bk *boxKernel, w code.Word, st *Stats) int64 {
-	if !code.IsBoxedValue(c.Heap.Repr, w) {
-		return 0
+// box claims one flat box and its sub-boxes — tupleG/refG.Trace minus the
+// per-field dispatch. Sub-boxes are visited in field order, exactly where
+// Trace would dispatch on them, so heaps stay bit-identical.
+func (t *tracer) box(bk *boxKernel, w code.Word) code.Word {
+	if !code.IsBoxedValue(t.c.Heap.Repr, w) {
+		return w
 	}
-	if _, fresh := c.Heap.VisitShared(w, bk.size); !fresh {
-		return 0
+	nw, fresh := t.visit(w, bk.size)
+	if !fresh {
+		return nw
 	}
-	st.ObjectsCopied++
-	st.KernelWords += int64(bk.size)
-	words := int64(bk.size)
+	t.st.ObjectsCopied++
+	t.st.KernelWords += int64(bk.size)
 	for i := range bk.subs {
-		words += c.markBox(bk.subs[i].box, c.Heap.Field(w, bk.subs[i].off), st)
+		s := &bk.subs[i]
+		was := t.c.Heap.Field(nw, s.off)
+		t.setField(nw, s.off, was, t.box(s.box, was), s.g)
 	}
-	return words
+	return nw
 }
 
-// traceSpine is the flattened loop for const-payload data spines: visit,
-// link the previous copy's tail, advance — dataG.Trace minus the per-field
-// Trace dispatch (payload words are correct verbatim after the copy). g is
-// the spine's own routine, threaded through for the generational tail-link
-// barrier (setField).
-func (c *Collector) traceSpine(sk *spineKernel, g TypeGC, w code.Word, st *Stats) code.Word {
+// spine is the flattened loop for data spines: visit, link the previous
+// copy's tail, advance — dataG.Trace minus the per-field Trace dispatch
+// (payload words are correct verbatim after the copy). g is the spine's own
+// routine, threaded through for the generational tail-link barrier
+// (setField).
+func (t *tracer) spine(sk *spineKernel, g TypeGC, w code.Word) code.Word {
+	c := t.c
 	head := code.Word(0)
 	haveHead := false
 	var prevPtr code.Word // last copied object; its tail field awaits a link
 	prevField := -1
 	link := func(v code.Word) {
 		if prevField >= 0 {
-			c.setField(prevPtr, prevField, v, g) // the tail field's routine is g itself
+			// The tail field held w, the word this step visits, and its
+			// routine is g itself.
+			t.setField(prevPtr, prevField, w, v, g)
 		} else if !haveHead {
 			head = v
 			haveHead = true
@@ -379,115 +378,40 @@ func (c *Collector) traceSpine(sk *spineKernel, g TypeGC, w code.Word, st *Stats
 		if sk.hasTag {
 			tag = int(code.DecodeInt(c.Heap.Repr, c.Heap.Field(w, 0)))
 		}
-		nw, fresh := c.Heap.VisitObject(w, sk.size[tag])
+		nw, fresh := t.visit(w, sk.size[tag])
 		link(nw)
 		if !fresh {
 			return head0(head, haveHead, nw)
 		}
-		st.ObjectsCopied++
-		st.KernelWords += int64(sk.size[tag])
+		t.st.ObjectsCopied++
+		t.st.KernelWords += int64(sk.size[tag])
 		// Non-tail, non-const fields run in field order, exactly where
 		// dataG.Trace would dispatch on them: tree children recurse the
 		// spine, flat-box payloads copy through their boxKernel, and a
 		// pruning kernel's dead payloads are sentinel-overwritten (the
 		// liveness-guided trace; drained only after every full root — see
-		// drainPrune — so an already-visited object stops the walk before
+		// endPrune — so an already-visited object stops the walk before
 		// anything a live path reached is pruned).
 		for i := range sk.steps[tag] {
 			f := &sk.steps[tag][i]
+			was := c.Heap.Field(nw, f.off)
 			switch f.kind {
 			case sfSelf:
-				c.setField(nw, f.off, c.traceSpine(sk, g, c.Heap.Field(nw, f.off), st), g)
+				t.setField(nw, f.off, was, t.spine(sk, g, was), g)
 			case sfBox:
-				c.setField(nw, f.off, c.traceBox(f.box, c.Heap.Field(nw, f.off), st), f.g)
+				t.setField(nw, f.off, was, t.box(f.box, was), f.g)
 			case sfPrune:
-				c.setField(nw, f.off, code.PrunedWord, f.g)
-				st.PrunedWords++
+				t.setField(nw, f.off, was, code.PrunedWord, f.g)
+				t.st.PrunedWords++
 			}
 		}
-		t := sk.tail[tag]
-		if t < 0 {
+		tl := sk.tail[tag]
+		if tl < 0 {
 			return head0(head, haveHead, nw)
 		}
-		prevPtr, prevField = nw, t
-		w = c.Heap.Field(nw, t)
+		prevPtr, prevField = nw, tl
+		w = c.Heap.Field(nw, tl)
 	}
-}
-
-// markKernel is traceKernel's read-only twin for parallel mark/sweep
-// collection: objects are claimed through VisitShared's compare-and-swap
-// and no heap or stack word is written. It returns the words newly marked.
-func (c *Collector) markKernel(ps *planSlot, w code.Word, st *Stats) int64 {
-	repr := c.Heap.Repr
-	switch ps.k {
-	case kConst:
-		return 0
-	case kRefConst:
-		if !code.IsBoxedValue(repr, w) {
-			return 0
-		}
-		if _, fresh := c.Heap.VisitShared(w, 1); !fresh {
-			return 0
-		}
-		st.ObjectsCopied++
-		st.KernelWords++
-		return 1
-	case kTupleFlat:
-		if !code.IsBoxedValue(repr, w) {
-			return 0
-		}
-		n := len(ps.g.(*tupleG).fields)
-		if _, fresh := c.Heap.VisitShared(w, n); !fresh {
-			return 0
-		}
-		st.ObjectsCopied++
-		st.KernelWords += int64(n)
-		return int64(n)
-	case kBoxFlat:
-		return c.markBox(ps.box, w, st)
-	case kSpineFlat:
-		return c.markSpine(ps.spine, w, st)
-	}
-	return c.markValue(ps.g, w, st)
-}
-
-// markSpine is traceSpine's read-only twin: claim each spine object
-// through VisitShared, recurse into the non-tail self-recursive fields,
-// iterate the tail. Returns the words newly marked.
-func (c *Collector) markSpine(sk *spineKernel, w code.Word, st *Stats) int64 {
-	repr := c.Heap.Repr
-	var words int64
-	for code.IsBoxedValue(repr, w) {
-		tag := 0
-		if sk.hasTag {
-			tag = int(code.DecodeInt(repr, c.Heap.Field(w, 0)))
-		}
-		if _, fresh := c.Heap.VisitShared(w, sk.size[tag]); !fresh {
-			break
-		}
-		st.ObjectsCopied++
-		st.KernelWords += int64(sk.size[tag])
-		words += int64(sk.size[tag])
-		for i := range sk.steps[tag] {
-			f := &sk.steps[tag][i]
-			switch f.kind {
-			case sfSelf:
-				words += c.markSpine(sk, c.Heap.Field(w, f.off), st)
-			case sfBox:
-				words += c.markBox(f.box, c.Heap.Field(w, f.off), st)
-			default:
-				// Pruning kernels never reach the read-only mark path
-				// (pruning is serial-only); mark conservatively if one does.
-				words += c.markValue(f.g, c.Heap.Field(w, f.off), st)
-			}
-		}
-		t := sk.tail[tag]
-		if t < 0 {
-			break
-		}
-		w = c.Heap.Field(w, t)
-	}
-	return words
 }
 
 // ---------------------------------------------------------------------------
@@ -496,20 +420,27 @@ func (c *Collector) markSpine(sk *spineKernel, w code.Word, st *Stats) int64 {
 
 // planSlot is one resolved slot of a frame plan.
 type planSlot struct {
-	slot  int
-	g     TypeGC
-	k     kernel
-	spine *spineKernel
-	box   *boxKernel
+	slot int
+	routine
 	// prune, when non-nil, is the spine-only pruning kernel for a slot
-	// whose heap-liveness verdict at this site is spine-only; the serial
-	// trace defers such slots and drains them after every full root
-	// (drainPrune). pruneAtCall is the variant for a frame suspended
+	// whose heap-liveness verdict at this site is spine-only; a pruning
+	// collection defers such slots and drains them after every full root
+	// (endPrune). pruneAtCall is the variant for a frame suspended
 	// *before* its call: an argument slot's full Args verdict overrides
 	// the after-call Live verdict there, because the call re-executes on
 	// resume and the callee's own demand applies.
 	prune       *spineKernel
 	pruneAtCall *spineKernel
+}
+
+// job is the slot as a root of the frame at base; atCall says the frame is
+// the newest of a task suspended before its call.
+func (ps *planSlot) job(base int, atCall bool) rootJob {
+	pk := ps.prune
+	if atCall {
+		pk = ps.pruneAtCall
+	}
+	return rootJob{idx: base + ps.slot, routine: ps.routine, prune: pk}
 }
 
 // framePlan is a fully resolved frame routine for one (site, incoming
@@ -693,8 +624,7 @@ func (c *Collector) buildPlan(siteIdx int, site *code.SiteInfo, targs []TypeGC) 
 		if g == nil {
 			g = c.FromDesc(tr.desc, targs)
 		}
-		k, sp, bk := c.classify(g)
-		ps := planSlot{slot: tr.slot, g: g, k: k, spine: sp, box: bk}
+		ps := planSlot{slot: tr.slot, routine: c.classified(g)}
 		if tr.spine {
 			if pk := c.classifyPrune(g); pk != nil {
 				ps.prune, ps.pruneAtCall = pk, pk
@@ -716,8 +646,7 @@ func (c *Collector) buildPlan(siteIdx int, site *code.SiteInfo, targs []TypeGC) 
 			continue
 		}
 		g := c.FromDesc(e.Desc, targs)
-		k, sp, bk := c.classify(g)
-		ps := planSlot{slot: e.Slot, g: g, k: k, spine: sp, box: bk}
+		ps := planSlot{slot: e.Slot, routine: c.classified(g)}
 		if e.Spine {
 			if pk := c.classifyPrune(g); pk != nil {
 				ps.prune, ps.pruneAtCall = pk, pk
@@ -725,44 +654,8 @@ func (c *Collector) buildPlan(siteIdx int, site *code.SiteInfo, targs []TypeGC) 
 		}
 		p.args = append(p.args, ps)
 	}
-	p.out = c.outgoing(site, targs)
+	p.out = c.outgoing(site, targs, nil) // a plan's package outlives the collection
 	return p
-}
-
-// tracePlan runs one frame's plan over the stack (the serial collector's
-// compiled fast path). When liveness-guided pruning is armed for this
-// collection (pruneOn), slots with a spine-only verdict are deferred to
-// the prune queue instead of traced — every full root must run first so
-// the pruning walk stops at anything a live path reached (drainPrune).
-func (c *Collector) tracePlan(p *framePlan, stack []code.Word, base int, atCall bool) {
-	for i := range p.slots {
-		ps := &p.slots[i]
-		if c.pruneOn {
-			pk := ps.prune
-			if atCall {
-				pk = ps.pruneAtCall
-			}
-			if pk != nil {
-				c.pruneQ = append(c.pruneQ, pruneItem{stack: stack, idx: base + ps.slot, g: ps.g, sk: pk})
-				c.Stats.SlotsTraced++
-				continue
-			}
-		}
-		stack[base+ps.slot] = c.traceKernel(ps, stack[base+ps.slot], &c.Stats)
-		c.Stats.SlotsTraced++
-	}
-	if atCall {
-		for i := range p.args {
-			ps := &p.args[i]
-			if c.pruneOn && ps.prune != nil {
-				c.pruneQ = append(c.pruneQ, pruneItem{stack: stack, idx: base + ps.slot, g: ps.g, sk: ps.prune})
-				c.Stats.SlotsTraced++
-				continue
-			}
-			stack[base+ps.slot] = c.traceKernel(ps, stack[base+ps.slot], &c.Stats)
-			c.Stats.SlotsTraced++
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------

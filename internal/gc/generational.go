@@ -163,15 +163,20 @@ func (c *Collector) remember(obj code.Word, field int32, g TypeGC, traced bool) 
 	}
 }
 
-// setField writes one traced field and, on a nursery heap, records the
-// old→young edge the write creates. Every interior pointer write the trace
-// performs goes through here (typegc.go, fastpath.go); g is the routine for
-// the written value, so the entry can re-trace the edge at the next minor.
-// All writing trace paths are serial (minors always; mark/sweep majors are
-// forced serial; copying majors write only in the ordered phase-2 trace),
-// so no locking is needed.
-func (c *Collector) setField(obj code.Word, i int, v code.Word, g TypeGC) {
-	c.Heap.SetField(obj, i, v)
+// setField stores v, the traced value of field i of obj, which held was —
+// only when tracing changed the word, which on a heap that does not move
+// objects is never, so a -par mark worker writes nothing — and, on a nursery
+// heap, records the old→young edge the field now holds. Every interior
+// pointer the trace produces goes through here; g is the routine for the
+// written value, so the entry can re-trace the edge at the next minor. Edge
+// tracking runs on serial traces only (minors always; a nursery keeps
+// mark/sweep majors serial; copying majors write in the ordered phase-2
+// trace), so it needs no lock.
+func (t *tracer) setField(obj code.Word, i int, was, v code.Word, g TypeGC) {
+	c := t.c
+	if v != was {
+		c.Heap.SetField(obj, i, v)
+	}
 	if !c.genTracking {
 		return
 	}
@@ -202,9 +207,9 @@ func (c *Collector) traceRemembered(shard int) {
 			continue
 		}
 		if fast {
-			v = c.traceKernel(c.remSlot(e.g), v, &c.Stats)
+			v = c.own.kernel(c.remSlot(e.g), v)
 		} else {
-			v = e.g.Trace(c, v)
+			v = e.g.Trace(&c.own, v)
 		}
 		c.Heap.SetField(e.obj, int(e.field), v)
 		c.Stats.SlotsTraced++
@@ -212,17 +217,17 @@ func (c *Collector) traceRemembered(shard int) {
 }
 
 // remSlot classifies a remembered routine once per node, like a plan slot.
-func (c *Collector) remSlot(g TypeGC) *planSlot {
-	ps := c.remSlots[g]
-	if ps == nil {
-		ps = &planSlot{g: g}
-		ps.k, ps.spine, ps.box = c.classify(g)
+func (c *Collector) remSlot(g TypeGC) *routine {
+	r := c.remSlots[g]
+	if r == nil {
+		r = new(routine)
+		*r = c.classified(g)
 		if c.remSlots == nil {
-			c.remSlots = map[TypeGC]*planSlot{}
+			c.remSlots = map[TypeGC]*routine{}
 		}
-		c.remSlots[g] = ps
+		c.remSlots[g] = r
 	}
-	return ps
+	return r
 }
 
 // refilterRemembered drops entries whose field no longer holds a young

@@ -58,34 +58,14 @@ func encodeDesc(out []byte, d *code.TypeDesc) []byte {
 	return out
 }
 
-// interpTraceFrame decodes a site descriptor and traces the frame's slots.
-// When the frame is suspended at a call (atCall), traced records the slots
-// walked so the caller can skip them in the argument map (see traceFrame).
-func (c *Collector) interpTraceFrame(buf []byte, stack []code.Word, base int, targs []TypeGC, traced *slotSet, atCall bool) {
-	r := &descReader{buf: buf}
-	n := r.uvarint()
-	for i := 0; i < n; i++ {
-		slot := r.uvarint()
-		g := c.decodeDesc(r, targs)
-		stack[base+slot] = g.Trace(c, stack[base+slot])
-		c.Stats.SlotsTraced++
-		if atCall {
-			traced.add(slot)
-		}
-	}
-	c.Stats.DescBytesDecoded += int64(len(buf))
-}
-
-// interpFrameJobs decodes a site descriptor into root jobs without tracing
-// anything — the pure half of interpTraceFrame, used by the parallel
-// resolution phase (workers decode concurrently; tracing stays ordered).
+// interpFrameJobs decodes a site descriptor into root jobs — the decoding
+// cost every collection pays under this method, counted in DescBytesDecoded.
 func (c *Collector) interpFrameJobs(jobs []rootJob, buf []byte, base int, targs []TypeGC, st *Stats) []rootJob {
 	r := &descReader{buf: buf}
 	n := r.uvarint()
 	for i := 0; i < n; i++ {
 		slot := r.uvarint()
-		g := c.decodeDesc(r, targs)
-		jobs = append(jobs, rootJob{idx: base + slot, g: g})
+		jobs = append(jobs, genericJob(base+slot, c.decodeDesc(r, targs)))
 	}
 	st.DescBytesDecoded += int64(len(buf))
 	return jobs
@@ -106,7 +86,10 @@ func (r *descReader) uvarint() int {
 }
 
 // decodeDesc interprets one descriptor, building the (memoized) routine.
+// Components decode into a stack buffer (the builder copies what it keeps),
+// so decoding a type already built allocates nothing.
 func (c *Collector) decodeDesc(r *descReader, targs []TypeGC) TypeGC {
+	var buf [4]TypeGC
 	kind := code.TDKind(r.uvarint())
 	switch kind {
 	case code.TDConst, code.TDOpaque:
@@ -120,18 +103,15 @@ func (c *Collector) decodeDesc(r *descReader, targs []TypeGC) TypeGC {
 	case code.TDRef:
 		return c.b.Ref(c.decodeDesc(r, targs))
 	case code.TDTuple:
-		n := r.uvarint()
-		fields := make([]TypeGC, n)
-		for i := range fields {
-			fields[i] = c.decodeDesc(r, targs)
+		fields := buf[:0]
+		for n := r.uvarint(); n > 0; n-- {
+			fields = append(fields, c.decodeDesc(r, targs))
 		}
 		return c.b.Tuple(fields)
 	case code.TDData:
-		idx := r.uvarint()
-		n := r.uvarint()
-		args := make([]TypeGC, n)
-		for i := range args {
-			args[i] = c.decodeDesc(r, targs)
+		idx, args := r.uvarint(), buf[:0]
+		for n := r.uvarint(); n > 0; n-- {
+			args = append(args, c.decodeDesc(r, targs))
 		}
 		return c.b.Data(idx, c.Prog.Data[idx], args)
 	case code.TDArrow:

@@ -20,9 +20,10 @@ import "tagfree/internal/code"
 // remembered-set entry. So a pruning collection runs in two phases:
 //
 //  1. Every full-verdict root (and the globals, and on a minor the
-//     remembered set) traces normally; spine-verdict slots are *deferred*
-//     onto pruneQ instead of traced.
-//  2. drainPrune runs the deferred slots through their pruning kernels.
+//     remembered set) traces normally; a spine-verdict slot — a root job
+//     whose resolution attached a pruning kernel — is *deferred* onto
+//     pruneQ by applyJobs instead of traced.
+//  2. endPrune runs the deferred slots through their pruning kernels.
 //     The walk claims objects through the same VisitObject the full trace
 //     used, so it stops dead at anything a live path already reached —
 //     sentinels land only in objects reachable *exclusively* through
@@ -35,13 +36,16 @@ import "tagfree/internal/code"
 // compiled-code load of the sentinel, which is what makes the verdicts
 // falsifiable in tests.
 //
-// Pruning engages per collection only inside a degrade envelope, because
-// the two-phase ordering argument needs a single ordered trace over a
-// quiescent world:
+// Both phases are cycle's (collector.go): the one place root order is
+// stated. Pruning engages per collection only inside a degrade envelope,
+// because the two-phase ordering argument needs a single ordered trace over
+// a quiescent world:
 //
 //   - compiled strategy with the fast path on (the verdicts live in frame
 //     plans; interp/appel/tagged have none),
-//   - serial trace (parallel workers interleave phase 1 and phase 2),
+//   - serial trace (workers resolve the same jobs, pruning kernels
+//     included, but trace in no order that would keep phase 2 after
+//     phase 1, so a fanned-out collection ignores them),
 //   - no shard overlap (other shards' mutators hold unscanned live paths),
 //   - no concurrent mark cycle (snapshot roots predate the verdicts).
 //
@@ -75,11 +79,13 @@ type pruneItem struct {
 }
 
 // beginPrune decides whether this collection may prune, counting the
-// degrade reason when it may not. Callers pass the trace shape: parallel
-// for a multi-worker trace phase, shard for a single-shard minor.
-func (c *Collector) beginPrune(parallel, shard bool) {
+// degrade reason when it may not: parallel says its stacks are fanned out
+// over workers, k what kind of collection it is. The final pause of a
+// concurrent cycle never prunes, and its refusal was counted when the cycle
+// started (ConcStart).
+func (c *Collector) beginPrune(parallel bool, k cycleKind) {
 	c.pruneOn = false
-	if !c.HeapLiveness {
+	if !c.HeapLiveness || k.conc != nil {
 		return
 	}
 	switch {
@@ -89,7 +95,9 @@ func (c *Collector) beginPrune(parallel, shard bool) {
 		c.Liveness.DegradedFastPath++
 	case parallel:
 		c.Liveness.DegradedParallel++
-	case shard:
+	case k.shard > 0:
+		// Other shards' mutators keep running and may hold live paths into
+		// structures this shard's roots only reach spine-only.
 		c.Liveness.DegradedShard++
 	default:
 		c.pruneOn = true
@@ -107,7 +115,7 @@ func (c *Collector) endPrune() {
 	}
 	for i := range c.pruneQ {
 		it := &c.pruneQ[i]
-		it.stack[it.idx] = c.traceSpine(it.sk, it.g, it.stack[it.idx], &c.Stats)
+		it.stack[it.idx] = c.own.spine(it.sk, it.g, it.stack[it.idx])
 		c.Liveness.SpineRoots++
 	}
 	c.pruneQ = c.pruneQ[:0]

@@ -12,68 +12,91 @@ import (
 
 // Parallel collection (the §4 tasking extension on multi-core hardware).
 //
-// A frame routine is pure over compiler metadata: resolving a frame's site,
-// type arguments and slot routines reads only the program, the (stopped)
-// stacks and un-moved heap words. Only heap mutation needs coordination —
-// forwarding in copying mode, mark bits in mark/sweep mode. The two
-// disciplines therefore parallelize differently:
+// Root resolution (roots.go) is pure, so it is what workers share out. Only
+// heap mutation needs coordination — forwarding in copying mode, mark bits in
+// mark/sweep mode — and the two disciplines parallelize differently:
 //
-//   - Copying: workers resolve every task's root set into job lists
-//     concurrently (phase 1: frame chains, gc_word lookups, type-argument
-//     resolution — including Appel mode's O(n²) chain re-walks — and
-//     descriptor decoding), then one goroutine applies the traces in task
-//     order (phase 2). Tracing order equals the sequential collector's
-//     exactly, so to-space layout is bit-identical to the oracle.
-//   - Mark/sweep: objects never move and marking is idempotent, so workers
-//     mark concurrently, claiming objects with an atomic compare-and-swap
-//     (heap.VisitShared). Nothing writes heap words, and the serial sweep
-//     rebuilds free lists deterministically, so the final heap is
+//   - Copying: workers resolve every task's job list concurrently (phase 1:
+//     frame chains, gc_word lookups, type-argument resolution — including
+//     Appel mode's O(n²) chain re-walks — and descriptor decoding), then one
+//     goroutine applies the lists in task order (phase 2). Tracing order
+//     equals the sequential collector's exactly, so to-space layout is
+//     bit-identical to the oracle.
+//   - Mark/sweep: objects never move and marking is idempotent, so each
+//     worker applies the list it resolved, through a tracer that claims
+//     objects with an atomic compare-and-swap (heap.VisitShared). A traced
+//     word equals the word it replaces, so nothing is stored, and the serial
+//     sweep rebuilds free lists deterministically: the final heap is
 //     bit-identical regardless of scan order.
 //
-// Workers keep local Stats merged in task order after the join; totals are
-// deterministic either way. The only nondeterminism the parallel path
+// Workers count into local Stats merged in task order after the join; totals
+// are deterministic either way. The only nondeterminism the parallel path
 // admits is mark/sweep per-task attribution of structure shared between
 // tasks (whichever worker's CAS wins owns the words) — totals still agree.
+// Workers never prune: beginPrune refuses a fanned-out collection, so the
+// pruning kernels their jobs carry are ignored.
 
-// rootJob is one resolved root: a stack slot, the routine tracing it, and
-// the specialized kernel chosen for it at plan-build time (kGeneric when
-// the fast path is off or the shape needs full dispatch).
-type rootJob struct {
-	idx   int // absolute index into the task's stack
-	g     TypeGC
-	k     kernel
-	spine *spineKernel
-	box   *boxKernel
-}
-
-// planJob converts a resolved plan slot into a root job. Pruning kernels
-// are deliberately not carried over: the parallel paths never prune
-// (beginPrune refuses them), so jobs always trace in full.
-func planJob(base int, ps *planSlot) rootJob {
-	return rootJob{idx: base + ps.slot, g: ps.g, k: ps.k, spine: ps.spine, box: ps.box}
-}
-
-// traceJob traces one resolved root on the ordered phase-2 path, through
-// its kernel when one was selected.
-func (c *Collector) traceJob(j *rootJob, w code.Word) code.Word {
-	if j.k == kGeneric {
-		return j.g.Trace(c, w)
+// taskScan is one task's share of a collection: what the counters moved
+// since then, and the heap words its roots claimed.
+func taskScan(task int, now, then *Stats, words int64) TaskScan {
+	return TaskScan{
+		Task:    task,
+		Frames:  now.FramesTraced - then.FramesTraced,
+		Slots:   now.SlotsTraced - then.SlotsTraced,
+		Objects: now.ObjectsCopied - then.ObjectsCopied,
+		Words:   words,
 	}
-	ps := planSlot{g: j.g, k: j.k, spine: j.spine, box: j.box}
-	return c.traceKernel(&ps, w, &c.Stats)
 }
 
-// collectParallel scans all task stacks with c.Parallelism workers.
-// Globals were already traced serially by Collect (the mark path needs
-// them again — with the marked-word baseline markedAtStart — to rebuild
-// state discarded after a watchdog abort). It returns false when the
-// watchdog aborted the parallel scan and the sequential fallback finished
-// the collection instead.
+// collectParallel scans all task stacks with c.Parallelism workers. Globals
+// were already traced serially by cycle (the mark path needs them again —
+// with the marked-word baseline markedAtStart — to rebuild state discarded
+// after a watchdog abort). It returns false when the watchdog aborted the
+// parallel scan and the sequential path finished the collection instead.
 func (c *Collector) collectParallel(tasks []TaskRoots, scans []TaskScan, globals []code.Word, markedAtStart int64) bool {
-	if c.Heap.Kind() == heap.MarkSweep {
-		return c.collectParallelMark(tasks, scans, globals, markedAtStart)
+	marking := c.Heap.Kind() == heap.MarkSweep
+	jobLists := make([][]rootJob, len(tasks))
+	local := make([]Stats, len(tasks))
+	words := make([]int64, len(tasks))
+	for w := 0; w < c.Parallelism; w++ {
+		c.arena(w).reset()
 	}
-	return c.collectParallelCopy(tasks, scans)
+	if !c.runWorkers(len(tasks), func(w, i int) {
+		sc := c.scratches[w]
+		jobs := c.taskJobs(tasks[i], &local[i], sc)
+		if !marking {
+			jobLists[i] = jobs // applied in task order after the join
+			return
+		}
+		tr := tracer{c: c, st: &local[i], shared: true}
+		c.applyJobs(&tr, tasks[i].Stack, jobs)
+		words[i] = tr.words
+		sc.reset()
+	}) {
+		// Watchdog abort. Resolution only read the stopped stacks, and
+		// marking wrote mark bits and the marked-word counter but no heap or
+		// stack word: clear every mark (the globals' too), roll the counter
+		// back to the top of the collection, re-mark the globals, and run the
+		// sequential oracle over whatever the workers left.
+		if marking {
+			c.Heap.ResetMarks()
+			c.Heap.Stats.WordsCopied = markedAtStart
+			c.traceGlobals(globals)
+		}
+		c.Telem.Resilience.SerialFallbacks++
+		c.collectSerial(tasks, scans)
+		return false
+	}
+	for i := range tasks {
+		snap, before := c.Stats, c.Heap.Stats.WordsCopied
+		mergeStats(&c.Stats, &local[i])
+		if !marking {
+			c.applyJobs(&c.own, tasks[i].Stack, jobLists[i])
+			words[i] = c.Heap.Stats.WordsCopied - before
+		}
+		scans[i] = taskScan(i, &c.Stats, &snap, words[i])
+	}
+	return true
 }
 
 // scanOrder returns the order workers claim task stacks in: identity, or a
@@ -168,232 +191,4 @@ func mergeStats(into, from *Stats) {
 	into.SiteCacheHits += from.SiteCacheHits
 	into.SiteCacheMisses += from.SiteCacheMisses
 	into.KernelWords += from.KernelWords
-}
-
-// ---------------------------------------------------------------------------
-// Copying: parallel resolution, ordered tracing.
-// ---------------------------------------------------------------------------
-
-func (c *Collector) collectParallelCopy(tasks []TaskRoots, scans []TaskScan) bool {
-	jobLists := make([][]rootJob, len(tasks))
-	local := make([]Stats, len(tasks))
-	if !c.runWorkers(len(tasks), func(w, i int) {
-		jobLists[i] = c.taskJobs(tasks[i], &local[i], c.scratches[w])
-	}) {
-		// Watchdog abort. Phase 1 only read the stopped stacks and built
-		// job lists; no heap or stack word was written, so the fallback can
-		// simply discard them and run the sequential oracle.
-		c.serialFallback(tasks, scans)
-		return false
-	}
-	for i := range tasks {
-		mergeStats(&c.Stats, &local[i])
-		wordsBefore := c.Heap.Stats.WordsCopied
-		objBefore := c.Stats.ObjectsCopied
-		for j := range jobLists[i] {
-			job := &jobLists[i][j]
-			tasks[i].Stack[job.idx] = c.traceJob(job, tasks[i].Stack[job.idx])
-			c.Stats.SlotsTraced++
-		}
-		scans[i] = TaskScan{
-			Task:    i,
-			Frames:  local[i].FramesTraced,
-			Slots:   int64(len(jobLists[i])),
-			Objects: c.Stats.ObjectsCopied - objBefore,
-			Words:   c.Heap.Stats.WordsCopied - wordsBefore,
-		}
-	}
-	return true
-}
-
-// serialFallback finishes an aborted parallel collection on the sequential
-// path, producing the same heap the oracle would have.
-func (c *Collector) serialFallback(tasks []TaskRoots, scans []TaskScan) {
-	c.Telem.Resilience.SerialFallbacks++
-	c.collectSerial(tasks, scans)
-}
-
-// ResolveRoots resolves every task's complete root set — frame chains,
-// gc_word lookups, type-argument resolution, plan construction — without
-// mutating the heap, the stacks or the collector's counters. It is the
-// pure metadata half of a collection, exported so the benchmark harness
-// (experiment E10) can time resolution separately from tracing. It
-// returns the number of roots resolved. Tagged collections have no
-// resolution phase (the scan is header-driven) and return 0.
-func (c *Collector) ResolveRoots(tasks []TaskRoots) int {
-	if c.Strat == StratTagged {
-		return 0
-	}
-	c.prepareFastPath()
-	// E10 calls this in a tight loop outside any collection; reset the
-	// arena each time so repeated resolution does not accumulate.
-	sc := c.scratch0()
-	sc.reset()
-	var st Stats
-	total := 0
-	for i := range tasks {
-		total += len(c.taskJobs(tasks[i], &st, sc))
-	}
-	return total
-}
-
-// taskJobs resolves one task's complete root set without mutating the
-// heap: the job list mirrors collectTask's trace order slot for slot. The
-// returned slice lives in sc's arena, valid until the arena's next reset
-// (the top of the next collection).
-func (c *Collector) taskJobs(t TaskRoots, st *Stats, sc *scratch) []rootJob {
-	fr := sc.walk(t)
-	fast := c.planned()
-	jobs := sc.jobsWindow()
-	var incoming pkg
-	var ic planIC
-	var prev *framePlan
-	for i := len(fr) - 1; i >= 0; i-- {
-		fp := fr[i].fp
-		siteIdx, site := c.siteAtFast(fr[i].pc, st)
-		fi := c.Prog.Funcs[site.Func]
-		if fast {
-			// Compiled fast path: the memoized plan already carries the
-			// resolved slot routines, kernels, the deduplicated argument
-			// map and the outgoing package, and the caller plan's edge
-			// cache resolves warmed towers in O(1) per frame (fastpath.go).
-			plan := c.planForEdge(prev, &ic, siteIdx, site, fi, incoming, t.Stack, fp, sc, st)
-			base := fp + 2
-			for k := range plan.slots {
-				jobs = append(jobs, planJob(base, &plan.slots[k]))
-			}
-			if t.AtCall && i == 0 {
-				for k := range plan.args {
-					jobs = append(jobs, planJob(base, &plan.args[k]))
-				}
-			}
-			incoming, prev = plan.out, plan
-			continue
-		}
-		var targs []TypeGC
-		if c.Strat == StratAppel {
-			targs = c.appelTypeArgs(t, fr, i, st, sc)
-		} else {
-			targs = c.frameTypeArgs(fi, incoming, t.Stack, fp, sc)
-		}
-		jobs = c.frameJobs(jobs, siteIdx, site, fi, fp, targs, t.AtCall && i == 0, st)
-		if i > 0 && c.Strat != StratAppel {
-			incoming = c.outgoing(site, targs)
-		}
-	}
-	st.FramesTraced += int64(len(fr))
-	sc.commitJobs(jobs)
-	return jobs
-}
-
-// frameJobs appends one frame's root jobs in traceFrame's slot order.
-func (c *Collector) frameJobs(jobs []rootJob, siteIdx int, site *code.SiteInfo, fi *code.FuncInfo, fp int, targs []TypeGC, atCall bool, st *Stats) []rootJob {
-	base := fp + 2
-	start := len(jobs)
-	switch c.Strat {
-	case StratCompiled:
-		for _, tr := range c.compiledSites[siteIdx] {
-			g := tr.ground
-			if g == nil {
-				g = c.FromDesc(tr.desc, targs)
-			}
-			jobs = append(jobs, rootJob{idx: base + tr.slot, g: g})
-		}
-	case StratInterp:
-		jobs = c.interpFrameJobs(jobs, c.interpSites[siteIdx], base, targs, st)
-	case StratAppel:
-		for _, e := range fi.AllSlots {
-			jobs = append(jobs, rootJob{idx: base + e.Slot, g: c.FromDesc(e.Desc, targs)})
-		}
-	}
-	if atCall {
-		// Mirror traceFrame's dedupe: a slot covered by both the frame walk
-		// and the site's argument map is traced once only.
-		var seen slotSet
-		for _, j := range jobs[start:] {
-			seen.add(j.idx - base)
-		}
-		for _, e := range site.Args {
-			if seen.has(e.Slot) {
-				continue
-			}
-			jobs = append(jobs, rootJob{idx: base + e.Slot, g: c.FromDesc(e.Desc, targs)})
-		}
-	}
-	return jobs
-}
-
-// ---------------------------------------------------------------------------
-// Mark/sweep: fully parallel marking.
-// ---------------------------------------------------------------------------
-
-func (c *Collector) collectParallelMark(tasks []TaskRoots, scans []TaskScan, globals []code.Word, markedAtStart int64) bool {
-	local := make([]Stats, len(tasks))
-	words := make([]int64, len(tasks))
-	if !c.runWorkers(len(tasks), func(w, i int) {
-		st := &local[i]
-		jobs := c.taskJobs(tasks[i], st, c.scratches[w])
-		for j := range jobs {
-			job := &jobs[j]
-			if job.k != kGeneric {
-				ps := planSlot{g: job.g, k: job.k, spine: job.spine, box: job.box}
-				words[i] += c.markKernel(&ps, tasks[i].Stack[job.idx], st)
-			} else {
-				words[i] += c.markValue(job.g, tasks[i].Stack[job.idx], st)
-			}
-			st.SlotsTraced++
-		}
-	}) {
-		// Watchdog abort. Marking wrote mark bits and bumped the marked-word
-		// counter but never moved an object or wrote a heap/stack word:
-		// clear every mark (including the globals'), roll the counter back
-		// to the top of the collection, and re-mark sequentially.
-		c.Heap.ResetMarks()
-		c.Heap.Stats.WordsCopied = markedAtStart
-		c.traceGlobals(globals)
-		c.serialFallback(tasks, scans)
-		return false
-	}
-	for i := range tasks {
-		mergeStats(&c.Stats, &local[i])
-		scans[i] = TaskScan{
-			Task:    i,
-			Frames:  local[i].FramesTraced,
-			Slots:   local[i].SlotsTraced,
-			Objects: local[i].ObjectsCopied,
-			Words:   words[i],
-		}
-	}
-	return true
-}
-
-// markValue marks the structure reachable from one root without writing a
-// single heap or stack word — the read-only twin of TypeGC.Trace for
-// mark/sweep heaps (objects never move, so there is nothing to forward).
-// It returns the words newly marked, for per-task telemetry. First visits
-// are claimed through heap.VisitShared's compare-and-swap, making the walk
-// safe for any number of concurrent workers. A spine (shape.tail) iterates,
-// so long lists do not consume host stack proportional to their length.
-func (c *Collector) markValue(g TypeGC, w code.Word, st *Stats) int64 {
-	var words int64
-	for {
-		sh, ok := c.shapeOf(g, w)
-		if !ok {
-			return words
-		}
-		if _, fresh := c.Heap.VisitShared(w, sh.size()); !fresh {
-			return words
-		}
-		st.ObjectsCopied++
-		words += int64(sh.size())
-		for i, f := range sh.fields {
-			if i != sh.tail {
-				words += c.markValue(f, c.Heap.Field(w, sh.off+i), st)
-			}
-		}
-		if sh.tail < 0 {
-			return words
-		}
-		w = c.Heap.Field(w, sh.off+sh.tail)
-	}
 }

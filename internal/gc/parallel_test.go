@@ -24,6 +24,17 @@ import (
 // knobs, returning each task's raw result and the final heap image.
 func runGroup(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bool, par int, seed int64) ([]code.Word, []code.Word) {
 	t.Helper()
+	g := runGroupTo(t, w, strat, ms, par, seed)
+	results := make([]code.Word, len(g.Tasks))
+	for i, task := range g.Tasks {
+		results[i] = task.Result
+	}
+	return results, g.Heap.MemSnapshot()
+}
+
+// runGroupTo is runGroup returning the finished group itself.
+func runGroupTo(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bool, par int, seed int64) *tasking.Group {
+	t.Helper()
 	prog, _, err := pipeline.Build(w.Source, pipeline.Options{
 		Strategy:             strat,
 		DisableGCWordElision: true,
@@ -58,11 +69,7 @@ func runGroup(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bool
 	if g.Stats.Collections == 0 {
 		t.Fatalf("no collections — workload exerts no heap pressure")
 	}
-	results := make([]code.Word, len(g.Tasks))
-	for i, task := range g.Tasks {
-		results[i] = task.Result
-	}
-	return results, g.Heap.MemSnapshot()
+	return g
 }
 
 func wordsEqual(a, b []code.Word) bool {
@@ -80,20 +87,40 @@ func wordsEqual(a, b []code.Word) bool {
 // TestParallelSequentialBitIdentical is the central parallel-correctness
 // claim: for every workload, strategy and heap discipline, a 4-worker
 // collection history leaves every single heap word equal to the
-// sequential oracle's.
+// sequential oracle's — and, workers counting through the same tracer the
+// serial path does, every work counter's total too ("totals are
+// deterministic either way", parallel.go).
 func TestParallelSequentialBitIdentical(t *testing.T) {
 	for _, w := range workloads.Tasking {
 		for _, strat := range []gc.Strategy{gc.StratCompiled, gc.StratInterp, gc.StratAppel} {
 			for _, ms := range []bool{false, true} {
 				name := fmt.Sprintf("%s/%v/ms=%v", w.Name, strat, ms)
 				t.Run(name, func(t *testing.T) {
-					seqRes, seqMem := runGroup(t, w, strat, ms, 1, 0)
-					parRes, parMem := runGroup(t, w, strat, ms, 4, 0)
-					if !wordsEqual(seqRes, parRes) {
-						t.Fatalf("results diverge: seq %v par %v", seqRes, parRes)
+					seq, par := runGroupTo(t, w, strat, ms, 1, 0), runGroupTo(t, w, strat, ms, 4, 0)
+					for i := range seq.Tasks {
+						if seq.Tasks[i].Result != par.Tasks[i].Result {
+							t.Fatalf("task %d diverges: seq %v par %v", i, seq.Tasks[i].Result, par.Tasks[i].Result)
+						}
 					}
-					if !wordsEqual(seqMem, parMem) {
+					if seqMem := seq.Heap.MemSnapshot(); !wordsEqual(seqMem, par.Heap.MemSnapshot()) {
 						t.Fatalf("heap images diverge (%d words)", len(seqMem))
+					}
+					s, p := seq.Col.Stats, par.Col.Stats
+					for _, c := range []struct {
+						name     string
+						seq, par int64
+					}{
+						{"FramesTraced", s.FramesTraced, p.FramesTraced},
+						{"SlotsTraced", s.SlotsTraced, p.SlotsTraced},
+						{"ObjectsCopied", s.ObjectsCopied, p.ObjectsCopied},
+						{"KernelWords", s.KernelWords, p.KernelWords},
+						{"DescBytesDecoded", s.DescBytesDecoded, p.DescBytesDecoded},
+						{"ChainSteps", s.ChainSteps, p.ChainSteps},
+						{"Heap.WordsCopied", seq.Heap.Stats.WordsCopied, par.Heap.Stats.WordsCopied},
+					} {
+						if c.seq != c.par {
+							t.Errorf("%s: %d sequential, %d with 4 workers", c.name, c.seq, c.par)
+						}
 					}
 				})
 			}

@@ -51,17 +51,8 @@ func (c *Collector) LiveSignature(globals []code.Word) []code.Word {
 // maps).
 func (c *Collector) RootSignature(tasks []TaskRoots, globals []code.Word) []code.Word {
 	s := &signer{c: c, seen: map[code.Word]int{}}
-	for i, g := range c.Prog.Globals {
-		s.walk(c.FromDesc(g.Desc, nil), globals[i])
-	}
 	var st Stats // resolution stats of the signature walk are discarded
-	sc := c.scratch0()
-	sc.reset() // any prior collection's windows are dead by now
-	for i := range tasks {
-		for _, j := range c.taskJobs(tasks[i], &st, sc) {
-			s.walk(j.g, tasks[i].Stack[j.idx])
-		}
-	}
+	c.eachRoot(tasks, globals, &st, func(_, _ int, g TypeGC, w code.Word) { s.walk(g, w) })
 	return s.out
 }
 

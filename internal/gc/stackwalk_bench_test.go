@@ -40,18 +40,26 @@ let mutual_b () = rounds [6] 30 0
 // the host bytes a collection allocates: the walk's frame list, the
 // type-argument windows and the plans all come from the scratch arena and the
 // caches, so B/op is the telemetry record (`make profile-gc` adds the CPU
-// profile).
+// profile). The mark/sweep rows walk the same tower serially and fanned out
+// over two workers, so the shared-claim tracer a -par mark worker runs —
+// claims by compare-and-swap, nothing stored — and the fan-out's fixed cost
+// have a ns/frame and an allocs/op of their own.
 func BenchmarkStackWalk(b *testing.B) {
+	towers := []string{"tower_a", "tower_b", "tower_c", "tower_d"}
 	for _, shape := range []struct {
 		name, src string
 		entries   []string
+		ms        bool
+		par       int
 	}{
-		{"polytower", polyTowerSrc, []string{"tower_a", "tower_b", "tower_c", "tower_d"}},
-		{"mutual", mutualTowerSrc, []string{"mutual_a", "mutual_b"}},
+		{"polytower", polyTowerSrc, towers, false, 1},
+		{"mutual", mutualTowerSrc, []string{"mutual_a", "mutual_b"}, false, 1},
+		{"polytower-marksweep-par1", polyTowerSrc, towers, true, 1},
+		{"polytower-marksweep-par2", polyTowerSrc, towers, true, 2},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			g, entries, err := pipeline.BuildTaskGroup(shape.src, shape.entries,
-				pipeline.Options{Strategy: gc.StratCompiled, HeapWords: 1 << 12})
+				pipeline.Options{Strategy: gc.StratCompiled, HeapWords: 1 << 12, MarkSweep: shape.ms, Parallelism: shape.par})
 			if err != nil {
 				b.Fatal(err)
 			}

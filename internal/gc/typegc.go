@@ -32,9 +32,9 @@ import (
 
 // TypeGC traces values of one type and decomposes into component routines.
 type TypeGC interface {
-	// Trace forwards the value (copying any heap structure it owns) and
-	// returns the new value.
-	Trace(c *Collector, w code.Word) code.Word
+	// Trace forwards the value (copying or marking any heap structure it
+	// owns) and returns the new value.
+	Trace(t *tracer, w code.Word) code.Word
 	// Child returns the component routine selected by a derivation step.
 	Child(step code.PathStep) TypeGC
 	// gcID is the node's unique id within its builder (memoization key).
@@ -281,6 +281,15 @@ type shape struct {
 
 func (s *shape) size() int { return s.off + len(s.fields) }
 
+// Trace is the whole routine of a node that is one fixed shape — a ref cell,
+// a tuple, which embed theirs: claim the object, trace its fields in order.
+func (s *shape) Trace(t *tracer, w code.Word) code.Word {
+	if !code.IsBoxedValue(t.c.Heap.Repr, w) {
+		return w
+	}
+	return t.object(s, w)
+}
+
 // shapeOf returns the shape of the object w under routine g, or false when
 // there is no object to walk (an unboxed word, or a const-typed one that
 // merely looks like a pointer).
@@ -307,16 +316,46 @@ func (c *Collector) shapeOf(g TypeGC, w code.Word) (shape, bool) {
 	panic("gc: shapeOf: unknown TypeGC node")
 }
 
-// traceObject copies one object and traces its fields in order — the whole
-// of Trace for every shape without a spine.
-func (c *Collector) traceObject(sh *shape, w code.Word) code.Word {
-	nw, fresh := c.Heap.VisitObject(w, sh.size())
+// tracer is the trace policy every routine and kernel runs under: the
+// collector, the Stats block the walk counts into, and how an object is
+// claimed. The collector's own tracer claims through Heap.VisitObject and
+// counts into Collector.Stats; a -par mark worker's claims through
+// Heap.VisitShared's compare-and-swap, counts into a block of its own and
+// sums the words it won for its task's TaskScan. Nothing else differs: a
+// traced word is stored only where it changed (setField), so on a heap that
+// does not move objects a walk writes no heap or stack word and any number
+// of workers may run it at once.
+type tracer struct {
+	c      *Collector
+	st     *Stats
+	shared bool
+	words  int64
+}
+
+// visit claims the n-word object at w: its current pointer, and whether its
+// fields still need tracing (first visit).
+func (t *tracer) visit(w code.Word, n int) (code.Word, bool) {
+	if !t.shared {
+		return t.c.Heap.VisitObject(w, n)
+	}
+	nw, fresh := t.c.Heap.VisitShared(w, n)
+	if fresh {
+		t.words += int64(n)
+	}
+	return nw, fresh
+}
+
+// object claims one object and traces its fields in order — the whole of
+// Trace for every shape without a spine.
+func (t *tracer) object(sh *shape, w code.Word) code.Word {
+	nw, fresh := t.visit(w, sh.size())
 	if !fresh {
 		return nw
 	}
-	c.Stats.ObjectsCopied++
+	t.st.ObjectsCopied++
 	for i, f := range sh.fields {
-		c.setField(nw, sh.off+i, f.Trace(c, c.Heap.Field(nw, sh.off+i)), f)
+		was := t.c.Heap.Field(nw, sh.off+i)
+		t.setField(nw, sh.off+i, was, f.Trace(t, was), f)
 	}
 	return nw
 }
@@ -326,7 +365,7 @@ type constG struct{ id int }
 func (g *constG) gcID() int { return g.id }
 
 // Trace on unboxed values is the identity (const_gc).
-func (g *constG) Trace(c *Collector, w code.Word) code.Word { return w }
+func (g *constG) Trace(_ *tracer, w code.Word) code.Word { return w }
 
 // Child of an opaque routine is opaque (defensive; parametric positions).
 func (g *constG) Child(code.PathStep) TypeGC { return g }
@@ -341,13 +380,6 @@ func (g *refG) gcID() int { return g.id }
 
 func (g *refG) Child(step code.PathStep) TypeGC { return g.elem }
 
-func (g *refG) Trace(c *Collector, w code.Word) code.Word {
-	if !code.IsBoxedValue(c.Heap.Repr, w) {
-		return w
-	}
-	return c.traceObject(&g.shape, w)
-}
-
 type tupleG struct {
 	id int
 	shape
@@ -356,13 +388,6 @@ type tupleG struct {
 func (g *tupleG) gcID() int { return g.id }
 
 func (g *tupleG) Child(step code.PathStep) TypeGC { return g.fields[step.Index] }
-
-func (g *tupleG) Trace(c *Collector, w code.Word) code.Word {
-	if !code.IsBoxedValue(c.Heap.Repr, w) {
-		return w
-	}
-	return c.traceObject(&g.shape, w)
-}
 
 type dataG struct {
 	id       int
@@ -413,14 +438,17 @@ func (g *dataG) ctor(c *Collector, tag int) *shape {
 // Trace copies a datatype value. Recursive tail fields whose routine is g
 // itself (list spines, tree right-spines) are traced iteratively so a long
 // list does not consume host stack proportional to its length.
-func (g *dataG) Trace(c *Collector, w code.Word) code.Word {
+func (g *dataG) Trace(t *tracer, w code.Word) code.Word {
+	c := t.c
 	head := code.Word(0)
 	haveHead := false
 	var prevPtr code.Word // last copied object; its tail field awaits a link
 	prevField := -1
 	link := func(v code.Word) {
 		if prevField >= 0 {
-			c.setField(prevPtr, prevField, v, g) // the tail field's routine is g itself
+			// The tail field held w, the word this step visits, and its
+			// routine is g itself.
+			t.setField(prevPtr, prevField, w, v, g)
 		} else if !haveHead {
 			head = v
 			haveHead = true
@@ -432,15 +460,16 @@ func (g *dataG) Trace(c *Collector, w code.Word) code.Word {
 			return head0(head, haveHead, w)
 		}
 		sh := g.ctor(c, g.tag(c, w))
-		nw, fresh := c.Heap.VisitObject(w, sh.size())
+		nw, fresh := t.visit(w, sh.size())
 		link(nw)
 		if !fresh {
 			return head0(head, haveHead, nw)
 		}
-		c.Stats.ObjectsCopied++
+		t.st.ObjectsCopied++
 		for i, f := range sh.fields {
 			if i != sh.tail {
-				c.setField(nw, sh.off+i, f.Trace(c, c.Heap.Field(nw, sh.off+i)), f)
+				was := c.Heap.Field(nw, sh.off+i)
+				t.setField(nw, sh.off+i, was, f.Trace(t, was), f)
 			}
 		}
 		if sh.tail < 0 {
@@ -475,12 +504,12 @@ func (g *arrowG) Child(step code.PathStep) TypeGC {
 }
 
 // Trace copies a closure and traces its captures.
-func (g *arrowG) Trace(c *Collector, w code.Word) code.Word {
-	sh, ok := c.shapeOf(g, w)
+func (g *arrowG) Trace(t *tracer, w code.Word) code.Word {
+	sh, ok := t.c.shapeOf(g, w)
 	if !ok {
 		return w
 	}
-	return c.traceObject(&sh, w)
+	return t.object(&sh, w)
 }
 
 // captures returns the routines for a closure's captured fields. Capture

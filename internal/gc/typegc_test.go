@@ -135,7 +135,7 @@ func TestDataTraceCopiesList(t *testing.T) {
 	g := c.FromDesc(intList, nil)
 
 	h.BeginGC()
-	nl := g.Trace(c, lst)
+	nl := g.Trace(&c.own, lst)
 	h.EndGC()
 
 	got := readList(h, nl)
@@ -168,7 +168,7 @@ func TestDataTraceLongListIterative(t *testing.T) {
 	g := c.FromDesc(intList, nil)
 
 	h.BeginGC()
-	nl := g.Trace(c, lst)
+	nl := g.Trace(&c.own, lst)
 	h.EndGC()
 
 	got := readList(h, nl)
@@ -194,8 +194,8 @@ func TestSharedStructurePreserved(t *testing.T) {
 	g := c.FromDesc(intList, nil)
 
 	h.BeginGC()
-	na := g.Trace(c, a)
-	nb := g.Trace(c, b)
+	na := g.Trace(&c.own, a)
+	nb := g.Trace(&c.own, b)
 	h.EndGC()
 
 	if h.Field(na, 1) != h.Field(nb, 1) {
@@ -222,7 +222,7 @@ func TestTreeTraceWithTagless(t *testing.T) {
 	g := c.FromDesc(treeDesc, nil)
 
 	h.BeginGC()
-	nt := g.Trace(c, tree)
+	nt := g.Trace(&c.own, tree)
 	h.EndGC()
 
 	var sum int64
@@ -453,7 +453,11 @@ func TestFirstTouchRace(t *testing.T) {
 				<-start
 				g := c.FromDesc(nested, nil)
 				var st Stats
-				words[i] = c.markValue(g, roots[i], &st)
+				tr := tracer{c: c, st: &st, shared: true}
+				if g.Trace(&tr, roots[i]) != roots[i] {
+					t.Errorf("worker %d: marking moved its root", i)
+				}
+				words[i] = tr.words
 				shapes[i] = g.(*dataG).ctor(c, 0)
 			}(i)
 		}
@@ -562,13 +566,13 @@ func TestTraceAllocatesNothingPerObject(t *testing.T) {
 					root := tc.build(h, prog)
 					g := c.FromDesc(tc.desc, nil)
 					var st Stats
+					tr := &c.own
+					if ms {
+						tr = &tracer{c: c, st: &st, shared: true} // a -par mark worker's
+					}
 					collect := func() {
 						h.BeginGC()
-						if ms {
-							c.markValue(g, root, &st)
-						} else {
-							root = g.Trace(c, root)
-						}
+						root = g.Trace(tr, root)
 						h.EndGC()
 					}
 					collect() // first touch resolves the shapes

@@ -47,19 +47,15 @@ func (c *Collector) verifyCollection(tasks []TaskRoots, globals []code.Word) {
 	errs := c.Heap.VerifyHeap()
 	if c.Strat != StratTagged {
 		v := &verifier{c: c, seen: map[code.Word]bool{}}
-		for i, g := range c.Prog.Globals {
-			v.where = fmt.Sprintf("global %d (%s)", i, g.Name)
-			v.walk(c.FromDesc(g.Desc, nil), globals[i])
-		}
 		var st Stats // resolution stats of the re-walk are discarded
-		sc := c.scratch0()
-		sc.reset() // the collection's own windows are dead by now
-		for i := range tasks {
-			for _, j := range c.taskJobs(tasks[i], &st, sc) {
-				v.where = fmt.Sprintf("task %d stack slot %d", i, j.idx)
-				v.walk(j.g, tasks[i].Stack[j.idx])
+		c.eachRoot(tasks, globals, &st, func(task, idx int, g TypeGC, w code.Word) {
+			if task < 0 {
+				v.where = fmt.Sprintf("global %d (%s)", idx, c.Prog.Globals[idx].Name)
+			} else {
+				v.where = fmt.Sprintf("task %d stack slot %d", task, idx)
 			}
-		}
+			v.walk(g, w)
+		})
 		errs = append(errs, v.errs...)
 	}
 	if len(errs) > 0 {
@@ -113,8 +109,8 @@ func (v *verifier) badHeader(g TypeGC, w code.Word) bool {
 	return false
 }
 
-// walk mirrors markValue: the same shapes, the same tail-spine iteration,
-// but checking extents instead of setting marks.
+// walk mirrors Trace: the same shapes, the same tail-spine iteration, but
+// checking extents instead of claiming objects.
 func (v *verifier) walk(g TypeGC, w code.Word) {
 	c := v.c
 	for !v.badHeader(g, w) {

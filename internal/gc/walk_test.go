@@ -70,7 +70,7 @@ func TestOutgoingPackages(t *testing.T) {
 	direct := &code.SiteInfo{Kind: code.SiteCall,
 		CalleeInst: []*code.TypeDesc{intList, {Kind: code.TDVar, Index: 0}}}
 	targs := []TypeGC{c.b.Const()}
-	pkg := c.outgoing(direct, targs)
+	pkg := c.outgoing(direct, targs, nil)
 	if len(pkg.direct) != 2 {
 		t.Fatalf("direct package has %d entries", len(pkg.direct))
 	}
@@ -84,7 +84,7 @@ func TestOutgoingPackages(t *testing.T) {
 	closSite := &code.SiteInfo{Kind: code.SiteCallC,
 		SiteType: &code.TypeDesc{Kind: code.TDArrow,
 			Args: []*code.TypeDesc{{Kind: code.TDConst}, intList}}}
-	pkg = c.outgoing(closSite, nil)
+	pkg = c.outgoing(closSite, nil, nil)
 	if pkg.arrow == nil {
 		t.Fatal("closure-call package missing")
 	}
@@ -110,7 +110,7 @@ func TestEnvTypeArgsFromRepWords(t *testing.T) {
 	c.Heap.SetField(clos, 0, code.EncodeInt(code.ReprTagFree, 7)) // code ptr
 	c.Heap.SetField(clos, 1, code.EncodeInt(code.ReprTagFree, int64(intListRep)))
 
-	env := c.envTypeArgs(fi, clos, nil, c.scratch0())
+	env := c.envTypeArgs(fi, clos, nil, c.arena(0))
 	if len(env) != 1 {
 		t.Fatalf("env has %d entries", len(env))
 	}
@@ -138,7 +138,7 @@ func TestEnvTypeArgsFromDerivation(t *testing.T) {
 
 	clos := c.Heap.MustAlloc(1)
 	c.Heap.SetField(clos, 0, code.EncodeInt(code.ReprTagFree, 3))
-	env := c.envTypeArgs(fi, clos, ref, c.scratch0())
+	env := c.envTypeArgs(fi, clos, ref, c.arena(0))
 	if env[0] != c.b.Const() {
 		t.Error("derivation dom→elem should reach const_gc for an int list domain")
 	}
