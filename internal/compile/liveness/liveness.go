@@ -57,7 +57,20 @@ type analysis struct {
 	liveAt [][]*ir.Slot
 }
 
-func (an *analysis) newSet() slotSet { return make(slotSet, (len(an.f.Slots)+63)/64) }
+// newSet is the live set at an exit of the body: empty — except that a
+// closure-called function whose type arguments sit in its closure's rep words
+// keeps slot 0, the closure being executed, live to the end. The collector
+// reads the frame's instantiation through that slot at every collection the
+// frame is on the stack for, whether or not the body uses the closure again;
+// left out of a map, the slot would go stale and the rep words behind it be
+// overwritten.
+func (an *analysis) newSet() slotSet {
+	s := make(slotSet, (len(an.f.Slots)+63)/64)
+	if an.f.TypeSource == ir.TypeSourceEnv && an.f.NumRepWords > 0 {
+		s.add(0)
+	}
+	return s
+}
 
 // slots lists a set's members. Walking the words low to high yields them in
 // ascending Idx — the order frame maps are emitted in — with no sort.

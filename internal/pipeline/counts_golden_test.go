@@ -164,14 +164,6 @@ func TestAllocCountsGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if opts.Torture && w.Name == "thunks" {
-					// Known defect (ROADMAP): a closure-called frame reads its
-					// type reps through slot 0, which no frame map keeps alive;
-					// with a collection per allocation the stale closure is
-					// overwritten and envTypeArgs indexes the rep table with
-					// garbage. The row comes back when that is fixed.
-					continue
-				}
 				if opts.Torture {
 					plain, err := RunProgram(prog, nil, Options{Strategy: strat, HeapWords: w.HeapWords})
 					if err != nil {
