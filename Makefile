@@ -1,6 +1,11 @@
 # Test tiers. tier1 is the gate every change must pass; tier2 adds the
 # race detector over the parallel-collection paths and a fresh (uncached)
-# run of the cross-strategy differential suite. tier2-torture is the
+# run of the cross-strategy differential suite. The tracer that -par mark
+# workers share with the serial trace (internal/gc: one copy of every walk and
+# kernel, claims by compare-and-swap, a word stored only where it changed) is
+# covered by three of tier2's -race runs, which are also the quick check after
+# an edit there: `go test -race ./internal/gc ./internal/heap` and
+# `go test -race -run 'TestDifferential|Parallel' ./internal/pipeline`. tier2-torture is the
 # heavyweight stress pass: the full task corpus with a collection before
 # every allocation and the post-collection heap verifier on, under the
 # race detector. tier2-bench is the benchmark-harness race smoke: the
@@ -54,7 +59,8 @@
 #
 # loc prints the non-test Go lines outside benchmark/ — raw, and without
 # blank and comment-only lines — so a simplification's "net negative" is a
-# number that can be checked against the parent commit.
+# number that can be checked against the parent commit; a second line gives
+# the same two counts for internal/gc alone.
 #
 # profile-interp is the register-regression check for the one dispatch loop,
 # tasking.(*Group).step: it runs BenchmarkDispatch (ns/instr on a call-,
@@ -79,7 +85,9 @@
 # ns per frame walked, B/op and allocs/op) under a CPU profile and prints the
 # top 12. A healthy walk has no growslice/makeslice under it, 1 allocs/op
 # (the record's per-task scan list), and B/op is that and the telemetry
-# records' amortized growth alone.
+# records' amortized growth alone. Two more rows walk the tower on a
+# mark/sweep heap, serial and with two workers: the second is the shared-claim
+# tracer's ns/frame, and its allocs/op (≈ 20) is the fan-out's fixed cost.
 #
 # profile-compile is the same for the compiler: it runs BenchmarkBuild
 # (internal/pipeline: pipeline.Build over eight suffixed copies of the
@@ -150,10 +158,11 @@ tier2-single:
 		.bench_build/tfgc-race run -heap 4096 -gc-torture -verify-heap $$d $$p >/dev/null || exit 1; \
 	done; done
 
-LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*'
+LOC_FILES = find $(1) -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*'
+LOC_COUNT = $$($(LOC_FILES) | xargs cat | wc -l) ($$($(LOC_FILES) | xargs cat | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//') without blank and comment lines)
 loc:
-	@echo "non-test Go lines outside benchmark/: $$($(LOC_FILES) | xargs cat | wc -l)" \
-		"($$($(LOC_FILES) | xargs cat | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//') without blank and comment lines)"
+	@echo "non-test Go lines outside benchmark/: $(call LOC_COUNT,.)"
+	@echo "of which internal/gc: $(call LOC_COUNT,./internal/gc)"
 
 STEP_SRC = internal/tasking/tasking.go
 profile-interp:

@@ -456,7 +456,6 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 		c.conc = nil
 	}
 
-	markedAtStart := c.Heap.Stats.WordsCopied
 	c.traceGlobals(globals)
 	scans := make([]TaskScan, len(tasks))
 	// Only a full collection fans out, and parallel marking cannot run over
@@ -472,7 +471,7 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 		// Republish the memo-table and plan-cache snapshots so workers
 		// resolve descriptors lock-free (fastpath.go).
 		c.prepareFastPath()
-		fallback = !c.collectParallel(tasks, scans, globals, markedAtStart)
+		fallback = !c.collectParallel(tasks, scans, globals, before.heap.WordsCopied)
 	} else {
 		c.collectSerial(tasks, scans)
 	}

@@ -218,16 +218,15 @@ func (c *Collector) traceRemembered(shard int) {
 
 // remSlot classifies a remembered routine once per node, like a plan slot.
 func (c *Collector) remSlot(g TypeGC) *routine {
-	r := c.remSlots[g]
-	if r == nil {
-		r = new(routine)
-		*r = c.classified(g)
-		if c.remSlots == nil {
-			c.remSlots = map[TypeGC]*routine{}
-		}
-		c.remSlots[g] = r
+	if r := c.remSlots[g]; r != nil {
+		return r
 	}
-	return r
+	r := c.classified(g)
+	if c.remSlots == nil {
+		c.remSlots = map[TypeGC]*routine{}
+	}
+	c.remSlots[g] = &r
+	return &r
 }
 
 // refilterRemembered drops entries whose field no longer holds a young

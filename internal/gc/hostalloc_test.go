@@ -65,8 +65,8 @@ func hostAllocsByDepth(t *testing.T, strat gc.Strategy, ms bool, par int) {
 			collect() // plans, site cache, arenas and the record list's capacity settle
 		}
 		before := g.Col.Stats.FramesTraced
-		counts = append(counts, testing.AllocsPerRun(50, collect))
-		if frames := (g.Col.Stats.FramesTraced - before) / 51; entry == deep && frames < 2*depth {
+		counts = append(counts, testing.AllocsPerRun(20, collect))
+		if frames := (g.Col.Stats.FramesTraced - before) / 21; entry == deep && frames < 2*depth {
 			t.Fatalf("%s: a collection walked %d frames, want two towers of %d", entry, frames, depth)
 		}
 	}
@@ -76,14 +76,11 @@ func hostAllocsByDepth(t *testing.T, strat gc.Strategy, ms bool, par int) {
 	}
 	// Serial, nothing else is left: the record (its list's growth is
 	// amortized over the runs), its scan list, and a mark/sweep EndGC's one.
-	if limit := 2.0 + float64(btoi(ms)); par == 1 && counts[0] > limit {
+	limit := 2.0
+	if ms {
+		limit = 3
+	}
+	if par == 1 && counts[0] > limit {
 		t.Errorf("%v ms=%v: a serial collection allocates %v times on the host, want at most %v", strat, ms, counts[0], limit)
 	}
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

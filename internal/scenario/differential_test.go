@@ -73,14 +73,14 @@ scenario diff-tlab {
 	churn := 2048
 	mutate := 4096
 	want := map[string]pipeline.Options{
-		"diff/compiled/copying/par1":     handOpts(gc.StratCompiled, churn, false, 1, 0, 0, 0),
-		"diff/compiled/copying/par4":     handOpts(gc.StratCompiled, churn, false, 4, 0, 0, 0),
-		"diff/compiled/marksweep/par1":   handOpts(gc.StratCompiled, churn, true, 1, 0, 0, 0),
-		"diff/compiled/marksweep/par4":   handOpts(gc.StratCompiled, churn, true, 4, 0, 0, 0),
-		"diff/appel/copying/par1":        handOpts(gc.StratAppel, churn, false, 1, 0, 0, 0),
-		"diff/appel/copying/par4":        handOpts(gc.StratAppel, churn, false, 4, 0, 0, 0),
-		"diff/appel/marksweep/par1":      handOpts(gc.StratAppel, churn, true, 1, 0, 0, 0),
-		"diff/appel/marksweep/par4":      handOpts(gc.StratAppel, churn, true, 4, 0, 0, 0),
+		"diff/compiled/copying/par1":         handOpts(gc.StratCompiled, churn, false, 1, 0, 0, 0),
+		"diff/compiled/copying/par4":         handOpts(gc.StratCompiled, churn, false, 4, 0, 0, 0),
+		"diff/compiled/marksweep/par1":       handOpts(gc.StratCompiled, churn, true, 1, 0, 0, 0),
+		"diff/compiled/marksweep/par4":       handOpts(gc.StratCompiled, churn, true, 4, 0, 0, 0),
+		"diff/appel/copying/par1":            handOpts(gc.StratAppel, churn, false, 1, 0, 0, 0),
+		"diff/appel/copying/par4":            handOpts(gc.StratAppel, churn, false, 4, 0, 0, 0),
+		"diff/appel/marksweep/par1":          handOpts(gc.StratAppel, churn, true, 1, 0, 0, 0),
+		"diff/appel/marksweep/par4":          handOpts(gc.StratAppel, churn, true, 4, 0, 0, 0),
 		"diff-nursery/compiled/copying/par1": handOpts(gc.StratCompiled, mutate, false, 1, 256, 2, 0),
 		"diff-tlab/compiled/copying/par1":    handOpts(gc.StratCompiled, churn, false, 1, 0, 0, 64),
 	}
