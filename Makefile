@@ -8,9 +8,9 @@
 # `go test -race -run 'TestDifferential|Parallel' ./internal/pipeline`. tier2-torture is the
 # heavyweight stress pass: the full task corpus with a collection before
 # every allocation and the post-collection heap verifier on, under the
-# race detector. tier2-bench is the benchmark-harness race smoke: the
-# pause harness with 4 workers over the lock-free plan/site caches, and
-# -par 4 workers first-touching unresolved type_gc nodes together.
+# race detector. tier2-bench is the fast-path race smoke: 4 workers over
+# the lock-free plan/site caches, and -par 4 workers first-touching
+# unresolved type_gc nodes together.
 # tier2-nursery is the generational stress pass: the nursery differential
 # suite and write-barrier fuzz under the race detector, plus the nursery
 # telemetry corpus with torture collection and the heap verifier on.
@@ -59,19 +59,23 @@
 #
 # loc prints the non-test Go lines outside benchmark/ — raw, and without
 # blank and comment-only lines — so a simplification's "net negative" is a
-# number that can be checked against the parent commit; a second line gives
-# the same two counts for internal/gc alone.
+# number that can be checked against the parent commit; two more lines give
+# the same two counts for internal/gc and for internal/tasking alone.
 #
 # profile-interp is the register-regression check for the one dispatch loop,
-# tasking.(*Group).step: it runs BenchmarkDispatch (ns/instr on a call-,
-# an allocation- and a store-barrier-shaped program) under a CPU profile,
-# prints the profile's top entries, and counts — from the disassembly of step
-# — the machine instructions of the inner loop (everything between the
-# `dispatch:` label and the write-back after it, inlined helpers included),
-# the CALLs among them other than bounds-check panics (there must be none:
-# anything that calls leaves the loop as an event) and the operands that
-# address the stack frame (spills and reloads of loop state; the number to
-# watch when the loop's locals change).
+# tasking.(*Group).step, in whichever file of internal/tasking defines it: it
+# runs BenchmarkDispatch (ns/instr on a call-, an allocation- and a
+# store-barrier-shaped program) under a CPU profile, prints the profile's top
+# entries, and counts — from the disassembly of step — the machine
+# instructions of the inner loop (everything between the `dispatch:` label and
+# the write-back after it, the helpers of step's own file inlined there
+# included; a helper defined in another file does not move this total
+# wherever it is inlined), the CALLs other than bounds-check panics (there
+# must be none: anything that calls leaves the loop as an event) and the
+# operands that address the stack frame (spills and reloads of loop state; the
+# number to watch when the loop's locals change). The counts depend on the
+# compiler's register allocator, so the toolchain is printed beside them
+# (DESIGN.md §12 says which one the recorded numbers were read on).
 #
 # It also prints those operands case by case for the six hot ones (OpRet,
 # OpCall, OpMove, OpAdd, OpJz, OpLdFld — a machine instruction belongs to the
@@ -105,7 +109,7 @@
 # workload compared against a run file an earlier commit wrote with
 # `go run ./benchmark -runs 10 -out <runs.json>`.
 
-.PHONY: benchmark benchmark-check profile-interp profile-compile profile-gc tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single loc bench bench-json fuzz fuzz-scenario
+.PHONY: benchmark benchmark-check profile-interp profile-compile profile-gc tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single loc bench fuzz fuzz-scenario
 
 tier1:
 	go build ./...
@@ -163,8 +167,9 @@ LOC_COUNT = $$($(LOC_FILES) | xargs cat | wc -l) ($$($(LOC_FILES) | xargs cat | 
 loc:
 	@echo "non-test Go lines outside benchmark/: $(call LOC_COUNT,.)"
 	@echo "of which internal/gc: $(call LOC_COUNT,./internal/gc)"
+	@echo "of which internal/tasking: $(call LOC_COUNT,./internal/tasking)"
 
-STEP_SRC = internal/tasking/tasking.go
+STEP_SRC = ${shell grep -l '^func (g \*Group) step(' internal/tasking/*.go}
 profile-interp:
 	mkdir -p .bench_build
 	go test -c -o .bench_build/tasking.test ./internal/tasking
@@ -176,14 +181,15 @@ profile-interp:
 		-v lo=$$(grep -n '^	dispatch:$$' $(STEP_SRC) | cut -d: -f1) \
 		-v hi=$$(grep -n '^		n -= left$$' $(STEP_SRC) | cut -d: -f1) \
 		-v end=$$(grep -n '^func (g \*Group) event(' $(STEP_SRC) | cut -d: -f1) \
+		-v src=$(notdir $(STEP_SRC)) -v go=$$(go env GOVERSION) \
 		-v cases="$$(grep -n '^			\(case \|default:\)' $(STEP_SRC) | sed 's/:[^A-Za-z]*case code\./ /; s/[,:].*//' | tr '\n' ';')" ' \
 		BEGIN { nc = split(cases, cs, ";"); for (i = 1; i < nc; i++) { split(cs[i], f, " "); at[i] = f[1] + 0; name[i] = f[2] } } \
 		/^TEXT/ { next } \
 		{ split($$1, w, ":"); ln = w[2] + 0 } \
-		w[1] == "tasking.go" && ((ln >= top && ln < lo) || (ln >= hi && ln < end)) { cur = ""; next } \
-		w[1] == "tasking.go" && ln >= lo && ln < hi { cur = ""; for (i = 1; i < nc; i++) if (at[i] <= ln && at[i] >= lo) cur = name[i] } \
-		{ n++ } /CALL/ && !/runtime\.panic/ { calls++ } /\(SP\)/ { sp++; per[cur]++ } \
-		END { printf "inner loop of step: %d machine instructions, %d CALLs (bounds-check panics aside), %d stack-relative operands\n", n, calls, sp; \
+		w[1] == src && ((ln >= top && ln < lo) || (ln >= hi && ln < end)) { cur = ""; next } \
+		w[1] == src && ln >= lo && ln < hi { cur = ""; for (i = 1; i < nc; i++) if (at[i] <= ln && at[i] >= lo) cur = name[i] } \
+		w[1] == src { n++ } /CALL/ && !/runtime\.panic/ { calls++ } /\(SP\)/ { sp++; per[cur]++ } \
+		END { printf "inner loop of step (%s, %s): %d machine instructions, %d CALLs (bounds-check panics aside), %d stack-relative operands\n", src, go, n, calls, sp; \
 		      printf "  of which in the hot cases:"; split("OpRet OpCall OpMove OpAdd OpJz OpLdFld", hot, " "); \
 		      for (i = 1; i <= 6; i++) printf " %s %d", hot[i], per[hot[i]]; printf " (loop head and slice bookkeeping %d)\n", per[""] }'
 
@@ -209,7 +215,7 @@ tier2-torture: tier1
 	GC_TORTURE_FULL=1 go test -race -run 'TestTorture|TestRecoveryLadder|TestWatchdog' -count=1 -timeout 30m ./internal/pipeline/
 
 tier2-bench: tier1
-	go test -race -run 'TestBenchSnapshot|TestFastPath|TestFirstTouchRace|TestComponentsMatchResolutionTasks' -count=1 ./internal/experiments/ ./internal/gc/ ./internal/pipeline/
+	go test -race -run 'TestFastPath|TestFirstTouchRace|TestComponentsMatchResolutionTasks' -count=1 ./internal/gc/ ./internal/pipeline/
 
 benchmark:
 	go run ./benchmark
@@ -220,17 +226,11 @@ benchmark-check:
 	go run ./benchmark -runs 10 -out $(BENCH_RUNS)
 	go run ./benchmark -compare $(BASE) $(BENCH_RUNS)
 
-# Go micro-benchmarks (slot dedupe, parallel collect, E1-E8 mirrors).
+# Go micro-benchmarks: slot dedupe, stack walk and parallel collect
+# (internal/gc), the dispatch loop (internal/tasking), Build
+# (internal/pipeline).
 bench:
-	go test -bench=. -benchmem -run xxx . ./internal/gc/
-
-# Regenerate the committed benchmark snapshot (schema tagfree-bench/v1);
-# fixed repeats so snapshots are comparable across the repo's history.
-# Override the output for a new trajectory point:
-#   make bench-json BENCH_OUT=BENCH_PR10.json
-BENCH_OUT ?= BENCH_PR9.json
-bench-json:
-	go run ./cmd/tfbench -repeats 3 -bench-json $(BENCH_OUT)
+	go test -bench=. -benchmem -run xxx ./internal/gc/ ./internal/tasking/ ./internal/pipeline/
 
 # Budgeted fuzzing of the mark/sweep free-list invariants.
 fuzz:

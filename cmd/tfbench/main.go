@@ -1,4 +1,4 @@
-// Command tfbench regenerates the experiment tables (E1–E16; see
+// Command tfbench regenerates the experiment tables (E1–E17; see
 // EXPERIMENTS.md). With arguments, it runs only the named experiments.
 //
 //	tfbench              # all experiments
@@ -6,7 +6,6 @@
 //	tfbench -repeats 5 e2
 //	tfbench telemetry    # per-collection GC telemetry over the task corpus
 //	tfbench -json telemetry
-//	tfbench -bench-json BENCH_PR3.json   # machine-readable benchmark snapshot
 //	tfbench -scenario testdata/scenarios/          # declarative scenario matrix
 //	tfbench -scenario run.tfs -json                # ... as a tagfree-bench/v1 snapshot
 //	tfbench -scenario run.tfs -bench-json out.json # table + snapshot file
@@ -17,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -35,7 +33,7 @@ func main() {
 	pipeline.BindFlags(flag.CommandLine, &opts)
 	repeats := flag.Int("repeats", 3, "timing repetitions (best-of)")
 	asJSON := flag.Bool("json", false, "emit the telemetry report as JSON instead of tables")
-	benchJSON := flag.String("bench-json", "", "write the benchmark snapshot (schema tagfree-bench/v1) to this file and exit; \"-\" for stdout")
+	benchJSON := flag.String("bench-json", "", "with -scenario: additionally write the snapshot (schema tagfree-bench/v1) to this file")
 	scenarioPath := flag.String("scenario", "", "run the scenario matrix from a .tfs file or a directory of .tfs files")
 	flag.Parse()
 
@@ -51,8 +49,8 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		writeBenchSnapshot(*benchJSON, *repeats)
-		return
+		fmt.Fprintln(os.Stderr, "tfbench: -bench-json writes a scenario matrix's snapshot and needs -scenario; the repository benchmark is `go run ./benchmark` (BENCHMARK.json)")
+		os.Exit(2)
 	}
 
 	runners := map[string]func() *experiments.Table{
@@ -92,29 +90,6 @@ func main() {
 		}
 		fmt.Println(r().Render())
 	}
-}
-
-// writeBenchSnapshot regenerates the machine-readable benchmark snapshot
-// (experiments.Bench) and writes it to path — the file committed as
-// BENCH_PR<n>.json to make pause behavior comparable across the
-// repository's history. See EXPERIMENTS.md for the schema.
-func writeBenchSnapshot(path string, repeats int) {
-	snap := experiments.Bench(repeats)
-	js, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench-json: %v\n", err)
-		os.Exit(1)
-	}
-	js = append(js, '\n')
-	if path == "-" {
-		os.Stdout.Write(js)
-		return
-	}
-	if err := os.WriteFile(path, js, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench-json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (%d runs, schema %s)\n", path, len(snap.Runs), snap.Schema)
 }
 
 // telemetryReport runs the multi-task workload corpus in both heap

@@ -15,7 +15,7 @@
 //   - internal/pipeline: compile and run MinML source under any collector
 //   - cmd/tfgc: command-line compiler/runner/disassembler
 //   - cmd/tfbench: regenerates the experiment tables of EXPERIMENTS.md
-//   - bench_test.go: Go benchmarks mirroring the experiments
+//   - benchmark: the repository benchmark (BENCHMARK.json)
 //
 // See README.md for a tour and DESIGN.md for the system inventory.
 package tagfree

@@ -1,12 +1,12 @@
 package experiments
 
-// The benchmark trajectory: a machine-readable snapshot of collection
-// performance, regenerated by `tfbench -bench-json` (or `make bench`) and
-// committed as BENCH_PR<n>.json so pause behavior is comparable across
-// the repository's history. E10 renders the same measurements as a table,
-// splitting each pause into its metadata-resolution and trace halves —
-// the breakdown that motivates the collection fast path (frame-plan
-// cache, pc→site cache, specialized kernels; internal/gc/fastpath.go).
+// The pause harness behind E10 and E11: repeated collections of one root set
+// captured mid-execution, so a pause is measured apart from the mutator that
+// led to it. E10 splits each pause into its metadata-resolution and trace
+// halves — the breakdown that motivates the collection fast path (frame-plan
+// cache, pc→site cache, specialized kernels; internal/gc/fastpath.go); E11
+// sets minor against full pauses of the same roots. Whole-run cost is the
+// repository benchmark's question (benchmark/, BENCHMARK.json).
 
 import (
 	"fmt"
@@ -21,108 +21,32 @@ import (
 	"tagfree/internal/workloads"
 )
 
-// BenchSchema identifies the snapshot layout; bump on breaking changes.
-const BenchSchema = "tagfree-bench/v1"
-
-// BenchRun is one measured configuration.
-type BenchRun struct {
-	Name     string `json:"name"`
-	Kind     string `json:"kind"` // "collect-pause" or "e2e"
-	Workload string `json:"workload"`
-	Strategy string `json:"strategy"`
-	// Discipline is "copying" or "mark/sweep".
-	Discipline  string `json:"discipline"`
-	Parallelism int    `json:"parallelism,omitempty"`
-	FastPath    bool   `json:"fast_path"`
-
-	// collect-pause fields: Collections repeated gc.Collect calls on one
-	// captured mid-execution root set.
-	Collections   int   `json:"collections,omitempty"`
-	PauseP50NS    int64 `json:"pause_p50_ns,omitempty"`
-	PauseP99NS    int64 `json:"pause_p99_ns,omitempty"`
-	PauseMeanNS   int64 `json:"pause_mean_ns,omitempty"`
-	ResolveMeanNS int64 `json:"resolve_mean_ns,omitempty"`
-	RootsPerGC    int64 `json:"roots_per_gc,omitempty"`
-	PlanHits      int64 `json:"plan_hits,omitempty"`
-	PlanMisses    int64 `json:"plan_misses,omitempty"`
-	SiteCacheHits int64 `json:"site_cache_hits,omitempty"`
-	KernelWords   int64 `json:"kernel_words,omitempty"`
-
-	// e2e fields: best-of-repeats whole-program wall time.
-	RunNS      int64 `json:"run_ns,omitempty"`
-	AllocWords int64 `json:"alloc_words,omitempty"`
-	GCPauseNS  int64 `json:"gc_pause_ns,omitempty"`
-	GCCount    int64 `json:"gc_count,omitempty"`
-
-	// minor-pause fields. The pause percentiles come from repeated minor
-	// then full collections of the same captured root set on a nursery
-	// heap with a tenured resident set, so the two distributions differ
-	// only in how far past the young/old boundary each trace walks. The
-	// generational counters come from a separate end-to-end run of the
-	// same workload, where the mutator actually drives the write barrier.
-	NurseryWords     int     `json:"nursery_words,omitempty"`
-	PromoteAfter     int     `json:"promote_after,omitempty"`
-	ResidentWords    int     `json:"resident_words,omitempty"`
-	MinorP50NS       int64   `json:"minor_p50_ns,omitempty"`
-	MinorP90NS       int64   `json:"minor_p90_ns,omitempty"`
-	MinorMeanNS      int64   `json:"minor_mean_ns,omitempty"`
-	FullP50NS        int64   `json:"full_p50_ns,omitempty"`
-	FullP90NS        int64   `json:"full_p90_ns,omitempty"`
-	FullMeanNS       int64   `json:"full_mean_ns,omitempty"`
-	MinorCollections int64   `json:"minor_collections,omitempty"`
-	MajorCollections int64   `json:"major_collections,omitempty"`
-	MinorSurvivorPct float64 `json:"minor_survivor_pct,omitempty"`
-	PromotedWords    int64   `json:"promoted_words,omitempty"`
-	BarrierHits      int64   `json:"barrier_hits,omitempty"`
-	RememberedPeak   int64   `json:"remembered_peak,omitempty"`
-
-	// alloc-tlab fields: whole-run allocation-path counters from an
-	// end-to-end tasking run with per-task buffers of TLABWords words
-	// (0 = the shared-path baseline). AcqsPerAlloc is the contention
-	// figure the buffers exist to shrink: shared-heap acquisitions
-	// (direct allocations plus chunk carves) per allocation.
-	TLABWords      int     `json:"tlab_words,omitempty"`
-	Allocations    int64   `json:"allocations,omitempty"`
-	SharedAllocs   int64   `json:"shared_allocs,omitempty"`
-	AcqsPerAlloc   float64 `json:"acqs_per_alloc,omitempty"`
-	TLABRefills    int64   `json:"tlab_refills,omitempty"`
-	TLABWasteWords int64   `json:"tlab_waste_words,omitempty"`
-
-	// conc-mark fields: end-to-end mark/sweep tasking runs with
-	// incremental marking off or on (E15). The pause percentiles are over
-	// individual mutator stop events — each stop-the-world pause, and
-	// each concurrent cycle's initial and final pause separately.
-	Concurrent   bool  `json:"concurrent,omitempty"`
-	StopMaxNS    int64 `json:"stop_max_ns,omitempty"`
-	ConcCycles   int64 `json:"conc_cycles,omitempty"`
-	MarkSlices   int64 `json:"mark_slices,omitempty"`
-	BarrierGrays int64 `json:"barrier_grays,omitempty"`
-	ConcAborts   int64 `json:"conc_aborts,omitempty"`
-
-	// heap-liveness fields: end-to-end copying runs with liveness-guided
-	// tracing off or on (E17). PrunedWords counts element fields the spine
-	// kernels overwrote with the poison word instead of tracing;
-	// CopiedWords is the retention figure the pruning exists to shrink.
-	HeapLive    bool  `json:"heap_liveness,omitempty"`
-	PruneGCs    int64 `json:"prune_gcs,omitempty"`
-	SpineRoots  int64 `json:"spine_roots,omitempty"`
-	PrunedWords int64 `json:"pruned_words,omitempty"`
-	CopiedWords int64 `json:"copied_words,omitempty"`
-
-	// serve-overload fields: the E14 overload matrix on a mark/sweep
-	// heap, concurrent marking off or on. Latency percentiles are
-	// virtual-time steps (see EXPERIMENTS.md, E14 methodology).
-	LatencyP50     int64   `json:"latency_p50_steps,omitempty"`
-	LatencyP99     int64   `json:"latency_p99_steps,omitempty"`
-	LatencyP999    int64   `json:"latency_p999_steps,omitempty"`
-	ThroughputRPMS float64 `json:"throughput_rpmsteps,omitempty"`
+// pauseRun is one E10 measurement: Collections repeated gc.Collect calls on
+// one captured root set.
+type pauseRun struct {
+	PauseP50NS    int64
+	ResolveMeanNS int64
+	PlanHits      int64
+	PlanMisses    int64
+	KernelWords   int64
 }
 
-// BenchSnapshot is the whole emitted file.
-type BenchSnapshot struct {
-	Schema  string     `json:"schema"`
-	Repeats int        `json:"repeats"`
-	Runs    []BenchRun `json:"runs"`
+// minorRun is one E11 measurement. The pause percentiles come from repeated
+// minor then full collections of the same captured root set on a nursery
+// heap with a tenured resident set, so the two distributions differ only in
+// how far past the young/old boundary each trace walks. The generational
+// counters come from a separate end-to-end run of the same workload, where
+// the mutator actually drives the write barrier.
+type minorRun struct {
+	Discipline       string // "copying" or "mark/sweep"
+	MinorP50NS       int64
+	FullP50NS        int64
+	MinorCollections int64
+	MajorCollections int64
+	MinorSurvivorPct float64
+	PromotedWords    int64
+	BarrierHits      int64
+	RememberedPeak   int64
 }
 
 // benchGroup compiles a task workload and schedules it to its first
@@ -174,10 +98,10 @@ func percentile(sorted []int64, p float64) int64 {
 }
 
 // collectPauseRun measures `collections` repeated collections of one
-// captured root set under the given knobs, plus the mean cost of the
-// pure resolution half (Collector.ResolveRoots).
-func collectPauseRun(w workloads.TaskWorkload, ms bool, par int, fast bool, collections int) BenchRun {
-	g, roots := benchGroup(w, ms, 0, 0)
+// captured root set on a copying heap under the given knobs, plus the mean
+// cost of the pure resolution half (Collector.ResolveRoots).
+func collectPauseRun(w workloads.TaskWorkload, par int, fast bool, collections int) pauseRun {
+	g, roots := benchGroup(w, false, 0, 0)
 	g.Col.Parallelism = par
 	g.Col.DisableFastPath = !fast
 	for i := 0; i < collections; i++ {
@@ -186,62 +110,32 @@ func collectPauseRun(w workloads.TaskWorkload, ms bool, par int, fast bool, coll
 	recs := g.Col.Telem.Records
 	recs = recs[len(recs)-collections:]
 	pauses := make([]int64, len(recs))
-	var sum int64
 	for i, r := range recs {
 		pauses[i] = r.PauseNS
-		sum += r.PauseNS
 	}
 	sort.Slice(pauses, func(i, j int) bool { return pauses[i] < pauses[j] })
 
 	const resolveReps = 400
-	var roots64 int64
 	start := time.Now()
 	for i := 0; i < resolveReps; i++ {
-		roots64 = int64(g.Col.ResolveRoots(roots))
+		g.Col.ResolveRoots(roots)
 	}
 	resolveNS := time.Since(start).Nanoseconds() / resolveReps
 
 	st := g.Col.Stats
-	discipline := "copying"
-	if ms {
-		discipline = "mark/sweep"
-	}
-	mode := "oracle"
-	if fast {
-		mode = "fast"
-	}
-	return BenchRun{
-		Name:          fmt.Sprintf("collect/%s/%s/%s/par%d", w.Name, discipline, mode, par),
-		Kind:          "collect-pause",
-		Workload:      w.Name,
-		Strategy:      "compiled",
-		Discipline:    discipline,
-		Parallelism:   par,
-		FastPath:      fast,
-		Collections:   collections,
+	return pauseRun{
 		PauseP50NS:    percentile(pauses, 0.50),
-		PauseP99NS:    percentile(pauses, 0.99),
-		PauseMeanNS:   sum / int64(len(pauses)),
 		ResolveMeanNS: resolveNS,
-		RootsPerGC:    roots64,
 		PlanHits:      st.PlanHits,
 		PlanMisses:    st.PlanMisses,
-		SiteCacheHits: st.SiteCacheHits,
 		KernelWords:   st.KernelWords,
 	}
 }
 
-// pauseStats sorts a pause sample and returns (p50, p90, mean).
-func pauseStats(pauses []int64) (int64, int64, int64) {
-	if len(pauses) == 0 {
-		return 0, 0, 0
-	}
-	var sum int64
-	for _, p := range pauses {
-		sum += p
-	}
+// median sorts a pause sample and returns its p50.
+func median(pauses []int64) int64 {
 	sort.Slice(pauses, func(i, j int) bool { return pauses[i] < pauses[j] })
-	return percentile(pauses, 0.50), percentile(pauses, 0.90), sum / int64(len(pauses))
+	return percentile(pauses, 0.50)
 }
 
 // benchNurseryWords sizes the bench nursery: small enough that minors are
@@ -274,7 +168,7 @@ let bench_resident = bench_resident_build %d
 // cost); the minor trace stops at the young/old boundary while the full
 // trace walks the whole live old region. The generational counters come
 // from a separate end-to-end run, where the mutator drives the barrier.
-func minorPauseRun(w workloads.TaskWorkload, ms bool, collections int) BenchRun {
+func minorPauseRun(w workloads.TaskWorkload, ms bool, collections int) minorRun {
 	residentCells := w.HeapWords / 4 // 2 words per cons cell
 	g, roots := benchGroup(withResident(w, residentCells), ms, benchNurseryWords, benchPromote)
 	for i := 0; i < collections; i++ {
@@ -296,8 +190,6 @@ func minorPauseRun(w workloads.TaskWorkload, ms bool, collections int) BenchRun 
 			fulls = append(fulls, r.PauseNS)
 		}
 	}
-	minorP50, minorP90, minorMean := pauseStats(minors)
-	fullP50, fullP90, fullMean := pauseStats(fulls)
 
 	// End-to-end run for the mutator-driven counters: minor/major mix,
 	// survival rate, promotion volume, write-barrier traffic.
@@ -337,24 +229,10 @@ func minorPauseRun(w workloads.TaskWorkload, ms bool, collections int) BenchRun 
 	if ms {
 		discipline = "mark/sweep"
 	}
-	return BenchRun{
-		Name:             fmt.Sprintf("minor/%s/%s", w.Name, discipline),
-		Kind:             "minor-pause",
-		Workload:         w.Name,
-		Strategy:         "compiled",
+	return minorRun{
 		Discipline:       discipline,
-		Parallelism:      1,
-		FastPath:         true,
-		Collections:      collections,
-		NurseryWords:     benchNurseryWords,
-		PromoteAfter:     benchPromote,
-		ResidentWords:    2 * residentCells,
-		MinorP50NS:       minorP50,
-		MinorP90NS:       minorP90,
-		MinorMeanNS:      minorMean,
-		FullP50NS:        fullP50,
-		FullP90NS:        fullP90,
-		FullMeanNS:       fullMean,
+		MinorP50NS:       median(minors),
+		FullP50NS:        median(fulls),
 		MinorCollections: nMinor,
 		MajorCollections: nMajor,
 		MinorSurvivorPct: survPct,
@@ -364,144 +242,9 @@ func minorPauseRun(w workloads.TaskWorkload, ms bool, collections int) BenchRun 
 	}
 }
 
-// e2eRun measures one whole-program workload best-of-repeats.
-func e2eRun(w workloads.Workload, fast bool, repeats int) BenchRun {
-	var best *pipeline.Result
-	bestNS := int64(1 << 62)
-	for i := 0; i < repeats; i++ {
-		start := time.Now()
-		res := mustRun(w, pipeline.Options{Strategy: gc.StratCompiled, DisableGCFastPath: !fast})
-		if ns := time.Since(start).Nanoseconds(); ns < bestNS {
-			bestNS = ns
-			best = res
-		}
-	}
-	mode := "oracle"
-	if fast {
-		mode = "fast"
-	}
-	return BenchRun{
-		Name:       fmt.Sprintf("e2e/%s/%s", w.Name, mode),
-		Kind:       "e2e",
-		Workload:   w.Name,
-		Strategy:   "compiled",
-		Discipline: "copying",
-		FastPath:   fast,
-		RunNS:      bestNS,
-		AllocWords: best.HeapStats.WordsAllocated,
-		GCPauseNS:  best.GCStats.PauseNS,
-		GCCount:    best.GCStats.Collections,
-	}
-}
-
-// benchTLABWords is the buffer chunk for the alloc-tlab runs (the -tlab
-// default used across the docs and E12).
-const benchTLABWords = 64
-
-// allocContentionRun measures the allocation path end-to-end with and
-// without per-task buffers: best-of-repeats wall time plus the whole-run
-// shared-acquisition counters (deterministic, so repeats only steady the
-// timing).
-func allocContentionRun(w workloads.TaskWorkload, tlab, repeats int) BenchRun {
-	var best *pipeline.TaskResult
-	bestNS := int64(1 << 62)
-	for i := 0; i < repeats; i++ {
-		start := time.Now()
-		res, err := pipeline.RunTasks(w.Source, w.Entries, pipeline.Options{
-			Strategy:  gc.StratCompiled,
-			HeapWords: w.HeapWords,
-			TLABWords: tlab,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("bench %s: %v", w.Name, err))
-		}
-		if ns := time.Since(start).Nanoseconds(); ns < bestNS {
-			bestNS = ns
-			best = res
-		}
-	}
-	hs := best.Heap
-	mode := "shared"
-	if tlab > 0 {
-		mode = fmt.Sprintf("tlab%d", tlab)
-	}
-	return BenchRun{
-		Name:           fmt.Sprintf("alloc/%s/%s", w.Name, mode),
-		Kind:           "alloc-tlab",
-		Workload:       w.Name,
-		Strategy:       "compiled",
-		Discipline:     "copying",
-		TLABWords:      tlab,
-		RunNS:          bestNS,
-		Allocations:    hs.Allocations,
-		SharedAllocs:   hs.SharedAllocs,
-		AcqsPerAlloc:   float64(hs.SharedAllocs) / float64(hs.Allocations),
-		TLABRefills:    hs.TLABRefills,
-		TLABWasteWords: hs.TLABWasteWords,
-		GCCount:        int64(best.Stats.Collections),
-	}
-}
-
 // benchCollections is the repeated-Collect count per pause run: enough
-// for stable p50/p99 without making `make bench` crawl.
+// for a stable p50 without making the tables crawl.
 const benchCollections = 150
-
-// Bench produces the full snapshot: every task workload × discipline ×
-// {oracle, fast} × {sequential, 4 workers} pause runs, plus end-to-end
-// runs over the allocation-heavy corpus with the fast path on and off,
-// plus allocation-contention runs with buffers off and on.
-func Bench(repeats int) *BenchSnapshot {
-	snap := &BenchSnapshot{Schema: BenchSchema, Repeats: repeats}
-	for _, w := range workloads.Tasking {
-		for _, ms := range []bool{false, true} {
-			for _, par := range []int{1, 4} {
-				for _, fast := range []bool{false, true} {
-					snap.Runs = append(snap.Runs, collectPauseRun(w, ms, par, fast, benchCollections))
-				}
-			}
-		}
-	}
-	for _, w := range workloads.Tasking {
-		for _, ms := range []bool{false, true} {
-			snap.Runs = append(snap.Runs, minorPauseRun(w, ms, benchCollections))
-		}
-	}
-	for _, w := range workloads.All {
-		if !w.AllocHeavy {
-			continue
-		}
-		for _, fast := range []bool{false, true} {
-			snap.Runs = append(snap.Runs, e2eRun(w, fast, repeats))
-		}
-	}
-	for _, w := range workloads.Tasking {
-		for _, tlab := range []int{0, benchTLABWords} {
-			snap.Runs = append(snap.Runs, allocContentionRun(w, tlab, repeats))
-		}
-	}
-	for _, name := range e15Workloads {
-		w, ok := workloads.TaskByName(name)
-		if !ok {
-			panic(fmt.Sprintf("bench: no task workload %q", name))
-		}
-		for _, conc := range []bool{false, true} {
-			snap.Runs = append(snap.Runs, concMarkBenchRun(w, conc, repeats))
-		}
-	}
-	for _, conc := range []bool{false, true} {
-		snap.Runs = append(snap.Runs, serveOverloadRuns(conc)...)
-	}
-	for _, name := range e17Workloads {
-		w, ok := workloads.TaskByName(name)
-		if !ok {
-			panic(fmt.Sprintf("bench: no task workload %q", name))
-		}
-		for _, live := range []bool{false, true} {
-			snap.Runs = append(snap.Runs, livenessBenchRun(w, live, repeats))
-		}
-	}
-	return snap
-}
 
 // ---------------------------------------------------------------------------
 // E10 — the pause breakdown.
@@ -523,8 +266,8 @@ func E10FastPath() *Table {
 	}
 	for _, w := range workloads.Tasking {
 		for _, par := range []int{1, 4} {
-			oracle := collectPauseRun(w, false, par, false, benchCollections)
-			fast := collectPauseRun(w, false, par, true, benchCollections)
+			oracle := collectPauseRun(w, par, false, benchCollections)
+			fast := collectPauseRun(w, par, true, benchCollections)
 			hitPct := "-"
 			if fast.PlanHits+fast.PlanMisses > 0 {
 				hitPct = fmt.Sprintf("%.1f", 100*float64(fast.PlanHits)/float64(fast.PlanHits+fast.PlanMisses))

@@ -10,21 +10,15 @@ package experiments
 // stop events — each stop-the-world pause, and each initial/final pause
 // of a concurrent cycle separately — against end-to-end wall time, on
 // the pointer-heavy half of the tasking corpus where marking is the
-// pause. The bench snapshot (BENCH_PR8.json) carries the same runs in
-// machine-readable form, plus the E14 overload matrix on a mark/sweep
-// heap with concurrent marking off and on, where the tail percentiles
-// (p99/p999 in virtual-time steps) show the pause split reaching
-// request latency.
+// pause.
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 	"time"
 
 	"tagfree/internal/gc"
 	"tagfree/internal/pipeline"
-	"tagfree/internal/scenario"
 	"tagfree/internal/workloads"
 )
 
@@ -159,93 +153,7 @@ func E15ConcurrentMark(repeats int) *Table {
 		fmt.Sprintf("concurrent rows trigger a cycle at %d%% heap occupancy (hysteresis: an eighth of the heap must be newly occupied since the last collection) and mark %d words per slice", e15TriggerPct, e15MarkBudget),
 		"gcs counts all collections; cycles the ones finished incrementally — the difference is stop-the-world collections the trigger, the recovery ladder or a watchdog abort forced",
 		"aborts counts watchdog/fallback aborts (gray queue over budget, non-ground store, or a stop-the-world collection taking over mid-cycle)",
-		"regenerate with `tfbench e15`; the same runs land in the bench snapshot via `make bench-json`",
+		"regenerate with `tfbench e15`",
 	)
 	return t
-}
-
-// concMarkBenchRun maps one E15 configuration into the snapshot schema.
-func concMarkBenchRun(w workloads.TaskWorkload, conc bool, repeats int) BenchRun {
-	s := concMarkRun(w, conc, repeats)
-	name := fmt.Sprintf("conc-mark/%s/stw", w.Name)
-	if conc {
-		name = fmt.Sprintf("conc-mark/%s/concurrent", w.Name)
-	}
-	maxStop := int64(0)
-	if len(s.stops) > 0 {
-		maxStop = s.stops[len(s.stops)-1]
-	}
-	return BenchRun{
-		Name:         name,
-		Kind:         "conc-mark",
-		Workload:     w.Name,
-		Strategy:     "compiled",
-		Discipline:   "mark/sweep",
-		FastPath:     true,
-		Concurrent:   conc,
-		RunNS:        s.wallNS,
-		GCCount:      s.gcs,
-		PauseP50NS:   percentile(s.stops, 0.50),
-		PauseP99NS:   percentile(s.stops, 0.99),
-		StopMaxNS:    maxStop,
-		ConcCycles:   s.cycles,
-		MarkSlices:   s.slices,
-		BarrierGrays: s.grays,
-		ConcAborts:   s.aborts,
-	}
-}
-
-// serveOverloadRuns replays the committed E14 overload matrix on a
-// mark/sweep heap with concurrent marking off or on, and maps each cell's
-// latency tail into the snapshot. The .tfs scenarios are loaded as
-// committed and re-pointed at the mark/sweep discipline — the same
-// mutation `tfserve -gc-marksweep -gc-concurrent` would apply.
-func serveOverloadRuns(conc bool) []BenchRun {
-	dir, err := scenario.FindCorpusDir()
-	if err != nil {
-		panic(fmt.Sprintf("bench overload: %v", err))
-	}
-	scs, err := scenario.LoadPath(filepath.Join(dir, "overload.tfs"))
-	if err != nil {
-		panic(fmt.Sprintf("bench overload: %v", err))
-	}
-	for _, sc := range scs {
-		sc.Disciplines = []scenario.Discipline{scenario.MarkSweep}
-		sc.Opts.GCConcurrent = conc
-	}
-	cells, err := scenario.Compile(scs)
-	if err != nil {
-		panic(fmt.Sprintf("bench overload: %v", err))
-	}
-	snap := scenario.RunMatrix(cells)
-	var runs []BenchRun
-	for _, r := range snap.Runs {
-		if r.Error != "" {
-			panic(fmt.Sprintf("bench overload: %s: %s", r.Name, r.Error))
-		}
-		rep := r.Serve
-		if rep == nil {
-			panic(fmt.Sprintf("bench overload: cell %s is not a serve cell", r.Name))
-		}
-		mode := "stw"
-		if conc {
-			mode = "concurrent"
-		}
-		runs = append(runs, BenchRun{
-			Name:           fmt.Sprintf("serve-overload/%s/%s", r.Scenario, mode),
-			Kind:           "serve-overload",
-			Workload:       "taskserve",
-			Strategy:       "compiled",
-			Discipline:     "mark/sweep",
-			FastPath:       true,
-			Concurrent:     conc,
-			RunNS:          rep.WallNS,
-			GCCount:        rep.Collections,
-			LatencyP50:     rep.LatencyP50,
-			LatencyP99:     rep.LatencyP99,
-			LatencyP999:    rep.LatencyP999,
-			ThroughputRPMS: rep.ThroughputRPMS,
-		})
-	}
-	return runs
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"tagfree/internal/gc"
 	"tagfree/internal/pipeline"
@@ -82,48 +81,4 @@ func E17HeapLiveness() *Table {
 		"retained ratio is pruned/full copied words — below 1.0 means the liveness maps let the collector evacuate less than type-accurate full-structure tracing",
 	)
 	return t
-}
-
-// livenessBenchRun measures one workload end-to-end with liveness-guided
-// tracing off or on: best-of-repeats wall time plus the whole-run pruning
-// counters (deterministic; repeats only steady the timing).
-func livenessBenchRun(w workloads.TaskWorkload, live bool, repeats int) BenchRun {
-	var best *pipeline.TaskResult
-	bestNS := int64(1 << 62)
-	for i := 0; i < repeats; i++ {
-		start := time.Now()
-		res, err := pipeline.RunTasks(w.Source, w.Entries, pipeline.Options{
-			Strategy:       gc.StratCompiled,
-			HeapWords:      w.HeapWords,
-			GCHeapLiveness: live,
-			MaxSteps:       2_000_000_000,
-		})
-		if err != nil {
-			panic(fmt.Sprintf("bench %s: %v", w.Name, err))
-		}
-		if ns := time.Since(start).Nanoseconds(); ns < bestNS {
-			bestNS = ns
-			best = res
-		}
-	}
-	mode := "full"
-	if live {
-		mode = "pruned"
-	}
-	return BenchRun{
-		Name:        fmt.Sprintf("liveness/%s/%s", w.Name, mode),
-		Kind:        "heap-liveness",
-		Workload:    w.Name,
-		Strategy:    "compiled",
-		Discipline:  "copying",
-		FastPath:    true,
-		HeapLive:    live,
-		RunNS:       bestNS,
-		GCCount:     int64(best.GCStats.Collections),
-		GCPauseNS:   best.GCStats.PauseNS,
-		PruneGCs:    best.Liveness.PruneCollections,
-		SpineRoots:  best.Liveness.SpineRoots,
-		PrunedWords: best.GCStats.PrunedWords,
-		CopiedWords: best.Heap.WordsCopied,
-	}
 }

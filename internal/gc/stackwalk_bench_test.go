@@ -1,11 +1,13 @@
 package gc_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"tagfree/internal/gc"
 	"tagfree/internal/pipeline"
+	"tagfree/internal/workloads"
 )
 
 // polyTowerSrc is the benchmark's polystack shape: four tasks, each a tower
@@ -87,3 +89,50 @@ func BenchmarkStackWalk(b *testing.B) {
 		})
 	}
 }
+
+// benchParallelCollect times Collect on the root set every task workload has
+// at its first collection, with 1, 2 and 4 workers. The parallel path
+// guarantees bit-identical heaps either way, so the worker count is a pure
+// speed knob: on multi-core hardware the 4-worker rows should beat the
+// sequential walk.
+func benchParallelCollect(b *testing.B, strat gc.Strategy, ms bool) {
+	kind, scale := "copying", 1
+	if ms {
+		kind, scale = "marksweep", 2
+	}
+	for _, w := range workloads.Tasking {
+		for _, par := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/%s/par=%d", w.Name, kind, par), func(b *testing.B) {
+				g, entries, err := pipeline.BuildTaskGroup(w.Source, w.Entries,
+					pipeline.Options{Strategy: strat, HeapWords: scale * w.HeapWords, MarkSweep: ms, Parallelism: par})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, e := range entries {
+					g.Spawn(e)
+				}
+				if err := g.RunInit(); err != nil {
+					b.Fatal(err)
+				}
+				roots, pending, err := g.RunUntilCollection()
+				if err != nil || !pending {
+					b.Fatalf("%s finished without collecting: %v", w.Name, err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					g.Col.Collect(roots, g.Globals)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkParallelCollect measures the compiled strategy's collection
+// pause against worker count, in both heap disciplines.
+func BenchmarkParallelCollect(b *testing.B)          { benchParallelCollect(b, gc.StratCompiled, false) }
+func BenchmarkParallelCollectMarkSweep(b *testing.B) { benchParallelCollect(b, gc.StratCompiled, true) }
+
+// BenchmarkParallelCollectAppel isolates the strategy whose root
+// resolution is the most expensive (the O(n²) chain re-walks): resolution
+// parallelizes, so Appel mode gains the most from extra workers.
+func BenchmarkParallelCollectAppel(b *testing.B) { benchParallelCollect(b, gc.StratAppel, false) }

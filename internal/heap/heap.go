@@ -517,9 +517,6 @@ func (h *Heap) EndGC() {
 	h.spansValid = h.verify
 }
 
-// InGC reports whether a collection is in progress.
-func (h *Heap) InGC() bool { return h.inGC }
-
 // Forwarded looks up a tag-free object's forwarding address; ok is false
 // when the object has not been copied yet.
 func (h *Heap) Forwarded(ptr code.Word) (code.Word, bool) {

@@ -247,19 +247,6 @@ func (h *Heap) YoungUsed() int {
 	return used
 }
 
-// YoungUsedShard returns the words allocated in one shard's active half.
-func (h *Heap) YoungUsedShard(shard int) int {
-	s := &h.young.shards[shard]
-	return s.youngAlloc - s.youngOff
-}
-
-// NurseryShards returns the number of nursery shards (0 without a
-// nursery, 1 for the unsharded layout).
-func (h *Heap) NurseryShards() int { return len(h.young.shards) }
-
-// AllocShard returns the shard young allocation currently routes to.
-func (h *Heap) AllocShard() int { return h.young.allocShard }
-
 // SetAllocShard routes subsequent young allocation (bump fast path and
 // TLAB carves) to the given shard's active half. The tasking scheduler
 // calls it before each task's quantum.
@@ -272,18 +259,6 @@ func (h *Heap) SetAllocShard(shard int) {
 
 // PromoteAfter returns the survival count at which objects are tenured.
 func (h *Heap) PromoteAfter() int { return int(h.young.promoteAfter) }
-
-// MinorActive reports whether a minor collection is in progress.
-func (h *Heap) MinorActive() bool { return h.inGC && h.young.minorGC }
-
-// MinorShard returns the shard an in-progress shard minor is collecting,
-// or -1 when the current collection spans all shards (or none is active).
-func (h *Heap) MinorShard() int {
-	if !h.inGC {
-		return -1
-	}
-	return h.young.minorShard
-}
 
 // SetTenureAll switches the nursery into (or out of) tenure-everything
 // mode for subsequent collections. See nursery.tenureAll.

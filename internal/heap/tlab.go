@@ -107,9 +107,6 @@ func (h *Heap) EnableTLABs(chunkWords int) {
 // TLABsEnabled reports whether the heap is in TLAB mode.
 func (h *Heap) TLABsEnabled() bool { return h.tlabs.enabled }
 
-// TLABChunkWords returns the configured default carve size.
-func (h *Heap) TLABChunkWords() int { return h.tlabs.chunk }
-
 // LiveTLABs returns the number of carved, un-retired buffers.
 func (h *Heap) LiveTLABs() int { return h.tlabs.live }
 

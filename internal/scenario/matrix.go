@@ -10,15 +10,12 @@ import (
 )
 
 // The matrix runner: every compiled cell through pipeline.RunTasks, with
-// the outcome folded into a comparative report. The JSON form reuses the
-// benchmark-snapshot schema (tagfree-bench/v1, see EXPERIMENTS.md) with a
-// run kind of "scenario-cell", so the same tooling that reads
-// BENCH_PR<n>.json can read a scenario shootout.
+// the outcome folded into a comparative report. The JSON form keeps the
+// schema of the committed BENCH_PR<n>.json history (tagfree-bench/v1, see
+// EXPERIMENTS.md) with a run kind of "scenario-cell" or "serve", so tooling
+// that reads those files can read a scenario shootout.
 
-// SnapshotSchema identifies the snapshot layout. It is the same schema
-// string the benchmark trajectory uses (experiments.BenchSchema);
-// duplicated here so the scenario package does not depend on the
-// experiment tables (which depend on it for E13).
+// SnapshotSchema identifies the snapshot layout.
 const SnapshotSchema = "tagfree-bench/v1"
 
 // CellResult is one executed (or skipped) matrix cell.

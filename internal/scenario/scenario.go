@@ -117,8 +117,8 @@ const (
 	MarkSweep
 )
 
-// String returns the discipline's display name (the spelling BenchRun and
-// the telemetry tables use).
+// String returns the discipline's display name (the spelling the snapshots
+// and the telemetry tables use).
 func (d Discipline) String() string {
 	if d == MarkSweep {
 		return "mark/sweep"

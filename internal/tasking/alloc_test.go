@@ -1,6 +1,7 @@
 package tasking_test
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -55,16 +56,20 @@ func TestSliceAllocatesNothingOnTheHost(t *testing.T) {
 			t.Fatal(err)
 		}
 		const slice = 100_000
+		// A slice that allocates does so every time; the host runtime's
+		// background work, when every package's tests run at once, does not.
+		// So the least of three measurements is held to zero.
+		least := math.Inf(1)
 		for i := 0; i < 3; i++ {
 			// One warm-up slice and one measured, so the count is not an average.
-			n := testing.AllocsPerRun(1, func() {
+			least = min(least, testing.AllocsPerRun(1, func() {
 				if err := g.Step(task, slice); err != nil {
 					t.Fatal(err)
 				}
-			})
-			if n != 0 {
-				t.Errorf("%v: a slice of %d instructions allocated %v times on the host", strat, slice, n)
-			}
+			}))
+		}
+		if least != 0 {
+			t.Errorf("%v: every slice of %d instructions allocated on the host, %v times at least", strat, slice, least)
 		}
 		if task.Status != tasking.Running || task.Steps != 6*slice {
 			t.Fatalf("%v: the task is %v after %d instructions; the slices must all be full", strat, task.Status, task.Steps)
@@ -122,7 +127,7 @@ func fullWindowsAllocateNothingOnTheHost(t *testing.T) {
 		// A gate that allocates does so in every slice that ends at it. These
 		// slices run once each and cannot be measured again, so a stray
 		// allocation of the runtime's own — one slice in hundreds, if any — is
-		// tolerated here and nowhere else.
+		// tolerated here as the least of three is above.
 		var dirty int64
 		for slices := 0; g.Stats.Collections < 300; slices++ {
 			n := mallocs(func() { err = g.Step(task, 10_000) })

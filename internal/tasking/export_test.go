@@ -1,6 +1,10 @@
 package tasking
 
-import "fmt"
+import (
+	"fmt"
+
+	"tagfree/internal/code"
+)
 
 // Windows for the external test package onto the scheduler's unexported
 // state, and the reference scheduler the run queue is checked against.
@@ -121,3 +125,9 @@ func (g *Group) Step(t *Task, quantum int) error { return g.step(t, quantum) }
 // CollectSuspended collects with every task stopped and resumes them, as Run
 // does between two calls of the scheduling loop.
 func (g *Group) CollectSuspended() { g.collectSuspended() }
+
+// Registers returns Rgc followed by every shard's register: what is nonzero
+// while a suspend wave is up.
+func (g *Group) Registers() []code.Word {
+	return append([]code.Word{g.rgc}, g.rgcShard...)
+}

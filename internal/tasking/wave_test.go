@@ -1,0 +1,250 @@
+package tasking_test
+
+import (
+	"strings"
+	"testing"
+
+	"tagfree/internal/gc"
+	"tagfree/internal/pipeline"
+	"tagfree/internal/tasking"
+)
+
+// waveSrc: churn tasks that allocate garbage between calls, a task that holds
+// a list live while it churns (so a shard's minor can fail to make room), and
+// a top-level binding that allocates more than a 1k-word heap holds.
+const waveSrc = `
+let rec upto n = if n = 0 then [] else n :: upto (n - 1)
+let rec sum xs = match xs with | [] -> 0 | x :: r -> x + sum r
+let warm = sum (upto 300) + sum (upto 300)
+let round () = sum (upto 25)
+let rec work rounds acc =
+  if rounds = 0 then acc
+  else work (rounds - 1) (acc + round ())
+let churn_a () = work 30 0
+let churn_b () = work 30 1000
+let churn_c () = work 30 2000
+let churn_d () = work 30 3000
+let build () = sum (upto 400)
+`
+
+// waveCounts is what a suspend wave can move, as deltas over one episode.
+type waveCounts struct {
+	collections, latencies, shardMinors     int64
+	emergency, torture, injected, recovered int64
+	// aborts is not a wave's doing; it tells the row that means an aborted
+	// concurrent cycle from the one that means a finished one.
+	aborts int64
+}
+
+func countsOf(g *tasking.Group) waveCounts {
+	r := g.Col.Telem.Resilience
+	return waveCounts{
+		collections: g.Stats.Collections,
+		latencies:   int64(len(g.Stats.SuspendLatency)),
+		shardMinors: g.Stats.ShardMinors,
+		emergency:   r.EmergencyCollections,
+		torture:     r.TortureCollections,
+		injected:    r.InjectedOOMs,
+		recovered:   r.LadderRecovered,
+		aborts:      r.ConcAborts,
+	}
+}
+
+func (c waveCounts) minus(b waveCounts) waveCounts {
+	return waveCounts{
+		c.collections - b.collections, c.latencies - b.latencies, c.shardMinors - b.shardMinors,
+		c.emergency - b.emergency, c.torture - b.torture, c.injected - b.injected, c.recovered - b.recovered,
+		c.aborts - b.aborts,
+	}
+}
+
+func wavesUp(g *tasking.Group) (global, shard bool) {
+	regs := g.Registers()
+	for _, r := range regs[1:] {
+		shard = shard || r != 0
+	}
+	return regs[0] != 0, shard
+}
+
+// episode is one stretch of a run between two scheduling rounds that both
+// start with every register zero, in which something of waveCounts moved or a
+// register was seen up: a wave raised, gathered and serviced (or two that
+// overlapped).
+type episode struct {
+	delta waveCounts
+	// after is the status of every spawned task, in spawn order, at the first
+	// round after the wave was serviced.
+	after string
+}
+
+func statuses(g *tasking.Group) string {
+	var s []string
+	for _, t := range g.Tasks {
+		s = append(s, t.Status.String())
+	}
+	return strings.Join(s, " ")
+}
+
+type waveRow struct {
+	name    string
+	opts    pipeline.Options
+	entries []string
+	// tick, when set, runs at the top of every scheduling round (the group's
+	// Tick hook) and says whether the scheduler should stay alive with no task.
+	tick func(g *tasking.Group, round int) bool
+	// The row is about the first episode of the scheduled run that is satisfies
+	// (nil: the first one), or — init — about what RunInit did.
+	is   func(d waveCounts) bool
+	init bool
+	want episode
+}
+
+// TestWaveKinds pins what differs between the kinds of suspend wave: per kind,
+// what servicing one wave adds to the collection count, the suspend-latency
+// samples, the shard-minor count and the resilience counters, and which tasks
+// run afterwards. Every wave leaves Rgc and every shard register zero.
+func TestWaveKinds(t *testing.T) {
+	churn2 := []string{"churn_a", "churn_b"}
+	churn4 := []string{"churn_a", "churn_b", "churn_c", "churn_d"}
+	majorAt := func(at int, alive int) func(*tasking.Group, int) bool {
+		return func(g *tasking.Group, round int) bool {
+			if round == at {
+				g.RequestMajor()
+			}
+			return round < alive
+		}
+	}
+	running := func(n int) string { return strings.TrimSuffix(strings.Repeat("running ", n), " ") }
+	rows := []waveRow{
+		// Both tasks fail an allocation in the one wave; the first raised it.
+		{name: "allocation failure", entries: churn2,
+			opts: pipeline.Options{HeapWords: 1024},
+			want: episode{waveCounts{collections: 1, latencies: 1, emergency: 1, recovered: 2}, running(2)}},
+		{name: "torture", entries: churn2,
+			opts: pipeline.Options{HeapWords: 1 << 16, Torture: true},
+			want: episode{waveCounts{collections: 1, latencies: 1, torture: 1}, running(2)}},
+		// The 650th allocation: init makes the first 600.
+		{name: "injected failure", entries: churn2,
+			opts: pipeline.Options{HeapWords: 1 << 16, FailAllocNth: 650},
+			want: episode{waveCounts{collections: 1, latencies: 1, emergency: 1, injected: 1, recovered: 1}, running(2)}},
+		// The second collection is the tenure-all a forced major adds on a
+		// generational heap.
+		{name: "RequestMajor, a task runnable", entries: churn2,
+			opts: pipeline.Options{HeapWords: 1 << 16, NurseryWords: 1 << 12},
+			tick: majorAt(3, 0),
+			want: episode{waveCounts{collections: 2, latencies: 1}, running(2)}},
+		{name: "RequestMajor, no task", entries: nil,
+			opts: pipeline.Options{HeapWords: 1 << 16, NurseryWords: 1 << 12},
+			tick: majorAt(3, 6),
+			want: episode{waveCounts{collections: 2, latencies: 1}, ""}},
+		// Both shards fill in the same round. A shard's wave is no sample of the
+		// suspend latency and no emergency.
+		{name: "shard minor", entries: churn4,
+			opts: pipeline.Options{HeapWords: 1 << 14, NurseryWords: 512, Shards: 2},
+			want: episode{waveCounts{collections: 2, shardMinors: 2}, running(4)}},
+		// Nothing is promoted, so the list task 0 builds fills its shard's
+		// nursery: the minor makes no room, and the global wave it escalates to
+		// climbs the ladder (collect, full, tenure-all) for it.
+		{name: "shard minor that escalates", entries: []string{"build", "churn_b", "churn_c", "churn_d"},
+			opts: pipeline.Options{HeapWords: 1 << 14, NurseryWords: 512, Shards: 2, PromoteAfter: 64},
+			is:   func(d waveCounts) bool { return d.shardMinors > 0 && d.emergency > 0 },
+			want: episode{waveCounts{collections: 4, latencies: 1, shardMinors: 1, emergency: 1, recovered: 1}, running(4)}},
+		// A major is requested in a round that starts with a shard's register
+		// up: the shard's tasks join the global wave, no shard minor runs.
+		{name: "shard wave subsumed by a global one", entries: []string{"churn_a", "churn_b", "build", "churn_d"},
+			opts: pipeline.Options{HeapWords: 1 << 14, NurseryWords: 512, Shards: 2},
+			tick: func(g *tasking.Group, round int) bool {
+				if _, shard := wavesUp(g); shard {
+					g.RequestMajor()
+				}
+				return false
+			},
+			want: episode{waveCounts{collections: 2, latencies: 1}, running(4)}},
+		{name: "concurrent start", entries: churn2,
+			opts: pipeline.Options{HeapWords: 2048, MarkSweep: true, GCConcurrent: true, ConcTriggerPct: 40},
+			want: episode{waveCounts{latencies: 1}, running(2)}},
+		{name: "concurrent finish", entries: churn2,
+			opts: pipeline.Options{HeapWords: 2048, MarkSweep: true, GCConcurrent: true, ConcTriggerPct: 40},
+			is:   func(d waveCounts) bool { return d.collections > 0 },
+			want: episode{waveCounts{collections: 1, latencies: 1}, running(2)}},
+		// One slice of one word trips the watchdog; the wave it raises is an
+		// ordinary one, and no emergency.
+		{name: "concurrent abort, then stop-the-world", entries: churn2,
+			opts: pipeline.Options{HeapWords: 2048, MarkSweep: true, GCConcurrent: true, ConcTriggerPct: 40,
+				ConcMarkBudget: 1, ConcMaxSlices: 1},
+			is:   func(d waveCounts) bool { return d.aborts > 0 },
+			want: episode{waveCounts{collections: 1, latencies: 1, aborts: 1}, running(2)}},
+		// The start wave goes up while both tasks are building their lists, 400
+		// allocations with no call between them, and the heap fills before
+		// either reaches one: the failures find a wave already up (no
+		// emergency), and the wave becomes a collection.
+		{name: "allocation failure sharing a concurrent wave", entries: []string{"build", "build"},
+			opts: pipeline.Options{HeapWords: 2560, MarkSweep: true, GCConcurrent: true, ConcTriggerPct: 50},
+			want: episode{waveCounts{collections: 1, latencies: 1, recovered: 2}, running(2)}},
+		// No wave: init collects over its own stack, and no latency is sampled.
+		{name: "init alone", entries: churn2, init: true,
+			opts: pipeline.Options{HeapWords: 1024},
+			want: episode{waveCounts{collections: 1, emergency: 1, recovered: 1}, running(2)}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			row.opts.Strategy = gc.StratCompiled
+			g, entries, err := pipeline.BuildTaskGroup(waveSrc, row.entries, row.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				g.Spawn(e)
+			}
+			var episodes []episode
+			base := countsOf(g)
+			if err := g.RunInit(); err != nil {
+				t.Fatal(err)
+			}
+			initial := episode{delta: countsOf(g).minus(base), after: statuses(g)}
+			prev, open, round := countsOf(g), false, 0
+			g.Tick = func(int64) bool {
+				cur := countsOf(g)
+				global, shard := wavesUp(g)
+				if !open && (cur != prev || shard) {
+					base, open = prev, true
+				}
+				if global {
+					t.Errorf("round %d starts with Rgc raised", round)
+				}
+				if open && !shard {
+					episodes = append(episodes, episode{delta: cur.minus(base), after: statuses(g)})
+					open = false
+				}
+				prev = cur
+				alive := false
+				if row.tick != nil {
+					alive = row.tick(g, round)
+				}
+				round++
+				return alive
+			}
+			if err := g.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range g.Registers() {
+				if r != 0 {
+					t.Errorf("the run ended with registers %v", g.Registers())
+					break
+				}
+			}
+			got, found := initial, row.init
+			for _, e := range episodes {
+				if !found && (row.is == nil || row.is(e.delta)) {
+					got, found = e, true
+				}
+			}
+			if !found {
+				t.Fatalf("none of the run's %d episodes is the row's: %+v", len(episodes), episodes)
+			}
+			if got != row.want {
+				t.Errorf("got  %+v\nwant %+v", got, row.want)
+			}
+		})
+	}
+}
