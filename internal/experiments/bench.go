@@ -113,7 +113,6 @@ func collectPauseRun(w workloads.TaskWorkload, par int, fast bool, collections i
 	for i, r := range recs {
 		pauses[i] = r.PauseNS
 	}
-	sort.Slice(pauses, func(i, j int) bool { return pauses[i] < pauses[j] })
 
 	const resolveReps = 400
 	start := time.Now()
@@ -124,7 +123,7 @@ func collectPauseRun(w workloads.TaskWorkload, par int, fast bool, collections i
 
 	st := g.Col.Stats
 	return pauseRun{
-		PauseP50NS:    percentile(pauses, 0.50),
+		PauseP50NS:    median(pauses),
 		ResolveMeanNS: resolveNS,
 		PlanHits:      st.PlanHits,
 		PlanMisses:    st.PlanMisses,

@@ -7,6 +7,7 @@ import (
 
 	"tagfree/internal/gc"
 	"tagfree/internal/pipeline"
+	"tagfree/internal/tasking"
 	"tagfree/internal/workloads"
 )
 
@@ -60,21 +61,8 @@ func BenchmarkStackWalk(b *testing.B) {
 		{"polytower-marksweep-par2", polyTowerSrc, towers, true, 2},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
-			g, entries, err := pipeline.BuildTaskGroup(shape.src, shape.entries,
+			g, roots := stoppedGroup(b, shape.src, shape.entries,
 				pipeline.Options{Strategy: gc.StratCompiled, HeapWords: 1 << 12, MarkSweep: shape.ms, Parallelism: shape.par})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, e := range entries {
-				g.Spawn(e)
-			}
-			if err := g.RunInit(); err != nil {
-				b.Fatal(err)
-			}
-			roots, pending, err := g.RunUntilCollection()
-			if err != nil || !pending {
-				b.Fatalf("no collection to measure: %v", err)
-			}
 			g.Col.Collect(roots, g.Globals) // plans and arenas
 			frames := g.Col.Stats.FramesTraced
 			b.ReportAllocs()
@@ -90,6 +78,28 @@ func BenchmarkStackWalk(b *testing.B) {
 	}
 }
 
+// stoppedGroup runs the entries as tasks up to their first collection and
+// returns the group with the root set the collector is about to be handed;
+// Collect may run on it any number of times.
+func stoppedGroup(b *testing.B, src string, entryNames []string, opts pipeline.Options) (*tasking.Group, []gc.TaskRoots) {
+	b.Helper()
+	g, entries, err := pipeline.BuildTaskGroup(src, entryNames, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range entries {
+		g.Spawn(e)
+	}
+	if err := g.RunInit(); err != nil {
+		b.Fatal(err)
+	}
+	roots, pending, err := g.RunUntilCollection()
+	if err != nil || !pending {
+		b.Fatalf("no collection to measure: %v", err)
+	}
+	return g, roots
+}
+
 // benchParallelCollect times Collect on the root set every task workload has
 // at its first collection, with 1, 2 and 4 workers. The parallel path
 // guarantees bit-identical heaps either way, so the worker count is a pure
@@ -103,21 +113,8 @@ func benchParallelCollect(b *testing.B, strat gc.Strategy, ms bool) {
 	for _, w := range workloads.Tasking {
 		for _, par := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/%s/par=%d", w.Name, kind, par), func(b *testing.B) {
-				g, entries, err := pipeline.BuildTaskGroup(w.Source, w.Entries,
+				g, roots := stoppedGroup(b, w.Source, w.Entries,
 					pipeline.Options{Strategy: strat, HeapWords: scale * w.HeapWords, MarkSweep: ms, Parallelism: par})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, e := range entries {
-					g.Spawn(e)
-				}
-				if err := g.RunInit(); err != nil {
-					b.Fatal(err)
-				}
-				roots, pending, err := g.RunUntilCollection()
-				if err != nil || !pending {
-					b.Fatalf("%s finished without collecting: %v", w.Name, err)
-				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					g.Col.Collect(roots, g.Globals)

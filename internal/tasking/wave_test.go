@@ -9,9 +9,10 @@ import (
 	"tagfree/internal/tasking"
 )
 
-// waveSrc: churn tasks that allocate garbage between calls, a task that holds
-// a list live while it churns (so a shard's minor can fail to make room), and
-// a top-level binding that allocates more than a 1k-word heap holds.
+// waveSrc: churn tasks that allocate garbage between calls, a task that builds
+// one 400-cell list — 400 calls down, then 400 allocations with no call between
+// them, all live — and a top-level binding that allocates 1200 words, 600 of
+// them garbage by the time a 1k-word heap is full.
 const waveSrc = `
 let rec upto n = if n = 0 then [] else n :: upto (n - 1)
 let rec sum xs = match xs with | [] -> 0 | x :: r -> x + sum r
@@ -92,7 +93,7 @@ type waveRow struct {
 	// tick, when set, runs at the top of every scheduling round (the group's
 	// Tick hook) and says whether the scheduler should stay alive with no task.
 	tick func(g *tasking.Group, round int) bool
-	// The row is about the first episode of the scheduled run that is satisfies
+	// The row is about the first episode of the scheduled run that is accepts
 	// (nil: the first one), or — init — about what RunInit did.
 	is   func(d waveCounts) bool
 	init bool
@@ -203,6 +204,9 @@ func TestWaveKinds(t *testing.T) {
 			}
 			initial := episode{delta: countsOf(g).minus(base), after: statuses(g)}
 			prev, open, round := countsOf(g), false, 0
+			// The hook runs at the top of a round, and never while Rgc is up:
+			// an episode opens at the first round that finds a count moved or
+			// a shard's register up, and closes at the first with none up.
 			g.Tick = func(int64) bool {
 				cur := countsOf(g)
 				global, shard := wavesUp(g)
