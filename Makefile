@@ -81,7 +81,15 @@
 # OpCall, OpMove, OpAdd, OpJz, OpLdFld — a machine instruction belongs to the
 # case whose source lines it was last seen in, inlined helpers included): the
 # total moves when any case changes, only these say whether pc, fp, sp and the
-# count still live in registers where it matters.
+# count still live in registers where it matters. A third line gives the same
+# for the superinstruction heads (ISA.md), each a case of its own.
+#
+# opcode-pairs is the tool the heads were chosen with: a test-side driver
+# (internal/tasking, TestOpcodePairs) that single-steps every program of both
+# corpora on the quantum-1 reference scheduler, reads each task's pc between
+# two instructions, and prints per program and for the corpus the most
+# frequent dynamic opcode pairs and the share of dispatches the heads absorb
+# when a slice is long enough to run them whole. The loop counts nothing for it.
 #
 # profile-gc is the same for the collector's fixed cost: it runs
 # BenchmarkStackWalk (internal/gc: one collection over a depth-640 polymorphic
@@ -109,7 +117,7 @@
 # workload compared against a run file an earlier commit wrote with
 # `go run ./benchmark -runs 10 -out <runs.json>`.
 
-.PHONY: benchmark benchmark-check profile-interp profile-compile profile-gc tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single loc bench fuzz fuzz-scenario
+.PHONY: benchmark benchmark-check profile-interp opcode-pairs profile-compile profile-gc tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single loc bench fuzz fuzz-scenario
 
 tier1:
 	go build ./...
@@ -170,6 +178,7 @@ loc:
 	@echo "of which internal/tasking: $(call LOC_COUNT,./internal/tasking)"
 
 STEP_SRC = ${shell grep -l '^func (g \*Group) step(' internal/tasking/*.go}
+HEADS = OpEqJz OpNeJz OpLtJz OpLeJz OpGtJz OpGeJz OpIsBoxedJz OpTagIsJz OpMoveRet OpLdFldMove
 profile-interp:
 	mkdir -p .bench_build
 	go test -c -o .bench_build/tasking.test ./internal/tasking
@@ -191,7 +200,14 @@ profile-interp:
 		w[1] == src { n++ } /CALL/ && !/runtime\.panic/ { calls++ } /\(SP\)/ { sp++; per[cur]++ } \
 		END { printf "inner loop of step (%s, %s): %d machine instructions, %d CALLs (bounds-check panics aside), %d stack-relative operands\n", src, go, n, calls, sp; \
 		      printf "  of which in the hot cases:"; split("OpRet OpCall OpMove OpAdd OpJz OpLdFld", hot, " "); \
-		      for (i = 1; i <= 6; i++) printf " %s %d", hot[i], per[hot[i]]; printf " (loop head and slice bookkeeping %d)\n", per[""] }'
+		      for (i = 1; i <= 6; i++) printf " %s %d", hot[i], per[hot[i]]; printf " (loop head and slice bookkeeping %d)\n", per[""]; \
+		      printf "  and in the superinstruction heads:"; nf = split("$(HEADS)", fz, " "); \
+		      for (i = 1; i <= nf; i++) printf " %s %d", fz[i], per[fz[i]]; printf "\n" }'
+
+opcode-pairs:
+	mkdir -p .bench_build
+	go test -c -o .bench_build/tasking.test ./internal/tasking
+	cd internal/tasking && ../../.bench_build/tasking.test -test.run '^TestOpcodePairs$$' -opcode-pairs
 
 GC_BENCH = BenchmarkStackWalk
 profile-gc:

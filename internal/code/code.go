@@ -117,9 +117,10 @@ func GCWordOffset(op Op) int {
 	return -1
 }
 
-// InstrLen returns the length in words of the instruction at pc.
+// InstrLen returns the length in words of the instruction at pc (of its first
+// part, at a superinstruction head).
 func InstrLen(codeArr []Word, pc int) int {
-	switch codeArr[pc] {
+	switch FirstPart(codeArr[pc]) {
 	case OpHalt, OpMatchFail, OpEnter:
 		return 1
 	case OpRet, OpJmp:

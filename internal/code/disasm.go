@@ -18,9 +18,10 @@ var opNames = map[Op]string{
 	OpSetGlobal: "setglobal", OpMatchFail: "matchfail", OpEnter: "enter",
 }
 
-// OpName returns the mnemonic of an opcode.
+// OpName returns the mnemonic of an opcode: a superinstruction head's is its
+// first part's.
 func OpName(op Op) string {
-	if n, ok := opNames[op]; ok {
+	if n, ok := opNames[FirstPart(op)]; ok {
 		return n
 	}
 	return fmt.Sprintf("op%d", op)
@@ -39,10 +40,11 @@ func (p *Program) atomString(w Word) string {
 	return fmt.Sprintf("?%d", w)
 }
 
-// DisasmInstr renders the instruction at pc, marking embedded gc_words.
+// DisasmInstr renders the instruction at pc, marking embedded gc_words; a
+// superinstruction head renders as its first part.
 func (p *Program) DisasmInstr(pc int) string {
 	c := p.Code
-	op := c[pc]
+	op := FirstPart(c[pc])
 	atomString := p.atomString
 	var b strings.Builder
 	fmt.Fprintf(&b, "%5d  %-9s", pc, OpName(op))

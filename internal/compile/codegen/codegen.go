@@ -123,6 +123,7 @@ func CompileWith(irp *ir.Program, repr code.Repr, hl *gcanal.HeapLiveness) (*cod
 		c.prog.MainFunc = irp.MainFunc.ID
 	}
 	c.prog.DescNodes = len(c.descs)
+	code.Fuse(c.prog.Code)
 	return c.prog, nil
 }
 

@@ -45,9 +45,10 @@ func largestWorkload() string {
 // TestBuildAllocBudget holds one Build to a budget of heap objects per source
 // byte, so that the next map-per-node or slice-per-walk in the compile path
 // fails here and not in a benchmark row. The budgets are the figures measured
-// when the compile-time tables became node-indexed slices (DESIGN.md §14) —
-// 2.52, 2.33 and 1.24 — plus 25 %; before that, Build took 6.11, 4.68 and
-// 2.61. The two small sources are mostly fixed cost (the built-in
+// when lowering took its slots from a slab — 2.39, 2.18 and 1.17 — plus
+// 25 %; before that, one object per slot, 2.54, 2.33 and 1.25, and
+// before the compile-time tables became node-indexed slices (DESIGN.md §14),
+// 6.11, 4.68 and 2.61. The two small sources are mostly fixed cost (the built-in
 // environment, the program's own tables) and guard against a table sized by
 // anything but its input; the 39 KB generated source is the marginal cost of
 // a node (the benchmark's 0.43 MB source builds at 1.8 objects per byte).
@@ -57,9 +58,9 @@ func TestBuildAllocBudget(t *testing.T) {
 		src    string
 		budget float64 // objects per source byte
 	}{
-		{"largest workload", largestWorkload(), 3.15},
-		{"600-byte program", smallProgram, 2.9},
-		{"generated corpus", manyFunctionSource(t, 3), 1.55},
+		{"largest workload", largestWorkload(), 2.98},
+		{"600-byte program", smallProgram, 2.73},
+		{"generated corpus", manyFunctionSource(t, 3), 1.46},
 	}
 	for _, c := range cases {
 		objects := testing.AllocsPerRun(10, func() {

@@ -41,6 +41,20 @@ func boolWord(tag code.Word, r bool) code.Word {
 	return tag
 }
 
+// jz runs the jz at pc for a compare-and-branch head whose compare found r,
+// given the instructions left in the slice, the compare's included: it returns
+// where the jz goes and the count it leaves, or — when the slice has no
+// instruction left for it — pc itself, so that the next slice runs it.
+func jz(c []code.Word, pc int, r bool, left int) (int, int) {
+	switch {
+	case left < 2:
+		return pc, left
+	case r:
+		return pc + 3, left - 1
+	}
+	return int(c[pc+2]), left - 1
+}
+
 // fieldIndex is the index, in the heap's word array, of field i of the object
 // at encoded pointer p: tag is 1 under the tagged representation, which
 // shifts its pointers one bit and heads every object with one word, else 0.
@@ -149,7 +163,13 @@ func (g *Group) step(t *Task, quantum int) error {
 	for {
 		// The loop carries pc, fp, sp and the instructions left; the counters
 		// and high-water marks a call or a return touches are updated in the
-		// task, off the path from one instruction to the next.
+		// task, off the path from one instruction to the next. The count
+		// includes the instruction being dispatched and is spent after it (an
+		// event's break skips that, and the count is mended below), so that
+		// a superinstruction head spends its further parts from that same
+		// value: spent before the switch, the count would live in two
+		// registers across it, because the compiler folds a head's decrement
+		// into the loop's and keeps the older value (`make profile-interp`).
 		stack := t.stack
 		pc, fp, sp := t.pc, t.fp, t.sp
 		left := quantum - n
@@ -159,8 +179,7 @@ func (g *Group) step(t *Task, quantum int) error {
 		n += left
 		ev := evSlice
 	dispatch:
-		for left > 0 {
-			left--
+		for ; left > 0; left-- {
 			switch c[pc] {
 			case code.OpRet:
 				ret := int(stack[fp+1])
@@ -186,6 +205,27 @@ func (g *Group) step(t *Task, quantum int) error {
 					pc = int(c[pc+2])
 				}
 
+			// A superinstruction head (code.Fuse, ISA.md) runs its sequence in
+			// one dispatch and counts as its parts: it spends one more
+			// instruction of the slice per part after the first and writes
+			// every slot they write. Where the slice has too few instructions
+			// left for the whole sequence it runs its first part alone and
+			// leaves pc on the second, so counts, slice boundaries and every
+			// event are the unfused program's. This one is move d, a; jmp L;
+			// L: ret d — a join's value returned; a return from the root frame
+			// is an event, so there it is its move alone.
+			case code.OpMoveRet:
+				v := operand(stack, k.statics, fp, c[pc+2])
+				stack[fp+2+int(c[pc+1])] = v
+				if ret := int(stack[fp+1]); left < 3 || ret < 0 {
+					pc += 3
+				} else {
+					left -= 2
+					sp, fp = fp, int(stack[fp])
+					t.depth--
+					stack[fp+2+int(c[ret+1])] = v
+					pc = ret + code.CallLen(c, ret)
+				}
 			case code.OpMove:
 				stack[fp+2+int(c[pc+1])], pc = operand(stack, k.statics, fp, c[pc+2]), pc+3
 
@@ -237,24 +277,64 @@ func (g *Group) step(t *Task, quantum int) error {
 			case code.OpTNeg:
 				stack[fp+2+int(c[pc+1])], pc = 2-operand(stack, k.statics, fp, c[pc+2]), pc+3
 
+			// Heads (see OpMoveRet): a compare, then a jz on its result.
+			case code.OpEqJz:
+				r := operand(stack, k.statics, fp, c[pc+2]) == operand(stack, k.statics, fp, c[pc+3])
+				stack[fp+2+int(c[pc+1])] = boolWord(k.tag, r)
+				pc, left = jz(c, pc+4, r, left)
 			case code.OpEq:
 				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, operand(stack, k.statics, fp, c[pc+2]) == operand(stack, k.statics, fp, c[pc+3])), pc+4
+			case code.OpNeJz:
+				r := operand(stack, k.statics, fp, c[pc+2]) != operand(stack, k.statics, fp, c[pc+3])
+				stack[fp+2+int(c[pc+1])] = boolWord(k.tag, r)
+				pc, left = jz(c, pc+4, r, left)
 			case code.OpNe:
 				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, operand(stack, k.statics, fp, c[pc+2]) != operand(stack, k.statics, fp, c[pc+3])), pc+4
+			case code.OpLtJz:
+				r := operand(stack, k.statics, fp, c[pc+2]) < operand(stack, k.statics, fp, c[pc+3])
+				stack[fp+2+int(c[pc+1])] = boolWord(k.tag, r)
+				pc, left = jz(c, pc+4, r, left)
 			case code.OpLt:
 				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, operand(stack, k.statics, fp, c[pc+2]) < operand(stack, k.statics, fp, c[pc+3])), pc+4
+			case code.OpLeJz:
+				r := operand(stack, k.statics, fp, c[pc+2]) <= operand(stack, k.statics, fp, c[pc+3])
+				stack[fp+2+int(c[pc+1])] = boolWord(k.tag, r)
+				pc, left = jz(c, pc+4, r, left)
 			case code.OpLe:
 				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, operand(stack, k.statics, fp, c[pc+2]) <= operand(stack, k.statics, fp, c[pc+3])), pc+4
+			case code.OpGtJz:
+				r := operand(stack, k.statics, fp, c[pc+2]) > operand(stack, k.statics, fp, c[pc+3])
+				stack[fp+2+int(c[pc+1])] = boolWord(k.tag, r)
+				pc, left = jz(c, pc+4, r, left)
 			case code.OpGt:
 				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, operand(stack, k.statics, fp, c[pc+2]) > operand(stack, k.statics, fp, c[pc+3])), pc+4
+			case code.OpGeJz:
+				r := operand(stack, k.statics, fp, c[pc+2]) >= operand(stack, k.statics, fp, c[pc+3])
+				stack[fp+2+int(c[pc+1])] = boolWord(k.tag, r)
+				pc, left = jz(c, pc+4, r, left)
 			case code.OpGe:
 				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, operand(stack, k.statics, fp, c[pc+2]) >= operand(stack, k.statics, fp, c[pc+3])), pc+4
 
 			case code.OpNot:
 				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, uint64(operand(stack, k.statics, fp, c[pc+2])) <= uint64(k.tag)), pc+3
+			case code.OpIsBoxedJz:
+				r := code.IsBoxedValue(k.repr, operand(stack, k.statics, fp, c[pc+2]))
+				stack[fp+2+int(c[pc+1])] = boolWord(k.tag, r)
+				pc, left = jz(c, pc+3, r, left)
 			case code.OpIsBoxed:
 				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, code.IsBoxedValue(k.repr, operand(stack, k.statics, fp, c[pc+2]))), pc+3
 
+			case code.OpTagIsJz:
+				w := k.mem[fieldIndex(operand(stack, k.statics, fp, c[pc+2]), k.tag, 0)] >> (uint(k.tag) & 1)
+				r := w == c[pc+3]
+				stack[fp+2+int(c[pc+1])] = boolWord(k.tag, r)
+				if k.ldAll {
+					// Its tagis alone: on a checked heap every load is
+					// an event.
+					pc, ev = pc+4, evLoad
+					break dispatch
+				}
+				pc, left = jz(c, pc+4, r, left)
 			case code.OpTagIs:
 				w := k.mem[fieldIndex(operand(stack, k.statics, fp, c[pc+2]), k.tag, 0)] >> (uint(k.tag) & 1)
 				stack[fp+2+int(c[pc+1])], pc = boolWord(k.tag, w == c[pc+3]), pc+4
@@ -263,6 +343,16 @@ func (g *Group) step(t *Task, quantum int) error {
 					break dispatch
 				}
 
+			// A head (see OpMoveRet): ldfld d, p, off; move d2, d — a field
+			// bound to a variable. Under a load hook it is its ldfld alone,
+			// event and all.
+			case code.OpLdFldMove:
+				if left > 1 && !k.ldHook {
+					v := k.mem[fieldIndex(operand(stack, k.statics, fp, c[pc+2]), k.tag, int(c[pc+3]))]
+					stack[fp+2+int(c[pc+1])], stack[fp+2+int(c[pc+5])], pc, left = v, v, pc+7, left-1
+					break
+				}
+				fallthrough
 			case code.OpLdFld:
 				v := k.mem[fieldIndex(operand(stack, k.statics, fp, c[pc+2]), k.tag, int(c[pc+3]))]
 				stack[fp+2+int(c[pc+1])], pc = v, pc+4
@@ -350,7 +440,9 @@ func (g *Group) step(t *Task, quantum int) error {
 			// instruction of every program. So the count is parked in the
 			// task for the length of this case and read back where its two
 			// paths meet (a load the compiler cannot forward), which keeps it
-			// in its register everywhere else (`make profile-interp`).
+			// in its register everywhere else (`make profile-interp`). Which
+			// path ran is told by full, not by ev: a read of ev inside the loop
+			// makes it loop-carried, a store on every instruction.
 			case code.OpMkRef, code.OpMkTuple, code.OpMkBox, code.OpMkClos:
 				t.parked = left
 				args, nargs, hdr := pc+3, 1, false
@@ -366,9 +458,9 @@ func (g *Group) step(t *Task, quantum int) error {
 				if hdr {
 					f++ // and past the header field
 				}
-				if f+nargs > k.win.Limit {
+				full := f+nargs > k.win.Limit
+				if full {
 					k.need = f + nargs - k.win.HP - int(k.tag)
-					ev = evAlloc
 				} else {
 					ptr := code.Word(code.HeapBase + k.win.HP)
 					if k.tag != 0 {
@@ -389,7 +481,8 @@ func (g *Group) step(t *Task, quantum int) error {
 					stack[fp+2+int(c[pc+1])], pc = ptr, args+nargs
 				}
 				left = t.parked
-				if ev == evAlloc {
+				if full {
+					ev = evAlloc
 					break dispatch
 				}
 
@@ -399,8 +492,10 @@ func (g *Group) step(t *Task, quantum int) error {
 			}
 		}
 		n -= left
-		if ev == evFrame {
-			n-- // the call has not executed: it runs again on a longer stack
+		if ev != evSlice && ev != evFrame {
+			// The instruction that raised the event counts; a call whose frame
+			// does not fit has not executed: it runs again on a longer stack.
+			n++
 		}
 		t.pc, t.fp, t.sp = pc, fp, sp
 		t.Steps = steps0 + int64(n)
@@ -476,7 +571,7 @@ func (g *Group) event(t *Task, ev int) error {
 		// instruction itself defines, and codegen reuses none.
 		pc := t.pc - 4
 		field, v := int(c[pc+3]), t.stack[t.fp+2+int(c[pc+1])]
-		if c[pc] == code.OpTagIs {
+		if code.FirstPart(c[pc]) == code.OpTagIs {
 			field = 0 // the tag word; v is the boolean, which trips no hook below
 		}
 		h.Field(atom(c[pc+2]), field) // validates the access on a SetDebugAccess heap

@@ -39,9 +39,14 @@ func (g *Group) PooledStacks() (lens, nonzero []int) {
 // nothing is compacted and no stack is recycled (so the run queue the
 // collection helpers walk stays equal to Tasks). It exists only as the
 // reference of the scheduler-order test.
-func (g *Group) RunScanningAllTasks() error {
+func (g *Group) RunScanningAllTasks() error { return g.RunScanningAllTasksVisiting(nil) }
+
+// RunScanningAllTasksVisiting is RunScanningAllTasks with visit, when not nil,
+// called before every slice a task is given: at quantum 1, before every
+// instruction it executes.
+func (g *Group) RunScanningAllTasksVisiting(visit func(*Task)) error {
 	for {
-		pending, err := g.runUntilSuspendedScanningAll()
+		pending, err := g.runUntilSuspendedScanningAll(visit)
 		if err != nil || !pending {
 			return err
 		}
@@ -49,7 +54,14 @@ func (g *Group) RunScanningAllTasks() error {
 	}
 }
 
-func (g *Group) runUntilSuspendedScanningAll() (bool, error) {
+// Frame returns the task's pc, fp and sp.
+func (t *Task) Frame() (pc, fp, sp int) { return t.pc, t.fp, t.sp }
+
+// InRootFrame reports whether the task's frame is its root frame, whose return
+// ends the task.
+func (t *Task) InRootFrame() bool { return t.stack[t.fp+1] < 0 }
+
+func (g *Group) runUntilSuspendedScanningAll(visit func(*Task)) (bool, error) {
 	g.setupTLABs()
 	g.setupShards()
 	for {
@@ -84,6 +96,9 @@ func (g *Group) runUntilSuspendedScanningAll() (bool, error) {
 			anyRan = true
 			if g.sharded {
 				g.Heap.SetAllocShard(t.shard)
+			}
+			if visit != nil {
+				visit(t)
 			}
 			if err := g.step(t, g.Quantum); err != nil {
 				g.faultTask(t, FaultRuntime, 0, err)
