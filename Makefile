@@ -1,61 +1,24 @@
-# Test tiers. tier1 is the gate every change must pass; tier2 adds the
-# race detector over the parallel-collection paths and a fresh (uncached)
-# run of the cross-strategy differential suite. The tracer that -par mark
-# workers share with the serial trace (internal/gc: one copy of every walk and
-# kernel, claims by compare-and-swap, a word stored only where it changed) is
-# covered by three of tier2's -race runs, which are also the quick check after
-# an edit there: `go test -race ./internal/gc ./internal/heap` and
-# `go test -race -run 'TestDifferential|Parallel' ./internal/pipeline`. tier2-torture is the
-# heavyweight stress pass: the full task corpus with a collection before
-# every allocation and the post-collection heap verifier on, under the
-# race detector. tier2-bench is the fast-path race smoke: 4 workers over
-# the lock-free plan/site caches, and -par 4 workers first-touching
-# unresolved type_gc nodes together.
-# tier2-nursery is the generational stress pass: the nursery differential
-# suite and write-barrier fuzz under the race detector, plus the nursery
-# telemetry corpus with torture collection and the heap verifier on.
-# tier2-tlab is the allocation-buffer pass: the TLAB unit and interleaving
-# fuzz suites plus the cross-strategy allocation-equivalence differential
-# suite under the race detector, and the telemetry corpus with buffers,
-# torture collection and the heap verifier on. tier2-scenario is the
-# declarative-matrix pass: the scenario DSL suites (golden diagnostics,
-# compiler differential, fuzz seeds) under the race detector, plus the
-# torture-mode scenario from the committed corpus — torture and the heap
-# verifier requested through the DSL's faults block rather than flags.
-# tier2-serve is the overload pass: the serve-harness suites (admission,
-# shedding, backoff, ladder), the per-task budget suites, the run-queue and
-# stack-pool scheduler suites, and the combined nursery+TLAB
-# recovery-ladder test under the race detector, plus the committed
-# overload-torture scenario (arrivals, shedding and the faults block's
-# torture/injection knobs all through the DSL) and a 16000-request run
-# under a timeout: it takes ~0.4 s while a serve run is linear in its
-# requests and ~3 s with a per-tick or per-round rescan, far more under a
-# loaded machine — a reintroduced rescan fails here instead of slowing a
-# benchmark row.
-# tier2-concurrent is the incremental-marking pass: the concurrent
-# differential, interleaving-fuzz, watchdog and validation suites under
-# the race detector, plus the committed concurrent-torture scenario —
-# gc_concurrent cycling continuously in a tight heap with the verifier
-# on, and gc_concurrent crossed with torture so every forced collection
-# aborts an in-flight cycle. tier2-shard is the sharded-heap pass: the
-# shard differential, interleaving-fuzz, gating and OOM-ladder suites
-# plus the sharded overload-ledger test under the race detector, and the
-# committed shard-torture scenario — per-shard minors with the verifier
-# walking the whole heap after each, and injected failures climbing the
-# global ladder with the nursery split four ways. tier2-liveness is the
-# heap-liveness pass: the differential projection suite (retained-set
-# subset via signature projection, poison traps, the 32-seed mode-matrix
-# fuzz) under the race detector, plus the committed liveness-torture
-# scenario — pruning crossed with torture and the verifier, and pruning
-# pushed out of its envelope over sharded nurseries with injected
-# failures so the counted-degrade path runs under stress too.
-# tier2-single is the one-machine pass: a single-task run is a task group of
-# one, so the single-task suites (the golden recorded on the interpreter the
-# group replaced, the resilience-counter, torture, concurrent and nursery
-# differentials, the lone-task slice tests) run under the race detector, and
-# every program in testdata/progs runs with a collection before every
-# allocation and the verifier on, on the copying, mark/sweep and nursery
-# heaps.
+# Test tiers. tier1 is the gate every change must pass. tier2 adds a fresh
+# (uncached) run of every package under the race detector — the quick check
+# after an edit to the tracer -par mark workers share with the serial trace
+# (internal/gc: one copy of every walk and kernel, claims by compare-and-swap)
+# is its `go test -race ./internal/gc ./internal/heap ./internal/pipeline` —
+# and four passes:
+# tier2-lattice runs every legal point of the mode lattice
+# (internal/pipeline/lattice_test.go: every strategy × discipline × par ×
+# nursery × tlab × concurrent × shards × heap-liveness × torture × fail-every
+# × suspend-at-allocs × fast-path-off × quantum combination no rule refuses,
+# each on the next program of the single-task corpus, the task corpus and
+# testdata/progs that may take it) against its oracle, with the heap verifier
+# after every collection; tier 1 runs a pairwise-covering subset.
+# tier2-scenario runs every committed torture scenario (the faults block's
+# torture, injection and verifier knobs reached through the DSL) and fails on
+# a faulted task or a cell error. tier2-serve is a 16000-request serve run
+# under a timeout: it takes ~0.4 s while a serve run is linear in its requests
+# and ~3 s with a per-tick or per-round rescan, far more under a loaded
+# machine — a reintroduced rescan fails here instead of slowing a benchmark
+# row. tier2-bench runs every Go micro-benchmark once, so one that stopped
+# compiling or running fails here rather than at the next profile.
 #
 # loc prints the non-test Go lines outside benchmark/ — raw, and without
 # blank and comment-only lines — so a simplification's "net negative" is a
@@ -117,58 +80,34 @@
 # workload compared against a run file an earlier commit wrote with
 # `go run ./benchmark -runs 10 -out <runs.json>`.
 
-.PHONY: benchmark benchmark-check profile-interp opcode-pairs profile-compile profile-gc tier1 tier2 tier2-torture tier2-bench tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single loc bench fuzz fuzz-scenario
+.PHONY: benchmark benchmark-check profile-interp opcode-pairs profile-compile profile-gc tier1 tier2 tier2-lattice tier2-scenario tier2-serve tier2-bench loc bench fuzz fuzz-scenario
 
 tier1:
 	go build ./...
 	go vet ./...
 	go test ./...
 
-tier2: tier1 tier2-nursery tier2-tlab tier2-scenario tier2-serve tier2-concurrent tier2-shard tier2-liveness tier2-single
-	go test -race ./...
-	go test -run TestDifferential -count=1 ./internal/pipeline/
+tier2: tier1 tier2-lattice tier2-scenario tier2-serve tier2-bench
+	go test -race -count=1 -timeout 30m ./...
 
-tier2-nursery:
-	go test -race -run 'TestDifferentialNursery|TestNursery' -count=1 -timeout 30m ./internal/pipeline/
-	go run -race ./cmd/tfbench -gc-nursery 256 -gc-torture -verify-heap telemetry >/dev/null
-
-tier2-tlab:
-	go test -race -run 'TestTLAB|TestDifferentialTLAB' -count=1 -timeout 30m ./internal/heap/ ./internal/pipeline/
-	go run -race ./cmd/tfbench -tlab 64 -gc-torture -verify-heap telemetry >/dev/null
+tier2-lattice:
+	GC_TORTURE_FULL=1 go test -run TestModeLattice -count=1 -timeout 60m ./internal/pipeline/
 
 tier2-scenario:
-	go test -race -run TestScenario -count=1 -timeout 30m ./internal/scenario/
-	go run -race ./cmd/tfbench -scenario testdata/scenarios/torture.tfs >/dev/null
+	mkdir -p .bench_build
+	go build -race -o .bench_build/tfbench-race ./cmd/tfbench
+	for f in testdata/scenarios/*torture.tfs; do \
+		out=$$(.bench_build/tfbench-race -scenario $$f) || exit 1; \
+		if echo "$$out" | grep -e 'faulted' -e 'error: '; then exit 1; fi; \
+	done
 
 tier2-serve:
-	go test -race -count=1 -timeout 30m ./internal/serve/ ./cmd/tfserve/
-	go test -race -run 'TestBudget|TestLadderOutcomeSplit|TestNurseryTLABLadder' -count=1 -timeout 30m ./internal/pipeline/
-	go test -race -run 'TestSchedulerOrder|TestRunQueue|TestRecycledStack' -count=1 -timeout 30m ./internal/tasking/
-	go run -race ./cmd/tfbench -scenario testdata/scenarios/overload-torture.tfs >/dev/null
+	mkdir -p .bench_build
 	go build -o .bench_build/tfserve ./cmd/tfserve
 	timeout 2 .bench_build/tfserve -marksweep -period 3000 -requests 16000 -queue 8 -inflight 4 -retries 6 >/dev/null
 
-tier2-concurrent:
-	go test -race -run 'TestDifferentialConcurrent|TestConcurrent' -count=1 -timeout 30m ./internal/pipeline/
-	go run -race ./cmd/tfbench -scenario testdata/scenarios/concurrent-torture.tfs >/dev/null
-
-tier2-shard:
-	go test -race -run 'TestDifferentialShards|TestShard' -count=1 -timeout 30m ./internal/pipeline/
-	go test -race -run TestShardedOverloadLedgerBalances -count=1 -timeout 30m ./internal/serve/
-	go run -race ./cmd/tfbench -scenario testdata/scenarios/shard-torture.tfs >/dev/null
-
-tier2-liveness:
-	go test -race -run 'TestHeapLiveness|TestPoisonTraps' -count=1 -timeout 30m ./internal/pipeline/
-	go run -race ./cmd/tfbench -scenario testdata/scenarios/liveness-torture.tfs >/dev/null
-
-tier2-single:
-	go test -race -run 'TestSingleTask|TestStepLimit|TestResilienceCounters|TestTortureDifferentialSingle|TestDifferentialConcurrentVM|TestDifferentialNurseryWorkloads' -count=1 -timeout 30m ./internal/pipeline/
-	go test -race -run 'TestLoneTask|TestStepLimit' -count=1 -timeout 30m ./internal/tasking/
-	go test -race -count=1 -timeout 30m ./internal/vm/ ./internal/workloads/
-	go build -race -o .bench_build/tfgc-race ./cmd/tfgc
-	for p in testdata/progs/*.ml; do for d in "" -marksweep "-gc-nursery 256"; do \
-		.bench_build/tfgc-race run -heap 4096 -gc-torture -verify-heap $$d $$p >/dev/null || exit 1; \
-	done; done
+tier2-bench:
+	go test -run xxx -bench . -benchtime 1x ./internal/gc/ ./internal/tasking/ ./internal/pipeline/ >/dev/null
 
 LOC_FILES = find $(1) -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*'
 LOC_COUNT = $$($(LOC_FILES) | xargs cat | wc -l) ($$($(LOC_FILES) | xargs cat | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//') without blank and comment lines)
@@ -226,12 +165,6 @@ profile-compile:
 		-test.benchtime 1s -test.memprofile ../../.bench_build/compile-mem.prof -test.memprofilerate 4096 >/dev/null
 	go tool pprof -top -nodecount 12 .bench_build/pipeline.test .bench_build/compile.prof 2>/dev/null
 	go tool pprof -sample_index=alloc_space -top -nodecount 12 .bench_build/pipeline.test .bench_build/compile-mem.prof 2>/dev/null
-
-tier2-torture: tier1
-	GC_TORTURE_FULL=1 go test -race -run 'TestTorture|TestRecoveryLadder|TestWatchdog' -count=1 -timeout 30m ./internal/pipeline/
-
-tier2-bench: tier1
-	go test -race -run 'TestFastPath|TestFirstTouchRace|TestComponentsMatchResolutionTasks' -count=1 ./internal/gc/ ./internal/pipeline/
 
 benchmark:
 	go run ./benchmark

@@ -97,9 +97,8 @@ func main() {
 // per-collection telemetry — the table form for reading, the JSON form for
 // tooling. Every runtime flag applies to every run, so -verify-heap and
 // -gc-torture turn the report into a GC stress run over the whole corpus,
-// -gc-nursery runs it generationally (tier2-nursery combines all three under
-// -race) and -tlab grows the refill/fast/shared/waste columns plus the
-// cumulative tlab line. A row whose discipline the flags' modes refuse
+// -gc-nursery runs it generationally and -tlab grows the
+// refill/fast/shared/waste columns plus the cumulative tlab line. A row whose discipline the flags' modes refuse
 // (pipeline.Rules) is reported as a skip with the reasons, never run with
 // the mode quietly dropped.
 func telemetryReport(base pipeline.Options, asJSON bool) {

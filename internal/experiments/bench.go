@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"tagfree/internal/gc"
-	"tagfree/internal/heap"
 	"tagfree/internal/pipeline"
 	"tagfree/internal/stats"
 	"tagfree/internal/tasking"
@@ -54,29 +53,17 @@ type minorRun struct {
 // repeated Collect calls on those roots are the pause benchmark.
 // nurseryWords > 0 puts a generational nursery in front of the heap.
 func benchGroup(w workloads.TaskWorkload, ms bool, nurseryWords, promote int) (*tasking.Group, []gc.TaskRoots) {
-	prog, _, err := pipeline.Build(w.Source, pipeline.Options{
-		Strategy:             gc.StratCompiled,
-		DisableGCWordElision: true,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("bench %s: %v", w.Name, err))
-	}
-	entries := make([]int, len(w.Entries))
-	for i, name := range w.Entries {
-		entries[i] = prog.FuncByName(name)
-	}
-	var h *heap.Heap
+	hw := w.HeapWords
 	if ms {
-		h = heap.NewMarkSweep(prog.Repr, 2*w.HeapWords)
-	} else {
-		h = heap.New(prog.Repr, w.HeapWords)
+		hw *= 2 // one space with the words of copying's two
 	}
-	if nurseryWords > 0 {
-		h.EnableNursery(nurseryWords, promote)
-	}
-	g, err := tasking.NewGroupWith(prog, h, gc.StratCompiled, entries)
+	g, entries, err := pipeline.BuildTaskGroup(w.Source, w.Entries, pipeline.Options{
+		Strategy: gc.StratCompiled, HeapWords: hw, MarkSweep: ms, NurseryWords: nurseryWords, PromoteAfter: promote})
 	if err != nil {
 		panic(fmt.Sprintf("bench %s: %v", w.Name, err))
+	}
+	for _, e := range entries {
+		g.Spawn(e)
 	}
 	if err := g.RunInit(); err != nil {
 		panic(fmt.Sprintf("bench %s: %v", w.Name, err))
@@ -89,12 +76,6 @@ func benchGroup(w workloads.TaskWorkload, ms bool, nurseryWords, promote int) (*
 		panic(fmt.Sprintf("bench %s: finished without collecting", w.Name))
 	}
 	return g, roots
-}
-
-// percentile is stats.Percentile — the one shared quantile rule, so the
-// bench and serve latency rows can never disagree on methodology.
-func percentile(sorted []int64, p float64) int64 {
-	return stats.Percentile(sorted, p)
 }
 
 // collectPauseRun measures `collections` repeated collections of one
@@ -134,7 +115,7 @@ func collectPauseRun(w workloads.TaskWorkload, par int, fast bool, collections i
 // median sorts a pause sample and returns its p50.
 func median(pauses []int64) int64 {
 	sort.Slice(pauses, func(i, j int) bool { return pauses[i] < pauses[j] })
-	return percentile(pauses, 0.50)
+	return stats.Percentile(pauses, 0.50)
 }
 
 // benchNurseryWords sizes the bench nursery: small enough that minors are

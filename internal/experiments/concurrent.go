@@ -19,6 +19,7 @@ import (
 
 	"tagfree/internal/gc"
 	"tagfree/internal/pipeline"
+	"tagfree/internal/stats"
 	"tagfree/internal/workloads"
 )
 
@@ -135,8 +136,8 @@ func E15ConcurrentMark(repeats int) *Table {
 				time.Duration(s.wallNS).String(),
 				fmt.Sprint(s.gcs),
 				fmt.Sprint(s.cycles),
-				fmt.Sprint(percentile(s.stops, 0.50)),
-				fmt.Sprint(percentile(s.stops, 0.99)),
+				fmt.Sprint(stats.Percentile(s.stops, 0.50)),
+				fmt.Sprint(stats.Percentile(s.stops, 0.99)),
 				fmt.Sprint(maxStop),
 				perCycle(s.slices),
 				perCycle(s.grays),

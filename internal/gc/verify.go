@@ -46,14 +46,11 @@ func (e *VerifyError) Error() string {
 func (c *Collector) verifyCollection(tasks []TaskRoots, globals []code.Word) {
 	errs := c.Heap.VerifyHeap()
 	if c.Strat != StratTagged {
-		v := &verifier{c: c, seen: map[code.Word]bool{}}
+		mem, _ := c.Heap.Words()
+		v := &verifier{c: c, seen: make([]bool, len(mem))}
 		var st Stats // resolution stats of the re-walk are discarded
 		c.eachRoot(tasks, globals, &st, func(task, idx int, g TypeGC, w code.Word) {
-			if task < 0 {
-				v.where = fmt.Sprintf("global %d (%s)", idx, c.Prog.Globals[idx].Name)
-			} else {
-				v.where = fmt.Sprintf("task %d stack slot %d", task, idx)
-			}
+			v.task, v.idx = task, idx
 			v.walk(g, w)
 		})
 		errs = append(errs, v.errs...)
@@ -63,23 +60,34 @@ func (c *Collector) verifyCollection(tasks []TaskRoots, globals []code.Word) {
 	}
 }
 
-// verifier re-walks reachable structure read-only. seen keys on the
-// pointer word: objects never move between EndGC and the walk, and each
-// object is checked through every root type that reaches it first.
+// verifier re-walks reachable structure read-only. seen is indexed by the
+// word an object starts at: objects never move between EndGC and the walk,
+// and each object is checked through every root type that reaches it first.
+// task and idx name the root being walked (task -1: global idx).
 type verifier struct {
-	c     *Collector
-	seen  map[code.Word]bool
-	where string
-	errs  []error
+	c         *Collector
+	seen      []bool
+	task, idx int
+	errs      []error
+}
+
+// where names the root being walked, for a violation's message.
+func (v *verifier) where() string {
+	if v.task < 0 {
+		return fmt.Sprintf("global %d (%s)", v.idx, v.c.Prog.Globals[v.idx].Name)
+	}
+	return fmt.Sprintf("task %d stack slot %d", v.task, v.idx)
 }
 
 func (v *verifier) checkBlock(w code.Word, n int) bool {
-	if v.seen[w] {
-		return false
+	if i := code.DecodePtr(v.c.Heap.Repr, w) - code.HeapBase; i >= 0 && i < len(v.seen) {
+		if v.seen[i] {
+			return false
+		}
+		v.seen[i] = true
 	}
-	v.seen[w] = true
 	if err := v.c.Heap.CheckLive(w, n); err != nil {
-		v.errs = append(v.errs, fmt.Errorf("reachable from %s: %v", v.where, err))
+		v.errs = append(v.errs, fmt.Errorf("reachable from %s: %v", v.where(), err))
 		return false
 	}
 	return true
@@ -96,13 +104,13 @@ func (v *verifier) badHeader(g TypeGC, w code.Word) bool {
 	case *dataG:
 		if tag := g.tag(c, w); tag < 0 || tag >= len(g.layout.Boxed) {
 			v.errs = append(v.errs, fmt.Errorf("reachable from %s: constructor tag %d outside layout (%d boxed forms)",
-				v.where, tag, len(g.layout.Boxed)))
+				v.where(), tag, len(g.layout.Boxed)))
 			return true
 		}
 	case *arrowG:
 		if fidx := int(code.DecodeInt(c.Heap.Repr, c.Heap.Field(w, 0))); fidx < 0 || fidx >= len(c.Prog.Funcs) {
 			v.errs = append(v.errs, fmt.Errorf("reachable from %s: closure code index %d outside program (%d functions)",
-				v.where, fidx, len(c.Prog.Funcs)))
+				v.where(), fidx, len(c.Prog.Funcs)))
 			return true
 		}
 	}

@@ -228,6 +228,70 @@ func (h *Heap) msEndGC() {
 	}
 }
 
+// Coalesce is the mark/sweep heap's last resort before an allocation of n
+// fields faults for want of a block of its size class — with allocation
+// buffers, the region ends up tiled with exact-size tails no object
+// matches. It gives a run of adjacent gaps that ends at the bump pointer
+// back to the bump region and, if the bump region still cannot take the
+// object, cuts the largest run of adjacent gaps into blocks of its size. It
+// reports whether the object fits now. Only the recovery ladder calls it,
+// once collection and growth have failed, so a run that never exhausts the
+// heap never coalesces.
+func (h *Heap) Coalesce(n int) bool {
+	total := h.objWords(n)
+	if h.kind != MarkSweep || h.inGC || h.tlabs.live > 0 || h.gapSize == nil || h.youngFits(total) {
+		return false
+	}
+	type run struct{ base, size int }
+	var runs []run
+	h.eachGap(func(base, size int) {
+		if k := len(runs) - 1; k >= 0 && runs[k].base+runs[k].size == base {
+			runs[k].size += size
+		} else {
+			runs = append(runs, run{base, size})
+		}
+	})
+	if k := len(runs) - 1; k >= 0 && runs[k].base+runs[k].size == h.alloc {
+		h.alloc = runs[k].base
+		runs = runs[:k]
+	}
+	if h.alloc+total > h.limit {
+		var best run
+		for _, r := range runs {
+			if r.size > best.size {
+				best = r
+			}
+		}
+		if end := best.base + best.size; best.size >= total {
+			for b := best.base; b+total <= end; b += total {
+				h.gapSize[b] = int32(total)
+			}
+			if r := best.size % total; r > 0 {
+				h.gapSize[end-r] = int32(r)
+			}
+		}
+	}
+	for k := range h.free {
+		h.free[k] = h.free[k][:0]
+	}
+	h.eachGap(func(base, size int) { h.freePush(size, base) })
+	return h.msCanAlloc(total)
+}
+
+// eachGap calls f for every swept gap below the bump pointer, in address
+// order.
+func (h *Heap) eachGap(f func(base, size int)) {
+	for base := h.fromOff; base < h.alloc; {
+		if n := int(h.objSize[base]); n > 0 {
+			base += n
+			continue
+		}
+		n := int(h.gapSize[base])
+		f(base, n)
+		base += n
+	}
+}
+
 // SetDebugAccess enables per-access validation: reading or writing a field
 // of a freed block panics with the offending offset (tests only).
 func (h *Heap) SetDebugAccess(on bool) { h.debugAccess = on }

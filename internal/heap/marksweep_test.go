@@ -180,3 +180,47 @@ func TestMarkSweepOOMReportsFreeListWords(t *testing.T) {
 		t.Fatalf("error message hides the free-list storage: %q", oom.Error())
 	}
 }
+
+// TestCoalesceReusesMismatchedBlocks: a region tiled with live objects and
+// free blocks of other sizes — the tails retired allocation buffers leave —
+// serves no 1-word request until Coalesce cuts the largest run of adjacent
+// gaps into blocks of that size; a run ending at the bump pointer goes back
+// to the bump region instead. The tiling stays sound throughout.
+func TestCoalesceReusesMismatchedBlocks(t *testing.T) {
+	h := NewMarkSweep(code.ReprTagFree, 16)
+	sizes := []int{3, 3, 3, 3, 3, 1}
+	var objs []code.Word
+	for _, n := range sizes {
+		objs = append(objs, h.MustAlloc(n))
+	}
+	verify := func() {
+		t.Helper()
+		if errs := h.VerifyHeap(); errs != nil {
+			t.Fatal(errs)
+		}
+	}
+	collect := func(keep ...int) {
+		h.BeginGC()
+		for _, i := range keep {
+			h.VisitObject(objs[i], sizes[i])
+		}
+		h.EndGC()
+		verify()
+	}
+	collect(0, 3, 5) // objects 1 and 2 die side by side, 4 alone
+	if !h.Need(1) || !h.Coalesce(1) {
+		t.Fatal("want no 1-word block before coalescing and one after")
+	}
+	verify()
+	for i := 0; i < 6; i++ {
+		h.MustAlloc(1) // the 6-word run, cut in six
+	}
+	if !h.Need(1) || h.Need(3) {
+		t.Fatal("the run should be used up and the lone 3-word block kept")
+	}
+	collect(0) // everything above the first object dies
+	if !h.Coalesce(4) || h.Used() != 3 {
+		t.Fatalf("the run at the bump pointer did not go back to the bump region: %d words used", h.Used())
+	}
+	verify()
+}

@@ -132,10 +132,8 @@ func (h *Heap) verifyMarkSweep() []error {
 	var errs []error
 	// Block tiling: every word below the bump pointer is inside exactly one
 	// object or one swept gap.
-	starts := map[int]int{} // object start -> size
 	for base := h.fromOff; base < h.alloc; {
 		if n := int(h.objSize[base]); n > 0 {
-			starts[base] = n
 			base += n
 			continue
 		}
@@ -156,19 +154,20 @@ func (h *Heap) verifyMarkSweep() []error {
 		}
 	}
 	// Free-list disjointness: no block on two lists, every entry a swept
-	// gap of exactly its size class, inside the allocated region.
-	seen := map[int]int{} // base -> size class
+	// gap of exactly its size class, inside the allocated region. seen holds
+	// each listed block's size class plus one.
+	seen := make([]int32, len(h.mem))
 	for n, list := range h.free {
 		for _, base := range list {
-			if prev, dup := seen[base]; dup {
-				errs = append(errs, fmt.Errorf("heap verify: block %d on both the %d-word and %d-word free lists", base, prev, n))
-				continue
-			}
-			seen[base] = n
 			if base < h.fromOff || base >= h.alloc {
 				errs = append(errs, fmt.Errorf("heap verify: free-list block %d outside allocated region [%d, %d)", base, h.fromOff, h.alloc))
 				continue
 			}
+			if prev := seen[base]; prev != 0 {
+				errs = append(errs, fmt.Errorf("heap verify: block %d on both the %d-word and %d-word free lists", base, prev-1, n))
+				continue
+			}
+			seen[base] = int32(n) + 1
 			if h.objSize[base] != 0 {
 				errs = append(errs, fmt.Errorf("heap verify: free-list block %d is allocated (size %d)", base, h.objSize[base]))
 				continue

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"tagfree/internal/gc"
-	"tagfree/internal/workloads"
 )
 
 // Differential testing: generate random well-typed MinML programs, compute
@@ -350,114 +349,6 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 				t.Fatalf("seed %d [ms=%v cfa=%v]: got %d, reference %d\nprogram:\n%s",
 					seed, extra.MarkSweep, extra.UseCFA, res.Value, want, src)
 			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Cross-strategy differential suite: every corpus workload runs under all
-// four strategies × {copying, mark/sweep where legal} × {sequential,
-// parallel}, and every configuration must (a) compute the workload's known
-// result and (b) — between the sequential oracle and the parallel path of
-// the same strategy and discipline — retain exactly the same number of
-// live words after every collection. The live-word sequence is the
-// cheapest whole-heap signature: any divergence in what a configuration
-// retains or drops shows up in it.
-// ---------------------------------------------------------------------------
-
-// diffConfigs enumerates the legal (strategy, discipline) pairs: mark/sweep
-// needs per-object extents from compiler metadata, which the tagged
-// strategy does not keep.
-func diffConfigs() []struct {
-	Strat gc.Strategy
-	MS    bool
-} {
-	var out []struct {
-		Strat gc.Strategy
-		MS    bool
-	}
-	for _, strat := range []gc.Strategy{gc.StratCompiled, gc.StratInterp, gc.StratAppel, gc.StratTagged} {
-		for _, ms := range []bool{false, true} {
-			if ms && strat == gc.StratTagged {
-				continue
-			}
-			out = append(out, struct {
-				Strat gc.Strategy
-				MS    bool
-			}{strat, ms})
-		}
-	}
-	return out
-}
-
-func TestDifferentialWorkloadsCrossStrategy(t *testing.T) {
-	for _, w := range workloads.All {
-		for _, cfg := range diffConfigs() {
-			name := fmt.Sprintf("%s/%v/ms=%v", w.Name, cfg.Strat, cfg.MS)
-			t.Run(name, func(t *testing.T) {
-				hw := w.HeapWords
-				if cfg.MS {
-					// A mark/sweep heap is one space of hw words; double it
-					// so the configuration has the same total memory as
-					// copying's two semispaces.
-					hw *= 2
-				}
-				var lives [][]int64
-				for _, par := range []int{1, 4} {
-					res, err := Run(w.Source, Options{
-						Strategy:    cfg.Strat,
-						HeapWords:   hw,
-						MarkSweep:   cfg.MS,
-						Parallelism: par,
-						VerifyHeap:  true,
-					})
-					if err != nil {
-						t.Fatalf("par=%d: %v", par, err)
-					}
-					if res.Value != w.Expect {
-						t.Fatalf("par=%d: result %d, want %d", par, res.Value, w.Expect)
-					}
-					lives = append(lives, res.Telemetry.LiveWordsPerCollection())
-				}
-				if fmt.Sprint(lives[0]) != fmt.Sprint(lives[1]) {
-					t.Fatalf("live words per collection diverge:\n  seq %v\n  par %v", lives[0], lives[1])
-				}
-			})
-		}
-	}
-}
-
-func TestDifferentialTaskWorkloadsCrossStrategy(t *testing.T) {
-	for _, w := range workloads.Tasking {
-		for _, cfg := range diffConfigs() {
-			name := fmt.Sprintf("%s/%v/ms=%v", w.Name, cfg.Strat, cfg.MS)
-			t.Run(name, func(t *testing.T) {
-				var lives [][]int64
-				for _, par := range []int{1, 4} {
-					res, err := RunTasks(w.Source, w.Entries, Options{
-						Strategy:    cfg.Strat,
-						HeapWords:   w.HeapWords,
-						MarkSweep:   cfg.MS,
-						Parallelism: par,
-						VerifyHeap:  true,
-					})
-					if err != nil {
-						t.Fatalf("par=%d: %v", par, err)
-					}
-					for i, e := range w.Expect {
-						if res.Values[i] != e {
-							t.Fatalf("par=%d: task %d = %d, want %d", par, i, res.Values[i], e)
-						}
-					}
-					if res.Stats.Collections == 0 {
-						t.Fatalf("par=%d: no collections — workload exerts no heap pressure", par)
-					}
-					lives = append(lives, res.Telemetry.LiveWordsPerCollection())
-				}
-				if fmt.Sprint(lives[0]) != fmt.Sprint(lives[1]) {
-					t.Fatalf("live words per collection diverge:\n  seq %v\n  par %v", lives[0], lives[1])
-				}
-			})
 		}
 	}
 }

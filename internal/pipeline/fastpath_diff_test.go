@@ -5,60 +5,7 @@ import (
 	"testing"
 
 	"tagfree/internal/gc"
-	"tagfree/internal/workloads"
 )
-
-// Fast-path differential suite at the pipeline level: every corpus
-// workload, every legal (strategy, discipline) pair, sequential and
-// parallel, runs twice — once with the collection fast path and once with
-// DisableGCFastPath (the uncached oracle) — under the post-collection
-// heap verifier. Both runs must compute the workload's known result and
-// retain exactly the same live words after every collection. The
-// gc-package suite (fastpath_test.go) pins word-level heap identity on
-// the task corpus; this one sweeps the whole single-task corpus and the
-// non-compiled strategies, where the fast path must be a no-op.
-
-func TestDifferentialFastPathCrossStrategy(t *testing.T) {
-	for _, w := range workloads.All {
-		for _, cfg := range diffConfigs() {
-			name := fmt.Sprintf("%s/%v/ms=%v", w.Name, cfg.Strat, cfg.MS)
-			t.Run(name, func(t *testing.T) {
-				hw := w.HeapWords
-				if cfg.MS {
-					hw *= 2
-				}
-				var lives [][]int64
-				for _, par := range []int{1, 4} {
-					for _, disable := range []bool{true, false} {
-						res, err := Run(w.Source, Options{
-							Strategy:          cfg.Strat,
-							HeapWords:         hw,
-							MarkSweep:         cfg.MS,
-							Parallelism:       par,
-							DisableGCFastPath: disable,
-							VerifyHeap:        true,
-						})
-						if err != nil {
-							t.Fatalf("par=%d fast=%v: %v", par, !disable, err)
-						}
-						if res.Value != w.Expect {
-							t.Fatalf("par=%d fast=%v: result %d, want %d", par, !disable, res.Value, w.Expect)
-						}
-						if disable && (res.GCStats.PlanHits != 0 || res.GCStats.KernelWords != 0) {
-							t.Fatalf("par=%d: oracle run used the fast path: %+v", par, res.GCStats)
-						}
-						lives = append(lives, res.Telemetry.LiveWordsPerCollection())
-					}
-				}
-				for i := 1; i < len(lives); i++ {
-					if fmt.Sprint(lives[0]) != fmt.Sprint(lives[i]) {
-						t.Fatalf("live words per collection diverge:\n  base %v\n  cfg%d %v", lives[0], i, lives[i])
-					}
-				}
-			})
-		}
-	}
-}
 
 // TestFastPathSurvivesHeapGrow: the recovery ladder's growth rung swaps
 // the heap out from under a warm plan cache mid-run. Cached plans hold

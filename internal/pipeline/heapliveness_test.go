@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -17,10 +16,10 @@ import (
 // does not apply. Instead the suite proves the projection property
 // directly: the pruned retained set must be the full retained set with
 // some subtrees replaced by the poison word — never a different value,
-// never extra structure — and the mutator-visible behavior (every value,
-// every output, every fault) must be bit-identical, with the poison debug
-// mode armed so any wrong spine verdict faults on load instead of
-// silently reading garbage.
+// never extra structure. The mode lattice (lattice_test.go) holds whole
+// runs under pruning to the same projection, with the poison debug mode
+// armed so any wrong spine verdict faults on load instead of silently
+// reading garbage.
 
 // ---------------------------------------------------------------------------
 // Signature parsing: gc.RootSignature emits a flat (tag, value) stream —
@@ -136,6 +135,23 @@ func (p *projChecker) compare(on, off *sigNode) error {
 	}
 }
 
+// projects checks that a pruned signature is the full one with subtrees
+// replaced by the poison word, and counts the stand-ins.
+func projects(t *testing.T, pruned, full []code.Word) (int, error) {
+	onRoots, _ := parseSig(t, pruned)
+	offRoots, offObjs := parseSig(t, full)
+	if len(onRoots) != len(offRoots) {
+		return 0, fmt.Errorf("%d roots pruned, %d full — the runs were not aligned", len(onRoots), len(offRoots))
+	}
+	p := &projChecker{offObjs: offObjs, idMap: map[int]int{}}
+	for i := range onRoots {
+		if err := p.compare(onRoots[i], offRoots[i]); err != nil {
+			return 0, fmt.Errorf("root %d: %v", i, err)
+		}
+	}
+	return p.pruned, nil
+}
+
 // collectAndSign drives a freshly built task group to its first pending
 // collection, collects, and returns the canonical signature of everything
 // the collection retained (globals plus every task root).
@@ -183,90 +199,17 @@ func TestHeapLivenessRetainedSubset(t *testing.T) {
 				opts.PoisonPruned = true
 				pruned := collectAndSign(t, w, opts)
 
-				onRoots, _ := parseSig(t, pruned)
-				offRoots, offObjs := parseSig(t, full)
-				if len(onRoots) != len(offRoots) {
-					t.Fatalf("root count diverged: %d pruned vs %d full — the runs were not aligned", len(onRoots), len(offRoots))
+				n, err := projects(t, pruned, full)
+				if err != nil {
+					t.Fatal(err)
 				}
-				p := &projChecker{offObjs: offObjs, idMap: map[int]int{}}
-				for i := range onRoots {
-					if err := p.compare(onRoots[i], offRoots[i]); err != nil {
-						t.Fatalf("root %d: %v", i, err)
-					}
-				}
-				if w.Name == "taskspine" && p.pruned == 0 {
+				if w.Name == "taskspine" && n == 0 {
 					t.Error("taskspine: projection found no pruned subtrees — the spine verdicts never reached a kernel")
 				}
 				if len(pruned) > len(full) {
 					t.Errorf("pruned signature (%d words) larger than full (%d words)", len(pruned), len(full))
 				}
 			})
-		}
-	}
-}
-
-// TestHeapLivenessCorpusIdentical runs every corpus workload with pruning
-// off and on (poison armed) across both disciplines and requires
-// bit-identical mutator-visible behavior. The torture rows additionally
-// collect before every allocation, which keeps the two runs' collection
-// schedules aligned end-to-end, so the per-collection live-word sequences
-// are comparable: pruning must never retain more at any collection, and
-// on taskspine it must retain strictly less in total.
-func TestHeapLivenessCorpusIdentical(t *testing.T) {
-	for _, w := range workloads.Tasking {
-		for _, ms := range []bool{false, true} {
-			for _, torture := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/ms=%v/torture=%v", w.Name, ms, torture), func(t *testing.T) {
-					opts := Options{
-						Strategy:   gc.StratCompiled,
-						HeapWords:  w.HeapWords,
-						MarkSweep:  ms,
-						Torture:    torture,
-						VerifyHeap: torture, // verified stress on the torture rows
-					}
-					off, err := RunTasks(w.Source, w.Entries, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts.GCHeapLiveness = true
-					opts.PoisonPruned = true
-					on, err := RunTasks(w.Source, w.Entries, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range w.Entries {
-						if off.Values[i] != on.Values[i] || off.Outputs[i] != on.Outputs[i] {
-							t.Errorf("task %d diverged: %d/%q full vs %d/%q pruned",
-								i, off.Values[i], off.Outputs[i], on.Values[i], on.Outputs[i])
-						}
-						if (off.Faults[i] == nil) != (on.Faults[i] == nil) {
-							t.Errorf("task %d fault divergence: full %v, pruned %v", i, off.Faults[i], on.Faults[i])
-						}
-						if off.Values[i] != w.Expect[i] {
-							t.Errorf("task %d = %d, want %d", i, off.Values[i], w.Expect[i])
-						}
-					}
-					if !torture {
-						return
-					}
-					liveOff := off.Telemetry.LiveWordsPerCollection()
-					liveOn := on.Telemetry.LiveWordsPerCollection()
-					if len(liveOff) != len(liveOn) {
-						t.Fatalf("torture schedules diverged: %d vs %d collections", len(liveOff), len(liveOn))
-					}
-					var sumOff, sumOn int64
-					for i := range liveOff {
-						if liveOn[i] > liveOff[i] {
-							t.Fatalf("collection %d: pruning retained %d words, full tracing only %d", i, liveOn[i], liveOff[i])
-						}
-						sumOff += liveOff[i]
-						sumOn += liveOn[i]
-					}
-					if w.Name == "taskspine" && sumOn >= sumOff {
-						t.Errorf("taskspine under torture: pruning retained %d total words, full tracing %d — nothing was pruned", sumOn, sumOff)
-					}
-				})
-			}
 		}
 	}
 }
@@ -317,88 +260,5 @@ let main () = probe ()
 		t.Error("tasking: armed poison mode did not fault the loading task")
 	} else if !strings.Contains(tres.Faults[0].Error(), "poison") {
 		t.Errorf("tasking: fault is not a poison diagnostic: %v", tres.Faults[0])
-	}
-}
-
-// TestHeapLivenessModeMatrixFuzz crosses -gc-heap-liveness with the other
-// runtime modes — disciplines, nursery, shards, TLABs, concurrent
-// marking, parallel collection, allocation-failure injection — over 32
-// seeded configurations. Every configuration must behave bit-identically
-// to its pruning-off twin (poison armed), and every collection under
-// pruning must be accounted for: either it pruned, or the refusal was
-// counted under a degrade reason. Out-of-envelope combinations degrade;
-// they never diverge and never go unreported.
-func TestHeapLivenessModeMatrixFuzz(t *testing.T) {
-	for seed := 0; seed < 32; seed++ {
-		seed := seed
-		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(seed)))
-			w := workloads.Tasking[seed%len(workloads.Tasking)]
-			opts := Options{
-				Strategy:  gc.StratCompiled,
-				HeapWords: w.HeapWords,
-				MarkSweep: rng.Intn(2) == 1,
-			}
-			switch rng.Intn(3) {
-			case 1:
-				opts.NurseryWords = 256
-			case 2:
-				opts.NurseryWords = 512
-			}
-			if opts.NurseryWords > 0 && rng.Intn(2) == 1 {
-				opts.Shards = 2 << rng.Intn(2) // 2 or 4
-			}
-			if opts.MarkSweep && opts.NurseryWords == 0 && rng.Intn(2) == 1 {
-				opts.GCConcurrent = true
-			}
-			if !opts.GCConcurrent && rng.Intn(3) == 0 {
-				opts.Parallelism = 4
-			}
-			if rng.Intn(2) == 1 {
-				opts.TLABWords = 64
-			}
-			if rng.Intn(4) == 0 {
-				opts.FailAllocEvery = 50
-			}
-
-			off, err := RunTasks(w.Source, w.Entries, opts)
-			if err != nil {
-				t.Fatalf("off [%+v]: %v", opts, err)
-			}
-			opts.GCHeapLiveness = true
-			opts.PoisonPruned = true
-			on, err := RunTasks(w.Source, w.Entries, opts)
-			if err != nil {
-				t.Fatalf("on [%+v]: %v", opts, err)
-			}
-			for i := range w.Entries {
-				if off.Values[i] != on.Values[i] || off.Outputs[i] != on.Outputs[i] {
-					t.Errorf("task %d diverged: %d/%q full vs %d/%q pruned",
-						i, off.Values[i], off.Outputs[i], on.Values[i], on.Outputs[i])
-				}
-				offF, onF := off.Faults[i], on.Faults[i]
-				if (offF == nil) != (onF == nil) {
-					t.Fatalf("task %d fault divergence: full %v, pruned %v", i, offF, onF)
-				}
-				if offF != nil && offF.Kind != onF.Kind {
-					t.Errorf("task %d fault kind diverged: %v vs %v", i, offF.Kind, onF.Kind)
-				}
-			}
-			lv := on.Liveness
-			accounted := lv.PruneCollections + lv.DegradedStrategy + lv.DegradedFastPath +
-				lv.DegradedParallel + lv.DegradedShard + lv.DegradedConcurrent
-			if on.GCStats.Collections > 0 && accounted == 0 {
-				t.Errorf("pruning on, %d collections, but no collection pruned and no degrade was counted: %+v",
-					on.GCStats.Collections, lv)
-			}
-			if opts.GCConcurrent && lv.DegradedConcurrent == 0 {
-				for _, rec := range on.Telemetry.Records {
-					if rec.Conc != nil {
-						t.Errorf("a concurrent cycle finished but no concurrent degrade was counted: %+v", lv)
-						break
-					}
-				}
-			}
-		})
 	}
 }

@@ -133,69 +133,6 @@ let main () = x
 	}
 }
 
-// TestConcurrentCyclesUnderSuspendAtAllocs: a concurrent cycle's start and
-// finish pauses ride the Rgc wave, and under SuspendAtAllocs a task reaches
-// the wave parked at an allocation. That is not an allocation failure: the
-// wave must be consumed by the cycle, not degrade to stop-the-world. Every
-// workload that cycles under suspend-at-calls must cycle under
-// suspend-at-allocs too, computing the same values and leaving the same
-// live heap.
-func TestConcurrentCyclesUnderSuspendAtAllocs(t *testing.T) {
-	for _, w := range workloads.Tasking {
-		t.Run(w.Name, func(t *testing.T) {
-			opts := Options{
-				Strategy: gc.StratCompiled, HeapWords: w.HeapWords, MarkSweep: true,
-				GCConcurrent: true, ConcTriggerPct: 40, ConcMarkBudget: 128,
-			}
-			calls := concTaskRun(t, w, opts)
-			opts.SuspendAtAllocs = true
-			allocs := concTaskRun(t, w, opts)
-			if concCycles(calls.res) == 0 {
-				t.Skip("the workload never reaches the trigger under either policy")
-			}
-			if concCycles(allocs.res) == 0 {
-				t.Fatalf("no concurrent cycle completed under SuspendAtAllocs (%d of %d collections under SuspendAtCalls)",
-					concCycles(calls.res), len(calls.res.Telemetry.Records))
-			}
-			if fmt.Sprint(allocs.res.Values) != fmt.Sprint(calls.res.Values) ||
-				joinOutputs(allocs.res) != joinOutputs(calls.res) {
-				t.Fatal("the suspension policy changed observable behavior")
-			}
-			if fmt.Sprint(allocs.signature) != fmt.Sprint(calls.signature) {
-				t.Fatalf("live-heap signatures diverge (at allocs %d words, at calls %d words)",
-					len(allocs.signature), len(calls.signature))
-			}
-		})
-	}
-}
-
-// TestDisableLivenessVerifiesCleanOnTasks: frame maps widened by
-// DisableLiveness name slots a function has not initialized yet, so frames
-// must be zero-filled at entry wherever the program runs. (The task path
-// used to skip it: taskmutate on mark/sweep then traced a stale word as a
-// pointer and the verifier panicked.)
-func TestDisableLivenessVerifiesCleanOnTasks(t *testing.T) {
-	for _, w := range workloads.Tasking {
-		for _, ms := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/ms=%v", w.Name, ms), func(t *testing.T) {
-				res, err := RunTasks(w.Source, w.Entries, Options{
-					Strategy: gc.StratCompiled, HeapWords: w.HeapWords, MarkSweep: ms,
-					DisableLiveness: true, VerifyHeap: true,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprint(res.Values) != fmt.Sprint(w.Expect) {
-					t.Fatalf("values %v, want %v", res.Values, w.Expect)
-				}
-				if res.Heap.Collections == 0 {
-					t.Fatal("the run never collected")
-				}
-			})
-		}
-	}
-}
-
 // TestSingleTaskHonoursTaskOptions: the options that shape how a task
 // allocates and how long it may run mean the same thing for main as for any
 // task — none is dropped on the way to the group of one. Shards is the one

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -33,9 +32,9 @@ let mod_a () = work 25 0
 let mod_b () = work 25 500
 `
 
-// ladderDisciplines mirrors diffConfigs' discipline split for the compiled
-// strategy: the ladder is strategy-independent, so one strategy per
-// discipline keeps the table focused on the heap behavior under test.
+// ladderDisciplines are the two disciplines of the compiled strategy: the
+// ladder is strategy-independent, so one strategy per discipline keeps the
+// table focused on the heap behavior under test.
 var ladderDisciplines = []struct {
 	name string
 	ms   bool
@@ -192,131 +191,6 @@ func TestRecoveryLadderRungs(t *testing.T) {
 					rung.check(t, res)
 				})
 			}
-		}
-	}
-}
-
-// tortureTaskSrc is a scaled-down churn/tree/poly mix: enough allocation
-// variety to exercise every allocating opcode as a collection point, small
-// enough that collecting before every allocation stays cheap.
-const tortureTaskSrc = `
-type tree = Leaf | Node of tree * int * tree
-let rec upto n = if n = 0 then [] else n :: upto (n - 1)
-let rec sum xs = match xs with | [] -> 0 | x :: r -> x + sum r
-let rec map f xs = match xs with | [] -> [] | x :: r -> f x :: map f r
-let rec build n = if n = 0 then Leaf else Node (build (n - 1), n, build (n - 1))
-let rec tsum t = match t with | Leaf -> 0 | Node (l, v, r) -> tsum l + v + tsum r
-let churn () = sum (map (fun v -> v * 2) (upto 12)) + sum (upto 9)
-let trees () = tsum (build 4) + tsum (build 3)
-let boxes () = (let r = ref 5 in (r := !r + sum (upto 6); !r))
-`
-
-// TestTortureDifferentialTasking runs a compact multi-task workload with a
-// collection before every allocation and the heap verifier on, across
-// every legal strategy × discipline × parallelism. Results must match a
-// torture-free run — torture moves every collection point, so this
-// exercises safe-point bookkeeping at every allocation site. The full
-// corpus variant is TestTortureCorpusFull (tier2-torture).
-func TestTortureDifferentialTasking(t *testing.T) {
-	entries := []string{"churn", "trees", "boxes"}
-	ref, err := RunTasks(tortureTaskSrc, entries, Options{
-		Strategy: gc.StratCompiled, HeapWords: 1024,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range diffConfigs() {
-		t.Run(fmt.Sprintf("%v/ms=%v", cfg.Strat, cfg.MS), func(t *testing.T) {
-			for _, par := range []int{1, 4} {
-				res, err := RunTasks(tortureTaskSrc, entries, Options{
-					Strategy:    cfg.Strat,
-					HeapWords:   1024,
-					MarkSweep:   cfg.MS,
-					Parallelism: par,
-					VerifyHeap:  true,
-					Torture:     true,
-				})
-				if err != nil {
-					t.Fatalf("par=%d: %v", par, err)
-				}
-				for i, e := range ref.Values {
-					if res.Values[i] != e {
-						t.Fatalf("par=%d: task %d = %d, want %d", par, i, res.Values[i], e)
-					}
-				}
-				if res.Telemetry.Resilience.TortureCollections == 0 {
-					t.Fatalf("par=%d: torture mode never collected", par)
-				}
-			}
-		})
-	}
-}
-
-// TestTortureDifferentialSingle tortures one compact single-program
-// workload under every strategy with the verifier on.
-func TestTortureDifferentialSingle(t *testing.T) {
-	const src = tortureTaskSrc + `
-let main () = churn () + trees () + boxes ()
-`
-	ref, err := Run(src, Options{Strategy: gc.StratCompiled, HeapWords: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range diffConfigs() {
-		t.Run(fmt.Sprintf("%v/ms=%v", cfg.Strat, cfg.MS), func(t *testing.T) {
-			res, err := Run(src, Options{
-				Strategy:   cfg.Strat,
-				HeapWords:  1024,
-				MarkSweep:  cfg.MS,
-				VerifyHeap: true,
-				Torture:    true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Value != ref.Value {
-				t.Fatalf("result %d, want %d", res.Value, ref.Value)
-			}
-			if res.Telemetry.Resilience.TortureCollections == 0 {
-				t.Fatal("torture mode never collected")
-			}
-		})
-	}
-}
-
-// TestTortureCorpusFull is the heavyweight stress pass: the entire task
-// corpus under torture with the verifier on, every legal configuration.
-// Several minutes of wall clock, so it only runs when GC_TORTURE_FULL is
-// set — `make tier2-torture` does, under the race detector.
-func TestTortureCorpusFull(t *testing.T) {
-	if os.Getenv("GC_TORTURE_FULL") == "" {
-		t.Skip("set GC_TORTURE_FULL=1 (or run make tier2-torture) for the full torture sweep")
-	}
-	for _, w := range workloads.Tasking {
-		for _, cfg := range diffConfigs() {
-			t.Run(fmt.Sprintf("%s/%v/ms=%v", w.Name, cfg.Strat, cfg.MS), func(t *testing.T) {
-				for _, par := range []int{1, 4} {
-					res, err := RunTasks(w.Source, w.Entries, Options{
-						Strategy:    cfg.Strat,
-						HeapWords:   w.HeapWords,
-						MarkSweep:   cfg.MS,
-						Parallelism: par,
-						VerifyHeap:  true,
-						Torture:     true,
-					})
-					if err != nil {
-						t.Fatalf("par=%d: %v", par, err)
-					}
-					for i, e := range w.Expect {
-						if res.Values[i] != e {
-							t.Fatalf("par=%d: task %d = %d, want %d", par, i, res.Values[i], e)
-						}
-					}
-					if res.Telemetry.Resilience.TortureCollections == 0 {
-						t.Fatalf("par=%d: torture mode never collected", par)
-					}
-				}
-			})
 		}
 	}
 }

@@ -2,95 +2,11 @@ package pipeline
 
 import (
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 
 	"tagfree/internal/gc"
 	"tagfree/internal/workloads"
 )
-
-// shardRun executes a task workload at the given shard count (0 = the
-// unsharded baseline) and returns the per-task values, joined outputs and
-// the final live-heap signature.
-func shardRun(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bool, shards int, assign []int) ([]int64, string, string) {
-	t.Helper()
-	res, err := RunTasks(w.Source, w.Entries, Options{
-		Strategy:     strat,
-		HeapWords:    w.HeapWords,
-		MarkSweep:    ms,
-		VerifyHeap:   true,
-		NurseryWords: 256,
-		Shards:       shards,
-		ShardAssign:  assign,
-	})
-	if err != nil {
-		t.Fatalf("shards=%d: %v", shards, err)
-	}
-	for i, e := range w.Expect {
-		if res.Values[i] != e {
-			t.Fatalf("shards=%d: task %d = %d, want %d", shards, i, res.Values[i], e)
-		}
-	}
-	sig := fmt.Sprint(res.Group.Col.LiveSignature(res.Group.Globals))
-	return res.Values, strings.Join(res.Outputs, "\x00"), sig
-}
-
-// TestDifferentialShardsTasks pins the sharded heap's equivalence: for
-// every task workload, tag-free strategy and discipline, running with the
-// nursery partitioned into 2 or 4 shards must produce bit-identical task
-// values, outputs and final live-heap signature to the unsharded
-// generational run. Shard minors relocate objects on a different schedule
-// than global minors, so addresses differ — LiveSignature compares the
-// reachable heap shape, which must not.
-func TestDifferentialShardsTasks(t *testing.T) {
-	for _, w := range workloads.Tasking {
-		for _, cfg := range diffConfigs() {
-			if cfg.Strat == gc.StratTagged {
-				continue // sharding (like the nursery) is tag-free only
-			}
-			name := fmt.Sprintf("%s/%v/ms=%v", w.Name, cfg.Strat, cfg.MS)
-			t.Run(name, func(t *testing.T) {
-				baseVals, baseOut, baseSig := shardRun(t, w, cfg.Strat, cfg.MS, 0, nil)
-				for _, shards := range []int{2, 4} {
-					vals, out, sig := shardRun(t, w, cfg.Strat, cfg.MS, shards, nil)
-					if fmt.Sprint(vals) != fmt.Sprint(baseVals) || out != baseOut {
-						t.Fatalf("shards=%d changed observable behavior", shards)
-					}
-					if sig != baseSig {
-						t.Fatalf("shards=%d: live-heap signature diverges from the unsharded run", shards)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestShardAssignInterleavingFuzz permutes the task→shard assignment:
-// every placement of the same tasks over 3 shards must reach the same
-// values, outputs and live-heap signature, even though each permutation
-// interleaves shard minors with the other shards' mutation differently.
-func TestShardAssignInterleavingFuzz(t *testing.T) {
-	w, ok := workloads.TaskByName("taskchurn")
-	if !ok {
-		t.Fatal("taskchurn workload missing")
-	}
-	baseVals, baseOut, baseSig := shardRun(t, w, gc.StratCompiled, false, 0, nil)
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 8; trial++ {
-		assign := make([]int, len(w.Entries))
-		for i := range assign {
-			assign[i] = rng.Intn(3)
-		}
-		vals, out, sig := shardRun(t, w, gc.StratCompiled, false, 3, assign)
-		if fmt.Sprint(vals) != fmt.Sprint(baseVals) || out != baseOut {
-			t.Fatalf("assign=%v changed observable behavior", assign)
-		}
-		if sig != baseSig {
-			t.Fatalf("assign=%v: live-heap signature diverges", assign)
-		}
-	}
-}
 
 // TestShardMinorsRun pins the tentpole's point: at 4 shards over the churn
 // workload, single-shard minors actually fire, their telemetry records
@@ -175,59 +91,6 @@ func TestShardMinorKeepsOtherShardsTLABs(t *testing.T) {
 				t.Errorf("taskchurn ms=%v: no shard minor overlapped another shard's tasks: %+v", ms, res.Stats)
 			}
 		}
-	}
-}
-
-// TestShardRecordsAbsentUnsharded pins JSON stability: unsharded runs must
-// not grow a shard field (it is 1-based and omitempty precisely so the
-// existing telemetry streams are byte-identical).
-func TestShardRecordsAbsentUnsharded(t *testing.T) {
-	w := workloads.Tasking[0]
-	res, err := RunTasks(w.Source, w.Entries, Options{
-		Strategy:     gc.StratCompiled,
-		HeapWords:    w.HeapWords,
-		NurseryWords: 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range res.Telemetry.Records {
-		if rec.Shard != 0 {
-			t.Fatalf("unsharded run produced a shard-tagged record: %+v", rec)
-		}
-	}
-	if res.Stats.ShardMinors != 0 || res.Stats.ShardMinorOverlapTasks != 0 {
-		t.Fatalf("unsharded run counted shard minors: %+v", res.Stats)
-	}
-}
-
-// TestShardGating pins the -shards validation at the pipeline layer: the
-// tagged baseline, nursery-less runs, concurrent marking and the
-// single-task VM path must all reject shard counts above 1.
-func TestShardGating(t *testing.T) {
-	tw := workloads.Tasking[0]
-	if _, err := RunTasks(tw.Source, tw.Entries, Options{
-		Strategy: gc.StratTagged, HeapWords: tw.HeapWords, Shards: 2,
-	}); err == nil {
-		t.Fatal("tagged + shards must be rejected")
-	}
-	if _, err := RunTasks(tw.Source, tw.Entries, Options{
-		Strategy: gc.StratCompiled, HeapWords: tw.HeapWords, Shards: 2,
-	}); err == nil {
-		t.Fatal("shards without a nursery must be rejected")
-	}
-	if _, err := RunTasks(tw.Source, tw.Entries, Options{
-		Strategy: gc.StratCompiled, HeapWords: tw.HeapWords, MarkSweep: true,
-		GCConcurrent: true, NurseryWords: 256, Shards: 2,
-	}); err == nil {
-		t.Fatal("shards + concurrent marking must be rejected")
-	}
-	sw, _ := workloads.ByName("listchurn")
-	if _, err := Run(sw.Source, Options{
-		Strategy: gc.StratCompiled, HeapWords: sw.HeapWords,
-		NurseryWords: 256, Shards: 2,
-	}); err == nil {
-		t.Fatal("single-task VM + shards must be rejected")
 	}
 }
 

@@ -64,12 +64,6 @@ type Snapshot struct {
 	Runs   []Report `json:"runs"`
 }
 
-// percentile is stats.Percentile — the one shared quantile rule, so the
-// serve and bench latency rows can never disagree on methodology.
-func percentile(sorted []int64, p float64) int64 {
-	return stats.Percentile(sorted, p)
-}
-
 // NewReport folds a finished run into its report row.
 func NewReport(name string, cfg Config, res *Result) Report {
 	discipline := "copying"
@@ -93,10 +87,10 @@ func NewReport(name string, cfg Config, res *Result) Report {
 		Stats:       res.Stats,
 		Steps:       res.Steps,
 		WallNS:      res.WallNS,
-		LatencyP50:  percentile(res.Latencies, 0.50),
-		LatencyP99:  percentile(res.Latencies, 0.99),
-		LatencyP999: percentile(res.Latencies, 0.999),
-		LatencyMax:  percentile(res.Latencies, 1),
+		LatencyP50:  stats.Percentile(res.Latencies, 0.50),
+		LatencyP99:  stats.Percentile(res.Latencies, 0.99),
+		LatencyP999: stats.Percentile(res.Latencies, 0.999),
+		LatencyMax:  stats.Percentile(res.Latencies, 1),
 	}
 	if res.Steps > 0 {
 		r.ThroughputRPMS = float64(res.Stats.Completed) * 1e6 / float64(res.Steps)

@@ -167,8 +167,9 @@ func (g *Group) allocBlocked(n int) bool {
 // rescueAlloc climbs the post-collection rungs of the ladder for a pending
 // allocation of n fields: if the collection freed enough, done; otherwise
 // escalate through the generational rungs (full collection, then a
-// tenure-all collection that empties the nursery) and finally grow the
-// heap by GrowFactor per attempt up to the MaxHeapWords ceiling. live is
+// tenure-all collection that empties the nursery), grow the heap by
+// GrowFactor per attempt up to the MaxHeapWords ceiling and finally coalesce
+// a mark/sweep heap's free blocks (heap.Coalesce). live is
 // the suspended-task set whose stacks root the escalation collections.
 func (g *Group) rescueAlloc(live []*Task, n int) bool {
 	nursery := g.Heap.NurseryEnabled()
@@ -188,7 +189,9 @@ func (g *Group) rescueAlloc(live []*Task, n int) bool {
 				break
 			}
 		}
-		if !g.grow() {
+		// Past the last growth, a mark/sweep heap may still hold the room in
+		// free blocks of the wrong sizes: coalescing them is the last rung.
+		if !g.grow() && !g.Heap.Coalesce(n) {
 			return false
 		}
 	}
