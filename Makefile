@@ -22,8 +22,8 @@
 #
 # loc prints the non-test Go lines outside benchmark/ — raw, and without
 # blank and comment-only lines — so a simplification's "net negative" is a
-# number that can be checked against the parent commit; two more lines give
-# the same two counts for internal/gc and for internal/tasking alone.
+# number that can be checked against the parent commit; three more lines give
+# the same two counts for internal/gc, internal/heap and internal/tasking alone.
 #
 # profile-interp is the register-regression check for the one dispatch loop,
 # tasking.(*Group).step, in whichever file of internal/tasking defines it: it
@@ -54,11 +54,14 @@
 # frequent dynamic opcode pairs and the share of dispatches the heads absorb
 # when a slice is long enough to run them whole. The loop counts nothing for it.
 #
-# profile-gc is the same for the collector's fixed cost: it runs
-# BenchmarkStackWalk (internal/gc: one collection over a depth-640 polymorphic
-# tower at four instantiations, and over a three-function mutual recursion —
-# ns per frame walked, B/op and allocs/op) under a CPU profile and prints the
-# top 12. A healthy walk has no growslice/makeslice under it, 1 allocs/op
+# profile-gc is the same for the collector: by default it runs
+# BenchmarkCollectResident (internal/gc: full collections of a copying heap
+# holding ≈ 80 k live words of pair lists — ns per word copied, the tracer's
+# claim-and-copy loop, heap.(*Claim).Visit on top) under a CPU profile and
+# prints the top 12. GC_BENCH=BenchmarkStackWalk profiles the fixed cost
+# instead: one collection over a depth-640 polymorphic tower at four
+# instantiations, and over a three-function mutual recursion — ns per frame
+# walked, B/op and allocs/op. A healthy walk has no growslice/makeslice under it, 1 allocs/op
 # (the record's per-task scan list), and B/op is that and the telemetry
 # records' amortized growth alone. Two more rows walk the tower on a
 # mark/sweep heap, serial and with two workers: the second is the shared-claim
@@ -114,6 +117,7 @@ LOC_COUNT = $$($(LOC_FILES) | xargs cat | wc -l) ($$($(LOC_FILES) | xargs cat | 
 loc:
 	@echo "non-test Go lines outside benchmark/: $(call LOC_COUNT,.)"
 	@echo "of which internal/gc: $(call LOC_COUNT,./internal/gc)"
+	@echo "of which internal/heap: $(call LOC_COUNT,./internal/heap)"
 	@echo "of which internal/tasking: $(call LOC_COUNT,./internal/tasking)"
 
 STEP_SRC = ${shell grep -l '^func (g \*Group) step(' internal/tasking/*.go}
@@ -148,7 +152,7 @@ opcode-pairs:
 	go test -c -o .bench_build/tasking.test ./internal/tasking
 	cd internal/tasking && ../../.bench_build/tasking.test -test.run '^TestOpcodePairs$$' -opcode-pairs
 
-GC_BENCH = BenchmarkStackWalk
+GC_BENCH = BenchmarkCollectResident
 profile-gc:
 	mkdir -p .bench_build
 	go test -c -o .bench_build/gc.test ./internal/gc

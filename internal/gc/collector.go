@@ -170,8 +170,9 @@ type Collector struct {
 	Gen GenStats
 
 	b *builder
-	// own is the collector's own tracer: VisitObject claims, counted in
-	// Stats. Every trace but a -par mark worker's runs through it.
+	// own is the collector's own tracer: it claims through the heap.Claim
+	// each cycle takes, counted in Stats. Every trace but a -par mark
+	// worker's runs through it.
 	own tracer
 	// Generational state (generational.go): the typed remembered set with
 	// its dedup index, the store-descriptor→routine and routine→kernel
@@ -445,6 +446,7 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 	default:
 		c.Heap.BeginGC()
 	}
+	c.own.begin()
 	c.genTracking = nursery
 	if k.conc != nil {
 		// The residual gray set first: every marked object's children are

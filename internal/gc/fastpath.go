@@ -342,7 +342,7 @@ func (t *tracer) box(bk *boxKernel, w code.Word) code.Word {
 	t.st.KernelWords += int64(bk.size)
 	for i := range bk.subs {
 		s := &bk.subs[i]
-		was := t.c.Heap.Field(nw, s.off)
+		was := t.claim.Field(nw, s.off)
 		t.setField(nw, s.off, was, t.box(s.box, was), s.g)
 	}
 	return nw
@@ -376,7 +376,7 @@ func (t *tracer) spine(sk *spineKernel, g TypeGC, w code.Word) code.Word {
 		}
 		tag := 0
 		if sk.hasTag {
-			tag = int(code.DecodeInt(c.Heap.Repr, c.Heap.Field(w, 0)))
+			tag = int(code.DecodeInt(c.Heap.Repr, t.claim.Field(w, 0)))
 		}
 		nw, fresh := t.visit(w, sk.size[tag])
 		link(nw)
@@ -394,7 +394,7 @@ func (t *tracer) spine(sk *spineKernel, g TypeGC, w code.Word) code.Word {
 		// anything a live path reached is pruned).
 		for i := range sk.steps[tag] {
 			f := &sk.steps[tag][i]
-			was := c.Heap.Field(nw, f.off)
+			was := t.claim.Field(nw, f.off)
 			switch f.kind {
 			case sfSelf:
 				t.setField(nw, f.off, was, t.spine(sk, g, was), g)
@@ -410,7 +410,7 @@ func (t *tracer) spine(sk *spineKernel, g TypeGC, w code.Word) code.Word {
 			return head0(head, haveHead, nw)
 		}
 		prevPtr, prevField = nw, tl
-		w = c.Heap.Field(nw, tl)
+		w = t.claim.Field(nw, tl)
 	}
 }
 

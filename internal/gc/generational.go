@@ -175,7 +175,7 @@ func (c *Collector) remember(obj code.Word, field int32, g TypeGC, traced bool) 
 func (t *tracer) setField(obj code.Word, i int, was, v code.Word, g TypeGC) {
 	c := t.c
 	if v != was {
-		c.Heap.SetField(obj, i, v)
+		t.claim.SetField(obj, i, v)
 	}
 	if !c.genTracking {
 		return

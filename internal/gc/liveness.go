@@ -24,7 +24,7 @@ import "tagfree/internal/code"
 //     whose resolution attached a pruning kernel — is *deferred* onto
 //     pruneQ by applyJobs instead of traced.
 //  2. endPrune runs the deferred slots through their pruning kernels.
-//     The walk claims objects through the same VisitObject the full trace
+//     The walk claims objects through the same claim the full trace
 //     used, so it stops dead at anything a live path already reached —
 //     sentinels land only in objects reachable *exclusively* through
 //     spine-only paths, where every verdict agrees the elements are dead.

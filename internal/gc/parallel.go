@@ -69,8 +69,9 @@ func (c *Collector) collectParallel(tasks []TaskRoots, scans []TaskScan, globals
 			return
 		}
 		tr := tracer{c: c, st: &local[i], shared: true}
+		tr.begin()
 		c.applyJobs(&tr, tasks[i].Stack, jobs)
-		words[i] = tr.words
+		words[i] = tr.claim.Won()
 		sc.reset()
 	}) {
 		// Watchdog abort. Resolution only read the stopped stacks, and

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 
 	"tagfree/internal/code"
+	"tagfree/internal/heap"
 )
 
 // TypeGC traces values of one type and decomposes into component routines.
@@ -317,33 +318,30 @@ func (c *Collector) shapeOf(g TypeGC, w code.Word) (shape, bool) {
 }
 
 // tracer is the trace policy every routine and kernel runs under: the
-// collector, the Stats block the walk counts into, and how an object is
-// claimed. The collector's own tracer claims through Heap.VisitObject and
-// counts into Collector.Stats; a -par mark worker's claims through
-// Heap.VisitShared's compare-and-swap, counts into a block of its own and
-// sums the words it won for its task's TaskScan. Nothing else differs: a
-// traced word is stored only where it changed (setField), so on a heap that
-// does not move objects a walk writes no heap or stack word and any number
-// of workers may run it at once.
+// collector, the Stats block the walk counts into, and the heap.Claim it
+// claims objects through, taken at the top of each collection (begin). The
+// collector's own tracer counts into Collector.Stats, and on a plain serial
+// copying collection its claim checks the forwarding entry and copies inline;
+// otherwise the claim is Heap.VisitObject. A -par mark worker's claims through
+// Heap.VisitShared's compare-and-swap, counts into a block of its own and sums
+// the words it won for its task's TaskScan (Claim.Won). Both read and write
+// fields through the claim's word array. Nothing else differs: a traced word
+// is stored only where it changed (setField), so on a heap that does not move
+// objects a walk writes no heap or stack word and any number of workers may
+// run it at once.
 type tracer struct {
 	c      *Collector
 	st     *Stats
 	shared bool
-	words  int64
+	claim  heap.Claim
 }
+
+// begin takes the claim for the collection in progress.
+func (t *tracer) begin() { t.c.Heap.TakeClaim(&t.claim, t.shared) }
 
 // visit claims the n-word object at w: its current pointer, and whether its
 // fields still need tracing (first visit).
-func (t *tracer) visit(w code.Word, n int) (code.Word, bool) {
-	if !t.shared {
-		return t.c.Heap.VisitObject(w, n)
-	}
-	nw, fresh := t.c.Heap.VisitShared(w, n)
-	if fresh {
-		t.words += int64(n)
-	}
-	return nw, fresh
-}
+func (t *tracer) visit(w code.Word, n int) (code.Word, bool) { return t.claim.Visit(w, n) }
 
 // object claims one object and traces its fields in order — the whole of
 // Trace for every shape without a spine.
@@ -354,7 +352,7 @@ func (t *tracer) object(sh *shape, w code.Word) code.Word {
 	}
 	t.st.ObjectsCopied++
 	for i, f := range sh.fields {
-		was := t.c.Heap.Field(nw, sh.off+i)
+		was := t.claim.Field(nw, sh.off+i)
 		t.setField(nw, sh.off+i, was, f.Trace(t, was), f)
 	}
 	return nw
@@ -468,7 +466,7 @@ func (g *dataG) Trace(t *tracer, w code.Word) code.Word {
 		t.st.ObjectsCopied++
 		for i, f := range sh.fields {
 			if i != sh.tail {
-				was := c.Heap.Field(nw, sh.off+i)
+				was := t.claim.Field(nw, sh.off+i)
 				t.setField(nw, sh.off+i, was, f.Trace(t, was), f)
 			}
 		}
@@ -476,7 +474,7 @@ func (g *dataG) Trace(t *tracer, w code.Word) code.Word {
 			return head0(head, haveHead, nw)
 		}
 		prevPtr, prevField = nw, sh.off+sh.tail
-		w = c.Heap.Field(nw, prevField)
+		w = t.claim.Field(nw, prevField)
 	}
 }
 

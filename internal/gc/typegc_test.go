@@ -135,7 +135,7 @@ func TestDataTraceCopiesList(t *testing.T) {
 	g := c.FromDesc(intList, nil)
 
 	h.BeginGC()
-	nl := g.Trace(&c.own, lst)
+	nl := g.Trace(ownTracer(c), lst)
 	h.EndGC()
 
 	got := readList(h, nl)
@@ -168,7 +168,7 @@ func TestDataTraceLongListIterative(t *testing.T) {
 	g := c.FromDesc(intList, nil)
 
 	h.BeginGC()
-	nl := g.Trace(&c.own, lst)
+	nl := g.Trace(ownTracer(c), lst)
 	h.EndGC()
 
 	got := readList(h, nl)
@@ -194,8 +194,9 @@ func TestSharedStructurePreserved(t *testing.T) {
 	g := c.FromDesc(intList, nil)
 
 	h.BeginGC()
-	na := g.Trace(&c.own, a)
-	nb := g.Trace(&c.own, b)
+	tr := ownTracer(c)
+	na := g.Trace(tr, a)
+	nb := g.Trace(tr, b)
 	h.EndGC()
 
 	if h.Field(na, 1) != h.Field(nb, 1) {
@@ -222,7 +223,7 @@ func TestTreeTraceWithTagless(t *testing.T) {
 	g := c.FromDesc(treeDesc, nil)
 
 	h.BeginGC()
-	nt := g.Trace(&c.own, tree)
+	nt := g.Trace(ownTracer(c), tree)
 	h.EndGC()
 
 	var sum int64
@@ -454,10 +455,11 @@ func TestFirstTouchRace(t *testing.T) {
 				g := c.FromDesc(nested, nil)
 				var st Stats
 				tr := tracer{c: c, st: &st, shared: true}
+				tr.begin()
 				if g.Trace(&tr, roots[i]) != roots[i] {
 					t.Errorf("worker %d: marking moved its root", i)
 				}
-				words[i] = tr.words
+				words[i] = tr.claim.Won()
 				shapes[i] = g.(*dataG).ctor(c, 0)
 			}(i)
 		}
@@ -572,6 +574,7 @@ func TestTraceAllocatesNothingPerObject(t *testing.T) {
 					}
 					collect := func() {
 						h.BeginGC()
+						tr.begin()
 						root = g.Trace(tr, root)
 						h.EndGC()
 					}

@@ -130,10 +130,10 @@ type Heap struct {
 	// oldReserve, during a copying major with the nursery on, is the
 	// to-space headroom still owed to uncopied old objects. Promotions may
 	// only take what lies beyond it: the from-space used count bounds the
-	// words CopyObject can ever need, so holding that many back makes an
+	// words the old copies can ever need, so holding that many back makes an
 	// old-object copy overflow impossible no matter how the trace
 	// interleaves promotions with old copies. Each old copy repays its own
-	// share. Zero outside copying majors.
+	// share (owe). Zero outside copying majors.
 	oldReserve int
 	// tlabs is the task-local allocation buffer state (see tlab.go); zero
 	// value = no TLABs, allocation goes through Alloc unchanged.
@@ -517,54 +517,23 @@ func (h *Heap) EndGC() {
 	h.spansValid = h.verify
 }
 
-// Forwarded looks up a tag-free object's forwarding address; ok is false
-// when the object has not been copied yet.
+// Forwarded looks up a tagged object's broken heart; ok is false when the
+// object has not been copied yet. A tag-free object's forwarding entry is
+// read by its claim (Claim.Visit).
 func (h *Heap) Forwarded(ptr code.Word) (code.Word, bool) {
-	off := h.addrIndex(ptr) - h.fromOff
-	if h.Repr == code.ReprTagFree {
-		e := h.forward[off]
-		if e>>fwdShift != h.fwdEpoch {
-			return 0, false
-		}
-		return code.EncodePtr(h.Repr, code.HeapBase+fwdIndex(e)), true
+	// The broken heart replaces the (odd) header with the (even) new pointer.
+	if hdr := h.mem[h.addrIndex(ptr)]; hdr&1 == 0 {
+		return hdr, true
 	}
-	// Tagged: broken heart replaces the (odd) header with the (even) new
-	// pointer.
-	hdr := h.mem[h.fromOff+off]
-	if hdr&1 == 1 {
-		return 0, false
-	}
-	return hdr, true
+	return 0, false
 }
 
-// ScanToSpace performs a Cheney scan during a tagged-mode collection:
-// every field word of every object copied so far is passed through trace
-// (which may copy further objects, growing the scan frontier). Object
-// extents come from headers; only tagged heaps can do this without
-// compiler metadata.
-func (h *Heap) ScanToSpace(trace func(code.Word) code.Word) {
-	if h.Repr != code.ReprTagged {
-		panic("ScanToSpace: requires tagged headers")
-	}
-	if !h.inGC {
-		panic("ScanToSpace: no collection in progress")
-	}
-	scan := h.toOff
-	for scan < h.alloc {
-		n := int(h.mem[scan] >> 1)
-		for i := 1; i <= n; i++ {
-			h.mem[scan+i] = trace(h.mem[scan+i])
-		}
-		scan += 1 + n
-	}
-}
-
-// ScanToSpaceBatched is ScanToSpace with one callback per object rather
-// than per field word: scan receives the object's field words as a slice
-// aliasing to-space and rewrites traced values in place (copies it makes
-// grow the frontier as usual). Batching removes a closure call per word
-// from the tagged collection's hot scan loop; the backing array never
-// moves during a collection, so the slice stays valid across copies.
+// ScanToSpaceBatched performs a Cheney scan during a tagged-mode collection
+// with one callback per object: scan receives the object's field words as a
+// slice aliasing to-space and rewrites traced values in place (copies it
+// makes grow the frontier). Object extents come from headers; only tagged
+// heaps can do this without compiler metadata. The backing array never moves
+// during a collection, so the slice stays valid across copies.
 func (h *Heap) ScanToSpaceBatched(scan func(fields []code.Word)) {
 	if h.Repr != code.ReprTagged {
 		panic("ScanToSpaceBatched: requires tagged headers")
@@ -582,36 +551,22 @@ func (h *Heap) ScanToSpaceBatched(scan func(fields []code.Word)) {
 
 // CopyObject copies an n-field object into to-space during a collection,
 // records its forwarding, and returns the new encoded pointer. Field
-// contents are copied verbatim; the collector re-traces them via Field on
-// the new pointer (Cheney-style or recursive, its choice).
+// contents are copied verbatim; the collector re-traces them on the new
+// pointer (Cheney-style or recursive, its choice). This is the tagged
+// collector's copy, forwarding through a broken heart; a tag-free object is
+// copied by its claim (Claim.Visit, VisitObject).
 func (h *Heap) CopyObject(ptr code.Word, n int) code.Word {
-	if !h.inGC {
-		panic("CopyObject: no collection in progress")
+	if !h.inGC || h.Repr != code.ReprTagged {
+		panic("CopyObject: copies a tagged object during a collection")
 	}
 	total := h.objWords(n)
-	if h.alloc+total > h.limit {
-		panic(h.oomError(total))
-	}
-	if h.oldReserve > 0 {
-		// Repay this copy's share of the promotion holdback.
-		if h.oldReserve -= total; h.oldReserve < 0 {
-			h.oldReserve = 0
-		}
-	}
-	oldBase := h.addrIndex(ptr)
-	newBase := h.alloc
+	oldBase, newBase := h.addrIndex(ptr), h.alloc
+	h.owe(newBase, total)
 	h.alloc += total
-	if h.verify {
-		h.spans = append(h.spans, span{base: newBase, size: total})
-	}
 	copy(h.mem[newBase:newBase+total], h.mem[oldBase:oldBase+total])
 	h.Stats.WordsCopied += int64(total)
 	newPtr := code.EncodePtr(h.Repr, code.HeapBase+newBase)
-	if h.Repr == code.ReprTagFree {
-		h.forward[oldBase-h.fromOff] = h.fwdEpoch<<fwdShift | uint64(newBase)
-	} else {
-		h.mem[oldBase] = newPtr // broken heart (even)
-	}
+	h.mem[oldBase] = newPtr // broken heart (even)
 	return newPtr
 }
 

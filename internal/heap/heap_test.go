@@ -65,19 +65,18 @@ func TestCopyCollectTagFree(t *testing.T) {
 	h.SetField(p2, 0, p1) // p2 points at p1
 
 	h.BeginGC()
-	if _, ok := h.Forwarded(p1); ok {
-		t.Fatal("nothing forwarded yet")
+	n1, fresh := h.VisitObject(p1, 2)
+	if !fresh {
+		t.Fatal("first visit found a forwarding entry")
 	}
-	n1 := h.CopyObject(p1, 2)
-	if fwd, ok := h.Forwarded(p1); !ok || fwd != n1 {
+	if fwd, fresh := h.VisitObject(p1, 2); fresh || fwd != n1 {
 		t.Fatal("forwarding not recorded")
 	}
-	// Copying again must be detected by the caller via Forwarded; the copy
-	// preserved the fields.
+	// The copy preserved the fields.
 	if h.Field(n1, 0) != 1 || h.Field(n1, 1) != 2 {
 		t.Fatal("copy corrupted fields")
 	}
-	n2 := h.CopyObject(p2, 1)
+	n2, _ := h.VisitObject(p2, 1)
 	h.SetField(n2, 0, n1)
 	h.EndGC()
 
@@ -114,11 +113,11 @@ func TestForwardingTableCleared(t *testing.T) {
 	h := New(code.ReprTagFree, 50)
 	p := h.MustAlloc(1)
 	h.BeginGC()
-	h.CopyObject(p, 1)
+	h.VisitObject(p, 1)
 	h.EndGC()
 	p2 := h.MustAlloc(1)
 	h.BeginGC()
-	if _, ok := h.Forwarded(p2); ok {
+	if _, fresh := h.VisitObject(p2, 1); !fresh {
 		t.Fatal("stale forwarding entry survived the flip")
 	}
 	h.EndGC()
@@ -174,15 +173,18 @@ func TestScanToSpaceCheney(t *testing.T) {
 	h.BeginGC()
 	na := h.CopyObject(a, 1)
 	copied := 1
-	h.ScanToSpace(func(w code.Word) code.Word {
-		if !code.IsBoxedValue(code.ReprTagged, w) {
-			return w
+	h.ScanToSpaceBatched(func(fields []code.Word) {
+		for i, w := range fields {
+			if !code.IsBoxedValue(code.ReprTagged, w) {
+				continue
+			}
+			if fwd, ok := h.Forwarded(w); ok {
+				fields[i] = fwd
+				continue
+			}
+			copied++
+			fields[i] = h.CopyObject(w, h.ObjLen(w))
 		}
-		if fwd, ok := h.Forwarded(w); ok {
-			return fwd
-		}
-		copied++
-		return h.CopyObject(w, h.ObjLen(w))
 	})
 	h.EndGC()
 	if copied != 3 {

@@ -118,10 +118,16 @@ func (h *Heap) VisitObject(ptr code.Word, n int) (code.Word, bool) {
 		h.Stats.WordsCopied += int64(n) // marked words (same column as copied)
 		return ptr, true
 	}
-	if fwd, ok := h.Forwarded(ptr); ok {
-		return fwd, false
+	if h.Repr == code.ReprTagged {
+		if fwd, ok := h.Forwarded(ptr); ok {
+			return fwd, false
+		}
+		return h.CopyObject(ptr, n), true
 	}
-	return h.CopyObject(ptr, n), true
+	var cl Claim
+	h.TakeClaim(&cl, false)
+	cl.inline = true // the copy is the claim's, whatever else the heap is
+	return cl.Visit(ptr, n)
 }
 
 // VisitShared is the thread-safe variant of VisitObject for parallel

@@ -58,14 +58,17 @@ func TestVerifyTaggedHeap(t *testing.T) {
 	h.SetField(b, 1, code.EncodeInt(h.Repr, 9))
 	h.BeginGC()
 	nb := h.CopyObject(b, 2)
-	h.ScanToSpace(func(w code.Word) code.Word {
-		if !code.IsBoxedValue(code.ReprTagged, w) {
-			return w
+	h.ScanToSpaceBatched(func(fields []code.Word) {
+		for i, w := range fields {
+			if !code.IsBoxedValue(code.ReprTagged, w) {
+				continue
+			}
+			if fwd, ok := h.Forwarded(w); ok {
+				fields[i] = fwd
+			} else {
+				fields[i] = h.CopyObject(w, h.ObjLen(w))
+			}
 		}
-		if fwd, ok := h.Forwarded(w); ok {
-			return fwd
-		}
-		return h.CopyObject(w, h.ObjLen(w))
 	})
 	h.EndGC()
 	if errs := h.VerifyHeap(); len(errs) != 0 {
