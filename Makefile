@@ -1,16 +1,13 @@
 # Test tiers. tier1 is the gate every change must pass. tier2 adds a fresh
-# (uncached) run of every package under the race detector — the quick check
-# after an edit to the tracer -par mark workers share with the serial trace
-# (internal/gc: one copy of every walk and kernel, claims by compare-and-swap)
-# is its `go test -race ./internal/gc ./internal/heap ./internal/pipeline` —
-# and four passes:
+# (uncached) run of every package under the race detector and four passes:
 # tier2-lattice runs every legal point of the mode lattice
-# (internal/pipeline/lattice_test.go: every strategy × discipline × par ×
+# (internal/pipeline/lattice_test.go: every strategy × discipline ×
 # nursery × tlab × concurrent × shards × heap-liveness × torture × fail-every
 # × suspend-at-allocs × fast-path-off × quantum combination no rule refuses,
 # each on the next program of the single-task corpus, the task corpus and
 # testdata/progs that may take it) against its oracle, with the heap verifier
-# after every collection; tier 1 runs a pairwise-covering subset.
+# after every collection: 2 816 points, ≈ 4 min on 2 vCPUs. tier 1 runs a
+# pairwise-covering subset.
 # tier2-scenario runs every committed torture scenario (the faults block's
 # torture, injection and verifier knobs reached through the DSL) and fails on
 # a faulted task or a cell error. tier2-serve is a 16000-request serve run
@@ -63,9 +60,8 @@
 # instantiations, and over a three-function mutual recursion — ns per frame
 # walked, B/op and allocs/op. A healthy walk has no growslice/makeslice under it, 1 allocs/op
 # (the record's per-task scan list), and B/op is that and the telemetry
-# records' amortized growth alone. Two more rows walk the tower on a
-# mark/sweep heap, serial and with two workers: the second is the shared-claim
-# tracer's ns/frame, and its allocs/op (≈ 20) is the fan-out's fixed cost.
+# records' amortized growth alone. A third row walks the tower on a
+# mark/sweep heap.
 #
 # profile-compile is the same for the compiler: it runs BenchmarkBuild
 # (internal/pipeline: pipeline.Build over eight suffixed copies of the

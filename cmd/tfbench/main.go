@@ -29,7 +29,7 @@ import (
 )
 
 func main() {
-	opts := pipeline.Options{Parallelism: 1}
+	var opts pipeline.Options
 	pipeline.BindFlags(flag.CommandLine, &opts)
 	repeats := flag.Int("repeats", 3, "timing repetitions (best-of)")
 	asJSON := flag.Bool("json", false, "emit the telemetry report as JSON instead of tables")

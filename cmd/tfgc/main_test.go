@@ -123,7 +123,7 @@ func TestUsageErrors(t *testing.T) {
 		{"run", "-gc", "wizard", prog},
 		{"run", "-tlab", "-5", prog},
 		{"run", "-gc-nursery", "3", prog},
-		{"tasks", "-entry", "modest", "-par", "-3", prog},
+		{"tasks", "-entry", "modest", "-par", "2", prog}, // no such flag
 		{"run", "-gc-promote", "-1", prog},
 		{"run", "-heap-grow", "0.5", prog},
 		{"run", "-gc-conc-trigger", "500", prog},

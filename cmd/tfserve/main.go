@@ -61,7 +61,7 @@ func main() {
 func cli(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tfserve", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	cfg := serve.Config{Opts: pipeline.Options{Parallelism: 1}, Burst: 1, Seed: 1}
+	cfg := serve.Config{Burst: 1, Seed: 1}
 	pipeline.BindFlags(fs, &cfg.Opts, &cfg)
 	workload := fs.String("workload", "taskserve", "task workload whose entries are the service classes")
 	mixSpec := fs.String("mix", "", "weighted service mix, entry:weight[,entry:weight...] (empty = uniform)")

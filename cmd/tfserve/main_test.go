@@ -84,7 +84,7 @@ func TestCLIBadFlags(t *testing.T) {
 		{"-burst", "0"},
 		{"-tlab", "-5"},
 		{"-gc-nursery", "3"},
-		{"-par", "-3"},
+		{"-par", "2"}, // no such flag
 		{"-gc-promote", "-1"},
 		{"-heap-grow", "0.5"},
 		{"-gc-conc-trigger", "500"},

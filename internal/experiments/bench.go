@@ -81,9 +81,8 @@ func benchGroup(w workloads.TaskWorkload, ms bool, nurseryWords, promote int) (*
 // collectPauseRun measures `collections` repeated collections of one
 // captured root set on a copying heap under the given knobs, plus the mean
 // cost of the pure resolution half (Collector.ResolveRoots).
-func collectPauseRun(w workloads.TaskWorkload, par int, fast bool, collections int) pauseRun {
+func collectPauseRun(w workloads.TaskWorkload, fast bool, collections int) pauseRun {
 	g, roots := benchGroup(w, false, 0, 0)
-	g.Col.Parallelism = par
 	g.Col.DisableFastPath = !fast
 	for i := 0; i < collections; i++ {
 		g.Col.Collect(roots, g.Globals)
@@ -232,7 +231,7 @@ const benchCollections = 150
 
 // E10FastPath splits the compiled strategy's pause into its
 // metadata-resolution and trace halves, cached (fast path) against
-// uncached (oracle), sequentially and with 4 workers. The uncached
+// uncached (oracle). The uncached
 // resolution share is the cost the paper's per-frame protocol pays every
 // collection; the cached column is what remains once frame plans, site
 // lookups and kernels are memoized across frames and collections.
@@ -241,29 +240,26 @@ func E10FastPath() *Table {
 		ID:    "E10",
 		Title: "collection fast path: pause breakdown, cached vs uncached",
 		Claim: "compiled-mode pauses are dominated by re-deriving per-frame metadata that is invariant across frames and collections; memoizing it shrinks the pause without changing a single heap word",
-		Header: []string{"workload", "par", "pause/GC uncached", "pause/GC cached", "speedup",
+		Header: []string{"workload", "pause/GC uncached", "pause/GC cached", "speedup",
 			"resolve uncached", "resolve cached", "plan hit%", "kernel words/GC"},
 	}
 	for _, w := range workloads.Tasking {
-		for _, par := range []int{1, 4} {
-			oracle := collectPauseRun(w, par, false, benchCollections)
-			fast := collectPauseRun(w, par, true, benchCollections)
-			hitPct := "-"
-			if fast.PlanHits+fast.PlanMisses > 0 {
-				hitPct = fmt.Sprintf("%.1f", 100*float64(fast.PlanHits)/float64(fast.PlanHits+fast.PlanMisses))
-			}
-			t.Rows = append(t.Rows, []string{
-				w.Name,
-				fmt.Sprint(par),
-				fmt.Sprint(oracle.PauseP50NS),
-				fmt.Sprint(fast.PauseP50NS),
-				ratio(oracle.PauseP50NS, fast.PauseP50NS),
-				fmt.Sprint(oracle.ResolveMeanNS),
-				fmt.Sprint(fast.ResolveMeanNS),
-				hitPct,
-				fmt.Sprint(fast.KernelWords / int64(benchCollections)),
-			})
+		oracle := collectPauseRun(w, false, benchCollections)
+		fast := collectPauseRun(w, true, benchCollections)
+		hitPct := "-"
+		if fast.PlanHits+fast.PlanMisses > 0 {
+			hitPct = fmt.Sprintf("%.1f", 100*float64(fast.PlanHits)/float64(fast.PlanHits+fast.PlanMisses))
 		}
+		t.Rows = append(t.Rows, []string{
+			w.Name,
+			fmt.Sprint(oracle.PauseP50NS),
+			fmt.Sprint(fast.PauseP50NS),
+			ratio(oracle.PauseP50NS, fast.PauseP50NS),
+			fmt.Sprint(oracle.ResolveMeanNS),
+			fmt.Sprint(fast.ResolveMeanNS),
+			hitPct,
+			fmt.Sprint(fast.KernelWords / int64(benchCollections)),
+		})
 	}
 	t.Notes = append(t.Notes,
 		"pause/GC is the p50 of 150 repeated collections of one captured mid-execution root set (copying discipline)",

@@ -601,7 +601,7 @@ func E12AllocContention() *Table {
 		ID:    "E12",
 		Title: "per-task allocation buffers: shared-heap acquisitions per allocation",
 		Claim: "a private bump buffer per task turns the shared allocation path into an amortized O(1/chunk) refill protocol without changing a single computed value (the differential suite's bit-identical live heaps)",
-		Header: []string{"workload", "par", "tlab", "allocs", "shared acqs", "acqs/alloc",
+		Header: []string{"workload", "tlab", "allocs", "shared acqs", "acqs/alloc",
 			"refills", "fast allocs", "waste words", "collections"},
 	}
 	for _, name := range []string{"taskchurn", "tasktree"} {
@@ -609,36 +609,32 @@ func E12AllocContention() *Table {
 		if !ok {
 			panic("E12: unknown workload " + name)
 		}
-		for _, par := range []int{1, 4} {
-			for _, tlab := range []int{0, 64} {
-				res, err := pipeline.RunTasks(w.Source, w.Entries, pipeline.Options{
-					Strategy:    gc.StratCompiled,
-					HeapWords:   w.HeapWords,
-					Parallelism: par,
-					TLABWords:   tlab,
-				})
-				if err != nil {
-					panic(err)
-				}
-				hs := res.Heap
-				t.Rows = append(t.Rows, []string{
-					w.Name,
-					fmt.Sprint(par),
-					fmt.Sprint(tlab),
-					fmt.Sprint(hs.Allocations),
-					fmt.Sprint(hs.SharedAllocs),
-					fmt.Sprintf("%.3f", float64(hs.SharedAllocs)/float64(hs.Allocations)),
-					fmt.Sprint(hs.TLABRefills),
-					fmt.Sprint(hs.TLABAllocs),
-					fmt.Sprint(hs.TLABWasteWords),
-					fmt.Sprint(res.Stats.Collections),
-				})
+		for _, tlab := range []int{0, 64} {
+			res, err := pipeline.RunTasks(w.Source, w.Entries, pipeline.Options{
+				Strategy:  gc.StratCompiled,
+				HeapWords: w.HeapWords,
+				TLABWords: tlab,
+			})
+			if err != nil {
+				panic(err)
 			}
+			hs := res.Heap
+			t.Rows = append(t.Rows, []string{
+				w.Name,
+				fmt.Sprint(tlab),
+				fmt.Sprint(hs.Allocations),
+				fmt.Sprint(hs.SharedAllocs),
+				fmt.Sprintf("%.3f", float64(hs.SharedAllocs)/float64(hs.Allocations)),
+				fmt.Sprint(hs.TLABRefills),
+				fmt.Sprint(hs.TLABAllocs),
+				fmt.Sprint(hs.TLABWasteWords),
+				fmt.Sprint(res.Stats.Collections),
+			})
 		}
 	}
 	t.Notes = append(t.Notes,
 		"shared acqs counts every shared-heap allocation entry: direct Allocs plus TLAB chunk carves (heap.Stats.SharedAllocs)",
-		"tasks are scheduled round-robin on one OS thread, so acqs/alloc measures protocol pressure, not measured lock wait — the container is single-core (see ROADMAP); -par only parallelizes collection scans",
+		"tasks are scheduled round-robin on one OS thread, so acqs/alloc measures protocol pressure, not measured lock wait",
 		"waste words are buffer tails retired unreachable by the heap frontier; on mark/sweep they land on the exact-size free list instead (heap/tlab.go)",
 		"tlab=0 rows are the unchanged baseline allocation path, pinned bit-identical by the differential goldens",
 	)

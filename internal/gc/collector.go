@@ -116,20 +116,10 @@ type Collector struct {
 	Strat Strategy
 	Stats Stats
 
-	// Parallelism is the number of workers scanning task stacks during a
-	// collection. 0 or 1 selects the sequential path, which remains the
-	// oracle: the parallel path is required (and tested) to produce a
-	// bit-identical heap. Tagged mode ignores it — with no compiler
-	// metadata there is no per-frame resolution phase to parallelize, and
-	// the Cheney scan is inherently serial.
-	Parallelism int
-	// ScanSeed, when nonzero, shuffles the order in which parallel workers
-	// claim task stacks (tests use it to prove scan-order independence).
-	ScanSeed int64
 	// Telem accumulates per-collection telemetry (see telemetry.go).
 	Telem Telemetry
-	// Faults, when non-nil, injects allocation failures, forced
-	// collections, worker stalls and watchdog aborts (see faultinject.go).
+	// Faults, when non-nil, injects allocation failures and forced
+	// collections (see faultinject.go).
 	Faults *FaultPlan
 	// PreCollect, when non-nil, runs at the top of every collection before
 	// the heap snapshot and BeginGC. The tasking runtime uses it to retire
@@ -157,9 +147,9 @@ type Collector struct {
 	// metadata carries a spine-only verdict are traced by pruning kernels
 	// that sentinel-overwrite provably dead element fields (liveness.go).
 	// Pruning engages per collection only inside its degrade envelope —
-	// compiled strategy, fast path on, serial trace, no shard overlap, no
-	// concurrent cycle — and Liveness counts both engagements and every
-	// degrade reason.
+	// compiled strategy, fast path on, no shard overlap, no concurrent
+	// cycle — and Liveness counts both engagements and every degrade
+	// reason.
 	HeapLiveness bool
 	// Liveness counts liveness-guided pruning activity (see liveness.go);
 	// all zero unless HeapLiveness is set.
@@ -170,9 +160,8 @@ type Collector struct {
 	Gen GenStats
 
 	b *builder
-	// own is the collector's own tracer: it claims through the heap.Claim
-	// each cycle takes, counted in Stats. Every trace but a -par mark
-	// worker's runs through it.
+	// own is the collector's tracer: it claims through the heap.Claim each
+	// cycle takes, counted in Stats. Every trace runs through it.
 	own tracer
 	// Generational state (generational.go): the typed remembered set with
 	// its dedup index, the store-descriptor→routine and routine→kernel
@@ -186,14 +175,14 @@ type Collector struct {
 	genForceMajor bool
 	genTracking   bool
 	lastMinor     bool
-	// scratches holds one scratch arena per worker (see arena).
-	scratches []*scratch
+	// sc is the scratch arena root resolution bump-allocates into.
+	sc scratch
 	// siteCache is the pc→site lookup cache: siteIdx+1 per code index,
 	// zero = unfilled (see siteAtFast).
 	siteCache []int32
 	// plans is the frame-plan cache (compiled strategy fast path), keyed by
 	// (site, incoming type instantiation).
-	plans memoTable[planKey, *framePlan]
+	plans map[planKey]*framePlan
 	// conc is the in-flight concurrent mark cycle, nil when none is
 	// active (concurrent.go).
 	conc *concCycle
@@ -226,8 +215,8 @@ func New(prog *code.Program, h *heap.Heap, strat Strategy) (*Collector, error) {
 		return nil, fmt.Errorf("gc: strategy %v requires %v representation, program is %v",
 			strat, strat.CompatibleRepr(), prog.Repr)
 	}
-	c := &Collector{Prog: prog, Heap: h, Strat: strat, b: newBuilder()}
-	c.own = tracer{c: c, st: &c.Stats}
+	c := &Collector{Prog: prog, Heap: h, Strat: strat, b: newBuilder(), plans: map[planKey]*framePlan{}}
+	c.own = tracer{c: c}
 	if strat != StratTagged {
 		c.siteCache = make([]int32, len(prog.Code))
 	}
@@ -278,13 +267,13 @@ func isGround(d *code.TypeDesc) bool {
 	return true
 }
 
-// scratch is one worker's arena. Type-argument windows, root-job lists and
+// scratch is the collector's arena. Type-argument windows, root-job lists and
 // the frame list of a stack walk used to be allocated per frame and per stack
 // walk — on a deep polymorphic tower that is thousands of short-lived slices
 // per collection; now they bump-allocate here, the arena resets when its
-// windows are dead (before each task on the serial and marking paths, before
-// each fan-out for job lists awaiting the ordered trace), and a collection of
-// a warmed collector allocates nothing on the host that grows with the stack.
+// windows are dead (before each task is resolved: a collection's, the
+// verifier's, ResolveRoots'), and a collection of a warmed collector
+// allocates nothing on the host that grows with the stack.
 // Growth never invalidates a window already handed out: a block that fills
 // is replaced (targs) or copied (jobs), and earlier windows keep the old
 // backing array.
@@ -325,24 +314,11 @@ func (s *scratch) typeArgs(n int) []TypeGC {
 	return s.targs[l : l+n : l+n]
 }
 
-// arena returns worker w's scratch arena, making it on first use. Worker 0's
-// doubles as the serial path's and as that of callers outside a collection
-// (ResolveRoots, the verifier); every user resets it before resolving into
-// it, which is when its earlier windows are dead.
-func (c *Collector) arena(w int) *scratch {
-	for len(c.scratches) <= w {
-		c.scratches = append(c.scratches, &scratch{})
-	}
-	return c.scratches[w]
-}
-
 // Collect runs one collection over all task stacks and globals: a minor
 // nursery collection when the remembered set can stand in for the old
 // region's interior edges (see generational.go), else a full one.
 func (c *Collector) Collect(tasks []TaskRoots, globals []code.Word) {
 	if c.MinorEligible() {
-		// Minors are always serial: the pause is bounded by the nursery size,
-		// so there is nothing worth fanning workers out over.
 		c.cycle(tasks, globals, cycleKind{minor: true})
 		return
 	}
@@ -416,7 +392,7 @@ func (c *Collector) cycleStart() cycleStart {
 
 // cycle is the collection: the paper's Figure 2 loop with everything every
 // discipline hangs on it. Root order is stated here and nowhere else —
-// globals, then the stacks (fanned out or serial), then on a minor the
+// globals, then the stacks in task order, then on a minor the
 // remembered set, then the deferred spine-verdict roots (which is what makes
 // pruning sound: liveness.go), then the tagged strategy's Cheney scan.
 func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
@@ -460,23 +436,8 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 
 	c.traceGlobals(globals)
 	scans := make([]TaskScan, len(tasks))
-	// Only a full collection fans out, and parallel marking cannot run over
-	// a nursery: young objects move during evacuation and VisitShared refuses
-	// them. Copying's parallel phase only resolves roots — the trace that
-	// moves objects is the ordered serial phase 2 — so it stays parallel
-	// with a nursery.
-	parallel := !k.minor && k.conc == nil && c.Parallelism > 1 && c.Strat != StratTagged &&
-		!(nursery && c.Heap.Kind() == heap.MarkSweep)
-	c.beginPrune(parallel, k)
-	fallback := false
-	if parallel {
-		// Republish the memo-table and plan-cache snapshots so workers
-		// resolve descriptors lock-free (fastpath.go).
-		c.prepareFastPath()
-		fallback = !c.collectParallel(tasks, scans, globals, before.heap.WordsCopied)
-	} else {
-		c.collectSerial(tasks, scans)
-	}
+	c.beginPrune(k)
+	c.collectTasks(tasks, scans)
 	if k.minor {
 		c.traceRemembered(k.shard - 1)
 	}
@@ -498,13 +459,13 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 	if k.conc != nil {
 		pause += k.conc.initialPauseNS // the mutator stopped for both ends
 	}
-	c.Telem.record(c, kind, k.shard, pause, parallel, fallback, scans, before.used, before.stats, before.heap)
+	c.Telem.record(c, kind, k.shard, pause, scans, before.used, before.stats, before.heap)
 	if c.Verify {
 		c.verifyCollection(tasks, globals)
 	}
 }
 
-// traceGlobals forwards/marks the global slots (always serial).
+// traceGlobals forwards/marks the global slots.
 func (c *Collector) traceGlobals(globals []code.Word) {
 	for i, g := range c.Prog.Globals {
 		if c.Strat == StratTagged {
@@ -515,21 +476,31 @@ func (c *Collector) traceGlobals(globals []code.Word) {
 	}
 }
 
-// collectSerial is the sequential oracle: task stacks scanned one at a
-// time, in task order — resolve a task's roots into the arena, trace them in
-// order, hand the arena back. The parallel path re-runs it after a watchdog
-// abort.
-func (c *Collector) collectSerial(tasks []TaskRoots, scans []TaskScan) {
-	sc := c.arena(0)
+// collectTasks scans the task stacks one at a time, in task order — the
+// §4 walk: resolve a task's roots into the arena, trace them in order, hand
+// the arena back.
+func (c *Collector) collectTasks(tasks []TaskRoots, scans []TaskScan) {
 	for i := range tasks {
 		snap, before := c.Stats, c.Heap.Stats.WordsCopied
 		if c.Strat == StratTagged {
-			c.collectTaggedTask(tasks[i], sc)
+			c.collectTaggedTask(tasks[i])
 		} else {
-			sc.reset()
-			c.applyJobs(&c.own, tasks[i].Stack, c.taskJobs(tasks[i], &c.Stats, sc))
+			c.sc.reset()
+			c.applyJobs(tasks[i].Stack, c.taskJobs(tasks[i], &c.Stats))
 		}
 		scans[i] = taskScan(i, &c.Stats, &snap, c.Heap.Stats.WordsCopied-before)
+	}
+}
+
+// taskScan is one task's share of a collection: what the counters moved
+// since then, and the heap words its roots claimed.
+func taskScan(task int, now, then *Stats, words int64) TaskScan {
+	return TaskScan{
+		Task:    task,
+		Frames:  now.FramesTraced - then.FramesTraced,
+		Slots:   now.SlotsTraced - then.SlotsTraced,
+		Objects: now.ObjectsCopied - then.ObjectsCopied,
+		Words:   words,
 	}
 }
 
@@ -540,8 +511,8 @@ func (c *Collector) collectSerial(tasks []TaskRoots, scans []TaskScan) {
 // collectTaggedTask scans every word of every frame by tag bits. No
 // compiler metadata is consulted: frame extents come from the dynamic
 // links alone.
-func (c *Collector) collectTaggedTask(t TaskRoots, sc *scratch) {
-	fr := sc.walk(t)
+func (c *Collector) collectTaggedTask(t TaskRoots) {
+	fr := c.sc.walk(t)
 	for i := len(fr) - 1; i >= 0; i-- {
 		end := t.SP
 		if i > 0 {

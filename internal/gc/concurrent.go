@@ -19,7 +19,7 @@ import (
 //  2. Incremental mark (ConcSlice): the scheduler runs bounded marking
 //     increments at its existing suspension/safe points, interleaved with
 //     task quanta. Each slice pops gray entries, claims objects through the
-//     same VisitShared CAS the parallel marker uses, and pushes their
+//     ordinary mark/sweep visit (Heap.VisitObject), and pushes their
 //     children back gray. While the cycle is active the OpStFld typed write
 //     barrier grays every re-pointed target (ConcBarrier): the incremental-
 //     update discipline. New objects are born white; a mark slice never
@@ -30,7 +30,7 @@ import (
 //  3. Final pause (ConcFinish): an ordinary collection cycle (cycle,
 //     collector.go) that drains the residual gray set before its roots:
 //     every stack's (memoized, cheap) frame-trace plan plus the globals
-//     re-run through the serial tracer — Trace stops at already-marked
+//     re-run through the ordinary tracer — Trace stops at already-marked
 //     objects, which is what bounds this pause — and the sweep.
 //
 // The scheduler is single-goroutine (tasks interleave at quantum
@@ -176,7 +176,7 @@ func (c *Collector) ConcBarrier(desc *code.TypeDesc, v code.Word) {
 		c.ConcAbort()
 		return
 	}
-	if c.Heap.MarkedShared(v) {
+	if c.Heap.Marked(v) {
 		return
 	}
 	cy.gray = append(cy.gray, grayEntry{w: v, g: g})
@@ -198,7 +198,7 @@ func (c *Collector) concDrain(budget int64) (words int64) {
 // ConcFinish completes the cycle: the bounded final pause. The residual
 // gray set is drained first (establishing that every marked object's
 // children are marked), then every stack and the globals are re-scanned
-// through the ordinary serial path — Trace stops at marked objects, so the
+// through the ordinary path — Trace stops at marked objects, so the
 // re-scan only pays for what the mutator created or re-pointed since the
 // snapshot — and the sweep runs inside the usual BeginGC/EndGC window: all
 // of it cycle's (collector.go), measured against the cycle's own start.
@@ -236,8 +236,8 @@ func (c *Collector) ConcAbort() {
 	c.conc = nil
 }
 
-// concMark traces one gray entry: claim the object through the VisitShared
-// CAS, account its words, push its children gray. The explicit stack
+// concMark traces one gray entry: claim the object through the mark/sweep
+// visit, account its words, push its children gray. The explicit stack
 // replaces Trace's recursion so a slice can stop between objects.
 // Field values are read at mark time: once the object is black, any later
 // re-pointing goes through ConcBarrier.
@@ -246,7 +246,7 @@ func (c *Collector) concMark(g TypeGC, w code.Word) int64 {
 	if !ok {
 		return 0
 	}
-	if _, fresh := c.Heap.VisitShared(w, sh.size()); !fresh {
+	if _, fresh := c.Heap.VisitObject(w, sh.size()); !fresh {
 		return 0
 	}
 	c.Stats.ObjectsCopied++

@@ -2,7 +2,6 @@ package gc_test
 
 import (
 	"testing"
-	"time"
 
 	"tagfree/internal/code"
 	"tagfree/internal/gc"
@@ -25,13 +24,11 @@ let b () = down [4; 5; 6] 20
 // cycleWant is everything that differs between the collection entry points,
 // as a caller can observe it.
 type cycleWant struct {
-	preCollect  int
-	kind        string
-	shard       int
-	parallelism int
-	fallback    bool
-	conc        bool
-	lastMinor   bool
+	preCollect int
+	kind       string
+	shard      int
+	conc       bool
+	lastMinor  bool
 	// rebuilt is how many remembered-set entries the collection's own trace
 	// recorded: one after a reset (a major re-discovers the planted edge),
 	// none after a refilter (a minor keeps the entry it was given).
@@ -67,25 +64,22 @@ func TestCycleKinds(t *testing.T) {
 		want            cycleWant
 	}{
 		{"full", pipeline.Options{}, []bool{false, true}, nil, full,
-			cycleWant{preCollect: 1, parallelism: 1, liveness: prune}},
-		{"full/par2", pipeline.Options{Parallelism: 2}, []bool{false, true}, nil, full,
-			cycleWant{preCollect: 1, parallelism: 2, liveness: gc.LivenessStats{DegradedParallel: 1}}},
-		{"full/watchdog", pipeline.Options{Parallelism: 2, WorkerDelay: 50 * time.Millisecond, Watchdog: time.Millisecond},
-			[]bool{false, true}, nil, full,
-			cycleWant{preCollect: 1, parallelism: 1, fallback: true, liveness: gc.LivenessStats{DegradedParallel: 1}}},
+			cycleWant{preCollect: 1, liveness: prune}},
 		{"full/nursery", nursery, []bool{false, true}, nil, full,
-			cycleWant{preCollect: 1, kind: "major", parallelism: 1, rebuilt: 1, liveness: prune}},
+			cycleWant{preCollect: 1, kind: "major", rebuilt: 1, liveness: prune}},
 		{"full/mid-cycle", pipeline.Options{}, []bool{true}, concStart, full,
-			cycleWant{preCollect: 1, parallelism: 1, concAborts: 1, liveness: prune}},
+			cycleWant{preCollect: 1, concAborts: 1, liveness: prune}},
 		{"minor", nursery, []bool{false, true}, nil, auto,
-			cycleWant{preCollect: 1, kind: "minor", parallelism: 1, lastMinor: true, liveness: prune}},
-		{"minor/par2", pipeline.Options{NurseryWords: 512, Parallelism: 2}, []bool{false, true}, nil, auto,
-			cycleWant{preCollect: 1, kind: "minor", parallelism: 1, lastMinor: true, liveness: prune}},
+			cycleWant{preCollect: 1, kind: "minor", lastMinor: true, liveness: prune}},
+		{"full/no-fast-path", pipeline.Options{DisableGCFastPath: true}, []bool{false, true}, nil, full,
+			cycleWant{preCollect: 1, liveness: gc.LivenessStats{DegradedFastPath: 1}}},
+		{"minor/no-fast-path", pipeline.Options{NurseryWords: 512, DisableGCFastPath: true}, []bool{false, true}, nil, auto,
+			cycleWant{preCollect: 1, kind: "minor", lastMinor: true, liveness: gc.LivenessStats{DegradedFastPath: 1}}},
 		{"shard-minor", sharded, []bool{false, true}, nil, shard0,
-			cycleWant{preCollect: 0, kind: "minor", shard: 1, parallelism: 1, lastMinor: true,
+			cycleWant{preCollect: 0, kind: "minor", shard: 1, lastMinor: true,
 				liveness: gc.LivenessStats{DegradedShard: 1}}},
 		{"conc-finish", pipeline.Options{}, []bool{true}, concStart, concFinish,
-			cycleWant{preCollect: 1, parallelism: 1, conc: true}},
+			cycleWant{preCollect: 1, conc: true}},
 	}
 	for _, row := range rows {
 		for _, ms := range row.ms {
@@ -139,16 +133,14 @@ func TestCycleKinds(t *testing.T) {
 				}
 				rec := col.Telem.Records[records]
 				got := cycleWant{
-					preCollect:  calls,
-					kind:        rec.Kind,
-					shard:       rec.Shard,
-					parallelism: rec.Parallelism,
-					fallback:    rec.SerialFallback,
-					conc:        rec.Conc != nil,
-					lastMinor:   col.LastCollectionMinor(),
-					rebuilt:     col.Gen.TracedEdges - edgesBefore,
-					concAborts:  col.Telem.Resilience.ConcAborts,
-					liveness:    livenessMoved(liveBefore, col.Liveness),
+					preCollect: calls,
+					kind:       rec.Kind,
+					shard:      rec.Shard,
+					conc:       rec.Conc != nil,
+					lastMinor:  col.LastCollectionMinor(),
+					rebuilt:    col.Gen.TracedEdges - edgesBefore,
+					concAborts: col.Telem.Resilience.ConcAborts,
+					liveness:   livenessMoved(liveBefore, col.Liveness),
 				}
 				if got != row.want {
 					t.Errorf("got  %+v\nwant %+v", got, row.want)
@@ -171,7 +163,6 @@ func livenessMoved(before, after gc.LivenessStats) gc.LivenessStats {
 		PruneCollections:   after.PruneCollections - before.PruneCollections,
 		DegradedStrategy:   after.DegradedStrategy - before.DegradedStrategy,
 		DegradedFastPath:   after.DegradedFastPath - before.DegradedFastPath,
-		DegradedParallel:   after.DegradedParallel - before.DegradedParallel,
 		DegradedShard:      after.DegradedShard - before.DegradedShard,
 		DegradedConcurrent: after.DegradedConcurrent - before.DegradedConcurrent,
 	}

@@ -5,8 +5,8 @@ package gc
 // presentation, still re-derived everything per frame per collection:
 // the gc_word was decoded from the instruction stream for every frame, a
 // polymorphic frame's []TypeGC and outgoing package were rebuilt through
-// the hash-consing builder (memo keys under a mutex) for every frame of
-// every collection, and every traced word paid a Trace interface call.
+// the hash-consing builder for every frame of every collection, and every
+// traced word paid a Trace interface call.
 // For the dominant workload shape — deep recursive stacks of one function
 // at one instantiation over list/tree structure — all of that work is
 // identical across frames and across collections.
@@ -15,7 +15,7 @@ package gc
 //
 //   - A pc→site lookup cache (Collector.siteCache): the resolved site
 //     index for each return address, filled on first decode and then a
-//     single atomic load. Workers share it lock-free.
+//     single load.
 //   - A frame-plan cache (planCache): keyed by (site, identity of the
 //     incoming type instantiation), memoizing the fully resolved frame
 //     routine — per-slot TypeGC, the specialized kernel chosen for each
@@ -26,26 +26,17 @@ package gc
 //     dominant ground shapes (const, ref-of-const, tuple-of-const,
 //     const-payload data spines such as int lists) selected at plan-build
 //     time, replacing recursive Trace interface dispatch per word. Like
-//     Trace they run under a tracer (typegc.go), which is all that tells
-//     the serial trace from a -par mark worker's: there is one copy of
-//     each loop.
+//     Trace they run under the collector's tracer (typegc.go).
 //
 // Plans and kernels only ever reach a trace as root jobs (taskJobs,
 // roots.go): a plan slot becomes a job carrying its routine, its kernel
 // and — where the slot has a spine-only verdict — its pruning kernel.
 //
-// All three are read lock-free during parallel collection: the plan cache
-// and the TypeGC builder keep an immutable snapshot map (promoted before
-// each parallel phase) consulted without locking, with a mutex-guarded
-// dirty map behind it for misses. Collector.DisableFastPath restores the
-// uncached per-frame resolution — the differential suite's oracle — and
-// the fast path is required (and tested) to produce bit-identical heaps.
+// Collector.DisableFastPath restores the uncached per-frame resolution —
+// the differential suite's oracle — and the fast path is required (and
+// tested) to produce bit-identical heaps.
 
-import (
-	"sync/atomic"
-
-	"tagfree/internal/code"
-)
+import "tagfree/internal/code"
 
 // ---------------------------------------------------------------------------
 // slotSet: per-frame slot membership without the O(slots²) linear scan.
@@ -321,8 +312,8 @@ func (t *tracer) kernel(r *routine, w code.Word) code.Word {
 	}
 	nw, fresh := t.visit(w, n)
 	if fresh {
-		t.st.ObjectsCopied++
-		t.st.KernelWords += int64(n)
+		t.c.Stats.ObjectsCopied++
+		t.c.Stats.KernelWords += int64(n)
 	}
 	return nw
 }
@@ -338,8 +329,8 @@ func (t *tracer) box(bk *boxKernel, w code.Word) code.Word {
 	if !fresh {
 		return nw
 	}
-	t.st.ObjectsCopied++
-	t.st.KernelWords += int64(bk.size)
+	t.c.Stats.ObjectsCopied++
+	t.c.Stats.KernelWords += int64(bk.size)
 	for i := range bk.subs {
 		s := &bk.subs[i]
 		was := t.claim.Field(nw, s.off)
@@ -383,8 +374,8 @@ func (t *tracer) spine(sk *spineKernel, g TypeGC, w code.Word) code.Word {
 		if !fresh {
 			return head0(head, haveHead, nw)
 		}
-		t.st.ObjectsCopied++
-		t.st.KernelWords += int64(sk.size[tag])
+		c.Stats.ObjectsCopied++
+		c.Stats.KernelWords += int64(sk.size[tag])
 		// Non-tail, non-const fields run in field order, exactly where
 		// dataG.Trace would dispatch on them: tree children recurse the
 		// spine, flat-box payloads copy through their boxKernel, and a
@@ -402,7 +393,7 @@ func (t *tracer) spine(sk *spineKernel, g TypeGC, w code.Word) code.Word {
 				t.setField(nw, f.off, was, t.box(f.box, was), f.g)
 			case sfPrune:
 				t.setField(nw, f.off, was, code.PrunedWord, f.g)
-				t.st.PrunedWords++
+				c.Stats.PrunedWords++
 			}
 		}
 		tl := sk.tail[tag]
@@ -448,8 +439,8 @@ func (ps *planSlot) job(base int, atCall bool) rootJob {
 // suspended-call argument map minus slots the frame walk already covers
 // (the per-frame dedupe, computed once), and the outgoing package. The
 // trace fields are immutable after construction and shared freely across
-// frames, collections and workers; edges is the one mutable member, a
-// copy-on-write map filled as towers are walked (see planForEdge).
+// frames and collections; edges is the one mutable member, filled as towers
+// are walked (see planForEdge).
 type framePlan struct {
 	slots []planSlot
 	args  []planSlot
@@ -463,7 +454,7 @@ type framePlan struct {
 	// plan, and a warmed tower of mixed frames (mutual recursion, a call
 	// chain the one-entry inline cache thrashes on) resolves in O(1) per
 	// frame: no type-argument resolution, no plan-key hashing.
-	edges atomic.Pointer[map[int]*framePlan]
+	edges map[int]*framePlan
 }
 
 // edge returns the cached callee plan for a callee site, or nil. The edge
@@ -473,38 +464,11 @@ func (p *framePlan) edge(ic *planIC, site int) *framePlan {
 	if ic.from == p && ic.via == site {
 		return ic.to
 	}
-	if m := p.edges.Load(); m != nil {
-		if to := (*m)[site]; to != nil {
-			ic.from, ic.via, ic.to = p, site, to
-			return to
-		}
+	if to := p.edges[site]; to != nil {
+		ic.from, ic.via, ic.to = p, site, to
+		return to
 	}
 	return nil
-}
-
-// addEdge publishes a callee edge copy-on-write. Racing workers may build
-// the map twice; plans for one key are interchangeable, so whichever swap
-// wins is correct, and the loser retries against the winner's map.
-func (p *framePlan) addEdge(site int, callee *framePlan) {
-	for {
-		old := p.edges.Load()
-		if old != nil {
-			if _, ok := (*old)[site]; ok {
-				return
-			}
-		}
-		m := make(map[int]*framePlan, 1)
-		if old != nil {
-			m = make(map[int]*framePlan, len(*old)+1)
-			for k, v := range *old {
-				m[k] = v
-			}
-		}
-		m[site] = callee
-		if p.edges.CompareAndSwap(old, &m) {
-			return
-		}
-	}
 }
 
 // maxPlanTypeArgs bounds the inline plan key. Frames instantiated with
@@ -524,7 +488,7 @@ type planKey struct {
 // planIC is a one-entry inline cache in front of planFor, local to one
 // task's stack walk: a tower of N equal frames — deep recursion over one
 // instantiation, the dominant deep-stack shape — hits it N-1 times,
-// skipping even the snapshot map's hash per frame. Type-argument equality
+// skipping even the plan map's hash per frame. Type-argument equality
 // is interface identity (hash-consing makes node identity instantiation
 // identity).
 type planIC struct {
@@ -532,7 +496,7 @@ type planIC struct {
 	targs []TypeGC
 	plan  *framePlan
 	// The last edge taken (framePlan.edge): caller plan, callee site, callee
-	// plan. Walk-local like the rest, so it needs no publication.
+	// plan.
 	from, to *framePlan
 	via      int
 }
@@ -550,7 +514,7 @@ func (ic *planIC) match(site int, targs []TypeGC) bool {
 }
 
 // planForIC resolves a frame plan through the walk-local inline cache,
-// falling back to the shared memo table.
+// falling back to the plan map.
 func (c *Collector) planForIC(ic *planIC, siteIdx int, site *code.SiteInfo, targs []TypeGC, st *Stats) *framePlan {
 	if ic.match(siteIdx, targs) {
 		st.PlanHits++
@@ -567,7 +531,7 @@ func (c *Collector) planForIC(ic *planIC, siteIdx int, site *code.SiteInfo, targ
 // (TypeSourceEnv) read their instantiation out of the closure's rep words
 // on the heap, so their plans can differ per frame at one site and are
 // never edge-cached.
-func (c *Collector) planForEdge(prev *framePlan, ic *planIC, siteIdx int, site *code.SiteInfo, fi *code.FuncInfo, incoming pkg, stack []code.Word, fp int, sc *scratch, st *Stats) *framePlan {
+func (c *Collector) planForEdge(prev *framePlan, ic *planIC, siteIdx int, site *code.SiteInfo, fi *code.FuncInfo, incoming pkg, stack []code.Word, fp int, st *Stats) *framePlan {
 	cacheable := prev != nil && fi.TypeSource != code.TypeSourceEnv
 	if cacheable {
 		if p := prev.edge(ic, siteIdx); p != nil {
@@ -575,18 +539,20 @@ func (c *Collector) planForEdge(prev *framePlan, ic *planIC, siteIdx int, site *
 			return p
 		}
 	}
-	targs := c.frameTypeArgs(fi, incoming, stack, fp, sc)
+	targs := c.frameTypeArgs(fi, incoming, stack, fp)
 	p := c.planForIC(ic, siteIdx, site, targs, st)
 	if cacheable {
-		prev.addEdge(siteIdx, p)
+		if prev.edges == nil {
+			prev.edges = map[int]*framePlan{}
+		}
+		prev.edges[siteIdx] = p
 		ic.from, ic.via, ic.to = prev, siteIdx, p
 	}
 	return p
 }
 
-// planFor returns the memoized frame plan for (site, targs), building and
-// publishing it on first use. st takes the hit/miss counters (worker-local
-// during parallel resolution).
+// planFor returns the memoized frame plan for (site, targs), building it on
+// first use. st takes the hit/miss counters.
 func (c *Collector) planFor(siteIdx int, site *code.SiteInfo, targs []TypeGC, st *Stats) *framePlan {
 	if len(targs) > maxPlanTypeArgs {
 		st.PlanMisses++
@@ -600,22 +566,19 @@ func (c *Collector) planFor(siteIdx int, site *code.SiteInfo, targs []TypeGC, st
 			key.ids[i] = -1
 		}
 	}
-	if p, ok := c.plans.get(key); ok {
+	if p, ok := c.plans[key]; ok {
 		st.PlanHits++
 		return p
 	}
-	// Build outside the lock: construction reaches into the TypeGC
-	// builder, and a slow build must not serialize unrelated lookups.
-	// A racing duplicate build is harmless — plans for one key are
-	// interchangeable — but only one wins publication.
 	st.PlanMisses++
 	p := c.buildPlan(siteIdx, site, targs)
-	return c.plans.add(key, func() *framePlan { return p })
+	c.plans[key] = p
+	return p
 }
 
 // buildPlan resolves one frame routine completely: slot routines with
 // kernels, the deduplicated suspended-call argument map, and the outgoing
-// package (built eagerly so published plans are immutable).
+// package (built eagerly so a plan's trace fields never change).
 func (c *Collector) buildPlan(siteIdx int, site *code.SiteInfo, targs []TypeGC) *framePlan {
 	p := &framePlan{}
 	var seen slotSet
@@ -662,38 +625,23 @@ func (c *Collector) buildPlan(siteIdx int, site *code.SiteInfo, targs []TypeGC) 
 // pc→site lookup cache.
 // ---------------------------------------------------------------------------
 
-// siteAtFast resolves the site at pc through the lookup cache: one atomic
-// load on a hit, the instruction-stream decode (siteAt) on first touch.
-// Entries are siteIdx+1 so the zero value means unfilled; concurrent
-// workers may race to fill an entry with the same value, which the atomic
-// store keeps benign.
+// siteAtFast resolves the site at pc through the lookup cache: one load on
+// a hit, the instruction-stream decode (siteAt) on first touch. Entries are
+// siteIdx+1 so the zero value means unfilled.
 func (c *Collector) siteAtFast(pc int, st *Stats) (int, *code.SiteInfo) {
 	if c.DisableFastPath || c.siteCache == nil {
 		return c.siteAt(pc)
 	}
-	if v := atomic.LoadInt32(&c.siteCache[pc]); v > 0 {
+	if v := c.siteCache[pc]; v > 0 {
 		st.SiteCacheHits++
 		return int(v - 1), c.Prog.Sites[v-1]
 	}
 	st.SiteCacheMisses++
 	idx, si := c.siteAt(pc)
-	atomic.StoreInt32(&c.siteCache[pc], int32(idx+1))
+	c.siteCache[pc] = int32(idx + 1)
 	return idx, si
 }
 
 // planned reports whether roots trace through frame plans and kernels: the
 // compiled strategy with the fast path on.
 func (c *Collector) planned() bool { return c.Strat == StratCompiled && !c.DisableFastPath }
-
-// prepareFastPath promotes the memo-table and plan-cache snapshots so the
-// parallel phase's workers read both lock-free — the "pre-resolve before
-// the pause's parallel phase" step. Promotion is O(entries) and skipped
-// when nothing new was built since the last collection.
-func (c *Collector) prepareFastPath() {
-	if c.DisableFastPath {
-		return
-	}
-	c.b.nodes.promote()
-	c.b.caps.promote()
-	c.plans.promote()
-}

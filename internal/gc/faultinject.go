@@ -1,23 +1,16 @@
 package gc
 
-import (
-	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "math/rand"
 
 // Fault injection and GC torture. A collector's recovery paths — emergency
-// collections, heap growth, per-task faulting, the parallel watchdog — are
-// exactly the paths ordinary workloads never exercise. FaultPlan makes
-// them exercisable on demand, deterministically: every decision derives
-// from an allocation counter and a seeded PRNG, so a failing torture run
-// replays exactly.
+// collections, heap growth, per-task faulting — are exactly the paths
+// ordinary workloads never exercise. FaultPlan makes them exercisable on
+// demand, deterministically: every decision derives from an allocation
+// counter and a seeded PRNG, so a failing torture run replays exactly.
 //
-// A plan is shared by the mutator (which consults FailAlloc/Torture before
-// each allocation) and the parallel collector (which applies WorkerDelay
-// and Watchdog to its scan workers). The outcome counters live in
-// Telemetry.Resilience, next to the rest of the per-run GC accounting.
+// The mutator consults the plan (FailAlloc, Torture) before each
+// allocation. The outcome counters live in Telemetry.Resilience, next to
+// the rest of the per-run GC accounting.
 
 // FaultPlan configures deterministic allocation-failure injection and GC
 // torture. The zero value injects nothing.
@@ -34,31 +27,18 @@ type FaultPlan struct {
 	// GC-torture discipline: any root the compiler's frame maps miss dies
 	// at the very next allocation instead of surviving by luck.
 	Torture bool
-	// WorkerDelay stalls each parallel scan worker before it scans a
-	// claimed stack (watchdog testing).
-	WorkerDelay time.Duration
-	// Watchdog bounds the parallel scan phase: when it expires, workers
-	// are aborted and the collection falls back to the sequential path.
-	Watchdog time.Duration
 	// RefillOnly restricts the failure knobs above to TLAB refill carves:
 	// ordinary allocations neither fail nor consume a counter, so -fail-alloc
 	// schedules target the refill path specifically (-fail-refills).
 	RefillOnly bool
 
-	allocs  atomic.Int64
-	rngOnce sync.Once
-	rngMu   sync.Mutex
-	rng     *rand.Rand
+	allocs int64
+	rng    *rand.Rand
 }
 
 // FailAlloc reports whether the current mutator allocation should fail.
 // Callers consult it once per allocation attempt; injected failures are
 // expected to trigger the same recovery ladder a genuine OOM would.
-//
-// FailAlloc is safe for concurrent callers: the counter is atomic and the
-// lazily seeded PRNG is initialized exactly once and drawn under a lock.
-// (Determinism holds per caller-ordering — concurrent mutators interleave
-// draws in scheduling order, single-threaded runs replay exactly.)
 func (p *FaultPlan) FailAlloc() bool { return p.FailAllocAt(false) }
 
 // FailAllocAt is FailAlloc with the attempt's refill-ness: refill is true
@@ -69,7 +49,8 @@ func (p *FaultPlan) FailAllocAt(refill bool) bool {
 	if p.RefillOnly && !refill {
 		return false
 	}
-	n := p.allocs.Add(1)
+	p.allocs++
+	n := p.allocs
 	if p.FailNth > 0 && n == p.FailNth {
 		return true
 	}
@@ -77,16 +58,13 @@ func (p *FaultPlan) FailAllocAt(refill bool) bool {
 		return true
 	}
 	if p.FailProb > 0 {
-		p.rngOnce.Do(func() { p.rng = rand.New(rand.NewSource(p.Seed)) })
-		p.rngMu.Lock()
-		hit := p.rng.Float64() < p.FailProb
-		p.rngMu.Unlock()
-		if hit {
-			return true
+		if p.rng == nil {
+			p.rng = rand.New(rand.NewSource(p.Seed))
 		}
+		return p.rng.Float64() < p.FailProb
 	}
 	return false
 }
 
 // Allocs returns how many allocation decisions the plan has made.
-func (p *FaultPlan) Allocs() int64 { return p.allocs.Load() }
+func (p *FaultPlan) Allocs() int64 { return p.allocs }

@@ -165,13 +165,10 @@ func (c *Collector) remember(obj code.Word, field int32, g TypeGC, traced bool) 
 
 // setField stores v, the traced value of field i of obj, which held was —
 // only when tracing changed the word, which on a heap that does not move
-// objects is never, so a -par mark worker writes nothing — and, on a nursery
-// heap, records the old→young edge the field now holds. Every interior
-// pointer the trace produces goes through here; g is the routine for the
-// written value, so the entry can re-trace the edge at the next minor. Edge
-// tracking runs on serial traces only (minors always; a nursery keeps
-// mark/sweep majors serial; copying majors write in the ordered phase-2
-// trace), so it needs no lock.
+// objects is never — and, on a nursery heap, records the old→young edge the
+// field now holds. Every interior pointer the trace produces goes through
+// here; g is the routine for the written value, so the entry can re-trace
+// the edge at the next minor.
 func (t *tracer) setField(obj code.Word, i int, was, v code.Word, g TypeGC) {
 	c := t.c
 	if v != was {

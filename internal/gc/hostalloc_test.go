@@ -22,24 +22,21 @@ let deep2000 () = down [1; 2; 3] 2000
 
 // TestCollectionHostAllocsIndependentOfDepth: what a collection allocates on
 // the host is its product — the telemetry record and the per-task scan list
-// in it — and the fixed cost of fanning out workers, never something that
-// grows with the stacks it walks. The frame list of a walk, the type-argument
-// windows and the root jobs all live in the per-worker scratch arena, which
-// the serial and the marking paths hand back after every task, so a warmed
+// in it — never something that grows with the stacks it walks. The frame
+// list of a walk, the type-argument windows and the root jobs all live in the
+// collector's scratch arena, which it hands back after every task, so a warmed
 // collector allocates the same over a tower of 100 frames and of 2 000 —
 // under every typed strategy (Appel's chain re-walk is quadratic in the
 // depth, so its deep tower is 600 frames) and on both heaps.
 func TestCollectionHostAllocsIndependentOfDepth(t *testing.T) {
 	for _, strat := range []gc.Strategy{gc.StratCompiled, gc.StratInterp, gc.StratAppel} {
 		for _, ms := range []bool{false, true} {
-			for _, par := range []int{1, 2} {
-				hostAllocsByDepth(t, strat, ms, par)
-			}
+			hostAllocsByDepth(t, strat, ms)
 		}
 	}
 }
 
-func hostAllocsByDepth(t *testing.T, strat gc.Strategy, ms bool, par int) {
+func hostAllocsByDepth(t *testing.T, strat gc.Strategy, ms bool) {
 	deep, depth := "deep2000", int64(2000)
 	if strat == gc.StratAppel {
 		deep, depth = "deep600", 600
@@ -47,7 +44,7 @@ func hostAllocsByDepth(t *testing.T, strat gc.Strategy, ms bool, par int) {
 	var counts []float64
 	for _, entry := range []string{"deep100", deep} {
 		g, entries, err := pipeline.BuildTaskGroup(towerSrc, []string{entry},
-			pipeline.Options{Strategy: strat, HeapWords: 512, MarkSweep: ms, Parallelism: par})
+			pipeline.Options{Strategy: strat, HeapWords: 512, MarkSweep: ms})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,16 +68,16 @@ func hostAllocsByDepth(t *testing.T, strat gc.Strategy, ms bool, par int) {
 		}
 	}
 	if counts[0] != counts[1] {
-		t.Errorf("%v ms=%v par %d: a collection allocates %v times on the host over 100-frame towers and %v times over %d-frame towers",
-			strat, ms, par, counts[0], counts[1], depth)
+		t.Errorf("%v ms=%v: a collection allocates %v times on the host over 100-frame towers and %v times over %d-frame towers",
+			strat, ms, counts[0], counts[1], depth)
 	}
-	// Serial, nothing else is left: the record (its list's growth is
-	// amortized over the runs), its scan list, and a mark/sweep EndGC's one.
+	// Nothing else is left: the record (its list's growth is amortized over
+	// the runs), its scan list, and a mark/sweep EndGC's one.
 	limit := 2.0
 	if ms {
 		limit = 3
 	}
-	if par == 1 && counts[0] > limit {
-		t.Errorf("%v ms=%v: a serial collection allocates %v times on the host, want at most %v", strat, ms, counts[0], limit)
+	if counts[0] > limit {
+		t.Errorf("%v ms=%v: a collection allocates %v times on the host, want at most %v", strat, ms, counts[0], limit)
 	}
 }

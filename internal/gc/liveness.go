@@ -43,9 +43,6 @@ import "tagfree/internal/code"
 //
 //   - compiled strategy with the fast path on (the verdicts live in frame
 //     plans; interp/appel/tagged have none),
-//   - serial trace (workers resolve the same jobs, pruning kernels
-//     included, but trace in no order that would keep phase 2 after
-//     phase 1, so a fanned-out collection ignores them),
 //   - no shard overlap (other shards' mutators hold unscanned live paths),
 //   - no concurrent mark cycle (snapshot roots predate the verdicts).
 //
@@ -64,7 +61,6 @@ type LivenessStats struct {
 	// checked in the order listed.
 	DegradedStrategy   int64 `json:"degraded_strategy,omitempty"`   // not the compiled strategy
 	DegradedFastPath   int64 `json:"degraded_fastpath,omitempty"`   // DisableFastPath set
-	DegradedParallel   int64 `json:"degraded_parallel,omitempty"`   // parallel trace phase
 	DegradedShard      int64 `json:"degraded_shard,omitempty"`      // single-shard minor with mutators running
 	DegradedConcurrent int64 `json:"degraded_concurrent,omitempty"` // concurrent mark cycle (counted at ConcStart)
 }
@@ -78,12 +74,11 @@ type pruneItem struct {
 	sk    *spineKernel
 }
 
-// beginPrune decides whether this collection may prune, counting the
-// degrade reason when it may not: parallel says its stacks are fanned out
-// over workers, k what kind of collection it is. The final pause of a
+// beginPrune decides whether this collection, of kind k, may prune,
+// counting the degrade reason when it may not. The final pause of a
 // concurrent cycle never prunes, and its refusal was counted when the cycle
 // started (ConcStart).
-func (c *Collector) beginPrune(parallel bool, k cycleKind) {
+func (c *Collector) beginPrune(k cycleKind) {
 	c.pruneOn = false
 	if !c.HeapLiveness || k.conc != nil {
 		return
@@ -93,8 +88,6 @@ func (c *Collector) beginPrune(parallel bool, k cycleKind) {
 		c.Liveness.DegradedStrategy++
 	case c.DisableFastPath:
 		c.Liveness.DegradedFastPath++
-	case parallel:
-		c.Liveness.DegradedParallel++
 	case k.shard > 0:
 		// Other shards' mutators keep running and may hold live paths into
 		// structures this shard's roots only reach spine-only.

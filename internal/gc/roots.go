@@ -13,7 +13,7 @@ import (
 // and lists the task's roots — a slot, its routine and kernel, its pruning
 // kernel if the slot carries a spine-only verdict — in trace order.
 // applyJobs traces such a list through a tracer. Every consumer is the two
-// composed: the serial collector resolves a task into the scratch arena,
+// composed: a collection resolves a task into the scratch arena,
 // applies, and hands the arena back; the verifier, the signature walk and the
 // concurrent snapshot read the same list without tracing it. Resolving first
 // is order-equivalent to tracing frame by frame because resolution reads only
@@ -45,10 +45,11 @@ func genericJob(idx int, g TypeGC) rootJob { return rootJob{idx: idx, routine: r
 // taskJobs resolves one task's complete root set, oldest frame first,
 // without mutating the heap or the stack — §3's "the stack is traversed at
 // most twice": one pass to gather the frames (walk), one to hand type
-// packages from frame to frame. Resolution counters land in st, so parallel
-// workers count into local blocks. The returned slice lives in sc's arena,
-// valid until the arena's next reset.
-func (c *Collector) taskJobs(t TaskRoots, st *Stats, sc *scratch) []rootJob {
+// packages from frame to frame. Resolution counters land in st, so the
+// verifier and the signature walk leave the collector's untouched. The
+// returned slice lives in the arena, valid until the arena's next reset.
+func (c *Collector) taskJobs(t TaskRoots, st *Stats) []rootJob {
+	sc := &c.sc
 	fr := sc.walk(t)
 	fast := c.planned()
 	jobs, first := sc.jobs, len(sc.jobs)
@@ -65,7 +66,7 @@ func (c *Collector) taskJobs(t TaskRoots, st *Stats, sc *scratch) []rootJob {
 			// resolved slot routines, kernels, the deduplicated argument
 			// map and the outgoing package, and the caller plan's edge
 			// cache resolves warmed towers in O(1) per frame (fastpath.go).
-			plan := c.planForEdge(prev, &ic, siteIdx, site, fi, incoming, t.Stack, fp, sc, st)
+			plan := c.planForEdge(prev, &ic, siteIdx, site, fi, incoming, t.Stack, fp, st)
 			for k := range plan.slots {
 				jobs = append(jobs, plan.slots[k].job(base, atCall))
 			}
@@ -80,13 +81,13 @@ func (c *Collector) taskJobs(t TaskRoots, st *Stats, sc *scratch) []rootJob {
 		if c.Strat == StratAppel {
 			// The chain re-walk's windows die with this frame's routines.
 			mark := len(sc.targs)
-			jobs = c.frameJobs(jobs, siteIdx, site, fi, base, c.appelTypeArgs(t, fr, i, st, sc), atCall, st)
+			jobs = c.frameJobs(jobs, siteIdx, site, fi, base, c.appelTypeArgs(t, fr, i, st), atCall, st)
 			if mark < len(sc.targs) {
 				sc.targs = sc.targs[:mark]
 			}
 			continue
 		}
-		targs := c.frameTypeArgs(fi, incoming, t.Stack, fp, sc)
+		targs := c.frameTypeArgs(fi, incoming, t.Stack, fp)
 		jobs = c.frameJobs(jobs, siteIdx, site, fi, base, targs, atCall, st)
 		if i > 0 {
 			incoming = c.outgoing(site, targs, sc)
@@ -176,22 +177,22 @@ func (c *Collector) siteAt(pc int) (int, *code.SiteInfo) {
 }
 
 // frameTypeArgs resolves a frame's type environment. Windows come from the
-// caller's scratch arena, valid until its next reset.
-func (c *Collector) frameTypeArgs(fi *code.FuncInfo, incoming pkg, stack []code.Word, fp int, sc *scratch) []TypeGC {
+// scratch arena, valid until its next reset.
+func (c *Collector) frameTypeArgs(fi *code.FuncInfo, incoming pkg, stack []code.Word, fp int) []TypeGC {
 	switch fi.TypeSource {
 	case code.TypeSourceCallSite:
 		return incoming.direct
 	case code.TypeSourceEnv:
 		// Slot 0 is the closure being executed.
-		return c.envTypeArgs(fi, stack[fp+2], incoming.arrow, sc)
+		return c.envTypeArgs(fi, stack[fp+2], incoming.arrow)
 	}
 	return nil
 }
 
 // envTypeArgs derives a closure-called frame's type arguments from the
 // call-site package (derivable entries) and the closure's rep words.
-func (c *Collector) envTypeArgs(fi *code.FuncInfo, clos code.Word, ref TypeGC, sc *scratch) []TypeGC {
-	targs := sc.typeArgs(fi.TypeEnvLen)
+func (c *Collector) envTypeArgs(fi *code.FuncInfo, clos code.Word, ref TypeGC) []TypeGC {
+	targs := c.sc.typeArgs(fi.TypeEnvLen)
 	for i := 0; i < fi.TypeEnvLen; i++ {
 		switch {
 		case fi.RepWord != nil && fi.RepWord[i] >= 0 && code.IsBoxedValue(c.Heap.Repr, clos):
@@ -226,37 +227,36 @@ func (c *Collector) outgoing(site *code.SiteInfo, targs []TypeGC, sc *scratch) p
 // fr, newest first) by walking the dynamic chain from the bottom every time —
 // "the tracing of each polymorphic function's activation record may involve
 // traversing a fair amount of the stack" (§1.1.1/§3). The work is O(depth)
-// per frame, O(n²) per collection. Chain steps land in st so parallel
-// workers can count into local stats.
-func (c *Collector) appelTypeArgs(t TaskRoots, fr []frame, target int, st *Stats, sc *scratch) []TypeGC {
+// per frame, O(n²) per collection. Chain steps land in st.
+func (c *Collector) appelTypeArgs(t TaskRoots, fr []frame, target int, st *Stats) []TypeGC {
 	var incoming pkg
 	for j := len(fr) - 1; j >= target; j-- {
 		_, site := c.siteAtFast(fr[j].pc, st)
 		fi := c.Prog.Funcs[site.Func]
-		targs := c.frameTypeArgs(fi, incoming, t.Stack, fr[j].fp, sc)
+		targs := c.frameTypeArgs(fi, incoming, t.Stack, fr[j].fp)
 		st.ChainSteps++
 		if j == target {
 			return targs
 		}
-		incoming = c.outgoing(site, targs, sc)
+		incoming = c.outgoing(site, targs, &c.sc)
 	}
 	return nil
 }
 
-// applyJobs traces one task's resolved roots, in order, through tr. With
-// pruning armed a spine-verdict slot is deferred to the prune queue instead:
-// every full root must run first, so that the pruning walk stops at anything
-// a live path reached (endPrune).
-func (c *Collector) applyJobs(tr *tracer, stack []code.Word, jobs []rootJob) {
+// applyJobs traces one task's resolved roots, in order. With pruning armed a
+// spine-verdict slot is deferred to the prune queue instead: every full root
+// must run first, so that the pruning walk stops at anything a live path
+// reached (endPrune).
+func (c *Collector) applyJobs(stack []code.Word, jobs []rootJob) {
 	for i := range jobs {
 		j := &jobs[i]
-		tr.st.SlotsTraced++
+		c.Stats.SlotsTraced++
 		if j.prune != nil && c.pruneOn {
 			c.pruneQ = append(c.pruneQ, pruneItem{stack: stack, idx: j.idx, g: j.g, sk: j.prune})
 			continue
 		}
 		w := stack[j.idx]
-		if nw := tr.kernel(&j.routine, w); nw != w {
+		if nw := c.own.kernel(&j.routine, w); nw != w {
 			stack[j.idx] = nw
 		}
 	}
@@ -271,10 +271,9 @@ func (c *Collector) eachRoot(tasks []TaskRoots, globals []code.Word, st *Stats, 
 	for i, g := range c.Prog.Globals {
 		visit(-1, i, c.FromDesc(g.Desc, nil), globals[i])
 	}
-	sc := c.arena(0)
 	for i := range tasks {
-		sc.reset() // outside a collection's trace every earlier window is dead
-		for _, j := range c.taskJobs(tasks[i], st, sc) {
+		c.sc.reset() // outside a collection's trace every earlier window is dead
+		for _, j := range c.taskJobs(tasks[i], st) {
 			visit(i, j.idx, j.g, tasks[i].Stack[j.idx])
 		}
 	}
@@ -291,15 +290,13 @@ func (c *Collector) ResolveRoots(tasks []TaskRoots) int {
 	if c.Strat == StratTagged {
 		return 0
 	}
-	c.prepareFastPath()
 	// E10 calls this in a tight loop outside any collection; reset the
 	// arena each time so repeated resolution does not accumulate.
-	sc := c.arena(0)
-	sc.reset()
+	c.sc.reset()
 	var st Stats
 	total := 0
 	for i := range tasks {
-		total += len(c.taskJobs(tasks[i], &st, sc))
+		total += len(c.taskJobs(tasks[i], &st))
 	}
 	return total
 }

@@ -43,26 +43,22 @@ let mutual_b () = rounds [6] 30 0
 // the host bytes a collection allocates: the walk's frame list, the
 // type-argument windows and the plans all come from the scratch arena and the
 // caches, so B/op is the telemetry record (`make profile-gc` adds the CPU
-// profile). The mark/sweep rows walk the same tower serially and fanned out
-// over two workers, so the shared-claim tracer a -par mark worker runs —
-// claims by compare-and-swap, nothing stored — and the fan-out's fixed cost
-// have a ns/frame and an allocs/op of their own.
+// profile). The mark/sweep row walks the same tower on a heap that marks
+// instead of copying.
 func BenchmarkStackWalk(b *testing.B) {
 	towers := []string{"tower_a", "tower_b", "tower_c", "tower_d"}
 	for _, shape := range []struct {
 		name, src string
 		entries   []string
 		ms        bool
-		par       int
 	}{
-		{"polytower", polyTowerSrc, towers, false, 1},
-		{"mutual", mutualTowerSrc, []string{"mutual_a", "mutual_b"}, false, 1},
-		{"polytower-marksweep-par1", polyTowerSrc, towers, true, 1},
-		{"polytower-marksweep-par2", polyTowerSrc, towers, true, 2},
+		{"polytower", polyTowerSrc, towers, false},
+		{"mutual", mutualTowerSrc, []string{"mutual_a", "mutual_b"}, false},
+		{"polytower-marksweep", polyTowerSrc, towers, true},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			g, roots := stoppedGroup(b, shape.src, shape.entries,
-				pipeline.Options{Strategy: gc.StratCompiled, HeapWords: 1 << 12, MarkSweep: shape.ms, Parallelism: shape.par})
+				pipeline.Options{Strategy: gc.StratCompiled, HeapWords: 1 << 12, MarkSweep: shape.ms})
 			g.Col.Collect(roots, g.Globals) // plans and arenas
 			frames := g.Col.Stats.FramesTraced
 			b.ReportAllocs()
@@ -100,21 +96,23 @@ func stoppedGroup(b *testing.B, src string, entryNames []string, opts pipeline.O
 	return g, roots
 }
 
-// benchParallelCollect times Collect on the root set every task workload has
-// at its first collection, with 1, 2 and 4 workers. The parallel path
-// guarantees bit-identical heaps either way, so the worker count is a pure
-// speed knob: on multi-core hardware the 4-worker rows should beat the
-// sequential walk.
-func benchParallelCollect(b *testing.B, strat gc.Strategy, ms bool) {
-	kind, scale := "copying", 1
-	if ms {
-		kind, scale = "marksweep", 2
-	}
+// BenchmarkCollectTasks times Collect on the root set every task workload
+// has at its first collection — the per-workload pause — under the compiled
+// strategy on both heap disciplines and under Appel's, whose root resolution
+// is the most expensive (the O(n²) chain re-walks).
+func BenchmarkCollectTasks(b *testing.B) {
 	for _, w := range workloads.Tasking {
-		for _, par := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/%s/par=%d", w.Name, kind, par), func(b *testing.B) {
+		for _, cfg := range []struct {
+			strat gc.Strategy
+			ms    bool
+		}{{gc.StratCompiled, false}, {gc.StratCompiled, true}, {gc.StratAppel, false}} {
+			kind, scale := "copying", 1
+			if cfg.ms {
+				kind, scale = "marksweep", 2
+			}
+			b.Run(fmt.Sprintf("%s/%v/%s", w.Name, cfg.strat, kind), func(b *testing.B) {
 				g, roots := stoppedGroup(b, w.Source, w.Entries,
-					pipeline.Options{Strategy: strat, HeapWords: scale * w.HeapWords, MarkSweep: ms, Parallelism: par})
+					pipeline.Options{Strategy: cfg.strat, HeapWords: scale * w.HeapWords, MarkSweep: cfg.ms})
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					g.Col.Collect(roots, g.Globals)
@@ -123,13 +121,3 @@ func benchParallelCollect(b *testing.B, strat gc.Strategy, ms bool) {
 		}
 	}
 }
-
-// BenchmarkParallelCollect measures the compiled strategy's collection
-// pause against worker count, in both heap disciplines.
-func BenchmarkParallelCollect(b *testing.B)          { benchParallelCollect(b, gc.StratCompiled, false) }
-func BenchmarkParallelCollectMarkSweep(b *testing.B) { benchParallelCollect(b, gc.StratCompiled, true) }
-
-// BenchmarkParallelCollectAppel isolates the strategy whose root
-// resolution is the most expensive (the O(n²) chain re-walks): resolution
-// parallelizes, so Appel mode gains the most from extra workers.
-func BenchmarkParallelCollectAppel(b *testing.B) { benchParallelCollect(b, gc.StratAppel, false) }

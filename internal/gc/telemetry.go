@@ -14,8 +14,8 @@ import "tagfree/internal/heap"
 // (table and JSON emitters) lives in internal/pipeline/render.go.
 
 // TaskScan is the collection work attributable to one task's roots.
-// Under parallel mark/sweep, structure shared between tasks is attributed
-// to whichever worker reached it first; only the totals are deterministic.
+// Structure shared between tasks is attributed to the first task whose
+// roots reach it.
 type TaskScan struct {
 	Task    int   `json:"task"`
 	Frames  int64 `json:"frames"`
@@ -37,9 +37,6 @@ type CollectionRecord struct {
 	// 0 (omitted) for global collections, so unsharded runs keep their
 	// exact prior JSON.
 	Shard int `json:"shard,omitempty"`
-	// Parallelism is the worker count that actually scanned (1 when the
-	// sequential path ran, whatever Collector.Parallelism was).
-	Parallelism int `json:"parallelism"`
 	// UsedBefore is the occupied space when the collection started;
 	// LiveWords is what survived it. SurvivorPct is their ratio — under
 	// mark/sweep UsedBefore is the bump high-water mark, so the ratio
@@ -67,9 +64,6 @@ type CollectionRecord struct {
 	// SpineRoots counts the deferred spine-verdict roots this collection
 	// drained through pruning kernels.
 	SpineRoots int64 `json:"spine_roots,omitempty"`
-	// SerialFallback marks a collection whose parallel scan was aborted by
-	// the watchdog and redone sequentially (Parallelism reads 1).
-	SerialFallback bool `json:"serial_fallback,omitempty"`
 	// FreeListHitPct is the share of mutator allocations since the last
 	// collection that recycled a free-list block (mark/sweep only; -1 when
 	// no allocations happened in the interval or the heap is copying).
@@ -198,17 +192,13 @@ type Telemetry struct {
 }
 
 // ResilienceStats counts memory-pressure events and their outcomes: what
-// was injected (OOMs, forced collections, stalled workers) and how the
-// runtime recovered (growth, serial fallback) or did not (task faults).
+// was injected (OOMs, forced collections) and how the runtime recovered
+// (growth, the recovery ladder) or did not (task faults).
 type ResilienceStats struct {
 	// InjectedOOMs counts allocation failures forced by a FaultPlan.
 	InjectedOOMs int64 `json:"injected_ooms,omitempty"`
 	// TortureCollections counts collections forced by torture mode.
 	TortureCollections int64 `json:"torture_collections,omitempty"`
-	// WatchdogTrips counts parallel scans aborted by the watchdog;
-	// SerialFallbacks counts the sequential re-runs that rescued them.
-	WatchdogTrips   int64 `json:"watchdog_trips,omitempty"`
-	SerialFallbacks int64 `json:"serial_fallbacks,omitempty"`
 	// EmergencyCollections counts collections triggered by an allocation
 	// failure (genuine or injected) rather than a Need pre-check.
 	EmergencyCollections int64 `json:"emergency_collections,omitempty"`
@@ -239,7 +229,7 @@ type ResilienceStats struct {
 // nursery heap, "" otherwise; shard is the 1-based shard of a single-shard
 // minor (0 = global); statsBefore/heapBefore are snapshots from the top of
 // the collection; usedBefore the pre-flip occupancy (old + young).
-func (t *Telemetry) record(c *Collector, kind string, shard int, pauseNS int64, parallel, fallback bool, scans []TaskScan, usedBefore int, statsBefore Stats, heapBefore heap.Stats) {
+func (t *Telemetry) record(c *Collector, kind string, shard int, pauseNS int64, scans []TaskScan, usedBefore int, statsBefore Stats, heapBefore heap.Stats) {
 	if t.Strategy == "" {
 		t.Strategy = c.Strat.String()
 		if c.Heap.Kind() == heap.MarkSweep {
@@ -247,10 +237,6 @@ func (t *Telemetry) record(c *Collector, kind string, shard int, pauseNS int64, 
 		} else {
 			t.Kind = "copying"
 		}
-	}
-	par := 1
-	if parallel && !fallback {
-		par = c.Parallelism
 	}
 	live := c.Heap.Stats.LiveAfterLastGC
 	if kind == "minor" {
@@ -283,7 +269,6 @@ func (t *Telemetry) record(c *Collector, kind string, shard int, pauseNS int64, 
 		PauseNS:        pauseNS,
 		Kind:           kind,
 		Shard:          shard,
-		Parallelism:    par,
 		UsedBefore:     int64(usedBefore),
 		LiveWords:      live,
 		SurvivorPct:    survivor,
@@ -297,7 +282,6 @@ func (t *Telemetry) record(c *Collector, kind string, shard int, pauseNS int64, 
 		KernelWords:    c.Stats.KernelWords - statsBefore.KernelWords,
 		PrunedWords:    c.Stats.PrunedWords - statsBefore.PrunedWords,
 		SpineRoots:     spine,
-		SerialFallback: fallback,
 		FreeListHitPct: hitPct,
 		Tasks:          scans,
 	}

@@ -24,8 +24,6 @@ package gc
 
 import (
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"tagfree/internal/code"
 	"tagfree/internal/heap"
@@ -40,65 +38,6 @@ type TypeGC interface {
 	Child(step code.PathStep) TypeGC
 	// gcID is the node's unique id within its builder (memoization key).
 	gcID() int
-}
-
-// memoTable is a grow-only memo with lock-free steady-state reads: an
-// immutable snapshot map is consulted first without locking, and a mutex
-// guards the map of everything ever stored. The collector republishes the
-// snapshot before each parallel phase (prepareFastPath), so once the
-// program's types and plans have been seen, workers never serialize on the
-// mutex — the PR-1 profile showed -par 4 collections spending most of
-// their resolution time queued here.
-type memoTable[K comparable, V any] struct {
-	snap atomic.Pointer[map[K]V]
-	mu   sync.Mutex
-	all  map[K]V
-	// promoted is len(all) at the last snapshot, so promote can skip
-	// republication when nothing new was stored.
-	promoted int
-}
-
-func (t *memoTable[K, V]) get(k K) (V, bool) {
-	if m := t.snap.Load(); m != nil {
-		if v, ok := (*m)[k]; ok {
-			return v, true
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v, ok := t.all[k]
-	return v, ok
-}
-
-// add stores mk() under k unless a racing caller stored first, and returns
-// the stored value either way. mk runs under the table's lock.
-func (t *memoTable[K, V]) add(k K, mk func() V) V {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if v, ok := t.all[k]; ok {
-		return v
-	}
-	if t.all == nil {
-		t.all = map[K]V{}
-	}
-	v := mk()
-	t.all[k] = v
-	return v
-}
-
-// promote republishes the lock-free snapshot from the locked map.
-func (t *memoTable[K, V]) promote() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.all) == t.promoted {
-		return
-	}
-	m := make(map[K]V, len(t.all))
-	for k, v := range t.all {
-		m[k] = v
-	}
-	t.snap.Store(&m)
-	t.promoted = len(m)
 }
 
 // nodeKey identifies a hash-consed entry: its kind, an index (the datatype
@@ -132,32 +71,30 @@ func nodeKeyOf(kind code.TDKind, index int, children ...TypeGC) nodeKey {
 }
 
 // builder hash-conses TypeGC nodes, mirroring the paper's observation that
-// type_gc_routine closures for equal types are shared (Figure 3). The
-// table's mutex makes memoization safe for the parallel collection path,
-// where several workers resolve descriptors concurrently; the set of nodes
-// ever built is determined by the program alone, so Built stays
-// deterministic even though construction order is not.
+// type_gc_routine closures for equal types are shared (Figure 3).
 type builder struct {
-	nodes memoTable[nodeKey, TypeGC]
+	nodes map[nodeKey]TypeGC
 	// caps memoizes closure capture routines (Collector.captures); its
 	// entries are lists of nodes, not nodes, and do not count as Built.
-	caps memoTable[nodeKey, []TypeGC]
+	caps map[nodeKey][]TypeGC
 	// Built counts constructor calls that created a new node (experiment
 	// instrumentation: "type_gc closures constructed"); it doubles as the
-	// id of the newest node. Guarded by nodes.mu.
+	// id of the newest node.
 	Built int64
 }
 
-func newBuilder() *builder { return &builder{} }
+func newBuilder() *builder {
+	return &builder{nodes: map[nodeKey]TypeGC{}, caps: map[nodeKey][]TypeGC{}}
+}
 
 func (b *builder) memo(key nodeKey, mk func(id int) TypeGC) TypeGC {
-	if g, ok := b.nodes.get(key); ok {
+	if g, ok := b.nodes[key]; ok {
 		return g
 	}
-	return b.nodes.add(key, func() TypeGC {
-		b.Built++
-		return mk(int(b.Built))
-	})
+	b.Built++
+	g := mk(int(b.Built))
+	b.nodes[key] = g
+	return g
 }
 
 // Const returns the routine for unboxed values (const_gc in the paper).
@@ -185,7 +122,7 @@ func (b *builder) Tuple(fields []TypeGC) TypeGC {
 func (b *builder) Data(layoutID int, layout *code.DataLayout, args []TypeGC) TypeGC {
 	return b.memo(nodeKeyOf(code.TDData, layoutID, args...), func(id int) TypeGC {
 		return &dataG{id: id, layoutID: layoutID, layout: layout, args: append([]TypeGC(nil), args...),
-			ctors: make([]atomic.Pointer[shape], len(layout.Boxed))}
+			ctors: make([]*shape, len(layout.Boxed))}
 	})
 }
 
@@ -273,7 +210,7 @@ func ApplyPath(g TypeGC, path []code.PathStep) TypeGC {
 // routine itself — a list's or tree's spine, which every walker iterates
 // instead of recursing so long lists cost no host stack — or -1. Shapes
 // are what make a node a closure over its components (Figure 3): resolved
-// once, immutable once published, read by every tracer.
+// once and immutable after.
 type shape struct {
 	fields []TypeGC
 	off    int
@@ -318,26 +255,19 @@ func (c *Collector) shapeOf(g TypeGC, w code.Word) (shape, bool) {
 }
 
 // tracer is the trace policy every routine and kernel runs under: the
-// collector, the Stats block the walk counts into, and the heap.Claim it
-// claims objects through, taken at the top of each collection (begin). The
-// collector's own tracer counts into Collector.Stats, and on a plain serial
-// copying collection its claim checks the forwarding entry and copies inline;
-// otherwise the claim is Heap.VisitObject. A -par mark worker's claims through
-// Heap.VisitShared's compare-and-swap, counts into a block of its own and sums
-// the words it won for its task's TaskScan (Claim.Won). Both read and write
-// fields through the claim's word array. Nothing else differs: a traced word
-// is stored only where it changed (setField), so on a heap that does not move
-// objects a walk writes no heap or stack word and any number of workers may
-// run it at once.
+// collector, whose Stats the walk counts into, and the heap.Claim it claims
+// objects through, taken at the top of each collection (begin). On a plain
+// copying collection the claim checks the forwarding entry and copies
+// inline; otherwise it is Heap.VisitObject. Fields are read and written
+// through the claim's word array, and a traced word is stored only where it
+// changed (setField).
 type tracer struct {
-	c      *Collector
-	st     *Stats
-	shared bool
-	claim  heap.Claim
+	c     *Collector
+	claim heap.Claim
 }
 
 // begin takes the claim for the collection in progress.
-func (t *tracer) begin() { t.c.Heap.TakeClaim(&t.claim, t.shared) }
+func (t *tracer) begin() { t.c.Heap.TakeClaim(&t.claim) }
 
 // visit claims the n-word object at w: its current pointer, and whether its
 // fields still need tracing (first visit).
@@ -350,7 +280,7 @@ func (t *tracer) object(sh *shape, w code.Word) code.Word {
 	if !fresh {
 		return nw
 	}
-	t.st.ObjectsCopied++
+	t.c.Stats.ObjectsCopied++
 	for i, f := range sh.fields {
 		was := t.claim.Field(nw, sh.off+i)
 		t.setField(nw, sh.off+i, was, f.Trace(t, was), f)
@@ -393,7 +323,7 @@ type dataG struct {
 	layout   *code.DataLayout
 	args     []TypeGC
 	// ctors holds each boxed constructor's shape, nil until first use.
-	ctors []atomic.Pointer[shape]
+	ctors []*shape
 }
 
 func (g *dataG) gcID() int { return g.id }
@@ -410,13 +340,11 @@ func (g *dataG) tag(c *Collector, w code.Word) int {
 
 // ctor returns one constructor's shape. The field routines are a pure
 // function of node and tag — hash-consing fixes g.args — so they are
-// resolved on first use and published with a compare-and-swap: parallel
-// mark workers that first-touch a constructor together resolve the same
-// hash-consed nodes, and whichever shape wins is the one all of them read.
-// The interpreted method alone re-derives them for every object: paying
-// for descriptors at trace time is the design the paper measures against.
+// resolved on first use and kept. The interpreted method alone re-derives
+// them for every object: paying for descriptors at trace time is the design
+// the paper measures against.
 func (g *dataG) ctor(c *Collector, tag int) *shape {
-	if sh := g.ctors[tag].Load(); sh != nil {
+	if sh := g.ctors[tag]; sh != nil {
 		return sh
 	}
 	fds := g.layout.Boxed[tag].Fields
@@ -427,10 +355,10 @@ func (g *dataG) ctor(c *Collector, tag int) *shape {
 	if n := len(fds); n > 0 && sh.fields[n-1] == TypeGC(g) {
 		sh.tail = n - 1
 	}
-	if c.Strat == StratInterp || g.ctors[tag].CompareAndSwap(nil, sh) {
-		return sh
+	if c.Strat != StratInterp {
+		g.ctors[tag] = sh
 	}
-	return g.ctors[tag].Load()
+	return sh
 }
 
 // Trace copies a datatype value. Recursive tail fields whose routine is g
@@ -463,7 +391,7 @@ func (g *dataG) Trace(t *tracer, w code.Word) code.Word {
 		if !fresh {
 			return head0(head, haveHead, nw)
 		}
-		t.st.ObjectsCopied++
+		c.Stats.ObjectsCopied++
 		for i, f := range sh.fields {
 			if i != sh.tail {
 				was := t.claim.Field(nw, sh.off+i)
@@ -531,10 +459,12 @@ func (c *Collector) captures(g *arrowG, fidx int, fi *code.FuncInfo, clos code.W
 			key.push(int(code.DecodeInt(c.Heap.Repr, c.Heap.Field(clos, i))))
 		}
 	}
-	if caps, ok := c.b.caps.get(key); ok {
-		return caps
+	caps, ok := c.b.caps[key]
+	if !ok {
+		caps = resolve()
+		c.b.caps[key] = caps
 	}
-	return c.b.caps.add(key, resolve)
+	return caps
 }
 
 // closureEnv reconstructs a closure's type environment from the reference

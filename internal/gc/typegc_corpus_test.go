@@ -24,8 +24,8 @@ import (
 // builtAtParent is {compiled, appel} per single-task program, and per task
 // program {copying, mark/sweep} × {compiled, appel}: the set of nodes ever
 // built is determined by the program and where its collections fall (the
-// mark/sweep runs use a doubled heap, which moves taskpoly's), never by the
-// worker count or by which walker touched a type first.
+// mark/sweep runs use a doubled heap, which moves taskpoly's), never by
+// which walker touched a type first.
 var builtAtParent = map[string][2]int64{
 	"fib": {0, 0}, "tak": {0, 0}, "listchurn": {2, 2}, "btree": {2, 2}, "nqueens": {2, 2},
 	"qsort": {2, 3}, "sieve": {2, 2}, "polypipe": {8, 11}, "closures": {5, 5}, "evaluator": {2, 2},
@@ -81,17 +81,16 @@ func TestComponentsMatchResolutionSingleTask(t *testing.T) {
 }
 
 // TestComponentsMatchResolutionTasks also crosses the heap disciplines and
-// -par 4: under mark/sweep four workers first-touch unresolved nodes
-// concurrently (markValue → shapeOf), which is the case the race targets in
-// the Makefile run this test for.
+// the fast path: with it off every frame is resolved afresh, so the nodes
+// built are the walk's alone.
 func TestComponentsMatchResolutionTasks(t *testing.T) {
 	for _, w := range workloads.Tasking {
 		for si, strat := range componentStrategies {
 			for mi, ms := range []bool{false, true} {
-				for _, par := range []int{1, 4} {
-					t.Run(fmt.Sprintf("%s/%v/ms=%v/par%d", w.Name, strat, ms, par), func(t *testing.T) {
+				for _, fast := range []bool{true, false} {
+					t.Run(fmt.Sprintf("%s/%v/ms=%v/fast=%v", w.Name, strat, ms, fast), func(t *testing.T) {
 						want, pinned := taskBuiltAtParent[w.Name]
-						checkBuilt(t, runGroupCollector(t, w, strat, ms, par), want[mi][si], pinned)
+						checkBuilt(t, runGroupCollector(t, w, strat, ms, fast), want[mi][si], pinned)
 					})
 				}
 			}
@@ -101,9 +100,9 @@ func TestComponentsMatchResolutionTasks(t *testing.T) {
 
 // runGroupCollector runs a task workload to completion with the verifier on
 // and returns its collector.
-func runGroupCollector(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bool, par int) *gc.Collector {
+func runGroupCollector(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms, fast bool) *gc.Collector {
 	t.Helper()
-	opts := pipeline.Options{Strategy: strat, HeapWords: w.HeapWords, MarkSweep: ms, Parallelism: par, VerifyHeap: true}
+	opts := pipeline.Options{Strategy: strat, HeapWords: w.HeapWords, MarkSweep: ms, DisableGCFastPath: !fast, VerifyHeap: true}
 	if ms {
 		opts.HeapWords = 2 * w.HeapWords
 	}

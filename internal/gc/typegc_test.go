@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -330,8 +329,7 @@ func TestStrategyReprCompatibility(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Node-resident components: cached ≡ resolved, first-touch race, allocation
-// guard. typegc_corpus_test.go runs CheckComponents over the corpora.
+// Node-resident components: cached ≡ resolved, allocation guard. typegc_corpus_test.go runs CheckComponents over the corpora.
 // ---------------------------------------------------------------------------
 
 // CheckComponents walks every entry of the collector's hash-cons table and
@@ -343,16 +341,16 @@ func CheckComponents(c *Collector) error {
 	b := c.b
 	built := b.Built
 	byID := map[int]TypeGC{}
-	for _, g := range b.nodes.all {
+	for _, g := range b.nodes {
 		byID[g.gcID()] = g
 	}
-	for _, g := range b.nodes.all {
+	for _, g := range b.nodes {
 		dg, ok := g.(*dataG)
 		if !ok {
 			continue
 		}
 		for tag := range dg.ctors {
-			sh := dg.ctors[tag].Load()
+			sh := dg.ctors[tag]
 			if sh == nil {
 				continue
 			}
@@ -378,7 +376,7 @@ func CheckComponents(c *Collector) error {
 			}
 		}
 	}
-	for key, caps := range b.caps.all {
+	for key, caps := range b.caps {
 		fi := c.Prog.Funcs[key.index]
 		ids := key.ids[:min(int(key.n), len(key.ids))]
 		for _, s := range strings.Split(key.spill, ":")[1:] {
@@ -412,75 +410,6 @@ func CheckComponents(c *Collector) error {
 		return fmt.Errorf("re-resolving cached components built %d new nodes", b.Built-built)
 	}
 	return nil
-}
-
-// TestFirstTouchRace has four workers first-touch the same unresolved
-// nodes at once, the way -par 4 mark workers do: every worker must read
-// the one published shape, and racing resolutions must build each node
-// once. Run under -race (make tier2, tier2-bench).
-func TestFirstTouchRace(t *testing.T) {
-	intList := &code.TypeDesc{Kind: code.TDData, Index: 0, Args: []*code.TypeDesc{{Kind: code.TDConst}}}
-	nested := &code.TypeDesc{Kind: code.TDData, Index: 0, Args: []*code.TypeDesc{
-		{Kind: code.TDTuple, Args: []*code.TypeDesc{intList, {Kind: code.TDData, Index: 1}}}}}
-	serial := newTestCollector(t, code.ReprTagFree, StratCompiled, 64)
-	serial.FromDesc(nested, nil).(*dataG).ctor(serial, 0)
-	for round := 0; round < 50; round++ {
-		prog := listProgram(code.ReprTagFree)
-		c, err := New(prog, heap.NewMarkSweep(prog.Repr, 1<<12), StratCompiled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Each worker marks its own list of (int list, tree) pairs.
-		const workers = 4
-		roots := make([]code.Word, workers)
-		for i := range roots {
-			pair := c.Heap.MustAlloc(2)
-			c.Heap.SetField(pair, 0, mkList(c.Heap, []int64{1, 2, 3}))
-			c.Heap.SetField(pair, 1, 0)
-			cell := c.Heap.MustAlloc(2)
-			c.Heap.SetField(cell, 0, pair)
-			c.Heap.SetField(cell, 1, 0)
-			roots[i] = cell
-		}
-		c.Heap.BeginGC()
-		shapes := make([]*shape, workers)
-		words := make([]int64, workers)
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				<-start
-				g := c.FromDesc(nested, nil)
-				var st Stats
-				tr := tracer{c: c, st: &st, shared: true}
-				tr.begin()
-				if g.Trace(&tr, roots[i]) != roots[i] {
-					t.Errorf("worker %d: marking moved its root", i)
-				}
-				words[i] = tr.claim.Won()
-				shapes[i] = g.(*dataG).ctor(c, 0)
-			}(i)
-		}
-		close(start)
-		wg.Wait()
-		c.Heap.EndGC()
-		for i := range shapes {
-			if shapes[i] != shapes[0] {
-				t.Fatalf("round %d: workers read different shapes for one constructor", round)
-			}
-			if words[i] != 10 {
-				t.Fatalf("round %d: worker %d marked %d words, want 10", round, i, words[i])
-			}
-		}
-		if c.b.Built != serial.b.Built {
-			t.Fatalf("round %d: racing first touches built %d nodes, serial resolution builds %d", round, c.b.Built, serial.b.Built)
-		}
-		if err := CheckComponents(c); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // closureProgram extends listProgram with three closure bodies: a
@@ -567,11 +496,7 @@ func TestTraceAllocatesNothingPerObject(t *testing.T) {
 					}
 					root := tc.build(h, prog)
 					g := c.FromDesc(tc.desc, nil)
-					var st Stats
 					tr := &c.own
-					if ms {
-						tr = &tracer{c: c, st: &st, shared: true} // a -par mark worker's
-					}
 					collect := func() {
 						h.BeginGC()
 						tr.begin()
@@ -579,11 +504,11 @@ func TestTraceAllocatesNothingPerObject(t *testing.T) {
 						h.EndGC()
 					}
 					collect() // first touch resolves the shapes
-					before := c.Stats.ObjectsCopied + st.ObjectsCopied
+					before := c.Stats.ObjectsCopied
 					if allocs := testing.AllocsPerRun(5, collect); allocs > 1 || allocs > 0 && !ms {
 						t.Fatalf("%v host allocations per collection of %d objects", allocs, tc.objects)
 					}
-					if got := (c.Stats.ObjectsCopied + st.ObjectsCopied - before) / 6; got != tc.objects {
+					if got := (c.Stats.ObjectsCopied - before) / 6; got != tc.objects {
 						t.Fatalf("each collection visited %d objects, want %d", got, tc.objects)
 					}
 					if err := CheckComponents(c); err != nil {

@@ -3,7 +3,7 @@ package heap
 import "tagfree/internal/code"
 
 // Claim is a collection's heap as the tracer that claims objects in it holds
-// it: the word array, and on a plain serial copying collection the forwarding
+// it: the word array, and on a plain copying collection the forwarding
 // table and its epoch, the from-space base and the to-space limit beside the
 // heap whose bump it advances. The tracer takes it once per collection
 // (TakeClaim), so claiming an object — read its forwarding entry, copy it word
@@ -13,10 +13,10 @@ import "tagfree/internal/code"
 //
 // inline is false wherever the heap has more to decide — mark/sweep, a minor
 // collection, a SetDebugAccess heap, the tagged representation — and Visit is
-// then VisitObject, or a -par mark worker's VisitShared. A nursery object
-// (below young) reached by a copying major goes through VisitObject too: its
-// evacuation is the nursery's. Field and SetField address the word array for
-// the tag-free representation, the only one whose collections run tracers.
+// then VisitObject. A nursery object (below young) reached by a copying major
+// goes through VisitObject too: its evacuation is the nursery's. Field and
+// SetField address the word array for the tag-free representation, the only
+// one whose collections run tracers.
 type Claim struct {
 	h                     *Heap
 	mem                   []code.Word
@@ -24,21 +24,15 @@ type Claim struct {
 	epoch                 uint64
 	fromOff, young, limit int
 	// cold says a copy owes more than its words (owe).
-	inline, cold, shared bool
-	// won sums the words a shared claim marked first.
-	won int64
+	inline, cold bool
 }
 
-// TakeClaim fills cl for the collection in progress; shared says it is a -par
-// mark worker's.
-func (h *Heap) TakeClaim(cl *Claim, shared bool) {
+// TakeClaim fills cl for the collection in progress.
+func (h *Heap) TakeClaim(cl *Claim) {
 	*cl = Claim{h: h, mem: h.mem, fwd: h.forward, epoch: h.fwdEpoch, fromOff: h.fromOff, young: h.young.prefixWords(),
-		limit: h.limit, cold: h.verify || h.young.enabled, shared: shared,
-		inline: !shared && h.inGC && h.kind == Copying && !h.young.minorGC && !h.debugAccess && h.Repr == code.ReprTagFree}
+		limit: h.limit, cold: h.verify || h.young.enabled,
+		inline: h.inGC && h.kind == Copying && !h.young.minorGC && !h.debugAccess && h.Repr == code.ReprTagFree}
 }
-
-// Won returns the words a shared claim marked first.
-func (cl *Claim) Won() int64 { return cl.won }
 
 // Field reads field i of the object at w.
 func (cl *Claim) Field(w code.Word, i int) code.Word { return cl.mem[int(w)-code.HeapBase+i] }
@@ -52,7 +46,7 @@ func (cl *Claim) SetField(w code.Word, i int, v code.Word) { cl.mem[int(w)-code.
 func (cl *Claim) Visit(ptr code.Word, n int) (code.Word, bool) {
 	base := int(ptr) - code.HeapBase
 	if !cl.inline || base < cl.young {
-		return cl.visitHeap(ptr, n)
+		return cl.h.VisitObject(ptr, n)
 	}
 	off := base - cl.fromOff
 	if e := cl.fwd[off]; e>>fwdShift == cl.epoch {
@@ -73,18 +67,6 @@ func (cl *Claim) Visit(ptr code.Word, n int) (code.Word, bool) {
 		h.owe(nb, n) // after the copy: nothing else reads the bump meanwhile
 	}
 	return code.Word(code.HeapBase + nb), true
-}
-
-// visitHeap is Visit through the heap's own claim calls.
-func (cl *Claim) visitHeap(ptr code.Word, n int) (code.Word, bool) {
-	if !cl.shared {
-		return cl.h.VisitObject(ptr, n)
-	}
-	nw, fresh := cl.h.VisitShared(ptr, n)
-	if fresh {
-		cl.won += int64(n)
-	}
-	return nw, fresh
 }
 
 // owe is what a copy of n words to nb owes besides its words: the exhaustion

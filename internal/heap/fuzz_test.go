@@ -89,7 +89,7 @@ func checkMarkSweepInvariants(t *testing.T, h *Heap, liveAt map[int]int) {
 		if int(h.objSize[base]) != size {
 			t.Fatalf("live object at %d: objSize %d, want %d", base, h.objSize[base], size)
 		}
-		if h.marks[base] != 0 {
+		if h.marks[base] {
 			t.Fatalf("mark bit not cleared at %d", base)
 		}
 	}

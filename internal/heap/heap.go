@@ -101,10 +101,8 @@ type Heap struct {
 	// their start offsets, mark bits, exact-size free lists, and the sizes
 	// of swept gaps awaiting reuse.
 	objSize []int32
-	// marks holds one mark word per heap word (nonzero = marked). It is
-	// uint32 rather than bool so parallel marking can claim objects with an
-	// atomic compare-and-swap (VisitShared).
-	marks []uint32
+	// marks holds one mark bit per heap word, set at an object's start.
+	marks []bool
 	// free[n] is the LIFO list of swept n-word blocks (their start
 	// offsets); indexed by size and grown on demand, so the allocation path
 	// never hashes.
@@ -173,8 +171,8 @@ func fwdIndex(e uint64) int { return int(e & (1<<fwdShift - 1)) }
 func (h *Heap) SemiWords() int { return h.semi }
 
 // MemSnapshot returns a copy of the heap's entire word array. Tests use it
-// to assert that two collection configurations (sequential vs parallel,
-// shuffled scan orders) leave bit-identical heaps.
+// to assert that two collection configurations (fast path on and off, say)
+// leave bit-identical heaps.
 func (h *Heap) MemSnapshot() []code.Word {
 	return append([]code.Word(nil), h.mem...)
 }
@@ -601,7 +599,7 @@ func (h *Heap) Grow(newWords int) error {
 		copy(mem, h.mem)
 		objSize := make([]int32, total)
 		copy(objSize, h.objSize)
-		marks := make([]uint32, total)
+		marks := make([]bool, total)
 		copy(marks, h.marks)
 		h.mem, h.objSize, h.marks = mem, objSize, marks
 		if h.gapSize != nil {

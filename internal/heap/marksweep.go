@@ -2,7 +2,6 @@ package heap
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"tagfree/internal/code"
 )
@@ -46,7 +45,7 @@ func NewMarkSweep(repr code.Repr, totalWords int) *Heap {
 		alloc:   0,
 		limit:   totalWords,
 		objSize: make([]int32, totalWords),
-		marks:   make([]uint32, totalWords),
+		marks:   make([]bool, totalWords),
 	}
 	return h
 }
@@ -111,10 +110,10 @@ func (h *Heap) VisitObject(ptr code.Word, n int) (code.Word, bool) {
 			panic(fmt.Sprintf("heap: collector visited block at %d with size %d, allocated as %d",
 				base, n, h.objSize[base]))
 		}
-		if h.marks[base] != 0 {
+		if h.marks[base] {
 			return ptr, false
 		}
-		h.marks[base] = 1
+		h.marks[base] = true
 		h.Stats.WordsCopied += int64(n) // marked words (same column as copied)
 		return ptr, true
 	}
@@ -125,62 +124,30 @@ func (h *Heap) VisitObject(ptr code.Word, n int) (code.Word, bool) {
 		return h.CopyObject(ptr, n), true
 	}
 	var cl Claim
-	h.TakeClaim(&cl, false)
+	h.TakeClaim(&cl)
 	cl.inline = true // the copy is the claim's, whatever else the heap is
 	return cl.Visit(ptr, n)
 }
 
-// VisitShared is the thread-safe variant of VisitObject for parallel
-// marking (mark/sweep only). Marking never moves objects, so concurrent
-// workers only need first-visit arbitration: an atomic compare-and-swap on
-// the mark word. The winner gets fresh=true and traces the fields; losers
-// see an already-marked object. Heap words are never written during
-// marking, so the final heap is bit-identical regardless of scan order.
-func (h *Heap) VisitShared(ptr code.Word, n int) (code.Word, bool) {
+// Marked reports whether the object at ptr is already marked, without
+// marking it. The concurrent write barrier uses it to skip graying targets
+// the cycle has already claimed — without the check a store-heavy mutator
+// regrows the gray queue faster than slices drain it.
+func (h *Heap) Marked(ptr code.Word) bool {
 	if h.kind != MarkSweep {
-		panic("VisitShared: parallel visits require a mark/sweep heap")
+		panic("Marked: requires a mark/sweep heap")
 	}
-	base := h.addrIndex(ptr)
-	if h.young.enabled && base < h.young.prefixWords() {
-		// Young objects move during evacuation; parallel marking cannot
-		// handle them. Nursery collections run the serial path.
-		panic("VisitShared: young object reached by a parallel marker")
-	}
-	if h.objSize[base] == 0 {
-		panic(fmt.Sprintf("heap: collector visited a freed block at offset %d (size %d)", base, n))
-	}
-	if int(h.objSize[base]) != n {
-		panic(fmt.Sprintf("heap: collector visited block at %d with size %d, allocated as %d",
-			base, n, h.objSize[base]))
-	}
-	if !atomic.CompareAndSwapUint32(&h.marks[base], 0, 1) {
-		return ptr, false
-	}
-	atomic.AddInt64(&h.Stats.WordsCopied, int64(n))
-	return ptr, true
+	return h.marks[h.addrIndex(ptr)]
 }
 
-// MarkedShared reports whether the object at ptr is already marked,
-// without marking it. The concurrent write barrier uses it to skip graying
-// targets the cycle has already claimed — without the check a store-heavy
-// mutator regrows the gray queue faster than slices drain it.
-func (h *Heap) MarkedShared(ptr code.Word) bool {
-	if h.kind != MarkSweep {
-		panic("MarkedShared: requires a mark/sweep heap")
-	}
-	return atomic.LoadUint32(&h.marks[h.addrIndex(ptr)]) != 0
-}
-
-// ResetMarks clears every mark bit without sweeping. The parallel
-// collector uses it to discard a partially-marked heap after a watchdog
-// abort, so the serial fallback can re-mark from scratch.
+// ResetMarks clears every mark bit without sweeping. An aborted concurrent
+// mark cycle uses it to discard its partial mark set before the
+// stop-the-world collection that replaces it.
 func (h *Heap) ResetMarks() {
 	if h.kind != MarkSweep {
 		panic("ResetMarks: requires a mark/sweep heap")
 	}
-	for i := range h.marks {
-		h.marks[i] = 0
-	}
+	clear(h.marks)
 }
 
 // FreeListWords returns the total storage parked on the mark/sweep free
@@ -212,9 +179,9 @@ func (h *Heap) msEndGC() {
 			base += n
 			continue
 		}
-		if h.marks[base] != 0 {
+		if h.marks[base] {
 			live += int64(n)
-			h.marks[base] = 0
+			h.marks[base] = false
 		} else {
 			h.freePush(n, base)
 			if h.gapSize == nil {

@@ -208,7 +208,7 @@ func (h *Heap) EnableNurseryShards(youngWords, promoteAfter, shards int) {
 		h.alloc = shift
 		h.limit = shift + h.semi
 		h.objSize = make([]int32, len(h.mem))
-		h.marks = make([]uint32, len(h.mem))
+		h.marks = make([]bool, len(h.mem))
 		h.gapSize = nil
 		return
 	}
@@ -474,7 +474,7 @@ func (h *Heap) promoteDest(n int) (int, bool) {
 		}
 		h.objSize[base] = int32(n)
 		if !h.young.minorGC {
-			h.marks[base] = 1 // keep the promoted block through the sweep
+			h.marks[base] = true // keep the promoted block through the sweep
 		}
 		return base, true
 	}

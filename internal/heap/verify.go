@@ -148,7 +148,7 @@ func (h *Heap) verifyMarkSweep() []error {
 		base += n
 	}
 	for base, m := range h.marks {
-		if m != 0 {
+		if m {
 			errs = append(errs, fmt.Errorf("heap verify: mark bit still set at offset %d after sweep", base))
 			break
 		}

@@ -3,18 +3,18 @@ package pipeline
 // The mode lattice. The paper's claim is that frame maps alone suffice to
 // trace precisely, so no mode stacked on the collector may change what the
 // plain sequential oldest→newest collector leaves. A cell is a program at a
-// point of the lattice — strategy × discipline × par × nursery × tlab ×
-// concurrent × shards × heap-liveness (poison armed) × torture × fail-every ×
+// point of the lattice — strategy × discipline × nursery × tlab × concurrent
+// × shards × heap-liveness (poison armed) × torture × fail-every ×
 // suspend-at-allocs × fast path off × the group's quantum — legal iff no Rule
-// refuses it, and held to its oracle (the same strategy × discipline at par 1,
-// fast path off, no other mode) by one invariant set:
+// refuses it, and held to its oracle (the same strategy × discipline, fast
+// path off, no other mode) by one invariant set:
 //
 //   - the values (and the program's known result), outputs and faults;
 //   - the end-of-run gc.LiveSignature — under pruning a projection of the
 //     oracle's, poison standing in for dead subtrees (Karkare/Sanyal/Khedker:
 //     nothing pruned is dereferenced);
 //   - the live words after each collection, where the two collect at the
-//     same points (they differ in par or fast path alone);
+//     same points (they differ in the fast path alone);
 //   - on a copying heap without a nursery, the active space after a final
 //     full collection, word for word;
 //   - under pruning and torture, no more words retained than full tracing
@@ -102,7 +102,6 @@ type cell struct {
 func plain(*cell)                        {}
 func strategy(s gc.Strategy) func(*cell) { return func(c *cell) { c.opts.Strategy = s } }
 func markSweep(c *cell)                  { c.opts.MarkSweep = true }
-func par4(c *cell)                       { c.opts.Parallelism = 4 }
 func nursery(c *cell)                    { c.opts.NurseryWords = 256 }
 func tlab(c *cell)                       { c.opts.TLABWords = 64 }
 func shards(c *cell)                     { c.opts.Shards = 2 }
@@ -127,7 +126,7 @@ func with(modes ...func(*cell)) func(*cell) {
 // latticeAxes are the dimensions after the program; value 0 of each is off.
 var latticeAxes = [][]func(*cell){
 	{plain, strategy(gc.StratInterp), strategy(gc.StratAppel), strategy(gc.StratTagged)},
-	{plain, markSweep}, {plain, par4}, {plain, nursery}, {plain, tlab}, {plain, concurrent}, {plain, shards},
+	{plain, markSweep}, {plain, nursery}, {plain, tlab}, {plain, concurrent}, {plain, shards},
 	{plain, pruned}, {plain, torture}, {plain, failEvery}, {plain, atAllocs}, {plain, noFastPath}, {plain, quantum7},
 }
 
@@ -222,7 +221,7 @@ func (c cell) oracle() cell {
 // aligned: the cell collects where its oracle does.
 func (c cell) aligned() bool {
 	o := c.opts
-	o.Parallelism, o.DisableGCFastPath = 0, true
+	o.DisableGCFastPath = true
 	return c.quantum == 0 && reflect.DeepEqual(o, c.oracle().opts)
 }
 
@@ -286,7 +285,6 @@ func (c cell) run() (g *tasking.Group, r *result, err error) {
 		// The globals are the only roots left, so a full collection lays the
 		// live heap out in trace order; a second one if need be brings every
 		// run to the same semispace.
-		g.Col.Parallelism = 1
 		for g.Col.CollectFull(nil, g.Globals); g.Heap.Stats.Collections%2 == 1; {
 			g.Col.CollectFull(nil, g.Globals)
 		}
@@ -398,12 +396,6 @@ var engagement = []struct {
 	masked func(c cell, g *tasking.Group) bool
 	ran    func(g *tasking.Group) bool
 }{
-	{"par", func(o Options) bool { return o.Parallelism > 1 }, func(c cell, g *tasking.Group) bool {
-		return c.opts.Strategy == gc.StratTagged || c.opts.MarkSweep && c.opts.NurseryWords > 0 || // traced serially
-			records(g, func(r *gc.CollectionRecord) bool { return r.Kind != "minor" }) == 0
-	}, func(g *tasking.Group) bool {
-		return records(g, func(r *gc.CollectionRecord) bool { return r.Parallelism > 1 }) > 0
-	}},
 	{"gc-nursery", func(o Options) bool { return o.NurseryWords > 0 }, nil, func(g *tasking.Group) bool {
 		return g.Heap.Stats.MinorCollections+g.Heap.Stats.PromotedWords+records(g, func(r *gc.CollectionRecord) bool {
 			return r.Kind != "" || r.PromotedWords != 0 || r.Remembered != 0 || r.BarrierHits != 0
@@ -427,7 +419,7 @@ var engagement = []struct {
 	}},
 	{"gc-heap-liveness", func(o Options) bool { return o.GCHeapLiveness }, nil, func(g *tasking.Group) bool {
 		lv := g.Col.Liveness // a concurrent cycle counts its drop
-		return lv.PruneCollections+lv.DegradedStrategy+lv.DegradedFastPath+lv.DegradedParallel+lv.DegradedShard+lv.DegradedConcurrent > 0 &&
+		return lv.PruneCollections+lv.DegradedStrategy+lv.DegradedFastPath+lv.DegradedShard+lv.DegradedConcurrent > 0 &&
 			(lv.DegradedConcurrent > 0 || records(g, func(r *gc.CollectionRecord) bool { return r.Conc != nil }) == 0)
 	}},
 	{"gc-torture", func(o Options) bool { return o.Torture }, nil, func(g *tasking.Group) bool {
@@ -613,29 +605,29 @@ func viewCell(t *testing.T, name string, c cell) {
 }
 
 func TestDifferentialWorkloadsCrossStrategy(t *testing.T) {
-	view(t, latticeSingles, allKeys, "{prog}/{strat}/ms={ms}", par4)
+	view(t, latticeSingles, allKeys, "{prog}/{strat}/ms={ms}", plain)
 }
 func TestDifferentialFastPathCrossStrategy(t *testing.T) {
-	view(t, latticeSingles, allKeys, "{prog}/{strat}/ms={ms}", plain, par4, with(par4, noFastPath))
+	view(t, latticeSingles, allKeys, "{prog}/{strat}/ms={ms}", plain, noFastPath, with(pruned, noFastPath))
 }
 func TestDifferentialNurseryWorkloads(t *testing.T) {
-	view(t, latticeSingles, tagFreeKeys, "{prog}/{strat}/ms={ms}", nursery, with(nursery, par4))
+	view(t, latticeSingles, tagFreeKeys, "{prog}/{strat}/ms={ms}", nursery, with(nursery, noFastPath))
 }
 func TestDifferentialConcurrentVM(t *testing.T) {
 	view(t, latticeSingles, []Options{allKeys[1], allKeys[3]}, "{prog}/{strat}", concurrent)
 }
 func TestDifferentialTaskWorkloadsCrossStrategy(t *testing.T) {
-	view(t, latticeTasks, allKeys, "{prog}/{strat}/ms={ms}", par4)
+	view(t, latticeTasks, allKeys, "{prog}/{strat}/ms={ms}", plain)
 }
 func TestDifferentialNurseryTasks(t *testing.T) {
-	view(t, latticeTasks, compiledKeys, "{prog}/ms={ms}", nursery, with(nursery, par4))
+	view(t, latticeTasks, compiledKeys, "{prog}/ms={ms}", nursery, with(nursery, atAllocs))
 }
 func TestDifferentialShardsTasks(t *testing.T) {
 	view(t, latticeTasks, tagFreeKeys, "{prog}/{strat}/ms={ms}", with(nursery, shards),
 		with(nursery, func(c *cell) { c.opts.Shards = 4 }))
 }
 func TestDifferentialTLABTasks(t *testing.T) {
-	view(t, latticeTasks, compiledKeys, "{prog}/ms={ms}", tlab, with(tlab, par4), with(tlab, nursery))
+	view(t, latticeTasks, compiledKeys, "{prog}/ms={ms}", tlab, with(tlab, nursery), with(tlab, quantum7))
 }
 func TestDifferentialTLABStrategies(t *testing.T) {
 	view(t, latticeTasks[:1], []Options{allKeys[0], allKeys[2], allKeys[4], allKeys[6]}, "{strat}", tlab)
@@ -644,7 +636,8 @@ func TestDifferentialConcurrentTasks(t *testing.T) {
 	view(t, latticeTasks, compiledMS, "{prog}/calls", concurrent)
 	view(t, latticeTasks, compiledMS, "{prog}/allocs", with(concurrent, atAllocs))
 	view(t, latticeTasks, compiledMS, "{prog}/tlab", with(concurrent, tlab))
-	view(t, latticeTasks, compiledMS, "{prog}/par-oracle", par4)
+	view(t, latticeTasks, compiledMS, "{prog}/quantum", with(concurrent, quantum7))
+	view(t, latticeTasks, compiledMS, "{prog}/no-fast-path", with(concurrent, noFastPath))
 }
 func TestDisableLivenessVerifiesCleanOnTasks(t *testing.T) { // frames zero-filled for widened maps
 	view(t, latticeTasks, compiledKeys, "{prog}/ms={ms}", func(c *cell) { c.opts.DisableLiveness = true })
@@ -681,7 +674,7 @@ let main () = churn () + trees () + boxes ()
 
 func TestTortureDifferentialTasking(t *testing.T) {
 	p := latticeProg{"torture-tasks", tortureTaskSrc, []string{"churn", "trees", "boxes"}, nil, 1024}
-	view(t, []latticeProg{p}, allKeys, "{strat}/ms={ms}", torture, with(torture, par4))
+	view(t, []latticeProg{p}, allKeys, "{strat}/ms={ms}", torture, with(torture, tlab))
 }
 func TestTortureDifferentialSingle(t *testing.T) {
 	view(t, []latticeProg{{name: "torture-main", src: tortureTaskSrc, heap: 1024}}, allKeys, "{strat}/ms={ms}", torture)
@@ -710,7 +703,7 @@ func refused(t *testing.T, opts ...Options) {
 
 func TestConcurrentValidation(t *testing.T) {
 	refused(t, Options{GCConcurrent: true}, Options{Strategy: gc.StratTagged, GCConcurrent: true},
-		Options{MarkSweep: true, GCConcurrent: true, NurseryWords: 64}, Options{MarkSweep: true, GCConcurrent: true, Parallelism: 4})
+		Options{MarkSweep: true, GCConcurrent: true, NurseryWords: 64})
 }
 func TestShardGating(t *testing.T) {
 	refused(t, Options{Strategy: gc.StratTagged, Shards: 2}, Options{Shards: 2},
@@ -763,9 +756,6 @@ func TestHeapLivenessModeMatrixFuzz(t *testing.T) {
 		}
 		if c.opts.MarkSweep && c.opts.NurseryWords == 0 && rng.Intn(2) == 1 {
 			concurrent(&c)
-		}
-		if !c.opts.GCConcurrent && rng.Intn(3) == 0 {
-			par4(&c)
 		}
 		if rng.Intn(2) == 1 {
 			tlab(&c)

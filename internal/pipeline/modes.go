@@ -41,7 +41,7 @@ type Knob struct {
 	// Flag is the CLI spelling (without the dash); Key the .tfs spelling
 	// inside Block ("" = the scenario body, "faults", "arrivals"). An empty
 	// Key means the knob is not part of the DSL. Axis marks the keys that
-	// take a list and cross into matrix cells (strategies, disciplines, par,
+	// take a list and cross into matrix cells (strategies, disciplines,
 	// shards): the scenario package parses the list, this row names the
 	// spelling and checks each element.
 	Flag, Key, Block string
@@ -80,8 +80,6 @@ var Knobs = []Knob{
 		Help: "collector: compiled, interp, appel, tagged"},
 	{Flag: "marksweep", Key: "disciplines", Axis: true, Kind: Bool, Field: "MarkSweep",
 		Help: "mark/sweep heap discipline instead of semispace copying"},
-	{Flag: "par", Key: "par", Axis: true, Kind: Int, Min: 1, Max: 64, Noun: "par", Field: "Parallelism",
-		Help: "parallel collection workers (1 = sequential)"},
 	{Flag: "shards", Key: "shards", Axis: true, Kind: Int, Min: 1, Max: 64, Noun: "shards", Field: "Shards",
 		Help: "partition tasks and nursery into N heap shards with independent minor collections"},
 	{Flag: "heap", Key: "heap", Kind: Int, Min: 128, Max: maxHeapWords, Noun: "heap size", Unit: "words", Field: "HeapWords",
@@ -335,14 +333,14 @@ type Rule struct {
 // strategy: young objects are headerless and their evacuation, like the
 // mark phase, is type-directed. Concurrent marking exists only for the
 // mark/sweep discipline, needs typed frame maps (the tagged baseline has
-// none of the store descriptors its barrier relies on) and composes with
-// neither the nursery (minor cycles move objects mid-mark) nor the parallel
-// markers. Per-shard minor collection is the nursery's machinery partitioned
+// none of the store descriptors its barrier relies on) and does not compose
+// with the nursery (minor cycles move objects mid-mark). Per-shard minor
+// collection is the nursery's machinery partitioned
 // by task group, so it needs the nursery, more than one mutator to overlap
 // with, and cannot compose with the concurrent marker, whose cycles assume
 // one global collection epoch. The pruning kernels of heap-liveness exist in
-// the compiled strategy alone; its other envelopes (parallel trace, shard
-// minors, concurrent cycles) are decided per collection and counted there.
+// the compiled strategy alone; its other envelopes (shard minors, concurrent
+// cycles) are decided per collection and counted there.
 var Rules = []Rule{
 	{"marksweep", "mark/sweep is implemented for the tag-free strategies", false,
 		func(o Options, _ bool) bool { return o.MarkSweep && o.tagged() }},
@@ -354,8 +352,6 @@ var Rules = []Rule{
 		func(o Options, _ bool) bool { return o.GCConcurrent && !o.MarkSweep }},
 	{"gc-concurrent", "concurrent marking requires the nursery off", false,
 		func(o Options, _ bool) bool { return o.GCConcurrent && o.NurseryWords > 0 }},
-	{"gc-concurrent", "concurrent marking uses a single incremental marker", false,
-		func(o Options, _ bool) bool { return o.GCConcurrent && o.Parallelism > 1 }},
 	{"shards", "heap sharding requires a tag-free strategy", false,
 		func(o Options, _ bool) bool { return o.Shards > 1 && o.tagged() }},
 	{"shards", "heap sharding requires a nursery (per-shard minor collections)", false,

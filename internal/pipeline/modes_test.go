@@ -132,7 +132,7 @@ func TestReadmeModesTableIsGenerated(t *testing.T) {
 // (tests run 4-word heaps), but a negative size or count must not reach
 // heap.New's make() — validate refuses it on both execution paths.
 func TestNegativeSizesAreRefused(t *testing.T) {
-	for _, o := range []Options{{HeapWords: -1}, {NurseryWords: -16}, {TLABWords: -5}, {Parallelism: -3},
+	for _, o := range []Options{{HeapWords: -1}, {NurseryWords: -16}, {TLABWords: -5},
 		{MaxHeapWords: -1}, {GrowFactor: -2}, {BudgetSteps: -1}, {FailAllocNth: -1}} {
 		if _, err := Run(`let main () = 7`, o); err == nil || !strings.Contains(err.Error(), "must not be negative") {
 			t.Errorf("Run(%+v): got %v, want the refusal", o, err)

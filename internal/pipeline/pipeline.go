@@ -6,7 +6,6 @@ package pipeline
 
 import (
 	"fmt"
-	"time"
 
 	"tagfree/internal/code"
 	"tagfree/internal/compile/codegen"
@@ -52,11 +51,6 @@ type Options struct {
 	// tasking runs: Rgc is checked only inside allocation routines. A
 	// single-task run always uses it.
 	SuspendAtAllocs bool
-	// Parallelism is the number of workers scanning task stacks during
-	// each collection (0 or 1 = the sequential oracle). Parallel and
-	// sequential collections produce bit-identical heaps; see
-	// internal/gc/parallel.go.
-	Parallelism int
 	// DisableGCFastPath turns off the Compiled strategy's collection fast
 	// path (frame-plan cache, pc→site cache, specialized trace kernels —
 	// internal/gc/fastpath.go), restoring uncached per-frame resolution.
@@ -80,11 +74,6 @@ type Options struct {
 	// MaxHeapWords (0 = unbounded) is its hard ceiling in semispace words.
 	GrowFactor   float64
 	MaxHeapWords int
-	// WorkerDelay stalls each parallel GC worker before scanning;
-	// Watchdog bounds the parallel phase, falling back to the sequential
-	// oracle when exceeded. Fault-injection knobs for testing.
-	WorkerDelay time.Duration
-	Watchdog    time.Duration
 	// NurseryWords > 0 enables a generational bump-allocated nursery of
 	// NurseryWords words per young half in front of the old region(s).
 	// Minor collections evacuate only the nursery, re-tracing stacks and
@@ -142,7 +131,7 @@ type Options struct {
 	// provably dead element fields with a sentinel instead of retaining
 	// them (internal/gc/liveness.go). Ineligible collections (other
 	// strategies — the one static case, a Degrade row of Rules — fast path
-	// off, parallel trace, shard minors, concurrent cycles) degrade to full
+	// off, shard minors, concurrent cycles) degrade to full
 	// tracing with the refusal counted in Result.Liveness.
 	GCHeapLiveness bool
 	// PoisonPruned (-poison-pruned) turns any mutator load of the pruning
@@ -164,17 +153,14 @@ func (o Options) heapWords() int {
 // faultPlan assembles the fault-injection plan implied by the options, or
 // nil when no fault knob is set.
 func (o Options) faultPlan() *gc.FaultPlan {
-	if !o.Torture && o.FailAllocNth == 0 && o.FailAllocEvery == 0 &&
-		o.WorkerDelay == 0 && o.Watchdog == 0 {
+	if !o.Torture && o.FailAllocNth == 0 && o.FailAllocEvery == 0 {
 		return nil
 	}
 	return &gc.FaultPlan{
-		Torture:     o.Torture,
-		FailNth:     o.FailAllocNth,
-		FailEvery:   o.FailAllocEvery,
-		WorkerDelay: o.WorkerDelay,
-		Watchdog:    o.Watchdog,
-		RefillOnly:  o.FailRefillsOnly,
+		Torture:    o.Torture,
+		FailNth:    o.FailAllocNth,
+		FailEvery:  o.FailAllocEvery,
+		RefillOnly: o.FailRefillsOnly,
 	}
 }
 
@@ -315,7 +301,6 @@ func newGroup(prog *code.Program, opts Options, single bool) (*tasking.Group, er
 	if err != nil {
 		return nil, err
 	}
-	g.Col.Parallelism = opts.Parallelism
 	g.Col.DisableFastPath = opts.DisableGCFastPath
 	g.Col.Faults = opts.faultPlan()
 	if opts.VerifyHeap {

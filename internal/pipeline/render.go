@@ -131,7 +131,7 @@ func TelemetryTable(t *gc.Telemetry, opt TelemetryOptions) string {
 	if !opt.OmitTiming {
 		header = append(header, "pause")
 	}
-	header = append(header, "par", "before", "live", "surv%", "words", "frames", "slots", "flhit%")
+	header = append(header, "before", "live", "surv%", "words", "frames", "slots", "flhit%")
 	if gen {
 		header = append(header, "prom", "rem", "barrier")
 	}
@@ -170,7 +170,6 @@ func TelemetryTable(t *gc.Telemetry, opt TelemetryOptions) string {
 			row = append(row, time.Duration(r.PauseNS).String())
 		}
 		row = append(row,
-			fmt.Sprint(r.Parallelism),
 			fmt.Sprint(r.UsedBefore),
 			fmt.Sprint(r.LiveWords),
 			fmt.Sprintf("%.1f", r.SurvivorPct),
@@ -313,16 +312,16 @@ func TelemetryTable(t *gc.Telemetry, opt TelemetryOptions) string {
 		for _, r := range t.Records {
 			prunedWords += r.PrunedWords
 		}
-		fmt.Fprintf(&b, "liveness: prune-gcs=%d spine-roots=%d pruned-words=%d degraded-strategy=%d degraded-fastpath=%d degraded-parallel=%d degraded-shard=%d degraded-concurrent=%d\n",
+		fmt.Fprintf(&b, "liveness: prune-gcs=%d spine-roots=%d pruned-words=%d degraded-strategy=%d degraded-fastpath=%d degraded-shard=%d degraded-concurrent=%d\n",
 			lv.PruneCollections, lv.SpineRoots, prunedWords,
-			lv.DegradedStrategy, lv.DegradedFastPath, lv.DegradedParallel,
+			lv.DegradedStrategy, lv.DegradedFastPath,
 			lv.DegradedShard, lv.DegradedConcurrent)
 	}
 	if rs := t.Resilience; rs != (gc.ResilienceStats{}) {
-		fmt.Fprintf(&b, "resilience: injected-ooms=%d torture-collections=%d emergency-collections=%d ladder-recovered=%d ladder-exhausted=%d heap-growths=%d watchdog-trips=%d serial-fallbacks=%d task-faults=%d budget-faults=%d conc-aborts=%d\n",
+		fmt.Fprintf(&b, "resilience: injected-ooms=%d torture-collections=%d emergency-collections=%d ladder-recovered=%d ladder-exhausted=%d heap-growths=%d task-faults=%d budget-faults=%d conc-aborts=%d\n",
 			rs.InjectedOOMs, rs.TortureCollections, rs.EmergencyCollections,
 			rs.LadderRecovered, rs.LadderExhausted,
-			rs.HeapGrowths, rs.WatchdogTrips, rs.SerialFallbacks,
+			rs.HeapGrowths,
 			rs.TaskFaults, rs.BudgetFaults, rs.ConcAborts)
 	}
 	return b.String()

@@ -4,17 +4,15 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"tagfree/internal/gc"
-	"tagfree/internal/workloads"
 )
 
 // Memory-pressure resilience tests: drive both heap disciplines to
 // exhaustion at every rung of the recovery ladder (collect rescues, growth
-// rescues, fault isolates) under sequential and parallel collection, and
-// require the surviving tasks' results and outputs to be bit-identical to
-// a run that never saw the pressure. The post-collection heap verifier is
+// rescues, fault isolates) along each allocation path, and require the
+// surviving tasks' results and outputs to be bit-identical to a run that
+// never saw the pressure. The post-collection heap verifier is
 // on throughout: any rung that corrupts the heap panics the test.
 
 // ladderSrc has one greedy task that retains a structure far larger than
@@ -41,6 +39,18 @@ var ladderDisciplines = []struct {
 }{
 	{"copying", false},
 	{"marksweep", true},
+}
+
+// ladderAllocPaths are the ways a task's allocation reaches the heap: the
+// heap itself, a per-task buffer that must be retired before each rung
+// collects, and a nursery whose minors the ladder must step past.
+var ladderAllocPaths = []struct {
+	name string
+	opts func(o *Options)
+}{
+	{"heap", func(o *Options) {}},
+	{"tlab", func(o *Options) { o.TLABWords = 64 }},
+	{"nursery", func(o *Options) { o.NurseryWords = 256 }},
 }
 
 func TestRecoveryLadderRungs(t *testing.T) {
@@ -143,15 +153,15 @@ func TestRecoveryLadderRungs(t *testing.T) {
 
 	for _, d := range ladderDisciplines {
 		for _, rung := range rungs {
-			for _, par := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%s/%s/par=%d", d.name, rung.name, par), func(t *testing.T) {
+			for _, path := range ladderAllocPaths {
+				t.Run(fmt.Sprintf("%s/%s/%s", d.name, rung.name, path.name), func(t *testing.T) {
 					opts := Options{
-						Strategy:    gc.StratCompiled,
-						HeapWords:   1024,
-						MarkSweep:   d.ms,
-						Parallelism: par,
-						VerifyHeap:  true,
+						Strategy:   gc.StratCompiled,
+						HeapWords:  1024,
+						MarkSweep:  d.ms,
+						VerifyHeap: true,
 					}
+					path.opts(&opts)
 					rung.opts(&opts)
 					res, err := RunTasks(ladderSrc, []string{"greedy", "mod_a", "mod_b"}, opts)
 					if err != nil {
@@ -192,55 +202,5 @@ func TestRecoveryLadderRungs(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestWatchdogSerialFallback stalls every parallel worker far past the
-// watchdog: each collection's parallel phase must be aborted and redone by
-// the sequential oracle, with results and per-collection live words
-// identical to a run that never went parallel.
-func TestWatchdogSerialFallback(t *testing.T) {
-	w, ok := workloads.TaskByName("taskchurn")
-	if !ok {
-		t.Fatal("taskchurn workload missing")
-	}
-	for _, ms := range []bool{false, true} {
-		t.Run(fmt.Sprintf("ms=%v", ms), func(t *testing.T) {
-			base, err := RunTasks(w.Source, w.Entries, Options{
-				Strategy:   gc.StratCompiled,
-				HeapWords:  w.HeapWords,
-				MarkSweep:  ms,
-				VerifyHeap: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := RunTasks(w.Source, w.Entries, Options{
-				Strategy:    gc.StratCompiled,
-				HeapWords:   w.HeapWords,
-				MarkSweep:   ms,
-				Parallelism: 4,
-				VerifyHeap:  true,
-				WorkerDelay: 30 * time.Millisecond,
-				Watchdog:    time.Millisecond,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, e := range w.Expect {
-				if res.Values[i] != e {
-					t.Fatalf("task %d = %d, want %d", i, res.Values[i], e)
-				}
-			}
-			rs := res.Telemetry.Resilience
-			if rs.WatchdogTrips == 0 || rs.SerialFallbacks == 0 {
-				t.Fatalf("watchdog never tripped: %+v", rs)
-			}
-			seq := fmt.Sprint(base.Telemetry.LiveWordsPerCollection())
-			par := fmt.Sprint(res.Telemetry.LiveWordsPerCollection())
-			if seq != par {
-				t.Fatalf("fallback diverges from sequential oracle:\n  seq %s\n  par %s", seq, par)
-			}
-		})
 	}
 }

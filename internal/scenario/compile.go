@@ -23,14 +23,13 @@ import (
 // configuration.
 type Cell struct {
 	// Scenario and Name identify the cell; Name is
-	// "<scenario>/<strategy>/<discipline-key>/par<k>".
+	// "<scenario>/<strategy>/<discipline-key>".
 	Scenario string
 	Name     string
 
 	Workload   workloads.TaskWorkload
 	Strategy   gc.Strategy
 	Discipline Discipline
-	Par        int
 	// Shards is the heap shard count (1 = the unsharded heap). When the
 	// scenario sets the shards key, the cell name carries a "/sh<k>"
 	// suffix; otherwise names keep their historical shape.
@@ -78,10 +77,8 @@ func Compile(scs []*Scenario) ([]Cell, error) {
 		}
 		for _, strat := range sc.Strategies {
 			for _, disc := range sc.Disciplines {
-				for _, par := range sc.Par {
-					for _, shards := range sc.Shards {
-						cells = append(cells, compileCell(sc, w, srv, strat, disc, par, shards))
-					}
+				for _, shards := range sc.Shards {
+					cells = append(cells, compileCell(sc, w, srv, strat, disc, shards))
 				}
 			}
 		}
@@ -114,9 +111,9 @@ func compileServe(sc *Scenario, w workloads.TaskWorkload) (*serve.Config, error)
 	return &cfg, nil
 }
 
-// compileCell resolves one (strategy, discipline, par, shards) point.
-func compileCell(sc *Scenario, w workloads.TaskWorkload, srv *serve.Config, strat gc.Strategy, disc Discipline, par, shards int) Cell {
-	name := fmt.Sprintf("%s/%s/%s/par%d", sc.Name, strat, disc.Key(), par)
+// compileCell resolves one (strategy, discipline, shards) point.
+func compileCell(sc *Scenario, w workloads.TaskWorkload, srv *serve.Config, strat gc.Strategy, disc Discipline, shards int) Cell {
+	name := fmt.Sprintf("%s/%s/%s", sc.Name, strat, disc.Key())
 	if _, set := sc.keyPos["shards"]; set {
 		name += fmt.Sprintf("/sh%d", shards)
 	}
@@ -126,7 +123,6 @@ func compileCell(sc *Scenario, w workloads.TaskWorkload, srv *serve.Config, stra
 		Workload:   w,
 		Strategy:   strat,
 		Discipline: disc,
-		Par:        par,
 		Shards:     shards,
 		Repeats:    sc.Repeats,
 		Serve:      srv,
@@ -135,7 +131,6 @@ func compileCell(sc *Scenario, w workloads.TaskWorkload, srv *serve.Config, stra
 	c.Opts.Strategy = strat
 	c.Opts.HeapWords = w.HeapWords
 	c.Opts.MarkSweep = disc == MarkSweep
-	c.Opts.Parallelism = par
 	if shards > 1 {
 		// shards 1 stays zero-valued so a defaulted axis compiles to an
 		// Options struct identical to its hand-written twin.

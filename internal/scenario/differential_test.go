@@ -25,15 +25,15 @@ import (
 // handOpts is what a hand-coded harness (cmd/tfgc tasks, the telemetry
 // report) builds for one configuration — written out longhand on purpose:
 // this is the oracle the compiler is differenced against.
-func handOpts(strat gc.Strategy, heapWords int, ms bool, par, nursery, promote, tlab int) pipeline.Options {
+func handOpts(strat gc.Strategy, heapWords int, ms bool, nursery, promote, tlab, shards int) pipeline.Options {
 	return pipeline.Options{
 		Strategy:     strat,
 		HeapWords:    heapWords,
 		MarkSweep:    ms,
-		Parallelism:  par,
 		NurseryWords: nursery,
 		PromoteAfter: promote,
 		TLABWords:    tlab,
+		Shards:       shards,
 	}
 }
 
@@ -41,9 +41,8 @@ func TestScenarioDifferentialHandCoded(t *testing.T) {
 	scs, err := Parse(`
 scenario diff {
   workload    taskchurn
-  strategies  compiled appel
+  strategies  compiled interp appel
   disciplines copying marksweep
-  par         1 4
 }
 
 scenario diff-nursery {
@@ -57,6 +56,13 @@ scenario diff-tlab {
   workload    taskchurn
   strategies  compiled
   tlab        64
+}
+
+scenario diff-shards {
+  workload    taskmutate
+  strategies  compiled
+  nursery     256
+  shards      2 4
 }
 `)
 	if err != nil {
@@ -73,16 +79,16 @@ scenario diff-tlab {
 	churn := 2048
 	mutate := 4096
 	want := map[string]pipeline.Options{
-		"diff/compiled/copying/par1":         handOpts(gc.StratCompiled, churn, false, 1, 0, 0, 0),
-		"diff/compiled/copying/par4":         handOpts(gc.StratCompiled, churn, false, 4, 0, 0, 0),
-		"diff/compiled/marksweep/par1":       handOpts(gc.StratCompiled, churn, true, 1, 0, 0, 0),
-		"diff/compiled/marksweep/par4":       handOpts(gc.StratCompiled, churn, true, 4, 0, 0, 0),
-		"diff/appel/copying/par1":            handOpts(gc.StratAppel, churn, false, 1, 0, 0, 0),
-		"diff/appel/copying/par4":            handOpts(gc.StratAppel, churn, false, 4, 0, 0, 0),
-		"diff/appel/marksweep/par1":          handOpts(gc.StratAppel, churn, true, 1, 0, 0, 0),
-		"diff/appel/marksweep/par4":          handOpts(gc.StratAppel, churn, true, 4, 0, 0, 0),
-		"diff-nursery/compiled/copying/par1": handOpts(gc.StratCompiled, mutate, false, 1, 256, 2, 0),
-		"diff-tlab/compiled/copying/par1":    handOpts(gc.StratCompiled, churn, false, 1, 0, 0, 64),
+		"diff/compiled/copying":            handOpts(gc.StratCompiled, churn, false, 0, 0, 0, 0),
+		"diff/compiled/marksweep":          handOpts(gc.StratCompiled, churn, true, 0, 0, 0, 0),
+		"diff/interp/copying":              handOpts(gc.StratInterp, churn, false, 0, 0, 0, 0),
+		"diff/interp/marksweep":            handOpts(gc.StratInterp, churn, true, 0, 0, 0, 0),
+		"diff/appel/copying":               handOpts(gc.StratAppel, churn, false, 0, 0, 0, 0),
+		"diff/appel/marksweep":             handOpts(gc.StratAppel, churn, true, 0, 0, 0, 0),
+		"diff-nursery/compiled/copying":    handOpts(gc.StratCompiled, mutate, false, 256, 2, 0, 0),
+		"diff-tlab/compiled/copying":       handOpts(gc.StratCompiled, churn, false, 0, 0, 64, 0),
+		"diff-shards/compiled/copying/sh2": handOpts(gc.StratCompiled, mutate, false, 256, 0, 0, 2),
+		"diff-shards/compiled/copying/sh4": handOpts(gc.StratCompiled, mutate, false, 256, 0, 0, 4),
 	}
 	if len(cells) != len(want) {
 		t.Fatalf("compiled %d cells, want %d", len(cells), len(want))

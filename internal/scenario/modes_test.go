@@ -71,8 +71,8 @@ func TestScenarioFrontEndsAgree(t *testing.T) {
 }
 
 // TestScenarioRulesAgree compiles the lattice of modes the rule table speaks
-// about — strategy × discipline × par × nursery × tlab × concurrent × shards
-// × heap-liveness, 512 combinations — and holds the scenario compiler to
+// about — strategy × discipline × nursery × tlab × concurrent × shards ×
+// heap-liveness, 256 combinations — and holds the scenario compiler to
 // pipeline.Rules: a cell's skip reasons are exactly Refusals() then
 // Degrades() of its configuration, and a cell it runs carries exactly that
 // configuration. (That the runtime refuses with the same sentences, and that
@@ -86,7 +86,7 @@ func TestScenarioRulesAgree(t *testing.T) {
 			for _, conc := range onOff {
 				for _, live := range onOff {
 					src := fmt.Sprintf("scenario m {\nworkload taskchurn\nstrategies compiled interp appel tagged\n"+
-						"disciplines copying marksweep\npar 1 2\nshards 1 2\nnursery %d\ntlab %d\n", nursery, tlab)
+						"disciplines copying marksweep\nshards 1 2\nnursery %d\ntlab %d\n", nursery, tlab)
 					if conc {
 						src += "gc_concurrent\n"
 					}
@@ -101,13 +101,13 @@ func TestScenarioRulesAgree(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(cells) != 32 {
-						t.Fatalf("got %d cells, want 32", len(cells))
+					if len(cells) != 16 {
+						t.Fatalf("got %d cells, want 16", len(cells))
 					}
 					for _, c := range cells {
 						full := pipeline.Options{
 							Strategy: c.Strategy, HeapWords: w.HeapWords, MarkSweep: c.Discipline == MarkSweep,
-							Parallelism: c.Par, NurseryWords: nursery, TLABWords: tlab,
+							NurseryWords: nursery, TLABWords: tlab,
 							GCConcurrent: conc, GCHeapLiveness: live, PoisonPruned: live,
 						}
 						if c.Shards > 1 {
@@ -126,8 +126,8 @@ func TestScenarioRulesAgree(t *testing.T) {
 			}
 		}
 	}
-	if skipped < 64 || skipped > 512-64 {
-		t.Errorf("lattice: %d of 512 cells skipped, want both sides populated", skipped)
+	if skipped < 32 || skipped > 256-32 {
+		t.Errorf("lattice: %d of 256 cells skipped, want both sides populated", skipped)
 	}
 	if tagged := (pipeline.Options{Strategy: gc.StratTagged, MarkSweep: true}).Refusals(); len(tagged) != 1 {
 		t.Errorf("tagged mark/sweep: refusals %q, want exactly one", tagged)

@@ -136,9 +136,6 @@ func (p *parser) parseScenario() (*Scenario, error) {
 	if len(sc.Disciplines) == 0 {
 		sc.Disciplines = []Discipline{Copying}
 	}
-	if len(sc.Par) == 0 {
-		sc.Par = []int{1}
-	}
 	if len(sc.Shards) == 0 {
 		sc.Shards = []int{1}
 	}
@@ -200,8 +197,6 @@ func (p *parser) parseStmt(sc *Scenario) error {
 		if len(sc.Disciplines) == 0 {
 			return p.fail("expected at least one discipline, found %s", p.describe())
 		}
-	case "par":
-		sc.Par, err = p.intAxis(key, "worker count")
 	case "shards":
 		sc.Shards, err = p.intAxis(key, "shard count")
 	case "faults":
@@ -234,7 +229,7 @@ func (p *parser) parseStmt(sc *Scenario) error {
 	return p.expectEndOfLine(key)
 }
 
-// intAxis parses the values of a list axis (par, shards), each checked
+// intAxis parses the values of a list axis (shards), each checked
 // against the range of the axis's table row.
 func (p *parser) intAxis(key, what string) ([]int, error) {
 	k := pipeline.FindKey("", key)
@@ -316,7 +311,7 @@ func keyList(block string) string {
 	}
 	list := strings.Join(keys, ", ")
 	if block == "" {
-		list = "workload, strategies, disciplines, par, shards, repeats, " + list + ", faults, arrivals, mix"
+		list = "workload, strategies, disciplines, shards, repeats, " + list + ", faults, arrivals, mix"
 	}
 	return list
 }

@@ -2,8 +2,8 @@
 // declarative notation for GC benchmark scenarios, compiled into the
 // corpus-run machinery (pipeline.RunTasks) the experiments and telemetry
 // reports already use. A scenario names a task workload and the matrix
-// axes to cross it with — collection strategies, heap disciplines,
-// parallelism — plus the runtime knobs (heap, nursery, promotion, TLAB)
+// axes to cross it with — collection strategies, heap disciplines, heap
+// shards — plus the runtime knobs (heap, nursery, promotion, TLAB)
 // and a fault-injection block, plus gc_concurrent for incremental marking,
 // so that widening the evaluation no longer
 // means editing Go in internal/workloads: workloads stay code, but the
@@ -11,12 +11,11 @@
 //
 // A .tfs file holds one or more scenarios:
 //
-//	# taskchurn across every strategy and discipline, sequential and 4 workers.
+//	# taskchurn across every strategy and discipline.
 //	scenario churn-all {
 //	  workload    taskchurn
 //	  strategies  compiled interp appel tagged
 //	  disciplines copying marksweep
-//	  par         1 4
 //	  faults {
 //	    torture
 //	    verify-heap
@@ -31,7 +30,7 @@
 // that parses is a configuration those tools accept, and the reverse.
 //
 // Compile crosses the axes into matrix cells, one pipeline.Options per
-// (strategy, discipline, par); RunMatrix executes them and renders the
+// (strategy, discipline, shards); RunMatrix executes them and renders the
 // comparative report (an aligned table plus a tagfree-bench/v1 JSON
 // snapshot). Cells whose combination pipeline.Rules rejects (mark/sweep
 // or a nursery under the tagged baseline) are emitted as skipped rows
@@ -50,7 +49,7 @@ import (
 
 // Scenario is one parsed scenario: a workload crossed with matrix axes
 // under shared runtime knobs. Zero-valued axes get defaults at parse time
-// (all strategies, copying discipline, par 1, one repeat); sizes default
+// (all strategies, copying discipline, one shard, one repeat); sizes default
 // to 0 = "use the workload's recommendation" (heap) or "off" (nursery,
 // tlab).
 type Scenario struct {
@@ -67,7 +66,6 @@ type Scenario struct {
 	// The matrix axes.
 	Strategies  []gc.Strategy
 	Disciplines []Discipline
-	Par         []int
 	// Shards crosses heap shard counts (task→shard partitioning with
 	// independent per-shard minor collections).
 	Shards []int

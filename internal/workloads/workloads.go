@@ -298,7 +298,7 @@ func ByName(name string) (Workload, bool) {
 
 // TaskWorkload is one multi-task benchmark program: several unit -> int
 // entry functions run as concurrent tasks over a shared heap. Used by the
-// parallel-collection benchmarks and the cross-strategy differential
+// per-workload collection benchmarks and the cross-strategy differential
 // suite.
 type TaskWorkload struct {
 	Name        string
