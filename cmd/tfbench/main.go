@@ -1,4 +1,4 @@
-// Command tfbench regenerates the experiment tables (E1–E17; see
+// Command tfbench regenerates the experiment tables (E1–E16; see
 // EXPERIMENTS.md). With arguments, it runs only the named experiments.
 //
 //	tfbench              # all experiments
@@ -70,9 +70,8 @@ func main() {
 		"e14": experiments.E14Overload,
 		"e15": func() *experiments.Table { return experiments.E15ConcurrentMark(*repeats) },
 		"e16": experiments.E16ShardedMinors,
-		"e17": experiments.E17HeapLiveness,
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17"}
+	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16"}
 
 	selected := flag.Args()
 	if len(selected) == 0 {

@@ -95,9 +95,6 @@ func cli(args []string, stdout io.Writer) error {
 	if err := cfg.Opts.CheckSizes(); err != nil {
 		return &usageError{err.Error()}
 	}
-	for _, d := range cfg.Opts.Degrades() {
-		fmt.Fprintf(os.Stderr, "tfserve: note: %s; running without it, counted under -gc-stats\n", d)
-	}
 	res, err := serve.Run(cfg)
 	if err != nil {
 		return err

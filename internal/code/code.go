@@ -315,20 +315,7 @@ const (
 type SlotEntry struct {
 	Slot int
 	Desc *TypeDesc
-	// Spine marks a slot whose heap-liveness verdict is spine-only: the
-	// analysis proved that no element-field projection of the recursive
-	// datatype in this slot can be demanded after this GC point, so a
-	// liveness-guided collector may trace just the spine (tag + recursive
-	// fields) and prune the element fields. Purely advisory — every
-	// collector mode that cannot honor it safely traces the full structure.
-	Spine bool
 }
-
-// PrunedWord is the sentinel a liveness-guided trace writes into pruned
-// (provably dead) element fields. It must read as unboxed in both value
-// representations so later traces, the verifier and the remembered set
-// skip it: below HeapBase for the tag-free repr, odd for the tagged one.
-const PrunedWord Word = 0xDEAD
 
 // PathStep mirrors ir.PathStep for runtime type derivation.
 type PathStep struct {

@@ -26,7 +26,6 @@ import (
 	"sort"
 
 	"tagfree/internal/code"
-	"tagfree/internal/compile/gcanal"
 	"tagfree/internal/compile/liveness"
 	"tagfree/internal/ir"
 	"tagfree/internal/mlang/types"
@@ -37,7 +36,6 @@ type Compiler struct {
 	irp  *ir.Program
 	repr code.Repr
 	prog *code.Program
-	hl   *gcanal.HeapLiveness
 
 	// descs and argLists hash-cons type descriptors (see intern); argStack
 	// holds the children of the descriptors being looked up.
@@ -73,17 +71,9 @@ type argListKey struct {
 // Compile translates an IR program for the given representation. The
 // GC-possible analysis must already have refined RCall.CanGC flags.
 func Compile(irp *ir.Program, repr code.Repr) (*code.Program, error) {
-	return CompileWith(irp, repr, nil)
-}
-
-// CompileWith is Compile with an optional heap-liveness result: when hl is
-// non-nil, frame-map entries proven spine-only carry the Spine verdict for
-// the liveness-guided collector.
-func CompileWith(irp *ir.Program, repr code.Repr, hl *gcanal.HeapLiveness) (*code.Program, error) {
 	c := &Compiler{
 		irp:  irp,
 		repr: repr,
-		hl:   hl,
 		prog: &code.Program{
 			Repr:    repr,
 			Strings: irp.Strings,
@@ -125,6 +115,13 @@ func CompileWith(irp *ir.Program, repr code.Repr, hl *gcanal.HeapLiveness) (*cod
 	c.prog.DescNodes = len(c.descs)
 	code.Fuse(c.prog.Code)
 	return c.prog, nil
+}
+
+// CompileWith is Compile; its third argument is ignored. It remains only
+// because the repository benchmark (benchmark/layers.go) calls
+// CompileWith(irp, repr, nil).
+func CompileWith(irp *ir.Program, repr code.Repr, _ any) (*code.Program, error) {
+	return Compile(irp, repr)
 }
 
 // ---------------------------------------------------------------------------
@@ -689,7 +686,7 @@ func (fe *femit) emitRhs(dst *ir.Slot, r ir.Rhs) {
 				inst = append(inst, c.descOf(t, fe.f))
 			}
 			gcw = fe.siteCall(r.Site, cidx, inst)
-			fe.addSiteArgs(gcw, r.Site, r.Args)
+			fe.addSiteArgs(gcw, r.Args)
 		}
 		fe.emit(code.OpCall, d, code.Word(cidx), gcw, code.Word(len(args)))
 		fe.emit(args...)
@@ -698,7 +695,7 @@ func (fe *femit) emitRhs(dst *ir.Slot, r ir.Rhs) {
 		gcw := code.Word(-1)
 		if r.CanGC {
 			gcw = fe.site(r.Site, code.SiteCallC, nil, c.descOf(r.SiteType, fe.f))
-			fe.addSiteArgs(gcw, r.Site, []ir.Atom{r.Clos, r.Arg})
+			fe.addSiteArgs(gcw, []ir.Atom{r.Clos, r.Arg})
 		}
 		fe.emit(code.OpCallC, d, gcw, c.atom(r.Clos), c.atom(r.Arg))
 
@@ -740,8 +737,7 @@ func (fe *femit) site(irSite int, kind code.SiteKind, calleeInst []*code.TypeDes
 		if !d.MayHoldPointer() {
 			continue
 		}
-		spine := d.Kind == code.TDData && fe.c.hl.SpineLiveAt(fe.f, irSite, s.Idx)
-		si.Live = append(si.Live, code.SlotEntry{Slot: s.Idx, Desc: d, Spine: spine})
+		si.Live = append(si.Live, code.SlotEntry{Slot: s.Idx, Desc: d})
 	}
 	idx := len(fe.c.prog.Sites)
 	fe.c.prog.Sites = append(fe.c.prog.Sites, si)
@@ -759,7 +755,7 @@ func (fe *femit) siteCall(irSite, calleeIdx int, inst []*code.TypeDesc) code.Wor
 
 // addSiteArgs records the call's pointer-bearing slot operands, the extra
 // roots a task suspended before the call contributes (tasking, §4).
-func (fe *femit) addSiteArgs(gcw code.Word, irSite int, args []ir.Atom) {
+func (fe *femit) addSiteArgs(gcw code.Word, args []ir.Atom) {
 	si := fe.c.prog.Sites[gcw]
 	for _, a := range args {
 		s, ok := a.(*ir.ASlot)
@@ -770,8 +766,7 @@ func (fe *femit) addSiteArgs(gcw code.Word, irSite int, args []ir.Atom) {
 		if !d.MayHoldPointer() {
 			continue
 		}
-		spine := d.Kind == code.TDData && fe.c.hl.SpineArgAt(fe.f, irSite, s.Slot.Idx)
-		si.Args = append(si.Args, code.SlotEntry{Slot: s.Slot.Idx, Desc: d, Spine: spine})
+		si.Args = append(si.Args, code.SlotEntry{Slot: s.Slot.Idx, Desc: d})
 	}
 }
 

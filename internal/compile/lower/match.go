@@ -166,9 +166,7 @@ func (c *fctx) genCtorTest(p *ast.PCtor, v ir.Atom, em *emitter) ir.Atom {
 
 // patternTestFree reports whether genTest on the pattern emits no test at
 // all (wildcards, variables, unit, and tuples thereof). Field loads feeding
-// such subpatterns would be dead code — and, once liveness-guided tracing
-// can prune provably dead element fields, a dead load of a pruned word
-// would falsely trip the poison-debug trap — so callers skip them.
+// such subpatterns would be dead code, so callers skip them.
 func patternTestFree(p ast.Pattern) bool {
 	switch p := p.(type) {
 	case *ast.PWild, *ast.PVar, *ast.PUnit:

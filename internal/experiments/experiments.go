@@ -24,8 +24,6 @@
 //	E15 mostly-concurrent marking: max pause vs throughput, stop-the-world
 //	    against incremental cycles (concurrent.go)
 //	E16 sharded heaps: per-shard minor collection under overload (shard.go)
-//	E17 heap-liveness-guided tracing: spine-only descriptors vs
-//	    full-structure tracing (liveness.go)
 package experiments
 
 import (
@@ -527,7 +525,6 @@ func All(repeats int) []*Table {
 		E14Overload(),
 		E15ConcurrentMark(repeats),
 		E16ShardedMinors(),
-		E17HeapLiveness(),
 	}
 }
 

@@ -3,7 +3,7 @@ package gc
 // Kernel-classifier unit tests, in-package because classification is a
 // plan-build detail. These pin the shapes the ROADMAP called out as
 // uncovered — strings-of-ground (interned const indices) and nested flat
-// tuples — plus the liveness-guided pruning classifier's refusals.
+// tuples.
 
 import (
 	"testing"
@@ -21,10 +21,6 @@ var (
 	descConst = &code.TypeDesc{Kind: code.TDConst}
 	descVar0  = &code.TypeDesc{Kind: code.TDVar, Index: 0}
 )
-
-func descTuple(fields ...*code.TypeDesc) *code.TypeDesc {
-	return &code.TypeDesc{Kind: code.TDTuple, Args: fields}
-}
 
 func descData(layout int, args ...*code.TypeDesc) *code.TypeDesc {
 	return &code.TypeDesc{Kind: code.TDData, Index: layout, Args: args}
@@ -164,64 +160,5 @@ func TestClassifySpineShapes(t *testing.T) {
 	closList := b.Data(0, c.Prog.Data[0], []TypeGC{b.Arrow(ints, ints)})
 	if k, _, _ := c.classify(closList); k != kGeneric {
 		t.Errorf("closure list: classify = %d, want kGeneric", k)
-	}
-}
-
-func TestClassifyPrune(t *testing.T) {
-	c := classifierCollector(listLayout(0), treeLayout(1))
-	b := c.b
-	ints := b.Const()
-
-	// Pruning is shape-permissive: even a list of closures — which the
-	// full-trace classifier refuses — prunes, because the payload is
-	// overwritten, not traced.
-	closList := b.Data(0, c.Prog.Data[0], []TypeGC{b.Arrow(ints, ints)})
-	sk := c.classifyPrune(closList)
-	if sk == nil {
-		t.Fatal("closure list: want a pruning kernel")
-	}
-	if len(sk.steps[0]) != 1 || sk.steps[0][0].kind != sfPrune || sk.steps[0][0].off != 0 {
-		t.Fatalf("closure list steps = %+v, want one sfPrune at offset 0", sk.steps[0])
-	}
-	if sk.tail[0] != 1 {
-		t.Errorf("closure list tail = %d, want 1", sk.tail[0])
-	}
-
-	// An int list has nothing to prune but still gets a kernel (the spine
-	// walk itself is the point; const payloads are skipped).
-	intList := b.Data(0, c.Prog.Data[0], []TypeGC{ints})
-	if sk := c.classifyPrune(intList); sk == nil || len(sk.steps[0]) != 0 {
-		t.Errorf("int list: want a pruning kernel with no steps, got %+v", sk)
-	}
-
-	// A tree's non-tail self field must recurse, never prune.
-	tree := b.Data(1, c.Prog.Data[1], nil)
-	sk = c.classifyPrune(tree)
-	if sk == nil || len(sk.steps[0]) != 1 || sk.steps[0][0].kind != sfSelf {
-		t.Fatalf("tree: want sfSelf step, got %+v", sk)
-	}
-
-	// Non-datatype roots never prune.
-	if sk := c.classifyPrune(b.Tuple([]TypeGC{ints, ints})); sk != nil {
-		t.Errorf("tuple: pruning kernel = %+v, want nil", sk)
-	}
-
-	// Non-regular recursion: a field of the same datatype at a *different*
-	// instantiation is a spine step to the analysis, so pruning must
-	// refuse the whole shape rather than sever it.
-	nonreg := &code.DataLayout{
-		Name:       "nest",
-		HasTagWord: false,
-		Boxed: []code.CtorLayout{
-			{Name: "N", Fields: []*code.TypeDesc{
-				descVar0,
-				descData(2, descTuple(descVar0, descVar0)),
-			}},
-		},
-	}
-	c2 := classifierCollector(listLayout(0), treeLayout(1), nonreg)
-	g := c2.b.Data(2, nonreg, []TypeGC{c2.b.Const()})
-	if sk := c2.classifyPrune(g); sk != nil {
-		t.Errorf("non-regular recursion: pruning kernel = %+v, want nil", sk)
 	}
 }

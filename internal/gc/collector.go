@@ -104,9 +104,6 @@ type Stats struct {
 	// KernelWords counts heap words traced by specialized kernels instead
 	// of per-word Trace interface dispatch.
 	KernelWords int64
-	// PrunedWords counts dead element fields sentinel-overwritten instead
-	// of traced by the liveness-guided spine-only kernels (liveness.go).
-	PrunedWords int64
 }
 
 // Collector runs collections over a heap for one compiled program.
@@ -122,10 +119,11 @@ type Collector struct {
 	// collections (see faultinject.go).
 	Faults *FaultPlan
 	// PreCollect, when non-nil, runs at the top of every collection before
-	// the heap snapshot and BeginGC. The tasking runtime uses it to retire
-	// all live TLABs, so the collector (and any harness calling Collect
-	// directly) always sees a fully tiled heap.
-	PreCollect func()
+	// the heap snapshot and BeginGC, with the stopped stacks the collection
+	// is about to trace. The tasking runtime uses it to retire all live
+	// TLABs, so the collector (and any harness calling Collect directly)
+	// always sees a fully tiled heap.
+	PreCollect func(tasks []TaskRoots)
 	// Verify runs the post-collection heap verifier after every collection
 	// (see verify.go); violations panic with a *VerifyError.
 	Verify bool
@@ -142,18 +140,6 @@ type Collector struct {
 	// generous heap-size-derived default). See concurrent.go.
 	ConcMarkBudget int
 	ConcMaxSlices  int
-
-	// HeapLiveness arms liveness-guided tracing: slots whose frame-trace
-	// metadata carries a spine-only verdict are traced by pruning kernels
-	// that sentinel-overwrite provably dead element fields (liveness.go).
-	// Pruning engages per collection only inside its degrade envelope —
-	// compiled strategy, fast path on, no shard overlap, no concurrent
-	// cycle — and Liveness counts both engagements and every degrade
-	// reason.
-	HeapLiveness bool
-	// Liveness counts liveness-guided pruning activity (see liveness.go);
-	// all zero unless HeapLiveness is set.
-	Liveness LivenessStats
 
 	// Gen counts generational activity (see generational.go); all zero
 	// unless the heap has a nursery.
@@ -186,11 +172,6 @@ type Collector struct {
 	// conc is the in-flight concurrent mark cycle, nil when none is
 	// active (concurrent.go).
 	conc *concCycle
-	// pruneOn marks a collection with liveness-guided pruning engaged;
-	// pruneQ holds the deferred spine-only roots drained after every full
-	// root has been traced (liveness.go).
-	pruneOn bool
-	pruneQ  []pruneItem
 	// compiledSites holds the prebuilt frame routines (compiled mode).
 	compiledSites [][]slotTracer
 	// interpSites holds the serialized frame maps (interp mode).
@@ -205,7 +186,6 @@ type slotTracer struct {
 	slot   int
 	ground TypeGC         // non-nil when the descriptor is monomorphic
 	desc   *code.TypeDesc // otherwise resolved against frame type args
-	spine  bool           // heap-liveness verdict: only the spine is live
 }
 
 // New builds a collector, precompiling the strategy's metadata (the
@@ -226,7 +206,7 @@ func New(prog *code.Program, h *heap.Heap, strat Strategy) (*Collector, error) {
 		for i, si := range prog.Sites {
 			routine := make([]slotTracer, 0, len(si.Live))
 			for _, e := range si.Live {
-				st := slotTracer{slot: e.Slot, desc: e.Desc, spine: e.Spine}
+				st := slotTracer{slot: e.Slot, desc: e.Desc}
 				if isGround(e.Desc) {
 					st.ground = c.FromDesc(e.Desc, nil)
 				}
@@ -393,11 +373,10 @@ func (c *Collector) cycleStart() cycleStart {
 // cycle is the collection: the paper's Figure 2 loop with everything every
 // discipline hangs on it. Root order is stated here and nowhere else —
 // globals, then the stacks in task order, then on a minor the
-// remembered set, then the deferred spine-verdict roots (which is what makes
-// pruning sound: liveness.go), then the tagged strategy's Cheney scan.
+// remembered set, then the tagged strategy's Cheney scan.
 func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 	if k.shard == 0 && c.PreCollect != nil {
-		c.PreCollect()
+		c.PreCollect(tasks)
 	}
 	start := time.Now()
 	c.Stats.Collections++
@@ -436,12 +415,10 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 
 	c.traceGlobals(globals)
 	scans := make([]TaskScan, len(tasks))
-	c.beginPrune(k)
 	c.collectTasks(tasks, scans)
 	if k.minor {
 		c.traceRemembered(k.shard - 1)
 	}
-	c.endPrune()
 	if c.Strat == StratTagged {
 		c.cheneyScan()
 	}

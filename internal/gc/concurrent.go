@@ -106,12 +106,6 @@ func (c *Collector) ConcStart(tasks []TaskRoots, globals []code.Word) {
 	if c.Heap.Kind() != heap.MarkSweep || c.Strat == StratTagged || c.nurseryOn() {
 		panic("gc: ConcStart: concurrent marking requires a non-nursery mark/sweep heap and a typed strategy")
 	}
-	if c.HeapLiveness {
-		// Liveness-guided pruning never composes with a concurrent cycle:
-		// the snapshot roots predate the final pause's verdicts, so the
-		// whole cycle traces in full. Counted once per cycle, here.
-		c.Liveness.DegradedConcurrent++
-	}
 	start := time.Now()
 	cy := &concCycle{before: c.cycleStart()}
 	cy.budget = int64(c.ConcMarkBudget)

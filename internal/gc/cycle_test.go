@@ -34,13 +34,11 @@ type cycleWant struct {
 	// none after a refilter (a minor keeps the entry it was given).
 	rebuilt    int64
 	concAborts int64
-	liveness   gc.LivenessStats
 }
 
 // TestCycleKinds pins what the four kinds of collection — full, minor,
 // single-shard minor, the final pause of a concurrent cycle — do differently
-// around the one root walk they share, with heap-liveness pruning armed so
-// that each kind's refusal (or engagement) is counted.
+// around the one root walk they share.
 func TestCycleKinds(t *testing.T) {
 	full := func(g *tasking.Group, roots []gc.TaskRoots) { g.Col.CollectFull(roots, g.Globals) }
 	auto := func(g *tasking.Group, roots []gc.TaskRoots) { g.Col.Collect(roots, g.Globals) }
@@ -53,7 +51,6 @@ func TestCycleKinds(t *testing.T) {
 	}
 	nursery := pipeline.Options{NurseryWords: 512}
 	sharded := pipeline.Options{NurseryWords: 512, Shards: 2}
-	prune := gc.LivenessStats{PruneCollections: 1}
 	rows := []struct {
 		name string
 		opts pipeline.Options
@@ -64,20 +61,19 @@ func TestCycleKinds(t *testing.T) {
 		want            cycleWant
 	}{
 		{"full", pipeline.Options{}, []bool{false, true}, nil, full,
-			cycleWant{preCollect: 1, liveness: prune}},
+			cycleWant{preCollect: 1}},
 		{"full/nursery", nursery, []bool{false, true}, nil, full,
-			cycleWant{preCollect: 1, kind: "major", rebuilt: 1, liveness: prune}},
+			cycleWant{preCollect: 1, kind: "major", rebuilt: 1}},
 		{"full/mid-cycle", pipeline.Options{}, []bool{true}, concStart, full,
-			cycleWant{preCollect: 1, concAborts: 1, liveness: prune}},
+			cycleWant{preCollect: 1, concAborts: 1}},
 		{"minor", nursery, []bool{false, true}, nil, auto,
-			cycleWant{preCollect: 1, kind: "minor", lastMinor: true, liveness: prune}},
+			cycleWant{preCollect: 1, kind: "minor", lastMinor: true}},
 		{"full/no-fast-path", pipeline.Options{DisableGCFastPath: true}, []bool{false, true}, nil, full,
-			cycleWant{preCollect: 1, liveness: gc.LivenessStats{DegradedFastPath: 1}}},
+			cycleWant{preCollect: 1}},
 		{"minor/no-fast-path", pipeline.Options{NurseryWords: 512, DisableGCFastPath: true}, []bool{false, true}, nil, auto,
-			cycleWant{preCollect: 1, kind: "minor", lastMinor: true, liveness: gc.LivenessStats{DegradedFastPath: 1}}},
+			cycleWant{preCollect: 1, kind: "minor", lastMinor: true}},
 		{"shard-minor", sharded, []bool{false, true}, nil, shard0,
-			cycleWant{preCollect: 0, kind: "minor", shard: 1, lastMinor: true,
-				liveness: gc.LivenessStats{DegradedShard: 1}}},
+			cycleWant{preCollect: 0, kind: "minor", shard: 1, lastMinor: true}},
 		{"conc-finish", pipeline.Options{}, []bool{true}, concStart, concFinish,
 			cycleWant{preCollect: 1, conc: true}},
 	}
@@ -89,7 +85,7 @@ func TestCycleKinds(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				opts := row.opts
-				opts.Strategy, opts.HeapWords, opts.MarkSweep, opts.GCHeapLiveness = gc.StratCompiled, 1<<13, ms, true
+				opts.Strategy, opts.HeapWords, opts.MarkSweep = gc.StratCompiled, 1<<13, ms
 				g, entries, err := pipeline.BuildTaskGroup(cycleSrc, []string{"a", "b"}, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -116,16 +112,13 @@ func TestCycleKinds(t *testing.T) {
 					row.before(g, roots)
 				}
 				calls, retire := 0, col.PreCollect
-				col.PreCollect = func() {
+				col.PreCollect = func(tasks []gc.TaskRoots) {
 					calls++
 					if retire != nil {
-						retire()
+						retire(tasks)
 					}
 				}
-				liveBefore, edgesBefore, records := col.Liveness, col.Gen.TracedEdges, len(col.Telem.Records)
-				if row.before != nil && liveBefore.DegradedConcurrent != 1 {
-					t.Errorf("starting a concurrent cycle counted %d degraded-concurrent refusals, want 1", liveBefore.DegradedConcurrent)
-				}
+				edgesBefore, records := col.Gen.TracedEdges, len(col.Telem.Records)
 				row.collect(g, roots)
 
 				if len(col.Telem.Records) != records+1 {
@@ -140,7 +133,6 @@ func TestCycleKinds(t *testing.T) {
 					lastMinor:  col.LastCollectionMinor(),
 					rebuilt:    col.Gen.TracedEdges - edgesBefore,
 					concAborts: col.Telem.Resilience.ConcAborts,
-					liveness:   livenessMoved(liveBefore, col.Liveness),
 				}
 				if got != row.want {
 					t.Errorf("got  %+v\nwant %+v", got, row.want)
@@ -153,18 +145,6 @@ func TestCycleKinds(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// livenessMoved is the counters a collection moved, less SpineRoots: how many
-// roots carried a verdict is the program's business.
-func livenessMoved(before, after gc.LivenessStats) gc.LivenessStats {
-	return gc.LivenessStats{
-		PruneCollections:   after.PruneCollections - before.PruneCollections,
-		DegradedStrategy:   after.DegradedStrategy - before.DegradedStrategy,
-		DegradedFastPath:   after.DegradedFastPath - before.DegradedFastPath,
-		DegradedShard:      after.DegradedShard - before.DegradedShard,
-		DegradedConcurrent: after.DegradedConcurrent - before.DegradedConcurrent,
 	}
 }
 

@@ -29,8 +29,7 @@ package gc
 //     Trace they run under the collector's tracer (typegc.go).
 //
 // Plans and kernels only ever reach a trace as root jobs (taskJobs,
-// roots.go): a plan slot becomes a job carrying its routine, its kernel
-// and — where the slot has a spine-only verdict — its pruning kernel.
+// roots.go): a plan slot becomes a job carrying its routine and kernel.
 //
 // Collector.DisableFastPath restores the uncached per-frame resolution —
 // the differential suite's oracle — and the fast path is required (and
@@ -161,10 +160,6 @@ const (
 	sfSelf sfKind = iota
 	// sfBox copies a flat-box payload through its boxKernel.
 	sfBox
-	// sfPrune writes the PrunedWord sentinel instead of tracing: the
-	// heap-liveness verdict proved the payload unreachable through this
-	// access path (classifyPrune kernels only; see tracer.spine).
-	sfPrune
 )
 
 // spineField is one non-const, non-tail field of a spine constructor, in
@@ -219,7 +214,7 @@ func (c *Collector) classify(g TypeGC) (kernel, *spineKernel, *boxKernel) {
 			return kBoxFlat, nil, bk
 		}
 	case *dataG:
-		if sk := c.spineKernelFor(g, false); sk != nil {
+		if sk := c.spineKernelFor(g); sk != nil {
 			return kSpineFlat, sk, nil
 		}
 	}
@@ -232,29 +227,14 @@ func (c *Collector) classified(g TypeGC) routine {
 	return routine{g: g, k: k, spine: sk, box: bk}
 }
 
-// classifyPrune builds the spine-only pruning kernel for a routine, or nil
-// when pruning does not apply. It is more permissive than classify: every
-// non-const, non-self field is pruned (sentinel-overwritten) rather than
-// traced, so payload shape does not matter.
-func (c *Collector) classifyPrune(g TypeGC) *spineKernel {
-	if dg, ok := g.(*dataG); ok {
-		return c.spineKernelFor(dg, true)
-	}
-	return nil
-}
-
 // spineKernelFor lays out the kSpineFlat loop for a datatype from its
 // constructor shapes, or returns nil when a payload field needs generic
 // dispatch. Hash-consing makes node identity instantiation identity, so a
 // field routine equal to g is exactly "this datatype at this
 // instantiation": as the last field it iterates as the spine (the shape's
 // tail), anywhere else (tree children) it recurses. Every other non-const
-// field must be a flat box — or, for a pruning kernel, is pruned whatever
-// its shape. Pruning's one refusal is a same-datatype field at a
-// *different* instantiation (non-regular recursion): the compile-side
-// analysis treats any same-datatype field as a spine step, so pruning it
-// would sever a spine the program may still walk.
-func (c *Collector) spineKernelFor(g *dataG, prune bool) *spineKernel {
+// field must be a flat box.
+func (c *Collector) spineKernelFor(g *dataG) *spineKernel {
 	n := len(g.layout.Boxed)
 	sk := &spineKernel{hasTag: g.layout.HasTagWord, size: make([]int, n), tail: make([]int, n), steps: make([][]spineField, n)}
 	for tag := range g.layout.Boxed {
@@ -273,10 +253,6 @@ func (c *Collector) spineKernelFor(g *dataG, prune bool) *spineKernel {
 				continue
 			case fdg == g:
 				step.kind = sfSelf
-			case prune && fdg != nil && fdg.layoutID == g.layoutID:
-				return nil // non-regular recursion: the analysis calls this a spine step
-			case prune:
-				step.kind = sfPrune
 			default:
 				step.kind = sfBox
 				if step.box = c.flatBox(f); step.box == nil {
@@ -378,11 +354,7 @@ func (t *tracer) spine(sk *spineKernel, g TypeGC, w code.Word) code.Word {
 		c.Stats.KernelWords += int64(sk.size[tag])
 		// Non-tail, non-const fields run in field order, exactly where
 		// dataG.Trace would dispatch on them: tree children recurse the
-		// spine, flat-box payloads copy through their boxKernel, and a
-		// pruning kernel's dead payloads are sentinel-overwritten (the
-		// liveness-guided trace; drained only after every full root — see
-		// endPrune — so an already-visited object stops the walk before
-		// anything a live path reached is pruned).
+		// spine and flat-box payloads copy through their boxKernel.
 		for i := range sk.steps[tag] {
 			f := &sk.steps[tag][i]
 			was := t.claim.Field(nw, f.off)
@@ -391,9 +363,6 @@ func (t *tracer) spine(sk *spineKernel, g TypeGC, w code.Word) code.Word {
 				t.setField(nw, f.off, was, t.spine(sk, g, was), g)
 			case sfBox:
 				t.setField(nw, f.off, was, t.box(f.box, was), f.g)
-			case sfPrune:
-				t.setField(nw, f.off, was, code.PrunedWord, f.g)
-				c.Stats.PrunedWords++
 			}
 		}
 		tl := sk.tail[tag]
@@ -413,25 +382,11 @@ func (t *tracer) spine(sk *spineKernel, g TypeGC, w code.Word) code.Word {
 type planSlot struct {
 	slot int
 	routine
-	// prune, when non-nil, is the spine-only pruning kernel for a slot
-	// whose heap-liveness verdict at this site is spine-only; a pruning
-	// collection defers such slots and drains them after every full root
-	// (endPrune). pruneAtCall is the variant for a frame suspended
-	// *before* its call: an argument slot's full Args verdict overrides
-	// the after-call Live verdict there, because the call re-executes on
-	// resume and the callee's own demand applies.
-	prune       *spineKernel
-	pruneAtCall *spineKernel
 }
 
-// job is the slot as a root of the frame at base; atCall says the frame is
-// the newest of a task suspended before its call.
-func (ps *planSlot) job(base int, atCall bool) rootJob {
-	pk := ps.prune
-	if atCall {
-		pk = ps.pruneAtCall
-	}
-	return rootJob{idx: base + ps.slot, routine: ps.routine, prune: pk}
+// job is the slot as a root of the frame at base.
+func (ps *planSlot) job(base int) rootJob {
+	return rootJob{idx: base + ps.slot, routine: ps.routine}
 }
 
 // framePlan is a fully resolved frame routine for one (site, incoming
@@ -587,35 +542,14 @@ func (c *Collector) buildPlan(siteIdx int, site *code.SiteInfo, targs []TypeGC) 
 		if g == nil {
 			g = c.FromDesc(tr.desc, targs)
 		}
-		ps := planSlot{slot: tr.slot, routine: c.classified(g)}
-		if tr.spine {
-			if pk := c.classifyPrune(g); pk != nil {
-				ps.prune, ps.pruneAtCall = pk, pk
-				for _, e := range site.Args {
-					// A full Args verdict for the same slot wins at
-					// suspended-call frames: the callee re-demands it.
-					if e.Slot == tr.slot && !e.Spine {
-						ps.pruneAtCall = nil
-						break
-					}
-				}
-			}
-		}
-		p.slots = append(p.slots, ps)
+		p.slots = append(p.slots, planSlot{slot: tr.slot, routine: c.classified(g)})
 		seen.add(tr.slot)
 	}
 	for _, e := range site.Args {
 		if seen.has(e.Slot) {
 			continue
 		}
-		g := c.FromDesc(e.Desc, targs)
-		ps := planSlot{slot: e.Slot, routine: c.classified(g)}
-		if e.Spine {
-			if pk := c.classifyPrune(g); pk != nil {
-				ps.prune, ps.pruneAtCall = pk, pk
-			}
-		}
-		p.args = append(p.args, ps)
+		p.args = append(p.args, planSlot{slot: e.Slot, routine: c.classified(c.FromDesc(e.Desc, targs))})
 	}
 	p.out = c.outgoing(site, targs, nil) // a plan's package outlives the collection
 	return p

@@ -10,16 +10,15 @@ import (
 //
 // taskJobs is the one function that resolves a stack: it follows the dynamic
 // chain, reads each frame's gc_word, threads type_gc routines oldest→newest
-// and lists the task's roots — a slot, its routine and kernel, its pruning
-// kernel if the slot carries a spine-only verdict — in trace order.
-// applyJobs traces such a list through a tracer. Every consumer is the two
-// composed: a collection resolves a task into the scratch arena,
-// applies, and hands the arena back; the verifier, the signature walk and the
-// concurrent snapshot read the same list without tracing it. Resolving first
-// is order-equivalent to tracing frame by frame because resolution reads only
-// the program, the stopped stack's links and un-moved heap words: forwarding
-// lives in a side table, so a from-space object (a closure's rep words) reads
-// the same before and after it is copied.
+// and lists the task's roots — a slot, its routine and kernel — in trace
+// order. applyJobs traces such a list through a tracer. Every consumer is the
+// two composed: a collection resolves a task into the scratch arena, applies,
+// and hands the arena back; the verifier and the concurrent snapshot read the
+// same list without tracing it. Resolving first is order-equivalent to tracing
+// frame by frame because resolution reads only the program, the stopped
+// stack's links and un-moved heap words: forwarding lives in a side table, so
+// a from-space object (a closure's rep words) reads the same before and after
+// it is copied.
 
 // pkg is the type information a frame's gc routine hands to its callee's:
 // resolved type arguments for direct calls, or the closure's structured
@@ -29,25 +28,23 @@ type pkg struct {
 	arrow  TypeGC
 }
 
-// rootJob is one resolved root: a stack slot, the routine and kernel tracing
-// it, and — for a slot whose heap-liveness verdict here is spine-only — the
-// pruning kernel a pruning collection defers it to (liveness.go).
+// rootJob is one resolved root: a stack slot and the routine and kernel
+// tracing it.
 type rootJob struct {
 	idx int // absolute index into the task's stack
 	routine
-	prune *spineKernel
 }
 
 // genericJob is a root traced by full dispatch (every strategy but the
 // planned compiled one).
 func genericJob(idx int, g TypeGC) rootJob { return rootJob{idx: idx, routine: routine{g: g}} }
 
-// taskJobs resolves one task's complete root set, oldest frame first,
-// without mutating the heap or the stack — §3's "the stack is traversed at
-// most twice": one pass to gather the frames (walk), one to hand type
-// packages from frame to frame. Resolution counters land in st, so the
-// verifier and the signature walk leave the collector's untouched. The
-// returned slice lives in the arena, valid until the arena's next reset.
+// taskJobs resolves one task's complete root set, oldest frame first, without
+// mutating the heap or the stack — §3's "the stack is traversed at most
+// twice": one pass to gather the frames (walk), one to hand type packages from
+// frame to frame. Resolution counters land in st, so the verifier leaves the
+// collector's untouched. The returned slice lives in the arena, valid until
+// the arena's next reset.
 func (c *Collector) taskJobs(t TaskRoots, st *Stats) []rootJob {
 	sc := &c.sc
 	fr := sc.walk(t)
@@ -68,11 +65,11 @@ func (c *Collector) taskJobs(t TaskRoots, st *Stats) []rootJob {
 			// cache resolves warmed towers in O(1) per frame (fastpath.go).
 			plan := c.planForEdge(prev, &ic, siteIdx, site, fi, incoming, t.Stack, fp, st)
 			for k := range plan.slots {
-				jobs = append(jobs, plan.slots[k].job(base, atCall))
+				jobs = append(jobs, plan.slots[k].job(base))
 			}
 			if atCall {
 				for k := range plan.args {
-					jobs = append(jobs, plan.args[k].job(base, true))
+					jobs = append(jobs, plan.args[k].job(base))
 				}
 			}
 			incoming, prev = plan.out, plan
@@ -243,18 +240,11 @@ func (c *Collector) appelTypeArgs(t TaskRoots, fr []frame, target int, st *Stats
 	return nil
 }
 
-// applyJobs traces one task's resolved roots, in order. With pruning armed a
-// spine-verdict slot is deferred to the prune queue instead: every full root
-// must run first, so that the pruning walk stops at anything a live path
-// reached (endPrune).
+// applyJobs traces one task's resolved roots, in order.
 func (c *Collector) applyJobs(stack []code.Word, jobs []rootJob) {
 	for i := range jobs {
 		j := &jobs[i]
 		c.Stats.SlotsTraced++
-		if j.prune != nil && c.pruneOn {
-			c.pruneQ = append(c.pruneQ, pruneItem{stack: stack, idx: j.idx, g: j.g, sk: j.prune})
-			continue
-		}
 		w := stack[j.idx]
 		if nw := c.own.kernel(&j.routine, w); nw != w {
 			stack[j.idx] = nw
@@ -263,10 +253,10 @@ func (c *Collector) applyJobs(stack []code.Word, jobs []rootJob) {
 }
 
 // eachRoot resolves every root a collection would trace, in its order — the
-// globals (task -1, idx the global's), then each task's jobs — and hands
-// them to visit untraced: the verifier, the signature walk and the
-// concurrent snapshot read the roots the collector does because they ask the
-// same function. Resolution counters land in st.
+// globals (task -1, idx the global's), then each task's jobs — and hands them
+// to visit untraced: the verifier and the concurrent snapshot read the roots
+// the collector does because they ask the same function. Resolution counters
+// land in st.
 func (c *Collector) eachRoot(tasks []TaskRoots, globals []code.Word, st *Stats, visit func(task, idx int, g TypeGC, w code.Word)) {
 	for i, g := range c.Prog.Globals {
 		visit(-1, i, c.FromDesc(g.Desc, nil), globals[i])

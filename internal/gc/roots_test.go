@@ -2,6 +2,8 @@ package gc_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -162,5 +164,73 @@ func TestManyTasksTinyHeap(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReferenceResolver runs the single-task corpus (main the group's one
+// task), the task corpus and testdata/progs under both typed strategies and
+// disciplines, the fast path on and off and both suspension policies, and at
+// every collection holds taskJobs to the reference resolver job for job.
+// Every 53rd allocation fails on purpose, so collections also land inside
+// short frames heap exhaustion never stops in (a thunk's body); the period
+// must not divide a corpus loop's allocations per round, or the failures
+// land at the same sites every round.
+func TestReferenceResolver(t *testing.T) {
+	progs := slices.Clone(workloads.Tasking)
+	for _, w := range workloads.All {
+		progs = append(progs, workloads.TaskWorkload{Name: w.Name, Source: w.Source, Entries: []string{"main"}, HeapWords: w.HeapWords})
+	}
+	files, _ := filepath.Glob("../../testdata/progs/*.ml")
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, workloads.TaskWorkload{Name: filepath.Base(f), Source: string(src), Entries: []string{"main"}, HeapWords: 2048})
+	}
+	jobs := 0
+	for _, p := range progs {
+		for c := range 16 {
+			strat := []gc.Strategy{gc.StratCompiled, gc.StratInterp}[c>>3]
+			opts := pipeline.Options{Strategy: strat, HeapWords: p.HeapWords, MarkSweep: c&4 != 0, DisableGCFastPath: c&2 != 0, FailAllocEvery: 53}
+			atAllocs := c&1 != 0
+			t.Run(fmt.Sprintf("%s/%v/ms=%v/nofastpath=%v/at-allocs=%v", p.Name, strat, opts.MarkSweep, opts.DisableGCFastPath, atAllocs), func(t *testing.T) {
+				g, entries, err := pipeline.BuildTaskGroup(p.Source, p.Entries, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if atAllocs {
+					g.Policy = tasking.SuspendAtAllocs
+				}
+				g.Col.PreCollect = func(tasks []gc.TaskRoots) {
+					for i, task := range tasks {
+						want, err := referenceRoots(g.Prog, g.Heap, task)
+						if err != nil {
+							t.Fatalf("collection %d, stack %d: %v", g.Col.Stats.Collections, i, err)
+						}
+						got := g.Col.TaskJobs(task)
+						for k := range max(len(got), len(want)) {
+							if k >= min(len(got), len(want)) || fmt.Sprint(got[k]) != fmt.Sprint(want[k]) {
+								t.Fatalf("collection %d, stack %d, job %d: taskJobs %v, reference %v",
+									g.Col.Stats.Collections, i, k, got[min(k, len(got)):], want[min(k, len(want)):])
+							}
+						}
+						jobs += len(want)
+					}
+				}
+				for _, e := range entries {
+					g.Spawn(e)
+				}
+				if err := g.RunInit(); err != nil {
+					t.Fatal(err)
+				}
+				if err := g.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	if jobs == 0 {
+		t.Error("no collection compared a single job")
 	}
 }

@@ -39,23 +39,6 @@ func (c *Collector) LiveSignature(globals []code.Word) []code.Word {
 	return s.out
 }
 
-// RootSignature serializes the live heap reachable from the globals AND
-// every task's resolved frame slots — the whole retained set of the
-// preceding collection, in the same canonical address-free stream as
-// LiveSignature. The heap-liveness projection suite compares these
-// between a pruning and a full-structure collection of identical roots:
-// the pruned stream must equal the full one except where a pruned field's
-// poison word stands in for a whole dead subtree. Call it only while the
-// heap is quiescent (between a collection and the next allocation) and
-// never under the tagged strategy (task roots resolve through frame
-// maps).
-func (c *Collector) RootSignature(tasks []TaskRoots, globals []code.Word) []code.Word {
-	s := &signer{c: c, seen: map[code.Word]int{}}
-	var st Stats // resolution stats of the signature walk are discarded
-	c.eachRoot(tasks, globals, &st, func(_, _ int, g TypeGC, w code.Word) { s.walk(g, w) })
-	return s.out
-}
-
 type signer struct {
 	c    *Collector
 	seen map[code.Word]int // pointer word -> first-visit index

@@ -57,13 +57,6 @@ type CollectionRecord struct {
 	PlanMisses    int64 `json:"plan_misses,omitempty"`
 	SiteCacheHits int64 `json:"site_cache_hits,omitempty"`
 	KernelWords   int64 `json:"kernel_words,omitempty"`
-	// PrunedWords counts dead element fields sentinel-overwritten by the
-	// liveness-guided spine-only kernels (zero and omitted unless
-	// Collector.HeapLiveness engaged for this collection).
-	PrunedWords int64 `json:"pruned_words,omitempty"`
-	// SpineRoots counts the deferred spine-verdict roots this collection
-	// drained through pruning kernels.
-	SpineRoots int64 `json:"spine_roots,omitempty"`
 	// FreeListHitPct is the share of mutator allocations since the last
 	// collection that recycled a free-list block (mark/sweep only; -1 when
 	// no allocations happened in the interval or the heap is copying).
@@ -174,9 +167,6 @@ type Telemetry struct {
 	SurvivorHist [SurvivorBuckets]int64 `json:"survivor_hist"`
 	// Resilience counts fault-injection and recovery-ladder outcomes.
 	Resilience ResilienceStats `json:"resilience,omitzero"`
-	// Liveness mirrors the collector's cumulative pruning/degrade counters
-	// (zero and omitted unless liveness-guided tracing is armed).
-	Liveness LivenessStats `json:"liveness,omitzero"`
 	// TLABTotal is the whole-run allocation-buffer total, set by
 	// FinalizeTLAB when the run ends. Per-record TLAB deltas stop at the
 	// last collection; this covers the mutator tail after it too.
@@ -187,7 +177,6 @@ type Telemetry struct {
 	lastAllocs  int64
 	lastHits    int64
 	lastBarrier int64
-	lastSpine   int64
 	lastTLAB    TLABRecord
 }
 
@@ -260,10 +249,6 @@ func (t *Telemetry) record(c *Collector, kind string, shard int, pauseNS int64, 
 	barrier := c.Gen.BarrierHits - t.lastBarrier
 	t.lastBarrier = c.Gen.BarrierHits
 
-	spine := c.Liveness.SpineRoots - t.lastSpine
-	t.lastSpine = c.Liveness.SpineRoots
-	t.Liveness = c.Liveness
-
 	rec := CollectionRecord{
 		Seq:            len(t.Records),
 		PauseNS:        pauseNS,
@@ -280,8 +265,6 @@ func (t *Telemetry) record(c *Collector, kind string, shard int, pauseNS int64, 
 		PlanMisses:     c.Stats.PlanMisses - statsBefore.PlanMisses,
 		SiteCacheHits:  c.Stats.SiteCacheHits - statsBefore.SiteCacheHits,
 		KernelWords:    c.Stats.KernelWords - statsBefore.KernelWords,
-		PrunedWords:    c.Stats.PrunedWords - statsBefore.PrunedWords,
-		SpineRoots:     spine,
 		FreeListHitPct: hitPct,
 		Tasks:          scans,
 	}

@@ -110,9 +110,9 @@ func allocCountLine(g *tasking.Group, spawn []int) string {
 	// buffers' retirement hook, which must still run first.
 	sigs, nsigs := fnv.New64a(), 0
 	retire := g.Col.PreCollect
-	g.Col.PreCollect = func() {
+	g.Col.PreCollect = func(tasks []gc.TaskRoots) {
 		if retire != nil {
-			retire()
+			retire(tasks)
 		}
 		fmt.Fprintln(sigs, hashWords(g.Col.LiveSignature(g.Globals)))
 		nsigs++
@@ -157,7 +157,7 @@ func TestAllocCountsGolden(t *testing.T) {
 			for _, w := range allocCountPrograms {
 				opts := cfg.opts
 				opts.Strategy, opts.HeapWords = strat, w.HeapWords
-				if len(opts.violated(true, false)) > 0 {
+				if len(opts.violated(true)) > 0 {
 					continue
 				}
 				prog, _, err := Build(w.Source, opts)

@@ -101,7 +101,7 @@ func fingerprint(p *code.Program) string {
 	slots := func(label string, es []code.SlotEntry) {
 		fmt.Fprintf(&b, " %s[", label)
 		for _, e := range es {
-			fmt.Fprintf(&b, " %d:%s:%v", e.Slot, e.Desc, e.Spine)
+			fmt.Fprintf(&b, " %d:%s", e.Slot, e.Desc)
 		}
 		b.WriteString(" ]")
 	}
@@ -146,16 +146,14 @@ func fingerprint(p *code.Program) string {
 }
 
 // fingerprintConfigs are the builds a program is fingerprinted under: both
-// representations with heap liveness off and on, and the two options that
-// change which call sites keep a gc_word.
+// representations, and the two options that change which call sites keep a
+// gc_word.
 var fingerprintConfigs = []struct {
 	name string
 	opts Options
 }{
 	{"tagfree", Options{Strategy: gc.StratCompiled}},
-	{"tagfree+hl", Options{Strategy: gc.StratCompiled, GCHeapLiveness: true}},
 	{"tagged", Options{Strategy: gc.StratTagged}},
-	{"tagged+hl", Options{Strategy: gc.StratTagged, GCHeapLiveness: true}},
 	{"tagfree+cfa", Options{Strategy: gc.StratCompiled, UseCFA: true}},
 	{"tagfree+noelide", Options{Strategy: gc.StratCompiled, DisableGCWordElision: true}},
 }

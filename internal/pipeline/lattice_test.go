@@ -4,23 +4,19 @@ package pipeline
 // trace precisely, so no mode stacked on the collector may change what the
 // plain sequential oldest→newest collector leaves. A cell is a program at a
 // point of the lattice — strategy × discipline × nursery × tlab × concurrent
-// × shards × heap-liveness (poison armed) × torture × fail-every ×
-// suspend-at-allocs × fast path off × the group's quantum — legal iff no Rule
-// refuses it, and held to its oracle (the same strategy × discipline, fast
-// path off, no other mode) by one invariant set:
+// × shards × torture × fail-every × suspend-at-allocs × fast path off × the
+// group's quantum — legal iff no Rule refuses it, and held to its oracle (the
+// same strategy × discipline, fast path off, no other mode) by one invariant
+// set:
 //
 //   - the values (and the program's known result), outputs and faults;
-//   - the end-of-run gc.LiveSignature — under pruning a projection of the
-//     oracle's, poison standing in for dead subtrees (Karkare/Sanyal/Khedker:
-//     nothing pruned is dereferenced);
+//   - the end-of-run gc.LiveSignature, equal to the oracle's;
 //   - the live words after each collection, where the two collect at the
 //     same points (they differ in the fast path alone);
 //   - on a copying heap without a nursery, the active space after a final
 //     full collection, word for word;
-//   - under pruning and torture, no more words retained than full tracing
-//     retains at the same collection;
 //   - every allocation buffer retired and accounted, every shard minor
-//     recorded, no pruning in a degraded cell.
+//     recorded.
 //
 // The engagement table holds each knob to its telemetry; a refused cell fails
 // with the first sentence of the rules it breaks; the verifier runs after
@@ -105,7 +101,6 @@ func markSweep(c *cell)                  { c.opts.MarkSweep = true }
 func nursery(c *cell)                    { c.opts.NurseryWords = 256 }
 func tlab(c *cell)                       { c.opts.TLABWords = 64 }
 func shards(c *cell)                     { c.opts.Shards = 2 }
-func pruned(c *cell)                     { c.opts.GCHeapLiveness, c.opts.PoisonPruned = true, true }
 func torture(c *cell)                    { c.opts.Torture = true }
 func failEvery(c *cell)                  { c.opts.FailAllocEvery = 50 }
 func atAllocs(c *cell)                   { c.opts.SuspendAtAllocs = true }
@@ -127,7 +122,7 @@ func with(modes ...func(*cell)) func(*cell) {
 var latticeAxes = [][]func(*cell){
 	{plain, strategy(gc.StratInterp), strategy(gc.StratAppel), strategy(gc.StratTagged)},
 	{plain, markSweep}, {plain, nursery}, {plain, tlab}, {plain, concurrent}, {plain, shards},
-	{plain, pruned}, {plain, torture}, {plain, failEvery}, {plain, atAllocs}, {plain, noFastPath}, {plain, quantum7},
+	{plain, torture}, {plain, failEvery}, {plain, atAllocs}, {plain, noFastPath}, {plain, quantum7},
 }
 
 // pointCell builds the cell at a point: a corpus index, then a value per axis.
@@ -157,7 +152,7 @@ func latticePoints() (out [][]int) {
 // legal: no rule refuses the cell on its run path, and it does not torture
 // a heavy program.
 func (c cell) legal() bool {
-	return len(c.opts.violated(c.prog.single(), false)) == 0 && !(c.opts.Torture && heavy(c.prog))
+	return len(c.opts.violated(c.prog.single())) == 0 && !(c.opts.Torture && heavy(c.prog))
 }
 
 var heavyOnce sync.Once
@@ -293,8 +288,8 @@ func (c cell) run() (g *tasking.Group, r *result, err error) {
 	return g, r, nil
 }
 
-// latticeMemo holds, by name, the result of every cell run as an oracle, a
-// twin or a measure.
+// latticeMemo holds, by name, the result of every cell run as an oracle or a
+// measure.
 var latticeMemo sync.Map
 
 func (c cell) memo() (*result, error) {
@@ -324,31 +319,14 @@ func checkCell(t *testing.T, c cell) *tasking.Group {
 		t.Fatalf("values %v, faults %q; the oracle's %v, %q", r.values, r.faults, o.values, o.faults)
 	case !slices.Equal(r.outputs, o.outputs):
 		t.Fatal("outputs diverge from the oracle's")
-	case c.opts.GCHeapLiveness:
-		if _, err := projects(t, r.sig, o.sig); err != nil {
-			t.Fatalf("live heap is not a projection of the oracle's: %v", err)
-		}
 	case !slices.Equal(r.sig, o.sig):
 		t.Fatalf("live-heap signature diverges: %d words, the oracle's %d", len(r.sig), len(o.sig))
 	}
 	if c.aligned() && !slices.Equal(r.lives, o.lives) {
 		t.Fatalf("live words per collection diverge:\n  cell   %v\n  oracle %v", r.lives, o.lives)
 	}
-	if r.snap != nil && o.snap != nil && !c.opts.GCHeapLiveness && !slices.Equal(r.snap, o.snap) {
+	if r.snap != nil && o.snap != nil && !slices.Equal(r.snap, o.snap) {
 		t.Fatalf("active space after a full collection diverges: %d words, the oracle's %d", len(r.snap), len(o.snap))
-	}
-	if c.opts.GCHeapLiveness && c.opts.Torture && c.opts.NurseryWords == 0 { // with a nursery, what survives steers the ladder
-		twin := c
-		twin.opts.GCHeapLiveness, twin.opts.PoisonPruned = false, false
-		full, err := twin.memo()
-		if err != nil || len(full.lives) != len(r.lives) {
-			t.Fatalf("torture schedules diverge: %d collections pruned, full tracing %v", len(r.lives), err)
-		}
-		for i, l := range r.lives {
-			if l > full.lives[i] {
-				t.Fatalf("collection %d: pruning retained %d words, full tracing %d", i, l, full.lives[i])
-			}
-		}
 	}
 	hs, tl := g.Heap.Stats, tasking.TLABStats{}
 	for _, tk := range g.Tasks {
@@ -360,9 +338,6 @@ func checkCell(t *testing.T, c cell) *tasking.Group {
 	}
 	if n := records(g, func(r *gc.CollectionRecord) bool { return r.Shard > 0 }); n != g.Stats.ShardMinors {
 		t.Errorf("%d shard minors, %d shard records", g.Stats.ShardMinors, n)
-	}
-	if len(c.opts.Degrades()) > 0 && g.Col.Liveness.PruneCollections > 0 {
-		t.Errorf("degraded, yet pruned: %+v", g.Col.Liveness)
 	}
 	for _, e := range engagement {
 		switch ran := e.ran(g); {
@@ -416,11 +391,6 @@ var engagement = []struct {
 		return forcedCollections(c, g) || c.quantum > 0
 	}, func(g *tasking.Group) bool {
 		return g.Stats.ShardMinors+g.Stats.ShardMinorOverlapTasks > 0
-	}},
-	{"gc-heap-liveness", func(o Options) bool { return o.GCHeapLiveness }, nil, func(g *tasking.Group) bool {
-		lv := g.Col.Liveness // a concurrent cycle counts its drop
-		return lv.PruneCollections+lv.DegradedStrategy+lv.DegradedFastPath+lv.DegradedShard+lv.DegradedConcurrent > 0 &&
-			(lv.DegradedConcurrent > 0 || records(g, func(r *gc.CollectionRecord) bool { return r.Conc != nil }) == 0)
 	}},
 	{"gc-torture", func(o Options) bool { return o.Torture }, nil, func(g *tasking.Group) bool {
 		return g.Col.Telem.Resilience.TortureCollections > 0
@@ -554,7 +524,7 @@ func TestModeLattice(t *testing.T) {
 func checkRefusals(t *testing.T, o Options) (n int) {
 	t.Helper()
 	for _, single := range []bool{false, true} {
-		if want := o.violated(single, false); len(want) > 0 {
+		if want := o.violated(single); len(want) > 0 {
 			n++
 			var err error
 			if single {
@@ -608,7 +578,7 @@ func TestDifferentialWorkloadsCrossStrategy(t *testing.T) {
 	view(t, latticeSingles, allKeys, "{prog}/{strat}/ms={ms}", plain)
 }
 func TestDifferentialFastPathCrossStrategy(t *testing.T) {
-	view(t, latticeSingles, allKeys, "{prog}/{strat}/ms={ms}", plain, noFastPath, with(pruned, noFastPath))
+	view(t, latticeSingles, allKeys, "{prog}/{strat}/ms={ms}", plain, noFastPath)
 }
 func TestDifferentialNurseryWorkloads(t *testing.T) {
 	view(t, latticeSingles, tagFreeKeys, "{prog}/{strat}/ms={ms}", nursery, with(nursery, noFastPath))
@@ -644,10 +614,6 @@ func TestDisableLivenessVerifiesCleanOnTasks(t *testing.T) { // frames zero-fill
 }
 func TestConcurrentCyclesUnderSuspendAtAllocs(t *testing.T) {
 	view(t, latticeTasks, compiledMS, "{prog}", with(concurrent, atAllocs))
-}
-func TestHeapLivenessCorpusIdentical(t *testing.T) {
-	view(t, latticeTasks, compiledKeys, "{prog}/ms={ms}/torture=false", pruned)
-	view(t, latticeTasks, compiledKeys, "{prog}/ms={ms}/torture=true", with(torture, pruned))
 }
 
 // TestTLABTortureCompletes: every allocation retires and re-carves a buffer.
@@ -743,28 +709,6 @@ func TestTLABTaskInterleavingFuzz(t *testing.T) {
 			seed, c.opts.MarkSweep, c.opts.NurseryWords > 0, c.opts.TLABWords, c.quantum)
 		c.opts.SuspendAtAllocs = rng.Intn(2) == 0
 		viewCell(t, name, c)
-	}
-}
-
-func TestHeapLivenessModeMatrixFuzz(t *testing.T) {
-	for seed := 0; seed < 32; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		c := cell{prog: latticeTasks[seed%len(latticeTasks)], opts: Options{MarkSweep: rng.Intn(2) == 1}}
-		c.opts.NurseryWords = []int{0, 256, 512}[rng.Intn(3)]
-		if c.opts.NurseryWords > 0 && rng.Intn(2) == 1 {
-			c.opts.Shards = 2 << rng.Intn(2)
-		}
-		if c.opts.MarkSweep && c.opts.NurseryWords == 0 && rng.Intn(2) == 1 {
-			concurrent(&c)
-		}
-		if rng.Intn(2) == 1 {
-			tlab(&c)
-		}
-		if rng.Intn(4) == 0 {
-			failEvery(&c)
-		}
-		pruned(&c)
-		viewCell(t, fmt.Sprint(seed), c)
 	}
 }
 

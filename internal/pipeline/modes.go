@@ -92,16 +92,12 @@ var Knobs = []Knob{
 		Help: "per-task allocation buffer chunk in words"},
 	{Flag: "gc-concurrent", Key: "gc_concurrent", Kind: Bool, Field: "GCConcurrent",
 		Help: "mostly-concurrent marking: incremental mark slices at safe points"},
-	{Flag: "gc-heap-liveness", Key: "gc_heap_liveness", Kind: Bool, Field: "GCHeapLiveness",
-		Help: "liveness-guided tracing: prune provably dead element fields of recursive structures"},
 	{Flag: "gc-conc-trigger", Kind: Int, Min: 1, Max: 100, Zero: "for the default of 75", Noun: "gc-conc-trigger", Unit: "percent", Field: "ConcTriggerPct",
 		Help: "heap-occupancy percent that starts a concurrent cycle"},
 	{Flag: "gc-conc-budget", Kind: Int, Min: 1, Max: maxHeapWords, Zero: "for the default", Noun: "gc-conc-budget", Unit: "words", Field: "ConcMarkBudget",
 		Help: "words marked per concurrent slice"},
 	{Flag: "gc-conc-maxslices", Kind: Int, Min: 1, Max: maxSteps, Zero: "to derive it from heap and budget", Noun: "gc-conc-maxslices", Field: "ConcMaxSlices",
 		Help: "slice watchdog before a cycle aborts to stop-the-world"},
-	{Flag: "poison-pruned", Kind: Bool, Field: "PoisonPruned",
-		Help: "fault any load of a pruned field (debug mode for -gc-heap-liveness verdicts)"},
 	{Flag: "gc-nofastpath", Kind: Bool, Field: "DisableGCFastPath",
 		Help: "disable the compiled strategy's collection fast path (plan/site caches, trace kernels)"},
 	{Flag: "no-elide", Kind: Bool, Field: "DisableGCWordElision",
@@ -317,11 +313,6 @@ type Rule struct {
 	// sentence on that knob's row); Sentence is the one wording every front
 	// end prints.
 	Flag, Sentence string
-	// Degrade marks a combination that still runs: the mode is dropped and
-	// the drop counted (gc.LivenessStats) instead of the run being refused.
-	// A scenario matrix reports it as a skip row either way — a cell that
-	// would not exercise its mode is not a measurement of it.
-	Degrade bool
 	// Violated reports whether o breaks the rule; single says the run is a
 	// group of one (Run, Eval) rather than a tasking run.
 	Violated func(o Options, single bool) bool
@@ -338,39 +329,35 @@ type Rule struct {
 // collection is the nursery's machinery partitioned
 // by task group, so it needs the nursery, more than one mutator to overlap
 // with, and cannot compose with the concurrent marker, whose cycles assume
-// one global collection epoch. The pruning kernels of heap-liveness exist in
-// the compiled strategy alone; its other envelopes (shard minors, concurrent
-// cycles) are decided per collection and counted there.
+// one global collection epoch.
 var Rules = []Rule{
-	{"marksweep", "mark/sweep is implemented for the tag-free strategies", false,
+	{"marksweep", "mark/sweep is implemented for the tag-free strategies",
 		func(o Options, _ bool) bool { return o.MarkSweep && o.tagged() }},
-	{"gc-nursery", "the generational nursery requires a tag-free strategy", false,
+	{"gc-nursery", "the generational nursery requires a tag-free strategy",
 		func(o Options, _ bool) bool { return o.NurseryWords > 0 && o.tagged() }},
-	{"gc-concurrent", "concurrent marking requires a tag-free strategy", false,
+	{"gc-concurrent", "concurrent marking requires a tag-free strategy",
 		func(o Options, _ bool) bool { return o.GCConcurrent && o.tagged() }},
-	{"gc-concurrent", "concurrent marking requires the mark/sweep discipline", false,
+	{"gc-concurrent", "concurrent marking requires the mark/sweep discipline",
 		func(o Options, _ bool) bool { return o.GCConcurrent && !o.MarkSweep }},
-	{"gc-concurrent", "concurrent marking requires the nursery off", false,
+	{"gc-concurrent", "concurrent marking requires the nursery off",
 		func(o Options, _ bool) bool { return o.GCConcurrent && o.NurseryWords > 0 }},
-	{"shards", "heap sharding requires a tag-free strategy", false,
+	{"shards", "heap sharding requires a tag-free strategy",
 		func(o Options, _ bool) bool { return o.Shards > 1 && o.tagged() }},
-	{"shards", "heap sharding requires a nursery (per-shard minor collections)", false,
+	{"shards", "heap sharding requires a nursery (per-shard minor collections)",
 		func(o Options, _ bool) bool { return o.Shards > 1 && o.NurseryWords <= 0 }},
-	{"shards", "heap sharding does not compose with concurrent marking", false,
+	{"shards", "heap sharding does not compose with concurrent marking",
 		func(o Options, _ bool) bool { return o.Shards > 1 && o.GCConcurrent }},
-	{"shards", "heap sharding requires the tasking runtime (a single-task run has one mutator and nothing to overlap)", false,
+	{"shards", "heap sharding requires the tasking runtime (a single-task run has one mutator and nothing to overlap)",
 		func(o Options, single bool) bool { return o.Shards > 1 && single }},
-	{"gc-heap-liveness", "heap-liveness pruning requires the compiled strategy", true,
-		func(o Options, _ bool) bool { return o.GCHeapLiveness && o.Strategy != gc.StratCompiled }},
 }
 
 func (o Options) tagged() bool { return o.Strategy == gc.StratTagged }
 
-// violated lists the sentences of the broken rules of one sort.
-func (o Options) violated(single, degrade bool) []string {
+// violated lists the sentences of the broken rules.
+func (o Options) violated(single bool) []string {
 	var out []string
 	for _, r := range Rules {
-		if r.Degrade == degrade && r.Violated(o, single) {
+		if r.Violated(o, single) {
 			out = append(out, r.Sentence)
 		}
 	}
@@ -378,10 +365,8 @@ func (o Options) violated(single, degrade bool) []string {
 }
 
 // Refusals returns the sentence of every rule that refuses o as a tasking
-// run (nil = RunTasks will build it); Degrades the sentences of the modes o
-// asks for that will run dropped and counted.
-func (o Options) Refusals() []string { return o.violated(false, false) }
-func (o Options) Degrades() []string { return o.violated(false, true) }
+// run (nil = RunTasks will build it).
+func (o Options) Refusals() []string { return o.violated(false) }
 
 // validate refuses what no runtime is built for: a negative size or count,
 // then the first refusing rule. Every run passes through it (newGroup).
@@ -389,7 +374,7 @@ func (o Options) validate(single bool) error {
 	if err := RefuseNegative(&o); err != nil {
 		return err
 	}
-	if r := o.violated(single, false); len(r) > 0 {
+	if r := o.violated(single); len(r) > 0 {
 		return errors.New(r[0])
 	}
 	return nil

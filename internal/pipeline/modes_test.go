@@ -90,11 +90,7 @@ func renderModes() string {
 		var rules []string
 		for _, r := range Rules {
 			if r.Flag == k.Flag {
-				s := r.Sentence
-				if r.Degrade {
-					s += " (degrades, counted; a skip row in a scenario)"
-				}
-				rules = append(rules, s)
+				rules = append(rules, r.Sentence)
 			}
 		}
 		fmt.Fprintf(&b, "| `-%s` | %s | %s | %s | %s |\n", k.Flag, key, values, k.Help, strings.Join(rules, "; "))

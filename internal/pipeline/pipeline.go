@@ -124,22 +124,6 @@ type Options struct {
 	// (the interleaving fuzz permutes assignments; entries are reduced mod
 	// Shards). Ignored unless Shards > 1.
 	ShardAssign []int
-	// GCHeapLiveness (-gc-heap-liveness) arms liveness-guided tracing: the
-	// compile-side heap-liveness analysis classifies, per frame slot of a
-	// recursive datatype at each GC point, whether only the structure's
-	// spine can ever be walked again, and eligible collections replace the
-	// provably dead element fields with a sentinel instead of retaining
-	// them (internal/gc/liveness.go). Ineligible collections (other
-	// strategies — the one static case, a Degrade row of Rules — fast path
-	// off, shard minors, concurrent cycles) degrade to full
-	// tracing with the refusal counted in Result.Liveness.
-	GCHeapLiveness bool
-	// PoisonPruned (-poison-pruned) turns any mutator load of the pruning
-	// sentinel into a deterministic runtime error — the debug mode that
-	// makes heap-liveness verdicts falsifiable. Implies nothing unless
-	// GCHeapLiveness is also set (without pruning the sentinel never
-	// enters the heap).
-	PoisonPruned bool
 }
 
 // heapWords is the semispace size a run gets: HeapWords, or the default.
@@ -174,9 +158,6 @@ type Result struct {
 	VMStats   vm.Stats
 	GCStats   gc.Stats
 	HeapStats heap.Stats
-	// Liveness counts liveness-guided pruning activity and degrades
-	// (all zero unless Options.GCHeapLiveness).
-	Liveness gc.LivenessStats
 	// Telemetry is the collector's per-collection record stream (render
 	// with TelemetryTable / TelemetryJSON).
 	Telemetry *gc.Telemetry
@@ -216,8 +197,8 @@ func Build(src string, opts Options) (*code.Program, *gcanal.Result, error) {
 	return compileIR(irp, opts)
 }
 
-// compileIR is the back half of Build: GC-possible analysis, the optional
-// heap-liveness analysis and code generation over a lowered program.
+// compileIR is the back half of Build: GC-possible analysis and code
+// generation over a lowered program.
 func compileIR(irp *ir.Program, opts Options) (*code.Program, *gcanal.Result, error) {
 	var anal *gcanal.Result
 	if opts.UseCFA {
@@ -238,14 +219,7 @@ func compileIR(irp *ir.Program, opts Options) (*code.Program, *gcanal.Result, er
 			})
 		}
 	}
-	// Heap liveness runs after the CanGC refinement (and the elision
-	// override) so its per-site verdicts line up with the sites codegen
-	// will actually emit.
-	var hl *gcanal.HeapLiveness
-	if opts.GCHeapLiveness {
-		hl = gcanal.AnalyzeHeapLiveness(irp)
-	}
-	prog, err := codegen.CompileWith(irp, opts.Strategy.CompatibleRepr(), hl)
+	prog, err := codegen.Compile(irp, opts.Strategy.CompatibleRepr())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -309,7 +283,6 @@ func newGroup(prog *code.Program, opts Options, single bool) (*tasking.Group, er
 	}
 	g.Col.ConcMarkBudget = opts.ConcMarkBudget
 	g.Col.ConcMaxSlices = opts.ConcMaxSlices
-	g.Col.HeapLiveness = opts.GCHeapLiveness
 	// Frame maps widened by DisableLiveness name slots the function has not
 	// initialized yet, so they need zeroed frames as much as the Appel and
 	// tagged strategies (the constructor's default) do.
@@ -323,7 +296,6 @@ func newGroup(prog *code.Program, opts Options, single bool) (*tasking.Group, er
 	}
 	g.GCConcurrent = opts.GCConcurrent
 	g.ConcTriggerPct = opts.ConcTriggerPct
-	g.PoisonPruned = opts.PoisonPruned
 	g.BudgetSteps = opts.BudgetSteps
 	g.BudgetAllocWords = opts.BudgetAllocWords
 	if opts.SuspendAtAllocs {
@@ -372,7 +344,6 @@ func singleResult(g *tasking.Group, raw code.Word) *Result {
 		Output:        g.InitTask().Out.String() + main.Out.String(),
 		GCStats:       g.Col.Stats,
 		HeapStats:     g.Heap.Stats,
-		Liveness:      g.Col.Liveness,
 		Telemetry:     &g.Col.Telem,
 		MetadataWords: g.Col.MetadataSize,
 		DescNodes:     g.Prog.DescNodes,

@@ -307,16 +307,6 @@ func TelemetryTable(t *gc.Telemetry, opt TelemetryOptions) string {
 			cum.Refills, cum.RefillWords, cum.FastAllocs, cum.SharedAllocs,
 			cum.WasteWords, cum.ReturnedWords, ratio)
 	}
-	if lv := t.Liveness; lv != (gc.LivenessStats{}) {
-		var prunedWords int64
-		for _, r := range t.Records {
-			prunedWords += r.PrunedWords
-		}
-		fmt.Fprintf(&b, "liveness: prune-gcs=%d spine-roots=%d pruned-words=%d degraded-strategy=%d degraded-fastpath=%d degraded-shard=%d degraded-concurrent=%d\n",
-			lv.PruneCollections, lv.SpineRoots, prunedWords,
-			lv.DegradedStrategy, lv.DegradedFastPath,
-			lv.DegradedShard, lv.DegradedConcurrent)
-	}
 	if rs := t.Resilience; rs != (gc.ResilienceStats{}) {
 		fmt.Fprintf(&b, "resilience: injected-ooms=%d torture-collections=%d emergency-collections=%d ladder-recovered=%d ladder-exhausted=%d heap-growths=%d task-faults=%d budget-faults=%d conc-aborts=%d\n",
 			rs.InjectedOOMs, rs.TortureCollections, rs.EmergencyCollections,

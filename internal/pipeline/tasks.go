@@ -23,9 +23,6 @@ type TaskResult struct {
 	Stats   tasking.Stats
 	GCStats gc.Stats
 	Heap    heap.Stats
-	// Liveness counts liveness-guided pruning activity and degrades
-	// (all zero unless Options.GCHeapLiveness).
-	Liveness gc.LivenessStats
 	// TLABs is aligned with Values: each task's allocation-buffer
 	// accounting (all zero when Options.TLABWords is 0).
 	TLABs []tasking.TLABStats
@@ -101,7 +98,6 @@ func RunTasks(src string, entryNames []string, opts Options) (*TaskResult, error
 		Stats:     group.Stats,
 		GCStats:   group.Col.Stats,
 		Heap:      group.Heap.Stats,
-		Liveness:  group.Col.Liveness,
 		Telemetry: &group.Col.Telem,
 		Group:     group,
 	}

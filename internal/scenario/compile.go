@@ -136,21 +136,15 @@ func compileCell(sc *Scenario, w workloads.TaskWorkload, srv *serve.Config, stra
 		// Options struct identical to its hand-written twin.
 		c.Opts.Shards = shards
 	}
-	// Scenario cells are correctness harnesses, so the poison debug mode
-	// rides along with gc_heap_liveness: a wrong spine verdict faults the
-	// loading task instead of silently computing on a pruned word.
-	c.Opts.PoisonPruned = c.Opts.GCHeapLiveness
 	// Combinations pipeline.Rules rejects become reported skips, so the
 	// matrix still covers every strategy × discipline cell. ALL applicable
 	// reasons go into the one Skip string, so a cell out of the envelope on
 	// several counts is still exactly one skipped row in the matrix totals.
-	// A degrade is a skip too: the cell would run, but not the mode it is
-	// there to measure.
-	c.Skip = strings.Join(append(c.Opts.Refusals(), c.Opts.Degrades()...), "; ")
+	c.Skip = strings.Join(c.Opts.Refusals(), "; ")
 	if c.Skip != "" {
 		// The row reports the plain configuration: none of the modes that
 		// put it outside the envelope ran.
-		c.Opts.GCConcurrent, c.Opts.GCHeapLiveness, c.Opts.PoisonPruned, c.Opts.Shards = false, false, false, 0
+		c.Opts.GCConcurrent, c.Opts.Shards = false, 0
 	}
 	return c
 }

@@ -133,26 +133,21 @@ scenario conc {
 	}
 }
 
-// TestScenarioGCHeapLiveness pins the gc_heap_liveness key: a bare
-// boolean that turns on liveness-guided tracing (with the poison debug
-// mode riding along) for compiled-strategy cells and reports every other
-// strategy's cells as skipped — including multi-reason skips joined with
-// "; " when the cell is out of the envelope on several counts at once.
-func TestScenarioGCHeapLiveness(t *testing.T) {
+// TestScenarioMultiReasonSkip pins how a cell out of the envelope on
+// several counts at once is reported: one skipped row whose reason carries
+// every broken rule, "; "-joined, and which runs none of the modes that put
+// it there.
+func TestScenarioMultiReasonSkip(t *testing.T) {
 	scs, err := Parse(`
-scenario live {
+scenario multi {
   workload    taskspine
   strategies  compiled interp tagged
   disciplines copying marksweep
-  gc_heap_liveness
   gc_concurrent
 }
 `)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
-	}
-	if !scs[0].Opts.GCHeapLiveness {
-		t.Fatalf("gc_heap_liveness not set on the scenario")
 	}
 	cells, err := Compile(scs)
 	if err != nil {
@@ -161,36 +156,14 @@ scenario live {
 	if len(cells) != 6 {
 		t.Fatalf("got %d cells, want 6", len(cells))
 	}
-	var on int
-	for _, c := range cells {
-		if c.Opts.GCHeapLiveness {
-			on++
-			if c.Skip != "" {
-				t.Errorf("%s: skipped cell has GCHeapLiveness set", c.Name)
-			}
-			if !c.Opts.PoisonPruned {
-				t.Errorf("%s: liveness cell without the poison debug mode", c.Name)
-			}
-			if c.Strategy != gc.StratCompiled {
-				t.Errorf("%s: heap-liveness pruning outside the compiled strategy", c.Name)
-			}
-		} else if c.Skip == "" {
-			t.Errorf("%s: neither liveness-enabled nor skipped under gc_heap_liveness", c.Name)
-		} else if c.Strategy != gc.StratCompiled && !strings.Contains(c.Skip, "heap-liveness pruning requires the compiled strategy") {
-			t.Errorf("%s: skip %q does not name the liveness reason", c.Name, c.Skip)
-		}
-	}
-	// compiled × marksweep is the one cell inside both envelopes; the
-	// compiled copying cell carries only the concurrent skip.
-	if on != 1 {
-		t.Errorf("got %d liveness cells, want exactly compiled/marksweep", on)
-	}
-	// The tagged mark/sweep cell is out of the envelope on four counts:
-	// its skip must carry ALL reasons, "; "-joined, in one row.
 	var tagged *Cell
 	for i := range cells {
-		if cells[i].Strategy == gc.StratTagged && cells[i].Discipline == MarkSweep {
-			tagged = &cells[i]
+		c := &cells[i]
+		if c.Skip != "" && c.Opts.GCConcurrent {
+			t.Errorf("%s: skipped cell has GCConcurrent set", c.Name)
+		}
+		if c.Strategy == gc.StratTagged && c.Discipline == MarkSweep {
+			tagged = c
 		}
 	}
 	if tagged == nil {
@@ -199,13 +172,12 @@ scenario live {
 	for _, reason := range []string{
 		"mark/sweep is implemented for the tag-free strategies",
 		"concurrent marking requires a tag-free strategy",
-		"heap-liveness pruning requires the compiled strategy",
 	} {
 		if !strings.Contains(tagged.Skip, reason) {
 			t.Errorf("tagged cell skip %q missing reason %q", tagged.Skip, reason)
 		}
 	}
-	if parts := strings.Split(tagged.Skip, "; "); len(parts) < 3 {
+	if parts := strings.Split(tagged.Skip, "; "); len(parts) < 2 {
 		t.Errorf("tagged cell skip %q not a multi-reason \"; \" join", tagged.Skip)
 	}
 }
@@ -222,7 +194,7 @@ func TestScenarioDiagnosticsGolden(t *testing.T) {
 		{
 			name: "unknown key",
 			src:  "scenario x {\n  workload taskchurn\n  wrkload taskchurn\n}\n",
-			want: `3:3: unknown scenario key "wrkload" (have workload, strategies, disciplines, shards, repeats, heap, nursery, promote, tlab, gc_concurrent, gc_heap_liveness, faults, arrivals, mix)`,
+			want: `3:3: unknown scenario key "wrkload" (have workload, strategies, disciplines, shards, repeats, heap, nursery, promote, tlab, gc_concurrent, faults, arrivals, mix)`,
 		},
 		{
 			name: "bad strategy name",
@@ -262,7 +234,7 @@ func TestScenarioDiagnosticsGolden(t *testing.T) {
 		{
 			name: "par is no key",
 			src:  "scenario x {\n  workload taskchurn\n  par 1\n}\n",
-			want: `3:3: unknown scenario key "par" (have workload, strategies, disciplines, shards, repeats, heap, nursery, promote, tlab, gc_concurrent, gc_heap_liveness, faults, arrivals, mix)`,
+			want: `3:3: unknown scenario key "par" (have workload, strategies, disciplines, shards, repeats, heap, nursery, promote, tlab, gc_concurrent, faults, arrivals, mix)`,
 		},
 		{
 			name: "shards out of range",

@@ -74,12 +74,12 @@ type Scenario struct {
 	Repeats int
 
 	// Opts holds the scalar knobs every cell shares — the scenario body's
-	// heap, nursery, promote, tlab, gc_concurrent and gc_heap_liveness, the
-	// faults block and the arrivals block's budgets — written by the parser
-	// straight into the fields their pipeline.Knobs rows name (0 = default
-	// or off). The axis fields stay zero until Compile crosses them in.
-	// Cells whose axis point puts gc_concurrent, gc_heap_liveness or a shard
-	// count outside pipeline.Rules become reported skips.
+	// heap, nursery, promote, tlab and gc_concurrent, the faults block and
+	// the arrivals block's budgets — written by the parser straight into the
+	// fields their pipeline.Knobs rows name (0 = default or off). The axis
+	// fields stay zero until Compile crosses them in. Cells whose axis point
+	// puts gc_concurrent or a shard count outside pipeline.Rules become
+	// reported skips.
 	Opts pipeline.Options
 
 	// Arrivals, when present, turns every cell into a serve-harness run

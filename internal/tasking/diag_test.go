@@ -7,7 +7,6 @@ import (
 	"os"
 	"testing"
 
-	"tagfree/internal/code"
 	"tagfree/internal/gc"
 	"tagfree/internal/pipeline"
 )
@@ -87,18 +86,6 @@ let main () = probe ()
 	single("init-single", initSrc, pipeline.Options{Strategy: gc.StratCompiled})
 	single("init-steplimit", "let rec loop n = if n = 0 then 0 else loop (n - 1)\nlet x = loop 100000\nlet main () = x\n",
 		pipeline.Options{Strategy: gc.StratCompiled, MaxSteps: 3000})
-
-	prog, _, err := pipeline.Build("let main () = 0", pipeline.Options{Strategy: gc.StratCompiled})
-	if err != nil {
-		t.Fatal(err)
-	}
-	poisonSrc := fmt.Sprintf(`
-let fst p = (match p with | (a, b) -> a + b)
-let probe () = (let p = (%d, 1) in fst p)
-let main () = probe ()
-`, code.DecodeInt(prog.Repr, code.PrunedWord))
-	tasks("poison", poisonSrc, []string{"probe"}, pipeline.Options{Strategy: gc.StratCompiled, PoisonPruned: true})
-	single("poison-single", poisonSrc, pipeline.Options{Strategy: gc.StratCompiled, PoisonPruned: true})
 
 	const path = "testdata/diagnostics.json"
 	if *updateDiag {

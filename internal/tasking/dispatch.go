@@ -82,9 +82,9 @@ type sliceConsts struct {
 	// by its event, divert that a call is.
 	zeroFill, stHook, divert bool
 	// A field load is followed by its event when ldHook is set and the loaded
-	// word can trip a hook: it is the pruning sentinel, or lies in young (every
-	// nursery of a sharded group) and not in own, the task's shard's. ldAll
-	// traps every load: a SetDebugAccess heap validates the access itself.
+	// word can trip a hook: it lies in young (every nursery of a sharded
+	// group) and not in own, the task's shard's. ldAll traps every load: a
+	// SetDebugAccess heap validates the access itself.
 	ldHook, ldAll bool
 	young, own    wordRange
 	// win is the allocation window: the loop lays objects at win.HP while
@@ -134,7 +134,7 @@ func (g *Group) step(t *Task, quantum int) error {
 		tag:      code.EncodeInt(prog.Repr, 0),
 		zeroFill: g.ZeroFill,
 		stHook:   h.NurseryEnabled() || g.GCConcurrent,
-		ldHook:   g.PoisonPruned || g.sharded || checked,
+		ldHook:   g.sharded || checked,
 		ldAll:    checked,
 	}
 	if g.sharded {
@@ -356,7 +356,7 @@ func (g *Group) step(t *Task, quantum int) error {
 			case code.OpLdFld:
 				v := k.mem[fieldIndex(operand(stack, k.statics, fp, c[pc+2]), k.tag, int(c[pc+3]))]
 				stack[fp+2+int(c[pc+1])], pc = v, pc+4
-				if k.ldHook && (k.ldAll || v == code.PrunedWord || k.young.has(v) && !k.own.has(v)) {
+				if k.ldHook && (k.ldAll || k.young.has(v) && !k.own.has(v)) {
 					ev = evLoad
 					break dispatch
 				}
@@ -575,10 +575,6 @@ func (g *Group) event(t *Task, ev int) error {
 			field = 0 // the tag word; v is the boolean, which trips no hook below
 		}
 		h.Field(atom(c[pc+2]), field) // validates the access on a SetDebugAccess heap
-		if g.PoisonPruned && v == code.PrunedWord {
-			t.pc = pc
-			return t.errf(g, "poison: load of pruned field %d — heap-liveness verdict was wrong", field)
-		}
 		if g.sharded && h.InYoung(v) && h.YoungShardOf(v) != t.shard {
 			// A foreign shard's young pointer just landed on this stack; that
 			// shard's minors no longer see all their roots. (The word may be

@@ -361,13 +361,6 @@ type Group struct {
 	// descriptors (§1.1.1). NewGroupWith sets it from the strategy.
 	ZeroFill bool
 
-	// PoisonPruned faults any task whose compiled code loads the
-	// liveness-guided collector's PrunedWord sentinel — the debug mode
-	// that makes heap-liveness verdicts falsifiable: a verdict that pruned
-	// a field the program still reads turns into a deterministic fault
-	// instead of a silently wrong value.
-	PoisonPruned bool
-
 	// forceMajor requests that the next stop-the-world collection escalate
 	// to a tenure-all major (the overload ladder's second rung); set via
 	// RequestMajor, consumed by collectSuspended.

@@ -12,7 +12,10 @@
 
 package tasking
 
-import "tagfree/internal/heap"
+import (
+	"tagfree/internal/gc"
+	"tagfree/internal/heap"
+)
 
 // TLABStats is one task's allocation-buffer accounting over its lifetime.
 // FastAllocs served from the private buffer without touching the shared
@@ -53,7 +56,7 @@ func (g *Group) retireTaskTLAB(t *Task) {
 // retireAllTLABs retires every live buffer in the group; the collector
 // runs it (via PreCollect) before any collection so the heap it scans is
 // fully tiled.
-func (g *Group) retireAllTLABs() {
+func (g *Group) retireAllTLABs([]gc.TaskRoots) {
 	for _, t := range g.runq {
 		g.retireTaskTLAB(t)
 	}

@@ -411,7 +411,7 @@ let tower_b () = towers [1] 10 0
 	},
 	{
 		Name:        "taskspine",
-		Description: "long-lived lists of boxed pairs consumed only by length — every element field is provably dead at every GC point, the heap-liveness pruner's motivating shape",
+		Description: "long-lived lists of boxed pairs consumed only by length — element fields never read again stay live through every collection",
 		Entries:     []string{"spine_a", "spine_b", "spine_c"},
 		Expect:      []int64{27940, 28940, 29940},
 		HeapWords:   2048,
