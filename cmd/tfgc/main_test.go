@@ -124,7 +124,6 @@ func TestUsageErrors(t *testing.T) {
 		{"run", "-tlab", "-5", prog},
 		{"run", "-gc-nursery", "3", prog},
 		{"tasks", "-entry", "modest", "-par", "2", prog}, // no such flag
-		{"run", "-gc-promote", "-1", prog},
 		{"run", "-heap-grow", "0.5", prog},
 		{"run", "-gc-conc-trigger", "500", prog},
 		{"run", "-fail-alloc", "-1", prog},

@@ -2,7 +2,7 @@
 // open-loop request generator (arrival rate, burst, heavy-tail service
 // mix) over a task workload, with bounded admission, load shedding,
 // client retry, and the degradation ladder (shed arrivals → forced
-// major/tenure-all collections → deadline cancellation) standing between
+// major collections → deadline cancellation) standing between
 // overload and global failure.
 //
 //	tfserve                                  # closed-loop taskserve run (tfbench twin)

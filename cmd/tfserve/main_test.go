@@ -85,7 +85,6 @@ func TestCLIBadFlags(t *testing.T) {
 		{"-tlab", "-5"},
 		{"-gc-nursery", "3"},
 		{"-par", "2"}, // no such flag
-		{"-gc-promote", "-1"},
 		{"-heap-grow", "0.5"},
 		{"-gc-conc-trigger", "500"},
 		{"-fail-alloc", "-1"},

@@ -52,13 +52,13 @@ type minorRun struct {
 // pending collection, returning the group and the captured root set —
 // repeated Collect calls on those roots are the pause benchmark.
 // nurseryWords > 0 puts a generational nursery in front of the heap.
-func benchGroup(w workloads.TaskWorkload, ms bool, nurseryWords, promote int) (*tasking.Group, []gc.TaskRoots) {
+func benchGroup(w workloads.TaskWorkload, ms bool, nurseryWords int) (*tasking.Group, []gc.TaskRoots) {
 	hw := w.HeapWords
 	if ms {
 		hw *= 2 // one space with the words of copying's two
 	}
 	g, entries, err := pipeline.BuildTaskGroup(w.Source, w.Entries, pipeline.Options{
-		Strategy: gc.StratCompiled, HeapWords: hw, MarkSweep: ms, NurseryWords: nurseryWords, PromoteAfter: promote})
+		Strategy: gc.StratCompiled, HeapWords: hw, MarkSweep: ms, NurseryWords: nurseryWords})
 	if err != nil {
 		panic(fmt.Sprintf("bench %s: %v", w.Name, err))
 	}
@@ -82,7 +82,7 @@ func benchGroup(w workloads.TaskWorkload, ms bool, nurseryWords, promote int) (*
 // captured root set on a copying heap under the given knobs, plus the mean
 // cost of the pure resolution half (Collector.ResolveRoots).
 func collectPauseRun(w workloads.TaskWorkload, fast bool, collections int) pauseRun {
-	g, roots := benchGroup(w, false, 0, 0)
+	g, roots := benchGroup(w, false, 0)
 	g.Col.DisableFastPath = !fast
 	for i := 0; i < collections; i++ {
 		g.Col.Collect(roots, g.Globals)
@@ -122,9 +122,6 @@ func median(pauses []int64) int64 {
 // quantum's allocation.
 const benchNurseryWords = 256
 
-// benchPromote is the survival count before promotion in the bench runs.
-const benchPromote = 2
-
 // withResident prepends a long-lived global list of `cells` cons cells to
 // a workload. The list tenures during initialization, giving the old
 // region the resident set a long-running program accumulates: the graph
@@ -149,7 +146,7 @@ let bench_resident = bench_resident_build %d
 // from a separate end-to-end run, where the mutator drives the barrier.
 func minorPauseRun(w workloads.TaskWorkload, ms bool, collections int) minorRun {
 	residentCells := w.HeapWords / 4 // 2 words per cons cell
-	g, roots := benchGroup(withResident(w, residentCells), ms, benchNurseryWords, benchPromote)
+	g, roots := benchGroup(withResident(w, residentCells), ms, benchNurseryWords)
 	for i := 0; i < collections; i++ {
 		g.Col.Collect(roots, g.Globals)
 	}
@@ -177,7 +174,6 @@ func minorPauseRun(w workloads.TaskWorkload, ms bool, collections int) minorRun 
 		HeapWords:    w.HeapWords,
 		MarkSweep:    ms,
 		NurseryWords: benchNurseryWords,
-		PromoteAfter: benchPromote,
 		MaxSteps:     2_000_000_000,
 	})
 	if err != nil {
@@ -306,8 +302,8 @@ func E11Generational() *Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("pauses: %d repeated minors then %d repeated fulls of one captured mid-execution root set, nursery %d words/half, promotion after %d survivals, over a tenured resident list of HeapWords/2 words — the long-lived graph a real program accumulates, which fulls re-trace and minors skip",
-			benchCollections, benchCollections, benchNurseryWords, benchPromote),
+		fmt.Sprintf("pauses: %d repeated minors then %d repeated fulls of one captured mid-execution root set, nursery 2×%d words, every survivor promoted, over a tenured resident list of HeapWords/2 words — the long-lived graph a real program accumulates, which fulls re-trace and minors skip",
+			benchCollections, benchCollections, benchNurseryWords),
 		"both kinds re-trace every frame of every task stack — the pause delta is exactly the tenured graph a minor skips",
 		"minors/majors/surv%/promoted/barrier columns come from a separate end-to-end run where the mutator drives the write barrier; taskmutate repoints long-lived ref cells at fresh nursery lists, so its barrier traffic is the remembered set earning its keep",
 		"mark/sweep minors still evacuate the nursery by copying; only the old region is swept in place",

@@ -60,8 +60,9 @@ func E16ShardedMinors() *Table {
 		cfg := *base
 		// The overload matrix runs nursery-less; sharding is nursery
 		// machinery, so every row gets the same generational setup and only
-		// the shard count varies. 1<<11 words per young half keeps minors
-		// frequent enough at this arrival rate to measure overlap.
+		// the shard count varies. A young area of 2×(1<<11) words per shard
+		// keeps minors frequent enough at this arrival rate to measure
+		// overlap.
 		cfg.Opts.NurseryWords = 1 << 11
 		if shards > 1 {
 			cfg.Opts.Shards = shards
@@ -90,9 +91,9 @@ func E16ShardedMinors() *Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"all rows are overload-2x (period 3000, 2x the sustainable rate) with a 2048-word-per-half nursery added; shards=1 is the unsharded generational baseline where every minor stops the world",
+		"all rows are overload-2x (period 3000, 2x the sustainable rate) with a 2×2048-word nursery per shard added; shards=1 is the unsharded generational baseline where every minor stops the world",
 		"overlap sums, over all shard minors, the tasks in other shards that stayed runnable through the collection; overlap/minor is the average mutator concurrency each shard minor preserved",
-		"exposures count young pointers observed escaping their shard (to a global or across shards); an exposed shard falls back to global collections until a tenure-all empties the nurseries",
+		"exposures count young pointers observed escaping their shard (to a global or across shards); an exposed shard falls back to global collections until one empties the nurseries",
 		"latencies are virtual-time steps, first-arrival to completion; regenerate with `tfbench e16`",
 	)
 	return t

@@ -140,11 +140,12 @@ func TestClaimVerifySpans(t *testing.T) {
 // 80 of a 100-word semispace; once A is copied 40 are still owed, so young Y1
 // (16 words, to-space at 56 of 60) is promoted and Y2 (72) is not — with no
 // repayment neither would be, and with the reserve forgotten both would, and
-// B would not fit.
+// B would not fit. Y2 is pinned: it stays where it is with its words, is
+// counted, and the nursery's bump restarts just above it.
 func TestClaimRepaysOldReserve(t *testing.T) {
 	prog := listProgram(code.ReprTagFree)
 	h := heap.New(prog.Repr, 100)
-	h.EnableNursery(32, 1)
+	h.EnableNursery(32)
 	c, err := New(prog, h, StratCompiled)
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +155,9 @@ func TestClaimRepaysOldReserve(t *testing.T) {
 	if !h.InOld(a) || !h.InOld(b) || !h.InYoung(y1) || !h.InYoung(y2) {
 		t.Fatal("objects not laid out as the test assumes")
 	}
+	for i := 0; i < 16; i++ {
+		h.SetField(y2, i, code.EncodeInt(h.Repr, int64(100+i)))
+	}
 	old, young := constTuple(c, 40), constTuple(c, 16)
 	h.BeginGC()
 	tr := ownTracer(c)
@@ -162,16 +166,28 @@ func TestClaimRepaysOldReserve(t *testing.T) {
 	ny2 := young.Trace(tr, y2)
 	nb := old.Trace(tr, b)
 	h.EndGC()
-	if !h.InOld(ny1) || !h.InYoung(ny2) {
-		t.Fatalf("Y1 promoted %v, Y2 promoted %v; want only Y1", h.InOld(ny1), !h.InYoung(ny2))
+	if !h.InOld(ny1) || ny2 != y2 {
+		t.Fatalf("Y1 promoted %v, Y2 at %d (was %d); want Y1 promoted and Y2 pinned in place", h.InOld(ny1), ny2, y2)
 	}
-	if h.Stats.PromotedWords != 16 || h.Stats.WordsCopied != 112 {
-		t.Fatalf("promoted %d, copied %d words; want 16 and 112", h.Stats.PromotedWords, h.Stats.WordsCopied)
+	if h.Stats.PromotedWords != 16 || h.Stats.WordsCopied != 96 || h.Stats.PromotionFailures != 1 {
+		t.Fatalf("promoted %d, copied %d words, %d promotion failures; want 16, 96 and 1",
+			h.Stats.PromotedWords, h.Stats.WordsCopied, h.Stats.PromotionFailures)
 	}
 	if base := code.DecodePtr(h.Repr, na); code.DecodePtr(h.Repr, ny1) != base+40 || code.DecodePtr(h.Repr, nb) != base+56 {
 		t.Fatalf("A, Y1, B copied to %d, %d, %d; want them end to end", na, ny1, nb)
 	}
+	for i := 0; i < 16; i++ {
+		if v := code.DecodeInt(h.Repr, h.Field(ny2, i)); v != int64(100+i) {
+			t.Fatalf("pinned Y2 field %d = %d, want %d", i, v, 100+i)
+		}
+	}
+	if want := int(code.DecodePtr(h.Repr, y2)-code.HeapBase) + 16; h.YoungUsed() != want {
+		t.Fatalf("nursery bump restarted at %d words, want %d (just above the pinned Y2)", h.YoungUsed(), want)
+	}
 	if errs := h.VerifyHeap(); len(errs) != 0 {
 		t.Fatalf("verify: %v", errs)
+	}
+	if err := h.CheckLive(ny2, 16); err != nil {
+		t.Fatalf("pinned Y2: %v", err)
 	}
 }

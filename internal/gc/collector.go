@@ -393,6 +393,7 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 		c.resetRemembered()
 	}
 	before := c.cycleStart()
+	pinned := c.Heap.Stats.PromotionFailures
 	switch {
 	case k.shard > 0:
 		c.Heap.BeginMinorGCShard(k.shard - 1)
@@ -430,6 +431,12 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 		c.refilterRemembered()
 	} else {
 		c.Heap.EndGC()
+	}
+	if c.Heap.Stats.PromotionFailures != pinned {
+		// A survivor stayed young for want of old-region room: a major
+		// makes that room (the recovery ladder grows the heap when even a
+		// major cannot).
+		c.genForceMajor = true
 	}
 	pause := time.Since(start).Nanoseconds()
 	c.Stats.PauseNS += pause

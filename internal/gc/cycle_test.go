@@ -1,6 +1,7 @@
 package gc_test
 
 import (
+	"slices"
 	"testing"
 
 	"tagfree/internal/code"
@@ -30,8 +31,8 @@ type cycleWant struct {
 	conc       bool
 	lastMinor  bool
 	// rebuilt is how many remembered-set entries the collection's own trace
-	// recorded: one after a reset (a major re-discovers the planted edge),
-	// none after a refilter (a minor keeps the entry it was given).
+	// recorded: one when a major re-discovers the planted edge to a child it
+	// pinned, none when the child is promoted (minors and majors alike).
 	rebuilt    int64
 	concAborts int64
 }
@@ -59,23 +60,28 @@ func TestCycleKinds(t *testing.T) {
 		// aborted); collect is the entry point under test.
 		before, collect func(*tasking.Group, []gc.TaskRoots)
 		want            cycleWant
+		// pinned says the planted edge's child must stay young: the old
+		// region had no room to promote it into.
+		pinned bool
 	}{
 		{"full", pipeline.Options{}, []bool{false, true}, nil, full,
-			cycleWant{preCollect: 1}},
+			cycleWant{preCollect: 1}, false},
 		{"full/nursery", nursery, []bool{false, true}, nil, full,
-			cycleWant{preCollect: 1, kind: "major", rebuilt: 1}},
+			cycleWant{preCollect: 1, kind: "major"}, false},
+		{"full/nursery/pinned", nursery, []bool{false, true}, fillOld, full,
+			cycleWant{preCollect: 1, kind: "major", rebuilt: 1}, true},
 		{"full/mid-cycle", pipeline.Options{}, []bool{true}, concStart, full,
-			cycleWant{preCollect: 1, concAborts: 1}},
+			cycleWant{preCollect: 1, concAborts: 1}, false},
 		{"minor", nursery, []bool{false, true}, nil, auto,
-			cycleWant{preCollect: 1, kind: "minor", lastMinor: true}},
+			cycleWant{preCollect: 1, kind: "minor", lastMinor: true}, false},
 		{"full/no-fast-path", pipeline.Options{DisableGCFastPath: true}, []bool{false, true}, nil, full,
-			cycleWant{preCollect: 1}},
+			cycleWant{preCollect: 1}, false},
 		{"minor/no-fast-path", pipeline.Options{NurseryWords: 512, DisableGCFastPath: true}, []bool{false, true}, nil, auto,
-			cycleWant{preCollect: 1, kind: "minor", lastMinor: true}},
+			cycleWant{preCollect: 1, kind: "minor", lastMinor: true}, false},
 		{"shard-minor", sharded, []bool{false, true}, nil, shard0,
-			cycleWant{preCollect: 0, kind: "minor", shard: 1, lastMinor: true}},
+			cycleWant{preCollect: 0, kind: "minor", shard: 1, lastMinor: true}, false},
 		{"conc-finish", pipeline.Options{}, []bool{true}, concStart, concFinish,
-			cycleWant{preCollect: 1, conc: true}},
+			cycleWant{preCollect: 1, conc: true}, false},
 	}
 	for _, row := range rows {
 		for _, ms := range row.ms {
@@ -85,28 +91,12 @@ func TestCycleKinds(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				opts := row.opts
-				opts.Strategy, opts.HeapWords, opts.MarkSweep = gc.StratCompiled, 1<<13, ms
-				g, entries, err := pipeline.BuildTaskGroup(cycleSrc, []string{"a", "b"}, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				g.Spawn(entries[0])
-				g.Spawn(entries[1])
-				if err := g.RunInit(); err != nil {
-					t.Fatal(err)
-				}
-				if opts.Shards > 1 {
-					// A sharded run services its shard minors itself; ask for
-					// the global wave that stops every task.
-					g.RequestMajor()
-				}
-				roots, pending, err := g.RunUntilCollection()
-				if err != nil || !pending || len(roots) != 2 {
-					t.Fatalf("no collection to drive: %d stacks, pending %v, %v", len(roots), pending, err)
-				}
+				opts.MarkSweep = ms
+				g, roots := cycleGroup(t, opts)
 				col := g.Col
+				cell := -1
 				if opts.NurseryWords > 0 {
-					plantOldToYoung(t, g, roots)
+					cell = plantOldToYoung(t, g, roots)
 				}
 				if row.before != nil {
 					row.before(g, roots)
@@ -118,7 +108,7 @@ func TestCycleKinds(t *testing.T) {
 						retire(tasks)
 					}
 				}
-				edgesBefore, records := col.Gen.TracedEdges, len(col.Telem.Records)
+				edgesBefore, records, pins := col.Gen.TracedEdges, len(col.Telem.Records), g.Heap.Stats.PromotionFailures
 				row.collect(g, roots)
 
 				if len(col.Telem.Records) != records+1 {
@@ -140,19 +130,112 @@ func TestCycleKinds(t *testing.T) {
 				if col.ConcActive() {
 					t.Error("a concurrent cycle is still in flight after the collection")
 				}
-				if opts.NurseryWords > 0 && col.RememberedLen() != 1 {
-					t.Errorf("remembered set holds %d entries after the collection, want the planted edge", col.RememberedLen())
+				if opts.NurseryWords == 0 {
+					return
+				}
+				child := g.Heap.Field(g.Globals[cell], 0)
+				if v := code.DecodeInt(g.Heap.Repr, g.Heap.Field(child, 0)); v != 7 {
+					t.Errorf("the planted child holds %d, want 7", v)
+				}
+				switch pinned := g.Heap.Stats.PromotionFailures != pins; {
+				case pinned != row.pinned:
+					t.Errorf("child pinned %v, want %v", pinned, row.pinned)
+				case !pinned && (!g.Heap.InOld(child) || col.RememberedLen() != 0):
+					t.Errorf("child old %v, %d remembered; want it promoted and the set empty", g.Heap.InOld(child), col.RememberedLen())
+				case pinned && (!g.Heap.InYoung(child) || col.RememberedLen() != 1 || col.MinorEligible()):
+					t.Errorf("child young %v, %d remembered, minor eligible %v; want it pinned, the edge rebuilt and a major next",
+						g.Heap.InYoung(child), col.RememberedLen(), col.MinorEligible())
 				}
 			})
 		}
 	}
 }
 
+// cycleGroup runs cycleSrc's two tasks under opts (compiled, an 8k-word
+// heap) to their first collection.
+func cycleGroup(t *testing.T, opts pipeline.Options) (*tasking.Group, []gc.TaskRoots) {
+	opts.Strategy, opts.HeapWords = gc.StratCompiled, 1<<13
+	return stoppedGroup(t, cycleSrc, []string{"a", "b"}, opts)
+}
+
+// TestPromotionFailurePins drives the two ways a promotion finds no room
+// over a young list 7 :: 8 :: 9 hung off an old ref cell: a copying major
+// whose to-space slack is all owed to uncopied old objects (oldReserve), and
+// a mark/sweep minor with the bump region full and no free block of a cell's
+// size. Each cell stays where it is with its value, the verifier passes
+// (VerifyHeap: after every collection), the counter counts the three, and
+// the collector's next cycle is a major.
+func TestPromotionFailurePins(t *testing.T) {
+	for _, row := range []struct {
+		name    string
+		ms      bool
+		collect func(*gc.Collector, []gc.TaskRoots, []code.Word)
+		kind    string
+	}{
+		{"copying-major-reserve", false, (*gc.Collector).CollectFull, "major"},
+		{"marksweep-minor-free-list-miss", true, (*gc.Collector).Collect, "minor"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			g, roots := cycleGroup(t, pipeline.Options{NurseryWords: 512, MarkSweep: row.ms, VerifyHeap: true})
+			h := g.Heap
+			ci := plantOldToYoung(t, g, roots)
+			c8, c9 := h.MustAlloc(2), h.MustAlloc(2)
+			h.SetField(h.Field(g.Globals[ci], 0), 1, c8)
+			h.SetField(c8, 0, code.EncodeInt(h.Repr, 8))
+			h.SetField(c8, 1, c9)
+			h.SetField(c9, 0, code.EncodeInt(h.Repr, 9))
+			h.SetField(c9, 1, 0)
+			list := func() (cells []code.Word, values []int64) {
+				for c := h.Field(g.Globals[ci], 0); c != 0; c = h.Field(c, 1) {
+					cells = append(cells, c)
+					values = append(values, code.DecodeInt(h.Repr, h.Field(c, 0)))
+				}
+				return cells, values
+			}
+			young, _ := list()
+			fillOld(g, roots)
+			pins := h.Stats.PromotionFailures
+
+			row.collect(g.Col, roots, g.Globals)
+			if kind := g.Col.Telem.Records[len(g.Col.Telem.Records)-1].Kind; kind != row.kind {
+				t.Fatalf("the collection under test was a %s, want a %s", kind, row.kind)
+			}
+			cells, values := list()
+			if !slices.Equal(cells, young) || !slices.Equal(values, []int64{7, 8, 9}) {
+				t.Fatalf("list at %v holding %v after the pinning collection; want it still at %v holding [7 8 9]", cells, values, young)
+			}
+			if n := h.Stats.PromotionFailures - pins; n != 3 {
+				t.Fatalf("%d promotion failures counted, want 3", n)
+			}
+			if errs := h.VerifyHeap(); len(errs) != 0 {
+				t.Fatalf("verify: %v", errs)
+			}
+			if g.Col.MinorEligible() {
+				t.Fatal("a collection that pinned left the next one minor-eligible")
+			}
+
+			g.Col.Collect(roots, g.Globals)
+			if kind := g.Col.Telem.Records[len(g.Col.Telem.Records)-1].Kind; kind != "major" {
+				t.Fatalf("the collection after the pins was a %s, want a major", kind)
+			}
+			cells, values = list()
+			if !slices.Equal(values, []int64{7, 8, 9}) {
+				t.Fatalf("list holds %v after the major, want [7 8 9]", values)
+			}
+			if !row.ms && !h.InOld(cells[0]) {
+				// The first major compacted the old region: the second owes
+				// to-space only the live old words and promotes the list.
+				t.Fatal("the major after the pins left the list young")
+			}
+		})
+	}
+}
+
 // plantOldToYoung collects until the global ref cell is tenured, then stores
 // a fresh (young, shard 0) cons cell in it and reports the edge as the write
 // barrier would — so the collection under test starts with exactly one
-// remembered entry whose target survives young.
-func plantOldToYoung(t *testing.T, g *tasking.Group, roots []gc.TaskRoots) {
+// remembered entry. It returns the cell's global index.
+func plantOldToYoung(t *testing.T, g *tasking.Group, roots []gc.TaskRoots) int {
 	t.Helper()
 	ci := -1
 	for i, gl := range g.Prog.Globals {
@@ -184,5 +267,24 @@ func plantOldToYoung(t *testing.T, g *tasking.Group, roots []gc.TaskRoots) {
 	g.Col.Remember(g.Globals[ci], 0, g.Prog.Globals[ci].Desc.Args[0])
 	if g.Col.RememberedLen() != 1 {
 		t.Fatalf("planted one edge, remembered set holds %d", g.Col.RememberedLen())
+	}
+	return ci
+}
+
+// fillOld allocates garbage in the old region until it has no word left
+// (objects above the nursery's size are born old): a copying major then owes
+// all of to-space to old copies, and a mark/sweep one has neither bump room
+// nor a free block, so no young survivor can be promoted.
+func fillOld(g *tasking.Group, _ []gc.TaskRoots) {
+	h := g.Heap
+	big := h.YoungWords() + 1
+	for r := h.SemiWords() - h.Used(); r > 0; r = h.SemiWords() - h.Used() {
+		n := big
+		if r < 2*big {
+			n = r
+		}
+		if _, err := h.Alloc(n); err != nil {
+			panic(err)
+		}
 	}
 }

@@ -15,9 +15,10 @@ package gc
 //     must carry its own trace routine; a ground descriptor resolves to a
 //     hash-consed TypeGC once and is shared by every later hit.
 //   - The trace itself reports edges through Collector.setField: an old
-//     (or just-promoted) parent whose traced child stayed young is
-//     re-remembered, so promotion never strands an edge, and a major
-//     collection rebuilds the whole set from what it observes.
+//     (or just-promoted) parent whose traced child stayed young — pinned,
+//     the old region having no room for it — is re-remembered, so a failed
+//     promotion never strands an edge, and a major collection rebuilds the
+//     whole set from what it observes.
 //
 // Stores the barrier cannot type (a polymorphic store whose descriptor
 // still contains type variables — the frame context needed to resolve it is
@@ -25,7 +26,9 @@ package gc
 // next collection is forced to be a major, which needs no remembered set.
 // Pre-tenured allocations (oversize objects placed directly in the old
 // region) degrade the same way: their initializing stores bypass the
-// barrier, so the set cannot be trusted until a major rebuilds it.
+// barrier, so the set cannot be trusted until a major rebuilds it. A
+// collection that pinned a survivor the old region had no room for
+// (heap.Stats.PromotionFailures) forces a major too (cycle).
 
 import (
 	"tagfree/internal/code"
@@ -105,7 +108,7 @@ func (c *Collector) Remember(obj code.Word, field int, desc *code.TypeDesc) {
 }
 
 // NoteTenuredAlloc records that the mutator allocated an object directly in
-// the old region (oversize for a nursery half). Its initializing stores are
+// the old region (oversize for the nursery). Its initializing stores are
 // untracked old→young edges, so the next collection must be a major.
 func (c *Collector) NoteTenuredAlloc() {
 	c.Gen.PreTenured++
@@ -191,9 +194,9 @@ func (t *tracer) setField(obj code.Word, i int, was, v code.Word, g TypeGC) {
 // being collected, so their targets do not move and their entries stay
 // untouched. An edge is a root like a stack slot, so on the compiled fast
 // path it runs the kernel its routine classifies to (remSlot), bit-identical
-// to the generic walk. Entries appended mid-loop (promotions discovering
-// young children) are already traced when recorded, and re-tracing an
-// evacuated object is a forwarding hit, so the growing-slice iteration is
+// to the generic walk. Entries appended mid-loop (a promoted parent whose
+// child was pinned) are already traced when recorded, and re-tracing a
+// visited object is a forwarding hit, so the growing-slice iteration is
 // safe.
 func (c *Collector) traceRemembered(shard int) {
 	fast := c.planned()

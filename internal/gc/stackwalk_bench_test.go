@@ -77,21 +77,26 @@ func BenchmarkStackWalk(b *testing.B) {
 // stoppedGroup runs the entries as tasks up to their first collection and
 // returns the group with the root set the collector is about to be handed;
 // Collect may run on it any number of times.
-func stoppedGroup(b *testing.B, src string, entryNames []string, opts pipeline.Options) (*tasking.Group, []gc.TaskRoots) {
-	b.Helper()
+func stoppedGroup(tb testing.TB, src string, entryNames []string, opts pipeline.Options) (*tasking.Group, []gc.TaskRoots) {
+	tb.Helper()
 	g, entries, err := pipeline.BuildTaskGroup(src, entryNames, opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, e := range entries {
 		g.Spawn(e)
 	}
 	if err := g.RunInit(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
+	}
+	if opts.Shards > 1 {
+		// A sharded run services its shard minors itself; ask for the global
+		// wave that stops every task.
+		g.RequestMajor()
 	}
 	roots, pending, err := g.RunUntilCollection()
-	if err != nil || !pending {
-		b.Fatalf("no collection to measure: %v", err)
+	if err != nil || !pending || len(roots) != len(entries) {
+		tb.Fatalf("no collection to drive: %d stacks, pending %v, %v", len(roots), pending, err)
 	}
 	return g, roots
 }

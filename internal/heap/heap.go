@@ -56,6 +56,9 @@ type Stats struct {
 	// PromotedWords counts words tenured from the nursery into the old
 	// region across all collections.
 	PromotedWords int64
+	// PromotionFailures counts young objects a collection could not promote
+	// for want of old-region room and left in place (pinned, nursery.go).
+	PromotionFailures int64
 	// SharedAllocs counts allocation requests that touched the shared heap
 	// — every Alloc entry plus every TLAB chunk carve. In a real runtime
 	// each is a shared-heap lock acquisition; with TLABs enabled the ratio
@@ -203,14 +206,14 @@ func (h *Heap) ActiveSnapshot() []code.Word {
 }
 
 // Need reports whether allocating n object words (plus a header in tagged
-// mode) requires a collection first. With a nursery, a request that fits a
-// young half checks only the nursery bump (a minor collection empties it);
-// oversize requests are pre-tenured and check the old region as before.
+// mode) requires a collection first. With a nursery, a request the nursery
+// takes checks only the nursery bump (a collection empties it); oversize
+// requests are pre-tenured and check the old region as before.
 func (h *Heap) Need(n int) bool {
 	total := h.objWords(n)
 	if h.young.enabled && total <= h.young.youngWords {
 		s := &h.young.shards[h.young.allocShard]
-		return s.youngAlloc+total > s.youngOff+h.young.youngWords
+		return s.youngAlloc+total > s.limit
 	}
 	if h.kind == MarkSweep {
 		return !h.msCanAlloc(total)
@@ -236,7 +239,7 @@ func (h *Heap) objWords(fields int) int {
 // A window is one object long wherever the heap keeps something per object —
 // a mark/sweep block's size, the forced major an object born in the old
 // region of a generational heap owes — or the opener asks for that (one);
-// otherwise it is the rest of its region: the semispace, a young half, a
+// otherwise it is the rest of its region: the semispace, a young area, a
 // buffer. At most one window is in use at a time, and none across a
 // collection.
 type Window struct {
@@ -245,7 +248,7 @@ type Window struct {
 	Objects int
 	// start is HP at the last Settle. The window bumps tlab's top when it
 	// has one; else region says whose bump pointer: a nursery shard's young
-	// half (its index), the old region, or none — a recycled free-list block.
+	// area (its index), the old region, or none — a recycled free-list block.
 	start  int
 	tlab   *TLAB
 	region int
@@ -261,13 +264,14 @@ const (
 func (w *Window) Buffered() bool { return w.tlab != nil }
 
 // youngFits reports whether a request of total words is served by the
-// nursery: there is one, the mutator is asking, and a young half can hold it.
+// nursery: there is one, the mutator is asking, and the object is not
+// oversize for it.
 func (h *Heap) youngFits(total int) bool {
 	return h.young.enabled && !h.inGC && total <= h.young.youngWords
 }
 
 // OpenWindow opens w on the shared heap for a request of n fields, where
-// Alloc would have put the object: the allocation shard's young half,
+// Alloc would have put the object: the allocation shard's young area,
 // else a mark/sweep block (bumped or recycled), else the semispace. It
 // reports false — and counts the shared-heap request, as a failed Alloc
 // always has — when that object does not fit; the caller climbs the recovery
@@ -278,7 +282,7 @@ func (h *Heap) OpenWindow(w *Window, n int, one bool) bool {
 	switch {
 	case h.youngFits(total):
 		s := &h.young.shards[h.young.allocShard]
-		hp, limit, region = s.youngAlloc, s.youngOff+h.young.youngWords, h.young.allocShard
+		hp, limit, region = s.youngAlloc, s.limit, h.young.allocShard
 	case h.kind == MarkSweep:
 		one = true
 		if hp+total > limit {
@@ -404,7 +408,7 @@ func (h *Heap) oomError(total int) *OutOfMemoryError {
 	if h.youngFits(total) {
 		s := &h.young.shards[h.young.allocShard]
 		return &OutOfMemoryError{Discipline: "nursery", Requested: total,
-			Free: s.youngOff + h.young.youngWords - s.youngAlloc}
+			Free: s.limit - s.youngAlloc}
 	}
 	e := &OutOfMemoryError{Discipline: "copying", Requested: total, Free: h.limit - h.alloc}
 	if h.kind == MarkSweep {

@@ -276,12 +276,12 @@ func (h *Heap) checkAccess(ptr code.Word, i int) {
 	base := h.addrIndex(ptr)
 	if h.young.enabled && base < h.young.prefixWords() {
 		if h.inGC {
-			return // evacuation reads both halves mid-collection
+			return // promotion reads the area mid-collection
 		}
 		s := &h.young.shards[h.youngShardOf(base)]
-		if base < s.youngOff || base >= s.youngAlloc {
+		if base >= s.youngAlloc {
 			panic(fmt.Sprintf("heap: field access to young offset %d outside the live nursery [%d, %d)",
-				base, s.youngOff, s.youngAlloc))
+				base, s.base, s.youngAlloc))
 		}
 		return
 	}

@@ -10,41 +10,52 @@ import (
 // re-traceable at zero metadata cost, which is exactly the property a
 // generational collector needs: stack (and global) roots are rescanned on
 // every minor collection anyway, so a remembered set only has to cover
-// old→young *heap* stores (Appel's "Simple Generational Garbage Collection
-// and Fast Allocation" applied to the tag-free setting).
+// old→young *heap* stores. The policy is Appel's "Simple Generational
+// Garbage Collection and Fast Allocation" (SP&E 1989): the whole young area
+// is allocation space, and every collection promotes every live young
+// object, so nothing is copied young and no object carries an age.
 //
 // Layout: the nursery is a set of shards — one per task group under
-// -shards N, a single shard otherwise — each shard two young halves,
-// placed at the *front* of the word array, below both disciplines'
-// regions:
+// -shards N, a single shard otherwise — each shard one young area of
+// 2·youngWords words, placed at the *front* of the word array, below both
+// disciplines' regions:
 //
-//	mem = [ sh0 half0 | sh0 half1 | sh1 half0 | sh1 half1 | ... | old ]
+//	mem = [ sh0 young area | sh1 young area | ... | old ]
 //
 // Young offsets are therefore fixed for the life of the heap — Grow extends
 // only the old region above them, so growing never moves a young object and
 // the recovery ladder works unchanged mid-nursery. A pointer is young iff
 // its offset is below shards*2*youngWords; its owning shard is the offset
 // divided by the per-shard extent. The write barrier stays two compares.
+// youngWords is also the largest object born young: a larger one is
+// pre-tenured into the old region.
 //
-// Allocation in the nursery is a pure bump in the allocation shard's
-// active half — a window on it (OpenWindow; SetAllocShard routes each task
-// to its shard, a single-shard heap never changes it). Every collection evacuates active young halves:
-// an object that has survived promoteAfter collections is copied into the
-// shared old region (the discipline's normal allocation: semispace bump
-// under copying, bump-or-free-list under mark/sweep); younger survivors
-// are copied to their shard's other half with their age incremented,
-// Cheney-style between the two halves. If the old region cannot take a
-// promotion the object simply stays young another cycle — promotion
-// degrades instead of failing, so a collection can never overflow: young
-// survivors always fit in the other half.
+// Allocation in the nursery is a pure bump in the allocation shard's area —
+// a window on it (OpenWindow; SetAllocShard routes each task to its shard, a
+// single-shard heap never changes it). A collection copies every live
+// object of the areas it collects into the shared old region (promoteDest:
+// the discipline's normal allocation — semispace bump under copying,
+// bump-or-free-list under mark/sweep) and restarts each area's bump at its
+// base.
 //
-// A *global* collection (minor or major) evacuates every shard. A *shard*
-// minor (BeginMinorGCShard) evacuates exactly one shard's active half and
-// leaves every other shard's mutators and objects untouched — the
-// scheduler guarantees, via its exposure tracking, that no pointer into
-// the collected shard lives outside that shard's task stacks, its own
-// young objects, and the remembered set, so the trace is complete without
-// stopping anyone else.
+// A promotion fails when the old region has no room: a minor with the
+// semispace (or mark/sweep bump and exact-size free list) full, or a
+// copying major whose to-space slack is owed to uncopied old objects
+// (oldReserve). The object is then pinned: forwarded to itself, its fields
+// traced where it stands, and the area's bump restarts above the highest
+// pinned object instead of at its base. Stats.PromotionFailures counts the
+// pins, and the collector answers any with a major next (the
+// promotion-failure handling of HotSpot's young collectors); the recovery
+// ladder's growth rung makes the room a repeated failure lacks. No room is
+// checked up front: a collection never overflows, it pins.
+//
+// A *global* collection (minor or major) collects every shard. A *shard*
+// minor (BeginMinorGCShard) collects exactly one shard's area and leaves
+// every other shard's mutators and objects untouched — the scheduler
+// guarantees, via its exposure tracking, that no pointer into the collected
+// shard lives outside that shard's task stacks, its own young objects, and
+// the remembered set, so the trace is complete without stopping anyone
+// else.
 //
 // During a *minor* collection old objects are not traced at all:
 // VisitObject returns them untouched, so the existing typed trace
@@ -53,21 +64,19 @@ import (
 // collector, see internal/gc) re-traces interior old→young edges. During
 // a *shard* minor, other shards' young objects are likewise returned
 // untouched. During a *major*, old objects take the discipline's normal
-// path and every young half is evacuated by the same aging rules in the
-// same trace.
+// path and every young object is promoted in the same trace.
 type nursery struct {
 	enabled bool
-	// youngWords is the size of each half (same for every shard).
+	// youngWords is half of each shard's area, and the largest object the
+	// nursery takes.
 	youngWords int
 	// shards holds the per-shard nursery state; a non-sharded heap has
 	// exactly one.
 	shards []nurseryShard
 	// allocShard routes young allocation (and TLAB carves) to one shard's
-	// active half. The tasking scheduler sets it before each task's
-	// quantum; single-shard heaps leave it 0.
+	// area. The tasking scheduler sets it before each task's quantum;
+	// single-shard heaps leave it 0.
 	allocShard int
-	// promoteAfter is the survival count at which an object is tenured.
-	promoteAfter uint8
 	// minorGC is true while the in-progress collection is a minor one.
 	minorGC bool
 	// minorShard is the shard collected by the in-progress — or, between
@@ -75,69 +84,32 @@ type nursery struct {
 	// collection (minor or major) spans all shards. VerifyTLABs reads it
 	// after the collection to know whose buffers had to be retired.
 	minorShard int
-	// tenureAll promotes every survivor regardless of age. The recovery
-	// ladder sets it for its escalation collections: without it, survivors
-	// below promoteAfter would stay young through any number of full
-	// collections and grows (Grow extends only the old region), so a
-	// young-sized Need could stay unsatisfiable forever.
-	tenureAll bool
 }
 
-// nurseryShard is one shard's two-half young generation. All offsets are
+// nurseryShard is one shard's young area [base, limit). All offsets are
 // absolute mem indexes.
 type nurseryShard struct {
-	// base is the offset of the shard's half 0; half 1 starts at
-	// base+youngWords.
-	base int
-	// youngOff is the base offset of the active half (base or
-	// base+youngWords).
-	youngOff int
-	// youngAlloc is the bump pointer in the active half.
+	base, limit int
+	// youngAlloc is the bump pointer: [base, youngAlloc) has been allocated
+	// since the last collection, above the objects that collection pinned.
 	youngAlloc int
-	// youngEvac is the bump pointer in the inactive half during a
-	// collection (survivor destination).
-	youngEvac int
-	// youngFwd forwards evacuated objects within one collection: indexed
-	// by offset within the from-half, -1 = not yet visited. Reset after
-	// every collection that evacuated this shard (side bookkeeping, like
-	// the copying forward table).
+	// pinTop, during a collection, is the end of the highest object it
+	// pinned (base when none): where the bump restarts.
+	pinTop int
+	// youngFwd forwards visited objects within one collection: indexed by
+	// offset within the area, -1 = not yet visited; a pinned object
+	// forwards to itself. Reset after every collection that collected this
+	// shard (side bookkeeping, like the copying forward table).
 	youngFwd []int
-	// ages[i] holds per-object survival counts for half i, indexed by the
-	// object's base offset within that half; a half's are cleared when it is
-	// armed for evacuation (armEvac), so an object born in it has age 0.
-	ages [2][]uint8
 }
 
-// activeIdx returns the shard's active half index (0 or 1).
-func (s *nurseryShard) activeIdx() int {
-	if s.youngOff == s.base {
-		return 0
-	}
-	return 1
-}
-
-// armEvac points the shard's evacuation bump at its inactive half and
-// clears that half's ages: survivors write theirs as they are copied in, and
-// whatever the mutator lays behind them once the half is active is already
-// aged 0 — allocation writes no age.
-func (s *nurseryShard) armEvac(youngWords int) {
-	to := 1 - s.activeIdx()
-	s.youngEvac = s.base + to*youngWords
-	clear(s.ages[to])
-}
-
-// flip makes the inactive half (holding this collection's survivors)
-// active and resets the forwarding table for the next cycle.
-func (s *nurseryShard) flip(youngWords int) {
-	if s.youngOff == s.base {
-		s.youngOff = s.base + youngWords
-	} else {
-		s.youngOff = s.base
-	}
-	s.youngAlloc = s.youngEvac
-	for i := range s.youngFwd {
+// restart ends a collection of the shard: the forwarding entries it wrote
+// are cleared and the bump restarts above the pinned objects.
+func (s *nurseryShard) restart() {
+	for i := range s.youngFwd[:s.youngAlloc-s.base] {
 		s.youngFwd[i] = -1
 	}
+	s.youngAlloc = s.pinTop
 }
 
 // prefixWords is the young prefix extent: every offset below it is young,
@@ -150,19 +122,18 @@ func (n *nursery) prefixWords() int {
 }
 
 // EnableNursery re-lays the heap out with a generational nursery of
-// youngWords words per half in front of the old region(s), promoting
-// survivors to the old space after promoteAfter collections. It must be
-// called before the first allocation (the re-layout moves the old region),
-// and only on a tag-free heap: young objects are headerless and evacuation
-// is type-directed, exactly like the rest of the collector.
-func (h *Heap) EnableNursery(youngWords, promoteAfter int) {
-	h.EnableNurseryShards(youngWords, promoteAfter, 1)
+// 2·youngWords words in front of the old region(s). It must be called
+// before the first allocation (the re-layout moves the old region), and only
+// on a tag-free heap: young objects are headerless and promotion is
+// type-directed, exactly like the rest of the collector.
+func (h *Heap) EnableNursery(youngWords int) {
+	h.EnableNurseryShards(youngWords, 1)
 }
 
 // EnableNurseryShards is EnableNursery with the young prefix partitioned
-// into shards independent two-half nurseries (see the package comment on
+// into shards independent young areas (see the package comment on
 // sharding). Shard 0 is the initial allocation shard.
-func (h *Heap) EnableNurseryShards(youngWords, promoteAfter, shards int) {
+func (h *Heap) EnableNurseryShards(youngWords, shards int) {
 	if h.Repr != code.ReprTagFree {
 		panic("EnableNursery: the nursery requires the tag-free representation")
 	}
@@ -175,30 +146,21 @@ func (h *Heap) EnableNurseryShards(youngWords, promoteAfter, shards int) {
 	if shards < 1 {
 		panic("EnableNursery: shard count must be at least 1")
 	}
-	if promoteAfter < 1 {
-		promoteAfter = 1
-	}
-	if promoteAfter > 250 {
-		promoteAfter = 250
-	}
 	n := &h.young
 	n.enabled = true
 	n.youngWords = youngWords
 	n.allocShard = 0
 	n.minorShard = -1
-	n.promoteAfter = uint8(promoteAfter)
 	n.shards = make([]nurseryShard, shards)
 	for i := range n.shards {
 		s := &n.shards[i]
 		s.base = i * 2 * youngWords
-		s.youngOff = s.base
+		s.limit = s.base + 2*youngWords
 		s.youngAlloc = s.base
-		s.youngFwd = make([]int, youngWords)
+		s.youngFwd = make([]int, 2*youngWords)
 		for j := range s.youngFwd {
 			s.youngFwd[j] = -1
 		}
-		s.ages[0] = make([]uint8, youngWords)
-		s.ages[1] = make([]uint8, youngWords)
 	}
 
 	shift := n.prefixWords()
@@ -223,46 +185,35 @@ func (h *Heap) EnableNurseryShards(youngWords, promoteAfter, shards int) {
 // NurseryEnabled reports whether the heap has a generational nursery.
 func (h *Heap) NurseryEnabled() bool { return h.young.enabled }
 
-// YoungWords returns the nursery half size (0 without a nursery).
+// YoungWords returns the largest object the nursery takes — half of each
+// shard's area (0 without a nursery).
 func (h *Heap) YoungWords() int { return h.young.youngWords }
 
-// YoungTotalWords returns the heap's total young allocation capacity: one
-// active half per shard. This is the figure occupancy-based policies
-// (serve's load shedding) must use — YoungWords alone under-counts a
-// sharded heap.
-func (h *Heap) YoungTotalWords() int {
-	if !h.young.enabled {
-		return 0
-	}
-	return len(h.young.shards) * h.young.youngWords
-}
+// YoungTotalWords returns the heap's total young allocation capacity: every
+// shard's whole area. This is the figure occupancy-based policies (serve's
+// load shedding) must use — YoungWords alone under-counts.
+func (h *Heap) YoungTotalWords() int { return h.young.prefixWords() }
 
-// YoungUsed returns the words allocated across every shard's active half.
+// YoungUsed returns the words allocated across every shard's area, pinned
+// survivors included.
 func (h *Heap) YoungUsed() int {
 	used := 0
 	for i := range h.young.shards {
 		s := &h.young.shards[i]
-		used += s.youngAlloc - s.youngOff
+		used += s.youngAlloc - s.base
 	}
 	return used
 }
 
 // SetAllocShard routes subsequent young allocation (bump fast path and
-// TLAB carves) to the given shard's active half. The tasking scheduler
-// calls it before each task's quantum.
+// TLAB carves) to the given shard's area. The tasking scheduler calls it
+// before each task's quantum.
 func (h *Heap) SetAllocShard(shard int) {
 	if shard < 0 || shard >= len(h.young.shards) {
 		panic(fmt.Sprintf("SetAllocShard: shard %d out of range (%d shards)", shard, len(h.young.shards)))
 	}
 	h.young.allocShard = shard
 }
-
-// PromoteAfter returns the survival count at which objects are tenured.
-func (h *Heap) PromoteAfter() int { return int(h.young.promoteAfter) }
-
-// SetTenureAll switches the nursery into (or out of) tenure-everything
-// mode for subsequent collections. See nursery.tenureAll.
-func (h *Heap) SetTenureAll(on bool) { h.young.tenureAll = on }
 
 // InYoung reports whether w is a pointer into the nursery. Callers must
 // already know w is a pointer-shaped value (tag-free integers can alias
@@ -293,8 +244,8 @@ func (h *Heap) YoungShardOf(w code.Word) int {
 }
 
 // YoungRange returns the first address and the length in words of one shard's
-// nursery, both halves — or, for shard < 0, of every shard's: InYoung and
-// YoungShardOf as one compare each, for a caller that cannot afford the calls.
+// young area — or, for shard < 0, of every shard's: InYoung and YoungShardOf
+// as one compare each, for a caller that cannot afford the calls.
 func (h *Heap) YoungRange(shard int) (lo, span uint64) {
 	per := 2 * h.young.youngWords
 	if shard < 0 {
@@ -309,26 +260,25 @@ func (h *Heap) InYoungShard(w code.Word, shard int) bool {
 	return h.InYoung(w) && h.YoungShardOf(w) == shard
 }
 
-// beginYoungGC arms survivor evacuation into every shard's inactive half
-// (global collections evacuate all shards).
+// beginYoungGC starts a global collection of every shard.
 func (h *Heap) beginYoungGC(minor bool) {
 	n := &h.young
 	n.minorGC = minor
 	n.minorShard = -1
 	for i := range n.shards {
-		n.shards[i].armEvac(n.youngWords)
+		n.shards[i].pinTop = n.shards[i].base
 	}
 }
 
-// endYoungGC flips the evacuated shards' halves: survivors become each new
-// active half's prefix. A shard minor flips only its own shard.
+// endYoungGC restarts the collected shards' bumps: at the base, or above
+// what the collection pinned. A shard minor restarts only its own shard.
 func (h *Heap) endYoungGC() {
 	n := &h.young
 	for i := range n.shards {
 		if n.minorShard >= 0 && i != n.minorShard {
 			continue
 		}
-		n.shards[i].flip(n.youngWords)
+		n.shards[i].restart()
 	}
 	n.minorGC = false
 }
@@ -355,7 +305,7 @@ func (h *Heap) BeginMinorGC() {
 }
 
 // BeginMinorGCShard starts a minor collection of one shard: only that
-// shard's active half is evacuated; every other shard — objects, bump
+// shard's area is collected; every other shard — objects, bump
 // pointers, live old-region TLABs — is untouched, so its mutators need not
 // stop. The caller (the tasking scheduler) must guarantee the shard is
 // unexposed: no pointer into it lives outside its own tasks' stacks, its
@@ -384,11 +334,11 @@ func (h *Heap) BeginMinorGCShard(shard int) {
 	n := &h.young
 	n.minorGC = true
 	n.minorShard = shard
-	n.shards[shard].armEvac(n.youngWords)
+	n.shards[shard].pinTop = n.shards[shard].base
 }
 
-// EndMinorGC completes a minor collection (global or single-shard). The
-// old region is untouched; only the evacuated shards' halves flip.
+// EndMinorGC completes a minor collection (global or single-shard). Old
+// objects stayed where they were; the collected shards' bumps restart.
 func (h *Heap) EndMinorGC() {
 	if !h.inGC || !h.young.minorGC {
 		panic("EndMinorGC: no minor collection in progress")
@@ -398,12 +348,11 @@ func (h *Heap) EndMinorGC() {
 }
 
 // youngVisit is VisitObject for nursery pointers, during both minor and
-// major collections: forward if already evacuated, else promote by age
-// (falling back to young survival when the old region is full) or copy to
-// the shard's inactive half. During a shard minor, other shards' objects
-// are returned untouched, exactly like old objects — the exposure
-// invariant guarantees nothing reachable only through them belongs to the
-// collected shard.
+// major collections: forward if already visited, else promote — or pin in
+// place when the old region has no room. During a shard minor, other
+// shards' objects are returned untouched, exactly like old objects — the
+// exposure invariant guarantees nothing reachable only through them belongs
+// to the collected shard.
 func (h *Heap) youngVisit(ptr code.Word, base, n int) (code.Word, bool) {
 	y := &h.young
 	if !h.inGC {
@@ -414,44 +363,25 @@ func (h *Heap) youngVisit(ptr code.Word, base, n int) (code.Word, bool) {
 		return ptr, false
 	}
 	s := &y.shards[t]
-	// A pointer into the to-half's filled prefix is an already-evacuated
-	// object: remembered-set entries recorded during this collection (a
-	// promoted parent whose child was just copied) hold post-evacuation
-	// addresses, and re-tracing them must be the identity, exactly like a
-	// forwarding hit.
-	if toBase := s.base + (1-s.activeIdx())*y.youngWords; base >= toBase && base+n <= s.youngEvac {
-		return ptr, false
-	}
-	if base < s.youngOff || base+n > s.youngAlloc {
+	if base+n > s.youngAlloc {
 		panic(fmt.Sprintf("heap: collector visited young offset %d (size %d) outside shard %d's live nursery [%d, %d)",
-			base, n, t, s.youngOff, s.youngAlloc))
+			base, n, t, s.base, s.youngAlloc))
 	}
-	rel := base - s.youngOff
+	rel := base - s.base
 	if fwd := s.youngFwd[rel]; fwd >= 0 {
 		return code.EncodePtr(h.Repr, code.HeapBase+fwd), false
 	}
-	fromIdx := s.activeIdx()
-	age := s.ages[fromIdx][rel]
-	if age < 250 {
-		age++
+	nb, ok := h.promoteDest(n)
+	if !ok {
+		s.youngFwd[rel] = base
+		s.pinTop = max(s.pinTop, base+n)
+		h.Stats.PromotionFailures++
+		return ptr, true
 	}
-	if age >= y.promoteAfter || y.tenureAll {
-		if nb, ok := h.promoteDest(n); ok {
-			copy(h.mem[nb:nb+n], h.mem[base:base+n])
-			s.youngFwd[rel] = nb
-			h.Stats.WordsCopied += int64(n)
-			h.Stats.PromotedWords += int64(n)
-			return code.EncodePtr(h.Repr, code.HeapBase+nb), true
-		}
-		// No old-space room: survive in young another cycle instead of
-		// failing — the ladder's next full collection or grow makes room.
-	}
-	nb := s.youngEvac
-	s.youngEvac += n
 	copy(h.mem[nb:nb+n], h.mem[base:base+n])
-	s.ages[1-fromIdx][nb-(s.base+(1-fromIdx)*y.youngWords)] = age
 	s.youngFwd[rel] = nb
 	h.Stats.WordsCopied += int64(n)
+	h.Stats.PromotedWords += int64(n)
 	return code.EncodePtr(h.Repr, code.HeapBase+nb), true
 }
 
@@ -480,7 +410,7 @@ func (h *Heap) promoteDest(n int) (int, bool) {
 	}
 	// During a copying major, oldReserve words of to-space are owed to old
 	// objects not yet copied; promotions may only take the slack beyond it
-	// (and degrade to young survival otherwise — see youngVisit).
+	// (and pin otherwise — see youngVisit).
 	if h.alloc+n > h.limit-h.oldReserve {
 		return 0, false
 	}
@@ -493,16 +423,15 @@ func (h *Heap) promoteDest(n int) (int, bool) {
 }
 
 // verifyNursery checks the nursery's post-collection invariants for every
-// shard: the bump pointer inside the active half and the forwarding table
-// fully reset.
+// shard: the bump pointer inside the area and the forwarding table fully
+// reset.
 func (h *Heap) verifyNursery() []error {
-	y := &h.young
 	var errs []error
-	for i := range y.shards {
-		s := &y.shards[i]
-		if s.youngAlloc < s.youngOff || s.youngAlloc > s.youngOff+y.youngWords {
-			errs = append(errs, fmt.Errorf("heap verify: shard %d nursery bump %d outside active half [%d, %d]",
-				i, s.youngAlloc, s.youngOff, s.youngOff+y.youngWords))
+	for i := range h.young.shards {
+		s := &h.young.shards[i]
+		if s.youngAlloc < s.base || s.youngAlloc > s.limit {
+			errs = append(errs, fmt.Errorf("heap verify: shard %d nursery bump %d outside its area [%d, %d]",
+				i, s.youngAlloc, s.base, s.limit))
 		}
 		for j, f := range s.youngFwd {
 			if f >= 0 {

@@ -15,11 +15,10 @@ import (
 //
 // Where chunks come from mirrors the allocation path they replace:
 //
-//   - Nursery enabled: chunks are carved from the active young half's bump
-//     region, so TLAB objects are born young, keep their per-object age
-//     slot, and are evacuated by the ordinary minor/major rules. Objects
-//     too large for the nursery bypass TLABs exactly as they bypass the
-//     young fast path (pre-tenured via Alloc).
+//   - Nursery enabled: chunks are carved from the allocation shard's young
+//     area, so TLAB objects are born young and promoted by the ordinary
+//     minor/major rules. Objects too large for the nursery bypass TLABs
+//     exactly as they bypass the young fast path (pre-tenured via Alloc).
 //   - Copying, no nursery: chunks come from the from-space bump region.
 //   - Mark/sweep: chunks come from the bump region only — free-list blocks
 //     are exact-size (BiBoP) and cannot host a multi-object buffer. The
@@ -43,7 +42,7 @@ type TLAB struct {
 	// start, top and limit are absolute mem indexes: objects are bumped at
 	// top within [start, limit); start is kept for capacity accounting.
 	start, top, limit int
-	// young marks a buffer carved from the nursery's active half; shard is
+	// young marks a buffer carved from a nursery area; shard is
 	// the nursery shard it was carved from (the allocation shard at carve
 	// time; 0 on an unsharded heap, meaningless when !young).
 	young bool
@@ -111,9 +110,9 @@ func (h *Heap) TLABsEnabled() bool { return h.tlabs.enabled }
 func (h *Heap) LiveTLABs() int { return h.tlabs.live }
 
 // TLABEligible reports whether an n-field object may be served from a
-// TLAB: it must fit the configured chunk, and — with a nursery — fit a
-// young half, since nursery chunks are carved young and oversize objects
-// are pre-tenured exactly as on the non-TLAB path.
+// TLAB: it must fit the configured chunk, and — with a nursery — be an
+// object the nursery takes, since nursery chunks are carved young and
+// oversize objects are pre-tenured exactly as on the non-TLAB path.
 func (h *Heap) TLABEligible(n int) bool {
 	if !h.tlabs.enabled {
 		return false
@@ -156,7 +155,7 @@ func (h *Heap) CarveTLAB(n int) (TLAB, bool) {
 	if h.young.enabled {
 		y := &h.young
 		s := &y.shards[y.allocShard]
-		avail := s.youngOff + y.youngWords - s.youngAlloc
+		avail := s.limit - s.youngAlloc
 		if size > avail {
 			size = avail
 		}
@@ -285,7 +284,7 @@ func (h *Heap) NeedTLAB(n int) bool {
 		if h.young.enabled {
 			y := &h.young
 			s := &y.shards[y.allocShard]
-			return s.youngAlloc+total > s.youngOff+y.youngWords
+			return s.youngAlloc+total > s.limit
 		}
 		if h.alloc+total <= h.limit {
 			return false

@@ -99,7 +99,7 @@ func TestTLABMarkSweepWasteIsSweptGap(t *testing.T) {
 
 func TestTLABNurseryCarvesYoung(t *testing.T) {
 	h := New(code.ReprTagFree, 1000)
-	h.EnableNursery(64, 2)
+	h.EnableNursery(64)
 	h.EnableTLABs(16)
 	tl, ok := h.CarveTLAB(2)
 	if !ok {
@@ -118,7 +118,7 @@ func TestTLABNurseryCarvesYoung(t *testing.T) {
 	}
 	// Oversize objects are not TLAB-eligible on a nursery heap.
 	if h.TLABEligible(65) {
-		t.Fatal("object larger than a young half must not be TLAB-eligible")
+		t.Fatal("object larger than the nursery takes must not be TLAB-eligible")
 	}
 }
 
@@ -229,7 +229,7 @@ func TestTLABInterleavingFuzz(t *testing.T) {
 						h = New(code.ReprTagFree, 4096)
 					}
 					if nursery {
-						h.EnableNursery(256, 2)
+						h.EnableNursery(256)
 					}
 					chunk := 8 + rng.Intn(56)
 					h.EnableTLABs(chunk)

@@ -198,14 +198,14 @@ func (h *Heap) CheckLive(ptr code.Word, n int) error {
 	base := h.addrIndex(ptr)
 	total := h.objWords(n)
 	if h.young.enabled && base < h.young.prefixWords() {
-		// A live young object sits in its shard's active half below the
-		// bump pointer. A pointer into an evacuated half is exactly what a
-		// missed write barrier leaves behind — the barrier fuzz relies on
-		// this check firing for it.
+		// A live young object sits in its shard's area below the bump
+		// pointer — after a collection, only a pinned one. A pointer above
+		// it is exactly what a missed write barrier leaves behind — the
+		// barrier fuzz relies on this check firing for it.
 		s := &h.young.shards[h.youngShardOf(base)]
-		if base < s.youngOff || base+total > s.youngAlloc {
+		if base+total > s.youngAlloc {
 			return fmt.Errorf("young pointer to [%d, %d) outside the live nursery [%d, %d)",
-				base, base+total, s.youngOff, s.youngAlloc)
+				base, base+total, s.base, s.youngAlloc)
 		}
 		return nil
 	}

@@ -85,9 +85,7 @@ var Knobs = []Knob{
 	{Flag: "heap", Key: "heap", Kind: Int, Min: 128, Max: maxHeapWords, Noun: "heap size", Unit: "words", Field: "HeapWords",
 		Help: "semispace size in words (default 65536, or the workload's recommendation)"},
 	{Flag: "gc-nursery", Key: "nursery", Kind: Int, Min: 16, Max: 1 << 22, Zero: "to disable", Noun: "nursery size", Unit: "words", Field: "NurseryWords",
-		Help: "generational nursery size in words per young half"},
-	{Flag: "gc-promote", Key: "promote", Kind: Int, Min: 0, Max: 64, Noun: "promote", Field: "PromoteAfter",
-		Help: "nursery survival count before promotion to the old region (0 = default of 2)"},
+		Help: "generational nursery: 2×N words per shard, all allocation space"},
 	{Flag: "tlab", Key: "tlab", Kind: Int, Min: 8, Max: 1 << 16, Zero: "to disable", Noun: "tlab size", Unit: "words", Field: "TLABWords",
 		Help: "per-task allocation buffer chunk in words"},
 	{Flag: "gc-concurrent", Key: "gc_concurrent", Kind: Bool, Field: "GCConcurrent",

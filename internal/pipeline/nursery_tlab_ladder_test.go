@@ -18,7 +18,7 @@ import (
 //     (the -fail-refills gate), same recovery requirement.
 //   - tenure-then-grow: a greedy task whose retained structure exceeds
 //     the base heap, so the ladder must climb past the minor and full
-//     rungs through tenure-all into heap growth — with injection live.
+//     rungs into heap growth — with injection live.
 //
 // Every variant must complete with zero faults, the greedy task's full
 // result, and the modest siblings bit-identical to an injection-free
@@ -53,8 +53,9 @@ func TestNurseryTLABLadder(t *testing.T) {
 	variants := []struct {
 		name string
 		opts func(o *Options)
-		// wantGrow requires the ladder to climb through tenure-all into
-		// the growth rung; the others must recover without growing.
+		// wantGrow requires the ladder to climb through the full
+		// collections into the growth rung; the others must recover
+		// without growing.
 		wantGrow bool
 	}{
 		{

@@ -75,15 +75,13 @@ type Options struct {
 	GrowFactor   float64
 	MaxHeapWords int
 	// NurseryWords > 0 enables a generational bump-allocated nursery of
-	// NurseryWords words per young half in front of the old region(s).
-	// Minor collections evacuate only the nursery, re-tracing stacks and
-	// globals as usual (the paper's frame routines make that free) and
-	// consulting the old→young remembered set fed by the interpreter's
-	// write barrier.
+	// 2×NurseryWords words per shard, all of it allocation space, in front
+	// of the old region(s); objects above NurseryWords words are born old.
+	// Every collection promotes every young survivor; minor collections
+	// trace only the nursery, re-tracing stacks and globals as usual (the
+	// paper's frame routines make that free) and consulting the old→young
+	// remembered set fed by the interpreter's write barrier.
 	NurseryWords int
-	// PromoteAfter is the survival count at which nursery objects tenure
-	// into the old region (0 = the default of 2).
-	PromoteAfter int
 	// TLABWords > 0 gives every task a private allocation buffer refilled
 	// from the shared heap (or the nursery) in chunks of this many words
 	// (-tlab N). A single-task run is a group of one and gets one too.
@@ -263,13 +261,9 @@ func newGroup(prog *code.Program, opts Options, single bool) (*tasking.Group, er
 		h = heap.New(prog.Repr, semi)
 	}
 	if opts.NurseryWords > 0 {
-		promote := opts.PromoteAfter
-		if promote == 0 {
-			promote = 2
-		}
 		// Before the first allocation: the nursery re-lays the heap out with
-		// the young halves (one pair per shard) in front of the old region.
-		h.EnableNurseryShards(opts.NurseryWords, promote, max(opts.Shards, 1))
+		// the young areas (one per shard) in front of the old region.
+		h.EnableNurseryShards(opts.NurseryWords, max(opts.Shards, 1))
 	}
 	g, err := tasking.NewGroupWith(prog, h, opts.Strategy, nil)
 	if err != nil {

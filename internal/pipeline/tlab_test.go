@@ -162,7 +162,7 @@ func TestTLABRefillOnlyWithoutTLABs(t *testing.T) {
 // check: a nursery-exhaustion suspend on a TLAB heap must be judged
 // against the TLAB retry path (NeedTLAB), which a minor collection
 // satisfies. A rescue that judged the retry against the shared heap alone
-// would climb to majors, tenure-alls or growth for garbage the nursery
+// would climb to majors or growth for garbage the nursery
 // recycles for free.
 func TestTLABRescueLadderStaysMinor(t *testing.T) {
 	w, _ := workloads.TaskByName("taskchurn")

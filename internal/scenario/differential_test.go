@@ -25,13 +25,12 @@ import (
 // handOpts is what a hand-coded harness (cmd/tfgc tasks, the telemetry
 // report) builds for one configuration — written out longhand on purpose:
 // this is the oracle the compiler is differenced against.
-func handOpts(strat gc.Strategy, heapWords int, ms bool, nursery, promote, tlab, shards int) pipeline.Options {
+func handOpts(strat gc.Strategy, heapWords int, ms bool, nursery, tlab, shards int) pipeline.Options {
 	return pipeline.Options{
 		Strategy:     strat,
 		HeapWords:    heapWords,
 		MarkSweep:    ms,
 		NurseryWords: nursery,
-		PromoteAfter: promote,
 		TLABWords:    tlab,
 		Shards:       shards,
 	}
@@ -49,7 +48,6 @@ scenario diff-nursery {
   workload    taskmutate
   strategies  compiled
   nursery     256
-  promote     2
 }
 
 scenario diff-tlab {
@@ -79,16 +77,16 @@ scenario diff-shards {
 	churn := 2048
 	mutate := 4096
 	want := map[string]pipeline.Options{
-		"diff/compiled/copying":            handOpts(gc.StratCompiled, churn, false, 0, 0, 0, 0),
-		"diff/compiled/marksweep":          handOpts(gc.StratCompiled, churn, true, 0, 0, 0, 0),
-		"diff/interp/copying":              handOpts(gc.StratInterp, churn, false, 0, 0, 0, 0),
-		"diff/interp/marksweep":            handOpts(gc.StratInterp, churn, true, 0, 0, 0, 0),
-		"diff/appel/copying":               handOpts(gc.StratAppel, churn, false, 0, 0, 0, 0),
-		"diff/appel/marksweep":             handOpts(gc.StratAppel, churn, true, 0, 0, 0, 0),
-		"diff-nursery/compiled/copying":    handOpts(gc.StratCompiled, mutate, false, 256, 2, 0, 0),
-		"diff-tlab/compiled/copying":       handOpts(gc.StratCompiled, churn, false, 0, 0, 64, 0),
-		"diff-shards/compiled/copying/sh2": handOpts(gc.StratCompiled, mutate, false, 256, 0, 0, 2),
-		"diff-shards/compiled/copying/sh4": handOpts(gc.StratCompiled, mutate, false, 256, 0, 0, 4),
+		"diff/compiled/copying":            handOpts(gc.StratCompiled, churn, false, 0, 0, 0),
+		"diff/compiled/marksweep":          handOpts(gc.StratCompiled, churn, true, 0, 0, 0),
+		"diff/interp/copying":              handOpts(gc.StratInterp, churn, false, 0, 0, 0),
+		"diff/interp/marksweep":            handOpts(gc.StratInterp, churn, true, 0, 0, 0),
+		"diff/appel/copying":               handOpts(gc.StratAppel, churn, false, 0, 0, 0),
+		"diff/appel/marksweep":             handOpts(gc.StratAppel, churn, true, 0, 0, 0),
+		"diff-nursery/compiled/copying":    handOpts(gc.StratCompiled, mutate, false, 256, 0, 0),
+		"diff-tlab/compiled/copying":       handOpts(gc.StratCompiled, churn, false, 0, 64, 0),
+		"diff-shards/compiled/copying/sh2": handOpts(gc.StratCompiled, mutate, false, 256, 0, 2),
+		"diff-shards/compiled/copying/sh4": handOpts(gc.StratCompiled, mutate, false, 256, 0, 4),
 	}
 	if len(cells) != len(want) {
 		t.Fatalf("compiled %d cells, want %d", len(cells), len(want))

@@ -41,7 +41,7 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add("scenario x {\n  workload taskspine\n  gc_concurrent extra\n}")                                         // key takes no argument
 	f.Add("scenario x {\n  gc_concurrent\n  gc_concurrent\n}")                                                    // duplicate key
 	// Two per block at the table's range boundaries: all inside, one just outside.
-	f.Add("scenario x {\n  workload taskchurn\n  heap 128\n  nursery 16\n  promote 64\n  tlab 8\n  repeats 100\n  shards 64\n}")
+	f.Add("scenario x {\n  workload taskchurn\n  heap 128\n  nursery 16\n  tlab 8\n  repeats 100\n  shards 64\n}")
 	f.Add("scenario x {\n  workload taskchurn\n  heap 67108865\n}")
 	f.Add("scenario x {\n  workload taskchurn\n  faults {\n    fail-alloc 1\n    fail-every 1\n    heap-grow 16\n    heap-max 128\n  }\n}")
 	f.Add("scenario x {\n  workload taskchurn\n  faults { heap-grow 1 }\n}")

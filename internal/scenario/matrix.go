@@ -35,7 +35,6 @@ type CellResult struct {
 	// invocations.
 	HeapWords    int  `json:"heap_words"`
 	NurseryWords int  `json:"nursery_words,omitempty"`
-	PromoteAfter int  `json:"promote_after,omitempty"`
 	TLABWords    int  `json:"tlab_words,omitempty"`
 	Torture      bool `json:"torture,omitempty"`
 	VerifyHeap   bool `json:"verify_heap,omitempty"`
@@ -94,7 +93,6 @@ func runCell(c Cell) CellResult {
 		Repeats:      c.Repeats,
 		HeapWords:    c.Opts.HeapWords,
 		NurseryWords: c.Opts.NurseryWords,
-		PromoteAfter: c.Opts.PromoteAfter,
 		TLABWords:    c.Opts.TLABWords,
 		Torture:      c.Opts.Torture,
 		VerifyHeap:   c.Opts.VerifyHeap,

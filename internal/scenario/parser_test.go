@@ -21,7 +21,6 @@ scenario kitchen-sink {
   repeats     3
   heap        4096
   nursery     256
-  promote     3
   tlab        64
   faults {
     torture
@@ -55,7 +54,7 @@ scenario kitchen-sink {
 		t.Errorf("shards = %v, want %v", sc.Shards, want)
 	}
 	wantOpts := pipeline.Options{
-		HeapWords: 4096, NurseryWords: 256, PromoteAfter: 3, TLABWords: 64,
+		HeapWords: 4096, NurseryWords: 256, TLABWords: 64,
 		Torture: true, VerifyHeap: true, FailRefillsOnly: true,
 		FailAllocNth: 100, FailAllocEvery: 50, GrowFactor: 1.5, MaxHeapWords: 65536,
 	}
@@ -194,7 +193,7 @@ func TestScenarioDiagnosticsGolden(t *testing.T) {
 		{
 			name: "unknown key",
 			src:  "scenario x {\n  workload taskchurn\n  wrkload taskchurn\n}\n",
-			want: `3:3: unknown scenario key "wrkload" (have workload, strategies, disciplines, shards, repeats, heap, nursery, promote, tlab, gc_concurrent, faults, arrivals, mix)`,
+			want: `3:3: unknown scenario key "wrkload" (have workload, strategies, disciplines, shards, repeats, heap, nursery, tlab, gc_concurrent, faults, arrivals, mix)`,
 		},
 		{
 			name: "bad strategy name",
@@ -234,7 +233,7 @@ func TestScenarioDiagnosticsGolden(t *testing.T) {
 		{
 			name: "par is no key",
 			src:  "scenario x {\n  workload taskchurn\n  par 1\n}\n",
-			want: `3:3: unknown scenario key "par" (have workload, strategies, disciplines, shards, repeats, heap, nursery, promote, tlab, gc_concurrent, faults, arrivals, mix)`,
+			want: `3:3: unknown scenario key "par" (have workload, strategies, disciplines, shards, repeats, heap, nursery, tlab, gc_concurrent, faults, arrivals, mix)`,
 		},
 		{
 			name: "shards out of range",

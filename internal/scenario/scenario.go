@@ -74,7 +74,7 @@ type Scenario struct {
 	Repeats int
 
 	// Opts holds the scalar knobs every cell shares — the scenario body's
-	// heap, nursery, promote, tlab and gc_concurrent, the faults block and
+	// heap, nursery, tlab and gc_concurrent, the faults block and
 	// the arrivals block's budgets — written by the parser straight into the
 	// fields their pipeline.Knobs rows name (0 = default or off). The axis
 	// fields stay zero until Compile crosses them in. Cells whose axis point

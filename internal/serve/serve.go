@@ -8,7 +8,7 @@
 //	rung 1 — shed new arrivals when the queue is full or heap occupancy
 //	         crosses the watermark; shed clients retry with capped
 //	         exponential backoff plus deterministic jitter;
-//	rung 2 — on an occupancy shed, request a major/tenure-all collection
+//	rung 2 — on an occupancy shed, request a major collection
 //	         from the group (consumed at the next stop-the-world cycle);
 //	rung 3 — cancel admitted requests that outlive their deadline with a
 //	         BudgetExceeded task fault (per-task step and allocation-word
@@ -465,10 +465,10 @@ func (d *driver) shedReason(heapPressure bool) string {
 }
 
 // capacity is the total allocatable space: the semispace plus, with a
-// nursery, the young halves (minors promote their occupancy into the old
+// nursery, the young areas (minors promote their occupancy into the old
 // region, so they count as pressure). YoungTotalWords sums every shard's
-// active half — YoungWords alone under-reports a sharded heap's young
-// capacity by a factor of the shard count, making admission shed early.
+// area — YoungWords alone under-reports the young capacity, making
+// admission shed early.
 func (d *driver) capacity() int {
 	c := d.g.Heap.SemiWords()
 	if d.g.Heap.NurseryEnabled() {
@@ -511,7 +511,7 @@ func (d *driver) shed(r *request, now int64, reason string) {
 	if reason == "heap" {
 		d.stats.ShedHeap++
 		if !d.majorReq {
-			// Rung 2: ask the group for a major/tenure-all cycle at its next
+			// Rung 2: ask the group for a major cycle at its next
 			// stop-the-world collection, once per watermark excursion.
 			d.g.RequestMajor()
 			d.majorReq = true

@@ -164,7 +164,7 @@ func TestServeDeterminism(t *testing.T) {
 
 // TestDegradationLadderEscalates drives the heap-occupancy rung: a small
 // nursery heap with an aggressive watermark must shed on occupancy and
-// request tenure-all majors, and deadline cancellation must surface as
+// request majors, and deadline cancellation must surface as
 // BudgetExceeded faults — all without a global failure.
 func TestDegradationLadderEscalates(t *testing.T) {
 	w := serveWorkload(t)
@@ -297,7 +297,8 @@ func TestKnobRowsNameConfigFields(t *testing.T) {
 // must keep the loss ledger exact (completed+dropped+canceled+faulted ==
 // requests), return only correct values, and — once there is more than
 // one shard — actually run single-shard minors so the ledger is exercised
-// over the sharded collection schedule, not just the global one.
+// over the sharded collection schedule, not just the global one. Each
+// shard's nursery allocates in 2×NurseryWords = 2048 words.
 func TestShardedOverloadLedgerBalances(t *testing.T) {
 	w := serveWorkload(t)
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -305,7 +306,7 @@ func TestShardedOverloadLedgerBalances(t *testing.T) {
 			opts := pipeline.Options{
 				Strategy:     gc.StratCompiled,
 				HeapWords:    w.HeapWords,
-				NurseryWords: 2048,
+				NurseryWords: 1024,
 				VerifyHeap:   true,
 				BudgetSteps:  2_000_000,
 			}

@@ -166,10 +166,10 @@ func (g *Group) allocBlocked(n int) bool {
 
 // rescueAlloc climbs the post-collection rungs of the ladder for a pending
 // allocation of n fields: if the collection freed enough, done; otherwise
-// escalate through the generational rungs (full collection, then a
-// tenure-all collection that empties the nursery), grow the heap by
-// GrowFactor per attempt up to the MaxHeapWords ceiling and finally coalesce
-// a mark/sweep heap's free blocks (heap.Coalesce). live is
+// escalate through the generational rungs (a full collection after a minor,
+// another after every growth while survivors stay pinned in the nursery),
+// grow the heap by GrowFactor per attempt up to the MaxHeapWords ceiling and
+// finally coalesce a mark/sweep heap's free blocks (heap.Coalesce). live is
 // the suspended-task set whose stacks root the escalation collections.
 func (g *Group) rescueAlloc(live []*Task, n int) bool {
 	nursery := g.Heap.NurseryEnabled()
@@ -179,12 +179,11 @@ func (g *Group) rescueAlloc(live []*Task, n int) bool {
 		g.fullCollect(live)
 	}
 	for g.allocBlocked(n) {
-		if nursery {
-			// Survivors below the promotion age can pin the nursery across any
-			// number of full collections; tenure them all so an oversized
-			// request can be judged against the real old-region headroom —
-			// and again after every growth, which extends only the old region.
-			g.tenureCollect(live)
+		if nursery && g.Heap.YoungUsed() > 0 {
+			// Survivors the old region had no room for stay pinned in the
+			// nursery; a full collection promotes them into whatever the last
+			// collection or growth (which extends only the old region) freed.
+			g.fullCollect(live)
 			if !g.allocBlocked(n) {
 				break
 			}

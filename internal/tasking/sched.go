@@ -239,11 +239,11 @@ func (g *Group) collectSuspended() {
 	g.collect(live)
 	if g.forceMajor {
 		// An external supervisor (the serve degradation ladder) asked for a
-		// tenure-all cycle: empty the nursery into the old region so shed
-		// decisions are judged against real headroom.
+		// major: old-region garbage reclaimed and the nursery emptied, so
+		// shed decisions are judged against real headroom.
 		g.forceMajor = false
 		if g.Heap.NurseryEnabled() {
-			g.tenureCollect(live)
+			g.fullCollect(live)
 		}
 	}
 	g.gathered()
@@ -292,14 +292,6 @@ func (g *Group) fullCollect(live []*Task) {
 	g.Col.CollectFull(g.rootSet(live), g.Globals)
 	g.collected()
 	g.globalCollected()
-}
-
-// tenureCollect runs a full collection with every nursery survivor
-// promoted regardless of age, emptying the young generation.
-func (g *Group) tenureCollect(live []*Task) {
-	g.Heap.SetTenureAll(true)
-	g.fullCollect(live)
-	g.Heap.SetTenureAll(false)
 }
 
 // collected notes that a collection of any kind ran: it is counted, and the
@@ -394,6 +386,6 @@ func (g *Group) RunUntilCollection() ([]gc.TaskRoots, bool, error) {
 func (g *Group) Now() int64 { return g.steps }
 
 // RequestMajor asks the next stop-the-world collection to escalate to a
-// tenure-all major after the normal cycle — the serve harness's "force
-// major/tenure-all" overload rung. No-op between collections otherwise.
+// major after the normal cycle — the serve harness's "force major" overload
+// rung. No-op between collections otherwise.
 func (g *Group) RequestMajor() { g.forceMajor = true }

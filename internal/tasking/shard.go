@@ -80,9 +80,9 @@ func (g *Group) expose(v code.Word) {
 // globalCollected is the shard driver's part of every global collection. It
 // stands down every pending shard wave (the collection went over all
 // nurseries, so the waves' work is done) and lifts the exposure blocks once
-// every nursery is empty — after a tenure-all, or any collection that promoted
-// or reclaimed every young object: with no young objects left there is
-// nothing an old exposure flag could still protect.
+// every nursery is empty — after any collection that pinned no survivor: with
+// no young objects left there is nothing an old exposure flag could still
+// protect.
 func (g *Group) globalCollected() {
 	clear(g.rgcShard)
 	if g.exposed != nil && g.Heap.YoungUsed() == 0 {
@@ -93,14 +93,14 @@ func (g *Group) globalCollected() {
 // sealInit closes out a sharded group's init phase. Init runs in shard 0
 // and populates the globals, so its young allocations are all "exposed" —
 // the flags it raised would block every shard-0 minor from the first
-// quantum. A tenure-all collection over the globals alone (the spawned
-// tasks' stacks hold no heap pointers yet — just the unit argument) moves
+// quantum. A full collection over the globals alone (the spawned tasks'
+// stacks hold no heap pointers yet — just the unit argument) moves
 // everything init built into the shared old region, after which the
 // exposure flags can be cleared and every shard starts with an empty,
 // private nursery.
 func (g *Group) sealInit() {
 	if g.sharded && g.Heap.YoungUsed() > 0 {
-		g.tenureCollect(nil)
+		g.fullCollect(nil)
 	}
 	g.globalCollected()
 }
@@ -113,8 +113,8 @@ func (g *Group) sealInit() {
 // is no longer minor-eligible — an exposure landed after the raise, a
 // barrier overflow forced the next cycle major — escalates to the ordinary
 // global wave instead, as does a shard whose minor did not free enough for
-// the blocked allocation (the global ladder has the full/tenure/grow rungs
-// a shard minor lacks).
+// the blocked allocation (the global ladder has the full-collection and
+// grow rungs a shard minor lacks).
 func (g *Group) serviceShardMinors() {
 	for s := range g.rgcShard {
 		if g.rgcShard[s] == 0 {

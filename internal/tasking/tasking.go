@@ -330,7 +330,7 @@ type Group struct {
 	Tick func(now int64) bool
 
 	// Shards, when > 1, partitions the tasks into that many heap shards, each
-	// with its own nursery pair and TLAB pool (heap.EnableNurseryShards — the
+	// with its own young area and TLAB pool (heap.EnableNurseryShards — the
 	// pipeline arms the heap to match): a full nursery stops and collects its
 	// own shard only, while every other shard's tasks keep running their
 	// quanta (shard.go; experiment E16 measures the overlap). A task's shard is
@@ -362,7 +362,7 @@ type Group struct {
 	ZeroFill bool
 
 	// forceMajor requests that the next stop-the-world collection escalate
-	// to a tenure-all major (the overload ladder's second rung); set via
+	// to a major (the overload ladder's second rung); set via
 	// RequestMajor, consumed by collectSuspended.
 	forceMajor bool
 	// initTask is the task RunInit ran the program's init function on

@@ -128,7 +128,7 @@ func TestWaveKinds(t *testing.T) {
 		{name: "injected failure", entries: churn2,
 			opts: pipeline.Options{HeapWords: 1 << 16, FailAllocNth: 650},
 			want: episode{waveCounts{collections: 1, latencies: 1, emergency: 1, injected: 1, recovered: 1}, running(2)}},
-		// The second collection is the tenure-all a forced major adds on a
+		// The second collection is the major a forced major adds on a
 		// generational heap.
 		{name: "RequestMajor, a task runnable", entries: churn2,
 			opts: pipeline.Options{HeapWords: 1 << 16, NurseryWords: 1 << 12},
@@ -143,13 +143,16 @@ func TestWaveKinds(t *testing.T) {
 		{name: "shard minor", entries: churn4,
 			opts: pipeline.Options{HeapWords: 1 << 14, NurseryWords: 512, Shards: 2},
 			want: episode{waveCounts{collections: 2, shardMinors: 2}, running(4)}},
-		// Nothing is promoted, so the list task 0 builds fills its shard's
-		// nursery: the minor makes no room, and the global wave it escalates to
-		// climbs the ladder (collect, full, tenure-all) for it.
+		// Every minor promotes into the old region and none reclaims it, so
+		// the lists the churn tasks drop fill it: a shard minor then has no
+		// room to promote into and pins its survivors in place, leaving no room
+		// for the blocked allocation. The global wave it escalates to is a
+		// major (the pins forced it), which frees the old region and promotes
+		// them.
 		{name: "shard minor that escalates", entries: []string{"build", "churn_b", "churn_c", "churn_d"},
-			opts: pipeline.Options{HeapWords: 1 << 14, NurseryWords: 512, Shards: 2, PromoteAfter: 64},
+			opts: pipeline.Options{HeapWords: 2048, NurseryWords: 64, Shards: 2},
 			is:   func(d waveCounts) bool { return d.shardMinors > 0 && d.emergency > 0 },
-			want: episode{waveCounts{collections: 4, latencies: 1, shardMinors: 1, emergency: 1, recovered: 1}, running(4)}},
+			want: episode{waveCounts{collections: 2, latencies: 1, shardMinors: 1, emergency: 1, recovered: 1}, running(4)}},
 		// A major is requested in a round that starts with a shard's register
 		// up: the shard's tasks join the global wave, no shard minor runs.
 		{name: "shard wave subsumed by a global one", entries: []string{"churn_a", "churn_b", "build", "churn_d"},
