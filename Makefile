@@ -2,11 +2,11 @@
 # (uncached) run of every package under the race detector and four passes:
 # tier2-lattice runs every legal point of the mode lattice
 # (internal/pipeline/lattice_test.go: every strategy × discipline ×
-# nursery × tlab × concurrent × shards × torture × fail-every ×
-# suspend-at-allocs × fast-path-off × quantum combination no rule refuses,
-# each on the next program of the single-task corpus, the task corpus and
-# testdata/progs that may take it) against its oracle, with the heap verifier
-# after every collection: 1 408 points, ≈ 2 min on 2 vCPUs. tier 1 runs a
+# nursery × tlab × shards × torture × fail-every × suspend-at-allocs ×
+# fast-path-off × quantum combination no rule refuses, each on the next
+# program of the single-task corpus, the task corpus and testdata/progs that
+# may take it) against its oracle, with the heap verifier after every
+# collection: 1 216 points, ≈ 2 min on 2 vCPUs. tier 1 runs a
 # pairwise-covering subset.
 # tier2-scenario runs every committed torture scenario (the faults block's
 # torture, injection and verifier knobs reached through the DSL) and fails on

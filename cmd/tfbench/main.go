@@ -68,10 +68,9 @@ func main() {
 		"e12": experiments.E12AllocContention,
 		"e13": experiments.E13ScenarioMatrix,
 		"e14": experiments.E14Overload,
-		"e15": func() *experiments.Table { return experiments.E15ConcurrentMark(*repeats) },
 		"e16": experiments.E16ShardedMinors,
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16"}
+	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e16"}
 
 	selected := flag.Args()
 	if len(selected) == 0 {

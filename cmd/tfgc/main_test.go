@@ -125,7 +125,6 @@ func TestUsageErrors(t *testing.T) {
 		{"run", "-gc-nursery", "3", prog},
 		{"tasks", "-entry", "modest", "-par", "2", prog}, // no such flag
 		{"run", "-heap-grow", "0.5", prog},
-		{"run", "-gc-conc-trigger", "500", prog},
 		{"run", "-fail-alloc", "-1", prog},
 		{"run", "-budget-steps", "0", prog},
 		{"run", "-gc-nursery", "256", "-tlab", "512", prog}, // a buffer larger than the space it is carved from

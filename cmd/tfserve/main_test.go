@@ -86,7 +86,6 @@ func TestCLIBadFlags(t *testing.T) {
 		{"-gc-nursery", "3"},
 		{"-par", "2"}, // no such flag
 		{"-heap-grow", "0.5"},
-		{"-gc-conc-trigger", "500"},
 		{"-fail-alloc", "-1"},
 		{"-gc-nursery", "256", "-tlab", "512"}, // a buffer larger than the space it is carved from
 	}

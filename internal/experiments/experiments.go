@@ -21,8 +21,6 @@
 //	    disciplines (scenario.go)
 //	E14 overload serving: graceful degradation under open-loop arrivals
 //	    (serve.go)
-//	E15 mostly-concurrent marking: max pause vs throughput, stop-the-world
-//	    against incremental cycles (concurrent.go)
 //	E16 sharded heaps: per-shard minor collection under overload (shard.go)
 package experiments
 
@@ -523,7 +521,6 @@ func All(repeats int) []*Table {
 		E12AllocContention(),
 		E13ScenarioMatrix(),
 		E14Overload(),
-		E15ConcurrentMark(repeats),
 		E16ShardedMinors(),
 	}
 }

@@ -13,8 +13,8 @@ func TestAllExperimentsRun(t *testing.T) {
 		t.Skip("experiments are slow; skipped with -short")
 	}
 	tables := All(1)
-	if len(tables) != 16 {
-		t.Fatalf("expected 16 experiments, got %d", len(tables))
+	if len(tables) != 15 {
+		t.Fatalf("expected 15 experiments, got %d", len(tables))
 	}
 	seen := map[string]*Table{}
 	for _, tb := range tables {
@@ -32,7 +32,7 @@ func TestAllExperimentsRun(t *testing.T) {
 			t.Errorf("%s: malformed rendering", tb.ID)
 		}
 	}
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16"} {
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E16"} {
 		if seen[id] == nil {
 			t.Errorf("missing experiment %s", id)
 		}

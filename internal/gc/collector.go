@@ -2,7 +2,6 @@ package gc
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"tagfree/internal/code"
@@ -133,13 +132,6 @@ type Collector struct {
 	// differential suite uses the disabled collector as its oracle; the
 	// fast path must produce bit-identical heaps.
 	DisableFastPath bool
-	// ConcMarkBudget bounds each concurrent marking increment in heap
-	// words (0 = DefaultConcMarkBudget); ConcMaxSlices caps how many
-	// increments one cycle may run before the watchdog declares the gray
-	// queue undrainable and the caller aborts to stop-the-world (0 = a
-	// generous heap-size-derived default). See concurrent.go.
-	ConcMarkBudget int
-	ConcMaxSlices  int
 
 	// Gen counts generational activity (see generational.go); all zero
 	// unless the heap has a nursery.
@@ -169,9 +161,6 @@ type Collector struct {
 	// plans is the frame-plan cache (compiled strategy fast path), keyed by
 	// (site, incoming type instantiation).
 	plans map[planKey]*framePlan
-	// conc is the in-flight concurrent mark cycle, nil when none is
-	// active (concurrent.go).
-	conc *concCycle
 	// compiledSites holds the prebuilt frame routines (compiled mode).
 	compiledSites [][]slotTracer
 	// interpSites holds the serialized frame maps (interp mode).
@@ -318,11 +307,6 @@ func (c *Collector) MinorEligible() bool { return c.nurseryOn() && !c.genForceMa
 // old→young edges the trace observes, discharging any force-major
 // condition.
 func (c *Collector) CollectFull(tasks []TaskRoots, globals []code.Word) {
-	// A stop-the-world collection entered mid-cycle (the OOM recovery
-	// ladder, torture mode, a forced major) invalidates the incremental
-	// marking: the sweep would treat its partial mark set as the whole
-	// truth. Abort the cycle first — a no-op when none is active.
-	c.ConcAbort()
 	c.cycle(tasks, globals, cycleKind{})
 }
 
@@ -354,20 +338,6 @@ type cycleKind struct {
 	// shard, when nonzero, is the one nursery shard (1-based, as the record
 	// prints it) a minor collects while the other shards' mutators run.
 	shard int
-	// conc, when non-nil, is the concurrent mark cycle this collection is the
-	// final pause of.
-	conc *concCycle
-}
-
-// cycleStart is the snapshot a collection's record measures against.
-type cycleStart struct {
-	stats Stats
-	heap  heap.Stats
-	used  int // occupied words, old + young
-}
-
-func (c *Collector) cycleStart() cycleStart {
-	return cycleStart{stats: c.Stats, heap: c.Heap.Stats, used: c.Heap.Used() + c.Heap.YoungUsed()}
 }
 
 // cycle is the collection: the paper's Figure 2 loop with everything every
@@ -392,8 +362,8 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 		c.Gen.MajorCollections++
 		c.resetRemembered()
 	}
-	before := c.cycleStart()
-	pinned := c.Heap.Stats.PromotionFailures
+	// The snapshot the record measures against; used is old + young.
+	stats, hs, used := c.Stats, c.Heap.Stats, c.Heap.Used()+c.Heap.YoungUsed()
 	switch {
 	case k.shard > 0:
 		c.Heap.BeginMinorGCShard(k.shard - 1)
@@ -404,15 +374,6 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 	}
 	c.own.begin()
 	c.genTracking = nursery
-	if k.conc != nil {
-		// The residual gray set first: every marked object's children are
-		// marked before the roots are re-scanned, and Trace stops at marked
-		// objects, so the re-scan pays only for what the mutator created or
-		// re-pointed since the snapshot.
-		before = k.conc.before
-		c.concDrain(math.MaxInt64)
-		c.conc = nil
-	}
 
 	c.traceGlobals(globals)
 	scans := make([]TaskScan, len(tasks))
@@ -432,7 +393,7 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 	} else {
 		c.Heap.EndGC()
 	}
-	if c.Heap.Stats.PromotionFailures != pinned {
+	if c.Heap.Stats.PromotionFailures != hs.PromotionFailures {
 		// A survivor stayed young for want of old-region room: a major
 		// makes that room (the recovery ladder grows the heap when even a
 		// major cannot).
@@ -440,10 +401,7 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 	}
 	pause := time.Since(start).Nanoseconds()
 	c.Stats.PauseNS += pause
-	if k.conc != nil {
-		pause += k.conc.initialPauseNS // the mutator stopped for both ends
-	}
-	c.Telem.record(c, kind, k.shard, pause, scans, before.used, before.stats, before.heap)
+	c.Telem.record(c, kind, k.shard, pause, scans, used, stats, hs)
 	if c.Verify {
 		c.verifyCollection(tasks, globals)
 	}

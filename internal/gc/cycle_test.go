@@ -28,36 +28,27 @@ type cycleWant struct {
 	preCollect int
 	kind       string
 	shard      int
-	conc       bool
 	lastMinor  bool
 	// rebuilt is how many remembered-set entries the collection's own trace
 	// recorded: one when a major re-discovers the planted edge to a child it
 	// pinned, none when the child is promoted (minors and majors alike).
-	rebuilt    int64
-	concAborts int64
+	rebuilt int64
 }
 
-// TestCycleKinds pins what the four kinds of collection — full, minor,
-// single-shard minor, the final pause of a concurrent cycle — do differently
-// around the one root walk they share.
+// TestCycleKinds pins what the three kinds of collection — full, minor,
+// single-shard minor — do differently around the one root walk they share.
 func TestCycleKinds(t *testing.T) {
 	full := func(g *tasking.Group, roots []gc.TaskRoots) { g.Col.CollectFull(roots, g.Globals) }
 	auto := func(g *tasking.Group, roots []gc.TaskRoots) { g.Col.Collect(roots, g.Globals) }
 	shard0 := func(g *tasking.Group, roots []gc.TaskRoots) { g.Col.CollectMinorShard(0, roots[:1], g.Globals) }
-	concStart := func(g *tasking.Group, roots []gc.TaskRoots) { g.Col.ConcStart(roots, g.Globals) }
-	concFinish := func(g *tasking.Group, roots []gc.TaskRoots) {
-		for g.Col.ConcSlice() == gc.ConcMore {
-		}
-		g.Col.ConcFinish(roots, g.Globals)
-	}
 	nursery := pipeline.Options{NurseryWords: 512}
 	sharded := pipeline.Options{NurseryWords: 512, Shards: 2}
 	rows := []struct {
 		name string
 		opts pipeline.Options
 		ms   []bool
-		// before runs uncounted (a cycle must be in flight to be finished or
-		// aborted); collect is the entry point under test.
+		// before runs uncounted (it sets up the heap the collection meets);
+		// collect is the entry point under test.
 		before, collect func(*tasking.Group, []gc.TaskRoots)
 		want            cycleWant
 		// pinned says the planted edge's child must stay young: the old
@@ -70,8 +61,6 @@ func TestCycleKinds(t *testing.T) {
 			cycleWant{preCollect: 1, kind: "major"}, false},
 		{"full/nursery/pinned", nursery, []bool{false, true}, fillOld, full,
 			cycleWant{preCollect: 1, kind: "major", rebuilt: 1}, true},
-		{"full/mid-cycle", pipeline.Options{}, []bool{true}, concStart, full,
-			cycleWant{preCollect: 1, concAborts: 1}, false},
 		{"minor", nursery, []bool{false, true}, nil, auto,
 			cycleWant{preCollect: 1, kind: "minor", lastMinor: true}, false},
 		{"full/no-fast-path", pipeline.Options{DisableGCFastPath: true}, []bool{false, true}, nil, full,
@@ -80,8 +69,6 @@ func TestCycleKinds(t *testing.T) {
 			cycleWant{preCollect: 1, kind: "minor", lastMinor: true}, false},
 		{"shard-minor", sharded, []bool{false, true}, nil, shard0,
 			cycleWant{preCollect: 0, kind: "minor", shard: 1, lastMinor: true}, false},
-		{"conc-finish", pipeline.Options{}, []bool{true}, concStart, concFinish,
-			cycleWant{preCollect: 1, conc: true}, false},
 	}
 	for _, row := range rows {
 		for _, ms := range row.ms {
@@ -119,16 +106,11 @@ func TestCycleKinds(t *testing.T) {
 					preCollect: calls,
 					kind:       rec.Kind,
 					shard:      rec.Shard,
-					conc:       rec.Conc != nil,
 					lastMinor:  col.LastCollectionMinor(),
 					rebuilt:    col.Gen.TracedEdges - edgesBefore,
-					concAborts: col.Telem.Resilience.ConcAborts,
 				}
 				if got != row.want {
 					t.Errorf("got  %+v\nwant %+v", got, row.want)
-				}
-				if col.ConcActive() {
-					t.Error("a concurrent cycle is still in flight after the collection")
 				}
 				if opts.NurseryWords == 0 {
 					return

@@ -12,10 +12,9 @@ import (
 // The reference resolver: root finding written from the paper's Figures 2–4
 // over the program's frame maps and a stopped stack alone — recursive, with
 // none of the collector's plans, site cache, scratch arena or kernels. The
-// collector, the verifier and the concurrent snapshot all ask taskJobs, so
-// only a resolver that does not ask it can catch a root it omits or
-// mistypes: TestReferenceResolver (roots_test.go) holds the two to each
-// other at every collection.
+// collector and the verifier both ask taskJobs, so only a resolver that does
+// not ask it can catch a root it omits or mistypes: TestReferenceResolver
+// (roots_test.go) holds the two to each other at every collection.
 
 var constDesc = &code.TypeDesc{Kind: code.TDConst}
 

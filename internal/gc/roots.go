@@ -13,12 +13,11 @@ import (
 // and lists the task's roots — a slot, its routine and kernel — in trace
 // order. applyJobs traces such a list through a tracer. Every consumer is the
 // two composed: a collection resolves a task into the scratch arena, applies,
-// and hands the arena back; the verifier and the concurrent snapshot read the
-// same list without tracing it. Resolving first is order-equivalent to tracing
-// frame by frame because resolution reads only the program, the stopped
-// stack's links and un-moved heap words: forwarding lives in a side table, so
-// a from-space object (a closure's rep words) reads the same before and after
-// it is copied.
+// and hands the arena back; the verifier reads the same list without tracing
+// it. Resolving first is order-equivalent to tracing frame by frame because
+// resolution reads only the program, the stopped stack's links and un-moved
+// heap words: forwarding lives in a side table, so a from-space object (a
+// closure's rep words) reads the same before and after it is copied.
 
 // pkg is the type information a frame's gc routine hands to its callee's:
 // resolved type arguments for direct calls, or the closure's structured
@@ -254,9 +253,8 @@ func (c *Collector) applyJobs(stack []code.Word, jobs []rootJob) {
 
 // eachRoot resolves every root a collection would trace, in its order — the
 // globals (task -1, idx the global's), then each task's jobs — and hands them
-// to visit untraced: the verifier and the concurrent snapshot read the roots
-// the collector does because they ask the same function. Resolution counters
-// land in st.
+// to visit untraced: the verifier reads the roots the collector does because
+// it asks the same function. Resolution counters land in st.
 func (c *Collector) eachRoot(tasks []TaskRoots, globals []code.Word, st *Stats, visit func(task, idx int, g TypeGC, w code.Word)) {
 	for i, g := range c.Prog.Globals {
 		visit(-1, i, c.FromDesc(g.Desc, nil), globals[i])

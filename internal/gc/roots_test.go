@@ -169,8 +169,9 @@ func TestManyTasksTinyHeap(t *testing.T) {
 
 // TestReferenceResolver runs the single-task corpus (main the group's one
 // task), the task corpus and testdata/progs under both typed strategies and
-// disciplines, the fast path on and off and both suspension policies, and at
-// every collection holds taskJobs to the reference resolver job for job.
+// disciplines, without and with a nursery, the fast path on and off and both
+// suspension policies, and at every collection — minors included — holds
+// taskJobs to the reference resolver job for job.
 // Every 53rd allocation fails on purpose, so collections also land inside
 // short frames heap exhaustion never stops in (a thunk's body); the period
 // must not divide a corpus loop's allocations per round, or the failures
@@ -188,13 +189,15 @@ func TestReferenceResolver(t *testing.T) {
 		}
 		progs = append(progs, workloads.TaskWorkload{Name: filepath.Base(f), Source: string(src), Entries: []string{"main"}, HeapWords: 2048})
 	}
-	jobs := 0
+	jobs, minors := 0, int64(0)
 	for _, p := range progs {
-		for c := range 16 {
-			strat := []gc.Strategy{gc.StratCompiled, gc.StratInterp}[c>>3]
-			opts := pipeline.Options{Strategy: strat, HeapWords: p.HeapWords, MarkSweep: c&4 != 0, DisableGCFastPath: c&2 != 0, FailAllocEvery: 53}
+		for c := range 32 {
+			strat := []gc.Strategy{gc.StratCompiled, gc.StratInterp}[c>>3&1]
+			opts := pipeline.Options{Strategy: strat, HeapWords: p.HeapWords, MarkSweep: c&4 != 0, NurseryWords: c >> 4 * 256,
+				DisableGCFastPath: c&2 != 0, FailAllocEvery: 53}
 			atAllocs := c&1 != 0
-			t.Run(fmt.Sprintf("%s/%v/ms=%v/nofastpath=%v/at-allocs=%v", p.Name, strat, opts.MarkSweep, opts.DisableGCFastPath, atAllocs), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%v/ms=%v/nursery=%d/nofastpath=%v/at-allocs=%v",
+				p.Name, strat, opts.MarkSweep, opts.NurseryWords, opts.DisableGCFastPath, atAllocs), func(t *testing.T) {
 				g, entries, err := pipeline.BuildTaskGroup(p.Source, p.Entries, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -227,10 +230,11 @@ func TestReferenceResolver(t *testing.T) {
 				if err := g.Run(); err != nil {
 					t.Fatal(err)
 				}
+				minors += g.Col.Gen.MinorCollections
 			})
 		}
 	}
-	if jobs == 0 {
-		t.Error("no collection compared a single job")
+	if jobs == 0 || minors == 0 {
+		t.Errorf("%d jobs compared over %d minor collections, want both", jobs, minors)
 	}
 }

@@ -71,32 +71,8 @@ type CollectionRecord struct {
 	// collection; nil unless the heap runs TLABs (so non-TLAB runs keep
 	// their exact prior JSON, like Kind for the nursery).
 	TLAB *TLABRecord `json:"tlab,omitempty"`
-	// Conc carries the concurrent-mark breakdown for a cycle finished by
-	// the incremental collector; nil for stop-the-world collections (same
-	// omission convention as Kind and TLAB).
-	Conc *ConcRecord `json:"conc,omitempty"`
 	// Tasks breaks the scan down per task stack.
 	Tasks []TaskScan `json:"tasks,omitempty"`
-}
-
-// ConcRecord is the phase breakdown of one concurrent mark cycle. The
-// headline number a stop-the-world collection cannot offer is the split:
-// the mutator only stops for InitialPauseNS + FinalPauseNS, while the
-// marking between them ran in MarkSlices increments interleaved with
-// task execution.
-type ConcRecord struct {
-	// InitialPauseNS is the root-snapshot pause that started the cycle;
-	// FinalPauseNS the stack-re-scan + residual-drain + sweep pause that
-	// finished it. PauseNS on the enclosing record is their sum.
-	InitialPauseNS int64 `json:"initial_pause_ns"`
-	FinalPauseNS   int64 `json:"final_pause_ns"`
-	// MarkSlices counts the budgeted incremental marking increments run
-	// between the pauses; SliceWords the heap words they marked.
-	MarkSlices int64 `json:"mark_slices"`
-	SliceWords int64 `json:"slice_words"`
-	// BarrierGrays counts objects grayed by the OpStFld write barrier
-	// while the cycle was active.
-	BarrierGrays int64 `json:"barrier_grays"`
 }
 
 // TLABRecord is the allocation-buffer activity in one inter-collection
@@ -207,11 +183,6 @@ type ResilienceStats struct {
 	// BudgetFaults counts tasks terminated for exceeding a per-task budget
 	// (step deadline or allocation-word quota); each is also a TaskFault.
 	BudgetFaults int64 `json:"budget_faults,omitempty"`
-	// ConcAborts counts concurrent mark cycles abandoned — gray queue not
-	// drained within the slice budget, a non-ground store, or a
-	// stop-the-world collection forced mid-cycle — each followed by a
-	// full stop-the-world collection (the fallback rung).
-	ConcAborts int64 `json:"conc_aborts,omitempty"`
 }
 
 // record appends one collection's telemetry. kind is "minor"/"major" on a

@@ -185,10 +185,10 @@ func (h *Heap) Used() int { return h.alloc - h.fromOff }
 
 // OccupiedWords estimates the words actually holding objects: the bump
 // high-water mark minus the storage parked on the mark/sweep free lists
-// (on a copying heap the two coincide — nothing is parked). The concurrent
-// mark trigger watches this figure: Used alone saturates permanently once
-// a mark/sweep bump region has filled, even when sweeps have recycled most
-// of it.
+// (on a copying heap the two coincide — nothing is parked). Serving's
+// admission watches this figure: Used alone saturates permanently once a
+// mark/sweep bump region has filled, even when sweeps have recycled most of
+// it.
 func (h *Heap) OccupiedWords() int {
 	return h.Used() - h.FreeListWords()
 }

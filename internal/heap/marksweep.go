@@ -129,27 +129,6 @@ func (h *Heap) VisitObject(ptr code.Word, n int) (code.Word, bool) {
 	return cl.Visit(ptr, n)
 }
 
-// Marked reports whether the object at ptr is already marked, without
-// marking it. The concurrent write barrier uses it to skip graying targets
-// the cycle has already claimed — without the check a store-heavy mutator
-// regrows the gray queue faster than slices drain it.
-func (h *Heap) Marked(ptr code.Word) bool {
-	if h.kind != MarkSweep {
-		panic("Marked: requires a mark/sweep heap")
-	}
-	return h.marks[h.addrIndex(ptr)]
-}
-
-// ResetMarks clears every mark bit without sweeping. An aborted concurrent
-// mark cycle uses it to discard its partial mark set before the
-// stop-the-world collection that replaces it.
-func (h *Heap) ResetMarks() {
-	if h.kind != MarkSweep {
-		panic("ResetMarks: requires a mark/sweep heap")
-	}
-	clear(h.marks)
-}
-
 // FreeListWords returns the total storage parked on the mark/sweep free
 // lists across all size classes. On a copying heap it is zero.
 func (h *Heap) FreeListWords() int {

@@ -3,9 +3,9 @@ package pipeline
 // The mode lattice. The paper's claim is that frame maps alone suffice to
 // trace precisely, so no mode stacked on the collector may change what the
 // plain sequential oldest→newest collector leaves. A cell is a program at a
-// point of the lattice — strategy × discipline × nursery × tlab × concurrent
-// × shards × torture × fail-every × suspend-at-allocs × fast path off × the
-// group's quantum — legal iff no Rule refuses it, and held to its oracle (the
+// point of the lattice — strategy × discipline × nursery × tlab × shards ×
+// torture × fail-every × suspend-at-allocs × fast path off × the group's
+// quantum — legal iff no Rule refuses it, and held to its oracle (the
 // same strategy × discipline, fast path off, no other mode) by one invariant
 // set:
 //
@@ -106,9 +106,6 @@ func failEvery(c *cell)                  { c.opts.FailAllocEvery = 50 }
 func atAllocs(c *cell)                   { c.opts.SuspendAtAllocs = true }
 func noFastPath(c *cell)                 { c.opts.DisableGCFastPath = true }
 func quantum7(c *cell)                   { c.quantum = 7 }
-func concurrent(c *cell) {
-	c.opts.GCConcurrent, c.opts.ConcTriggerPct, c.opts.ConcMarkBudget = true, 40, 128
-}
 
 func with(modes ...func(*cell)) func(*cell) {
 	return func(c *cell) {
@@ -121,7 +118,7 @@ func with(modes ...func(*cell)) func(*cell) {
 // latticeAxes are the dimensions after the program; value 0 of each is off.
 var latticeAxes = [][]func(*cell){
 	{plain, strategy(gc.StratInterp), strategy(gc.StratAppel), strategy(gc.StratTagged)},
-	{plain, markSweep}, {plain, nursery}, {plain, tlab}, {plain, concurrent}, {plain, shards},
+	{plain, markSweep}, {plain, nursery}, {plain, tlab}, {plain, shards},
 	{plain, torture}, {plain, failEvery}, {plain, atAllocs}, {plain, noFastPath}, {plain, quantum7},
 }
 
@@ -382,9 +379,6 @@ var engagement = []struct {
 			records(g, func(r *gc.CollectionRecord) bool { return r.TLAB != nil }) > 0 ||
 			strings.Contains(TelemetryTable(&g.Col.Telem, TelemetryOptions{OmitTiming: true}), "tlab")
 	}},
-	{"gc-concurrent", func(o Options) bool { return o.GCConcurrent }, forcedCollections, func(g *tasking.Group) bool {
-		return g.Col.Telem.Resilience.ConcAborts+records(g, func(r *gc.CollectionRecord) bool { return r.Conc != nil }) > 0
-	}},
 	// Under a short quantum a shard's tasks exhaust its nursery in lockstep and
 	// the second raises a global wave (ROADMAP, Known defects).
 	{"shards", func(o Options) bool { return o.Shards > 1 }, func(c cell, g *tasking.Group) bool {
@@ -406,7 +400,8 @@ var engagement = []struct {
 	}},
 }
 
-// forcedCollections: torture and injected failures collect globally, under the concurrent trigger.
+// forcedCollections: torture and injected failures collect globally, so a
+// shard's own minors may never come due.
 func forcedCollections(c cell, _ *tasking.Group) bool {
 	return c.opts.Torture || c.opts.FailAllocEvery > 0
 }
@@ -549,7 +544,7 @@ func checkRefusals(t *testing.T, o Options) (n int) {
 var (
 	allKeys = []Options{{}, {MarkSweep: true}, {Strategy: gc.StratInterp}, {Strategy: gc.StratInterp, MarkSweep: true},
 		{Strategy: gc.StratAppel}, {Strategy: gc.StratAppel, MarkSweep: true}, {Strategy: gc.StratTagged}}
-	tagFreeKeys, compiledKeys, compiledMS = allKeys[:6], allKeys[:2], allKeys[1:2]
+	tagFreeKeys, compiledKeys = allKeys[:6], allKeys[:2]
 )
 
 func view(t *testing.T, progs []latticeProg, keys []Options, name string, modes ...func(*cell)) {
@@ -583,9 +578,6 @@ func TestDifferentialFastPathCrossStrategy(t *testing.T) {
 func TestDifferentialNurseryWorkloads(t *testing.T) {
 	view(t, latticeSingles, tagFreeKeys, "{prog}/{strat}/ms={ms}", nursery, with(nursery, noFastPath))
 }
-func TestDifferentialConcurrentVM(t *testing.T) {
-	view(t, latticeSingles, []Options{allKeys[1], allKeys[3]}, "{prog}/{strat}", concurrent)
-}
 func TestDifferentialTaskWorkloadsCrossStrategy(t *testing.T) {
 	view(t, latticeTasks, allKeys, "{prog}/{strat}/ms={ms}", plain)
 }
@@ -602,18 +594,8 @@ func TestDifferentialTLABTasks(t *testing.T) {
 func TestDifferentialTLABStrategies(t *testing.T) {
 	view(t, latticeTasks[:1], []Options{allKeys[0], allKeys[2], allKeys[4], allKeys[6]}, "{strat}", tlab)
 }
-func TestDifferentialConcurrentTasks(t *testing.T) {
-	view(t, latticeTasks, compiledMS, "{prog}/calls", concurrent)
-	view(t, latticeTasks, compiledMS, "{prog}/allocs", with(concurrent, atAllocs))
-	view(t, latticeTasks, compiledMS, "{prog}/tlab", with(concurrent, tlab))
-	view(t, latticeTasks, compiledMS, "{prog}/quantum", with(concurrent, quantum7))
-	view(t, latticeTasks, compiledMS, "{prog}/no-fast-path", with(concurrent, noFastPath))
-}
 func TestDisableLivenessVerifiesCleanOnTasks(t *testing.T) { // frames zero-filled for widened maps
 	view(t, latticeTasks, compiledKeys, "{prog}/ms={ms}", func(c *cell) { c.opts.DisableLiveness = true })
-}
-func TestConcurrentCyclesUnderSuspendAtAllocs(t *testing.T) {
-	view(t, latticeTasks, compiledMS, "{prog}", with(concurrent, atAllocs))
 }
 
 // TestTLABTortureCompletes: every allocation retires and re-carves a buffer.
@@ -667,13 +649,8 @@ func refused(t *testing.T, opts ...Options) {
 	}
 }
 
-func TestConcurrentValidation(t *testing.T) {
-	refused(t, Options{GCConcurrent: true}, Options{Strategy: gc.StratTagged, GCConcurrent: true},
-		Options{MarkSweep: true, GCConcurrent: true, NurseryWords: 64})
-}
 func TestShardGating(t *testing.T) {
 	refused(t, Options{Strategy: gc.StratTagged, Shards: 2}, Options{Shards: 2},
-		Options{MarkSweep: true, GCConcurrent: true, NurseryWords: 256, Shards: 2},
 		Options{NurseryWords: 256, Shards: 2}) // the single-task path alone refuses the last
 }
 func TestNurseryRejectsTagged(t *testing.T) {
@@ -681,22 +658,7 @@ func TestNurseryRejectsTagged(t *testing.T) {
 }
 
 // The interleaving fuzzers are seeded cells off the lattice's grid: other
-// quanta, slice budgets, triggers, chunk sizes and shard assignments.
-func TestConcurrentMutatorInterleavingFuzz(t *testing.T) {
-	for seed := 0; seed < 32; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		c := cell{prog: latticeTasks[rng.Intn(len(latticeTasks))], opts: allKeys[1]}
-		concurrent(&c)
-		c.opts.ConcTriggerPct, c.opts.ConcMarkBudget = 10+rng.Intn(80), 1<<(4+rng.Intn(8))
-		c.opts.SuspendAtAllocs = rng.Intn(2) == 0
-		if rng.Intn(2) == 0 {
-			c.opts.TLABWords = 32 << rng.Intn(2)
-		}
-		c.quantum = 3 + rng.Intn(200)
-		viewCell(t, fmt.Sprintf("seed=%d/%s", seed, c.prog.name), c)
-	}
-}
-
+// quanta, chunk sizes and shard assignments.
 func TestTLABTaskInterleavingFuzz(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -88,14 +88,6 @@ var Knobs = []Knob{
 		Help: "generational nursery: 2×N words per shard, all allocation space"},
 	{Flag: "tlab", Key: "tlab", Kind: Int, Min: 8, Max: 1 << 16, Zero: "to disable", Noun: "tlab size", Unit: "words", Field: "TLABWords",
 		Help: "per-task allocation buffer chunk in words"},
-	{Flag: "gc-concurrent", Key: "gc_concurrent", Kind: Bool, Field: "GCConcurrent",
-		Help: "mostly-concurrent marking: incremental mark slices at safe points"},
-	{Flag: "gc-conc-trigger", Kind: Int, Min: 1, Max: 100, Zero: "for the default of 75", Noun: "gc-conc-trigger", Unit: "percent", Field: "ConcTriggerPct",
-		Help: "heap-occupancy percent that starts a concurrent cycle"},
-	{Flag: "gc-conc-budget", Kind: Int, Min: 1, Max: maxHeapWords, Zero: "for the default", Noun: "gc-conc-budget", Unit: "words", Field: "ConcMarkBudget",
-		Help: "words marked per concurrent slice"},
-	{Flag: "gc-conc-maxslices", Kind: Int, Min: 1, Max: maxSteps, Zero: "to derive it from heap and budget", Noun: "gc-conc-maxslices", Field: "ConcMaxSlices",
-		Help: "slice watchdog before a cycle aborts to stop-the-world"},
 	{Flag: "gc-nofastpath", Kind: Bool, Field: "DisableGCFastPath",
 		Help: "disable the compiled strategy's collection fast path (plan/site caches, trace kernels)"},
 	{Flag: "no-elide", Kind: Bool, Field: "DisableGCWordElision",
@@ -320,31 +312,18 @@ type Rule struct {
 //
 // Mark/sweep, the nursery and everything layered on them need a tag-free
 // strategy: young objects are headerless and their evacuation, like the
-// mark phase, is type-directed. Concurrent marking exists only for the
-// mark/sweep discipline, needs typed frame maps (the tagged baseline has
-// none of the store descriptors its barrier relies on) and does not compose
-// with the nursery (minor cycles move objects mid-mark). Per-shard minor
-// collection is the nursery's machinery partitioned
-// by task group, so it needs the nursery, more than one mutator to overlap
-// with, and cannot compose with the concurrent marker, whose cycles assume
-// one global collection epoch.
+// mark phase, is type-directed. Per-shard minor collection is the nursery's
+// machinery partitioned by task group, so it needs the nursery and more than
+// one mutator to overlap with.
 var Rules = []Rule{
 	{"marksweep", "mark/sweep is implemented for the tag-free strategies",
 		func(o Options, _ bool) bool { return o.MarkSweep && o.tagged() }},
 	{"gc-nursery", "the generational nursery requires a tag-free strategy",
 		func(o Options, _ bool) bool { return o.NurseryWords > 0 && o.tagged() }},
-	{"gc-concurrent", "concurrent marking requires a tag-free strategy",
-		func(o Options, _ bool) bool { return o.GCConcurrent && o.tagged() }},
-	{"gc-concurrent", "concurrent marking requires the mark/sweep discipline",
-		func(o Options, _ bool) bool { return o.GCConcurrent && !o.MarkSweep }},
-	{"gc-concurrent", "concurrent marking requires the nursery off",
-		func(o Options, _ bool) bool { return o.GCConcurrent && o.NurseryWords > 0 }},
 	{"shards", "heap sharding requires a tag-free strategy",
 		func(o Options, _ bool) bool { return o.Shards > 1 && o.tagged() }},
 	{"shards", "heap sharding requires a nursery (per-shard minor collections)",
 		func(o Options, _ bool) bool { return o.Shards > 1 && o.NurseryWords <= 0 }},
-	{"shards", "heap sharding does not compose with concurrent marking",
-		func(o Options, _ bool) bool { return o.Shards > 1 && o.GCConcurrent }},
 	{"shards", "heap sharding requires the tasking runtime (a single-task run has one mutator and nothing to overlap)",
 		func(o Options, single bool) bool { return o.Shards > 1 && single }},
 }

@@ -3,10 +3,10 @@ package pipeline
 // One machine. A single-task run is a task group of one, so: the
 // single-task corpus still computes, collects and traces what it did on the
 // interpreter this replaced (vm.loop — the golden was recorded at the commit
-// before its deletion); and the three behaviours that had drifted apart
-// between the two interpreters are the same on both paths because there is
-// one path — concurrent cycles under SuspendAtAllocs, frame zero-fill under
-// DisableLiveness, and the resilience counters' meaning.
+// before its deletion); and the behaviours that had drifted apart between
+// the two interpreters are the same on both paths because there is one path
+// — frame zero-fill under DisableLiveness and the resilience counters'
+// meaning.
 
 import (
 	"encoding/json"

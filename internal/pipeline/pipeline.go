@@ -97,20 +97,6 @@ type Options struct {
 	// BudgetAllocWords > 0 faults any task whose cumulative heap allocation
 	// would exceed this many words.
 	BudgetAllocWords int64
-	// GCConcurrent arms mostly-concurrent marking (-gc-concurrent): the mark
-	// phase runs in budgeted slices interleaved with mutator execution at
-	// the existing safe points, bracketed by a brief root-snapshot pause and
-	// a bounded final pause that re-scans the stacks and sweeps. Rules lists
-	// what it requires and excludes.
-	GCConcurrent bool
-	// ConcTriggerPct is the heap-occupancy watermark, in percent, that
-	// starts a concurrent cycle (0 = 75).
-	ConcTriggerPct int
-	// ConcMarkBudget is the words marked per slice (0 = the engine default);
-	// ConcMaxSlices bounds the slices per cycle before the watchdog aborts
-	// to stop-the-world (0 = derived from the heap size and budget).
-	ConcMarkBudget int
-	ConcMaxSlices  int
 	// Shards > 1 partitions the nursery into per-shard young generations
 	// and the task set into shard groups (task ID mod Shards): a shard
 	// whose young space fills runs a minor collection over its own tasks
@@ -275,8 +261,6 @@ func newGroup(prog *code.Program, opts Options, single bool) (*tasking.Group, er
 		g.Col.Verify = true
 		h.SetVerify(true)
 	}
-	g.Col.ConcMarkBudget = opts.ConcMarkBudget
-	g.Col.ConcMaxSlices = opts.ConcMaxSlices
 	// Frame maps widened by DisableLiveness name slots the function has not
 	// initialized yet, so they need zeroed frames as much as the Appel and
 	// tagged strategies (the constructor's default) do.
@@ -288,8 +272,6 @@ func newGroup(prog *code.Program, opts Options, single bool) (*tasking.Group, er
 		g.Shards = opts.Shards
 		g.ShardAssign = opts.ShardAssign
 	}
-	g.GCConcurrent = opts.GCConcurrent
-	g.ConcTriggerPct = opts.ConcTriggerPct
 	g.BudgetSteps = opts.BudgetSteps
 	g.BudgetAllocWords = opts.BudgetAllocWords
 	if opts.SuspendAtAllocs {

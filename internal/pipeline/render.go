@@ -74,12 +74,6 @@ func sanitizedTelemetry(t *gc.Telemetry, opt TelemetryOptions) *gc.Telemetry {
 	cp.Records = append([]gc.CollectionRecord(nil), t.Records...)
 	for i := range cp.Records {
 		cp.Records[i].PauseNS = 0
-		if c := cp.Records[i].Conc; c != nil {
-			cc := *c
-			cc.InitialPauseNS = 0
-			cc.FinalPauseNS = 0
-			cp.Records[i].Conc = &cc
-		}
 	}
 	cp.PauseHist = [gc.PauseBuckets]int64{}
 	return &cp
@@ -105,7 +99,6 @@ func TelemetryTable(t *gc.Telemetry, opt TelemetryOptions) string {
 	// follow the same convention, keyed on a record carrying a TLAB block.
 	gen := false
 	tlab := false
-	conc := false
 	sharded := false
 	for _, r := range t.Records {
 		if r.Kind != "" {
@@ -113,9 +106,6 @@ func TelemetryTable(t *gc.Telemetry, opt TelemetryOptions) string {
 		}
 		if r.TLAB != nil {
 			tlab = true
-		}
-		if r.Conc != nil {
-			conc = true
 		}
 		if r.Shard > 0 {
 			sharded = true
@@ -137,12 +127,6 @@ func TelemetryTable(t *gc.Telemetry, opt TelemetryOptions) string {
 	}
 	if tlab {
 		header = append(header, "refills", "fast", "shared", "waste")
-	}
-	if conc {
-		if !opt.OmitTiming {
-			header = append(header, "init-pause", "final-pause")
-		}
-		header = append(header, "slices", "grays")
 	}
 	rows := make([][]string, 0, len(t.Records))
 	for _, r := range t.Records {
@@ -196,26 +180,6 @@ func TelemetryTable(t *gc.Telemetry, opt TelemetryOptions) string {
 				fmt.Sprint(tr.SharedAllocs),
 				fmt.Sprint(tr.WasteWords),
 			)
-		}
-		if conc {
-			cr := r.Conc
-			if cr == nil {
-				// A stop-the-world collection in a concurrent-mode run (an
-				// abort's fallback, or the ladder) has no phase breakdown.
-				if !opt.OmitTiming {
-					row = append(row, "-", "-")
-				}
-				row = append(row, "-", "-")
-			} else {
-				if !opt.OmitTiming {
-					row = append(row,
-						time.Duration(cr.InitialPauseNS).String(),
-						time.Duration(cr.FinalPauseNS).String())
-				}
-				row = append(row,
-					fmt.Sprint(cr.MarkSlices),
-					fmt.Sprint(cr.BarrierGrays))
-			}
 		}
 		rows = append(rows, row)
 	}
@@ -308,11 +272,11 @@ func TelemetryTable(t *gc.Telemetry, opt TelemetryOptions) string {
 			cum.WasteWords, cum.ReturnedWords, ratio)
 	}
 	if rs := t.Resilience; rs != (gc.ResilienceStats{}) {
-		fmt.Fprintf(&b, "resilience: injected-ooms=%d torture-collections=%d emergency-collections=%d ladder-recovered=%d ladder-exhausted=%d heap-growths=%d task-faults=%d budget-faults=%d conc-aborts=%d\n",
+		fmt.Fprintf(&b, "resilience: injected-ooms=%d torture-collections=%d emergency-collections=%d ladder-recovered=%d ladder-exhausted=%d heap-growths=%d task-faults=%d budget-faults=%d\n",
 			rs.InjectedOOMs, rs.TortureCollections, rs.EmergencyCollections,
 			rs.LadderRecovered, rs.LadderExhausted,
 			rs.HeapGrowths,
-			rs.TaskFaults, rs.BudgetFaults, rs.ConcAborts)
+			rs.TaskFaults, rs.BudgetFaults)
 	}
 	return b.String()
 }

@@ -135,7 +135,7 @@ seq  before  live  surv%  words  frames  slots  flhit%
   4     256    16    6.2     16      45      1       -
 survivor histogram: 0-10%=5
 fast path: plan-hits=179 plan-misses=6 site-cache-hits=179 kernel-words=80
-resilience: injected-ooms=0 torture-collections=0 emergency-collections=5 ladder-recovered=5 ladder-exhausted=0 heap-growths=0 task-faults=0 budget-faults=0 conc-aborts=0
+resilience: injected-ooms=0 torture-collections=0 emergency-collections=5 ladder-recovered=5 ladder-exhausted=0 heap-growths=0 task-faults=0 budget-faults=0
 `
 	if got != want {
 		t.Errorf("table mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -160,7 +160,7 @@ seq  before  live  surv%  words  frames  slots  flhit%
   4     256    16    6.2     16      45      1   100.0
 survivor histogram: 0-10%=5
 fast path: plan-hits=179 plan-misses=6 site-cache-hits=179 kernel-words=80
-resilience: injected-ooms=0 torture-collections=0 emergency-collections=5 ladder-recovered=5 ladder-exhausted=0 heap-growths=0 task-faults=0 budget-faults=0 conc-aborts=0
+resilience: injected-ooms=0 torture-collections=0 emergency-collections=5 ladder-recovered=5 ladder-exhausted=0 heap-growths=0 task-faults=0 budget-faults=0
 `
 	if got != want {
 		t.Errorf("table mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -201,7 +201,7 @@ seq   kind  before  live  surv%  words  frames  slots  flhit%  prom  rem  barrie
   2  minor     187    59   31.6      0      26      2       -     0    0        0
 survivor histogram: 0-10%=1 30-40%=1 40-50%=1
 fast path: plan-hits=49 plan-misses=6 site-cache-hits=49 kernel-words=56
-resilience: injected-ooms=0 torture-collections=0 emergency-collections=3 ladder-recovered=3 ladder-exhausted=0 heap-growths=0 task-faults=0 budget-faults=0 conc-aborts=0
+resilience: injected-ooms=0 torture-collections=0 emergency-collections=3 ladder-recovered=3 ladder-exhausted=0 heap-growths=0 task-faults=0 budget-faults=0
 `
 	if got != want {
 		t.Errorf("table mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -236,7 +236,7 @@ seq  before  live  surv%  words  frames  slots  flhit%  refills  fast  shared  w
 survivor histogram: 0-10%=1
 fast path: plan-hits=4 plan-misses=4 site-cache-hits=4 kernel-words=16
 tlab: refills=19 refill-words=608 fast-allocs=270 shared-allocs=20 waste-words=28 returned-words=40 shared-ratio=0.069
-resilience: injected-ooms=0 torture-collections=0 emergency-collections=1 ladder-recovered=1 ladder-exhausted=0 heap-growths=0 task-faults=0 budget-faults=0 conc-aborts=0
+resilience: injected-ooms=0 torture-collections=0 emergency-collections=1 ladder-recovered=1 ladder-exhausted=0 heap-growths=0 task-faults=0 budget-faults=0
 `
 	if got != want {
 		t.Errorf("table mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)

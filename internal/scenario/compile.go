@@ -144,7 +144,7 @@ func compileCell(sc *Scenario, w workloads.TaskWorkload, srv *serve.Config, stra
 	if c.Skip != "" {
 		// The row reports the plain configuration: none of the modes that
 		// put it outside the envelope ran.
-		c.Opts.GCConcurrent, c.Opts.Shards = false, 0
+		c.Opts.Shards = 0
 	}
 	return c
 }

@@ -36,10 +36,10 @@ func FuzzScenarioParse(f *testing.F) {
 	f.Add("scenario x {\n  arrivals { period 1 requests 1 shed-heap 200 }\n}") // watermark out of range
 	f.Add("scenario x {\n  arrivals { period 1 requests 1 budget-steps 99999999999999999999 }\n}")
 	f.Add("scenario x {\n  arrivals { period 1 requests 1 }\n  mix { req_tiny 0 }\n}")
-	f.Add("scenario x {\n  workload taskspine\n  gc_concurrent\n}")
-	f.Add("scenario x {\n  workload taskspine\n  strategies tagged\n  disciplines marksweep\n  gc_concurrent\n}") // multi-reason skip cells
-	f.Add("scenario x {\n  workload taskspine\n  gc_concurrent extra\n}")                                         // key takes no argument
-	f.Add("scenario x {\n  gc_concurrent\n  gc_concurrent\n}")                                                    // duplicate key
+	f.Add("scenario x {\n  workload taskspine\n  shards 2\n}")
+	f.Add("scenario x {\n  workload taskspine\n  strategies tagged\n  disciplines marksweep\n  shards 2\n}") // multi-reason skip cells
+	f.Add("scenario x {\n  workload taskspine\n  faults {\n    torture extra\n  }\n}")                       // key takes no argument
+	f.Add("scenario x {\n  faults {\n    torture\n    torture\n  }\n}")                                      // duplicate key
 	// Two per block at the table's range boundaries: all inside, one just outside.
 	f.Add("scenario x {\n  workload taskchurn\n  heap 128\n  nursery 16\n  tlab 8\n  repeats 100\n  shards 64\n}")
 	f.Add("scenario x {\n  workload taskchurn\n  heap 67108865\n}")

@@ -82,7 +82,7 @@ scenario smoke {
 
 // TestScenarioMatrixTotalsMultiReasonSkips pins the skip-row accounting:
 // a cell outside the supported envelope on several counts (here tagged ×
-// mark/sweep × gc_concurrent × shards) is exactly one skipped row whose
+// mark/sweep × shards without a nursery) is exactly one skipped row whose
 // Skip string carries every applicable reason, and the matrix header's
 // totals always satisfy total == run + skipped.
 func TestScenarioMatrixTotalsMultiReasonSkips(t *testing.T) {
@@ -92,7 +92,6 @@ scenario multi {
   strategies  compiled tagged
   disciplines marksweep
   shards      1 2
-  gc_concurrent
 }
 `)
 	if err != nil {
@@ -121,29 +120,25 @@ scenario multi {
 	if !strings.Contains(table, "scenario matrix: 4 cells (1 run, 3 skipped)") {
 		t.Errorf("matrix totals line wrong:\n%s", table)
 	}
-	// The doubly-out-of-envelope cells carry every reason in one row.
+	// The triply-out-of-envelope cell carries every reason in one row.
 	for _, r := range snap.Runs {
 		switch r.Name {
-		case "multi/compiled/marksweep/sh2":
-			for _, want := range []string{
-				"heap sharding requires a nursery",
-				"heap sharding does not compose with concurrent marking",
-			} {
-				if !strings.Contains(r.Skip, want) {
-					t.Errorf("%s: skip %q missing reason %q", r.Name, r.Skip, want)
-				}
-			}
-			if strings.Count(r.Skip, ";") != 1 {
-				t.Errorf("%s: want exactly 2 joined reasons, got %q", r.Name, r.Skip)
-			}
-		case "multi/tagged/marksweep/sh1":
+		case "multi/tagged/marksweep/sh2":
 			for _, want := range []string{
 				"mark/sweep is implemented for the tag-free strategies",
-				"concurrent marking requires a tag-free strategy",
+				"heap sharding requires a tag-free strategy",
+				"heap sharding requires a nursery",
 			} {
 				if !strings.Contains(r.Skip, want) {
 					t.Errorf("%s: skip %q missing reason %q", r.Name, r.Skip, want)
 				}
+			}
+			if strings.Count(r.Skip, ";") != 2 {
+				t.Errorf("%s: want exactly 3 joined reasons, got %q", r.Name, r.Skip)
+			}
+		case "multi/compiled/marksweep/sh2", "multi/tagged/marksweep/sh1":
+			if r.Skip == "" || strings.Contains(r.Skip, ";") {
+				t.Errorf("%s: want exactly 1 reason, got %q", r.Name, r.Skip)
 			}
 		}
 	}

@@ -71,57 +71,50 @@ func TestScenarioFrontEndsAgree(t *testing.T) {
 }
 
 // TestScenarioRulesAgree compiles the lattice of modes the rule table speaks
-// about — strategy × discipline × nursery × tlab × concurrent × shards, 128
-// combinations — and holds the scenario compiler to pipeline.Rules: a cell's
-// skip reasons are exactly Refusals() of its configuration, and a cell it
-// runs carries exactly that configuration. (That the runtime refuses with the
-// same sentences is pipeline's TestModeLattice.)
+// about — strategy × discipline × nursery × tlab × shards, 64 combinations —
+// and holds the scenario compiler to pipeline.Rules: a cell's skip reasons
+// are exactly Refusals() of its configuration, and a cell it runs carries
+// exactly that configuration. (That the runtime refuses with the same
+// sentences is pipeline's TestModeLattice.)
 func TestScenarioRulesAgree(t *testing.T) {
 	w, _ := workloads.TaskByName("taskchurn")
-	onOff := []bool{false, true}
 	skipped := 0
 	for _, nursery := range []int{0, 256} {
 		for _, tlab := range []int{0, 64} {
-			for _, conc := range onOff {
-				src := fmt.Sprintf("scenario m {\nworkload taskchurn\nstrategies compiled interp appel tagged\n"+
-					"disciplines copying marksweep\nshards 1 2\nnursery %d\ntlab %d\n", nursery, tlab)
-				if conc {
-					src += "gc_concurrent\n"
+			src := fmt.Sprintf("scenario m {\nworkload taskchurn\nstrategies compiled interp appel tagged\n"+
+				"disciplines copying marksweep\nshards 1 2\nnursery %d\ntlab %d\n", nursery, tlab)
+			scs, err := Parse(src + "}\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells, err := Compile(scs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cells) != 16 {
+				t.Fatalf("got %d cells, want 16", len(cells))
+			}
+			for _, c := range cells {
+				full := pipeline.Options{
+					Strategy: c.Strategy, HeapWords: w.HeapWords, MarkSweep: c.Discipline == MarkSweep,
+					NurseryWords: nursery, TLABWords: tlab,
 				}
-				scs, err := Parse(src + "}\n")
-				if err != nil {
-					t.Fatal(err)
+				if c.Shards > 1 {
+					full.Shards = c.Shards
 				}
-				cells, err := Compile(scs)
-				if err != nil {
-					t.Fatal(err)
+				if want := strings.Join(full.Refusals(), "; "); c.Skip != want {
+					t.Errorf("%s: skip %q, rules say %q", c.Name, c.Skip, want)
 				}
-				if len(cells) != 16 {
-					t.Fatalf("got %d cells, want 16", len(cells))
-				}
-				for _, c := range cells {
-					full := pipeline.Options{
-						Strategy: c.Strategy, HeapWords: w.HeapWords, MarkSweep: c.Discipline == MarkSweep,
-						NurseryWords: nursery, TLABWords: tlab,
-						GCConcurrent: conc,
-					}
-					if c.Shards > 1 {
-						full.Shards = c.Shards
-					}
-					if want := strings.Join(full.Refusals(), "; "); c.Skip != want {
-						t.Errorf("%s: skip %q, rules say %q", c.Name, c.Skip, want)
-					}
-					if c.Skip != "" {
-						skipped++
-					} else if !reflect.DeepEqual(c.Opts, full) {
-						t.Errorf("%s: compiled %+v, want %+v", c.Name, c.Opts, full)
-					}
+				if c.Skip != "" {
+					skipped++
+				} else if !reflect.DeepEqual(c.Opts, full) {
+					t.Errorf("%s: compiled %+v, want %+v", c.Name, c.Opts, full)
 				}
 			}
 		}
 	}
-	if skipped < 16 || skipped > 128-16 {
-		t.Errorf("lattice: %d of 128 cells skipped, want both sides populated", skipped)
+	if skipped < 8 || skipped > 64-8 {
+		t.Errorf("lattice: %d of 64 cells skipped, want both sides populated", skipped)
 	}
 	if tagged := (pipeline.Options{Strategy: gc.StratTagged, MarkSweep: true}).Refusals(); len(tagged) != 1 {
 		t.Errorf("tagged mark/sweep: refusals %q, want exactly one", tagged)

@@ -83,55 +83,6 @@ func TestScenarioParseDefaults(t *testing.T) {
 	}
 }
 
-// TestScenarioGCConcurrent pins the gc_concurrent key: a bare boolean that
-// turns on incremental marking for the cells in its envelope (mark/sweep,
-// tag-free, no nursery) and reports every other cell as skipped.
-func TestScenarioGCConcurrent(t *testing.T) {
-	scs, err := Parse(`
-scenario conc {
-  workload    taskchurn
-  strategies  compiled tagged
-  disciplines copying marksweep
-  gc_concurrent
-}
-`)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if !scs[0].Opts.GCConcurrent {
-		t.Fatalf("gc_concurrent not set on the scenario")
-	}
-	cells, err := Compile(scs)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	if len(cells) != 4 {
-		t.Fatalf("got %d cells, want 4", len(cells))
-	}
-	var on, skipped int
-	for _, c := range cells {
-		if c.Opts.GCConcurrent {
-			on++
-			if c.Skip != "" {
-				t.Errorf("%s: skipped cell has GCConcurrent set", c.Name)
-			}
-			if c.Strategy != gc.StratCompiled || c.Discipline != MarkSweep {
-				t.Errorf("%s: concurrent marking outside its envelope", c.Name)
-			}
-		} else if c.Skip != "" {
-			skipped++
-		} else {
-			t.Errorf("%s: neither concurrent nor skipped under gc_concurrent", c.Name)
-		}
-	}
-	if on != 1 {
-		t.Errorf("got %d concurrent cells, want exactly compiled/marksweep", on)
-	}
-	if skipped != 3 {
-		t.Errorf("got %d skipped cells, want 3", skipped)
-	}
-}
-
 // TestScenarioMultiReasonSkip pins how a cell out of the envelope on
 // several counts at once is reported: one skipped row whose reason carries
 // every broken rule, "; "-joined, and which runs none of the modes that put
@@ -142,7 +93,8 @@ scenario multi {
   workload    taskspine
   strategies  compiled interp tagged
   disciplines copying marksweep
-  gc_concurrent
+  nursery     256
+  shards      2
 }
 `)
 	if err != nil {
@@ -158,8 +110,8 @@ scenario multi {
 	var tagged *Cell
 	for i := range cells {
 		c := &cells[i]
-		if c.Skip != "" && c.Opts.GCConcurrent {
-			t.Errorf("%s: skipped cell has GCConcurrent set", c.Name)
+		if c.Skip != "" && c.Opts.Shards != 0 {
+			t.Errorf("%s: skipped cell has Shards set", c.Name)
 		}
 		if c.Strategy == gc.StratTagged && c.Discipline == MarkSweep {
 			tagged = c
@@ -170,7 +122,7 @@ scenario multi {
 	}
 	for _, reason := range []string{
 		"mark/sweep is implemented for the tag-free strategies",
-		"concurrent marking requires a tag-free strategy",
+		"heap sharding requires a tag-free strategy",
 	} {
 		if !strings.Contains(tagged.Skip, reason) {
 			t.Errorf("tagged cell skip %q missing reason %q", tagged.Skip, reason)
@@ -193,7 +145,7 @@ func TestScenarioDiagnosticsGolden(t *testing.T) {
 		{
 			name: "unknown key",
 			src:  "scenario x {\n  workload taskchurn\n  wrkload taskchurn\n}\n",
-			want: `3:3: unknown scenario key "wrkload" (have workload, strategies, disciplines, shards, repeats, heap, nursery, tlab, gc_concurrent, faults, arrivals, mix)`,
+			want: `3:3: unknown scenario key "wrkload" (have workload, strategies, disciplines, shards, repeats, heap, nursery, tlab, faults, arrivals, mix)`,
 		},
 		{
 			name: "bad strategy name",
@@ -233,7 +185,7 @@ func TestScenarioDiagnosticsGolden(t *testing.T) {
 		{
 			name: "par is no key",
 			src:  "scenario x {\n  workload taskchurn\n  par 1\n}\n",
-			want: `3:3: unknown scenario key "par" (have workload, strategies, disciplines, shards, repeats, heap, nursery, tlab, gc_concurrent, faults, arrivals, mix)`,
+			want: `3:3: unknown scenario key "par" (have workload, strategies, disciplines, shards, repeats, heap, nursery, tlab, faults, arrivals, mix)`,
 		},
 		{
 			name: "shards out of range",

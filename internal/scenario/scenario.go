@@ -3,10 +3,9 @@
 // corpus-run machinery (pipeline.RunTasks) the experiments and telemetry
 // reports already use. A scenario names a task workload and the matrix
 // axes to cross it with — collection strategies, heap disciplines, heap
-// shards — plus the runtime knobs (heap, nursery, promotion, TLAB)
-// and a fault-injection block, plus gc_concurrent for incremental marking,
-// so that widening the evaluation no longer
-// means editing Go in internal/workloads: workloads stay code, but the
+// shards — plus the runtime knobs (heap, nursery, TLAB) and a
+// fault-injection block, so that widening the evaluation no longer means
+// editing Go in internal/workloads: workloads stay code, but the
 // *configurations* under which they run become data.
 //
 // A .tfs file holds one or more scenarios:
@@ -74,12 +73,11 @@ type Scenario struct {
 	Repeats int
 
 	// Opts holds the scalar knobs every cell shares — the scenario body's
-	// heap, nursery, tlab and gc_concurrent, the faults block and
-	// the arrivals block's budgets — written by the parser straight into the
-	// fields their pipeline.Knobs rows name (0 = default or off). The axis
-	// fields stay zero until Compile crosses them in. Cells whose axis point
-	// puts gc_concurrent or a shard count outside pipeline.Rules become
-	// reported skips.
+	// heap, nursery and tlab, the faults block and the arrivals block's
+	// budgets — written by the parser straight into the fields their
+	// pipeline.Knobs rows name (0 = default or off). The axis fields stay
+	// zero until Compile crosses them in. Cells whose axis point puts a knob
+	// outside pipeline.Rules become reported skips.
 	Opts pipeline.Options
 
 	// Arrivals, when present, turns every cell into a serve-harness run

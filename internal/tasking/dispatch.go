@@ -133,7 +133,7 @@ func (g *Group) step(t *Task, quantum int) error {
 		repr:     prog.Repr,
 		tag:      code.EncodeInt(prog.Repr, 0),
 		zeroFill: g.ZeroFill,
-		stHook:   h.NurseryEnabled() || g.GCConcurrent,
+		stHook:   h.NurseryEnabled(),
 		ldHook:   g.sharded || checked,
 		ldAll:    checked,
 	}
@@ -654,7 +654,7 @@ func (g *Group) cold(t *Task) error {
 	return nil
 }
 
-// storeBarrier runs after an OpStFld on a heap that needs one. Stack slots
+// storeBarrier runs after an OpStFld on a nursery heap (stHook). Stack slots
 // and globals need no barrier — they are re-traced as roots on every
 // collection; only interior heap stores can create edges a partial trace
 // would miss. The compiler records the stored value's static type per store
@@ -663,17 +663,6 @@ func (g *Group) cold(t *Task) error {
 // integer that merely aliases a young address.
 func (g *Group) storeBarrier(pc int, obj code.Word, field int, v code.Word) {
 	h := g.Heap
-	if !h.NurseryEnabled() {
-		// Incremental-update barrier: graying the stored value keeps
-		// marking sound when the mutator re-points a field of an
-		// already-scanned (black) object at an unmarked target.
-		if g.Col.ConcActive() {
-			if d := g.Prog.StoreDescs[pc]; d != nil {
-				g.Col.ConcBarrier(d, v)
-			}
-		}
-		return
-	}
 	if !h.InYoung(v) {
 		return
 	}

@@ -44,9 +44,9 @@ func (g *Group) alloc(t *Task, k *sliceConsts) bool {
 	}
 	if g.Policy == SuspendAtAllocs && g.waved(t) {
 		// Another task exhausted the heap (or this task's shard has a
-		// minor pending, or a concurrent cycle wants its pause); wait
-		// here and retry this allocation after the wave.
-		return g.park(t, n, true)
+		// minor pending); wait here and retry this allocation after the
+		// wave.
+		return g.park(t, n)
 	}
 	if f := g.Col.Faults; f != nil {
 		one = true
@@ -61,7 +61,7 @@ func (g *Group) alloc(t *Task, k *sliceConsts) bool {
 					g.Col.Telem.Resilience.TortureCollections++
 				}
 				g.rgc = 1
-				return g.park(t, n, false)
+				return g.park(t, n)
 			}
 			// A RefillOnly plan targets the moment a TLAB chunk would be carved
 			// from the shared heap; every other attempt passes through untouched.
@@ -69,7 +69,7 @@ func (g *Group) alloc(t *Task, k *sliceConsts) bool {
 			if f.FailAllocAt(refill) {
 				g.Col.Telem.Resilience.InjectedOOMs++
 				g.emergency(t)
-				return g.park(t, n, false)
+				return g.park(t, n)
 			}
 		}
 	}
@@ -86,13 +86,13 @@ func (g *Group) alloc(t *Task, k *sliceConsts) bool {
 			// serviceShardMinors escalates to the global ladder if the shard
 			// minor is not enough.
 			g.rgcShard[t.shard] = 1
-			return g.park(t, n, false)
+			return g.park(t, n)
 		}
 		// Exhaustion is the ladder's first rung: raise Rgc and suspend for
 		// an emergency collection; collectSuspended climbs the rest (retry,
 		// grow, fault — oomCause builds the typed error for the last).
 		g.emergency(t)
-		return g.park(t, n, false)
+		return g.park(t, n)
 	}
 	if g.Heap.NurseryEnabled() && !g.Heap.InYoung(code.Word(code.HeapBase+k.win.HP)) {
 		// Objects too large for the nursery are born old; their stores
@@ -114,18 +114,16 @@ func (g *Group) emergency(t *Task) {
 }
 
 // park suspends a task at the allocation of n fields the gate is judging, until
-// the coming collection, marking the retry so fault injection skips it. byRgc
-// is false when this allocation is the reason a collection is needed. The
+// the coming collection, marking the retry so fault injection skips it. The
 // attempt compared Rgc if that is where the policy compares it (an allocation
 // that goes ahead is counted by settle instead).
-func (g *Group) park(t *Task, n int, byRgc bool) bool {
+func (g *Group) park(t *Task, n int) bool {
 	if g.Policy == SuspendAtAllocs {
 		g.Stats.RgcChecks++
 	}
 	t.Status = SuspendedAlloc
 	t.pendingAlloc = n
 	t.allocRetry = true
-	t.parkedByRgc = byRgc
 	return false
 }
 

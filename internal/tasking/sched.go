@@ -15,10 +15,9 @@
 //     resume (collectSuspended, resume): the triggering task retries its
 //     allocation, the others re-execute their calls.
 //
-// Rgc is raised by the allocation gate on a full heap (gate.go), by
-// RequestMajor, and by the concurrent marker for its two pauses; a sharded heap
-// adds a register and a wave per shard. The mode drivers are called from the
-// lines of this file that their own files list.
+// Rgc is raised by the allocation gate on a full heap (gate.go) and by
+// RequestMajor; a sharded heap adds a register and a wave per shard. The mode
+// drivers are called from the lines of this file that their own files list.
 
 package tasking
 
@@ -90,9 +89,6 @@ func (g *Group) runUntilSuspended() (bool, error) {
 				g.rgc = 1
 			}
 		}
-		if g.GCConcurrent && g.rgc == 0 {
-			g.concAdvance()
-		}
 		allDone := true
 		anyRan := false
 		for _, t := range g.runq {
@@ -140,16 +136,10 @@ func (g *Group) runUntilSuspended() (bool, error) {
 				}
 				continue
 			}
-			if g.GCConcurrent {
-				g.concRunEnd()
-			}
 			return false, nil
 		}
 		g.serviceShardMinors()
 		if g.rgc != 0 && g.allSuspended() {
-			if g.concPause() {
-				continue
-			}
 			return true, nil
 		}
 		if !anyRan && g.rgc == 0 {
@@ -168,13 +158,12 @@ const loneQuanta = 1 << 12
 // slice is the instruction count of the next scheduling turn: one quantum,
 // or — when exactly one task is unfinished and nothing can need the
 // scheduler before that task suspends or finishes (no Tick hook to give
-// virtual time to, no concurrent marker to give slices to) — up to
-// loneQuanta of them, cut to the first quantum boundary past MaxSteps.
+// virtual time to) — up to loneQuanta of them, cut to the first quantum boundary past MaxSteps.
 // Called after compactRunQueue, so the queue holds unfinished tasks only;
 // with two or more of them every turn is one quantum and the interleaving
 // is untouched.
 func (g *Group) slice() int {
-	if len(g.runq) != 1 || g.Tick != nil || g.GCConcurrent {
+	if len(g.runq) != 1 || g.Tick != nil {
 		return g.Quantum
 	}
 	q := int64(g.Quantum)
@@ -294,11 +283,9 @@ func (g *Group) fullCollect(live []*Task) {
 	g.globalCollected()
 }
 
-// collected notes that a collection of any kind ran: it is counted, and the
-// concurrent trigger's baseline is the occupancy it left (concurrent.go).
+// collected notes that a collection of any kind ran.
 func (g *Group) collected() {
 	g.Stats.Collections++
-	g.concLastEnd = g.Heap.OccupiedWords()
 }
 
 // InitTask returns the task the init function ran on, for its output and

@@ -14,8 +14,8 @@
 //     when all have stopped their stacks are traced and they resume.
 //   - gate.go, the allocation gate (the safe point of an allocation: a window,
 //     a park, or a raised wave) and the recovery ladder behind a failure.
-//   - tlab.go, shard.go, concurrent.go, one optional mode each. Each opens
-//     with the list of lines of the other files that call into it.
+//   - tlab.go and shard.go, one optional mode each. Each opens with the list
+//     of lines of the other files that call into it.
 //
 // This file declares what they share: Task and its Status, faults and
 // backtraces, Stats, Group, and the run queue. Nothing is kept per frame for
@@ -101,11 +101,6 @@ type Task struct {
 	// parked holds the dispatch loop's instruction count while it lays an
 	// object (step); it means nothing between instructions.
 	parked int
-	// parkedByRgc says why the task is SuspendedAlloc: true when it found a
-	// wave already raised and has not asked for memory yet, false when its
-	// own allocation failed, was failed by injection, or is being tortured —
-	// the cases that need a collection now. Written by every suspension.
-	parkedByRgc bool
 	// allocRetry marks a task resuming a suspended allocation: torture and
 	// fault injection skip the retry, or an injected failure would suspend
 	// the same allocation forever.
@@ -335,23 +330,12 @@ type Group struct {
 	// own shard only, while every other shard's tasks keep running their
 	// quanta (shard.go; experiment E16 measures the overlap). A task's shard is
 	// its ID mod Shards (ShardAssign overrides). Requires a tag-free strategy
-	// with a nursery and no concurrent marking.
+	// with a nursery.
 	Shards int
 	// ShardAssign, when non-nil, overrides the task→shard map by task ID
 	// (entries are reduced mod Shards; missing/negative IDs fall back to
 	// ID mod Shards). The interleaving fuzz permutes it.
 	ShardAssign []int
-
-	// GCConcurrent arms mostly-concurrent marking (mark/sweep heaps without
-	// a nursery): a cycle starts with a brief root-snapshot pause when heap
-	// occupancy crosses ConcTriggerPct, marking then runs in budgeted
-	// slices between task quanta, and a bounded final pause re-scans the
-	// stacks and sweeps (concurrent.go; gc/concurrent.go has the marking
-	// engine and the abort/fallback rung).
-	GCConcurrent bool
-	// ConcTriggerPct is the occupancy watermark, in percent of the heap's
-	// words, that starts a concurrent cycle (0 = 75).
-	ConcTriggerPct int
 
 	// ZeroFill zeroes every frame's slots at entry. The Appel and tagged
 	// collectors trace (or scan) all slots, and frame maps widened by the E3
@@ -371,9 +355,8 @@ type Group struct {
 	// pre-collection retirement wave covers its buffer too.
 	initTask *Task
 
-	// The mode drivers' own state (shard.go, concurrent.go).
+	// The shard driver's own state (shard.go).
 	shardState
-	concState
 
 	// runq is the scheduler's run queue: the unfinished tasks in spawn
 	// order, plus any that finished since the last compaction (every scan

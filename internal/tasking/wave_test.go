@@ -32,9 +32,6 @@ let build () = sum (upto 400)
 type waveCounts struct {
 	collections, latencies, shardMinors     int64
 	emergency, torture, injected, recovered int64
-	// aborts is not a wave's doing; it tells the row that means an aborted
-	// concurrent cycle from the one that means a finished one.
-	aborts int64
 }
 
 func countsOf(g *tasking.Group) waveCounts {
@@ -47,7 +44,6 @@ func countsOf(g *tasking.Group) waveCounts {
 		torture:     r.TortureCollections,
 		injected:    r.InjectedOOMs,
 		recovered:   r.LadderRecovered,
-		aborts:      r.ConcAborts,
 	}
 }
 
@@ -55,7 +51,6 @@ func (c waveCounts) minus(b waveCounts) waveCounts {
 	return waveCounts{
 		c.collections - b.collections, c.latencies - b.latencies, c.shardMinors - b.shardMinors,
 		c.emergency - b.emergency, c.torture - b.torture, c.injected - b.injected, c.recovered - b.recovered,
-		c.aborts - b.aborts,
 	}
 }
 
@@ -164,27 +159,6 @@ func TestWaveKinds(t *testing.T) {
 				return false
 			},
 			want: episode{waveCounts{collections: 2, latencies: 1}, running(4)}},
-		{name: "concurrent start", entries: churn2,
-			opts: pipeline.Options{HeapWords: 2048, MarkSweep: true, GCConcurrent: true, ConcTriggerPct: 40},
-			want: episode{waveCounts{latencies: 1}, running(2)}},
-		{name: "concurrent finish", entries: churn2,
-			opts: pipeline.Options{HeapWords: 2048, MarkSweep: true, GCConcurrent: true, ConcTriggerPct: 40},
-			is:   func(d waveCounts) bool { return d.collections > 0 },
-			want: episode{waveCounts{collections: 1, latencies: 1}, running(2)}},
-		// One slice of one word trips the watchdog; the wave it raises is an
-		// ordinary one, and no emergency.
-		{name: "concurrent abort, then stop-the-world", entries: churn2,
-			opts: pipeline.Options{HeapWords: 2048, MarkSweep: true, GCConcurrent: true, ConcTriggerPct: 40,
-				ConcMarkBudget: 1, ConcMaxSlices: 1},
-			is:   func(d waveCounts) bool { return d.aborts > 0 },
-			want: episode{waveCounts{collections: 1, latencies: 1, aborts: 1}, running(2)}},
-		// The start wave goes up while both tasks are building their lists, 400
-		// allocations with no call between them, and the heap fills before
-		// either reaches one: the failures find a wave already up (no
-		// emergency), and the wave becomes a collection.
-		{name: "allocation failure sharing a concurrent wave", entries: []string{"build", "build"},
-			opts: pipeline.Options{HeapWords: 2560, MarkSweep: true, GCConcurrent: true, ConcTriggerPct: 50},
-			want: episode{waveCounts{collections: 1, latencies: 1, recovered: 2}, running(2)}},
 		// No wave: init collects over its own stack, and no latency is sampled.
 		{name: "init alone", entries: churn2, init: true,
 			opts: pipeline.Options{HeapWords: 1024},

@@ -166,53 +166,6 @@ let main () = churn 500 + sum keep
 	}
 }
 
-func TestConcAbortRefreshesHysteresisBaseline(t *testing.T) {
-	// Regression: concAdvance's abort fallbacks (write-barrier abort and
-	// the slice watchdog) reclaim with a stop-the-world collection but used
-	// to leave the hysteresis baseline (concLastEnd) stale. A mostly-live
-	// mark/sweep heap sitting above the trigger watermark then re-armed a
-	// cycle at the very next allocation — back-to-back triggers in one
-	// occupancy epoch, each aborting again.
-	//
-	// Setup: ~3200 of 4096 words stay live (above the 75% watermark) and a
-	// churn phase allocates small garbage. ConcMaxSlices=1 makes every
-	// cycle trip the watchdog, so each trigger becomes one ConcAbort.
-	// With the baseline refreshed, a new trigger needs semi/8 = 512 words
-	// of real growth: at 4 garbage words per churn iteration, 400
-	// iterations allow at most ~4 epochs. Stale-baseline behavior triggers
-	// on every allocation above the watermark (~hundreds of aborts).
-	src := `
-let rec build n = if n = 0 then [] else n :: build (n - 1)
-let blip n = (let _ = [n; n] in 0)
-let rec churn n = if n = 0 then 0 else blip n + churn (n - 1)
-let main () =
-  let keep = build 1600 in
-  let x = churn 400 in
-  x + (match keep with | h :: _ -> h | [] -> 0)
-`
-	res, err := pipeline.Run(src, pipeline.Options{
-		Strategy:       gc.StratCompiled,
-		HeapWords:      4096,
-		MarkSweep:      true,
-		GCConcurrent:   true,
-		ConcMarkBudget: 8,
-		ConcMaxSlices:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Value != 1600 {
-		t.Fatalf("= %d, want 1600", res.Value)
-	}
-	aborts := res.Telemetry.Resilience.ConcAborts
-	if aborts < 1 {
-		t.Fatal("test never exercised the watchdog abort path")
-	}
-	if aborts > 10 {
-		t.Fatalf("%d concurrent-cycle aborts; a refreshed baseline permits at most one trigger per occupancy epoch (~4 epochs here)", aborts)
-	}
-}
-
 func TestRawWordDecoding(t *testing.T) {
 	src := `let main () = true`
 	free := run(t, src, gc.StratCompiled, 256)
