@@ -3,10 +3,11 @@
 # tier2-lattice runs every legal point of the mode lattice
 # (internal/pipeline/lattice_test.go: every strategy × discipline ×
 # nursery × tlab × shards × torture × fail-every × suspend-at-allocs ×
-# fast-path-off × quantum combination no rule refuses, each on the next
-# program of the single-task corpus, the task corpus and testdata/progs that
-# may take it) against its oracle, with the heap verifier after every
-# collection: 1 216 points, ≈ 2 min on 2 vCPUs. tier 1 runs a
+# quantum combination no rule refuses, each on the next program of the
+# single-task corpus, the task corpus and testdata/progs that may take it)
+# against its oracle — interp for a compiled cell, the cell's own strategy
+# otherwise, with no other mode — with the heap verifier after every
+# collection: 608 points, ≈ 1 min on 2 vCPUs. tier 1 runs a
 # pairwise-covering subset.
 # tier2-scenario runs every committed torture scenario (the faults block's
 # torture, injection and verifier knobs reached through the DSL) and fails on

@@ -63,14 +63,13 @@ func main() {
 		"e7":  experiments.E7Tasking,
 		"e8":  experiments.E8RuntimeReps,
 		"e9":  func() *experiments.Table { return experiments.E9MarkSweep(*repeats) },
-		"e10": experiments.E10FastPath,
 		"e11": experiments.E11Generational,
 		"e12": experiments.E12AllocContention,
 		"e13": experiments.E13ScenarioMatrix,
 		"e14": experiments.E14Overload,
 		"e16": experiments.E16ShardedMinors,
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e16"}
+	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13", "e14", "e16"}
 
 	selected := flag.Args()
 	if len(selected) == 0 {

@@ -1,17 +1,13 @@
 package experiments
 
-// The pause harness behind E10 and E11: repeated collections of one root set
+// The pause harness behind E11: repeated collections of one root set
 // captured mid-execution, so a pause is measured apart from the mutator that
-// led to it. E10 splits each pause into its metadata-resolution and trace
-// halves — the breakdown that motivates the collection fast path (frame-plan
-// cache, pc→site cache, specialized kernels; internal/gc/fastpath.go); E11
-// sets minor against full pauses of the same roots. Whole-run cost is the
-// repository benchmark's question (benchmark/, BENCHMARK.json).
+// led to it; E11 sets minor against full pauses of the same roots. Whole-run
+// cost is the repository benchmark's question (benchmark/, BENCHMARK.json).
 
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"tagfree/internal/gc"
 	"tagfree/internal/pipeline"
@@ -19,16 +15,6 @@ import (
 	"tagfree/internal/tasking"
 	"tagfree/internal/workloads"
 )
-
-// pauseRun is one E10 measurement: Collections repeated gc.Collect calls on
-// one captured root set.
-type pauseRun struct {
-	PauseP50NS    int64
-	ResolveMeanNS int64
-	PlanHits      int64
-	PlanMisses    int64
-	KernelWords   int64
-}
 
 // minorRun is one E11 measurement. The pause percentiles come from repeated
 // minor then full collections of the same captured root set on a nursery
@@ -76,39 +62,6 @@ func benchGroup(w workloads.TaskWorkload, ms bool, nurseryWords int) (*tasking.G
 		panic(fmt.Sprintf("bench %s: finished without collecting", w.Name))
 	}
 	return g, roots
-}
-
-// collectPauseRun measures `collections` repeated collections of one
-// captured root set on a copying heap under the given knobs, plus the mean
-// cost of the pure resolution half (Collector.ResolveRoots).
-func collectPauseRun(w workloads.TaskWorkload, fast bool, collections int) pauseRun {
-	g, roots := benchGroup(w, false, 0)
-	g.Col.DisableFastPath = !fast
-	for i := 0; i < collections; i++ {
-		g.Col.Collect(roots, g.Globals)
-	}
-	recs := g.Col.Telem.Records
-	recs = recs[len(recs)-collections:]
-	pauses := make([]int64, len(recs))
-	for i, r := range recs {
-		pauses[i] = r.PauseNS
-	}
-
-	const resolveReps = 400
-	start := time.Now()
-	for i := 0; i < resolveReps; i++ {
-		g.Col.ResolveRoots(roots)
-	}
-	resolveNS := time.Since(start).Nanoseconds() / resolveReps
-
-	st := g.Col.Stats
-	return pauseRun{
-		PauseP50NS:    median(pauses),
-		ResolveMeanNS: resolveNS,
-		PlanHits:      st.PlanHits,
-		PlanMisses:    st.PlanMisses,
-		KernelWords:   st.KernelWords,
-	}
 }
 
 // median sorts a pause sample and returns its p50.
@@ -220,51 +173,6 @@ func minorPauseRun(w workloads.TaskWorkload, ms bool, collections int) minorRun 
 // benchCollections is the repeated-Collect count per pause run: enough
 // for a stable p50 without making the tables crawl.
 const benchCollections = 150
-
-// ---------------------------------------------------------------------------
-// E10 — the pause breakdown.
-// ---------------------------------------------------------------------------
-
-// E10FastPath splits the compiled strategy's pause into its
-// metadata-resolution and trace halves, cached (fast path) against
-// uncached (oracle). The uncached
-// resolution share is the cost the paper's per-frame protocol pays every
-// collection; the cached column is what remains once frame plans, site
-// lookups and kernels are memoized across frames and collections.
-func E10FastPath() *Table {
-	t := &Table{
-		ID:    "E10",
-		Title: "collection fast path: pause breakdown, cached vs uncached",
-		Claim: "compiled-mode pauses are dominated by re-deriving per-frame metadata that is invariant across frames and collections; memoizing it shrinks the pause without changing a single heap word",
-		Header: []string{"workload", "pause/GC uncached", "pause/GC cached", "speedup",
-			"resolve uncached", "resolve cached", "plan hit%", "kernel words/GC"},
-	}
-	for _, w := range workloads.Tasking {
-		oracle := collectPauseRun(w, false, benchCollections)
-		fast := collectPauseRun(w, true, benchCollections)
-		hitPct := "-"
-		if fast.PlanHits+fast.PlanMisses > 0 {
-			hitPct = fmt.Sprintf("%.1f", 100*float64(fast.PlanHits)/float64(fast.PlanHits+fast.PlanMisses))
-		}
-		t.Rows = append(t.Rows, []string{
-			w.Name,
-			fmt.Sprint(oracle.PauseP50NS),
-			fmt.Sprint(fast.PauseP50NS),
-			ratio(oracle.PauseP50NS, fast.PauseP50NS),
-			fmt.Sprint(oracle.ResolveMeanNS),
-			fmt.Sprint(fast.ResolveMeanNS),
-			hitPct,
-			fmt.Sprint(fast.KernelWords / int64(benchCollections)),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"pause/GC is the p50 of 150 repeated collections of one captured mid-execution root set (copying discipline)",
-		"resolve is the mean of the pure metadata half (Collector.ResolveRoots): frame chains, site lookups, type-argument resolution, plan builds — no tracing",
-		"taskdeep is the motivating shape: a deep tower of one polymorphic frame, where every frame hits the same memoized plan",
-		"the fast path is compiled-strategy only: interp keeps its decode-per-collection cost (E4's trade-off) and Appel its chain re-walks (E6) by design",
-	)
-	return t
-}
 
 // ---------------------------------------------------------------------------
 // E11 — the generational pause split.

@@ -14,7 +14,6 @@
 //	E7  tasking: suspension latency and the Rgc check cost
 //	E8  runtime type reps: the completeness gap the paper's protocol misses
 //	E9  collection disciplines: copying vs mark/sweep on the same maps
-//	E10 collection fast path: pause breakdown, cached vs uncached (bench.go)
 //	E11 generational nursery: minor vs full collection pause (bench.go)
 //	E12 per-task allocation buffers: shared-heap acquisitions per allocation
 //	E13 scenario matrix: the declarative .tfs corpus, all strategies ×
@@ -516,7 +515,6 @@ func All(repeats int) []*Table {
 		E7Tasking(),
 		E8RuntimeReps(),
 		E9MarkSweep(repeats),
-		E10FastPath(),
 		E11Generational(),
 		E12AllocContention(),
 		E13ScenarioMatrix(),

@@ -126,12 +126,6 @@ type Collector struct {
 	// Verify runs the post-collection heap verifier after every collection
 	// (see verify.go); violations panic with a *VerifyError.
 	Verify bool
-	// DisableFastPath turns off the collection fast path — the pc→site
-	// lookup cache, the frame-plan cache and the specialized trace kernels
-	// (fastpath.go) — restoring uncached per-frame resolution. The
-	// differential suite uses the disabled collector as its oracle; the
-	// fast path must produce bit-identical heaps.
-	DisableFastPath bool
 
 	// Gen counts generational activity (see generational.go); all zero
 	// unless the heap has a nursery.

@@ -63,9 +63,9 @@ func TestCycleKinds(t *testing.T) {
 			cycleWant{preCollect: 1, kind: "major", rebuilt: 1}, true},
 		{"minor", nursery, []bool{false, true}, nil, auto,
 			cycleWant{preCollect: 1, kind: "minor", lastMinor: true}, false},
-		{"full/no-fast-path", pipeline.Options{DisableGCFastPath: true}, []bool{false, true}, nil, full,
+		{"full/interp", pipeline.Options{Strategy: gc.StratInterp}, []bool{false, true}, nil, full,
 			cycleWant{preCollect: 1}, false},
-		{"minor/no-fast-path", pipeline.Options{NurseryWords: 512, DisableGCFastPath: true}, []bool{false, true}, nil, auto,
+		{"minor/interp", pipeline.Options{Strategy: gc.StratInterp, NurseryWords: 512}, []bool{false, true}, nil, auto,
 			cycleWant{preCollect: 1, kind: "minor", lastMinor: true}, false},
 		{"shard-minor", sharded, []bool{false, true}, nil, shard0,
 			cycleWant{preCollect: 0, kind: "minor", shard: 1, lastMinor: true}, false},
@@ -133,10 +133,10 @@ func TestCycleKinds(t *testing.T) {
 	}
 }
 
-// cycleGroup runs cycleSrc's two tasks under opts (compiled, an 8k-word
-// heap) to their first collection.
+// cycleGroup runs cycleSrc's two tasks under opts (an 8k-word heap; the
+// strategy is compiled unless opts names another) to their first collection.
 func cycleGroup(t *testing.T, opts pipeline.Options) (*tasking.Group, []gc.TaskRoots) {
-	opts.Strategy, opts.HeapWords = gc.StratCompiled, 1<<13
+	opts.HeapWords = 1 << 13
 	return stoppedGroup(t, cycleSrc, []string{"a", "b"}, opts)
 }
 

@@ -31,9 +31,11 @@ package gc
 // Plans and kernels only ever reach a trace as root jobs (taskJobs,
 // roots.go): a plan slot becomes a job carrying its routine and kernel.
 //
-// Collector.DisableFastPath restores the uncached per-frame resolution —
-// the differential suite's oracle — and the fast path is required (and
-// tested) to produce bit-identical heaps.
+// The uncached per-frame resolution is the interp strategy's: it lists the
+// same slots of the same frame maps in the same order, decoded afresh at
+// every collection, so a compiled run is required (and tested) to leave a
+// heap bit-identical to an interp run of the same program — the mode
+// lattice's oracle.
 
 import "tagfree/internal/code"
 
@@ -184,8 +186,8 @@ type spineKernel struct {
 }
 
 // routine is one root's resolved trace: the type_gc routine and the
-// specialized loop classify chose for it (kGeneric, with no layout, when the
-// fast path is off or the shape needs full dispatch).
+// specialized loop classify chose for it (kGeneric, with no layout, for an
+// unplanned strategy's root or a shape that needs full dispatch).
 type routine struct {
 	g     TypeGC
 	k     kernel
@@ -267,7 +269,7 @@ func (c *Collector) spineKernelFor(g *dataG) *spineKernel {
 
 // kernel traces one root through its specialized loop (or the generic Trace
 // for kGeneric). It visits and stores exactly as Trace would — same order,
-// same copies — so fast-path heaps stay bit-identical to the oracle's.
+// same copies — so fast-path heaps stay bit-identical to interp's.
 func (t *tracer) kernel(r *routine, w code.Word) code.Word {
 	n := 1
 	switch r.k {
@@ -563,7 +565,7 @@ func (c *Collector) buildPlan(siteIdx int, site *code.SiteInfo, targs []TypeGC) 
 // a hit, the instruction-stream decode (siteAt) on first touch. Entries are
 // siteIdx+1 so the zero value means unfilled.
 func (c *Collector) siteAtFast(pc int, st *Stats) (int, *code.SiteInfo) {
-	if c.DisableFastPath || c.siteCache == nil {
+	if c.siteCache == nil {
 		return c.siteAt(pc)
 	}
 	if v := c.siteCache[pc]; v > 0 {
@@ -577,5 +579,5 @@ func (c *Collector) siteAtFast(pc int, st *Stats) (int, *code.SiteInfo) {
 }
 
 // planned reports whether roots trace through frame plans and kernels: the
-// compiled strategy with the fast path on.
-func (c *Collector) planned() bool { return c.Strat == StratCompiled && !c.DisableFastPath }
+// compiled strategy's alone.
+func (c *Collector) planned() bool { return c.Strat == StratCompiled }

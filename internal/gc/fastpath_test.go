@@ -5,9 +5,9 @@ package gc_test
 // internal/gc/fastpath.go) is a pure memoization and must be invisible to
 // everything but the clock. These tests pin the central claim: a
 // fast-path collection history leaves every single heap word equal to the
-// uncached oracle's (Collector.DisableFastPath), under both heap
-// disciplines — and the caches actually engage on the workloads that
-// motivated them.
+// uncached oracle's — the interp strategy, which decodes the same frame
+// maps afresh at every collection — under both heap disciplines, and the
+// caches actually engage on the workloads that motivated them.
 
 import (
 	"fmt"
@@ -22,10 +22,10 @@ import (
 	"tagfree/internal/workloads"
 )
 
-// runGroupFP executes a task workload with the fast path switchable,
-// returning each task's raw result, the final heap image and the
-// collector's counters for cache-engagement assertions.
-func runGroupFP(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bool, disableFast bool) ([]code.Word, []code.Word, gc.Stats) {
+// runGroupFP executes a task workload under strat, returning each task's raw
+// result, the final heap image and the collector's counters for
+// cache-engagement assertions.
+func runGroupFP(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bool) ([]code.Word, []code.Word, gc.Stats) {
 	t.Helper()
 	prog, _, err := pipeline.Build(w.Source, pipeline.Options{
 		Strategy:             strat,
@@ -50,7 +50,6 @@ func runGroupFP(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Col.DisableFastPath = disableFast
 	g.Col.Verify = true
 	g.Heap.SetVerify(true)
 	if err := g.RunInit(); err != nil {
@@ -71,16 +70,18 @@ func runGroupFP(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bo
 
 // TestFastPathBitIdenticalToOracle: for every task workload and heap
 // discipline, collections through the plan cache and kernels leave the heap
-// bit-identical to the uncached oracle.
+// bit-identical to the uncached oracle, interp: codegen depends only on the
+// representation, so the two run the same program and collect at the same
+// points.
 func TestFastPathBitIdenticalToOracle(t *testing.T) {
 	for _, w := range workloads.Tasking {
 		for _, ms := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/ms=%v", w.Name, ms), func(t *testing.T) {
-				oracleRes, oracleMem, oracleStats := runGroupFP(t, w, gc.StratCompiled, ms, true)
-				if oracleStats.PlanHits != 0 || oracleStats.KernelWords != 0 || oracleStats.SiteCacheHits != 0 {
-					t.Fatalf("oracle used the fast path: %+v", oracleStats)
+				oracleRes, oracleMem, oracleStats := runGroupFP(t, w, gc.StratInterp, ms)
+				if oracleStats.PlanHits+oracleStats.PlanMisses != 0 || oracleStats.KernelWords != 0 || oracleStats.DescBytesDecoded == 0 {
+					t.Fatalf("oracle did not decode every frame afresh: %+v", oracleStats)
 				}
-				fastRes, fastMem, fastStats := runGroupFP(t, w, gc.StratCompiled, ms, false)
+				fastRes, fastMem, fastStats := runGroupFP(t, w, gc.StratCompiled, ms)
 				if !slices.Equal(oracleRes, fastRes) {
 					t.Fatalf("results diverge: oracle %v fast %v", oracleRes, fastRes)
 				}
@@ -112,7 +113,7 @@ func TestFastPathCachesEngage(t *testing.T) {
 	if !ok {
 		t.Fatal("taskpoly workload missing")
 	}
-	_, _, st := runGroupFP(t, w, gc.StratCompiled, false, false)
+	_, _, st := runGroupFP(t, w, gc.StratCompiled, false)
 	if st.PlanMisses == 0 {
 		t.Fatalf("no plans were ever built: %+v", st)
 	}
@@ -138,7 +139,7 @@ func TestFastPathTreeKernel(t *testing.T) {
 		t.Fatal("tasktree workload missing")
 	}
 	for _, ms := range []bool{false, true} {
-		_, _, st := runGroupFP(t, w, gc.StratCompiled, ms, false)
+		_, _, st := runGroupFP(t, w, gc.StratCompiled, ms)
 		if st.KernelWords == 0 {
 			t.Fatalf("ms=%v: tree spines never traced through a kernel: %+v", ms, st)
 		}
@@ -155,7 +156,7 @@ func TestFastPathOtherStrategiesUnaffected(t *testing.T) {
 		t.Fatal("taskchurn workload missing")
 	}
 	for _, strat := range []gc.Strategy{gc.StratInterp, gc.StratAppel} {
-		_, _, st := runGroupFP(t, w, strat, false, false)
+		_, _, st := runGroupFP(t, w, strat, false)
 		if st.PlanHits != 0 || st.PlanMisses != 0 || st.KernelWords != 0 {
 			t.Fatalf("%v: plan cache or kernels engaged: %+v", strat, st)
 		}

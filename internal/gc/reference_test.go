@@ -29,8 +29,9 @@ type refPkg struct {
 // referenceRoots lists one stopped task's roots, oldest frame first: frame
 // resolves the frame at fp, blocked at pc, after every older one — a routine
 // runs with the package its caller's routine built (Figure 2's oldest→newest
-// pass) — and returns the package it builds for its callee.
-func referenceRoots(p *code.Program, h *heap.Heap, t gc.TaskRoots) (roots []gc.ResolvedRoot, err error) {
+// pass) — and returns the package it builds for its callee. Under appel a
+// frame's roots are every slot its function has, live or not (§1.1.1).
+func referenceRoots(p *code.Program, h *heap.Heap, t gc.TaskRoots, appel bool) (roots []gc.ResolvedRoot, err error) {
 	var frame func(fp, pc int) (refPkg, error)
 	frame = func(fp, pc int) (refPkg, error) {
 		var in refPkg
@@ -46,10 +47,14 @@ func referenceRoots(p *code.Program, h *heap.Heap, t gc.TaskRoots) (roots []gc.R
 		}
 		site := p.Sites[p.Code[pc+off]]
 		fi, base, entries := p.Funcs[site.Func], fp+2, site.Live
+		if appel {
+			entries = fi.AllSlots
+		}
 		if t.AtCall && fp == t.FP { // the call's arguments are still the task's
-			entries = slices.Clone(site.Live)
+			own := entries
+			entries = slices.Clone(own)
 			for _, a := range site.Args {
-				if !hasSlot(site.Live, a.Slot) {
+				if !hasSlot(own, a.Slot) {
 					entries = append(entries, a)
 				}
 			}

@@ -95,21 +95,12 @@ func (c *Collector) taskJobs(t TaskRoots, st *Stats) []rootJob {
 }
 
 // frameJobs appends the roots of one frame (slots from base) under the
-// unplanned strategies, in slot order.
+// unplanned strategies, interp and Appel, in slot order.
 func (c *Collector) frameJobs(jobs []rootJob, siteIdx int, site *code.SiteInfo, fi *code.FuncInfo, base int, targs []TypeGC, atCall bool, st *Stats) []rootJob {
 	start := len(jobs)
-	switch c.Strat {
-	case StratCompiled:
-		for _, tr := range c.compiledSites[siteIdx] {
-			g := tr.ground
-			if g == nil {
-				g = c.FromDesc(tr.desc, targs)
-			}
-			jobs = append(jobs, genericJob(base+tr.slot, g))
-		}
-	case StratInterp:
+	if c.Strat == StratInterp {
 		jobs = c.interpFrameJobs(jobs, c.interpSites[siteIdx], base, targs, st)
-	case StratAppel:
+	} else {
 		for _, e := range fi.AllSlots {
 			jobs = append(jobs, genericJob(base+e.Slot, c.FromDesc(e.Desc, targs)))
 		}
@@ -270,16 +261,16 @@ func (c *Collector) eachRoot(tasks []TaskRoots, globals []code.Word, st *Stats, 
 // ResolveRoots resolves every task's complete root set — frame chains,
 // gc_word lookups, type-argument resolution, plan construction — without
 // mutating the heap, the stacks or the collector's counters. It is the
-// pure metadata half of a collection, exported so the benchmark harness
-// (experiment E10) can time resolution separately from tracing. It
+// pure metadata half of a collection, exported so the repository benchmark
+// (benchmark/layers.go) can time resolution apart from tracing. It
 // returns the number of roots resolved. Tagged collections have no
 // resolution phase (the scan is header-driven) and return 0.
 func (c *Collector) ResolveRoots(tasks []TaskRoots) int {
 	if c.Strat == StratTagged {
 		return 0
 	}
-	// E10 calls this in a tight loop outside any collection; reset the
-	// arena each time so repeated resolution does not accumulate.
+	// The benchmark calls this in a tight loop outside any collection; reset
+	// the arena each time so repeated resolution does not accumulate.
 	c.sc.reset()
 	var st Stats
 	total := 0

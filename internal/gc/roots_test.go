@@ -168,10 +168,12 @@ func TestManyTasksTinyHeap(t *testing.T) {
 }
 
 // TestReferenceResolver runs the single-task corpus (main the group's one
-// task), the task corpus and testdata/progs under both typed strategies and
-// disciplines, without and with a nursery, the fast path on and off and both
-// suspension policies, and at every collection — minors included — holds
-// taskJobs to the reference resolver job for job.
+// task), the task corpus and testdata/progs under the compiled and interp
+// strategies and — all but the deepest programs — Appel's, both
+// disciplines, without and with a nursery, without and with allocation
+// buffers (all but the deepest) and both suspension policies, and at every
+// collection — minors included — holds taskJobs to the reference resolver
+// job for job.
 // Every 53rd allocation fails on purpose, so collections also land inside
 // short frames heap exhaustion never stops in (a thunk's body); the period
 // must not divide a corpus loop's allocations per round, or the failures
@@ -189,15 +191,24 @@ func TestReferenceResolver(t *testing.T) {
 		}
 		progs = append(progs, workloads.TaskWorkload{Name: filepath.Base(f), Source: string(src), Entries: []string{"main"}, HeapWords: 2048})
 	}
+	// Appel's chain re-walk is quadratic in stack depth, and the deepest
+	// single-task programs already take half the time: they run without
+	// Appel's strategy and without buffers (listchurn's Appel cells alone
+	// would take 30 s).
+	deep := []string{"listchurn", "evaluator", "sieve"}
 	jobs, minors := 0, int64(0)
 	for _, p := range progs {
-		for c := range 32 {
-			strat := []gc.Strategy{gc.StratCompiled, gc.StratInterp}[c>>3&1]
-			opts := pipeline.Options{Strategy: strat, HeapWords: p.HeapWords, MarkSweep: c&4 != 0, NurseryWords: c >> 4 * 256,
-				DisableGCFastPath: c&2 != 0, FailAllocEvery: 53}
+		strats, tlabs := []gc.Strategy{gc.StratCompiled, gc.StratInterp, gc.StratAppel}, []int{0, 64}
+		if slices.Contains(deep, p.Name) {
+			strats, tlabs = strats[:2], tlabs[:1]
+		}
+		for c := range 8 * len(strats) * len(tlabs) {
+			strat, tlab := strats[c/8/len(tlabs)], tlabs[c/8%len(tlabs)]
+			opts := pipeline.Options{Strategy: strat, HeapWords: p.HeapWords, MarkSweep: c&2 != 0, NurseryWords: c >> 2 & 1 * 256,
+				TLABWords: tlab, FailAllocEvery: 53}
 			atAllocs := c&1 != 0
-			t.Run(fmt.Sprintf("%s/%v/ms=%v/nursery=%d/nofastpath=%v/at-allocs=%v",
-				p.Name, strat, opts.MarkSweep, opts.NurseryWords, opts.DisableGCFastPath, atAllocs), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%v/ms=%v/nursery=%d/tlab=%d/at-allocs=%v",
+				p.Name, strat, opts.MarkSweep, opts.NurseryWords, opts.TLABWords, atAllocs), func(t *testing.T) {
 				g, entries, err := pipeline.BuildTaskGroup(p.Source, p.Entries, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -205,9 +216,11 @@ func TestReferenceResolver(t *testing.T) {
 				if atAllocs {
 					g.Policy = tasking.SuspendAtAllocs
 				}
+				checked := int64(0)
 				g.Col.PreCollect = func(tasks []gc.TaskRoots) {
+					checked++
 					for i, task := range tasks {
-						want, err := referenceRoots(g.Prog, g.Heap, task)
+						want, err := referenceRoots(g.Prog, g.Heap, task, strat == gc.StratAppel)
 						if err != nil {
 							t.Fatalf("collection %d, stack %d: %v", g.Col.Stats.Collections, i, err)
 						}
@@ -230,7 +243,17 @@ func TestReferenceResolver(t *testing.T) {
 				if err := g.Run(); err != nil {
 					t.Fatal(err)
 				}
+				if checked != g.Heap.Stats.Collections {
+					t.Fatalf("%d collections, %d held to the reference", g.Heap.Stats.Collections, checked)
+				}
 				minors += g.Col.Gen.MinorCollections
+				refills := int64(0)
+				for _, tk := range g.Tasks {
+					refills += tk.TLAB.Refills
+				}
+				if opts.TLABWords == 0 && refills > 0 || opts.TLABWords > 0 && g.Heap.Stats.Collections > 0 && refills == 0 {
+					t.Fatalf("%d buffer refills with tlab=%d over %d collections", refills, opts.TLABWords, g.Heap.Stats.Collections)
+				}
 			})
 		}
 	}

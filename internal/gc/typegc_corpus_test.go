@@ -80,19 +80,15 @@ func TestComponentsMatchResolutionSingleTask(t *testing.T) {
 	}
 }
 
-// TestComponentsMatchResolutionTasks also crosses the heap disciplines and
-// the fast path: with it off every frame is resolved afresh, so the nodes
-// built are the walk's alone.
+// TestComponentsMatchResolutionTasks also crosses the heap disciplines.
 func TestComponentsMatchResolutionTasks(t *testing.T) {
 	for _, w := range workloads.Tasking {
 		for si, strat := range componentStrategies {
 			for mi, ms := range []bool{false, true} {
-				for _, fast := range []bool{true, false} {
-					t.Run(fmt.Sprintf("%s/%v/ms=%v/fast=%v", w.Name, strat, ms, fast), func(t *testing.T) {
-						want, pinned := taskBuiltAtParent[w.Name]
-						checkBuilt(t, runGroupCollector(t, w, strat, ms, fast), want[mi][si], pinned)
-					})
-				}
+				t.Run(fmt.Sprintf("%s/%v/ms=%v", w.Name, strat, ms), func(t *testing.T) {
+					want, pinned := taskBuiltAtParent[w.Name]
+					checkBuilt(t, runGroupCollector(t, w, strat, ms), want[mi][si], pinned)
+				})
 			}
 		}
 	}
@@ -100,9 +96,9 @@ func TestComponentsMatchResolutionTasks(t *testing.T) {
 
 // runGroupCollector runs a task workload to completion with the verifier on
 // and returns its collector.
-func runGroupCollector(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms, fast bool) *gc.Collector {
+func runGroupCollector(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bool) *gc.Collector {
 	t.Helper()
-	opts := pipeline.Options{Strategy: strat, HeapWords: w.HeapWords, MarkSweep: ms, DisableGCFastPath: !fast, VerifyHeap: true}
+	opts := pipeline.Options{Strategy: strat, HeapWords: w.HeapWords, MarkSweep: ms, VerifyHeap: true}
 	if ms {
 		opts.HeapWords = 2 * w.HeapWords
 	}

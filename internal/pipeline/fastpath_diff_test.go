@@ -10,8 +10,9 @@ import (
 // TestFastPathSurvivesHeapGrow: the recovery ladder's growth rung swaps
 // the heap out from under a warm plan cache mid-run. Cached plans hold
 // compiler metadata only — no heap addresses — so collections after a
-// Grow must keep producing the oracle's results. This is the regression
-// guard for anyone tempted to memoize heap-dependent state in a plan.
+// Grow must keep producing the uncached oracle's (interp's) results. This
+// is the regression guard for anyone tempted to memoize heap-dependent
+// state in a plan.
 func TestFastPathSurvivesHeapGrow(t *testing.T) {
 	src := `
 let rec upto n = if n = 0 then [] else n :: upto (n - 1)
@@ -27,23 +28,22 @@ let churn () = work 25 0
 	for _, ms := range []bool{false, true} {
 		t.Run(fmt.Sprintf("ms=%v", ms), func(t *testing.T) {
 			var values [][]int64
-			for _, disable := range []bool{true, false} {
+			for _, strat := range []gc.Strategy{gc.StratInterp, gc.StratCompiled} {
 				res, err := RunTasks(src, entries, Options{
-					Strategy:          gc.StratCompiled,
-					HeapWords:         1024,
-					MarkSweep:         ms,
-					GrowFactor:        2,
-					MaxHeapWords:      1 << 17,
-					DisableGCFastPath: disable,
-					VerifyHeap:        true,
+					Strategy:     strat,
+					HeapWords:    1024,
+					MarkSweep:    ms,
+					GrowFactor:   2,
+					MaxHeapWords: 1 << 17,
+					VerifyHeap:   true,
 				})
 				if err != nil {
-					t.Fatalf("fast=%v: %v", !disable, err)
+					t.Fatalf("%v: %v", strat, err)
 				}
 				if res.Telemetry.Resilience.HeapGrowths == 0 {
-					t.Fatalf("fast=%v: growth rung never fired", !disable)
+					t.Fatalf("%v: growth rung never fired", strat)
 				}
-				if !disable && res.GCStats.PlanHits == 0 {
+				if strat == gc.StratCompiled && res.GCStats.PlanHits == 0 {
 					t.Fatalf("plan cache never hit across growth: %+v", res.GCStats)
 				}
 				values = append(values, res.Values)

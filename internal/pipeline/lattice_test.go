@@ -4,19 +4,22 @@ package pipeline
 // trace precisely, so no mode stacked on the collector may change what the
 // plain sequential oldest→newest collector leaves. A cell is a program at a
 // point of the lattice — strategy × discipline × nursery × tlab × shards ×
-// torture × fail-every × suspend-at-allocs × fast path off × the group's
-// quantum — legal iff no Rule refuses it, and held to its oracle (the
-// same strategy × discipline, fast path off, no other mode) by one invariant
+// torture × fail-every × suspend-at-allocs × the group's quantum — legal iff
+// no Rule refuses it, and held to its oracle (the same discipline, no other
+// mode, and the unplanned strategy: a compiled cell's oracle is interp, which
+// resolves the same frame maps afresh at every collection) by one invariant
 // set:
 //
 //   - the values (and the program's known result), outputs and faults;
 //   - the end-of-run gc.LiveSignature, equal to the oracle's;
 //   - the live words after each collection, where the two collect at the
-//     same points (they differ in the fast path alone);
+//     same points (they differ in the strategy alone);
 //   - on a copying heap without a nursery, the active space after a final
 //     full collection, word for word;
 //   - every allocation buffer retired and accounted, every shard minor
-//     recorded.
+//     recorded;
+//   - plan activity (frame plans, trace kernels) in a compiled cell that
+//     collected, and in no other cell and no oracle.
 //
 // The engagement table holds each knob to its telemetry; a refused cell fails
 // with the first sentence of the rules it breaks; the verifier runs after
@@ -104,7 +107,6 @@ func shards(c *cell)                     { c.opts.Shards = 2 }
 func torture(c *cell)                    { c.opts.Torture = true }
 func failEvery(c *cell)                  { c.opts.FailAllocEvery = 50 }
 func atAllocs(c *cell)                   { c.opts.SuspendAtAllocs = true }
-func noFastPath(c *cell)                 { c.opts.DisableGCFastPath = true }
 func quantum7(c *cell)                   { c.quantum = 7 }
 
 func with(modes ...func(*cell)) func(*cell) {
@@ -119,7 +121,7 @@ func with(modes ...func(*cell)) func(*cell) {
 var latticeAxes = [][]func(*cell){
 	{plain, strategy(gc.StratInterp), strategy(gc.StratAppel), strategy(gc.StratTagged)},
 	{plain, markSweep}, {plain, nursery}, {plain, tlab}, {plain, shards},
-	{plain, torture}, {plain, failEvery}, {plain, atAllocs}, {plain, noFastPath}, {plain, quantum7},
+	{plain, torture}, {plain, failEvery}, {plain, atAllocs}, {plain, quantum7},
 }
 
 // pointCell builds the cell at a point: a corpus index, then a value per axis.
@@ -206,14 +208,24 @@ func (c cell) name() string {
 	return c.prog.name + "/" + strings.Join(parts, " ")
 }
 
+// unplanned is the strategy that resolves s's frame maps afresh at every
+// collection: interp for compiled, whose collections trace through frame
+// plans and kernels; s itself otherwise.
+func unplanned(s gc.Strategy) gc.Strategy {
+	if s == gc.StratCompiled {
+		return gc.StratInterp
+	}
+	return s
+}
+
 func (c cell) oracle() cell {
-	return cell{prog: c.prog, opts: Options{Strategy: c.opts.Strategy, MarkSweep: c.opts.MarkSweep, DisableGCFastPath: true}}
+	return cell{prog: c.prog, opts: Options{Strategy: unplanned(c.opts.Strategy), MarkSweep: c.opts.MarkSweep}}
 }
 
 // aligned: the cell collects where its oracle does.
 func (c cell) aligned() bool {
 	o := c.opts
-	o.DisableGCFastPath = true
+	o.Strategy = unplanned(o.Strategy)
 	return c.quantum == 0 && reflect.DeepEqual(o, c.oracle().opts)
 }
 
@@ -225,6 +237,7 @@ type result struct {
 	lives                    []int64     // live words after each collection
 	snap                     []code.Word // copying, no nursery: the active space after a full collection
 	collections, allocations int64
+	planned                  int64 // plan lookups and kernel-traced words
 }
 
 // run executes the cell with the verifier on and returns its finished group;
@@ -273,6 +286,7 @@ func (c cell) run() (g *tasking.Group, r *result, err error) {
 	}
 	r.sig, r.lives = g.Col.LiveSignature(g.Globals), g.Col.Telem.LiveWordsPerCollection()
 	r.collections, r.allocations = g.Heap.Stats.Collections, g.Heap.Stats.Allocations
+	r.planned = g.Col.Stats.PlanHits + g.Col.Stats.PlanMisses + g.Col.Stats.KernelWords
 	if !opts.MarkSweep && opts.NurseryWords == 0 {
 		// The globals are the only roots left, so a full collection lays the
 		// live heap out in trace order; a second one if need be brings every
@@ -324,6 +338,9 @@ func checkCell(t *testing.T, c cell) *tasking.Group {
 	}
 	if r.snap != nil && o.snap != nil && !slices.Equal(r.snap, o.snap) {
 		t.Fatalf("active space after a full collection diverges: %d words, the oracle's %d", len(r.snap), len(o.snap))
+	}
+	if want := c.opts.Strategy == gc.StratCompiled && r.collections > 0; o.planned != 0 || (r.planned > 0) != want {
+		t.Errorf("plan activity %d, the oracle's %d: a compiled cell that collects shows some, every other run none", r.planned, o.planned)
 	}
 	hs, tl := g.Heap.Stats, tasking.TLABStats{}
 	for _, tk := range g.Tasks {
@@ -392,12 +409,6 @@ var engagement = []struct {
 	{"fail-every", func(o Options) bool { return o.FailAllocEvery > 0 }, func(c cell, _ *tasking.Group) bool {
 		return c.opts.Torture // whose plan runs first
 	}, func(g *tasking.Group) bool { return g.Col.Telem.Resilience.InjectedOOMs > 0 }},
-	// The fast path itself: on unless -gc-nofastpath, and the compiled strategy's alone.
-	{"gc-nofastpath", func(o Options) bool { return !o.DisableGCFastPath }, func(c cell, g *tasking.Group) bool {
-		return c.opts.Strategy != gc.StratCompiled || g.Col.Stats.Collections == 0
-	}, func(g *tasking.Group) bool {
-		return g.Col.Stats.PlanHits+g.Col.Stats.PlanMisses+g.Col.Stats.KernelWords > 0
-	}},
 }
 
 // forcedCollections: torture and injected failures collect globally, so a
@@ -572,11 +583,11 @@ func viewCell(t *testing.T, name string, c cell) {
 func TestDifferentialWorkloadsCrossStrategy(t *testing.T) {
 	view(t, latticeSingles, allKeys, "{prog}/{strat}/ms={ms}", plain)
 }
-func TestDifferentialFastPathCrossStrategy(t *testing.T) {
-	view(t, latticeSingles, allKeys, "{prog}/{strat}/ms={ms}", plain, noFastPath)
-}
 func TestDifferentialNurseryWorkloads(t *testing.T) {
-	view(t, latticeSingles, tagFreeKeys, "{prog}/{strat}/ms={ms}", nursery, with(nursery, noFastPath))
+	view(t, latticeSingles, tagFreeKeys, "{prog}/{strat}/ms={ms}", nursery, with(nursery, failEvery))
+}
+func TestDifferentialTLABWorkloads(t *testing.T) { // a single-task run is a group of one, with one buffer
+	view(t, latticeSingles, allKeys, "{prog}/{strat}/ms={ms}", tlab)
 }
 func TestDifferentialTaskWorkloadsCrossStrategy(t *testing.T) {
 	view(t, latticeTasks, allKeys, "{prog}/{strat}/ms={ms}", plain)

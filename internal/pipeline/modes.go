@@ -88,8 +88,6 @@ var Knobs = []Knob{
 		Help: "generational nursery: 2×N words per shard, all allocation space"},
 	{Flag: "tlab", Key: "tlab", Kind: Int, Min: 8, Max: 1 << 16, Zero: "to disable", Noun: "tlab size", Unit: "words", Field: "TLABWords",
 		Help: "per-task allocation buffer chunk in words"},
-	{Flag: "gc-nofastpath", Kind: Bool, Field: "DisableGCFastPath",
-		Help: "disable the compiled strategy's collection fast path (plan/site caches, trace kernels)"},
 	{Flag: "no-elide", Kind: Bool, Field: "DisableGCWordElision",
 		Help: "keep gc_words on every call site"},
 

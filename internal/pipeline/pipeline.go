@@ -51,11 +51,6 @@ type Options struct {
 	// tasking runs: Rgc is checked only inside allocation routines. A
 	// single-task run always uses it.
 	SuspendAtAllocs bool
-	// DisableGCFastPath turns off the Compiled strategy's collection fast
-	// path (frame-plan cache, pc→site cache, specialized trace kernels —
-	// internal/gc/fastpath.go), restoring uncached per-frame resolution.
-	// The differential suite's oracle configuration.
-	DisableGCFastPath bool
 	// MaxSteps bounds execution; 0 means effectively unbounded.
 	MaxSteps int64
 	// VerifyHeap runs the post-collection heap verifier after every
@@ -255,7 +250,6 @@ func newGroup(prog *code.Program, opts Options, single bool) (*tasking.Group, er
 	if err != nil {
 		return nil, err
 	}
-	g.Col.DisableFastPath = opts.DisableGCFastPath
 	g.Col.Faults = opts.faultPlan()
 	if opts.VerifyHeap {
 		g.Col.Verify = true

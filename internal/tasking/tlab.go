@@ -33,12 +33,19 @@ type TLABStats struct {
 }
 
 // setupTLABs lazily arms the heap's TLAB mode and the pre-collection
-// retirement hook. Idempotent; called from every scheduling entry point so
+// retirement hook, ahead of any hook the caller set (which then sees a fully
+// tiled heap too). Idempotent; called from every scheduling entry point so
 // callers may set TLABWords any time between construction and first run.
 func (g *Group) setupTLABs() {
 	if g.TLABWords > 0 && !g.Heap.TLABsEnabled() {
 		g.Heap.EnableTLABs(g.TLABWords)
-		g.Col.PreCollect = g.retireAllTLABs
+		next := g.Col.PreCollect
+		g.Col.PreCollect = func(tasks []gc.TaskRoots) {
+			g.retireAllTLABs(tasks)
+			if next != nil {
+				next(tasks)
+			}
+		}
 	}
 }
 
