@@ -1,4 +1,4 @@
-// Command tfbench regenerates the experiment tables (E1–E16; see
+// Command tfbench regenerates the experiment tables (E1–E9; see
 // EXPERIMENTS.md). With arguments, it runs only the named experiments.
 //
 //	tfbench              # all experiments
@@ -53,23 +53,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	runners := map[string]func() *experiments.Table{
-		"e1":  experiments.E1HeapSpace,
-		"e2":  func() *experiments.Table { return experiments.E2MutatorTags(*repeats) },
-		"e3":  experiments.E3Liveness,
-		"e4":  func() *experiments.Table { return experiments.E4SpaceTime(*repeats) },
-		"e5":  experiments.E5GCWordElision,
-		"e6":  experiments.E6PolyWalk,
-		"e7":  experiments.E7Tasking,
-		"e8":  experiments.E8RuntimeReps,
-		"e9":  func() *experiments.Table { return experiments.E9MarkSweep(*repeats) },
-		"e11": experiments.E11Generational,
-		"e12": experiments.E12AllocContention,
-		"e13": experiments.E13ScenarioMatrix,
-		"e14": experiments.E14Overload,
-		"e16": experiments.E16ShardedMinors,
+	runners := map[string]func(int) *experiments.Table{}
+	var order []string
+	for _, e := range experiments.List {
+		runners[e.Name] = e.Run
+		order = append(order, e.Name)
 	}
-	order := []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e11", "e12", "e13", "e14", "e16"}
 
 	selected := flag.Args()
 	if len(selected) == 0 {
@@ -85,7 +74,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (have %s, telemetry)\n", name, strings.Join(order, ", "))
 			os.Exit(2)
 		}
-		fmt.Println(r().Render())
+		fmt.Println(r(*repeats).Render())
 	}
 }
 

@@ -22,7 +22,8 @@
 //
 // All arrival scheduling and latency accounting is in virtual steps, so
 // reported p50/p99/p999 latencies are deterministic for a given -seed;
-// wall time appears only in the throughput line (EXPERIMENTS.md, E14).
+// wall time appears only in the throughput line (EXPERIMENTS.md, E14's
+// verdict).
 package main
 
 import (

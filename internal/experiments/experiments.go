@@ -14,13 +14,11 @@
 //	E7  tasking: suspension latency and the Rgc check cost
 //	E8  runtime type reps: the completeness gap the paper's protocol misses
 //	E9  collection disciplines: copying vs mark/sweep on the same maps
-//	E11 generational nursery: minor vs full collection pause (bench.go)
-//	E12 per-task allocation buffers: shared-heap acquisitions per allocation
-//	E13 scenario matrix: the declarative .tfs corpus, all strategies ×
-//	    disciplines (scenario.go)
-//	E14 overload serving: graceful degradation under open-loop arrivals
-//	    (serve.go)
-//	E16 sharded heaps: per-shard minor collection under overload (shard.go)
+//
+// List is the one registry of these tables: tfbench runs it, All and the
+// tests read it. The repository's optional modes (nursery, TLABs, shards,
+// the scenario DSL, serving) have no table here; tfbench telemetry,
+// tfbench -scenario and tfserve print their counts.
 package experiments
 
 import (
@@ -503,24 +501,33 @@ func E8RuntimeReps() *Table {
 	return t
 }
 
-// All runs every experiment.
+// Experiment is one table by its tfbench name ("e1" for E1). Run takes the
+// timing repetitions; only E2, E4 and E9 time anything, the rest ignore it.
+type Experiment struct {
+	Name string
+	Run  func(repeats int) *Table
+}
+
+// List is every experiment in the order tfbench prints them.
+var List = []Experiment{
+	{"e1", func(int) *Table { return E1HeapSpace() }},
+	{"e2", E2MutatorTags},
+	{"e3", func(int) *Table { return E3Liveness() }},
+	{"e4", E4SpaceTime},
+	{"e5", func(int) *Table { return E5GCWordElision() }},
+	{"e6", func(int) *Table { return E6PolyWalk() }},
+	{"e7", func(int) *Table { return E7Tasking() }},
+	{"e8", func(int) *Table { return E8RuntimeReps() }},
+	{"e9", E9MarkSweep},
+}
+
+// All runs every experiment of List.
 func All(repeats int) []*Table {
-	return []*Table{
-		E1HeapSpace(),
-		E2MutatorTags(repeats),
-		E3Liveness(),
-		E4SpaceTime(repeats),
-		E5GCWordElision(),
-		E6PolyWalk(),
-		E7Tasking(),
-		E8RuntimeReps(),
-		E9MarkSweep(repeats),
-		E11Generational(),
-		E12AllocContention(),
-		E13ScenarioMatrix(),
-		E14Overload(),
-		E16ShardedMinors(),
+	tables := make([]*Table, len(List))
+	for i, e := range List {
+		tables[i] = e.Run(repeats)
 	}
+	return tables
 }
 
 // ---------------------------------------------------------------------------
@@ -575,60 +582,6 @@ func E9MarkSweep(repeats int) *Table {
 		"identical frame maps drive both disciplines; mark/sweep marks in place (no copy bandwidth) but sweeps the whole space and cannot compact",
 		"mark/sweep collects less often at equal usable words: copying reserves half the space as to-space",
 		"developing this mode exposed a real collector soundness bug (recursive polymorphic calls passed no type arguments) that copying masked — see DESIGN.md §8",
-	)
-	return t
-}
-
-// ---------------------------------------------------------------------------
-// E12 — allocation contention.
-// ---------------------------------------------------------------------------
-
-// E12AllocContention measures shared-heap pressure on the allocation path
-// as tasks churn, with and without per-task allocation buffers. Every
-// allocation without a buffer acquires the shared heap; with -tlab each
-// task bump-allocates privately and touches the shared heap only to carve
-// a chunk, so acquisitions fall to O(allocs/chunk) plus the slow path.
-func E12AllocContention() *Table {
-	t := &Table{
-		ID:    "E12",
-		Title: "per-task allocation buffers: shared-heap acquisitions per allocation",
-		Claim: "a private bump buffer per task turns the shared allocation path into an amortized O(1/chunk) refill protocol without changing a single computed value (the differential suite's bit-identical live heaps)",
-		Header: []string{"workload", "tlab", "allocs", "shared acqs", "acqs/alloc",
-			"refills", "fast allocs", "waste words", "collections"},
-	}
-	for _, name := range []string{"taskchurn", "tasktree"} {
-		w, ok := workloads.TaskByName(name)
-		if !ok {
-			panic("E12: unknown workload " + name)
-		}
-		for _, tlab := range []int{0, 64} {
-			res, err := pipeline.RunTasks(w.Source, w.Entries, pipeline.Options{
-				Strategy:  gc.StratCompiled,
-				HeapWords: w.HeapWords,
-				TLABWords: tlab,
-			})
-			if err != nil {
-				panic(err)
-			}
-			hs := res.Heap
-			t.Rows = append(t.Rows, []string{
-				w.Name,
-				fmt.Sprint(tlab),
-				fmt.Sprint(hs.Allocations),
-				fmt.Sprint(hs.SharedAllocs),
-				fmt.Sprintf("%.3f", float64(hs.SharedAllocs)/float64(hs.Allocations)),
-				fmt.Sprint(hs.TLABRefills),
-				fmt.Sprint(hs.TLABAllocs),
-				fmt.Sprint(hs.TLABWasteWords),
-				fmt.Sprint(res.Stats.Collections),
-			})
-		}
-	}
-	t.Notes = append(t.Notes,
-		"shared acqs counts every shared-heap allocation entry: direct Allocs plus TLAB chunk carves (heap.Stats.SharedAllocs)",
-		"tasks are scheduled round-robin on one OS thread, so acqs/alloc measures protocol pressure, not measured lock wait",
-		"waste words are buffer tails retired unreachable by the heap frontier; on mark/sweep they land on the exact-size free list instead (heap/tlab.go)",
-		"tlab=0 rows are the unchanged baseline allocation path, pinned bit-identical by the differential goldens",
 	)
 	return t
 }

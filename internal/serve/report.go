@@ -9,16 +9,16 @@ import (
 )
 
 // SnapshotSchema identifies the emitted JSON layout. It is the same
-// schema string the benchmark trajectory and scenario matrix use
-// (tagfree-bench/v1); duplicated here so serve does not depend on the
-// experiment tables (which depend on it for E14).
+// schema string the scenario matrix uses (tagfree-bench/v1), duplicated
+// here because scenario imports serve: serve cannot import the constant
+// from scenario.
 const SnapshotSchema = "tagfree-bench/v1"
 
 // Report condenses a Result into the numbers the tables and snapshots
 // carry. Latency percentiles are in virtual-time steps: on a single-core
 // container wall-clock tails measure the host scheduler, while step
 // latencies are deterministic and comparable across runs (EXPERIMENTS.md,
-// E14 methodology).
+// E14).
 type Report struct {
 	Name     string `json:"name"`
 	Kind     string `json:"kind"` // "serve"

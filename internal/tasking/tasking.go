@@ -246,7 +246,7 @@ type Stats struct {
 	// ShardMinorOverlapTasks sums, over those, the other-shard tasks that
 	// were still runnable when the shard collected — the concurrency a
 	// sharded heap buys over a stop-the-world minor, which would have
-	// parked every one of them (experiment E16).
+	// parked every one of them (the benchmark's tasking.shard_overlap_tasks).
 	ShardMinors            int64
 	ShardMinorOverlapTasks int64
 	// ShardExposures counts exposure events: a shard's young pointer
@@ -328,9 +328,9 @@ type Group struct {
 	// with its own young area and TLAB pool (heap.EnableNurseryShards — the
 	// pipeline arms the heap to match): a full nursery stops and collects its
 	// own shard only, while every other shard's tasks keep running their
-	// quanta (shard.go; experiment E16 measures the overlap). A task's shard is
-	// its ID mod Shards (ShardAssign overrides). Requires a tag-free strategy
-	// with a nursery.
+	// quanta (shard.go; Stats.ShardMinorOverlapTasks counts the overlap). A
+	// task's shard is its ID mod Shards (ShardAssign overrides). Requires a
+	// tag-free strategy with a nursery.
 	Shards int
 	// ShardAssign, when non-nil, overrides the task→shard map by task ID
 	// (entries are reduced mod Shards; missing/negative IDs fall back to
