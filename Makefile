@@ -16,7 +16,9 @@
 # and ~3 s with a per-tick or per-round rescan, far more under a loaded
 # machine — a reintroduced rescan fails here instead of slowing a benchmark
 # row. tier2-bench runs every Go micro-benchmark once, so one that stopped
-# compiling or running fails here rather than at the next profile.
+# compiling or running fails here rather than at the next profile; on a
+# failure it prints the --- FAIL and FAIL lines (and the line after each) of
+# its log, .bench_build/tier2-bench.log.
 #
 # loc prints the non-test Go lines outside benchmark/ — raw, and without
 # blank and comment-only lines — so a simplification's "net negative" is a
@@ -107,7 +109,9 @@ tier2-serve:
 	timeout 2 .bench_build/tfserve -marksweep -period 3000 -requests 16000 -queue 8 -inflight 4 -retries 6 >/dev/null
 
 tier2-bench:
-	go test -run xxx -bench . -benchtime 1x ./internal/gc/ ./internal/tasking/ ./internal/pipeline/ >/dev/null
+	mkdir -p .bench_build
+	go test -run xxx -bench . -benchtime 1x ./internal/gc/ ./internal/tasking/ ./internal/pipeline/ >.bench_build/tier2-bench.log 2>&1 || \
+		{ grep -A1 -e '--- FAIL' -e '^FAIL' -e '^panic:' .bench_build/tier2-bench.log; exit 1; }
 
 LOC_FILES = find $(1) -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*'
 LOC_COUNT = $$($(LOC_FILES) | xargs cat | wc -l) ($$($(LOC_FILES) | xargs cat | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//') without blank and comment lines)

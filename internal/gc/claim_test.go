@@ -7,10 +7,10 @@ import (
 	"tagfree/internal/heap"
 )
 
-// ownTracer is the collector's own tracer, armed for the collection the test
-// began by hand.
-func ownTracer(c *Collector) *tracer {
-	c.own.begin()
+// beginOwn opens a major on the collector's heap by hand and returns the
+// collector's own tracer, armed with the claim Begin filled.
+func beginOwn(c *Collector) *tracer {
+	c.Heap.Begin(&c.own.claim, heap.Cycle{})
 	return &c.own
 }
 
@@ -56,9 +56,8 @@ func TestClaimOOMMidSpine(t *testing.T) {
 			h := c.Heap
 			lst := mkList(h, []int64{1, 2, 3, 4, 5})
 			r := rootRoutine(t, c, c.FromDesc(intListDesc, nil), generic)
-			h.BeginGC()
+			tr := beginOwn(c)
 			h.MustAlloc(64 - 4) // two cells' room left in to-space
-			tr := ownTracer(c)
 			defer func() {
 				oom, ok := recover().(*heap.OutOfMemoryError)
 				if !ok {
@@ -99,9 +98,8 @@ func TestClaimVerifySpans(t *testing.T) {
 				tail = cell
 			}
 			r := rootRoutine(t, c, c.FromDesc(pairListDesc, nil), generic)
-			h.BeginGC()
-			head := ownTracer(c).kernel(&r, tail)
-			h.EndGC()
+			head := beginOwn(c).kernel(&r, tail)
+			h.End()
 			if errs := h.VerifyHeap(); len(errs) != 0 {
 				t.Fatalf("verified collection reported %v", errs)
 			}
@@ -159,13 +157,12 @@ func TestClaimRepaysOldReserve(t *testing.T) {
 		h.SetField(y2, i, code.EncodeInt(h.Repr, int64(100+i)))
 	}
 	old, young := constTuple(c, 40), constTuple(c, 16)
-	h.BeginGC()
-	tr := ownTracer(c)
+	tr := beginOwn(c)
 	na := old.Trace(tr, a)
 	ny1 := young.Trace(tr, y1)
 	ny2 := young.Trace(tr, y2)
 	nb := old.Trace(tr, b)
-	h.EndGC()
+	h.End()
 	if !h.InOld(ny1) || ny2 != y2 {
 		t.Fatalf("Y1 promoted %v, Y2 at %d (was %d); want Y1 promoted and Y2 pinned in place", h.InOld(ny1), ny2, y2)
 	}

@@ -118,7 +118,7 @@ type Collector struct {
 	// collections (see faultinject.go).
 	Faults *FaultPlan
 	// PreCollect, when non-nil, runs at the top of every collection before
-	// the heap snapshot and BeginGC, with the stopped stacks the collection
+	// the heap snapshot and Heap.Begin, with the stopped stacks the collection
 	// is about to trace. The tasking runtime uses it to retire all live
 	// TLABs, so the collector (and any harness calling Collect directly)
 	// always sees a fully tiled heap.
@@ -133,7 +133,7 @@ type Collector struct {
 
 	b *builder
 	// own is the collector's tracer: it claims through the heap.Claim each
-	// cycle takes, counted in Stats. Every trace runs through it.
+	// cycle's Heap.Begin fills, counted in Stats. Every trace runs through it.
 	own tracer
 	// Generational state (generational.go): the typed remembered set with
 	// its dedup index, the store-descriptor→routine and routine→kernel
@@ -282,7 +282,7 @@ func (s *scratch) typeArgs(n int) []TypeGC {
 // region's interior edges (see generational.go), else a full one.
 func (c *Collector) Collect(tasks []TaskRoots, globals []code.Word) {
 	if c.MinorEligible() {
-		c.cycle(tasks, globals, cycleKind{minor: true})
+		c.cycle(tasks, globals, heap.Cycle{Minor: true})
 		return
 	}
 	c.CollectFull(tasks, globals)
@@ -301,7 +301,7 @@ func (c *Collector) MinorEligible() bool { return c.nurseryOn() && !c.genForceMa
 // old→young edges the trace observes, discharging any force-major
 // condition.
 func (c *Collector) CollectFull(tasks []TaskRoots, globals []code.Word) {
-	c.cycle(tasks, globals, cycleKind{})
+	c.cycle(tasks, globals, heap.Cycle{})
 }
 
 // CollectMinorShard evacuates a single nursery shard: tasks must be exactly
@@ -319,36 +319,26 @@ func (c *Collector) CollectMinorShard(shard int, tasks []TaskRoots, globals []co
 	if !c.MinorEligible() {
 		panic("gc: CollectMinorShard without minor eligibility (check MinorEligible)")
 	}
-	c.cycle(tasks, globals, cycleKind{minor: true, shard: shard + 1})
+	c.cycle(tasks, globals, heap.Cycle{Minor: true, Shard: shard + 1})
 }
 
-// cycleKind is what a collection's entry point decides; the rest — the
-// prologue, the root order, the epilogue — is cycle's and the same for all
-// (DESIGN.md §16 tabulates what each kind sets).
-type cycleKind struct {
-	// minor evacuates the nursery only, with the remembered set standing in
-	// for the old region's interior edges.
-	minor bool
-	// shard, when nonzero, is the one nursery shard (1-based, as the record
-	// prints it) a minor collects while the other shards' mutators run.
-	shard int
-}
-
-// cycle is the collection: the paper's Figure 2 loop with everything every
-// discipline hangs on it. Root order is stated here and nowhere else —
-// globals, then the stacks in task order, then on a minor the
-// remembered set, then the tagged strategy's Cheney scan.
-func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
-	if k.shard == 0 && c.PreCollect != nil {
+// cycle is the collection of kind k, which its entry point decides; the
+// rest — the prologue, the root order, the epilogue — is the same for all
+// (DESIGN.md §16 tabulates what each kind sets): the paper's Figure 2 loop
+// with everything every discipline hangs on it. Root order is stated here
+// and nowhere else — globals, then the stacks in task order, then on a
+// minor the remembered set, then the tagged strategy's Cheney scan.
+func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k heap.Cycle) {
+	if k.Shard == 0 && c.PreCollect != nil {
 		c.PreCollect(tasks)
 	}
 	start := time.Now()
 	c.Stats.Collections++
-	c.lastMinor = k.minor
+	c.lastMinor = k.Minor
 	nursery := c.nurseryOn()
 	kind := ""
 	switch {
-	case k.minor:
+	case k.Minor:
 		kind = "minor"
 		c.Gen.MinorCollections++
 	case nursery:
@@ -358,22 +348,14 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 	}
 	// The snapshot the record measures against; used is old + young.
 	stats, hs, used := c.Stats, c.Heap.Stats, c.Heap.Used()+c.Heap.YoungUsed()
-	switch {
-	case k.shard > 0:
-		c.Heap.BeginMinorGCShard(k.shard - 1)
-	case k.minor:
-		c.Heap.BeginMinorGC()
-	default:
-		c.Heap.BeginGC()
-	}
-	c.own.begin()
+	c.Heap.Begin(&c.own.claim, k)
 	c.genTracking = nursery
 
 	c.traceGlobals(globals)
 	scans := make([]TaskScan, len(tasks))
 	c.collectTasks(tasks, scans)
-	if k.minor {
-		c.traceRemembered(k.shard - 1)
+	if k.Minor {
+		c.traceRemembered(k.Shard - 1)
 	}
 	if c.Strat == StratTagged {
 		c.cheneyScan()
@@ -381,11 +363,9 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 
 	c.Stats.TypeGCBuilt = c.b.Built
 	c.genTracking = false
-	if k.minor {
-		c.Heap.EndMinorGC()
+	c.Heap.End()
+	if k.Minor {
 		c.refilterRemembered()
-	} else {
-		c.Heap.EndGC()
 	}
 	if c.Heap.Stats.PromotionFailures != hs.PromotionFailures {
 		// A survivor stayed young for want of old-region room: a major
@@ -395,7 +375,7 @@ func (c *Collector) cycle(tasks []TaskRoots, globals []code.Word, k cycleKind) {
 	}
 	pause := time.Since(start).Nanoseconds()
 	c.Stats.PauseNS += pause
-	c.Telem.record(c, kind, k.shard, pause, scans, used, stats, hs)
+	c.Telem.record(c, kind, k.Shard, pause, scans, used, stats, hs)
 	if c.Verify {
 		c.verifyCollection(tasks, globals)
 	}
@@ -462,17 +442,16 @@ func (c *Collector) collectTaggedTask(t TaskRoots) {
 	c.Stats.FramesTraced += int64(len(fr))
 }
 
-// traceTaggedWord forwards one word if it is a pointer.
+// traceTaggedWord forwards one word if it is a pointer: the claim reads the
+// object's size from its header.
 func (c *Collector) traceTaggedWord(w code.Word) code.Word {
 	if !code.IsBoxedValue(code.ReprTagged, w) {
 		return w
 	}
-	if fwd, ok := c.Heap.Forwarded(w); ok {
-		return fwd
+	nw, fresh := c.own.claim.Visit(w, 0)
+	if fresh {
+		c.Stats.ObjectsCopied++
 	}
-	n := c.Heap.ObjLen(w)
-	nw := c.Heap.CopyObject(w, n)
-	c.Stats.ObjectsCopied++
 	return nw
 }
 

@@ -72,7 +72,7 @@ func hostAllocsByDepth(t *testing.T, strat gc.Strategy, ms bool) {
 			strat, ms, counts[0], counts[1], depth)
 	}
 	// Nothing else is left: the record (its list's growth is amortized over
-	// the runs), its scan list, and a mark/sweep EndGC's one.
+	// the runs), its scan list, and a mark/sweep Heap.End's one.
 	limit := 2.0
 	if ms {
 		limit = 3

@@ -167,9 +167,23 @@ func TestManyTasksTinyHeap(t *testing.T) {
 	}
 }
 
+// envEdgeSrc is a closure-called polymorphic frame whose instantiation is
+// its closure's rep word, called from one site under one caller plan: mk's
+// local f captures x but its own type, int -> int, does not name x's, so
+// its closures at (int * bool) and int list store it; their frames stop at
+// the same site of f under run's one plan, and a plan edge cached for one
+// would type the other's x wrong (planForEdge never caches a TypeSourceEnv
+// frame).
+const envEdgeSrc = `
+let mk x = (let f n = (let l = [x; x] in match l with | [] -> n | _ :: r -> n + 1) in f)
+let run f n = f n + 1
+let rec loop f g k acc = if k = 0 then acc else loop f g (k - 1) (acc + run f k + run g k)
+let main () = loop (mk (5, true)) (mk [6]) 400 0
+`
+
 // TestReferenceResolver runs the single-task corpus (main the group's one
-// task), the task corpus and testdata/progs under the compiled and interp
-// strategies and — all but the deepest programs — Appel's, both
+// task), envEdgeSrc, the task corpus and testdata/progs under the compiled
+// and interp strategies and — all but the deepest programs — Appel's, both
 // disciplines, without and with a nursery, without and with allocation
 // buffers (all but the deepest) and both suspension policies, and at every
 // collection — minors included — holds taskJobs to the reference resolver
@@ -183,6 +197,7 @@ func TestReferenceResolver(t *testing.T) {
 	for _, w := range workloads.All {
 		progs = append(progs, workloads.TaskWorkload{Name: w.Name, Source: w.Source, Entries: []string{"main"}, HeapWords: w.HeapWords})
 	}
+	progs = append(progs, workloads.TaskWorkload{Name: "envedge", Source: envEdgeSrc, Entries: []string{"main"}, HeapWords: 256})
 	files, _ := filepath.Glob("../../testdata/progs/*.ml")
 	for _, f := range files {
 		src, err := os.ReadFile(f)

@@ -256,18 +256,17 @@ func (c *Collector) shapeOf(g TypeGC, w code.Word) (shape, bool) {
 
 // tracer is the trace policy every routine and kernel runs under: the
 // collector, whose Stats the walk counts into, and the heap.Claim it claims
-// objects through, taken at the top of each collection (begin). On a plain
-// copying collection the claim checks the forwarding entry and copies
-// inline; otherwise it is Heap.VisitObject. Fields are read and written
+// objects through, filled by Heap.Begin at the top of each collection
+// (traceTaggedWord claims through it too). On a tag-free copying major the
+// claim checks the forwarding entry and copies inline; in every other mode
+// Begin set it marks, copies behind a broken heart or leaves the object
+// alone, and promotes a nursery object in any. Fields are read and written
 // through the claim's word array, and a traced word is stored only where it
 // changed (setField).
 type tracer struct {
 	c     *Collector
 	claim heap.Claim
 }
-
-// begin takes the claim for the collection in progress.
-func (t *tracer) begin() { t.c.Heap.TakeClaim(&t.claim) }
 
 // visit claims the n-word object at w: its current pointer, and whether its
 // fields still need tracing (first visit).

@@ -133,9 +133,8 @@ func TestDataTraceCopiesList(t *testing.T) {
 		Args: []*code.TypeDesc{{Kind: code.TDConst}}}
 	g := c.FromDesc(intList, nil)
 
-	h.BeginGC()
-	nl := g.Trace(ownTracer(c), lst)
-	h.EndGC()
+	nl := g.Trace(beginOwn(c), lst)
+	h.End()
 
 	got := readList(h, nl)
 	want := []int64{1, 2, 3, 4, 5}
@@ -166,9 +165,8 @@ func TestDataTraceLongListIterative(t *testing.T) {
 		Args: []*code.TypeDesc{{Kind: code.TDConst}}}
 	g := c.FromDesc(intList, nil)
 
-	h.BeginGC()
-	nl := g.Trace(ownTracer(c), lst)
-	h.EndGC()
+	nl := g.Trace(beginOwn(c), lst)
+	h.End()
 
 	got := readList(h, nl)
 	if len(got) != len(vals) || got[0] != 0 || got[len(got)-1] != int64(len(vals)-1) {
@@ -192,11 +190,10 @@ func TestSharedStructurePreserved(t *testing.T) {
 		Args: []*code.TypeDesc{{Kind: code.TDConst}}}
 	g := c.FromDesc(intList, nil)
 
-	h.BeginGC()
-	tr := ownTracer(c)
+	tr := beginOwn(c)
 	na := g.Trace(tr, a)
 	nb := g.Trace(tr, b)
-	h.EndGC()
+	h.End()
 
 	if h.Field(na, 1) != h.Field(nb, 1) {
 		t.Fatal("shared tail duplicated by collection")
@@ -221,9 +218,8 @@ func TestTreeTraceWithTagless(t *testing.T) {
 	treeDesc := &code.TypeDesc{Kind: code.TDData, Index: 1}
 	g := c.FromDesc(treeDesc, nil)
 
-	h.BeginGC()
-	nt := g.Trace(ownTracer(c), tree)
-	h.EndGC()
+	nt := g.Trace(beginOwn(c), tree)
+	h.End()
 
 	var sum int64
 	var walk func(w code.Word)
@@ -433,7 +429,7 @@ func closureProgram(repr code.Repr) *code.Program {
 // resolution (and fmt) out of the tracers: once a shape has been seen,
 // copying or marking a thousand objects of it makes no host allocation
 // under the strategies that read node-resident components (a mark/sweep
-// EndGC makes one, for the collection). Each case re-collects its
+// End makes one, for the collection). Each case re-collects its
 // structure several times over.
 func TestTraceAllocatesNothingPerObject(t *testing.T) {
 	intList := &code.TypeDesc{Kind: code.TDData, Index: 0, Args: []*code.TypeDesc{{Kind: code.TDConst}}}
@@ -496,12 +492,9 @@ func TestTraceAllocatesNothingPerObject(t *testing.T) {
 					}
 					root := tc.build(h, prog)
 					g := c.FromDesc(tc.desc, nil)
-					tr := &c.own
 					collect := func() {
-						h.BeginGC()
-						tr.begin()
-						root = g.Trace(tr, root)
-						h.EndGC()
+						root = g.Trace(beginOwn(c), root)
+						h.End()
 					}
 					collect() // first touch resolves the shapes
 					before := c.Stats.ObjectsCopied

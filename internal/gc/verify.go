@@ -61,7 +61,7 @@ func (c *Collector) verifyCollection(tasks []TaskRoots, globals []code.Word) {
 }
 
 // verifier re-walks reachable structure read-only. seen is indexed by the
-// word an object starts at: objects never move between EndGC and the walk,
+// word an object starts at: objects never move between Heap.End and the walk,
 // and each object is checked through every root type that reaches it first.
 // task and idx name the root being walked (task -1: global idx).
 type verifier struct {

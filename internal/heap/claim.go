@@ -1,37 +1,140 @@
 package heap
 
-import "tagfree/internal/code"
+import (
+	"fmt"
+
+	"tagfree/internal/code"
+)
+
+// Cycle is the kind of collection Begin opens: the zero value is a major,
+// which collects the whole heap; Minor collects the nursery only — every
+// shard's, or with Shard (1-based) the one shard's whose mutators stopped.
+// A shard minor's caller guarantees the shard unexposed (nursery.go), and
+// only that shard's young TLABs need be retired: the other shards' buffers
+// may stay live, since promotion bumps the old region past every carve and
+// a minor never sweeps.
+type Cycle struct {
+	Minor bool
+	Shard int
+}
 
 // Claim is a collection's heap as the tracer that claims objects in it holds
-// it: the word array, and on a plain copying collection the forwarding
-// table and its epoch, the from-space base and the to-space limit beside the
-// heap whose bump it advances. The tracer takes it once per collection
-// (TakeClaim), so claiming an object — read its forwarding entry, copy it word
-// by word at the bump, forward it — is one call of straight-line loads and
-// stores, not a chain of heap calls that re-decide the discipline and the
-// representation for every object.
-//
-// inline is false wherever the heap has more to decide — mark/sweep, a minor
-// collection, a SetDebugAccess heap, the tagged representation — and Visit is
-// then VisitObject. A nursery object (below young) reached by a copying major
-// goes through VisitObject too: its evacuation is the nursery's. Field and
-// SetField address the word array for the tag-free representation, the only
-// one whose collections run tracers.
+// it: the word array, what the cycle does with an old object (mode), and on
+// a copying collection the forwarding table and its epoch, the from-space
+// base and the to-space limit beside the heap whose bump it advances. Begin
+// fills it once per collection, so claiming an object is one call that
+// re-decides nothing the cycle decided. On a tag-free copying major that
+// call — read the forwarding entry, copy the words at the bump, forward —
+// is straight-line loads and stores; every other mode, and a nursery object
+// (below young) in any mode, is a branch of visit. Field and SetField
+// address the word array for the tag-free representation.
 type Claim struct {
 	h                     *Heap
 	mem                   []code.Word
 	fwd                   []uint64
 	epoch                 uint64
 	fromOff, young, limit int
+	mode                  claimMode
 	// cold says a copy owes more than its words (owe).
-	inline, cold bool
+	cold bool
 }
 
-// TakeClaim fills cl for the collection in progress.
-func (h *Heap) TakeClaim(cl *Claim) {
+// claimMode is what a cycle's claim does with an object of the old region.
+type claimMode uint8
+
+const (
+	// claimCopy copies a tag-free object to to-space and forwards it
+	// through the side table: Visit's inline path.
+	claimCopy claimMode = iota
+	// claimMark sets a mark/sweep object's mark bit; it stays in place.
+	claimMark
+	// claimMinor leaves it untouched: the remembered set stands in for the
+	// old region's interior edges.
+	claimMinor
+	// claimTagged copies a headered object and leaves a broken heart (the
+	// even new pointer) where its odd header was.
+	claimTagged
+)
+
+// Begin opens the collection k and fills cl for it. Every kind shares this
+// prologue — no collection in progress, no live allocation buffer in the
+// collected area, the counters, the verifier's spans, the nursery's pins —
+// and a copying major then flips allocation into to-space. The collector
+// claims every object it reaches through cl and closes with End.
+func (h *Heap) Begin(cl *Claim, k Cycle) {
+	if h.inGC {
+		panic("heap: Begin: collection already in progress")
+	}
+	if k.Minor && !h.young.enabled || k.Shard < 0 || k.Shard > 0 && (!k.Minor || k.Shard > len(h.young.shards)) {
+		panic(fmt.Sprintf("heap: Begin: no nursery area to collect for %+v", k))
+	}
+	live := h.tlabs.live
+	if k.Shard > 0 {
+		live = h.tlabs.liveYoungIn(k.Shard - 1)
+	}
+	if live > 0 {
+		panic("heap: Begin: live TLABs in the collected area must be retired first")
+	}
+	h.inGC = true
+	h.Stats.Collections++
+	h.spans = h.spans[:0]
+	h.spansValid = false
+	if h.young.enabled {
+		h.young.minorGC, h.young.minorShard = k.Minor, k.Shard-1
+		for i := range h.young.shards {
+			h.young.shards[i].pinTop = h.young.shards[i].base
+		}
+	}
+	mode := claimCopy
+	switch {
+	case k.Minor:
+		h.Stats.MinorCollections++
+		mode = claimMinor
+	case h.kind == MarkSweep:
+		mode = claimMark // marking happens in place; nothing to flip
+	default:
+		if h.young.enabled {
+			// Promotions and old-object copies share the to-space bump;
+			// hold back one word of headroom per used from-space word so
+			// the copies (whose total can never exceed it) cannot be
+			// starved by an unlucky promotion order.
+			h.oldReserve = h.alloc - h.fromOff
+		}
+		h.alloc, h.limit = h.toOff, h.toOff+h.semi
+		if h.Repr == code.ReprTagged {
+			mode = claimTagged
+		}
+	}
 	*cl = Claim{h: h, mem: h.mem, fwd: h.forward, epoch: h.fwdEpoch, fromOff: h.fromOff, young: h.young.prefixWords(),
-		limit: h.limit, cold: h.verify || h.young.enabled,
-		inline: h.inGC && h.kind == Copying && !h.young.minorGC && !h.debugAccess && h.Repr == code.ReprTagFree}
+		limit: h.limit, mode: mode, cold: h.verify || h.young.enabled}
+}
+
+// End closes the collection Begin opened: a major sweeps (mark/sweep) or
+// completes the flip (copying), and the collected nursery areas restart.
+func (h *Heap) End() {
+	if !h.inGC {
+		panic("heap: End: no collection in progress")
+	}
+	h.inGC = false
+	h.oldReserve = 0
+	if h.young.enabled {
+		defer h.endYoungGC()
+		if h.young.minorGC {
+			return // the old region stayed where it was
+		}
+	}
+	if h.kind == MarkSweep {
+		h.sweep()
+		return
+	}
+	h.fromOff, h.toOff = h.toOff, h.fromOff
+	live := int64(h.alloc - h.fromOff)
+	h.Stats.LiveAfterLastGC = live
+	if live > h.Stats.PeakLive {
+		h.Stats.PeakLive = live
+	}
+	h.fwdEpoch++ // every forwarding entry of this collection is stale at once
+	h.spansValid = h.verify
 }
 
 // Field reads field i of the object at w.
@@ -40,13 +143,14 @@ func (cl *Claim) Field(w code.Word, i int) code.Word { return cl.mem[int(w)-code
 // SetField writes field i of the object at w.
 func (cl *Claim) SetField(w code.Word, i int, v code.Word) { cl.mem[int(w)-code.HeapBase+i] = v }
 
-// Visit claims the n-word object at ptr exactly as VisitObject would: its
-// current pointer, and whether its fields still need tracing (first visit).
-// Inline, that is the copying collector's one copy.
+// Visit claims the n-word object at ptr — a tagged object's size comes from
+// its header — and returns its current pointer and whether its fields still
+// need tracing (first visit). On a tag-free copying major that is the copy,
+// inline.
 func (cl *Claim) Visit(ptr code.Word, n int) (code.Word, bool) {
 	base := int(ptr) - code.HeapBase
-	if !cl.inline || base < cl.young {
-		return cl.h.VisitObject(ptr, n)
+	if cl.mode != claimCopy || base < cl.young {
+		return cl.visit(ptr, n)
 	}
 	off := base - cl.fromOff
 	if e := cl.fwd[off]; e>>fwdShift == cl.epoch {
@@ -67,6 +171,49 @@ func (cl *Claim) Visit(ptr code.Word, n int) (code.Word, bool) {
 		h.owe(nb, n) // after the copy: nothing else reads the bump meanwhile
 	}
 	return code.Word(code.HeapBase + nb), true
+}
+
+// visit is Visit off the inline copy: a nursery object is promoted
+// (youngVisit) in every mode; an old one is left alone by a minor, marked by
+// mark/sweep, or copied behind a broken heart under the tagged
+// representation. It recomputes base rather than take it: as an argument it
+// is computed ahead of Visit's mode test, which shifts the inline copy's
+// code.
+func (cl *Claim) visit(ptr code.Word, n int) (code.Word, bool) {
+	h, base := cl.h, int(ptr)-code.HeapBase
+	if base < cl.young {
+		return h.youngVisit(ptr, base, n)
+	}
+	switch cl.mode {
+	case claimMinor:
+		return ptr, false
+	case claimMark:
+		if h.objSize[base] == 0 {
+			panic(fmt.Sprintf("heap: collector visited a freed block at offset %d (size %d)", base, n))
+		}
+		if int(h.objSize[base]) != n {
+			panic(fmt.Sprintf("heap: collector visited block at %d with size %d, allocated as %d",
+				base, n, h.objSize[base]))
+		}
+		if h.marks[base] {
+			return ptr, false
+		}
+		h.marks[base] = true
+		h.Stats.WordsCopied += int64(n) // marked words (same column as copied)
+		return ptr, true
+	}
+	base = h.addrIndex(ptr)
+	hdr := cl.mem[base]
+	if hdr&1 == 0 {
+		return hdr, false // already copied: the broken heart
+	}
+	total, nb := int(hdr>>1)+1, h.alloc
+	h.owe(nb, total)
+	h.alloc += total
+	copy(cl.mem[nb:nb+total], cl.mem[base:base+total])
+	h.Stats.WordsCopied += int64(total)
+	cl.mem[base] = code.EncodePtr(h.Repr, code.HeapBase+nb)
+	return cl.mem[base], true
 }
 
 // owe is what a copy of n words to nb owes besides its words: the exhaustion

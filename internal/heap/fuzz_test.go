@@ -26,13 +26,13 @@ func FuzzMarkSweepFreeList(f *testing.F) {
 		var live []obj
 
 		collect := func() {
-			h.BeginGC()
+			cl := begin(h)
 			for _, o := range live {
-				if _, fresh := h.VisitObject(o.ptr, o.size); !fresh {
+				if _, fresh := cl.Visit(o.ptr, o.size); !fresh {
 					t.Fatalf("live object at %v visited twice in one collection", o.ptr)
 				}
 			}
-			h.EndGC()
+			h.End()
 			checkMarkSweepInvariants(t, h, func() map[int]int {
 				m := make(map[int]int, len(live))
 				for _, o := range live {

@@ -93,7 +93,7 @@ type Heap struct {
 	// forward is the tag-free side forwarding table: from-space offsets to
 	// to-space absolute indexes, each stamped with the epoch it was written
 	// in (fwdEntry). An entry forwards only while its stamp is fwdEpoch,
-	// which EndGC advances — the whole table is reset by one increment, not
+	// which End advances — the whole table is reset by one increment, not
 	// by a store per word of the semispace per collection. Its storage is
 	// bookkeeping of the collector, not program memory, and is excluded
 	// from all space accounting.
@@ -120,7 +120,7 @@ type Heap struct {
 	// VerifyHeap can check forwarding completeness (see verify.go).
 	verify bool
 	// spans records every object copied by the most recent collection, in
-	// copy order (ascending base). spansValid is true only between EndGC
+	// copy order (ascending base). spansValid is true only between End
 	// and the next mutator allocation, the window in which the spans tile
 	// the active space exactly.
 	spans      []span
@@ -465,71 +465,6 @@ func (h *Heap) ObjLen(ptr code.Word) int {
 // Collection support.
 // ---------------------------------------------------------------------------
 
-// BeginGC flips allocation into to-space. Collectors then forward roots via
-// Forward*/Copy and finish with EndGC.
-func (h *Heap) BeginGC() {
-	if h.inGC {
-		panic("BeginGC: collection already in progress")
-	}
-	if h.tlabs.live > 0 {
-		panic("BeginGC: live TLABs must be retired before a collection")
-	}
-	h.inGC = true
-	h.Stats.Collections++
-	h.spans = h.spans[:0]
-	h.spansValid = false
-	if h.young.enabled {
-		h.beginYoungGC(false)
-	}
-	if h.kind == MarkSweep {
-		return // marking happens in place; nothing to flip
-	}
-	if h.young.enabled {
-		// Promotions and old-object copies share the to-space bump; hold
-		// back one word of headroom per used from-space word so the copies
-		// (whose total can never exceed it) cannot be starved by an
-		// unlucky promotion order.
-		h.oldReserve = h.alloc - h.fromOff
-	}
-	h.alloc = h.toOff
-	h.limit = h.toOff + h.semi
-}
-
-// EndGC completes the flip: to-space becomes the active space.
-func (h *Heap) EndGC() {
-	if !h.inGC {
-		panic("EndGC: no collection in progress")
-	}
-	h.inGC = false
-	h.oldReserve = 0
-	if h.young.enabled {
-		defer h.endYoungGC()
-	}
-	if h.kind == MarkSweep {
-		h.msEndGC()
-		return
-	}
-	h.fromOff, h.toOff = h.toOff, h.fromOff
-	live := int64(h.alloc - h.fromOff)
-	h.Stats.LiveAfterLastGC = live
-	if live > h.Stats.PeakLive {
-		h.Stats.PeakLive = live
-	}
-	h.fwdEpoch++ // every forwarding entry of this collection is stale at once
-	h.spansValid = h.verify
-}
-
-// Forwarded looks up a tagged object's broken heart; ok is false when the
-// object has not been copied yet. A tag-free object's forwarding entry is
-// read by its claim (Claim.Visit).
-func (h *Heap) Forwarded(ptr code.Word) (code.Word, bool) {
-	// The broken heart replaces the (odd) header with the (even) new pointer.
-	if hdr := h.mem[h.addrIndex(ptr)]; hdr&1 == 0 {
-		return hdr, true
-	}
-	return 0, false
-}
-
 // ScanToSpaceBatched performs a Cheney scan during a tagged-mode collection
 // with one callback per object: scan receives the object's field words as a
 // slice aliasing to-space and rewrites traced values in place (copies it
@@ -549,27 +484,6 @@ func (h *Heap) ScanToSpaceBatched(scan func(fields []code.Word)) {
 		scan(h.mem[p+1 : p+1+n])
 		p += 1 + n
 	}
-}
-
-// CopyObject copies an n-field object into to-space during a collection,
-// records its forwarding, and returns the new encoded pointer. Field
-// contents are copied verbatim; the collector re-traces them on the new
-// pointer (Cheney-style or recursive, its choice). This is the tagged
-// collector's copy, forwarding through a broken heart; a tag-free object is
-// copied by its claim (Claim.Visit, VisitObject).
-func (h *Heap) CopyObject(ptr code.Word, n int) code.Word {
-	if !h.inGC || h.Repr != code.ReprTagged {
-		panic("CopyObject: copies a tagged object during a collection")
-	}
-	total := h.objWords(n)
-	oldBase, newBase := h.addrIndex(ptr), h.alloc
-	h.owe(newBase, total)
-	h.alloc += total
-	copy(h.mem[newBase:newBase+total], h.mem[oldBase:oldBase+total])
-	h.Stats.WordsCopied += int64(total)
-	newPtr := code.EncodePtr(h.Repr, code.HeapBase+newBase)
-	h.mem[oldBase] = newPtr // broken heart (even)
-	return newPtr
 }
 
 // Grow extends the heap to newWords words per semispace (copying) or total

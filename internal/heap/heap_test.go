@@ -7,6 +7,13 @@ import (
 	"tagfree/internal/code"
 )
 
+// begin opens a major by hand and returns the claim Begin filled for it.
+func begin(h *Heap) *Claim {
+	cl := new(Claim)
+	h.Begin(cl, Cycle{})
+	return cl
+}
+
 func TestAllocTagFree(t *testing.T) {
 	h := New(code.ReprTagFree, 100)
 	p1 := h.MustAlloc(2)
@@ -64,21 +71,21 @@ func TestCopyCollectTagFree(t *testing.T) {
 	p2 := h.MustAlloc(1)
 	h.SetField(p2, 0, p1) // p2 points at p1
 
-	h.BeginGC()
-	n1, fresh := h.VisitObject(p1, 2)
+	cl := begin(h)
+	n1, fresh := cl.Visit(p1, 2)
 	if !fresh {
 		t.Fatal("first visit found a forwarding entry")
 	}
-	if fwd, fresh := h.VisitObject(p1, 2); fresh || fwd != n1 {
+	if fwd, fresh := cl.Visit(p1, 2); fresh || fwd != n1 {
 		t.Fatal("forwarding not recorded")
 	}
 	// The copy preserved the fields.
 	if h.Field(n1, 0) != 1 || h.Field(n1, 1) != 2 {
 		t.Fatal("copy corrupted fields")
 	}
-	n2, _ := h.VisitObject(p2, 1)
+	n2, _ := cl.Visit(p2, 1)
 	h.SetField(n2, 0, n1)
-	h.EndGC()
+	h.End()
 
 	if h.Used() != 3 {
 		t.Fatalf("after GC used = %d, want 3 (garbage dropped)", h.Used())
@@ -98,12 +105,18 @@ func TestCopyCollectTaggedBrokenHeart(t *testing.T) {
 	h := New(code.ReprTagged, 100)
 	p := h.MustAlloc(3)
 	h.SetField(p, 0, code.EncodeInt(code.ReprTagged, 5))
-	h.BeginGC()
-	n := h.CopyObject(p, 3)
-	if fwd, ok := h.Forwarded(p); !ok || fwd != n {
+	cl := begin(h)
+	n, fresh := cl.Visit(p, 0) // the size comes from the header
+	if !fresh {
+		t.Fatal("first visit found a broken heart")
+	}
+	if fwd, fresh := cl.Visit(p, 0); fresh || fwd != n {
 		t.Fatal("broken heart not readable")
 	}
-	h.EndGC()
+	h.End()
+	if h.Stats.WordsCopied != 4 {
+		t.Fatalf("copied %d words, want 4 (header + 3 fields)", h.Stats.WordsCopied)
+	}
 	if h.ObjLen(n) != 3 {
 		t.Fatal("copied header corrupted")
 	}
@@ -112,15 +125,13 @@ func TestCopyCollectTaggedBrokenHeart(t *testing.T) {
 func TestForwardingTableCleared(t *testing.T) {
 	h := New(code.ReprTagFree, 50)
 	p := h.MustAlloc(1)
-	h.BeginGC()
-	h.VisitObject(p, 1)
-	h.EndGC()
+	begin(h).Visit(p, 1)
+	h.End()
 	p2 := h.MustAlloc(1)
-	h.BeginGC()
-	if _, fresh := h.VisitObject(p2, 1); !fresh {
+	if _, fresh := begin(h).Visit(p2, 1); !fresh {
 		t.Fatal("stale forwarding entry survived the flip")
 	}
-	h.EndGC()
+	h.End()
 }
 
 func TestOutOfMemoryError(t *testing.T) {
@@ -170,23 +181,22 @@ func TestScanToSpaceCheney(t *testing.T) {
 	a := h.MustAlloc(1)
 	h.SetField(a, 0, b)
 
-	h.BeginGC()
-	na := h.CopyObject(a, 1)
+	cl := begin(h)
+	na, _ := cl.Visit(a, 0)
 	copied := 1
 	h.ScanToSpaceBatched(func(fields []code.Word) {
 		for i, w := range fields {
 			if !code.IsBoxedValue(code.ReprTagged, w) {
 				continue
 			}
-			if fwd, ok := h.Forwarded(w); ok {
-				fields[i] = fwd
-				continue
+			nw, fresh := cl.Visit(w, 0)
+			if fresh {
+				copied++
 			}
-			copied++
-			fields[i] = h.CopyObject(w, h.ObjLen(w))
+			fields[i] = nw
 		}
 	})
-	h.EndGC()
+	h.End()
 	if copied != 3 {
 		t.Fatalf("copied %d objects, want 3", copied)
 	}
@@ -224,22 +234,21 @@ func TestGraphPreservationProperty(t *testing.T) {
 		root := nodes[len(nodes)-1]
 		before := snapshot(h, root)
 
-		h.BeginGC()
+		cl := begin(h)
 		var trace func(w code.Word) code.Word
 		trace = func(w code.Word) code.Word {
 			if !code.IsBoxedValue(code.ReprTagged, w) {
 				return w
 			}
-			if fwd, ok := h.Forwarded(w); ok {
-				return fwd
+			n, fresh := cl.Visit(w, 0)
+			if fresh {
+				h.SetField(n, 0, trace(h.Field(n, 0)))
+				h.SetField(n, 1, trace(h.Field(n, 1)))
 			}
-			n := h.CopyObject(w, 2)
-			h.SetField(n, 0, trace(h.Field(n, 0)))
-			h.SetField(n, 1, trace(h.Field(n, 1)))
 			return n
 		}
 		newRoot := trace(root)
-		h.EndGC()
+		h.End()
 
 		after := snapshot(h, newRoot)
 		if len(before) != len(after) {

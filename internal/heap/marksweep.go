@@ -85,50 +85,6 @@ func (h *Heap) freePop(n int) (int, bool) {
 	return l[len(l)-1], true
 }
 
-// VisitObject is the collector's single object-retention primitive: under
-// copying it forwards (copying on first visit); under mark/sweep it marks.
-// It returns the object's current pointer and whether its fields still
-// need tracing (first visit).
-func (h *Heap) VisitObject(ptr code.Word, n int) (code.Word, bool) {
-	if h.young.enabled {
-		if base := h.addrIndex(ptr); base < h.young.prefixWords() {
-			return h.youngVisit(ptr, base, n)
-		}
-		if h.young.minorGC {
-			// Minor collections leave the old region untouched: old→young
-			// edges come from the remembered set, so an old object needs
-			// no tracing here.
-			return ptr, false
-		}
-	}
-	if h.kind == MarkSweep {
-		base := h.addrIndex(ptr)
-		if h.objSize[base] == 0 {
-			panic(fmt.Sprintf("heap: collector visited a freed block at offset %d (size %d)", base, n))
-		}
-		if int(h.objSize[base]) != n {
-			panic(fmt.Sprintf("heap: collector visited block at %d with size %d, allocated as %d",
-				base, n, h.objSize[base]))
-		}
-		if h.marks[base] {
-			return ptr, false
-		}
-		h.marks[base] = true
-		h.Stats.WordsCopied += int64(n) // marked words (same column as copied)
-		return ptr, true
-	}
-	if h.Repr == code.ReprTagged {
-		if fwd, ok := h.Forwarded(ptr); ok {
-			return fwd, false
-		}
-		return h.CopyObject(ptr, n), true
-	}
-	var cl Claim
-	h.TakeClaim(&cl)
-	cl.inline = true // the copy is the claim's, whatever else the heap is
-	return cl.Visit(ptr, n)
-}
-
 // FreeListWords returns the total storage parked on the mark/sweep free
 // lists across all size classes. On a copying heap it is zero.
 func (h *Heap) FreeListWords() int {
@@ -139,9 +95,9 @@ func (h *Heap) FreeListWords() int {
 	return total
 }
 
-// msEndGC sweeps: every allocated object that is unmarked joins its size
-// class's free list; marks are cleared.
-func (h *Heap) msEndGC() {
+// sweep ends a mark/sweep major: every allocated object that is unmarked
+// joins its size class's free list; marks are cleared.
+func (h *Heap) sweep() {
 	live := int64(0)
 	// Reset free lists; rebuild from the sweep (freed blocks may have been
 	// reallocated and re-freed across cycles).

@@ -32,7 +32,7 @@ func TestMarkSweepCycles(t *testing.T) {
 	_ = alloc(777, 778, 779) // dies
 	live1 := alloc(31)
 
-	h.BeginGC()
+	cl := begin(h)
 	for _, p := range []code.Word{live2, live3, live1} {
 		n := 2
 		if p == live3 {
@@ -41,14 +41,14 @@ func TestMarkSweepCycles(t *testing.T) {
 		if p == live1 {
 			n = 1
 		}
-		if np, fresh := h.VisitObject(p, n); !fresh || np != p {
+		if np, fresh := cl.Visit(p, n); !fresh || np != p {
 			t.Fatalf("first visit should be fresh and identity")
 		}
-		if _, fresh := h.VisitObject(p, n); fresh {
+		if _, fresh := cl.Visit(p, n); fresh {
 			t.Fatalf("second visit must not be fresh")
 		}
 	}
-	h.EndGC()
+	h.End()
 
 	check(live2, 11, 12)
 	check(live3, 21, 22, 23)
@@ -63,10 +63,10 @@ func TestMarkSweepCycles(t *testing.T) {
 	check(n3, 51, 52, 53)
 
 	// Second collection: keep only n2 and live1.
-	h.BeginGC()
-	h.VisitObject(n2, 2)
-	h.VisitObject(live1, 1)
-	h.EndGC()
+	cl = begin(h)
+	cl.Visit(n2, 2)
+	cl.Visit(live1, 1)
+	h.End()
 	check(n2, 41, 42)
 	check(live1, 31)
 
@@ -95,9 +95,8 @@ func TestMarkSweepGapPersistence(t *testing.T) {
 	h.SetField(b, 0, 99)
 	// a dies, b lives, across three collections.
 	for i := 0; i < 3; i++ {
-		h.BeginGC()
-		h.VisitObject(b, 4)
-		h.EndGC()
+		begin(h).Visit(b, 4)
+		h.End()
 	}
 	_ = a
 	if h.Field(b, 0) != 99 {
@@ -122,9 +121,8 @@ func TestPoisonedSweep(t *testing.T) {
 	h.SetField(dead, 0, 111)
 	live := h.MustAlloc(2)
 	h.SetField(live, 0, 222)
-	h.BeginGC()
-	h.VisitObject(live, 2)
-	h.EndGC()
+	begin(h).Visit(live, 2)
+	h.End()
 	if h.Field(live, 0) != 222 {
 		t.Fatal("live object poisoned")
 	}
@@ -151,8 +149,8 @@ func TestMarkSweepOOMReportsFreeListWords(t *testing.T) {
 		h.MustAlloc(4)
 	}
 	// Collect with nothing live: all 32 words land on the 4-word free list.
-	h.BeginGC()
-	h.EndGC()
+	begin(h)
+	h.End()
 	if h.FreeListWords() != 32 {
 		t.Fatalf("free lists hold %d words, want 32", h.FreeListWords())
 	}
@@ -200,11 +198,11 @@ func TestCoalesceReusesMismatchedBlocks(t *testing.T) {
 		}
 	}
 	collect := func(keep ...int) {
-		h.BeginGC()
+		cl := begin(h)
 		for _, i := range keep {
-			h.VisitObject(objs[i], sizes[i])
+			cl.Visit(objs[i], sizes[i])
 		}
-		h.EndGC()
+		h.End()
 		verify()
 	}
 	collect(0, 3, 5) // objects 1 and 2 die side by side, 4 alone
@@ -223,4 +221,39 @@ func TestCoalesceReusesMismatchedBlocks(t *testing.T) {
 		t.Fatalf("the run at the bump pointer did not go back to the bump region: %d words used", h.Used())
 	}
 	verify()
+}
+
+// TestMarkClaimRefusesBadBlocks: the mark/sweep claim panics when the
+// collector visits a block the last sweep freed, or a live block at a size
+// other than the one it was allocated with — a collector precision bug
+// caught at the visit instead of at the next sweep.
+func TestMarkClaimRefusesBadBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dead bool
+		size int
+		want string
+	}{
+		{"freed block", true, 2, "collector visited a freed block at offset 0 (size 2)"},
+		{"wrong size", false, 3, "collector visited block at 2 with size 3, allocated as 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := NewMarkSweep(code.ReprTagFree, 16)
+			dead, live := h.MustAlloc(2), h.MustAlloc(2)
+			begin(h).Visit(live, 2)
+			h.End() // dead is swept onto the free list
+			ptr := live
+			if tc.dead {
+				ptr = dead
+			}
+			cl := begin(h)
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want one naming %q", msg, tc.want)
+				}
+			}()
+			cl.Visit(ptr, tc.size)
+			t.Fatal("the visit did not panic")
+		})
+	}
 }

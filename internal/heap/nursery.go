@@ -50,15 +50,15 @@ import (
 // checked up front: a collection never overflows, it pins.
 //
 // A *global* collection (minor or major) collects every shard. A *shard*
-// minor (BeginMinorGCShard) collects exactly one shard's area and leaves
+// minor (Begin with Cycle.Shard) collects exactly one shard's area and leaves
 // every other shard's mutators and objects untouched — the scheduler
 // guarantees, via its exposure tracking, that no pointer into the collected
 // shard lives outside that shard's task stacks, its own young objects, and
 // the remembered set, so the trace is complete without stopping anyone
 // else.
 //
-// During a *minor* collection old objects are not traced at all:
-// VisitObject returns them untouched, so the existing typed trace
+// During a *minor* collection old objects are not traced at all: the
+// cycle's claim returns them untouched, so the existing typed trace
 // (frame plans, kernels, recursive TypeGC walks) stops at the young/old
 // boundary automatically and only the remembered set (owned by the
 // collector, see internal/gc) re-traces interior old→young edges. During
@@ -260,16 +260,6 @@ func (h *Heap) InYoungShard(w code.Word, shard int) bool {
 	return h.InYoung(w) && h.YoungShardOf(w) == shard
 }
 
-// beginYoungGC starts a global collection of every shard.
-func (h *Heap) beginYoungGC(minor bool) {
-	n := &h.young
-	n.minorGC = minor
-	n.minorShard = -1
-	for i := range n.shards {
-		n.shards[i].pinTop = n.shards[i].base
-	}
-}
-
 // endYoungGC restarts the collected shards' bumps: at the base, or above
 // what the collection pinned. A shard minor restarts only its own shard.
 func (h *Heap) endYoungGC() {
@@ -283,76 +273,12 @@ func (h *Heap) endYoungGC() {
 	n.minorGC = false
 }
 
-// BeginMinorGC starts a global minor collection: every shard's nursery is
-// collected; old objects are left untouched by VisitObject and the
-// remembered set supplies the interior old→young edges.
-func (h *Heap) BeginMinorGC() {
-	if !h.young.enabled {
-		panic("BeginMinorGC: no nursery configured")
-	}
-	if h.inGC {
-		panic("BeginMinorGC: collection already in progress")
-	}
-	if h.tlabs.live > 0 {
-		panic("BeginMinorGC: live TLABs must be retired before a collection")
-	}
-	h.inGC = true
-	h.Stats.Collections++
-	h.Stats.MinorCollections++
-	h.spans = h.spans[:0]
-	h.spansValid = false
-	h.beginYoungGC(true)
-}
-
-// BeginMinorGCShard starts a minor collection of one shard: only that
-// shard's area is collected; every other shard — objects, bump
-// pointers, live old-region TLABs — is untouched, so its mutators need not
-// stop. The caller (the tasking scheduler) must guarantee the shard is
-// unexposed: no pointer into it lives outside its own tasks' stacks, its
-// own young objects, and the remembered set. Young TLABs of the collected
-// shard must be retired; other shards' TLABs may stay live (old-region
-// promotion bumps past every outstanding carve, and a shard minor never
-// sweeps).
-func (h *Heap) BeginMinorGCShard(shard int) {
-	if !h.young.enabled {
-		panic("BeginMinorGCShard: no nursery configured")
-	}
-	if shard < 0 || shard >= len(h.young.shards) {
-		panic(fmt.Sprintf("BeginMinorGCShard: shard %d out of range (%d shards)", shard, len(h.young.shards)))
-	}
-	if h.inGC {
-		panic("BeginMinorGCShard: collection already in progress")
-	}
-	if h.tlabs.liveYoungIn(shard) > 0 {
-		panic("BeginMinorGCShard: the collected shard's young TLABs must be retired first")
-	}
-	h.inGC = true
-	h.Stats.Collections++
-	h.Stats.MinorCollections++
-	h.spans = h.spans[:0]
-	h.spansValid = false
-	n := &h.young
-	n.minorGC = true
-	n.minorShard = shard
-	n.shards[shard].pinTop = n.shards[shard].base
-}
-
-// EndMinorGC completes a minor collection (global or single-shard). Old
-// objects stayed where they were; the collected shards' bumps restart.
-func (h *Heap) EndMinorGC() {
-	if !h.inGC || !h.young.minorGC {
-		panic("EndMinorGC: no minor collection in progress")
-	}
-	h.inGC = false
-	h.endYoungGC()
-}
-
-// youngVisit is VisitObject for nursery pointers, during both minor and
-// major collections: forward if already visited, else promote — or pin in
-// place when the old region has no room. During a shard minor, other
-// shards' objects are returned untouched, exactly like old objects — the
-// exposure invariant guarantees nothing reachable only through them belongs
-// to the collected shard.
+// youngVisit is Claim.Visit for nursery pointers in every cycle's mode:
+// forward if already visited, else promote — or pin in place when the old
+// region has no room. During a shard minor, other shards' objects are
+// returned untouched, exactly like old objects — the exposure invariant
+// guarantees nothing reachable only through them belongs to the collected
+// shard.
 func (h *Heap) youngVisit(ptr code.Word, base, n int) (code.Word, bool) {
 	y := &h.young
 	if !h.inGC {

@@ -32,9 +32,9 @@ import (
 // object/gap tiling. Copying and nursery waste needs no bookkeeping — the
 // words are simply never traced and die at the next flip.
 //
-// Every collection requires all TLABs retired first (BeginGC/BeginMinorGC
-// panic otherwise): a copying flip or a nursery evacuation would otherwise
-// leave buffers bumping into dead space.
+// Every collection requires the TLABs of the area it collects retired
+// first (Begin panics otherwise): a copying flip or a nursery evacuation
+// would otherwise leave buffers bumping into dead space.
 
 // TLAB is one task's private bump region. The zero value is an empty,
 // never-carved buffer: AllocTLAB fails on it and RetireTLAB ignores it.

@@ -90,8 +90,8 @@ func TestTLABMarkSweepWasteIsSweptGap(t *testing.T) {
 	}
 	_ = p
 	// A full mark/sweep cycle over the tiling must verify clean.
-	h.BeginGC()
-	h.EndGC()
+	begin(h)
+	h.End()
 	if errs := h.VerifyHeap(); len(errs) > 0 {
 		t.Fatalf("verify after sweep: %v", errs)
 	}
@@ -149,17 +149,17 @@ func TestTLABCollectionGuards(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("BeginGC with a live TLAB did not panic")
+				t.Fatal("Begin with a live TLAB did not panic")
 			}
 		}()
-		h.BeginGC()
+		begin(h)
 	}()
 	if err := h.Grow(200); err == nil {
 		t.Fatal("Grow with a live TLAB did not fail")
 	}
 	h.RetireTLAB(&tl)
-	h.BeginGC()
-	h.EndGC()
+	begin(h)
+	h.End()
 	if errs := h.VerifyHeap(); len(errs) > 0 {
 		t.Fatalf("verify with TLABs enabled: %v", errs)
 	}
@@ -173,9 +173,8 @@ func TestTLABNeedTLABMatchesRetryPath(t *testing.T) {
 	p := h.MustAlloc(4)
 	h.MustAlloc(6)
 	// Free the first block via a collection that keeps only the second.
-	h.BeginGC()
-	h.VisitObject(code.EncodePtr(code.ReprTagFree, code.HeapBase+4), 6)
-	h.EndGC()
+	begin(h).Visit(code.EncodePtr(code.ReprTagFree, code.HeapBase+4), 6)
+	h.End()
 	_ = p
 	if h.NeedTLAB(4) {
 		t.Fatal("NeedTLAB must see the 4-word free-list block the retry's fallback would use")

@@ -56,7 +56,7 @@ func (h *Heap) verifyCopying() []error {
 			h.alloc, h.fromOff, h.limit))
 		return errs
 	}
-	// EndGC advanced the epoch past the cycle's stamp, so no entry forwards
+	// End advanced the epoch past the cycle's stamp, so no entry forwards
 	// any more; what the cycle did write must point into what it copied.
 	// (Epoch 0 is the stamp of entries never written.)
 	if last := h.fwdEpoch - 1; h.Repr == code.ReprTagFree && last > 0 {

@@ -10,13 +10,13 @@ import (
 // collectAll runs a trivial copying collection retaining the given roots
 // (flat objects, no interior pointers) and returns their new pointers.
 func collectAll(h *Heap, roots []code.Word, sizes []int) []code.Word {
-	h.BeginGC()
+	cl := begin(h)
 	out := make([]code.Word, len(roots))
 	for i, r := range roots {
-		p, _ := h.VisitObject(r, sizes[i])
+		p, _ := cl.Visit(r, sizes[i])
 		out[i] = p
 	}
-	h.EndGC()
+	h.End()
 	return out
 }
 
@@ -56,21 +56,16 @@ func TestVerifyTaggedHeap(t *testing.T) {
 	b := h.MustAlloc(2)
 	h.SetField(b, 0, a)
 	h.SetField(b, 1, code.EncodeInt(h.Repr, 9))
-	h.BeginGC()
-	nb := h.CopyObject(b, 2)
+	cl := begin(h)
+	nb, _ := cl.Visit(b, 0)
 	h.ScanToSpaceBatched(func(fields []code.Word) {
 		for i, w := range fields {
-			if !code.IsBoxedValue(code.ReprTagged, w) {
-				continue
-			}
-			if fwd, ok := h.Forwarded(w); ok {
-				fields[i] = fwd
-			} else {
-				fields[i] = h.CopyObject(w, h.ObjLen(w))
+			if code.IsBoxedValue(code.ReprTagged, w) {
+				fields[i], _ = cl.Visit(w, 0)
 			}
 		}
 	})
-	h.EndGC()
+	h.End()
 	if errs := h.VerifyHeap(); len(errs) != 0 {
 		t.Fatalf("clean tagged heap reported violations: %v", errs)
 	}
@@ -91,10 +86,10 @@ func TestVerifyMarkSweepCleanAndCorrupted(t *testing.T) {
 	a := h.MustAlloc(3)
 	_ = h.MustAlloc(4) // dies
 	b := h.MustAlloc(2)
-	h.BeginGC()
-	h.VisitObject(a, 3)
-	h.VisitObject(b, 2)
-	h.EndGC()
+	cl := begin(h)
+	cl.Visit(a, 3)
+	cl.Visit(b, 2)
+	h.End()
 	if errs := h.VerifyHeap(); len(errs) != 0 {
 		t.Fatalf("clean mark/sweep heap reported violations: %v", errs)
 	}
@@ -212,9 +207,8 @@ func TestGrowMarkSweepPreservesBlocks(t *testing.T) {
 	if got := code.DecodeInt(h.Repr, h.Field(a, 2)); got != 5 {
 		t.Fatalf("field after Grow = %d, want 5", got)
 	}
-	h.BeginGC()
-	h.VisitObject(a, 3)
-	h.EndGC()
+	begin(h).Visit(a, 3)
+	h.End()
 	if errs := h.VerifyHeap(); len(errs) != 0 {
 		t.Fatalf("grown mark/sweep heap fails verification: %v", errs)
 	}
@@ -225,9 +219,9 @@ func TestGrowMarkSweepPreservesBlocks(t *testing.T) {
 
 func TestGrowDuringGCRefused(t *testing.T) {
 	h := New(code.ReprTagFree, 16)
-	h.BeginGC()
+	begin(h)
 	if err := h.Grow(64); err == nil {
 		t.Fatal("Grow during a collection succeeded")
 	}
-	h.EndGC()
+	h.End()
 }

@@ -15,9 +15,6 @@ import (
 // EXPERIMENTS.md) with a run kind of "scenario-cell" or "serve", so tooling
 // that reads those files can read a scenario shootout.
 
-// SnapshotSchema identifies the snapshot layout.
-const SnapshotSchema = "tagfree-bench/v1"
-
 // CellResult is one executed (or skipped) matrix cell.
 type CellResult struct {
 	Name     string `json:"name"`
@@ -73,7 +70,7 @@ type Snapshot struct {
 // the report. A cell whose run fails is recorded with its error rather
 // than aborting the matrix: the report's job is to show every cell.
 func RunMatrix(cells []Cell) *Snapshot {
-	snap := &Snapshot{Schema: SnapshotSchema}
+	snap := &Snapshot{Schema: serve.SnapshotSchema}
 	for _, c := range cells {
 		snap.Runs = append(snap.Runs, runCell(c))
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tagfree/internal/gc"
+	"tagfree/internal/serve"
 )
 
 // TestScenarioMatrixSmoke compiles and runs a small scenario crossing two
@@ -31,8 +32,8 @@ scenario smoke {
 		t.Fatalf("got %d cells, want 4", len(cells))
 	}
 	snap := RunMatrix(cells)
-	if snap.Schema != SnapshotSchema {
-		t.Errorf("schema = %q, want %q", snap.Schema, SnapshotSchema)
+	if snap.Schema != serve.SnapshotSchema {
+		t.Errorf("schema = %q, want %q", snap.Schema, serve.SnapshotSchema)
 	}
 	skipped := 0
 	for _, r := range snap.Runs {
@@ -67,7 +68,7 @@ scenario smoke {
 	if err := json.Unmarshal(js, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if back.Schema != SnapshotSchema || len(back.Runs) != len(snap.Runs) {
+	if back.Schema != serve.SnapshotSchema || len(back.Runs) != len(snap.Runs) {
 		t.Errorf("round trip lost data: schema=%q runs=%d", back.Schema, len(back.Runs))
 	}
 

@@ -8,10 +8,8 @@ import (
 	"tagfree/internal/stats"
 )
 
-// SnapshotSchema identifies the emitted JSON layout. It is the same
-// schema string the scenario matrix uses (tagfree-bench/v1), duplicated
-// here because scenario imports serve: serve cannot import the constant
-// from scenario.
+// SnapshotSchema identifies the emitted JSON layout: a serve run's and the
+// scenario matrix's snapshots, one schema for both.
 const SnapshotSchema = "tagfree-bench/v1"
 
 // Report condenses a Result into the numbers the tables and snapshots
