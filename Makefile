@@ -78,11 +78,19 @@
 #
 # benchmark runs the repository benchmark (BENCHMARK.json, benchmark/):
 # eight seeded workloads, end-to-end metrics with tracing off.
+# counts writes the benchmark's exact rows to one file (COUNTS, by default
+# .bench_build/counts.txt): for each workload, every row of a traced 0.3 s
+# run at seed 1 whose unit is not a time (s, ns, us), a rate (1/s, MB/s) or
+# host memory (MB), as "workload metric value unit". Two runs on one tree
+# write identical files, so diffing a parent's file against a change's is
+# the proof that the change moved no count. Dropped besides the units:
+# bench.reps, gc.pause_samples (timed repeats × collections: the repeats
+# that fit in 0.3 s) and bench.trace_overhead_ratio (a time ratio).
 # benchmark-check BASE=<runs.json> is the regression gate: ten runs of each
 # workload compared against a run file an earlier commit wrote with
 # `go run ./benchmark -runs 10 -out <runs.json>`.
 
-.PHONY: benchmark benchmark-check profile-interp opcode-pairs profile-compile profile-gc tier1 tier2 tier2-lattice tier2-scenario tier2-serve tier2-bench loc bench fuzz fuzz-scenario
+.PHONY: benchmark benchmark-check counts profile-interp opcode-pairs profile-compile profile-gc tier1 tier2 tier2-lattice tier2-scenario tier2-serve tier2-bench loc bench fuzz fuzz-scenario
 
 tier1:
 	go build ./...
@@ -173,6 +181,18 @@ profile-compile:
 
 benchmark:
 	go run ./benchmark
+
+WORKLOADS = calls churn resident polystack taskmix taskmix-gen compile serve
+COUNTS ?= .bench_build/counts.txt
+counts:
+	mkdir -p .bench_build
+	go build -o .bench_build/benchmark ./benchmark
+	for w in $(WORKLOADS); do \
+		.bench_build/benchmark -workload $$w -seed 1 -trace 1 -seconds 0.3 >.bench_build/counts-$$w.log || exit 1; \
+		awk -v w=$$w 'NF == 3 && $$1 !~ /^(#|bench\.reps$$|gc\.pause_samples$$|bench\.trace_overhead_ratio$$)/ && \
+			$$3 !~ /^(s|ns|us|MB|MB\/s|1\/s)$$/ { print w, $$1, $$2, $$3 }' .bench_build/counts-$$w.log; \
+	done >$(COUNTS)
+	@echo "$$(wc -l <$(COUNTS)) exact rows in $(COUNTS)"
 
 BENCH_RUNS ?= benchmark-runs.json
 benchmark-check:

@@ -5,7 +5,7 @@
 // major collections → deadline cancellation) standing between
 // overload and global failure.
 //
-//	tfserve                                  # closed-loop taskserve run (tfbench twin)
+//	tfserve                                  # closed-loop taskserve run (tfgc tasks twin)
 //	tfserve -period 3000 -requests 120       # open-loop arrivals at one request per 3000 steps
 //	tfserve -period 3000 -requests 120 -mix req_tiny:6,req_small:3,req_medium:2,req_heavy:1
 //	tfserve -period 1500 -burst 2 -requests 60 -queue 8 -inflight 4 -shed-heap 85 \

@@ -19,22 +19,25 @@ type Cycle struct {
 }
 
 // Claim is a collection's heap as the tracer that claims objects in it holds
-// it: the word array, what the cycle does with an old object (mode), and on
-// a copying collection the forwarding table and its epoch, the from-space
-// base and the to-space limit beside the heap whose bump it advances. Begin
-// fills it once per collection, so claiming an object is one call that
-// re-decides nothing the cycle decided. On a tag-free copying major that
-// call — read the forwarding entry, copy the words at the bump, forward —
-// is straight-line loads and stores; every other mode, and a nursery object
-// (below young) in any mode, is a branch of visit. Field and SetField
-// address the word array for the tag-free representation.
+// it: the word array, what the cycle does with an old object (mode), the
+// visit record and the cycle's epoch, and on a copying collection the
+// record's from-space offset and the to-space limit beside the heap whose
+// bump it advances. Begin fills it once per collection, so claiming an
+// object is one call that re-decides nothing the cycle decided. On a
+// tag-free copying major that call — read the visit entry, copy the words at
+// the bump, forward — is straight-line loads and stores; every other mode,
+// and a nursery object (below young) in any mode, is a branch of visit.
+// Field and SetField address the word array for the tag-free
+// representation.
 type Claim struct {
-	h                     *Heap
-	mem                   []code.Word
-	fwd                   []uint64
-	epoch                 uint64
-	fromOff, young, limit int
-	mode                  claimMode
+	h     *Heap
+	mem   []code.Word
+	fwd   []uint64
+	epoch uint64
+	// fwdOff is subtracted from an old object's mem offset to index fwd:
+	// fromOff less the young prefix (zero on a mark/sweep heap).
+	fwdOff, young, limit int
+	mode                 claimMode
 	// cold says a copy owes more than its words (owe).
 	cold bool
 }
@@ -46,7 +49,7 @@ const (
 	// claimCopy copies a tag-free object to to-space and forwards it
 	// through the side table: Visit's inline path.
 	claimCopy claimMode = iota
-	// claimMark sets a mark/sweep object's mark bit; it stays in place.
+	// claimMark stamps a mark/sweep object to itself; it stays in place.
 	claimMark
 	// claimMinor leaves it untouched: the remembered set stands in for the
 	// old region's interior edges.
@@ -105,36 +108,43 @@ func (h *Heap) Begin(cl *Claim, k Cycle) {
 			mode = claimTagged
 		}
 	}
-	*cl = Claim{h: h, mem: h.mem, fwd: h.forward, epoch: h.fwdEpoch, fromOff: h.fromOff, young: h.young.prefixWords(),
+	young := h.young.prefixWords()
+	if n := young + h.semi; h.Repr == code.ReprTagFree && len(h.forward) < n {
+		// Between collections every entry is stale, so a table sized for
+		// the current layout loses nothing.
+		h.forward = make([]uint64, n)
+	}
+	*cl = Claim{h: h, mem: h.mem, fwd: h.forward, epoch: h.fwdEpoch, fwdOff: h.fromOff - young, young: young,
 		limit: h.limit, mode: mode, cold: h.verify || h.young.enabled}
 }
 
 // End closes the collection Begin opened: a major sweeps (mark/sweep) or
-// completes the flip (copying), and the collected nursery areas restart.
+// completes the flip (copying), the collected nursery areas restart, and the
+// epoch advances, which makes every visit entry of the collection stale at
+// once.
 func (h *Heap) End() {
 	if !h.inGC {
 		panic("heap: End: no collection in progress")
 	}
 	h.inGC = false
 	h.oldReserve = 0
-	if h.young.enabled {
-		defer h.endYoungGC()
-		if h.young.minorGC {
-			return // the old region stayed where it was
-		}
-	}
-	if h.kind == MarkSweep {
+	switch {
+	case h.young.minorGC: // the old region stayed where it was
+	case h.kind == MarkSweep:
 		h.sweep()
-		return
+	default:
+		h.fromOff, h.toOff = h.toOff, h.fromOff
+		live := int64(h.alloc - h.fromOff)
+		h.Stats.LiveAfterLastGC = live
+		if live > h.Stats.PeakLive {
+			h.Stats.PeakLive = live
+		}
+		h.spansValid = h.verify
 	}
-	h.fromOff, h.toOff = h.toOff, h.fromOff
-	live := int64(h.alloc - h.fromOff)
-	h.Stats.LiveAfterLastGC = live
-	if live > h.Stats.PeakLive {
-		h.Stats.PeakLive = live
+	if h.young.enabled {
+		h.endYoungGC()
 	}
-	h.fwdEpoch++ // every forwarding entry of this collection is stale at once
-	h.spansValid = h.verify
+	h.fwdEpoch++
 }
 
 // Field reads field i of the object at w.
@@ -152,7 +162,7 @@ func (cl *Claim) Visit(ptr code.Word, n int) (code.Word, bool) {
 	if cl.mode != claimCopy || base < cl.young {
 		return cl.visit(ptr, n)
 	}
-	off := base - cl.fromOff
+	off := base - cl.fwdOff
 	if e := cl.fwd[off]; e>>fwdShift == cl.epoch {
 		return code.Word(code.HeapBase + fwdIndex(e)), false
 	}
@@ -174,8 +184,8 @@ func (cl *Claim) Visit(ptr code.Word, n int) (code.Word, bool) {
 }
 
 // visit is Visit off the inline copy: a nursery object is promoted
-// (youngVisit) in every mode; an old one is left alone by a minor, marked by
-// mark/sweep, or copied behind a broken heart under the tagged
+// (youngVisit) in every mode; an old one is left alone by a minor, stamped to
+// itself by mark/sweep, or copied behind a broken heart under the tagged
 // representation. It recomputes base rather than take it: as an argument it
 // is computed ahead of Visit's mode test, which shifts the inline copy's
 // code.
@@ -188,17 +198,17 @@ func (cl *Claim) visit(ptr code.Word, n int) (code.Word, bool) {
 	case claimMinor:
 		return ptr, false
 	case claimMark:
-		if h.objSize[base] == 0 {
+		if h.objSize[base] <= 0 {
 			panic(fmt.Sprintf("heap: collector visited a freed block at offset %d (size %d)", base, n))
 		}
 		if int(h.objSize[base]) != n {
 			panic(fmt.Sprintf("heap: collector visited block at %d with size %d, allocated as %d",
 				base, n, h.objSize[base]))
 		}
-		if h.marks[base] {
+		if _, ok := h.visited(base); ok {
 			return ptr, false
 		}
-		h.marks[base] = true
+		h.stamp(base, base)
 		h.Stats.WordsCopied += int64(n) // marked words (same column as copied)
 		return ptr, true
 	}

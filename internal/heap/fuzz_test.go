@@ -8,9 +8,9 @@ import (
 
 // FuzzMarkSweepFreeList drives a mark/sweep heap through arbitrary
 // alloc/drop/collect sequences decoded from the fuzz input and checks the
-// side-metadata invariants after every collection: the object-start table,
-// the mark bits, the gap table and the exact-size free lists must never
-// disagree about what each word of the heap is.
+// side-metadata invariants after every collection: the block-size table
+// (objects and gaps), the visit record and the exact-size free lists must
+// never disagree about what each word of the heap is.
 func FuzzMarkSweepFreeList(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 5, 1, 0, 2, 0, 2, 0, 7})
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 1, 0, 2, 0, 1, 2})
@@ -84,18 +84,19 @@ func FuzzMarkSweepFreeList(f *testing.F) {
 func checkMarkSweepInvariants(t *testing.T, h *Heap, liveAt map[int]int) {
 	t.Helper()
 
-	// 1. Live objects keep their allocation extent; mark bits are reset.
+	// 1. Live objects keep their allocation extent; no mark carries over to
+	// the next collection.
 	for base, size := range liveAt {
 		if int(h.objSize[base]) != size {
 			t.Fatalf("live object at %d: objSize %d, want %d", base, h.objSize[base], size)
 		}
-		if h.marks[base] {
-			t.Fatalf("mark bit not cleared at %d", base)
+		if _, marked := h.visited(base); marked {
+			t.Fatalf("mark at %d still current after the collection", base)
 		}
 	}
 
 	// 2. Free-list blocks are in bounds, disjoint, sized per their list,
-	// and agree with the gap table; none overlaps a live object.
+	// and agree with the gap sizes; none overlaps a live object.
 	freeWords := 0
 	seen := map[int]bool{}
 	for size, list := range h.free {
@@ -107,11 +108,8 @@ func checkMarkSweepInvariants(t *testing.T, h *Heap, liveAt map[int]int) {
 				t.Fatalf("offset %d on two free lists", base)
 			}
 			seen[base] = true
-			if h.objSize[base] != 0 {
-				t.Fatalf("free block at %d still has objSize %d", base, h.objSize[base])
-			}
-			if int(h.gapSize[base]) != size {
-				t.Fatalf("free block at %d: gapSize %d on the %d-word list", base, h.gapSize[base], size)
+			if int(h.objSize[base]) != -size {
+				t.Fatalf("free block at %d: objSize %d on the %d-word list", base, h.objSize[base], size)
 			}
 			if _, isLive := liveAt[base]; isLive {
 				t.Fatalf("offset %d is both live and free", base)
@@ -133,7 +131,7 @@ func checkMarkSweepInvariants(t *testing.T, h *Heap, liveAt map[int]int) {
 			base += size
 			continue
 		}
-		if n := int(h.gapSize[base]); n > 0 && h.objSize[base] == 0 {
+		if n := -int(h.objSize[base]); n > 0 {
 			if !seen[base] {
 				t.Fatalf("gap at %d not on any free list", base)
 			}

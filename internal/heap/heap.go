@@ -9,10 +9,11 @@
 //   - Tag-free (the paper's design): an object is exactly its fields; there
 //     are no headers. Object extents come from the compiler-generated GC
 //     metadata that drives the collector. Forwarding during copying uses a
-//     side table indexed by from-space offset (a real implementation would
-//     overwrite the first field and detect to-space addresses; the side
-//     table is equivalent and keeps the simulation honest about not needing
-//     in-object bits).
+//     side table (a real implementation would overwrite the first field and
+//     detect to-space addresses; the side table is equivalent and keeps the
+//     simulation honest about not needing in-object bits). The same
+//     epoch-stamped table records every visit of every discipline — a
+//     promotion, a nursery pin, a mark/sweep mark (Heap.forward).
 //   - Tagged (the baseline): every object carries one header word encoding
 //     its length, and the collector relies on per-word tags. Forwarding
 //     overwrites the header with a broken-heart pointer (headers are odd,
@@ -90,27 +91,29 @@ type Heap struct {
 	// fromOff and toOff are the base mem indexes of the two spaces.
 	fromOff, toOff int
 	alloc, limit   int
-	// forward is the tag-free side forwarding table: from-space offsets to
-	// to-space absolute indexes, each stamped with the epoch it was written
-	// in (fwdEntry). An entry forwards only while its stamp is fwdEpoch,
-	// which End advances — the whole table is reset by one increment, not
-	// by a store per word of the semispace per collection. Its storage is
-	// bookkeeping of the collector, not program memory, and is excluded
-	// from all space accounting.
+	// forward is the heap's one visit record, for every discipline: an
+	// entry is the epoch it was written in above the visited object's home
+	// beneath (fwdShift) — the new address of a copy or a promotion, the
+	// object's own address for a mark or a pin. An entry counts only while
+	// its stamp is fwdEpoch, which End advances after every collection, so
+	// the table is never cleared. A young object, and every object of a
+	// mark/sweep heap, is indexed by its mem offset; a copying old-region
+	// object by its offset into from-space past the young prefix, so the
+	// table is prefix + semi words: EnableNurseryShards sizes it with the
+	// young areas, Begin for any other layout (New, NewMarkSweep, Grow). Its
+	// storage is bookkeeping of the collector, not program memory, and is
+	// excluded from all space accounting. Tagged heaps have none: their
+	// broken hearts are in the headers.
 	forward  []uint64
 	fwdEpoch uint64
 	inGC     bool
-	// Mark/sweep side metadata (see marksweep.go): per-object sizes at
-	// their start offsets, mark bits, exact-size free lists, and the sizes
-	// of swept gaps awaiting reuse.
+	// objSize (mark/sweep, see marksweep.go) is keyed by block start: an
+	// allocated object's size, or minus the size of a swept gap.
 	objSize []int32
-	// marks holds one mark bit per heap word, set at an object's start.
-	marks []bool
 	// free[n] is the LIFO list of swept n-word blocks (their start
 	// offsets); indexed by size and grown on demand, so the allocation path
 	// never hashes.
-	free    [][]int
-	gapSize []int32
+	free [][]int
 	// debugAccess validates every field access against the mark/sweep
 	// allocation map (tests only).
 	debugAccess bool
@@ -148,27 +151,36 @@ type span struct{ base, size int }
 // New creates a heap with the given semispace size in words.
 func New(repr code.Repr, semiWords int) *Heap {
 	h := &Heap{
-		Repr:    repr,
-		mem:     make([]code.Word, 2*semiWords),
-		semi:    semiWords,
-		fromOff: 0,
-		toOff:   semiWords,
-		alloc:   0,
-		limit:   semiWords,
-	}
-	if repr == code.ReprTagFree {
-		h.forward, h.fwdEpoch = make([]uint64, semiWords), 1
+		Repr:     repr,
+		mem:      make([]code.Word, 2*semiWords),
+		semi:     semiWords,
+		fromOff:  0,
+		toOff:    semiWords,
+		alloc:    0,
+		limit:    semiWords,
+		fwdEpoch: 1,
 	}
 	return h
 }
 
-// fwdShift splits a forwarding entry: the epoch above, the to-space index
+// fwdShift splits a visit entry: the epoch above, the home mem index
 // (always far below 2^32) beneath — 64 bits on every platform. A zero entry
 // carries epoch 0, which is never current.
 const fwdShift = 32
 
-// fwdIndex is the to-space index a forwarding entry holds.
+// fwdIndex is the home mem index a visit entry holds.
 func fwdIndex(e uint64) int { return int(e & (1<<fwdShift - 1)) }
+
+// stamp records this collection's visit of the object indexed at i, at
+// home.
+func (h *Heap) stamp(i, home int) { h.forward[i] = h.fwdEpoch<<fwdShift | uint64(home) }
+
+// visited returns the home this collection recorded for the object indexed
+// at i, if it visited it.
+func (h *Heap) visited(i int) (int, bool) {
+	e := h.forward[i]
+	return fwdIndex(e), e>>fwdShift == h.fwdEpoch
+}
 
 // SemiWords returns the semispace size.
 func (h *Heap) SemiWords() int { return h.semi }
@@ -512,35 +524,20 @@ func (h *Heap) Grow(newWords int) error {
 		// The old region sits at [fromOff, fromOff+semi); with a nursery,
 		// fromOff is the fixed young prefix, which the grow preserves
 		// verbatim (young objects never move).
-		total := h.fromOff + newWords
-		mem := make([]code.Word, total)
+		mem := make([]code.Word, h.fromOff+newWords)
 		copy(mem, h.mem)
-		objSize := make([]int32, total)
+		objSize := make([]int32, len(mem))
 		copy(objSize, h.objSize)
-		marks := make([]bool, total)
-		copy(marks, h.marks)
-		h.mem, h.objSize, h.marks = mem, objSize, marks
-		if h.gapSize != nil {
-			gapSize := make([]int32, total)
-			copy(gapSize, h.gapSize)
-			h.gapSize = gapSize
-		}
-		h.semi = newWords
-		h.limit = h.fromOff + newWords
-		h.spansValid = false
-		h.Stats.Growths++
-		return nil
+		h.mem, h.objSize = mem, objSize
+	} else {
+		mem := make([]code.Word, h.fromOff+2*newWords)
+		copy(mem[:h.young.prefixWords()], h.mem[:h.young.prefixWords()])
+		copy(mem[h.fromOff:], h.mem[h.fromOff:h.alloc])
+		h.mem = mem
+		h.toOff = h.fromOff + newWords
 	}
-	mem := make([]code.Word, h.fromOff+2*newWords)
-	copy(mem[:h.young.prefixWords()], h.mem[:h.young.prefixWords()])
-	copy(mem[h.fromOff:], h.mem[h.fromOff:h.alloc])
-	h.mem = mem
-	h.toOff = h.fromOff + newWords
 	h.limit = h.fromOff + newWords
 	h.semi = newWords
-	if h.Repr == code.ReprTagFree {
-		h.forward = make([]uint64, newWords)
-	}
 	h.spansValid = false
 	h.Stats.Growths++
 	return nil

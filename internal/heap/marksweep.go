@@ -11,9 +11,11 @@ import (
 // marking instead of copying. Tag-free objects carry no header to hold a
 // mark bit or a size, so the sweep needs side metadata; real tag-free
 // systems use size-segregated pages (BiBoP) whose page headers supply
-// both. The simulator models that with two side arrays (object-start sizes
-// and mark bits) that are collector bookkeeping, excluded from space
-// accounting, exactly like the copying mode's forwarding table.
+// both. The simulator models that with one side array of block sizes
+// (objSize: an object's size at its start, minus a swept gap's at the
+// gap's) and marks through the copying mode's visit record: a mark is an
+// entry stamped with the collection's epoch that points at the object
+// itself. Both are collector bookkeeping, excluded from space accounting.
 //
 // Freed storage goes to exact-size free lists (the BiBoP discipline:
 // a block is reused only for objects of its own size class); allocation
@@ -36,16 +38,16 @@ func NewMarkSweep(repr code.Repr, totalWords int) *Heap {
 		panic("NewMarkSweep: mark/sweep is implemented for the tag-free representation")
 	}
 	h := &Heap{
-		Repr:    repr,
-		kind:    MarkSweep,
-		mem:     make([]code.Word, totalWords),
-		semi:    totalWords,
-		fromOff: 0,
-		toOff:   0,
-		alloc:   0,
-		limit:   totalWords,
-		objSize: make([]int32, totalWords),
-		marks:   make([]bool, totalWords),
+		Repr:     repr,
+		kind:     MarkSweep,
+		mem:      make([]code.Word, totalWords),
+		semi:     totalWords,
+		fromOff:  0,
+		toOff:    0,
+		alloc:    0,
+		limit:    totalWords,
+		objSize:  make([]int32, totalWords),
+		fwdEpoch: 1,
 	}
 	return h
 }
@@ -95,8 +97,9 @@ func (h *Heap) FreeListWords() int {
 	return total
 }
 
-// sweep ends a mark/sweep major: every allocated object that is unmarked
-// joins its size class's free list; marks are cleared.
+// sweep ends a mark/sweep major: every allocated object this collection did
+// not stamp becomes a gap on its size class's free list. Nothing is cleared:
+// End's epoch bump unmarks every survivor at once.
 func (h *Heap) sweep() {
 	live := int64(0)
 	// Reset free lists; rebuild from the sweep (freed blocks may have been
@@ -106,24 +109,18 @@ func (h *Heap) sweep() {
 	}
 	for base := h.fromOff; base < h.alloc; {
 		n := int(h.objSize[base])
-		if n == 0 {
+		if n < 0 {
 			// A gap left by an earlier sweep whose block was never
-			// reallocated: recover its extent from the gap table.
-			n = int(h.gapSize[base])
-			h.freePush(n, base)
-			base += n
+			// reallocated.
+			h.freePush(-n, base)
+			base -= n
 			continue
 		}
-		if h.marks[base] {
+		if _, ok := h.visited(base); ok {
 			live += int64(n)
-			h.marks[base] = false
 		} else {
 			h.freePush(n, base)
-			if h.gapSize == nil {
-				h.gapSize = make([]int32, len(h.mem))
-			}
-			h.gapSize[base] = int32(n)
-			h.objSize[base] = 0
+			h.objSize[base] = int32(-n)
 			if h.poison {
 				h.poisonRange(base, n)
 			}
@@ -147,7 +144,7 @@ func (h *Heap) sweep() {
 // heap never coalesces.
 func (h *Heap) Coalesce(n int) bool {
 	total := h.objWords(n)
-	if h.kind != MarkSweep || h.inGC || h.tlabs.live > 0 || h.gapSize == nil || h.youngFits(total) {
+	if h.kind != MarkSweep || h.inGC || h.tlabs.live > 0 || h.youngFits(total) {
 		return false
 	}
 	type run struct{ base, size int }
@@ -172,10 +169,10 @@ func (h *Heap) Coalesce(n int) bool {
 		}
 		if end := best.base + best.size; best.size >= total {
 			for b := best.base; b+total <= end; b += total {
-				h.gapSize[b] = int32(total)
+				h.objSize[b] = int32(-total)
 			}
 			if r := best.size % total; r > 0 {
-				h.gapSize[end-r] = int32(r)
+				h.objSize[end-r] = int32(-r)
 			}
 		}
 	}
@@ -190,12 +187,11 @@ func (h *Heap) Coalesce(n int) bool {
 // order.
 func (h *Heap) eachGap(f func(base, size int)) {
 	for base := h.fromOff; base < h.alloc; {
-		if n := int(h.objSize[base]); n > 0 {
-			base += n
-			continue
+		n := int(h.objSize[base])
+		if n < 0 {
+			n = -n
+			f(base, n)
 		}
-		n := int(h.gapSize[base])
-		f(base, n)
 		base += n
 	}
 }
@@ -223,7 +219,7 @@ func (h *Heap) checkAccess(ptr code.Word, i int) {
 	if base < 0 || base >= len(h.objSize) {
 		panic(fmt.Sprintf("heap: field access outside heap at offset %d", base))
 	}
-	if h.objSize[base] == 0 {
+	if h.objSize[base] <= 0 {
 		panic(fmt.Sprintf("heap: field access to freed block at offset %d (field %d)", base, i))
 	}
 	if i >= int(h.objSize[base]) {

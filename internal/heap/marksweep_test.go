@@ -137,6 +137,41 @@ func TestPoisonedSweep(t *testing.T) {
 	}
 }
 
+// TestSweepWritesOnlyNewlyDeadBlocks: a sweep writes only the blocks that
+// died in its own collection. A gap that a retired buffer's tail or an
+// earlier sweep left is read by its negative size and put back on its free
+// list as it stands — not swept again as an unmarked object, which would
+// re-poison it at every collection and make each sweep's writes grow with
+// every gap in the heap rather than with what died.
+func TestSweepWritesOnlyNewlyDeadBlocks(t *testing.T) {
+	h := NewMarkSweep(code.ReprTagFree, 16)
+	h.SetPoison(true)
+	h.EnableTLABs(8)
+	tl, _ := h.CarveTLAB(2)
+	a, _ := h.AllocTLAB(&tl, 2)
+	b := h.MustAlloc(2) // past the buffer: its tail cannot go back
+	if waste, _ := h.RetireTLAB(&tl); waste != 6 {
+		t.Fatalf("waste = %d, want the 6-word tail", waste)
+	}
+	for cycle := 0; cycle < 2; cycle++ {
+		cl := begin(h)
+		cl.Visit(a, 2)
+		cl.Visit(b, 2)
+		h.End()
+		if errs := h.VerifyHeap(); errs != nil {
+			t.Fatal(errs)
+		}
+		if len(h.free[6]) != 1 {
+			t.Fatalf("collection %d: the tail gap is not on the 6-word list", cycle)
+		}
+		for i, w := range h.mem[2:8] {
+			if w == PoisonWord {
+				t.Fatalf("collection %d rewrote word %d of a gap no collection freed", cycle, 2+i)
+			}
+		}
+	}
+}
+
 // TestMarkSweepOOMReportsFreeListWords documents the exact-size free-list
 // limitation (BiBoP: a block is reused only for its own size class): a
 // heap whose free lists hold plenty of storage still cannot satisfy an

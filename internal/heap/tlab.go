@@ -251,10 +251,7 @@ func (h *Heap) RetireTLAB(t *TLAB) (waste, returned int) {
 	default:
 		waste = unused
 		if !t.young && h.kind == MarkSweep {
-			if h.gapSize == nil {
-				h.gapSize = make([]int32, len(h.mem))
-			}
-			h.gapSize[t.top] = int32(unused)
+			h.objSize[t.top] = int32(-unused)
 			h.freePush(unused, t.top)
 		}
 	}

@@ -15,14 +15,16 @@ import (
 //
 //   - Copying: the objects copied this cycle must tile the new from-space
 //     exactly (forwarding completeness: every allocated word belongs to
-//     exactly one copied object), and every tag-free forwarding entry the
-//     cycle wrote must point into that space. Tagged heaps additionally
+//     exactly one copied object), and every tag-free visit entry the cycle
+//     wrote must point into that space or, for a pinned young object, at
+//     the object itself. Tagged heaps additionally
 //     re-walk headers, checking that each is odd, extents tile the space,
 //     and every pointer-shaped field lands on an object start.
 //   - Mark/sweep: object and gap extents must tile the allocated region
-//     with no overlap or unaccounted words, every mark bit must be clear
-//     after the sweep, and the free lists must be disjoint — no block on
-//     two lists, every entry a swept gap of exactly its list's size class.
+//     with no overlap or unaccounted words, and the free lists must be
+//     disjoint — no block on two lists, every entry a swept gap of exactly
+//     its list's size class. (No mark needs clearing: End's epoch bump
+//     retires them all.)
 //
 // Span recording costs one append per copied object, so verification is
 // opt-in: SetVerify(true) before running (on by default in the test
@@ -57,11 +59,14 @@ func (h *Heap) verifyCopying() []error {
 		return errs
 	}
 	// End advanced the epoch past the cycle's stamp, so no entry forwards
-	// any more; what the cycle did write must point into what it copied.
-	// (Epoch 0 is the stamp of entries never written.)
-	if last := h.fwdEpoch - 1; h.Repr == code.ReprTagFree && last > 0 {
+	// any more; what the cycle did write must point into what it copied, or
+	// be a young object's pin. (Epoch 0 is the stamp of entries never
+	// written.)
+	if last := h.fwdEpoch - 1; last > 0 {
+		young := h.young.prefixWords()
 		for i, f := range h.forward {
-			if to := fwdIndex(f); f>>fwdShift == last && (to < h.fromOff || to >= h.alloc) {
+			to := fwdIndex(f)
+			if f>>fwdShift == last && (to < h.fromOff || to >= h.alloc) && !(i < young && to == i) {
 				errs = append(errs, fmt.Errorf("heap verify: forwarding entry %d of the last collection points to %d, outside the copied region [%d, %d)",
 					i, to, h.fromOff, h.alloc))
 				break // one is enough; don't spam
@@ -133,25 +138,12 @@ func (h *Heap) verifyMarkSweep() []error {
 	// Block tiling: every word below the bump pointer is inside exactly one
 	// object or one swept gap.
 	for base := h.fromOff; base < h.alloc; {
-		if n := int(h.objSize[base]); n > 0 {
-			base += n
-			continue
-		}
-		var n int
-		if h.gapSize != nil {
-			n = int(h.gapSize[base])
-		}
-		if n <= 0 {
+		n := int(h.objSize[base])
+		if n == 0 {
 			errs = append(errs, fmt.Errorf("heap verify: word %d is neither in an object nor a swept gap", base))
 			return errs
 		}
-		base += n
-	}
-	for base, m := range h.marks {
-		if m {
-			errs = append(errs, fmt.Errorf("heap verify: mark bit still set at offset %d after sweep", base))
-			break
-		}
+		base += max(n, -n)
 	}
 	// Free-list disjointness: no block on two lists, every entry a swept
 	// gap of exactly its size class, inside the allocated region. seen holds
@@ -168,24 +160,15 @@ func (h *Heap) verifyMarkSweep() []error {
 				continue
 			}
 			seen[base] = int32(n) + 1
-			if h.objSize[base] != 0 {
-				errs = append(errs, fmt.Errorf("heap verify: free-list block %d is allocated (size %d)", base, h.objSize[base]))
-				continue
-			}
-			if h.gapSize == nil || int(h.gapSize[base]) != n {
+			if sz := int(h.objSize[base]); sz > 0 {
+				errs = append(errs, fmt.Errorf("heap verify: free-list block %d is allocated (size %d)", base, sz))
+			} else if -sz != n {
 				errs = append(errs, fmt.Errorf("heap verify: free-list block %d on the %d-word list but swept as a %d-word gap",
-					base, n, h.gapAt(base)))
+					base, n, -sz))
 			}
 		}
 	}
 	return errs
-}
-
-func (h *Heap) gapAt(base int) int {
-	if h.gapSize == nil {
-		return 0
-	}
-	return int(h.gapSize[base])
 }
 
 // CheckLive reports whether ptr addresses a live n-field object. The GC
@@ -213,7 +196,7 @@ func (h *Heap) CheckLive(ptr code.Word, n int) error {
 		if base < 0 || base >= len(h.objSize) {
 			return fmt.Errorf("pointer to offset %d outside the heap", base)
 		}
-		if h.objSize[base] == 0 {
+		if h.objSize[base] <= 0 {
 			return fmt.Errorf("pointer to freed block at offset %d", base)
 		}
 		if int(h.objSize[base]) != total {

@@ -17,8 +17,8 @@
 // All scheduling and latency accounting is in virtual time (scheduler
 // steps), so a run is bit-for-bit deterministic for a given seed; wall
 // time appears only in throughput reporting. With Period == 0 the harness
-// degenerates to the closed-loop corpus run tfbench performs — the
-// differential suite pins that mode bit-identical to pipeline.RunTasks.
+// degenerates to the closed-loop run of pipeline.RunTasks (tfgc tasks) —
+// the differential suite pins that mode bit-identical to it.
 package serve
 
 import (
@@ -55,7 +55,7 @@ type Config struct {
 	// Open-loop arrival schedule, in virtual-time steps: Burst requests
 	// arrive every Period steps until Requests have been issued.
 	// Period == 0 selects closed-loop mode: the workload's entries are
-	// spawned once, up front, exactly as tfbench runs the corpus.
+	// spawned once, up front, exactly as pipeline.RunTasks spawns them.
 	Period   int64
 	Burst    int
 	Requests int
@@ -270,10 +270,10 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runClosedLoop reproduces the tfbench corpus run: one task per workload
-// entry, all spawned up front, no admission control. A Tick hook observes
-// completion times but mutates nothing, so execution is bit-identical to
-// pipeline.RunTasks.
+// runClosedLoop reproduces pipeline.RunTasks (tfgc tasks): one task per
+// workload entry, all spawned up front, no admission control. A Tick hook
+// observes completion times but mutates nothing, so execution is
+// bit-identical to it.
 func runClosedLoop(cfg Config, g *tasking.Group, entries []int, res *Result) error {
 	var pending []*tasking.Task // unresolved, in entry order
 	for _, e := range entries {
