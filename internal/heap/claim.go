@@ -119,9 +119,9 @@ func (h *Heap) Begin(cl *Claim, k Cycle) {
 }
 
 // End closes the collection Begin opened: a major sweeps (mark/sweep) or
-// completes the flip (copying), the collected nursery areas restart, and the
-// epoch advances, which makes every visit entry of the collection stale at
-// once.
+// completes the flip (copying), the collected nursery areas restart, the
+// peak resident size takes the collection's reading, and the epoch advances,
+// which makes every visit entry of the collection stale at once.
 func (h *Heap) End() {
 	if !h.inGC {
 		panic("heap: End: no collection in progress")
@@ -134,16 +134,15 @@ func (h *Heap) End() {
 		h.sweep()
 	default:
 		h.fromOff, h.toOff = h.toOff, h.fromOff
-		live := int64(h.alloc - h.fromOff)
-		h.Stats.LiveAfterLastGC = live
-		if live > h.Stats.PeakLive {
-			h.Stats.PeakLive = live
-		}
+		h.Stats.LiveAfterLastGC = int64(h.alloc - h.fromOff)
 		h.spansValid = h.verify
 	}
 	if h.young.enabled {
 		h.endYoungGC()
 	}
+	// Every kind is a reading: what the old region holds — a minor's
+	// promotions included — and what stays young, pinned.
+	h.Stats.PeakLive = max(h.Stats.PeakLive, int64(h.OccupiedWords()+h.YoungUsed()))
 	h.fwdEpoch++
 }
 

@@ -289,3 +289,31 @@ func snapshot(h *Heap, root code.Word) []int64 {
 	walk(root)
 	return out
 }
+
+// TestPeakLiveCountsMinors: every collection is a reading of the peak
+// resident size, a minor's included — on a nursery heap that only ever
+// runs minors, the survivors they promote are the resident set, and a peak
+// read only at majors stays 0.
+func TestPeakLiveCountsMinors(t *testing.T) {
+	for _, ms := range []bool{false, true} {
+		h := New(code.ReprTagFree, 64)
+		if ms {
+			h = NewMarkSweep(code.ReprTagFree, 64)
+		}
+		h.EnableNursery(16)
+		keep := h.MustAlloc(3)
+		h.MustAlloc(5) // dies young
+		cl := new(Claim)
+		h.Begin(cl, Cycle{Minor: true})
+		if _, fresh := cl.Visit(keep, 3); !fresh {
+			t.Fatal("the survivor's first visit is not fresh")
+		}
+		h.End()
+		if h.Stats.MinorCollections != 1 || h.Stats.Collections != 1 {
+			t.Fatalf("ms=%v: %+v, want one minor and nothing else", ms, h.Stats)
+		}
+		if h.Stats.PeakLive != 3 {
+			t.Fatalf("ms=%v: PeakLive = %d after a minor that promoted 3 words, want 3", ms, h.Stats.PeakLive)
+		}
+	}
+}
