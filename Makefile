@@ -114,7 +114,7 @@ tier2-scenario:
 tier2-serve:
 	mkdir -p .bench_build
 	go build -o .bench_build/tfserve ./cmd/tfserve
-	timeout 2 .bench_build/tfserve -marksweep -period 3000 -requests 16000 -queue 8 -inflight 4 -retries 6 >/dev/null
+	timeout 2 .bench_build/tfserve -marksweep -budget-steps 2000000 -period 3000 -requests 16000 -queue 8 -inflight 4 -retries 6 >/dev/null
 
 tier2-bench:
 	mkdir -p .bench_build

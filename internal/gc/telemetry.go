@@ -58,8 +58,9 @@ type CollectionRecord struct {
 	SiteCacheHits int64 `json:"site_cache_hits,omitempty"`
 	KernelWords   int64 `json:"kernel_words,omitempty"`
 	// FreeListHitPct is the share of mutator allocations since the last
-	// collection that recycled a free-list block (mark/sweep only; -1 when
-	// no allocations happened in the interval or the heap is copying).
+	// collection that were laid in a hole a sweep left (heap.Stats.
+	// FreeListHits; mark/sweep only; -1 when no allocations happened in the
+	// interval or the heap is copying).
 	FreeListHitPct float64 `json:"free_list_hit_pct"`
 	// Generational counters (nursery heaps only): words tenured by this
 	// collection, remembered-set population after it, and write-barrier

@@ -8,8 +8,8 @@ import (
 )
 
 // Post-collection verification, GC side. heap.VerifyHeap checks the
-// discipline's structural invariants (tiling, forwarding reset, free-list
-// disjointness); this file adds the semantic half: re-resolve every root
+// discipline's structural invariants (tiling, forwarding reset, the
+// holes); this file adds the semantic half: re-resolve every root
 // the collector just traced — globals and each task's frame slots — and
 // re-walk the reachable structure read-only, checking that every pointer
 // lands on a live block of exactly the extent its type says it has. A

@@ -34,14 +34,13 @@ import (
 // a window on it (OpenWindow; SetAllocShard routes each task to its shard, a
 // single-shard heap never changes it). A collection copies every live
 // object of the areas it collects into the shared old region (promoteDest:
-// the discipline's normal allocation — semispace bump under copying,
-// bump-or-free-list under mark/sweep) and restarts each area's bump at its
-// base.
+// the discipline's normal allocation — semispace bump under copying, the
+// first hole that takes it under mark/sweep) and restarts each area's bump
+// at its base.
 //
 // A promotion fails when the old region has no room: a minor with the
-// semispace (or mark/sweep bump and exact-size free list) full, or a
-// copying major whose to-space slack is owed to uncopied old objects
-// (oldReserve). The object is then pinned: stamped to itself in the heap's
+// semispace full (or no mark/sweep hole the object fits), or a copying
+// major whose to-space slack is owed to uncopied old objects (oldReserve). The object is then pinned: stamped to itself in the heap's
 // visit record, its fields traced where it stands, and the area's bump
 // restarts above the highest pinned object instead of at its base. A
 // promotion is stamped with its new address in the same record, indexed by
@@ -155,6 +154,7 @@ func (h *Heap) EnableNurseryShards(youngWords, shards int) {
 		h.alloc = shift
 		h.limit = shift + h.semi
 		h.objSize = make([]int32, len(h.mem))
+		h.gapAtAlloc()
 	} else {
 		h.mem = make([]code.Word, shift+2*h.semi)
 		h.fromOff = shift
@@ -298,21 +298,17 @@ func (h *Heap) youngVisit(ptr code.Word, base, n int) (code.Word, bool) {
 // promoteDest allocates n words in the old region for a tenured object, by
 // the discipline's own rules. During a copying major the destination is
 // to-space (alloc already points there); during a minor it is the mutator's
-// from-space bump region. Mark/sweep tries the bump region then the exact
-// free lists, and stamps the block to itself — a mark — when a sweep will
+// from-space bump region. Mark/sweep bumps into the first hole that takes
+// the object, and stamps the block to itself — a mark — when a sweep will
 // follow (majors only).
 // Reports false when the old region cannot take the object.
 func (h *Heap) promoteDest(n int) (int, bool) {
 	var base int
 	if h.kind == MarkSweep {
-		if h.alloc+n <= h.limit {
-			base = h.alloc
-			h.alloc += n
-		} else if b, ok := h.freePop(n); ok {
-			base = b
-		} else {
+		if !h.holeFits(n) {
 			return 0, false
 		}
+		base = h.bumpHole(n)
 		h.objSize[base] = int32(n)
 		if !h.young.minorGC {
 			h.stamp(base, base) // keep the promoted block through the sweep

@@ -20,17 +20,17 @@ import (
 //     minor/major rules. Objects too large for the nursery bypass TLABs
 //     exactly as they bypass the young fast path (pre-tenured via Alloc).
 //   - Copying, no nursery: chunks come from the from-space bump region.
-//   - Mark/sweep: chunks come from the bump region only — free-list blocks
-//     are exact-size (BiBoP) and cannot host a multi-object buffer. The
-//     free lists still serve the slow path when carving fails.
+//   - Mark/sweep: chunks come from the current hole, or the first later one
+//     that takes the object (marksweep.go), and each object laid in one
+//     records its size as it would in the shared region.
 //
 // Retirement keeps the heap's tiling invariants intact. A buffer retired
 // with its tail still at the region's bump pointer gives the tail back
 // (TLABReturnedWords); otherwise the tail is dead: accounted as
-// TLABWasteWords and, under mark/sweep, recorded as a swept gap on its
-// exact-size free list so the sweep and the verifier still see a perfect
-// object/gap tiling. Copying and nursery waste needs no bookkeeping — the
-// words are simply never traced and die at the next flip.
+// TLABWasteWords and, under mark/sweep, recorded as a gap, which the next
+// sweep merges into a hole, so the sweep and the verifier still see a
+// perfect object/gap tiling. Copying and nursery waste needs no bookkeeping
+// — the words are simply never traced and die at the next flip.
 //
 // Every collection requires the TLABs of the area it collects retired
 // first (Begin panics otherwise): a copying flip or a nursery evacuation
@@ -165,6 +165,9 @@ func (h *Heap) CarveTLAB(n int) (TLAB, bool) {
 		base = s.youngAlloc
 		s.youngAlloc += size
 	} else {
+		if h.kind == MarkSweep && !h.holeFits(total) {
+			return TLAB{}, false
+		}
 		avail := h.limit - h.alloc
 		if size > avail {
 			size = avail
@@ -172,8 +175,12 @@ func (h *Heap) CarveTLAB(n int) (TLAB, bool) {
 		if size < total {
 			return TLAB{}, false
 		}
-		base = h.alloc
-		h.alloc += size
+		if h.kind == MarkSweep {
+			base = h.bumpHole(size)
+		} else {
+			base = h.alloc
+			h.alloc += size
+		}
 	}
 	h.spansValid = false
 	h.tlabs.live++
@@ -190,9 +197,8 @@ func (h *Heap) CarveTLAB(n int) (TLAB, bool) {
 // OpenTLABWindow opens w inside the buffer for a request of n fields, or
 // reports false when the buffer cannot take the object (empty, retired,
 // or full — the caller refills via CarveTLAB). This is the allocation fast
-// path: no shared-heap state is consulted beyond the side metadata an object
-// itself needs (its size under mark/sweep), and a buffer that needs it is
-// opened one object at a time.
+// path: no shared-heap state is consulted, and a mark/sweep buffer's window
+// carries the block-size record its objects write their sizes to.
 func (h *Heap) OpenTLABWindow(w *Window, t *TLAB, n int, one bool) bool {
 	total := h.objWords(n)
 	if !t.active || total > t.limit-t.top {
@@ -203,8 +209,7 @@ func (h *Heap) OpenTLABWindow(w *Window, t *TLAB, n int, one bool) bool {
 	}
 	*w = Window{HP: t.top, Limit: t.limit, start: t.top, tlab: t}
 	if !t.young && h.kind == MarkSweep {
-		h.objSize[w.HP] = int32(total)
-		one = true
+		w.Sizes = h.objSize
 	}
 	if one {
 		w.Limit = w.HP + total
@@ -227,9 +232,8 @@ func (h *Heap) AllocTLAB(t *TLAB, n int) (code.Word, bool) {
 // RetireTLAB returns a buffer to the heap, leaving a tiling the sweep,
 // the verifier and the next collection all accept. The unused tail is
 // given back to the region's bump pointer when the buffer still sits at
-// its frontier (waste 0), or accounted as waste: a swept gap on the
-// exact-size free list under mark/sweep, dead words under copying and in
-// the nursery. Retiring an empty or already-retired buffer is a no-op.
+// its frontier (waste 0), or accounted as waste: a gap under mark/sweep,
+// dead words under copying and in the nursery. Retiring an empty or already-retired buffer is a no-op.
 // Returns the (waste, returned) word counts for per-task accounting.
 func (h *Heap) RetireTLAB(t *TLAB) (waste, returned int) {
 	if !t.active {
@@ -252,8 +256,11 @@ func (h *Heap) RetireTLAB(t *TLAB) (waste, returned int) {
 		waste = unused
 		if !t.young && h.kind == MarkSweep {
 			h.objSize[t.top] = int32(-unused)
-			h.freePush(unused, t.top)
 		}
+	}
+	if !t.young && h.kind == MarkSweep {
+		h.occupied -= unused
+		h.gapAtAlloc() // a tail given back is the current hole's again
 	}
 	h.Stats.TLABWasteWords += int64(waste)
 	h.Stats.TLABReturnedWords += int64(returned)
@@ -263,37 +270,6 @@ func (h *Heap) RetireTLAB(t *TLAB) (waste, returned int) {
 	}
 	*t = TLAB{}
 	return waste, returned
-}
-
-// NeedTLAB is the TLAB-aware form of Need: it reports whether an n-field
-// allocation would still fail if a task retried it right now through the
-// TLAB path (refill carve, then the shared-heap fallback). The recovery
-// ladder's rescue check must use this form on a TLAB heap — judging a
-// TLAB-eligible retry against Need alone ignores that the retry refills
-// from the nursery (or bump region) via a clamped carve, which succeeds
-// whenever the object itself fits.
-func (h *Heap) NeedTLAB(n int) bool {
-	if !h.tlabs.enabled {
-		return h.Need(n)
-	}
-	total := h.objWords(n)
-	if h.TLABEligible(n) {
-		if h.young.enabled {
-			y := &h.young
-			s := &y.shards[y.allocShard]
-			return s.youngAlloc+total > s.limit
-		}
-		if h.alloc+total <= h.limit {
-			return false
-		}
-		// The carve failed but the slow-path fallback may still serve the
-		// object from a mark/sweep free list.
-		if h.kind == MarkSweep {
-			return h.freeLen(total) == 0
-		}
-		return true
-	}
-	return h.Need(n)
 }
 
 // VerifyTLABs checks the TLAB bookkeeping invariant after a collection: no

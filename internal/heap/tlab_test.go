@@ -75,25 +75,25 @@ func TestTLABMarkSweepWasteIsSweptGap(t *testing.T) {
 	if waste != 13 {
 		t.Fatalf("waste = %d, want 13", waste)
 	}
-	// The waste must be a swept gap on its exact-size free list, keeping
-	// the object/gap tiling verifiable and the storage reusable. With the
-	// bump region nearly full, a 13-word request must recycle it.
-	if got := len(h.free[13]); got != 1 {
-		t.Fatalf("free[13] has %d entries, want 1", got)
+	// The waste must be a gap, keeping the object/gap tiling verifiable,
+	// and the next sweep makes it a hole: with the rest of the region
+	// nearly full, a 13-word request must recycle it.
+	if errs := h.VerifyHeap(); len(errs) > 0 {
+		t.Fatalf("verify after retirement: %v", errs)
+	}
+	cl := begin(h)
+	cl.Visit(code.EncodePtr(code.ReprTagFree, code.HeapBase), 3)
+	cl.Visit(code.EncodePtr(code.ReprTagFree, code.HeapBase+16), 2)
+	h.End()
+	if errs := h.VerifyHeap(); len(errs) > 0 {
+		t.Fatalf("verify after sweep: %v", errs)
 	}
 	p, err := h.Alloc(13)
 	if err != nil {
 		t.Fatalf("reusing the waste gap: %v", err)
 	}
-	if h.Stats.FreeListHits != 1 {
+	if h.addrIndex(p) != 3 || h.Stats.FreeListHits != 1 {
 		t.Fatal("13-word allocation did not recycle the waste gap")
-	}
-	_ = p
-	// A full mark/sweep cycle over the tiling must verify clean.
-	begin(h)
-	h.End()
-	if errs := h.VerifyHeap(); len(errs) > 0 {
-		t.Fatalf("verify after sweep: %v", errs)
 	}
 }
 
@@ -165,22 +165,28 @@ func TestTLABCollectionGuards(t *testing.T) {
 	}
 }
 
-func TestTLABNeedTLABMatchesRetryPath(t *testing.T) {
-	// Mark/sweep: the bump region is exhausted but the exact-size free list
-	// can serve the slow-path fallback, so a TLAB retry is not blocked.
+// TestTLABNeedMatchesRetryPath: on a buffered heap Need judges a retry as
+// the retry runs — a carve into the first hole that takes the object,
+// clamped to it — so a hole shorter than a chunk still rescues the request.
+func TestTLABNeedMatchesRetryPath(t *testing.T) {
 	h := NewMarkSweep(code.ReprTagFree, 10)
 	h.EnableTLABs(8)
-	p := h.MustAlloc(4)
+	h.MustAlloc(4)
 	h.MustAlloc(6)
 	// Free the first block via a collection that keeps only the second.
 	begin(h).Visit(code.EncodePtr(code.ReprTagFree, code.HeapBase+4), 6)
 	h.End()
-	_ = p
-	if h.NeedTLAB(4) {
-		t.Fatal("NeedTLAB must see the 4-word free-list block the retry's fallback would use")
+	if !h.Need(5) {
+		t.Fatal("Need(5) must report pressure: no hole takes 5 words")
 	}
-	if !h.NeedTLAB(3) {
-		t.Fatal("NeedTLAB must report pressure when neither a carve nor the free lists can serve")
+	if _, ok := h.CarveTLAB(5); ok {
+		t.Fatal("a 5-word carve succeeded where Need reported pressure")
+	}
+	if h.Need(3) {
+		t.Fatal("Need(3) must see the 4-word hole a carve would clamp to")
+	}
+	if tl, ok := h.CarveTLAB(3); !ok || tl.Cap() != 4 {
+		t.Fatalf("carve for 3 words: %d words, %v; want the 4-word hole", tl.Cap(), ok)
 	}
 }
 

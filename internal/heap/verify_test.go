@@ -97,29 +97,56 @@ func TestVerifyMarkSweepCleanAndCorrupted(t *testing.T) {
 		t.Fatalf("CheckLive on a live block: %v", err)
 	}
 
-	// Duplicate a free-list entry: disjointness must fail.
-	l := h.free[4]
-	if len(l) != 1 {
-		t.Fatalf("free list for 4-word blocks has %d entries, want 1", len(l))
+	// Repeat a hole: the order must fail.
+	holes := h.holes
+	h.holes = append(holes[:len(holes):len(holes)], holes[len(holes)-1])
+	if errs := h.VerifyHeap(); len(errs) == 0 {
+		t.Fatal("repeated hole not reported")
 	}
-	h.free[4] = append(l, l[0])
-	errs := h.VerifyHeap()
-	if len(errs) == 0 {
-		t.Fatal("duplicated free-list entry not reported")
+	h.holes = holes
+
+	// Occupancy that the objects do not hold.
+	h.occupied++
+	if errs := h.VerifyHeap(); len(errs) == 0 {
+		t.Fatal("occupancy mismatch not reported")
 	}
-	h.free[4] = l
+	h.occupied--
 
 	// An unaccounted word (no object, no gap) breaks the tiling.
 	base := h.addrIndex(a)
 	h.objSize[base] = 0
-	errs = h.VerifyHeap()
+	errs := h.VerifyHeap()
 	if len(errs) == 0 {
 		t.Fatal("unaccounted words not reported")
 	}
-	if !strings.Contains(errs[0].Error(), "neither in an object nor a swept gap") {
+	if !strings.Contains(errs[0].Error(), "neither in an object nor a gap") {
 		t.Fatalf("unexpected violation: %v", errs[0])
 	}
 	h.objSize[base] = 3
+}
+
+// TestVerifyWalksSettledWindow: a window bumps through a hole without a call
+// per object, and Settle writes what is left of the hole back as a gap, so
+// the region is tiled — and verifies — after every Settle, not only after a
+// sweep.
+func TestVerifyWalksSettledWindow(t *testing.T) {
+	h := NewMarkSweep(code.ReprTagFree, 16)
+	var w Window
+	if !h.OpenWindow(&w, 2, false) || w.Limit != 16 || w.Sizes == nil {
+		t.Fatalf("window [%d, %d), sizes %v: want the whole hole, with its size record", w.HP, w.Limit, w.Sizes != nil)
+	}
+	for _, n := range []int{2, 5} {
+		w.Sizes[w.HP] = int32(n) // as the dispatch loop lays an object
+		w.HP += n
+		w.Objects++
+		h.Settle(&w)
+		if errs := h.VerifyHeap(); len(errs) != 0 {
+			t.Fatalf("after settling a %d-word object: %v", n, errs)
+		}
+	}
+	if h.OccupiedWords() != 7 || h.alloc != 7 || h.objSize[7] != -9 {
+		t.Fatalf("occupied %d, hole at %d recorded %d; want 7, 7, -9", h.OccupiedWords(), h.alloc, h.objSize[7])
+	}
 }
 
 func TestVerifyCatchesMissedCopy(t *testing.T) {

@@ -239,3 +239,36 @@ func max64(a, b int64) int64 {
 	}
 	return b
 }
+
+// TestStepBudgetFaultsAtTheSameAllocation: a step budget no longer shortens
+// allocation windows to one object — the slice closes its window where the
+// budget's undiverted prefix ends — so a budget that runs out inside a run
+// of allocations with no call between them must still fault at the
+// allocation it ends on, exactly as a window the gate grants one object at
+// a time (an allocation-word budget too large to bite forces those) does.
+func TestStepBudgetFaultsAtTheSameAllocation(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("let main () = (let xs = [")
+	for i := 0; i < 60; i++ {
+		fmt.Fprintf(&src, "%d; ", i)
+	}
+	src.WriteString("60] in 1)")
+	for _, ms := range []bool{false, true} {
+		faults := 0
+		for budget := int64(1); budget < 140; budget++ {
+			opts := Options{Strategy: gc.StratCompiled, HeapWords: 1 << 12, MarkSweep: ms, BudgetSteps: budget}
+			_, long := Run(src.String(), opts)
+			opts.BudgetAllocWords = 1 << 40
+			_, one := Run(src.String(), opts)
+			if fmt.Sprint(long) != fmt.Sprint(one) {
+				t.Fatalf("ms=%v budget %d: %v with long windows, %v with one-object windows", ms, budget, long, one)
+			}
+			if long != nil {
+				faults++ // main makes no call: every safe point is an allocation
+			}
+		}
+		if faults == 0 || faults == 139 {
+			t.Fatalf("ms=%v: %d of 139 budgets faulted, want some", ms, faults)
+		}
+	}
+}

@@ -610,8 +610,8 @@ func TestDisableLivenessVerifiesCleanOnTasks(t *testing.T) { // frames zero-fill
 }
 
 // TestTLABTortureCompletes: every allocation retires and re-carves a buffer.
-// On mark/sweep the retired tails are exact-size free blocks no object fits;
-// on taskmutate only the ladder's coalescing rung (heap.Coalesce) rescues it.
+// On mark/sweep the retired tails are gaps until a sweep merges them into
+// holes — on taskmutate the heap faulted when reuse was exact-size only.
 func TestTLABTortureCompletes(t *testing.T) {
 	view(t, latticeTasks, compiledKeys, "{prog}/ms={ms}", with(tlab, torture))
 }

@@ -149,8 +149,8 @@ func TestTelemetryTableGoldenMarkSweep(t *testing.T) {
 	}
 	got := TelemetryTable(res.Telemetry, TelemetryOptions{OmitTiming: true})
 	// The free-list hit rate starts at 0 (first interval allocates from the
-	// pristine bump region) then goes to 100: after the first sweep every
-	// allocation recycles an exact-size free block.
+	// pristine region) then goes to 100: after the first sweep every
+	// allocation is laid in a hole the sweep left.
 	want := `gc telemetry: strategy=compiled kind=mark/sweep collections=5
 seq  before  live  surv%  words  frames  slots  flhit%
   0     256    16    6.2     16      29      1     0.0

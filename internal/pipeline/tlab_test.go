@@ -160,7 +160,7 @@ func TestTLABRefillOnlyWithoutTLABs(t *testing.T) {
 
 // TestTLABRescueLadderStaysMinor is the regression test for the rescue
 // check: a nursery-exhaustion suspend on a TLAB heap must be judged
-// against the TLAB retry path (NeedTLAB), which a minor collection
+// against the TLAB retry path (Heap.Need), which a minor collection
 // satisfies. A rescue that judged the retry against the shared heap alone
 // would climb to majors or growth for garbage the nursery
 // recycles for free.

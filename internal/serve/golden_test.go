@@ -140,7 +140,7 @@ func TestGoldenVirtualTime(t *testing.T) {
 		if !ok {
 			t.Fatalf("no golden for %s", name)
 		}
-		// The heap verifier walks the free lists after every sweep and must
+		// The heap verifier walks the holes after every sweep and must
 		// not move a single virtual-time number.
 		for _, verify := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/verify=%v", name, verify), func(t *testing.T) {

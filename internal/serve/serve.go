@@ -488,7 +488,7 @@ func (d *driver) capacity() int {
 // every later arrival is shed.
 func (d *driver) peakUsed() int {
 	h := d.g.Heap
-	used := h.OccupiedWords() // Used on a copying heap: nothing is parked on free lists
+	used := h.OccupiedWords() // Used on a copying heap
 	if h.NurseryEnabled() {
 		used += h.YoungUsed()
 	}

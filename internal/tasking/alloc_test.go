@@ -147,3 +147,37 @@ func fullWindowsAllocateNothingOnTheHost(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetedMarkSweepWindowsSpanHoles: on a mark/sweep heap under a step
+// budget the dispatch loop lays objects in a window as long as the hole it
+// bumps through. The gate is visited by the first allocation of a slice, by
+// one that leaves a hole for the next, and by one that finds no hole and
+// waits for a collection — not once per object.
+func TestBudgetedMarkSweepWindowsSpanHoles(t *testing.T) {
+	g, entries, err := pipeline.BuildTaskGroup(noHostAllocSrc, []string{"spin_long"},
+		pipeline.Options{Strategy: gc.StratCompiled, MarkSweep: true, HeapWords: 1 << 12, BudgetSteps: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := g.Spawn(entries[0])
+	if err := g.RunInit(); err != nil {
+		t.Fatal(err)
+	}
+	gates0, slices := g.GateVisits(), int64(0)
+	for ; g.Stats.Collections < 50; slices++ {
+		if err := g.Step(task, 10_000); err != nil || task.Status == tasking.Done || task.Status == tasking.Faulted {
+			t.Fatalf("the task is %v after %d collections: %v", task.Status, g.Stats.Collections, err)
+		}
+		if task.Status != tasking.Running {
+			g.CollectSuspended()
+		}
+	}
+	gates, switches := g.GateVisits()-gates0, g.Heap.Stats.HoleSwitches
+	if bound := slices + switches + g.Stats.Collections; gates > bound {
+		t.Fatalf("%d gate visits for %d objects: more than %d slices + %d hole switches + %d collections",
+			gates, task.Allocations, slices, switches, g.Stats.Collections)
+	}
+	if gates*4 > task.Allocations {
+		t.Fatalf("%d gate visits for %d objects: windows are not spanning holes", gates, task.Allocations)
+	}
+}

@@ -18,7 +18,7 @@ let rec walk k xs acc = if k = 0 then acc else walk (k - 1) xs (acc + sum xs 0)
 let main () = walk 200 (upto 500) 0
 `
 
-// BenchmarkDispatch times the dispatch loop of tasking.step on five shapes
+// BenchmarkDispatch times the dispatch loop of tasking.step on six shapes
 // and reports ns/instr — elapsed time of the runs over the instructions they
 // executed, a superinstruction counted as its parts — so a register regression
 // in the loop shows without the ten-pair benchmark protocol (`make
@@ -28,8 +28,10 @@ let main () = walk 200 (upto 500) 0
 //   - calls: tak, nothing but calls, returns, compares and arithmetic;
 //   - branchy: fib, a compare-and-branch and a join's return on every call;
 //   - match: listWalk, a list match and a field bound on every element;
-//   - alloc: listchurn on a 1k-word heap, every allocation an event and a
-//     collection every few hundred instructions;
+//   - alloc: listchurn on a 1k-word heap, a collection every few hundred
+//     instructions, the objects between them laid in the loop's window;
+//   - alloc-marksweep: the same on a mark/sweep heap under a step budget —
+//     the window bumps through the holes the sweeps leave;
 //   - barrier: taskmutate under a nursery, every ref-cell store an event
 //     for the write barrier.
 func BenchmarkDispatch(b *testing.B) {
@@ -52,14 +54,16 @@ func BenchmarkDispatch(b *testing.B) {
 			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(instrs), "ns/instr")
 		}
 	}
-	corpus := func(name string) func(*testing.B) {
+	corpus := func(name string, opts pipeline.Options) func(*testing.B) {
 		w, _ := workloads.ByName(name)
-		return single(w.Source, w.Expect, pipeline.Options{Strategy: gc.StratCompiled, HeapWords: w.HeapWords})
+		opts.Strategy, opts.HeapWords = gc.StratCompiled, w.HeapWords
+		return single(w.Source, w.Expect, opts)
 	}
-	b.Run("calls", corpus("tak"))
-	b.Run("branchy", corpus("fib"))
+	b.Run("calls", corpus("tak", pipeline.Options{}))
+	b.Run("branchy", corpus("fib", pipeline.Options{}))
 	b.Run("match", single(listWalk, 200*500*501/2, pipeline.Options{Strategy: gc.StratCompiled, HeapWords: 4096}))
-	b.Run("alloc", corpus("listchurn"))
+	b.Run("alloc", corpus("listchurn", pipeline.Options{}))
+	b.Run("alloc-marksweep", corpus("listchurn", pipeline.Options{MarkSweep: true, BudgetSteps: 1 << 40}))
 	b.Run("barrier", func(b *testing.B) {
 		w, _ := workloads.TaskByName("taskmutate")
 		opts := pipeline.Options{Strategy: gc.StratCompiled, HeapWords: w.HeapWords, NurseryWords: 512}

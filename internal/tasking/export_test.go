@@ -134,6 +134,10 @@ func (g *Group) runUntilSuspendedScanningAll(visit func(*Task)) (bool, error) {
 	}
 }
 
+// GateVisits returns how many allocations the dispatch loop has left to the
+// gate: each found its window too short.
+func (g *Group) GateVisits() int64 { return g.gates }
+
 // Step runs one instruction slice of t, as a scheduling turn does.
 func (g *Group) Step(t *Task, quantum int) error { return g.step(t, quantum) }
 

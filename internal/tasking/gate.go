@@ -24,14 +24,17 @@ import (
 // the task (false: the instruction runs again when the task resumes).
 //
 // What must be judged per allocation is judged here, and holds for the whole
-// window granted: a window is one object long when a budget is set, a fault
-// plan is armed or the shared heap is opened with buffers armed (and where the
-// heap needs it, heap.Window), so the next allocation comes back; otherwise it
-// is the rest of its region, and nothing the gate checks can change before
-// the slice ends — only an allocation that suspends its own task, which ends
-// the slice, raises a wave.
+// window granted: a window is one object long when an allocation-word budget
+// is set, a fault plan is armed or the shared heap is opened with buffers
+// armed (and where the heap needs it, heap.Window), so the next allocation
+// comes back; otherwise it is the rest of its region, and nothing the gate
+// checks can change before the slice ends — only an allocation that suspends
+// its own task, which ends the slice, raises a wave, and a step budget is
+// spent only where step closes the window.
 func (g *Group) alloc(t *Task, k *sliceConsts) bool {
-	n, one := k.need, false
+	g.gates++
+	n := k.need
+	one := g.BudgetAllocWords > 0
 	if g.BudgetSteps > 0 || g.BudgetAllocWords > 0 {
 		// Allocation sites are the other safe point: fault the task before
 		// the request touches the heap so an over-quota task cannot trigger
@@ -40,7 +43,6 @@ func (g *Group) alloc(t *Task, k *sliceConsts) bool {
 			g.faultTask(t, FaultBudget, n, g.overBudget(t, n))
 			return false
 		}
-		one = true
 	}
 	if g.Policy == SuspendAtAllocs && g.waved(t) {
 		// Another task exhausted the heap (or this task's shard has a
@@ -150,45 +152,33 @@ func (g *Group) settle(t *Task, w *heap.Window) {
 	}
 }
 
-// allocBlocked reports whether a pending allocation would still fail if
-// retried right now. On a TLAB heap the retry refills through a clamped
-// carve (or the mark/sweep free lists), so it must be judged with
-// NeedTLAB — Need alone compares a TLAB-satisfiable request against the
-// shared bump region and sends the ladder climbing rungs it does not need.
-func (g *Group) allocBlocked(n int) bool {
-	if g.TLABWords > 0 && g.Heap.TLABsEnabled() {
-		return g.Heap.NeedTLAB(n)
-	}
-	return g.Heap.Need(n)
-}
-
 // rescueAlloc climbs the post-collection rungs of the ladder for a pending
 // allocation of n fields: if the collection freed enough, done; otherwise
 // escalate through the generational rungs (a full collection after a minor,
 // another after every growth while survivors stay pinned in the nursery),
-// grow the heap by GrowFactor per attempt up to the MaxHeapWords ceiling and
-// finally coalesce a mark/sweep heap's free blocks (heap.Coalesce). live is
-// the suspended-task set whose stacks root the escalation collections.
+// and grow the heap by GrowFactor per attempt up to the MaxHeapWords ceiling.
+// live is the suspended-task set whose stacks root the escalation
+// collections. On a buffered heap Need judges the retry as it runs: a carve
+// clamped to the region, or to the first mark/sweep hole that takes the
+// object, succeeds whenever the object itself fits.
 func (g *Group) rescueAlloc(live []*Task, n int) bool {
 	nursery := g.Heap.NurseryEnabled()
-	if nursery && g.allocBlocked(n) && g.Col.LastCollectionMinor() {
+	if nursery && g.Heap.Need(n) && g.Col.LastCollectionMinor() {
 		// The triggering collection may have been minor; a full collection
 		// reclaims old-region garbage the minor cycle never looked at.
 		g.fullCollect(live)
 	}
-	for g.allocBlocked(n) {
+	for g.Heap.Need(n) {
 		if nursery && g.Heap.YoungUsed() > 0 {
 			// Survivors the old region had no room for stay pinned in the
 			// nursery; a full collection promotes them into whatever the last
 			// collection or growth (which extends only the old region) freed.
 			g.fullCollect(live)
-			if !g.allocBlocked(n) {
+			if !g.Heap.Need(n) {
 				break
 			}
 		}
-		// Past the last growth, a mark/sweep heap may still hold the room in
-		// free blocks of the wrong sizes: coalescing them is the last rung.
-		if !g.grow() && !g.Heap.Coalesce(n) {
+		if !g.grow() {
 			return false
 		}
 	}

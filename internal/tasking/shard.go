@@ -165,7 +165,7 @@ func (g *Group) serviceShardMinors() {
 		g.rgcShard[s] = 0
 		g.Heap.SetAllocShard(s)
 		for _, t := range mine {
-			if t.Status == SuspendedAlloc && g.allocBlocked(t.pendingAlloc) {
+			if t.Status == SuspendedAlloc && g.Heap.Need(t.pendingAlloc) {
 				// The shard minor was not enough; climb the global ladder.
 				// The task stays suspended and is rescued by the global
 				// collection's collectSuspended.

@@ -288,6 +288,8 @@ type Group struct {
 	rgc     code.Word
 	latency int64
 	steps   int64
+	// gates counts the allocations the dispatch loop left to the gate.
+	gates int64
 	// Policy is the suspension discipline (default SuspendAtCalls).
 	Policy Policy
 	// Quantum is the instruction slice per scheduling turn.

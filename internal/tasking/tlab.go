@@ -8,7 +8,7 @@
 //   - wave gathered: a shard's minor retires that shard's buffers itself
 //     (serviceShardMinors)
 //   - the gate: openBuffered before the shared heap (alloc), the fault plan's
-//     refill test (alloc), the fast/slow split (settle), NeedTLAB (allocBlocked)
+//     refill test (alloc), the fast/slow split (settle)
 
 package tasking
 
@@ -19,8 +19,8 @@ import (
 
 // TLABStats is one task's allocation-buffer accounting over its lifetime.
 // FastAllocs served from the private buffer without touching the shared
-// heap; SlowAllocs went through Heap.Alloc (oversize, or a failed carve
-// rescued by a mark/sweep free list); Refills carved RefillWords from the
+// heap; SlowAllocs went through a window on the shared heap (an object
+// wider than a chunk); Refills carved RefillWords from the
 // shared heap, of which WasteWords died unused and ReturnedWords were
 // given back at retirement.
 type TLABStats struct {
