@@ -9,16 +9,18 @@
 # otherwise, with no other mode — with the heap verifier after every
 # collection: 608 points, ≈ 1 min on 2 vCPUs. tier 1 runs a
 # pairwise-covering subset.
-# tier2-scenario runs every committed torture scenario (the faults block's
-# torture, injection and verifier knobs reached through the DSL) and fails on
-# a faulted task or a cell error. tier2-serve is a 16000-request serve run
-# under a timeout: it takes ~0.4 s while a serve run is linear in its requests
-# and ~3 s with a per-tick or per-round rescan, far more under a loaded
-# machine — a reintroduced rescan fails here instead of slowing a benchmark
-# row. tier2-bench runs every Go micro-benchmark once, so one that stopped
-# compiling or running fails here rather than at the next profile; on a
-# failure it prints the --- FAIL and FAIL lines (and the line after each) of
-# its log, .bench_build/tier2-bench.log.
+# tier2-serve is a 16000-request serve run under a timeout: it takes ~0.4 s
+# while a serve run is linear in its requests and ~3 s with a per-tick or
+# per-round rescan, far more under a loaded machine — a reintroduced rescan
+# fails here instead of slowing a benchmark row. It then runs the torture and
+# pressure lines below on a tfserve built with -race; each fails unless its
+# requests: line reads faulted=0 wrong=0. tier2-bench runs every Go
+# micro-benchmark once, so one that stopped compiling or running fails here
+# rather than at the next profile; on a failure it prints the --- FAIL and
+# FAIL lines (and the line after each) of its log, .bench_build/tier2-bench.log.
+# fuzz (below) gives FuzzMarkSweepHoles 30 s; the root package's
+# TestMakefileNamesExistingTests fails when a name this file passes to -run,
+# -bench or -fuzz matches no test, which go test itself would pass.
 #
 # loc prints the non-test Go lines outside benchmark/ — raw, and without
 # blank and comment-only lines — so a simplification's "net negative" is a
@@ -90,31 +92,52 @@
 # workload compared against a run file an earlier commit wrote with
 # `go run ./benchmark -runs 10 -out <runs.json>`.
 
-.PHONY: benchmark benchmark-check counts profile-interp opcode-pairs profile-compile profile-gc tier1 tier2 tier2-lattice tier2-scenario tier2-serve tier2-bench loc bench fuzz fuzz-scenario
+.PHONY: benchmark benchmark-check counts profile-interp opcode-pairs profile-compile profile-gc tier1 tier2 tier2-lattice tier2-serve tier2-bench loc bench fuzz
 
 tier1:
 	go build ./...
 	go vet ./...
 	go test ./...
 
-tier2: tier1 tier2-lattice tier2-scenario tier2-serve tier2-bench
+tier2: tier1 tier2-lattice tier2-serve tier2-bench fuzz
 	go test -race -count=1 -timeout 30m ./...
 
 tier2-lattice:
 	GC_TORTURE_FULL=1 go test -run TestModeLattice -count=1 -timeout 60m ./internal/pipeline/
 
-tier2-scenario:
-	mkdir -p .bench_build
-	go build -race -o .bench_build/tfbench-race ./cmd/tfbench
-	for f in testdata/scenarios/*torture.tfs; do \
-		out=$$(.bench_build/tfbench-race -scenario $$f) || exit 1; \
-		if echo "$$out" | grep -e 'faulted' -e 'error: '; then exit 1; fi; \
-	done
+# The torture and pressure lines, closed-loop runs of a task workload unless
+# they set -period (collections per line in brackets). They were the cells of
+# the .tfs scenarios tier2 ran before the DSL was deleted:
+#   poly-torture (torture.tfs)           taskpoly lines, copying and mark/sweep [1200 each]
+#   churn-pressure (torture.tfs)         the taskchurn -fail-every line [10]
+#   shard-churn (shard-torture.tfs)      taskchurn -shards 1, 2, 4, copying and mark/sweep [15, 14, 12]
+#   shard-pressure (shard-torture.tfs)   the taskmutate line [105]
+#   overload-torture (overload-torture.tfs) the taskserve line [707; completed 9, shed 63,
+#                                        dropped 21, p99 176114 — TestCLIOverloadTorture pins them]
+SERVE_LINES = \
+	'-workload taskpoly -gc-torture -verify-heap' \
+	'-workload taskpoly -gc-torture -verify-heap -marksweep' \
+	'-workload taskchurn -heap 1024 -fail-every 400 -heap-grow 1.5 -heap-max 8192' \
+	'-workload taskchurn -gc-nursery 256 -shards 1 -verify-heap' \
+	'-workload taskchurn -gc-nursery 256 -shards 2 -verify-heap' \
+	'-workload taskchurn -gc-nursery 256 -shards 4 -verify-heap' \
+	'-workload taskchurn -gc-nursery 256 -shards 1 -verify-heap -marksweep' \
+	'-workload taskchurn -gc-nursery 256 -shards 2 -verify-heap -marksweep' \
+	'-workload taskchurn -gc-nursery 256 -shards 4 -verify-heap -marksweep' \
+	'-workload taskmutate -heap 1024 -gc-nursery 128 -shards 4 -fail-every 400 -heap-grow 1.5 -heap-max 8192 -verify-heap' \
+	'-workload taskserve -period 1500 -burst 2 -requests 30 -seed 13 -queue 6 -inflight 3 -shed-heap 85 -retries 2 \
+		-deadline 300000 -budget-steps 2000000 -mix req_tiny:4,req_small:2 -gc-torture -verify-heap -fail-every 400'
 
 tier2-serve:
 	mkdir -p .bench_build
 	go build -o .bench_build/tfserve ./cmd/tfserve
 	timeout 2 .bench_build/tfserve -marksweep -budget-steps 2000000 -period 3000 -requests 16000 -queue 8 -inflight 4 -retries 6 >/dev/null
+	go build -race -o .bench_build/tfserve-race ./cmd/tfserve
+	for args in $(SERVE_LINES); do \
+		out=$$(.bench_build/tfserve-race $$args) || exit 1; \
+		echo "$$out" | grep -q '^requests: .* faulted=0 wrong=0$$' || { echo "tfserve $$args:"; echo "$$out"; exit 1; }; \
+		echo "$$out" | grep -e '^requests: ' -e '^throughput: '; \
+	done
 
 tier2-bench:
 	mkdir -p .bench_build
@@ -206,11 +229,6 @@ benchmark-check:
 bench:
 	go test -bench=. -benchmem -run xxx ./internal/gc/ ./internal/tasking/ ./internal/pipeline/
 
-# Budgeted fuzzing of the mark/sweep free-list invariants.
+# Budgeted fuzzing of the mark/sweep hole invariants.
 fuzz:
-	go test ./internal/heap/ -fuzz FuzzMarkSweepFreeList -fuzztime 30s
-
-# Budgeted fuzzing of the scenario lexer/parser/compiler (no panics,
-# every diagnostic positioned).
-fuzz-scenario:
-	go test ./internal/scenario/ -fuzz FuzzScenarioParse -fuzztime 30s
+	go test ./internal/heap/ -fuzz FuzzMarkSweepHoles -fuzztime 30s

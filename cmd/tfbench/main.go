@@ -6,17 +6,13 @@
 //	tfbench -repeats 5 e2
 //	tfbench telemetry    # per-collection GC telemetry over the task corpus
 //	tfbench -json telemetry
-//	tfbench -scenario testdata/scenarios/          # declarative scenario matrix
-//	tfbench -scenario run.tfs -json                # ... as a tagfree-bench/v1 snapshot
-//	tfbench -scenario run.tfs -bench-json out.json # table + snapshot file
 //
 // The telemetry report takes the runtime flags of pipeline.Knobs (bound by
-// pipeline.BindFlags, listed in README's "Modes, flags and keys" table);
-// -repeats, -json, -bench-json and -scenario are this tool's own.
+// pipeline.BindFlags, listed in README's "Modes and flags" table);
+// -repeats and -json are this tool's own.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -24,7 +20,6 @@ import (
 
 	"tagfree/internal/experiments"
 	"tagfree/internal/pipeline"
-	"tagfree/internal/scenario"
 	"tagfree/internal/workloads"
 )
 
@@ -33,25 +28,7 @@ func main() {
 	pipeline.BindFlags(flag.CommandLine, &opts)
 	repeats := flag.Int("repeats", 3, "timing repetitions (best-of)")
 	asJSON := flag.Bool("json", false, "emit the telemetry report as JSON instead of tables")
-	benchJSON := flag.String("bench-json", "", "with -scenario: additionally write the snapshot (schema tagfree-bench/v1) to this file")
-	scenarioPath := flag.String("scenario", "", "run the scenario matrix from a .tfs file or a directory of .tfs files")
 	flag.Parse()
-
-	if *scenarioPath != "" {
-		if err := scenario.RunPath(*scenarioPath, *asJSON, *benchJSON, os.Stdout, os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-			if errors.Is(err, scenario.ErrInput) {
-				os.Exit(2)
-			}
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchJSON != "" {
-		fmt.Fprintln(os.Stderr, "tfbench: -bench-json writes a scenario matrix's snapshot and needs -scenario; the repository benchmark is `go run ./benchmark` (BENCHMARK.json)")
-		os.Exit(2)
-	}
 
 	runners := map[string]func(int) *experiments.Table{}
 	var order []string
@@ -88,14 +65,14 @@ func main() {
 // (pipeline.Rules) is reported as a skip with the reasons, never run with
 // the mode quietly dropped.
 func telemetryReport(base pipeline.Options, asJSON bool) {
-	disciplines := []scenario.Discipline{scenario.Copying, scenario.MarkSweep}
+	disciplines := []bool{false, true}
 	if base.MarkSweep {
 		disciplines = disciplines[1:]
 	}
 	for _, w := range workloads.Tasking {
-		for _, disc := range disciplines {
+		for _, markSweep := range disciplines {
 			opts := base
-			opts.MarkSweep = disc == scenario.MarkSweep
+			opts.MarkSweep = markSweep
 			if opts.HeapWords == 0 {
 				opts.HeapWords = w.HeapWords
 			}
@@ -104,9 +81,12 @@ func telemetryReport(base pipeline.Options, asJSON bool) {
 				os.Exit(2)
 			}
 			if reasons := opts.Refusals(); len(reasons) > 0 {
-				skip := os.Stdout
+				skip, disc := os.Stdout, "copying"
 				if asJSON {
 					skip = os.Stderr // stdout is a stream of JSON objects
+				}
+				if markSweep {
+					disc = "mark/sweep"
 				}
 				fmt.Fprintf(skip, "%s (%d tasks) %s: skip: %s\n\n", w.Name, len(w.Entries), disc, strings.Join(reasons, "; "))
 				continue

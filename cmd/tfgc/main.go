@@ -12,7 +12,7 @@
 // The runtime flags — collector, heap discipline, nursery, allocation
 // buffers, shards, fault injection, budgets — are the
 // rows of pipeline.Knobs, bound by pipeline.BindFlags and listed with
-// their ranges and compatibility rules in README's "Modes, flags and keys"
+// their ranges and compatibility rules in README's "Modes and flags"
 // table; -stats, -gc-stats and -entry are this tool's own.
 package main
 

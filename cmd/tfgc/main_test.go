@@ -116,9 +116,9 @@ func TestUsageErrors(t *testing.T) {
 		nil,
 		{"frobnicate", "x.ml"},
 		{"tasks", prog},
-		// Out-of-range values: the sentence the .tfs front end prints for the
-		// same key, as a usage error. At the parent -heap -1 panicked in
-		// heap.New and the others ran without a word.
+		// Out-of-range values: the knob's range sentence, as a usage
+		// error. Without the ranges -heap -1 panicked in heap.New and the
+		// others ran without a word.
 		{"run", "-heap", "-1", prog},
 		{"run", "-gc", "wizard", prog},
 		{"run", "-tlab", "-5", prog},

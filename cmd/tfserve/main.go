@@ -12,13 +12,11 @@
 //	        -retries 3 -deadline 400000 -budget-steps 2000000
 //	tfserve -json ...                        # tagfree-bench/v1 snapshot on stdout
 //	tfserve -bench-json out.json ...         # table + snapshot file
-//	tfserve -scenario testdata/scenarios/overload.tfs   # declarative overload matrix
 //
 // The runtime and arrival flags are the rows of pipeline.Knobs, bound by
-// pipeline.BindFlags — the same rows tfgc binds and the .tfs arrivals and
-// faults blocks parse through, so a flag and its key accept the same
-// values; README's "Modes, flags and keys" table lists them. -workload,
-// -mix, -gc-stats, -json, -bench-json and -scenario are this tool's own.
+// pipeline.BindFlags — the same rows tfgc and tfbench bind; README's
+// "Modes and flags" table lists them. -workload, -mix, -gc-stats, -json and
+// -bench-json are this tool's own.
 //
 // All arrival scheduling and latency accounting is in virtual steps, so
 // reported p50/p99/p999 latencies are deterministic for a given -seed;
@@ -27,6 +25,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -35,7 +34,6 @@ import (
 	"strings"
 
 	"tagfree/internal/pipeline"
-	"tagfree/internal/scenario"
 	"tagfree/internal/serve"
 	"tagfree/internal/workloads"
 )
@@ -69,16 +67,11 @@ func cli(args []string, stdout io.Writer) error {
 	gcStats := fs.Bool("gc-stats", false, "print the per-collection GC telemetry table after the report")
 	asJSON := fs.Bool("json", false, "emit the tagfree-bench/v1 snapshot on stdout instead of the table")
 	benchJSON := fs.String("bench-json", "", "additionally write the snapshot to this file")
-	scenarioPath := fs.String("scenario", "", "run the scenario matrix from a .tfs file or directory instead of flags")
 	if err := fs.Parse(args); err != nil {
 		return &usageError{err.Error()}
 	}
 	if fs.NArg() != 0 {
 		return &usageError{fmt.Sprintf("unexpected argument %q", fs.Arg(0))}
-	}
-
-	if *scenarioPath != "" {
-		return scenario.RunPath(*scenarioPath, *asJSON, *benchJSON, stdout, os.Stderr)
 	}
 
 	w, ok := workloads.TaskByName(*workload)
@@ -101,12 +94,38 @@ func cli(args []string, stdout io.Writer) error {
 		return err
 	}
 	rep := serve.NewReport(w.Name, cfg, res)
-	snap := serve.Snapshot{Schema: serve.SnapshotSchema, Runs: []serve.Report{rep}}
-	if err := scenario.Emit(stdout, snap, rep.Table(), *asJSON, *benchJSON); err != nil {
+	if err := emit(stdout, rep, *asJSON, *benchJSON); err != nil {
 		return err
 	}
 	if *gcStats {
 		fmt.Fprint(stdout, pipeline.TelemetryTable(&res.Group.Col.Telem, pipeline.TelemetryOptions{Tasks: true}))
+	}
+	return nil
+}
+
+// emit renders the report: its table by default, the tagfree-bench/v1
+// snapshot JSON on stdout with asJSON, and additionally to a file when
+// benchJSON names one.
+func emit(stdout io.Writer, rep serve.Report, asJSON bool, benchJSON string) error {
+	snap := serve.Snapshot{Schema: serve.SnapshotSchema, Runs: []serve.Report{rep}}
+	js, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		return err
+	}
+	js = append(js, '\n')
+	if asJSON {
+		_, err = stdout.Write(js)
+	} else {
+		_, err = io.WriteString(stdout, rep.Table())
+	}
+	if err != nil {
+		return err
+	}
+	if benchJSON != "" && benchJSON != "-" {
+		if err := os.WriteFile(benchJSON, js, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", benchJSON)
 	}
 	return nil
 }

@@ -53,22 +53,30 @@ func TestCLIOpenLoopJSON(t *testing.T) {
 	}
 }
 
-func TestCLIScenario(t *testing.T) {
+// TestCLIOverloadTorture pins the overload-torture line of tier2-serve:
+// open-loop arrivals at twice the sustainable rate with a collection before
+// every allocation, the heap verifier after each and an injected allocation
+// failure every 400th. The counts are virtual time, so they repeat exactly.
+func TestCLIOverloadTorture(t *testing.T) {
 	var out strings.Builder
-	if err := cli([]string{"-scenario", "../../testdata/scenarios/overload-torture.tfs"}, &out); err != nil {
+	args := strings.Fields("-workload taskserve -period 1500 -burst 2 -requests 30 -seed 13" +
+		" -queue 6 -inflight 3 -shed-heap 85 -retries 2 -deadline 300000 -budget-steps 2000000" +
+		" -mix req_tiny:4,req_small:2 -gc-torture -verify-heap -fail-every 400")
+	if err := cli(args, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "overload-torture") ||
-		!strings.Contains(out.String(), "serve: done=") {
-		t.Errorf("scenario table missing serve row:\n%s", out.String())
+	for _, want := range []string{"completed=9 shed=63 ", " dropped=21 ", " faulted=0 wrong=0\n", " p99=176114 "} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
 	}
 }
 
 func TestCLIBadFlags(t *testing.T) {
-	// Out-of-range values are usage errors carrying the sentence the .tfs
-	// front end prints for the same key. At the parent -heap -1 panicked in
-	// heap.New, -inflight -2 never terminated (hence the timeout) and the
-	// rest of the numeric ones ran without a word.
+	// Out-of-range values are usage errors carrying the knob's range
+	// sentence. Without the ranges -heap -1 panicked in heap.New, -inflight -2
+	// never terminated (hence the timeout) and the rest of the numeric ones
+	// ran without a word.
 	usage := [][]string{
 		{"-workload", "nosuch"},
 		{"-gc", "wizard"},
@@ -84,7 +92,8 @@ func TestCLIBadFlags(t *testing.T) {
 		{"-burst", "0"},
 		{"-tlab", "-5"},
 		{"-gc-nursery", "3"},
-		{"-par", "2"}, // no such flag
+		{"-par", "2"},      // no such flag
+		{"-scenario", "x"}, // nor this one: runs are flag lines
 		{"-heap-grow", "0.5"},
 		{"-fail-alloc", "-1"},
 		{"-gc-nursery", "256", "-tlab", "512"}, // a buffer larger than the space it is carved from

@@ -17,8 +17,8 @@
 //
 // List is the one registry of these tables: tfbench runs it, All and the
 // tests read it. The repository's optional modes (nursery, TLABs, shards,
-// the scenario DSL, serving) have no table here; tfbench telemetry,
-// tfbench -scenario and tfserve print their counts.
+// serving) have no table here; tfbench telemetry and tfserve print their
+// counts.
 package experiments
 
 import (

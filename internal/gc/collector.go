@@ -42,7 +42,7 @@ func (s Strategy) String() string {
 }
 
 // ParseStrategy is the inverse of String: the one place a strategy's
-// spelling (the -gc flag, the .tfs strategies axis) is resolved.
+// spelling (the -gc flag) is resolved.
 func ParseStrategy(name string) (Strategy, error) {
 	for s := StratCompiled; s <= StratTagged; s++ {
 		if s.String() == name {

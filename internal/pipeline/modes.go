@@ -10,17 +10,17 @@ import (
 	"tagfree/internal/gc"
 )
 
-// The mode table. Every knob a front end can set — its CLI spelling, its
-// .tfs spelling, the range an outside value must lie in, the words a
-// diagnostic uses for it and the field it lands in — is one row of Knobs,
-// and every combination of knobs no runtime is built for is one row of
-// Rules. The flag sets of tfgc, tfserve and tfbench (BindFlags), the .tfs
-// parser's key loops, the skip rows of a scenario matrix, Options.validate
-// and README's "Modes, flags and keys" table are all read off these two
-// lists; nothing else in the tree spells a knob, a range or a refusal.
+// The mode table. Every knob a front end can set — its CLI spelling, the
+// range an outside value must lie in, the words a diagnostic uses for it and
+// the field it lands in — is one row of Knobs, and every combination of
+// knobs no runtime is built for is one row of Rules. The flag sets of tfgc,
+// tfserve and tfbench (BindFlags), the skip rows of tfbench telemetry,
+// Options.validate and README's "Modes and flags" table are all read off
+// these two lists; nothing else in the tree spells a knob, a range or a
+// refusal.
 //
 // Ranges guard outside input only: Knob.Set applies them where a value
-// crosses into the program (a flag, a .tfs token). Options built in Go —
+// crosses into the program (a flag). Options built in Go —
 // tests run 4-word heaps on purpose — pass through validate alone, which
 // refuses the violated Rules and negative sizes and counts.
 
@@ -38,15 +38,9 @@ const (
 
 // Knob is one row of the mode table.
 type Knob struct {
-	// Flag is the CLI spelling (without the dash); Key the .tfs spelling
-	// inside Block ("" = the scenario body, "faults", "arrivals"). An empty
-	// Key means the knob is not part of the DSL. Axis marks the keys that
-	// take a list and cross into matrix cells (strategies, disciplines,
-	// shards): the scenario package parses the list, this row names the
-	// spelling and checks each element.
-	Flag, Key, Block string
-	Axis             bool
-	Kind             Kind
+	// Flag is the CLI spelling (without the dash).
+	Flag string
+	Kind Kind
 	// Min..Max is the accepted range of an Int (Max 0 = no upper bound) and
 	// the range (Min, Max] of a Float. A non-empty Zero additionally accepts
 	// 0 and says what it means ("to disable"). A knob that is never given
@@ -71,66 +65,65 @@ const (
 	maxBudget    = 1 << 40 // budgets and deadlines: billions of steps is a legitimate "effectively off"
 )
 
-// Knobs is the mode table, in the order the .tfs diagnostics and the README
-// list keys. A heap below 128 words cannot hold the init globals of the
-// smallest corpus program; the upper bounds keep a typo from allocating
-// gigawords.
+// Knobs is the mode table, in the order the README lists flags. A heap
+// below 128 words cannot hold the init globals of the smallest corpus
+// program; the upper bounds keep a typo from allocating gigawords.
 var Knobs = []Knob{
-	{Flag: "gc", Key: "strategies", Axis: true, Kind: Strategy, Field: "Strategy",
+	{Flag: "gc", Kind: Strategy, Field: "Strategy",
 		Help: "collector: compiled, interp, appel, tagged"},
-	{Flag: "marksweep", Key: "disciplines", Axis: true, Kind: Bool, Field: "MarkSweep",
+	{Flag: "marksweep", Kind: Bool, Field: "MarkSweep",
 		Help: "mark/sweep heap discipline instead of semispace copying"},
-	{Flag: "shards", Key: "shards", Axis: true, Kind: Int, Min: 1, Max: 64, Noun: "shards", Field: "Shards",
+	{Flag: "shards", Kind: Int, Min: 1, Max: 64, Noun: "shards", Field: "Shards",
 		Help: "partition tasks and nursery into N heap shards with independent minor collections"},
-	{Flag: "heap", Key: "heap", Kind: Int, Min: 128, Max: maxHeapWords, Noun: "heap size", Unit: "words", Field: "HeapWords",
+	{Flag: "heap", Kind: Int, Min: 128, Max: maxHeapWords, Noun: "heap size", Unit: "words", Field: "HeapWords",
 		Help: "semispace size in words (default 65536, or the workload's recommendation)"},
-	{Flag: "gc-nursery", Key: "nursery", Kind: Int, Min: 16, Max: 1 << 22, Zero: "to disable", Noun: "nursery size", Unit: "words", Field: "NurseryWords",
+	{Flag: "gc-nursery", Kind: Int, Min: 16, Max: 1 << 22, Zero: "to disable", Noun: "nursery size", Unit: "words", Field: "NurseryWords",
 		Help: "generational nursery: 2×N words per shard, all allocation space"},
-	{Flag: "tlab", Key: "tlab", Kind: Int, Min: 8, Max: 1 << 16, Zero: "to disable", Noun: "tlab size", Unit: "words", Field: "TLABWords",
+	{Flag: "tlab", Kind: Int, Min: 8, Max: 1 << 16, Zero: "to disable", Noun: "tlab size", Unit: "words", Field: "TLABWords",
 		Help: "per-task allocation buffer chunk in words"},
 	{Flag: "no-elide", Kind: Bool, Field: "DisableGCWordElision",
 		Help: "keep gc_words on every call site"},
 
-	{Flag: "gc-torture", Key: "torture", Block: "faults", Kind: Bool, Field: "Torture",
+	{Flag: "gc-torture", Kind: Bool, Field: "Torture",
 		Help: "collect before every allocation"},
-	{Flag: "verify-heap", Key: "verify-heap", Block: "faults", Kind: Bool, Field: "VerifyHeap",
+	{Flag: "verify-heap", Kind: Bool, Field: "VerifyHeap",
 		Help: "verify heap invariants after every collection"},
-	{Flag: "fail-alloc", Key: "fail-alloc", Block: "faults", Kind: Int, Min: 1, Noun: "fail-alloc", Field: "FailAllocNth",
+	{Flag: "fail-alloc", Kind: Int, Min: 1, Noun: "fail-alloc", Field: "FailAllocNth",
 		Help: "inject one allocation failure at the Nth allocation"},
-	{Flag: "fail-every", Key: "fail-every", Block: "faults", Kind: Int, Min: 1, Noun: "fail-every", Field: "FailAllocEvery",
+	{Flag: "fail-every", Kind: Int, Min: 1, Noun: "fail-every", Field: "FailAllocEvery",
 		Help: "inject an allocation failure every Kth allocation"},
-	{Flag: "fail-refills", Key: "fail-refills", Block: "faults", Kind: Bool, Field: "FailRefillsOnly",
+	{Flag: "fail-refills", Kind: Bool, Field: "FailRefillsOnly",
 		Help: "restrict -fail-alloc/-fail-every to TLAB refill carves"},
-	{Flag: "heap-grow", Key: "heap-grow", Block: "faults", Kind: Float, Min: 1, Max: 16, Noun: "heap-grow", Field: "GrowFactor",
+	{Flag: "heap-grow", Kind: Float, Min: 1, Max: 16, Noun: "heap-grow", Field: "GrowFactor",
 		Help: "heap growth factor when collection cannot satisfy an allocation"},
-	{Flag: "heap-max", Key: "heap-max", Block: "faults", Kind: Int, Min: 128, Max: maxHeapWords, Zero: "for unbounded", Noun: "heap-max", Unit: "words", Field: "MaxHeapWords",
+	{Flag: "heap-max", Kind: Int, Min: 128, Max: maxHeapWords, Zero: "for unbounded", Noun: "heap-max", Unit: "words", Field: "MaxHeapWords",
 		Help: "hard ceiling for heap growth in semispace words"},
 
-	{Flag: "period", Key: "period", Block: "arrivals", Kind: Int, Min: 1, Max: maxSteps, Noun: "period", Serve: true, Field: "Period",
+	{Flag: "period", Kind: Int, Min: 1, Max: maxSteps, Noun: "period", Serve: true, Field: "Period",
 		Help: "inter-arrival period in steps (not given = closed-loop corpus run)"},
-	{Flag: "burst", Key: "burst", Block: "arrivals", Kind: Int, Min: 1, Max: 1 << 10, Noun: "burst", Serve: true, Field: "Burst",
+	{Flag: "burst", Kind: Int, Min: 1, Max: 1 << 10, Noun: "burst", Serve: true, Field: "Burst",
 		Help: "requests arriving together each period"},
-	{Flag: "requests", Key: "requests", Block: "arrivals", Kind: Int, Min: 1, Max: 1 << 20, Noun: "requests", Serve: true, Field: "Requests",
+	{Flag: "requests", Kind: Int, Min: 1, Max: 1 << 20, Noun: "requests", Serve: true, Field: "Requests",
 		Help: "total requests to issue (open loop)"},
-	{Flag: "seed", Key: "seed", Block: "arrivals", Kind: Int, Min: 0, Noun: "seed", Serve: true, Field: "Seed",
+	{Flag: "seed", Kind: Int, Min: 0, Noun: "seed", Serve: true, Field: "Seed",
 		Help: "PRNG seed for mix sampling and retry jitter"},
-	{Flag: "queue", Key: "queue", Block: "arrivals", Kind: Int, Min: 1, Max: 1 << 16, Noun: "queue depth", Serve: true, Field: "QueueDepth",
+	{Flag: "queue", Kind: Int, Min: 1, Max: 1 << 16, Noun: "queue depth", Serve: true, Field: "QueueDepth",
 		Help: "admission queue depth (default 16)"},
-	{Flag: "inflight", Key: "inflight", Block: "arrivals", Kind: Int, Min: 1, Max: 1 << 10, Noun: "inflight", Serve: true, Field: "MaxInflight",
+	{Flag: "inflight", Kind: Int, Min: 1, Max: 1 << 10, Noun: "inflight", Serve: true, Field: "MaxInflight",
 		Help: "max concurrently running requests (default 8)"},
-	{Flag: "shed-heap", Key: "shed-heap", Block: "arrivals", Kind: Int, Min: 1, Max: 100, Noun: "shed-heap", Unit: "percent", Serve: true, Field: "ShedHeapPct",
+	{Flag: "shed-heap", Kind: Int, Min: 1, Max: 100, Noun: "shed-heap", Unit: "percent", Serve: true, Field: "ShedHeapPct",
 		Help: "shed arrivals at this heap occupancy percentage"},
-	{Flag: "retries", Key: "retries", Block: "arrivals", Kind: Int, Min: 0, Max: 64, Noun: "retries", Serve: true, Field: "MaxRetries",
+	{Flag: "retries", Kind: Int, Min: 0, Max: 64, Noun: "retries", Serve: true, Field: "MaxRetries",
 		Help: "max client retries after a shed"},
-	{Flag: "backoff", Key: "backoff", Block: "arrivals", Kind: Int, Min: 1, Max: maxSteps, Noun: "backoff", Serve: true, Field: "Backoff",
+	{Flag: "backoff", Kind: Int, Min: 1, Max: maxSteps, Noun: "backoff", Serve: true, Field: "Backoff",
 		Help: "initial retry backoff in steps (default: the period)"},
-	{Flag: "backoff-cap", Key: "backoff-cap", Block: "arrivals", Kind: Int, Min: 1, Max: maxSteps, Noun: "backoff-cap", Serve: true, Field: "BackoffCap",
+	{Flag: "backoff-cap", Kind: Int, Min: 1, Max: maxSteps, Noun: "backoff-cap", Serve: true, Field: "BackoffCap",
 		Help: "retry backoff ceiling in steps (default 64x backoff)"},
-	{Flag: "deadline", Key: "deadline", Block: "arrivals", Kind: Int, Min: 1, Max: maxBudget, Noun: "deadline", Serve: true, Field: "Deadline",
+	{Flag: "deadline", Kind: Int, Min: 1, Max: maxBudget, Noun: "deadline", Serve: true, Field: "Deadline",
 		Help: "cancel admitted requests running longer than this many steps"},
-	{Flag: "budget-steps", Key: "budget-steps", Block: "arrivals", Kind: Int, Min: 1, Max: maxBudget, Noun: "budget-steps", Field: "BudgetSteps",
+	{Flag: "budget-steps", Kind: Int, Min: 1, Max: maxBudget, Noun: "budget-steps", Field: "BudgetSteps",
 		Help: "per-task step budget; exceeding it faults the task"},
-	{Flag: "budget-alloc", Key: "budget-alloc", Block: "arrivals", Kind: Int, Min: 1, Max: maxBudget, Noun: "budget-alloc", Field: "BudgetAllocWords",
+	{Flag: "budget-alloc", Kind: Int, Min: 1, Max: maxBudget, Noun: "budget-alloc", Field: "BudgetAllocWords",
 		Help: "per-task allocation-word budget"},
 }
 
@@ -154,25 +147,13 @@ func (k *Knob) Range() string {
 	return r
 }
 
-// outOfRange is the one range sentence: the .tfs parser prints it after its
-// line:col, the flag package after its "invalid value" preamble.
+// outOfRange is the one range sentence; the flag package prints it after its
+// "invalid value" preamble.
 func (k *Knob) outOfRange(value string) error {
 	if k.Unit != "" {
 		value += " " + k.Unit
 	}
 	return fmt.Errorf("%s %s out of range (%s)", k.Noun, value, k.Range())
-}
-
-// ParseInt parses and range-checks one value of an Int knob.
-func (k *Knob) ParseInt(text string) (int64, error) {
-	n, err := strconv.ParseInt(text, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("malformed %s value %q", k.Noun, text)
-	}
-	if (n < k.Min || k.Max != 0 && n > k.Max) && !(n == 0 && k.Zero != "") {
-		return 0, k.outOfRange(strconv.FormatInt(n, 10))
-	}
-	return n, nil
 }
 
 // Set parses text as the knob's kind, checks it against the range and stores
@@ -203,9 +184,12 @@ func (k *Knob) Set(target any, text string) error {
 		}
 		f.SetFloat(v)
 	case Int:
-		n, err := k.ParseInt(text)
+		n, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
-			return err
+			return fmt.Errorf("malformed %s value %q", k.Noun, text)
+		}
+		if (n < k.Min || k.Max != 0 && n > k.Max) && !(n == 0 && k.Zero != "") {
+			return k.outOfRange(strconv.FormatInt(n, 10))
 		}
 		f.SetInt(n)
 	}
@@ -250,16 +234,6 @@ func BindFlags(fs *flag.FlagSet, targets ...any) {
 			fs.Var(flagValue{k, t}, k.Flag, k.Help)
 		}
 	}
-}
-
-// FindKey returns the knob spelled key inside a .tfs block, or nil.
-func FindKey(block, key string) *Knob {
-	for i := range Knobs {
-		if k := &Knobs[i]; k.Key == key && k.Block == block {
-			return k
-		}
-	}
-	return nil
 }
 
 // RefuseNegative is the range check that holds for Go callers too: no

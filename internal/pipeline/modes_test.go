@@ -3,31 +3,26 @@ package pipeline
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite README.md's generated Modes, flags and keys table")
+var update = flag.Bool("update", false, "rewrite README.md's generated Modes and flags table")
 
 // TestKnobRowsNameOptionsFields holds the table's stringly part to the
 // struct: every Options row names an existing field of the type its Kind
-// stores, and no flag or (block, key) is declared twice. (The Serve rows are
-// checked against serve.Config by the serve package, which can see it.)
+// stores, and no flag is declared twice. (The Serve rows are checked against
+// serve.Config by the serve package, which can see it.)
 func TestKnobRowsNameOptionsFields(t *testing.T) {
-	flags, keys := map[string]bool{}, map[string]bool{}
+	flags := map[string]bool{}
 	for _, k := range Knobs {
 		if flags[k.Flag] || k.Flag == "" {
 			t.Errorf("flag %q empty or declared twice", k.Flag)
 		}
 		flags[k.Flag] = true
-		if bk := k.Block + "/" + k.Key; k.Key != "" {
-			if keys[bk] {
-				t.Errorf("key %q declared twice", bk)
-			}
-			keys[bk] = true
-		}
 		if k.Serve {
 			continue
 		}
@@ -59,24 +54,14 @@ func kindStores(k Kind, t reflect.Type) bool {
 	return t.Kind() == reflect.Int || t.Kind() == reflect.Int64
 }
 
-// renderModes is the generator of README's "Modes, flags and keys" table:
+// renderModes is the generator of README's "Modes and flags" table:
 // one row per knob, its range from Knob.Range and its requires/excludes
 // column from the Rules that constrain it.
 func renderModes() string {
 	var b strings.Builder
-	b.WriteString("| flag | `.tfs` key | values | effect | requires / excludes |\n|---|---|---|---|---|\n")
+	b.WriteString("| flag | values | effect | requires / excludes |\n|---|---|---|---|\n")
 	for i := range Knobs {
 		k := &Knobs[i]
-		key := "—"
-		if k.Key != "" {
-			key = "`" + k.Key + "`"
-			if k.Block != "" {
-				key += " in `" + k.Block + " {}`"
-			}
-			if k.Axis {
-				key += " (axis)"
-			}
-		}
 		values := k.Range()
 		switch k.Kind {
 		case Bool:
@@ -93,7 +78,7 @@ func renderModes() string {
 				rules = append(rules, r.Sentence)
 			}
 		}
-		fmt.Fprintf(&b, "| `-%s` | %s | %s | %s | %s |\n", k.Flag, key, values, k.Help, strings.Join(rules, "; "))
+		fmt.Fprintf(&b, "| `-%s` | %s | %s | %s |\n", k.Flag, values, k.Help, strings.Join(rules, "; "))
 	}
 	return b.String()
 }
@@ -117,11 +102,56 @@ func TestReadmeModesTableIsGenerated(t *testing.T) {
 		return
 	}
 	if !*update {
-		t.Fatalf("README.md's Modes, flags and keys table is stale; regenerate with -update. Want:\n%s", want)
+		t.Fatalf("README.md's Modes and flags table is stale; regenerate with -update. Want:\n%s", want)
 	}
 	if err := os.WriteFile(path, []byte(readme[:i+len(begin)]+want+readme[j:]), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFlagRangesAtTheEdges: for every numeric knob, at 0, -1 and one either
+// side of each end of its range, BindFlags accepts exactly the in-range
+// values (0 only where the row's Zero says what it means) and rejects the
+// rest with the knob's range sentence after the flag package's preamble.
+func TestFlagRangesAtTheEdges(t *testing.T) {
+	for i := range Knobs {
+		k := &Knobs[i]
+		if k.Kind != Int && k.Kind != Float {
+			continue
+		}
+		values := []int64{0, -1, k.Min - 1, k.Min, k.Min + 1}
+		if k.Max != 0 {
+			values = append(values, k.Max-1, k.Max, k.Max+1)
+		}
+		for _, n := range values {
+			aboveMin := n > k.Min || n == k.Min && k.Kind == Int // a Float's range is open below
+			inRange := aboveMin && (k.Max == 0 || n <= k.Max) || n == 0 && k.Zero != ""
+			v := fmt.Sprint(n)
+			fs := flag.NewFlagSet("x", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			BindFlags(fs, &Options{}, serveTarget())
+			err := fs.Parse([]string{"-" + k.Flag, v})
+			if inRange != (err == nil) {
+				t.Errorf("-%s %s: in range %v, flag says %v", k.Flag, v, inRange, err)
+				continue
+			}
+			if err != nil && !strings.HasSuffix(err.Error(), ": "+k.outOfRange(v).Error()) {
+				t.Errorf("-%s %s: %v does not end in the range sentence %q", k.Flag, v, err, k.outOfRange(v))
+			}
+		}
+	}
+}
+
+// serveTarget stands in for the serve.Config a Serve row sets, which this
+// package cannot import: a struct with an int64 field for every Serve row.
+func serveTarget() any {
+	var fields []reflect.StructField
+	for _, k := range Knobs {
+		if k.Serve {
+			fields = append(fields, reflect.StructField{Name: k.Field, Type: reflect.TypeOf(int64(0))})
+		}
+	}
+	return reflect.New(reflect.StructOf(fields)).Interface()
 }
 
 // TestNegativeSizesAreRefused: Options built in Go skip the input ranges

@@ -5,14 +5,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"tagfree/internal/gc"
 	"tagfree/internal/pipeline"
-	"tagfree/internal/scenario"
 	"tagfree/internal/serve"
 	"tagfree/internal/workloads"
 )
@@ -35,35 +33,18 @@ type goldenRun struct {
 	Latencies []int64     `json:"latencies"`
 }
 
-// goldenConfigs lists the pinned runs: every serve cell of the committed
-// overload scenario, and the repository benchmark's mark/sweep serve
-// configuration over the taskserve classes at two seeds.
+// goldenConfigs lists the pinned runs: the four overload cells E14 reads
+// (taskserve's classes behind open-loop arrivals on a copying heap, crossed
+// over arrival period × shed watermark × step budget; EXPERIMENTS.md gives
+// each one's tfserve line), and the repository benchmark's mark/sweep serve
+// configuration over the same classes at two seeds.
 func goldenConfigs(t *testing.T) map[string]serve.Config {
 	t.Helper()
-	dir, err := scenario.FindCorpusDir()
-	if err != nil {
-		t.Fatal(err)
-	}
-	scs, err := scenario.LoadPath(filepath.Join(dir, "overload.tfs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := scenario.Compile(scs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := map[string]serve.Config{}
-	for _, c := range cells {
-		if c.Serve == nil || c.Skip != "" {
-			continue
-		}
-		cfg := *c.Serve
-		cfg.Workload = c.Workload
-		cfg.Opts = c.Opts
-		cfgs[c.Name] = cfg
-	}
-	if len(cfgs) == 0 {
-		t.Fatal("overload.tfs compiled to no serve cell")
+	cfgs := map[string]serve.Config{
+		"overload-sustained/compiled/copying":      overloadConfig(t, 12000, 85, 2_000_000),
+		"overload-2x/compiled/copying":             overloadConfig(t, 3000, 85, 2_000_000),
+		"overload-2x-shed60/compiled/copying":      overloadConfig(t, 3000, 60, 2_000_000),
+		"overload-2x-tightbudget/compiled/copying": overloadConfig(t, 3000, 85, 50_000),
 	}
 	for _, seed := range []int64{31, 32} {
 		cfgs[fmt.Sprintf("benchmark-marksweep/seed%d", seed)] = benchmarkConfig(t, seed, 300)
@@ -71,21 +52,48 @@ func goldenConfigs(t *testing.T) map[string]serve.Config {
 	return cfgs
 }
 
-// benchmarkConfig is the repository benchmark's serve configuration over
-// the taskserve classes: bursts of 10 every 180 k steps (most rounds are
-// idle) on a 4096-word mark/sweep heap.
-func benchmarkConfig(t *testing.T, seed int64, requests int) serve.Config {
+// taskserve returns the serving workload and its 6:3:2:1 tiny-to-heavy mix.
+func taskserve(t *testing.T) (workloads.TaskWorkload, []serve.MixEntry) {
 	t.Helper()
 	w, ok := workloads.TaskByName("taskserve")
 	if !ok {
 		t.Fatal("taskserve workload missing")
 	}
+	return w, []serve.MixEntry{
+		{Entry: "req_tiny", Weight: 6}, {Entry: "req_small", Weight: 3},
+		{Entry: "req_medium", Weight: 2}, {Entry: "req_heavy", Weight: 1},
+	}
+}
+
+// overloadConfig is one overload cell: 120 requests at seed 7 arriving one
+// per period, four in flight behind an eight-deep queue, on the workload's
+// recommended copying heap.
+func overloadConfig(t *testing.T, period int64, shedPct int, budget int64) serve.Config {
+	w, mix := taskserve(t)
 	return serve.Config{
-		Workload: w,
-		Mix: []serve.MixEntry{
-			{Entry: "req_tiny", Weight: 6}, {Entry: "req_small", Weight: 3},
-			{Entry: "req_medium", Weight: 2}, {Entry: "req_heavy", Weight: 1},
-		},
+		Workload:    w,
+		Mix:         mix,
+		Opts:        pipeline.Options{Strategy: gc.StratCompiled, HeapWords: w.HeapWords, BudgetSteps: budget},
+		Period:      period,
+		Burst:       1,
+		Requests:    120,
+		Seed:        7,
+		QueueDepth:  8,
+		MaxInflight: 4,
+		ShedHeapPct: shedPct,
+		MaxRetries:  3,
+		Deadline:    400_000,
+	}
+}
+
+// benchmarkConfig is the repository benchmark's serve configuration over
+// the taskserve classes: bursts of 10 every 180 k steps (most rounds are
+// idle) on a 4096-word mark/sweep heap.
+func benchmarkConfig(t *testing.T, seed int64, requests int) serve.Config {
+	w, mix := taskserve(t)
+	return serve.Config{
+		Workload:    w,
+		Mix:         mix,
 		Opts:        pipeline.Options{Strategy: gc.StratCompiled, MarkSweep: true, HeapWords: 4096, BudgetSteps: 2_000_000},
 		Period:      180_000,
 		Burst:       10,

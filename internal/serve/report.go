@@ -8,8 +8,8 @@ import (
 	"tagfree/internal/stats"
 )
 
-// SnapshotSchema identifies the emitted JSON layout: a serve run's and the
-// scenario matrix's snapshots, one schema for both.
+// SnapshotSchema identifies the emitted JSON layout of a serve run's
+// snapshot (tfserve -json, -bench-json).
 const SnapshotSchema = "tagfree-bench/v1"
 
 // Report condenses a Result into the numbers the tables and snapshots

@@ -208,7 +208,7 @@ func TestDegradationLadderEscalates(t *testing.T) {
 // must be judged on occupancy, which every sweep lowers. At a sustainable
 // arrival rate the heap fills and is swept many times over — reading the
 // high-water mark, the first fill latched the watermark and every later
-// arrival was shed and dropped (596 of 600 on overload.tfs's sustained cell).
+// arrival was shed and dropped (596 of 600 on the overload-sustained cell).
 func TestHeapWatermarkUnlatchesAfterSweep(t *testing.T) {
 	w := serveWorkload(t)
 	cfg := Config{
