@@ -18,7 +18,7 @@
 # micro-benchmark once, so one that stopped compiling or running fails here
 # rather than at the next profile; on a failure it prints the --- FAIL and
 # FAIL lines (and the line after each) of its log, .bench_build/tier2-bench.log.
-# fuzz (below) gives FuzzMarkSweepHoles 30 s; the root package's
+# fuzz (below) gives FuzzMarkSweepHoles and tfserve's FuzzFlagLine 30 s each; the root package's
 # TestMakefileNamesExistingTests fails when a name this file passes to -run,
 # -bench or -fuzz matches no test, which go test itself would pass.
 #
@@ -229,6 +229,7 @@ benchmark-check:
 bench:
 	go test -bench=. -benchmem -run xxx ./internal/gc/ ./internal/tasking/ ./internal/pipeline/
 
-# Budgeted fuzzing of the mark/sweep hole invariants.
+# Budgeted fuzzing of the mark/sweep hole invariants and of the flag front end.
 fuzz:
 	go test ./internal/heap/ -fuzz FuzzMarkSweepHoles -fuzztime 30s
+	go test ./cmd/tfserve/ -fuzz FuzzFlagLine -fuzztime 30s

@@ -58,49 +58,71 @@ func main() {
 // the whole command minus process concerns (exit codes, stderr), so tests
 // can drive it directly.
 func cli(args []string, stdout io.Writer) error {
+	inv, err := parse(args)
+	if err != nil {
+		return err
+	}
+	res, err := serve.Run(inv.cfg)
+	if err != nil {
+		return err
+	}
+	rep := serve.NewReport(inv.cfg.Workload.Name, inv.cfg, res)
+	if err := emit(stdout, rep, inv.asJSON, inv.benchJSON); err != nil {
+		return err
+	}
+	if inv.gcStats {
+		fmt.Fprint(stdout, pipeline.TelemetryTable(&res.Group.Col.Telem, pipeline.TelemetryOptions{Tasks: true}))
+	}
+	return nil
+}
+
+// invocation is one parsed command line: the run's configuration and this
+// tool's own output flags.
+type invocation struct {
+	cfg       serve.Config
+	gcStats   bool
+	asJSON    bool
+	benchJSON string
+}
+
+// parse turns a command line into an invocation without running it: the
+// flags, the workload and its recommended heap where -heap is not given, the
+// mix, and the range that spans two knobs. Every error it returns is a
+// usage error.
+func parse(args []string) (*invocation, error) {
 	fs := flag.NewFlagSet("tfserve", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	cfg := serve.Config{Burst: 1, Seed: 1}
-	pipeline.BindFlags(fs, &cfg.Opts, &cfg)
+	inv := &invocation{cfg: serve.Config{Burst: 1, Seed: 1}}
+	cfg := &inv.cfg
+	pipeline.BindFlags(fs, &cfg.Opts, cfg)
 	workload := fs.String("workload", "taskserve", "task workload whose entries are the service classes")
 	mixSpec := fs.String("mix", "", "weighted service mix, entry:weight[,entry:weight...] (empty = uniform)")
-	gcStats := fs.Bool("gc-stats", false, "print the per-collection GC telemetry table after the report")
-	asJSON := fs.Bool("json", false, "emit the tagfree-bench/v1 snapshot on stdout instead of the table")
-	benchJSON := fs.String("bench-json", "", "additionally write the snapshot to this file")
+	fs.BoolVar(&inv.gcStats, "gc-stats", false, "print the per-collection GC telemetry table after the report")
+	fs.BoolVar(&inv.asJSON, "json", false, "emit the tagfree-bench/v1 snapshot on stdout instead of the table")
+	fs.StringVar(&inv.benchJSON, "bench-json", "", "additionally write the snapshot to this file")
 	if err := fs.Parse(args); err != nil {
-		return &usageError{err.Error()}
+		return nil, &usageError{err.Error()}
 	}
 	if fs.NArg() != 0 {
-		return &usageError{fmt.Sprintf("unexpected argument %q", fs.Arg(0))}
+		return nil, &usageError{fmt.Sprintf("unexpected argument %q", fs.Arg(0))}
 	}
 
 	w, ok := workloads.TaskByName(*workload)
 	if !ok {
-		return &usageError{fmt.Sprintf("unknown task workload %q", *workload)}
+		return nil, &usageError{fmt.Sprintf("unknown task workload %q", *workload)}
 	}
 	var err error
 	if cfg.Mix, err = parseMix(*mixSpec); err != nil {
-		return err
+		return nil, err
 	}
 	cfg.Workload = w
 	if cfg.Opts.HeapWords == 0 {
 		cfg.Opts.HeapWords = w.HeapWords
 	}
 	if err := cfg.Opts.CheckSizes(); err != nil {
-		return &usageError{err.Error()}
+		return nil, &usageError{err.Error()}
 	}
-	res, err := serve.Run(cfg)
-	if err != nil {
-		return err
-	}
-	rep := serve.NewReport(w.Name, cfg, res)
-	if err := emit(stdout, rep, *asJSON, *benchJSON); err != nil {
-		return err
-	}
-	if *gcStats {
-		fmt.Fprint(stdout, pipeline.TelemetryTable(&res.Group.Col.Telem, pipeline.TelemetryOptions{Tasks: true}))
-	}
-	return nil
+	return inv, nil
 }
 
 // emit renders the report: its table by default, the tagfree-bench/v1

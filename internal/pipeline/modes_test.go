@@ -109,36 +109,39 @@ func TestReadmeModesTableIsGenerated(t *testing.T) {
 	}
 }
 
-// TestFlagRangesAtTheEdges: for every numeric knob, at 0, -1 and one either
-// side of each end of its range, BindFlags accepts exactly the in-range
-// values (0 only where the row's Zero says what it means) and rejects the
-// rest with the knob's range sentence after the flag package's preamble.
+// TestFlagRangesAtTheEdges: for every numeric knob (one subtest each), at 0,
+// -1 and one either side of each end of its range, BindFlags accepts exactly
+// the in-range values (0 only where the row's Zero says what it means) and
+// rejects the rest with the knob's range sentence after the flag package's
+// preamble.
 func TestFlagRangesAtTheEdges(t *testing.T) {
 	for i := range Knobs {
 		k := &Knobs[i]
 		if k.Kind != Int && k.Kind != Float {
 			continue
 		}
-		values := []int64{0, -1, k.Min - 1, k.Min, k.Min + 1}
-		if k.Max != 0 {
-			values = append(values, k.Max-1, k.Max, k.Max+1)
-		}
-		for _, n := range values {
-			aboveMin := n > k.Min || n == k.Min && k.Kind == Int // a Float's range is open below
-			inRange := aboveMin && (k.Max == 0 || n <= k.Max) || n == 0 && k.Zero != ""
-			v := fmt.Sprint(n)
-			fs := flag.NewFlagSet("x", flag.ContinueOnError)
-			fs.SetOutput(io.Discard)
-			BindFlags(fs, &Options{}, serveTarget())
-			err := fs.Parse([]string{"-" + k.Flag, v})
-			if inRange != (err == nil) {
-				t.Errorf("-%s %s: in range %v, flag says %v", k.Flag, v, inRange, err)
-				continue
+		t.Run(k.Flag, func(t *testing.T) {
+			values := []int64{0, -1, k.Min - 1, k.Min, k.Min + 1}
+			if k.Max != 0 {
+				values = append(values, k.Max-1, k.Max, k.Max+1)
 			}
-			if err != nil && !strings.HasSuffix(err.Error(), ": "+k.outOfRange(v).Error()) {
-				t.Errorf("-%s %s: %v does not end in the range sentence %q", k.Flag, v, err, k.outOfRange(v))
+			for _, n := range values {
+				aboveMin := n > k.Min || n == k.Min && k.Kind == Int // a Float's range is open below
+				inRange := aboveMin && (k.Max == 0 || n <= k.Max) || n == 0 && k.Zero != ""
+				v := fmt.Sprint(n)
+				fs := flag.NewFlagSet("x", flag.ContinueOnError)
+				fs.SetOutput(io.Discard)
+				BindFlags(fs, &Options{}, serveTarget())
+				err := fs.Parse([]string{"-" + k.Flag, v})
+				if inRange != (err == nil) {
+					t.Errorf("-%s %s: in range %v, flag says %v", k.Flag, v, inRange, err)
+					continue
+				}
+				if err != nil && !strings.HasSuffix(err.Error(), ": "+k.outOfRange(v).Error()) {
+					t.Errorf("-%s %s: %v does not end in the range sentence %q", k.Flag, v, err, k.outOfRange(v))
+				}
 			}
-		}
+		})
 	}
 }
 
