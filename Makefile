@@ -7,8 +7,9 @@
 # single-task corpus, the task corpus and testdata/progs that may take it)
 # against its oracle — interp for a compiled cell, the cell's own strategy
 # otherwise, with no other mode — with the heap verifier after every
-# collection: 608 points, ≈ 1 min on 2 vCPUs. tier 1 runs a
-# pairwise-covering subset.
+# collection, which also holds each stack's root resolution to the paper's
+# recursive resolver: 608 points, ≈ 55-65 s on 2 vCPUs (46 s before the
+# resolver joined the verifier). tier 1 runs a pairwise-covering subset.
 # tier2-serve is a 16000-request serve run under a timeout: it takes ~0.4 s
 # while a serve run is linear in its requests and ~3 s with a per-tick or
 # per-round rescan, far more under a loaded machine — a reintroduced rescan

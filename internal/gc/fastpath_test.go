@@ -16,51 +16,15 @@ import (
 
 	"tagfree/internal/code"
 	"tagfree/internal/gc"
-	"tagfree/internal/heap"
-	"tagfree/internal/pipeline"
-	"tagfree/internal/tasking"
 	"tagfree/internal/workloads"
 )
 
-// runGroupFP executes a task workload under strat, returning each task's raw
-// result, the final heap image and the collector's counters for
-// cache-engagement assertions.
+// runGroupFP executes a task workload under strat with the verifier on,
+// returning each task's raw result, the final heap image and the collector's
+// counters for cache-engagement assertions.
 func runGroupFP(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bool) ([]code.Word, []code.Word, gc.Stats) {
 	t.Helper()
-	prog, _, err := pipeline.Build(w.Source, pipeline.Options{
-		Strategy:             strat,
-		DisableGCWordElision: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := make([]int, len(w.Entries))
-	for i, name := range w.Entries {
-		entries[i] = prog.FuncByName(name)
-		if entries[i] < 0 {
-			t.Fatalf("no function %s", name)
-		}
-	}
-	var g *tasking.Group
-	if ms {
-		g, err = tasking.NewGroupWith(prog, heap.NewMarkSweep(prog.Repr, 2*w.HeapWords), strat, entries)
-	} else {
-		g, err = tasking.NewGroup(prog, w.HeapWords, strat, entries)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Col.Verify = true
-	g.Heap.SetVerify(true)
-	if err := g.RunInit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if g.Stats.Collections == 0 {
-		t.Fatalf("no collections — workload exerts no heap pressure")
-	}
+	g := runGroupTo(t, w, strat, ms, true)
 	results := make([]code.Word, len(g.Tasks))
 	for i, task := range g.Tasks {
 		results[i] = task.Result

@@ -11,13 +11,14 @@ import (
 // taskJobs is the one function that resolves a stack: it follows the dynamic
 // chain, reads each frame's gc_word, threads type_gc routines oldest→newest
 // and lists the task's roots — a slot, its routine and kernel — in trace
-// order. applyJobs traces such a list through a tracer. Every consumer is the
-// two composed: a collection resolves a task into the scratch arena, applies,
-// and hands the arena back; the verifier reads the same list without tracing
-// it. Resolving first is order-equivalent to tracing frame by frame because
-// resolution reads only the program, the stopped stack's links and un-moved
-// heap words: forwarding lives in a side table, so a from-space object (a
-// closure's rep words) reads the same before and after it is copied.
+// order. applyJobs traces such a list through a tracer: a collection
+// resolves a task into the scratch arena, applies, and hands the arena back.
+// The verifier holds the list to the paper's recursive resolver
+// (reference.go), which shares none of this code. Resolving first is
+// order-equivalent to tracing frame by frame because resolution reads only
+// the program, the stopped stack's links and un-moved heap words: forwarding
+// lives in a side table, so a from-space object (a closure's rep words)
+// reads the same before and after it is copied.
 
 // pkg is the type information a frame's gc routine hands to its callee's:
 // resolved type arguments for direct calls, or the closure's structured
@@ -238,22 +239,6 @@ func (c *Collector) applyJobs(stack []code.Word, jobs []rootJob) {
 		w := stack[j.idx]
 		if nw := c.own.kernel(&j.routine, w); nw != w {
 			stack[j.idx] = nw
-		}
-	}
-}
-
-// eachRoot resolves every root a collection would trace, in its order — the
-// globals (task -1, idx the global's), then each task's jobs — and hands them
-// to visit untraced: the verifier reads the roots the collector does because
-// it asks the same function. Resolution counters land in st.
-func (c *Collector) eachRoot(tasks []TaskRoots, globals []code.Word, st *Stats, visit func(task, idx int, g TypeGC, w code.Word)) {
-	for i, g := range c.Prog.Globals {
-		visit(-1, i, c.FromDesc(g.Desc, nil), globals[i])
-	}
-	for i := range tasks {
-		c.sc.reset() // outside a collection's trace every earlier window is dead
-		for _, j := range c.taskJobs(tasks[i], st) {
-			visit(i, j.idx, j.g, tasks[i].Stack[j.idx])
 		}
 	}
 }

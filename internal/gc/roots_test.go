@@ -41,9 +41,9 @@ func TestSuspendedCallArgsTracedOnce(t *testing.T) {
 	}
 }
 
-// runGroupTo runs a task workload to completion with gc_words kept and
-// returns the finished group.
-func runGroupTo(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bool) *tasking.Group {
+// runGroupTo runs a task workload to completion with gc_words kept, under
+// both verifiers if verify, and returns the finished group.
+func runGroupTo(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms, verify bool) *tasking.Group {
 	t.Helper()
 	prog, _, err := pipeline.Build(w.Source, pipeline.Options{Strategy: strat, DisableGCWordElision: true})
 	if err != nil {
@@ -64,6 +64,8 @@ func runGroupTo(t *testing.T, w workloads.TaskWorkload, strat gc.Strategy, ms bo
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.Col.Verify = verify
+	g.Heap.SetVerify(verify)
 	if err := g.RunInit(); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func TestCollectionHistoryDeterministic(t *testing.T) {
 		for _, strat := range []gc.Strategy{gc.StratCompiled, gc.StratInterp, gc.StratAppel} {
 			for _, ms := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%v/ms=%v", w.Name, strat, ms), func(t *testing.T) {
-					a, b := runGroupTo(t, w, strat, ms), runGroupTo(t, w, strat, ms)
+					a, b := runGroupTo(t, w, strat, ms, false), runGroupTo(t, w, strat, ms, false)
 					for i := range a.Tasks {
 						if a.Tasks[i].Result != b.Tasks[i].Result {
 							t.Fatalf("task %d diverges: %v, then %v", i, a.Tasks[i].Result, b.Tasks[i].Result)
@@ -167,27 +169,15 @@ func TestManyTasksTinyHeap(t *testing.T) {
 	}
 }
 
-// envEdgeSrc is a closure-called polymorphic frame whose instantiation is
-// its closure's rep word, called from one site under one caller plan: mk's
-// local f captures x but its own type, int -> int, does not name x's, so
-// its closures at (int * bool) and int list store it; their frames stop at
-// the same site of f under run's one plan, and a plan edge cached for one
-// would type the other's x wrong (planForEdge never caches a TypeSourceEnv
-// frame).
-const envEdgeSrc = `
-let mk x = (let f n = (let l = [x; x] in match l with | [] -> n | _ :: r -> n + 1) in f)
-let run f n = f n + 1
-let rec loop f g k acc = if k = 0 then acc else loop f g (k - 1) (acc + run f k + run g k)
-let main () = loop (mk (5, true)) (mk [6]) 400 0
-`
-
 // TestReferenceResolver runs the single-task corpus (main the group's one
-// task), envEdgeSrc, the task corpus and testdata/progs under the compiled
-// and interp strategies and — all but the deepest programs — Appel's, both
-// disciplines, without and with a nursery, without and with allocation
-// buffers (all but the deepest) and both suspension policies, and at every
-// collection — minors included — holds taskJobs to the reference resolver
-// job for job.
+// task), the task corpus and testdata/progs (envedge.ml on a 256-word heap)
+// under the compiled and interp strategies and — all but the deepest
+// programs — Appel's, both disciplines, without and with a nursery, without
+// and with allocation buffers (all but the deepest) and both suspension
+// policies, with the heap verifier on: at every collection — minors
+// included — it holds taskJobs to the reference resolver (reference.go) job
+// for job and walks the reference's roots, and a mismatch panics with a
+// *VerifyError naming the task and the job.
 // Every 53rd allocation fails on purpose, so collections also land inside
 // short frames heap exhaustion never stops in (a thunk's body); the period
 // must not divide a corpus loop's allocations per round, or the failures
@@ -197,21 +187,24 @@ func TestReferenceResolver(t *testing.T) {
 	for _, w := range workloads.All {
 		progs = append(progs, workloads.TaskWorkload{Name: w.Name, Source: w.Source, Entries: []string{"main"}, HeapWords: w.HeapWords})
 	}
-	progs = append(progs, workloads.TaskWorkload{Name: "envedge", Source: envEdgeSrc, Entries: []string{"main"}, HeapWords: 256})
 	files, _ := filepath.Glob("../../testdata/progs/*.ml")
 	for _, f := range files {
 		src, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		progs = append(progs, workloads.TaskWorkload{Name: filepath.Base(f), Source: string(src), Entries: []string{"main"}, HeapWords: 2048})
+		p := workloads.TaskWorkload{Name: filepath.Base(f), Source: string(src), Entries: []string{"main"}, HeapWords: 2048}
+		if p.Name == "envedge.ml" {
+			p.Name, p.HeapWords = "envedge", 256
+		}
+		progs = append(progs, p)
 	}
 	// Appel's chain re-walk is quadratic in stack depth, and the deepest
 	// single-task programs already take half the time: they run without
 	// Appel's strategy and without buffers (listchurn's Appel cells alone
 	// would take 30 s).
 	deep := []string{"listchurn", "evaluator", "sieve"}
-	jobs, minors := 0, int64(0)
+	minors := int64(0)
 	for _, p := range progs {
 		strats, tlabs := []gc.Strategy{gc.StratCompiled, gc.StratInterp, gc.StratAppel}, []int{0, 64}
 		if slices.Contains(deep, p.Name) {
@@ -220,35 +213,20 @@ func TestReferenceResolver(t *testing.T) {
 		for c := range 8 * len(strats) * len(tlabs) {
 			strat, tlab := strats[c/8/len(tlabs)], tlabs[c/8%len(tlabs)]
 			opts := pipeline.Options{Strategy: strat, HeapWords: p.HeapWords, MarkSweep: c&2 != 0, NurseryWords: c >> 2 & 1 * 256,
-				TLABWords: tlab, FailAllocEvery: 53}
-			atAllocs := c&1 != 0
+				TLABWords: tlab, FailAllocEvery: 53, SuspendAtAllocs: c&1 != 0, VerifyHeap: true}
 			t.Run(fmt.Sprintf("%s/%v/ms=%v/nursery=%d/tlab=%d/at-allocs=%v",
-				p.Name, strat, opts.MarkSweep, opts.NurseryWords, opts.TLABWords, atAllocs), func(t *testing.T) {
+				p.Name, strat, opts.MarkSweep, opts.NurseryWords, opts.TLABWords, opts.SuspendAtAllocs), func(t *testing.T) {
 				g, entries, err := pipeline.BuildTaskGroup(p.Source, p.Entries, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if atAllocs {
-					g.Policy = tasking.SuspendAtAllocs
-				}
 				checked := int64(0)
-				g.Col.PreCollect = func(tasks []gc.TaskRoots) {
-					checked++
-					for i, task := range tasks {
-						want, err := referenceRoots(g.Prog, g.Heap, task, strat == gc.StratAppel)
-						if err != nil {
-							t.Fatalf("collection %d, stack %d: %v", g.Col.Stats.Collections, i, err)
-						}
-						got := g.Col.TaskJobs(task)
-						for k := range max(len(got), len(want)) {
-							if k >= min(len(got), len(want)) || fmt.Sprint(got[k]) != fmt.Sprint(want[k]) {
-								t.Fatalf("collection %d, stack %d, job %d: taskJobs %v, reference %v",
-									g.Col.Stats.Collections, i, k, got[min(k, len(got)):], want[min(k, len(want)):])
-							}
-						}
-						jobs += len(want)
+				g.Col.PreCollect = func([]gc.TaskRoots) { checked++ }
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("collection %d: %v", g.Heap.Stats.Collections, r)
 					}
-				}
+				}()
 				for _, e := range entries {
 					g.Spawn(e)
 				}
@@ -259,7 +237,7 @@ func TestReferenceResolver(t *testing.T) {
 					t.Fatal(err)
 				}
 				if checked != g.Heap.Stats.Collections {
-					t.Fatalf("%d collections, %d held to the reference", g.Heap.Stats.Collections, checked)
+					t.Fatalf("%d collections, %d verified", g.Heap.Stats.Collections, checked)
 				}
 				minors += g.Col.Gen.MinorCollections
 				refills := int64(0)
@@ -272,7 +250,7 @@ func TestReferenceResolver(t *testing.T) {
 			})
 		}
 	}
-	if jobs == 0 || minors == 0 {
-		t.Errorf("%d jobs compared over %d minor collections, want both", jobs, minors)
+	if minors == 0 {
+		t.Errorf("no minor collection verified")
 	}
 }

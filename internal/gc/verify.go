@@ -8,13 +8,15 @@ import (
 )
 
 // Post-collection verification, GC side. heap.VerifyHeap checks the
-// discipline's structural invariants (tiling, forwarding reset, the
-// holes); this file adds the semantic half: re-resolve every root
-// the collector just traced — globals and each task's frame slots — and
-// re-walk the reachable structure read-only, checking that every pointer
+// discipline's structural invariants (tiling, forwarding reset, the holes);
+// this file adds the semantic half. taskJobs' roots for each task must equal,
+// job by job, those of the paper's recursive resolver (reference.go), which
+// shares none of its code; from those roots and the globals the verifier
+// re-walks the reachable structure read-only, checking that every pointer
 // lands on a live block of exactly the extent its type says it has. A
-// violation here means the collector retained a dangling pointer, copied
-// an object with the wrong extent, or left a root pointing into garbage.
+// violation here means the resolver listed a root wrong, or the collector
+// retained a dangling pointer, copied an object with the wrong extent, or
+// left a root pointing into garbage.
 //
 // Verification runs outside the measured pause (the invariants hold until
 // the mutator allocates again) and only under Collector.Verify. A corrupt
@@ -42,21 +44,47 @@ func (e *VerifyError) Error() string {
 }
 
 // verifyCollection checks the just-finished collection's invariants,
-// structural (heap.VerifyHeap) and semantic (typed re-walk of all roots).
+// structural (heap.VerifyHeap) and semantic (the resolver witness and the
+// typed re-walk of all roots).
 func (c *Collector) verifyCollection(tasks []TaskRoots, globals []code.Word) {
 	errs := c.Heap.VerifyHeap()
 	if c.Strat != StratTagged {
 		mem, _ := c.Heap.Words()
-		v := &verifier{c: c, seen: make([]bool, len(mem))}
-		var st Stats // resolution stats of the re-walk are discarded
-		c.eachRoot(tasks, globals, &st, func(task, idx int, g TypeGC, w code.Word) {
-			v.task, v.idx = task, idx
-			v.walk(g, w)
-		})
+		v := &verifier{c: c, seen: make([]bool, len(mem)), task: -1}
+		for v.idx = range c.Prog.Globals {
+			v.walk(c.FromDesc(c.Prog.Globals[v.idx].Desc, nil), globals[v.idx])
+		}
+		for v.task = range tasks {
+			v.taskRoots(tasks[v.task])
+		}
 		errs = append(errs, v.errs...)
 	}
 	if len(errs) > 0 {
 		panic(&VerifyError{Collection: c.Heap.Stats.Collections, Violations: errs})
+	}
+}
+
+// taskRoots holds taskJobs to the reference resolver on one stopped task —
+// a job is its stack index and the ground type its routine traces; the first
+// job that differs is the task's violation — and walks the reference's roots.
+func (v *verifier) taskRoots(t TaskRoots) {
+	want := v.referenceRoots(t)
+	v.c.sc.reset()                     // outside a collection's trace every earlier window is dead
+	got := v.c.taskJobs(t, new(Stats)) // its resolution counters are discarded
+	bad := -1
+	for k, r := range want {
+		if bad < 0 && (k >= len(got) || got[k].idx != r.idx || !sameType(got[k].g, r.typ)) {
+			bad = k
+		}
+		v.idx = r.idx
+		v.walk(v.c.FromDesc(r.typ, nil), t.Stack[r.idx])
+	}
+	if bad < 0 && len(got) > len(want) {
+		bad = len(want)
+	}
+	if bad >= 0 {
+		v.errs = append(v.errs, fmt.Errorf("task %d job %d: taskJobs lists %v, the reference resolver %v",
+			v.task, bad, got[bad:min(bad+1, len(got))], want[bad:min(bad+1, len(want))]))
 	}
 }
 

@@ -267,6 +267,8 @@ func (c cell) run() (g *tasking.Group, r *result, err error) {
 	if c.quantum > 0 {
 		g.Quantum = c.quantum
 	}
+	hooked := int64(0) // a hook set before the run runs after the buffers' retirement, not instead
+	g.Col.PreCollect = func([]gc.TaskRoots) { hooked++ }
 	for _, e := range entries {
 		g.Spawn(e)
 	}
@@ -275,6 +277,9 @@ func (c cell) run() (g *tasking.Group, r *result, err error) {
 	}
 	if err := g.Run(); err != nil {
 		return nil, nil, err
+	}
+	if n := g.Heap.Stats.Collections - g.Stats.ShardMinors; hooked != n {
+		return nil, nil, fmt.Errorf("a PreCollect hook set before the run ran at %d of %d global collections", hooked, n)
 	}
 	r = &result{outputs: []string{g.InitTask().Out.String()}}
 	for _, t := range g.Tasks {

@@ -87,7 +87,7 @@ var Knobs = []Knob{
 	{Flag: "gc-torture", Kind: Bool, Field: "Torture",
 		Help: "collect before every allocation"},
 	{Flag: "verify-heap", Kind: Bool, Field: "VerifyHeap",
-		Help: "verify heap invariants after every collection"},
+		Help: "verify heap invariants after every collection and hold root resolution to the paper's recursive resolver"},
 	{Flag: "fail-alloc", Kind: Int, Min: 1, Noun: "fail-alloc", Field: "FailAllocNth",
 		Help: "inject one allocation failure at the Nth allocation"},
 	{Flag: "fail-every", Kind: Int, Min: 1, Noun: "fail-every", Field: "FailAllocEvery",
