@@ -19,9 +19,17 @@
 # micro-benchmark once, so one that stopped compiling or running fails here
 # rather than at the next profile; on a failure it prints the --- FAIL and
 # FAIL lines (and the line after each) of its log, .bench_build/tier2-bench.log.
-# fuzz (below) gives FuzzMarkSweepHoles and tfserve's FuzzFlagLine 30 s each; the root package's
+# fuzz (below) gives FuzzMarkSweepHoles, FuzzGeneratedProgram (internal/pipeline: a
+# generated program of any seed on every strategy and discipline, collecting
+# before every allocation under the heap verifier) and tfserve's FuzzFlagLine
+# 30 s each; the root package's
 # TestMakefileNamesExistingTests fails when a name this file passes to -run,
 # -bench or -fuzz matches no test, which go test itself would pass.
+#
+# times runs every package's tests once, uncached, and prints each package's
+# wall time (a package over the 15 s per-package budget is marked) and the test
+# totals — the tier-1 pass count a change must not lower; it fails when a
+# test or a package does.
 #
 # loc prints the non-test Go lines outside benchmark/ — raw, and without
 # blank and comment-only lines — so a simplification's "net negative" is a
@@ -93,7 +101,7 @@
 # workload compared against a run file an earlier commit wrote with
 # `go run ./benchmark -runs 10 -out <runs.json>`.
 
-.PHONY: benchmark benchmark-check counts profile-interp opcode-pairs profile-compile profile-gc tier1 tier2 tier2-lattice tier2-serve tier2-bench loc bench fuzz
+.PHONY: benchmark benchmark-check counts profile-interp opcode-pairs profile-compile profile-gc tier1 tier2 tier2-lattice tier2-serve tier2-bench times loc bench fuzz
 
 tier1:
 	go build ./...
@@ -144,6 +152,17 @@ tier2-bench:
 	mkdir -p .bench_build
 	go test -run xxx -bench . -benchtime 1x ./internal/gc/ ./internal/tasking/ ./internal/pipeline/ >.bench_build/tier2-bench.log 2>&1 || \
 		{ grep -A1 -e '--- FAIL' -e '^FAIL' -e '^panic:' .bench_build/tier2-bench.log; exit 1; }
+
+times:
+	go test -count=1 -json ./... | awk ' \
+		/"Action":"(pass|fail|skip)"/ { \
+			act = "skip"; if ($$0 ~ /"Action":"pass"/) act = "pass"; if ($$0 ~ /"Action":"fail"/) act = "fail"; \
+			match($$0, /"Package":"[^"]*"/); pkg = substr($$0, RSTART + 11, RLENGTH - 12); \
+			if ($$0 ~ /"Test":/) { n[act]++; if (act == "fail") { match($$0, /"Test":"[^"]*"/); print "FAIL " pkg " " substr($$0, RSTART + 8, RLENGTH - 9) }; next } \
+			if (act == "skip") next; \
+			match($$0, /"Elapsed":[0-9.]+/); el = substr($$0, RSTART + 10, RLENGTH - 10) + 0; \
+			printf "%-4s %6.1f s  %s%s\n", act, el, pkg, (el > 15 ? "  (over the 15 s budget)" : ""); if (act == "fail") pf++ } \
+		END { printf "tests: %d passed, %d failed, %d skipped; %d packages failed\n", n["pass"], n["fail"], n["skip"], pf; exit n["fail"] + pf > 0 }'
 
 LOC_FILES = find $(1) -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*'
 LOC_COUNT = $$($(LOC_FILES) | xargs cat | wc -l) ($$($(LOC_FILES) | xargs cat | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//') without blank and comment lines)
@@ -230,7 +249,9 @@ benchmark-check:
 bench:
 	go test -bench=. -benchmem -run xxx ./internal/gc/ ./internal/tasking/ ./internal/pipeline/
 
-# Budgeted fuzzing of the mark/sweep hole invariants and of the flag front end.
+# Budgeted fuzzing of the mark/sweep hole invariants, of generated programs
+# under the verifier and of the flag front end.
 fuzz:
 	go test ./internal/heap/ -fuzz FuzzMarkSweepHoles -fuzztime 30s
+	go test ./internal/pipeline/ -run '^FuzzGeneratedProgram$$' -fuzz '^FuzzGeneratedProgram$$' -fuzztime 30s
 	go test ./cmd/tfserve/ -fuzz FuzzFlagLine -fuzztime 30s

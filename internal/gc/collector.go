@@ -155,20 +155,11 @@ type Collector struct {
 	// plans is the frame-plan cache (compiled strategy fast path), keyed by
 	// (site, incoming type instantiation).
 	plans map[planKey]*framePlan
-	// compiledSites holds the prebuilt frame routines (compiled mode).
-	compiledSites [][]slotTracer
 	// interpSites holds the serialized frame maps (interp mode).
 	interpSites [][]byte
 	// MetadataSize reports the strategy's GC metadata footprint in words
 	// (experiment E4).
 	MetadataSize int64
-}
-
-// slotTracer is one step of a compiled frame routine.
-type slotTracer struct {
-	slot   int
-	ground TypeGC         // non-nil when the descriptor is monomorphic
-	desc   *code.TypeDesc // otherwise resolved against frame type args
 }
 
 // New builds a collector, precompiling the strategy's metadata (the
@@ -185,21 +176,18 @@ func New(prog *code.Program, h *heap.Heap, strat Strategy) (*Collector, error) {
 	}
 	switch strat {
 	case StratCompiled:
-		c.compiledSites = make([][]slotTracer, len(prog.Sites))
-		for i, si := range prog.Sites {
-			routine := make([]slotTracer, 0, len(si.Live))
+		for _, si := range prog.Sites {
+			// The ground routines are built here, as a compiler emits them
+			// with the program; a plan finds them hash-consed (buildPlan).
 			for _, e := range si.Live {
-				st := slotTracer{slot: e.Slot, desc: e.Desc}
 				if isGround(e.Desc) {
-					st.ground = c.FromDesc(e.Desc, nil)
+					c.FromDesc(e.Desc, nil)
 				}
-				routine = append(routine, st)
-				// A compiled trace step costs roughly a handful of
-				// instructions; model routine size as words.
-				c.MetadataSize += 4
 			}
-			c.compiledSites[i] = routine
-			c.MetadataSize += 2 // routine prologue/dispatch entry
+			// A compiled trace step costs roughly a handful of instructions;
+			// model routine size as 4 words a live slot, plus 2 for the
+			// routine's prologue and dispatch entry.
+			c.MetadataSize += int64(4*len(si.Live) + 2)
 		}
 	case StratInterp:
 		c.interpSites = make([][]byte, len(prog.Sites))
@@ -234,15 +222,18 @@ func isGround(d *code.TypeDesc) bool {
 // the frame list of a stack walk used to be allocated per frame and per stack
 // walk — on a deep polymorphic tower that is thousands of short-lived slices
 // per collection; now they bump-allocate here, the arena resets when its
-// windows are dead (before each task is resolved: a collection's, the
-// verifier's, ResolveRoots'), and a collection of a warmed collector
-// allocates nothing on the host that grows with the stack.
+// windows are dead (at the top of a collection's task scan, and of each
+// ResolveRoots), and a collection of a warmed collector allocates nothing on
+// the host that grows with the stack.
 // Growth never invalidates a window already handed out: a block that fills
 // is replaced (targs) or copied (jobs), and earlier windows keep the old
 // backing array.
 type scratch struct {
 	targs []TypeGC
 	jobs  []rootJob
+	// ends[i] is where task i's jobs end in jobs (collectTasks): the
+	// collection's lists stay there for the verifier.
+	ends []int
 	// frames is the one stack walk's record (walk), overwritten by the next.
 	frames []frame
 }
@@ -250,6 +241,16 @@ type scratch struct {
 func (s *scratch) reset() {
 	s.targs = s.targs[:0]
 	s.jobs = s.jobs[:0]
+	s.ends = s.ends[:0]
+}
+
+// traced is the list collectTasks resolved and traced for task i.
+func (s *scratch) traced(i int) []rootJob {
+	start := 0
+	if i > 0 {
+		start = s.ends[i-1]
+	}
+	return s.jobs[start:s.ends[i]]
 }
 
 // typeArgs returns an n-slot window at the arena tail. Callers assign every
@@ -393,17 +394,19 @@ func (c *Collector) traceGlobals(globals []code.Word) {
 }
 
 // collectTasks scans the task stacks one at a time, in task order — the
-// §4 walk: resolve a task's roots into the arena, trace them in order, hand
-// the arena back.
+// §4 walk: resolve a task's roots into the arena and trace them in order.
+// The arena resets once, here, so every task's list outlives the trace for
+// the verifier to check (scratch.traced).
 func (c *Collector) collectTasks(tasks []TaskRoots, scans []TaskScan) {
+	c.sc.reset()
 	for i := range tasks {
 		snap, before := c.Stats, c.Heap.Stats.WordsCopied
 		if c.Strat == StratTagged {
 			c.collectTaggedTask(tasks[i])
 		} else {
-			c.sc.reset()
-			c.applyJobs(tasks[i].Stack, c.taskJobs(tasks[i], &c.Stats))
+			c.applyJobs(tasks[i].Stack, c.taskJobs(tasks[i]))
 		}
+		c.sc.ends = append(c.sc.ends, len(c.sc.jobs))
 		scans[i] = taskScan(i, &c.Stats, &snap, c.Heap.Stats.WordsCopied-before)
 	}
 }

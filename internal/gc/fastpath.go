@@ -472,12 +472,12 @@ func (ic *planIC) match(site int, targs []TypeGC) bool {
 
 // planForIC resolves a frame plan through the walk-local inline cache,
 // falling back to the plan map.
-func (c *Collector) planForIC(ic *planIC, siteIdx int, site *code.SiteInfo, targs []TypeGC, st *Stats) *framePlan {
+func (c *Collector) planForIC(ic *planIC, siteIdx int, site *code.SiteInfo, targs []TypeGC) *framePlan {
 	if ic.match(siteIdx, targs) {
-		st.PlanHits++
+		c.Stats.PlanHits++
 		return ic.plan
 	}
-	p := c.planFor(siteIdx, site, targs, st)
+	p := c.planFor(siteIdx, site, targs)
 	ic.site, ic.targs, ic.plan = siteIdx, targs, p
 	return p
 }
@@ -488,16 +488,16 @@ func (c *Collector) planForIC(ic *planIC, siteIdx int, site *code.SiteInfo, targ
 // (TypeSourceEnv) read their instantiation out of the closure's rep words
 // on the heap, so their plans can differ per frame at one site and are
 // never edge-cached.
-func (c *Collector) planForEdge(prev *framePlan, ic *planIC, siteIdx int, site *code.SiteInfo, fi *code.FuncInfo, incoming pkg, stack []code.Word, fp int, st *Stats) *framePlan {
+func (c *Collector) planForEdge(prev *framePlan, ic *planIC, siteIdx int, site *code.SiteInfo, fi *code.FuncInfo, incoming pkg, stack []code.Word, fp int) *framePlan {
 	cacheable := prev != nil && fi.TypeSource != code.TypeSourceEnv
 	if cacheable {
 		if p := prev.edge(ic, siteIdx); p != nil {
-			st.PlanHits++
+			c.Stats.PlanHits++
 			return p
 		}
 	}
 	targs := c.frameTypeArgs(fi, incoming, stack, fp)
-	p := c.planForIC(ic, siteIdx, site, targs, st)
+	p := c.planForIC(ic, siteIdx, site, targs)
 	if cacheable {
 		if prev.edges == nil {
 			prev.edges = map[int]*framePlan{}
@@ -509,11 +509,11 @@ func (c *Collector) planForEdge(prev *framePlan, ic *planIC, siteIdx int, site *
 }
 
 // planFor returns the memoized frame plan for (site, targs), building it on
-// first use. st takes the hit/miss counters.
-func (c *Collector) planFor(siteIdx int, site *code.SiteInfo, targs []TypeGC, st *Stats) *framePlan {
+// first use, counting the hit or miss.
+func (c *Collector) planFor(siteIdx int, site *code.SiteInfo, targs []TypeGC) *framePlan {
 	if len(targs) > maxPlanTypeArgs {
-		st.PlanMisses++
-		return c.buildPlan(siteIdx, site, targs)
+		c.Stats.PlanMisses++
+		return c.buildPlan(site, targs)
 	}
 	key := planKey{site: int32(siteIdx), n: int8(len(targs))}
 	for i, g := range targs {
@@ -524,11 +524,11 @@ func (c *Collector) planFor(siteIdx int, site *code.SiteInfo, targs []TypeGC, st
 		}
 	}
 	if p, ok := c.plans[key]; ok {
-		st.PlanHits++
+		c.Stats.PlanHits++
 		return p
 	}
-	st.PlanMisses++
-	p := c.buildPlan(siteIdx, site, targs)
+	c.Stats.PlanMisses++
+	p := c.buildPlan(site, targs)
 	c.plans[key] = p
 	return p
 }
@@ -536,16 +536,12 @@ func (c *Collector) planFor(siteIdx int, site *code.SiteInfo, targs []TypeGC, st
 // buildPlan resolves one frame routine completely: slot routines with
 // kernels, the deduplicated suspended-call argument map, and the outgoing
 // package (built eagerly so a plan's trace fields never change).
-func (c *Collector) buildPlan(siteIdx int, site *code.SiteInfo, targs []TypeGC) *framePlan {
+func (c *Collector) buildPlan(site *code.SiteInfo, targs []TypeGC) *framePlan {
 	p := &framePlan{}
 	var seen slotSet
-	for _, tr := range c.compiledSites[siteIdx] {
-		g := tr.ground
-		if g == nil {
-			g = c.FromDesc(tr.desc, targs)
-		}
-		p.slots = append(p.slots, planSlot{slot: tr.slot, routine: c.classified(g)})
-		seen.add(tr.slot)
+	for _, e := range site.Live {
+		p.slots = append(p.slots, planSlot{slot: e.Slot, routine: c.classified(c.FromDesc(e.Desc, targs))})
+		seen.add(e.Slot)
 	}
 	for _, e := range site.Args {
 		if seen.has(e.Slot) {
@@ -564,15 +560,15 @@ func (c *Collector) buildPlan(siteIdx int, site *code.SiteInfo, targs []TypeGC) 
 // siteAtFast resolves the site at pc through the lookup cache: one load on
 // a hit, the instruction-stream decode (siteAt) on first touch. Entries are
 // siteIdx+1 so the zero value means unfilled.
-func (c *Collector) siteAtFast(pc int, st *Stats) (int, *code.SiteInfo) {
+func (c *Collector) siteAtFast(pc int) (int, *code.SiteInfo) {
 	if c.siteCache == nil {
 		return c.siteAt(pc)
 	}
 	if v := c.siteCache[pc]; v > 0 {
-		st.SiteCacheHits++
+		c.Stats.SiteCacheHits++
 		return int(v - 1), c.Prog.Sites[v-1]
 	}
-	st.SiteCacheMisses++
+	c.Stats.SiteCacheMisses++
 	idx, si := c.siteAt(pc)
 	c.siteCache[pc] = int32(idx + 1)
 	return idx, si

@@ -24,7 +24,7 @@ let deep2000 () = down [1; 2; 3] 2000
 // the host is its product — the telemetry record and the per-task scan list
 // in it — never something that grows with the stacks it walks. The frame
 // list of a walk, the type-argument windows and the root jobs all live in the
-// collector's scratch arena, which it hands back after every task, so a warmed
+// collector's scratch arena, which it resets once per collection, so a warmed
 // collector allocates the same over a tower of 100 frames and of 2 000 —
 // under every typed strategy (Appel's chain re-walk is quadratic in the
 // depth, so its deep tower is 600 frames) and on both heaps.

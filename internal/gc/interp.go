@@ -60,14 +60,14 @@ func encodeDesc(out []byte, d *code.TypeDesc) []byte {
 
 // interpFrameJobs decodes a site descriptor into root jobs — the decoding
 // cost every collection pays under this method, counted in DescBytesDecoded.
-func (c *Collector) interpFrameJobs(jobs []rootJob, buf []byte, base int, targs []TypeGC, st *Stats) []rootJob {
+func (c *Collector) interpFrameJobs(jobs []rootJob, buf []byte, base int, targs []TypeGC) []rootJob {
 	r := &descReader{buf: buf}
 	n := r.uvarint()
 	for i := 0; i < n; i++ {
 		slot := r.uvarint()
 		jobs = append(jobs, genericJob(base+slot, c.decodeDesc(r, targs)))
 	}
-	st.DescBytesDecoded += int64(len(buf))
+	c.Stats.DescBytesDecoded += int64(len(buf))
 	return jobs
 }
 

@@ -11,14 +11,15 @@ import (
 // taskJobs is the one function that resolves a stack: it follows the dynamic
 // chain, reads each frame's gc_word, threads type_gc routines oldest→newest
 // and lists the task's roots — a slot, its routine and kernel — in trace
-// order. applyJobs traces such a list through a tracer: a collection
-// resolves a task into the scratch arena, applies, and hands the arena back.
-// The verifier holds the list to the paper's recursive resolver
-// (reference.go), which shares none of this code. Resolving first is
-// order-equivalent to tracing frame by frame because resolution reads only
-// the program, the stopped stack's links and un-moved heap words: forwarding
-// lives in a side table, so a from-space object (a closure's rep words)
-// reads the same before and after it is copied.
+// order. applyJobs traces such a list through a tracer: a collection resolves
+// each task into the scratch arena, which it resets once, and applies the
+// task's list before resolving the next. The lists stay in the arena until
+// the next collection, so the verifier holds the very jobs the collection
+// traced to the paper's recursive resolver (reference.go), which shares none
+// of this code. Resolving first is order-equivalent to tracing frame by frame
+// because resolution reads only the program, the stopped stack's links and
+// un-moved heap words: forwarding lives in a side table, so a from-space
+// object (a closure's rep words) reads the same before and after it is copied.
 
 // pkg is the type information a frame's gc routine hands to its callee's:
 // resolved type arguments for direct calls, or the closure's structured
@@ -42,10 +43,9 @@ func genericJob(idx int, g TypeGC) rootJob { return rootJob{idx: idx, routine: r
 // taskJobs resolves one task's complete root set, oldest frame first, without
 // mutating the heap or the stack — §3's "the stack is traversed at most
 // twice": one pass to gather the frames (walk), one to hand type packages from
-// frame to frame. Resolution counters land in st, so the verifier leaves the
-// collector's untouched. The returned slice lives in the arena, valid until
-// the arena's next reset.
-func (c *Collector) taskJobs(t TaskRoots, st *Stats) []rootJob {
+// frame to frame. Resolution counters land in c.Stats. The returned slice
+// lives in the arena, valid until the arena's next reset.
+func (c *Collector) taskJobs(t TaskRoots) []rootJob {
 	sc := &c.sc
 	fr := sc.walk(t)
 	fast := c.planned()
@@ -56,14 +56,14 @@ func (c *Collector) taskJobs(t TaskRoots, st *Stats) []rootJob {
 	for i := len(fr) - 1; i >= 0; i-- {
 		fp := fr[i].fp
 		base, atCall := fp+2, t.AtCall && i == 0
-		siteIdx, site := c.siteAtFast(fr[i].pc, st)
+		siteIdx, site := c.siteAtFast(fr[i].pc)
 		fi := c.Prog.Funcs[site.Func]
 		if fast {
 			// Compiled fast path: the memoized plan already carries the
 			// resolved slot routines, kernels, the deduplicated argument
 			// map and the outgoing package, and the caller plan's edge
 			// cache resolves warmed towers in O(1) per frame (fastpath.go).
-			plan := c.planForEdge(prev, &ic, siteIdx, site, fi, incoming, t.Stack, fp, st)
+			plan := c.planForEdge(prev, &ic, siteIdx, site, fi, incoming, t.Stack, fp)
 			for k := range plan.slots {
 				jobs = append(jobs, plan.slots[k].job(base))
 			}
@@ -78,29 +78,29 @@ func (c *Collector) taskJobs(t TaskRoots, st *Stats) []rootJob {
 		if c.Strat == StratAppel {
 			// The chain re-walk's windows die with this frame's routines.
 			mark := len(sc.targs)
-			jobs = c.frameJobs(jobs, siteIdx, site, fi, base, c.appelTypeArgs(t, fr, i, st), atCall, st)
+			jobs = c.frameJobs(jobs, siteIdx, site, fi, base, c.appelTypeArgs(t, fr, i), atCall)
 			if mark < len(sc.targs) {
 				sc.targs = sc.targs[:mark]
 			}
 			continue
 		}
 		targs := c.frameTypeArgs(fi, incoming, t.Stack, fp)
-		jobs = c.frameJobs(jobs, siteIdx, site, fi, base, targs, atCall, st)
+		jobs = c.frameJobs(jobs, siteIdx, site, fi, base, targs, atCall)
 		if i > 0 {
 			incoming = c.outgoing(site, targs, sc)
 		}
 	}
-	st.FramesTraced += int64(len(fr))
+	c.Stats.FramesTraced += int64(len(fr))
 	sc.jobs = jobs
 	return jobs[first:]
 }
 
 // frameJobs appends the roots of one frame (slots from base) under the
 // unplanned strategies, interp and Appel, in slot order.
-func (c *Collector) frameJobs(jobs []rootJob, siteIdx int, site *code.SiteInfo, fi *code.FuncInfo, base int, targs []TypeGC, atCall bool, st *Stats) []rootJob {
+func (c *Collector) frameJobs(jobs []rootJob, siteIdx int, site *code.SiteInfo, fi *code.FuncInfo, base int, targs []TypeGC, atCall bool) []rootJob {
 	start := len(jobs)
 	if c.Strat == StratInterp {
-		jobs = c.interpFrameJobs(jobs, c.interpSites[siteIdx], base, targs, st)
+		jobs = c.interpFrameJobs(jobs, c.interpSites[siteIdx], base, targs)
 	} else {
 		for _, e := range fi.AllSlots {
 			jobs = append(jobs, genericJob(base+e.Slot, c.FromDesc(e.Desc, targs)))
@@ -215,14 +215,14 @@ func (c *Collector) outgoing(site *code.SiteInfo, targs []TypeGC, sc *scratch) p
 // fr, newest first) by walking the dynamic chain from the bottom every time —
 // "the tracing of each polymorphic function's activation record may involve
 // traversing a fair amount of the stack" (§1.1.1/§3). The work is O(depth)
-// per frame, O(n²) per collection. Chain steps land in st.
-func (c *Collector) appelTypeArgs(t TaskRoots, fr []frame, target int, st *Stats) []TypeGC {
+// per frame, O(n²) per collection, counted in ChainSteps.
+func (c *Collector) appelTypeArgs(t TaskRoots, fr []frame, target int) []TypeGC {
 	var incoming pkg
 	for j := len(fr) - 1; j >= target; j-- {
-		_, site := c.siteAtFast(fr[j].pc, st)
+		_, site := c.siteAtFast(fr[j].pc)
 		fi := c.Prog.Funcs[site.Func]
 		targs := c.frameTypeArgs(fi, incoming, t.Stack, fr[j].fp)
-		st.ChainSteps++
+		c.Stats.ChainSteps++
 		if j == target {
 			return targs
 		}
@@ -257,10 +257,11 @@ func (c *Collector) ResolveRoots(tasks []TaskRoots) int {
 	// The benchmark calls this in a tight loop outside any collection; reset
 	// the arena each time so repeated resolution does not accumulate.
 	c.sc.reset()
-	var st Stats
+	saved := c.Stats
 	total := 0
 	for i := range tasks {
-		total += len(c.taskJobs(tasks[i], &st))
+		total += len(c.taskJobs(tasks[i]))
 	}
+	c.Stats = saved
 	return total
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -252,5 +253,70 @@ func TestReferenceResolver(t *testing.T) {
 	}
 	if minors == 0 {
 		t.Errorf("no minor collection verified")
+	}
+}
+
+// TestResolveRootsLeavesCountersAlone stops taskpoly and taskdeep at their
+// first collection under each typed strategy and resolves the stopped stacks
+// with ResolveRoots, the benchmark's timed resolution: it must leave the
+// collector's counters, its telemetry and the heap's counters as they were,
+// and return as many roots as a Collect of the same stacks then traces.
+func TestResolveRootsLeavesCountersAlone(t *testing.T) {
+	for _, name := range []string{"taskpoly", "taskdeep"} {
+		w, ok := workloads.TaskByName(name)
+		if !ok {
+			t.Fatalf("%s workload missing", name)
+		}
+		for _, strat := range []gc.Strategy{gc.StratCompiled, gc.StratInterp, gc.StratAppel} {
+			t.Run(fmt.Sprintf("%s/%v", name, strat), func(t *testing.T) {
+				g, entries, err := pipeline.BuildTaskGroup(w.Source, w.Entries, pipeline.Options{Strategy: strat, HeapWords: w.HeapWords})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					g.Spawn(e)
+				}
+				if err := g.RunInit(); err != nil {
+					t.Fatal(err)
+				}
+				roots, pending, err := g.RunUntilCollection()
+				if err != nil || !pending {
+					t.Fatalf("no collection to stop at: pending %v, %v", pending, err)
+				}
+				stats, telem, heapStats := g.Col.Stats, g.Col.Telem, g.Heap.Stats
+				n := g.Col.ResolveRoots(roots)
+				if !reflect.DeepEqual(g.Col.Stats, stats) || !reflect.DeepEqual(g.Col.Telem, telem) || g.Heap.Stats != heapStats {
+					t.Fatalf("ResolveRoots moved a counter:\ncollector %+v, was %+v\nheap %+v, was %+v", g.Col.Stats, stats, g.Heap.Stats, heapStats)
+				}
+				g.Col.Collect(roots, g.Globals)
+				if slots := g.Col.Stats.SlotsTraced - stats.SlotsTraced; n == 0 || int64(n) != slots {
+					t.Fatalf("ResolveRoots resolved %d roots, the collection traced %d slots", n, slots)
+				}
+			})
+		}
+	}
+}
+
+// TestVerifierMovesNoCounter runs the task corpus under each typed strategy
+// with the heap verifier off and on: the verifier checks the jobs the
+// collection traced and resolves nothing through the collector, so every
+// collector and heap counter but the pause time reads the same.
+func TestVerifierMovesNoCounter(t *testing.T) {
+	for _, w := range workloads.Tasking {
+		for _, strat := range []gc.Strategy{gc.StratCompiled, gc.StratInterp, gc.StratAppel} {
+			var runs [2]*pipeline.TaskResult
+			for i := range runs {
+				res, err := pipeline.RunTasks(w.Source, w.Entries, pipeline.Options{Strategy: strat, HeapWords: w.HeapWords, VerifyHeap: i == 1})
+				if err != nil {
+					t.Fatalf("%s/%v verify=%v: %v", w.Name, strat, i == 1, err)
+				}
+				res.GCStats.PauseNS = 0
+				runs[i] = res
+			}
+			if runs[0].GCStats != runs[1].GCStats || runs[0].Heap != runs[1].Heap {
+				t.Errorf("%s/%v: the verifier moved a counter:\noff %+v %+v\non  %+v %+v", w.Name, strat,
+					runs[0].GCStats, runs[0].Heap, runs[1].GCStats, runs[1].Heap)
+			}
+		}
 	}
 }

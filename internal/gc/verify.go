@@ -9,11 +9,12 @@ import (
 
 // Post-collection verification, GC side. heap.VerifyHeap checks the
 // discipline's structural invariants (tiling, forwarding reset, the holes);
-// this file adds the semantic half. taskJobs' roots for each task must equal,
-// job by job, those of the paper's recursive resolver (reference.go), which
-// shares none of its code; from those roots and the globals the verifier
-// re-walks the reachable structure read-only, checking that every pointer
-// lands on a live block of exactly the extent its type says it has. A
+// this file adds the semantic half. The roots the collection traced for each
+// task — taskJobs' list, kept in the scratch arena — must equal, job by job,
+// those of the paper's recursive resolver (reference.go), which shares none
+// of its code; from those roots and the globals the verifier re-walks the
+// reachable structure read-only, checking that every pointer lands on a live
+// block of exactly the extent its type says it has. A
 // violation here means the resolver listed a root wrong, or the collector
 // retained a dangling pointer, copied an object with the wrong extent, or
 // left a root pointing into garbage.
@@ -55,7 +56,7 @@ func (c *Collector) verifyCollection(tasks []TaskRoots, globals []code.Word) {
 			v.walk(c.FromDesc(c.Prog.Globals[v.idx].Desc, nil), globals[v.idx])
 		}
 		for v.task = range tasks {
-			v.taskRoots(tasks[v.task])
+			v.taskRoots(tasks[v.task], c.sc.traced(v.task))
 		}
 		errs = append(errs, v.errs...)
 	}
@@ -64,13 +65,12 @@ func (c *Collector) verifyCollection(tasks []TaskRoots, globals []code.Word) {
 	}
 }
 
-// taskRoots holds taskJobs to the reference resolver on one stopped task —
-// a job is its stack index and the ground type its routine traces; the first
-// job that differs is the task's violation — and walks the reference's roots.
-func (v *verifier) taskRoots(t TaskRoots) {
+// taskRoots holds got, the jobs the collection traced for one stopped task,
+// to the reference resolver — a job is its stack index and the ground type
+// its routine traces; the first job that differs is the task's violation —
+// and walks the reference's roots.
+func (v *verifier) taskRoots(t TaskRoots, got []rootJob) {
 	want := v.referenceRoots(t)
-	v.c.sc.reset()                     // outside a collection's trace every earlier window is dead
-	got := v.c.taskJobs(t, new(Stats)) // its resolution counters are discarded
 	bad := -1
 	for k, r := range want {
 		if bad < 0 && (k >= len(got) || got[k].idx != r.idx || !sameType(got[k].g, r.typ)) {

@@ -184,7 +184,7 @@ let main () =
 `, shape.decl(), shape.chkFn(), value.render(shape))
 
 		for _, strat := range Strategies {
-			res, err := Run(src, Options{Strategy: strat, HeapWords: 512, MaxSteps: 10_000_000})
+			res, err := Run(src, Options{Strategy: strat, HeapWords: 512, MaxSteps: 10_000_000, VerifyHeap: true})
 			if err != nil {
 				t.Fatalf("seed %d [%v]: %v\nprogram:\n%s", seed, strat, err, src)
 			}
@@ -198,7 +198,7 @@ let main () =
 		}
 		// Mark/sweep configuration.
 		res, err := Run(src, Options{Strategy: gc.StratCompiled, HeapWords: 512,
-			MarkSweep: true, MaxSteps: 10_000_000})
+			MarkSweep: true, MaxSteps: 10_000_000, VerifyHeap: true})
 		if err != nil {
 			t.Fatalf("seed %d [ms]: %v", seed, err)
 		}

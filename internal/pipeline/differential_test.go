@@ -11,8 +11,10 @@ import (
 
 // Differential testing: generate random well-typed MinML programs, compute
 // their results with a direct Go reference evaluator over the generator's
-// own expression trees, and require every collector strategy (under a tiny
-// heap, forcing collections) to agree with the reference.
+// own expression trees, and require every collector strategy to agree with
+// the reference. The programs are too small to fill even a tiny heap, so
+// every run collects before each allocation (Torture), and the heap verifier
+// checks every collection.
 //
 // The generated language: integer expressions, let bindings, conditionals,
 // integer lists (literals, cons, recursive sum/length/append/reverse via a
@@ -308,23 +310,28 @@ let rec map f xs = match xs with | [] -> [] | x :: r -> f x :: map f r
 let rec zipsum ps = match ps with | [] -> 0 | (a, b) :: r -> a + b + zipsum r
 `
 
+// diffPrograms is how many seeds TestDifferentialRandomPrograms runs, and
+// FuzzGeneratedProgram's seed corpus.
+const diffPrograms = 120
+
+// genProgram is seed's generated program and the reference evaluator's value
+// for its main.
+func genProgram(seed int64) (string, int64) {
+	g := &genContext{rng: rand.New(rand.NewSource(seed))}
+	expr := g.intExpr(4)
+	var b strings.Builder
+	b.WriteString(diffPrelude)
+	b.WriteString("let main () = ")
+	render(expr, &b)
+	b.WriteByte('\n')
+	return b.String(), refEval(expr, map[string]int64{})
+}
+
 func TestDifferentialRandomPrograms(t *testing.T) {
-	const programs = 120
-	for seed := 0; seed < programs; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		g := &genContext{rng: rng}
-		expr := g.intExpr(4)
-		want := refEval(expr, map[string]int64{})
-
-		var b strings.Builder
-		b.WriteString(diffPrelude)
-		b.WriteString("let main () = ")
-		render(expr, &b)
-		b.WriteByte('\n')
-		src := b.String()
-
+	for seed := range int64(diffPrograms) {
+		src, want := genProgram(seed)
 		for _, strat := range Strategies {
-			res, err := Run(src, Options{Strategy: strat, HeapWords: 512, MaxSteps: 10_000_000})
+			res, err := Run(src, Options{Strategy: strat, HeapWords: 512, MaxSteps: 10_000_000, Torture: true, VerifyHeap: true})
 			if err != nil {
 				t.Fatalf("seed %d [%v]: %v\nprogram:\n%s", seed, strat, err, src)
 			}
@@ -336,9 +343,9 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		// Mark/sweep, 0-CFA elision, and their combination as extra
 		// configurations.
 		for _, extra := range []Options{
-			{Strategy: gc.StratCompiled, HeapWords: 512, MarkSweep: true, MaxSteps: 10_000_000},
-			{Strategy: gc.StratCompiled, HeapWords: 512, UseCFA: true, MaxSteps: 10_000_000},
-			{Strategy: gc.StratCompiled, HeapWords: 512, MarkSweep: true, UseCFA: true, MaxSteps: 10_000_000},
+			{Strategy: gc.StratCompiled, HeapWords: 512, MarkSweep: true, MaxSteps: 10_000_000, Torture: true, VerifyHeap: true},
+			{Strategy: gc.StratCompiled, HeapWords: 512, UseCFA: true, MaxSteps: 10_000_000, Torture: true, VerifyHeap: true},
+			{Strategy: gc.StratCompiled, HeapWords: 512, MarkSweep: true, UseCFA: true, MaxSteps: 10_000_000, Torture: true, VerifyHeap: true},
 		} {
 			res, err := Run(src, extra)
 			if err != nil {
@@ -351,4 +358,33 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzGeneratedProgram runs the generated program of any seed on every
+// strategy, under both disciplines where Rules allows, with the heap verifier
+// (and with it the reference resolver) after every collection, and holds each
+// run's value to the reference evaluator's. Its corpus is the differential
+// test's seeds.
+func FuzzGeneratedProgram(f *testing.F) {
+	for seed := range int64(diffPrograms) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		src, want := genProgram(seed)
+		for _, strat := range Strategies {
+			for _, ms := range []bool{false, true} {
+				opts := Options{Strategy: strat, HeapWords: 512, MarkSweep: ms, MaxSteps: 10_000_000, Torture: true, VerifyHeap: true}
+				if len(opts.violated(true)) > 0 {
+					continue
+				}
+				res, err := Run(src, opts)
+				if err != nil {
+					t.Fatalf("seed %d [%v ms=%v]: %v\nprogram:\n%s", seed, strat, ms, err, src)
+				}
+				if res.Value != want {
+					t.Fatalf("seed %d [%v ms=%v]: got %d, reference %d\nprogram:\n%s", seed, strat, ms, res.Value, want, src)
+				}
+			}
+		}
+	})
 }
