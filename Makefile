@@ -4,7 +4,8 @@
 # (internal/pipeline/lattice_test.go: every strategy × discipline ×
 # nursery × tlab × shards × torture × fail-every × suspend-at-allocs ×
 # quantum combination no rule refuses, each on the next program of the
-# single-task corpus, the task corpus and testdata/progs that may take it)
+# single-task corpus, the task corpus and the showcase that may take it;
+# internal/workloads/corpus holds all three)
 # against its oracle — interp for a compiled cell, the cell's own strategy
 # otherwise, with no other mode — with the heap verifier after every
 # collection, which also holds each stack's root resolution to the paper's
@@ -34,7 +35,9 @@
 # loc prints the non-test Go lines outside benchmark/ — raw, and without
 # blank and comment-only lines — so a simplification's "net negative" is a
 # number that can be checked against the parent commit; three more lines give
-# the same two counts for internal/gc, internal/heap and internal/tasking alone.
+# the same two counts for internal/gc, internal/heap and internal/tasking alone,
+# and a last one the lines of the MinML corpus (internal/workloads/corpus), so
+# that a program moved from a Go string literal into a file reads as a move.
 #
 # profile-interp is the register-regression check for the one dispatch loop,
 # tasking.(*Group).step, in whichever file of internal/tasking defines it: it
@@ -171,6 +174,7 @@ loc:
 	@echo "of which internal/gc: $(call LOC_COUNT,./internal/gc)"
 	@echo "of which internal/heap: $(call LOC_COUNT,./internal/heap)"
 	@echo "of which internal/tasking: $(call LOC_COUNT,./internal/tasking)"
+	@echo "MinML corpus lines (internal/workloads/corpus/*.ml): $$(cat internal/workloads/corpus/*.ml | wc -l)"
 
 STEP_SRC = ${shell grep -l '^func (g \*Group) step(' internal/tasking/*.go}
 HEADS = OpEqJz OpNeJz OpLtJz OpLeJz OpGtJz OpGeJz OpIsBoxedJz OpTagIsJz OpMoveRet OpLdFldMove

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"tagfree/internal/workloads"
 )
 
 // writeProg drops MinML source in a temp dir and returns its path.
@@ -136,4 +140,67 @@ func TestUsageErrors(t *testing.T) {
 			t.Fatalf("cli(%v): %v is not a usage error", args, err)
 		}
 	}
+}
+
+// TestReadmeCommands runs every `go run ./cmd/tfgc` line of README.md but
+// the repl through cli: each names a committed corpus file and must
+// succeed, and a run or tasks line must print that program's known results.
+func TestReadmeCommands(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := 0
+	for i, line := range strings.Split(string(readme), "\n") {
+		rest, ok := strings.CutPrefix(line, "go run ./cmd/tfgc ")
+		if !ok || strings.HasPrefix(rest, "repl") {
+			continue
+		}
+		ran++
+		args := strings.Fields(rest)
+		file := args[len(args)-1]
+		args[len(args)-1] = filepath.Join("../..", file)
+		t.Run(fmt.Sprintf("README.md:%d", i+1), func(t *testing.T) {
+			out, err := run(t, args...)
+			if err != nil {
+				t.Fatalf("tfgc %s: %v", rest, err)
+			}
+			for _, want := range knownResults(t, args[0], strings.TrimSuffix(filepath.Base(file), ".ml"), args) {
+				if !strings.Contains(out, want) {
+					t.Errorf("tfgc %s: output lacks %q:\n%s", rest, want, out)
+				}
+			}
+		})
+	}
+	if ran < 5 {
+		t.Fatalf("README.md has only %d tfgc command lines", ran)
+	}
+}
+
+// knownResults is what a corpus program's header says a run or tasks
+// command prints: main's value, or each named entry's.
+func knownResults(t *testing.T, cmd, name string, args []string) (want []string) {
+	t.Helper()
+	switch cmd {
+	case "run":
+		for _, w := range slices.Concat(workloads.All, workloads.Showcase) {
+			if w.Name == name {
+				return []string{fmt.Sprintf("=> %d\n", w.Expect)}
+			}
+		}
+		t.Fatalf("%s is no single-task program of the corpus", name)
+	case "tasks":
+		w, ok := workloads.TaskByName(name)
+		if !ok {
+			t.Fatalf("%s is no task program of the corpus", name)
+		}
+		for _, e := range strings.Split(args[slices.Index(args, "-entry")+1], ",") {
+			i := slices.Index(w.Entries, e)
+			if i < 0 {
+				t.Fatalf("%s has no entry %s", name, e)
+			}
+			want = append(want, fmt.Sprintf("[%s] => %d\n", e, w.Expect[i]))
+		}
+	}
+	return want
 }

@@ -2,8 +2,6 @@ package gc_test
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -171,7 +169,7 @@ func TestManyTasksTinyHeap(t *testing.T) {
 }
 
 // TestReferenceResolver runs the single-task corpus (main the group's one
-// task), the task corpus and testdata/progs (envedge.ml on a 256-word heap)
+// task), the task corpus and the showcase (envedge on a 256-word heap)
 // under the compiled and interp strategies and — all but the deepest
 // programs — Appel's, both disciplines, without and with a nursery, without
 // and with allocation buffers (all but the deepest) and both suspension
@@ -185,20 +183,11 @@ func TestManyTasksTinyHeap(t *testing.T) {
 // land at the same sites every round.
 func TestReferenceResolver(t *testing.T) {
 	progs := slices.Clone(workloads.Tasking)
-	for _, w := range workloads.All {
+	for _, w := range slices.Concat(workloads.All, workloads.Showcase) {
+		if w.Name == "envedge" {
+			w.HeapWords = 256
+		}
 		progs = append(progs, workloads.TaskWorkload{Name: w.Name, Source: w.Source, Entries: []string{"main"}, HeapWords: w.HeapWords})
-	}
-	files, _ := filepath.Glob("../../testdata/progs/*.ml")
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := workloads.TaskWorkload{Name: filepath.Base(f), Source: string(src), Entries: []string{"main"}, HeapWords: 2048}
-		if p.Name == "envedge.ml" {
-			p.Name, p.HeapWords = "envedge", 256
-		}
-		progs = append(progs, p)
 	}
 	// Appel's chain re-walk is quadratic in stack depth, and the deepest
 	// single-task programs already take half the time: they run without

@@ -21,21 +21,13 @@ import (
 type corpusProgram struct{ name, src string }
 
 // compileCorpus is every committed program the compiler can be held to:
-// testdata/progs, both internal/workloads lists, and one generated source of
-// a few hundred functions.
+// the three internal/workloads lists, and one generated source of a few
+// hundred functions. A showcase program keeps the key it had as a file of
+// its own, progs/<name>.ml.
 func compileCorpus(t testing.TB) []corpusProgram {
 	var out []corpusProgram
-	files, err := filepath.Glob("../../testdata/progs/*.ml")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no programs under testdata/progs (%v)", err)
-	}
-	sort.Strings(files)
-	for _, f := range files {
-		b, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, corpusProgram{"progs/" + filepath.Base(f), string(b)})
+	for _, w := range workloads.Showcase {
+		out = append(out, corpusProgram{"progs/" + w.Name + ".ml", w.Source})
 	}
 	for _, w := range workloads.All {
 		out = append(out, corpusProgram{"workloads/" + w.Name, w.Source})

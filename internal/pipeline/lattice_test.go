@@ -24,7 +24,7 @@ package pipeline
 // The engagement table holds each knob to its telemetry; a refused cell fails
 // with the first sentence of the rules it breaks; the verifier runs after
 // every collection. Tier 1 runs a pairwise-covering set of cells over the
-// single-task corpus, the task corpus and testdata/progs, GC_TORTURE_FULL=1
+// single-task corpus, the task corpus and the showcase, GC_TORTURE_FULL=1
 // every legal point. A cell's subtest is named by its flags (the testing
 // package writes a space as _), so one replays with, e.g.,
 //
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -61,33 +60,24 @@ type latticeProg struct {
 func (p latticeProg) single() bool { return p.entries == nil }
 
 var (
-	latticeSingles = func() (out []latticeProg) {
-		for _, w := range workloads.All {
-			out = append(out, latticeProg{w.Name, w.Source, nil, []int64{w.Expect}, w.HeapWords})
-		}
-		return out
-	}()
-	latticeTasks = func() (out []latticeProg) {
+	latticeSingles = singleProgs(workloads.All)
+	latticeTasks   = func() (out []latticeProg) {
 		for _, w := range workloads.Tasking {
 			out = append(out, latticeProg{w.Name, w.Source, w.Entries, w.Expect, w.HeapWords})
 		}
 		return out
 	}()
-	latticeCorpus = func() []latticeProg {
-		out := append(slices.Clone(latticeSingles), latticeTasks...)
-		files, _ := filepath.Glob("../../testdata/progs/*.ml")
-		for _, f := range files {
-			src, err := os.ReadFile(f)
-			if err != nil {
-				panic(err)
-			}
-			out = append(out, latticeProg{name: filepath.Base(f), src: string(src), heap: 2048})
-		}
-		return out
-	}()
+	latticeCorpus = slices.Concat(latticeSingles, latticeTasks, singleProgs(workloads.Showcase))
 	// latticeFull is GC_TORTURE_FULL: every legal point, not a pairwise cover.
 	latticeFull = os.Getenv("GC_TORTURE_FULL") != ""
 )
+
+func singleProgs(ws []workloads.Workload) (out []latticeProg) {
+	for _, w := range ws {
+		out = append(out, latticeProg{w.Name, w.Source, nil, []int64{w.Expect}, w.HeapWords})
+	}
+	return out
+}
 
 // cell is one program at one point of the lattice. The quantum (0: the
 // group's default), SuspendAtAllocs and ShardAssign are test-side knobs.

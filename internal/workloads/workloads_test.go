@@ -1,6 +1,7 @@
 package workloads_test
 
 import (
+	"slices"
 	"testing"
 
 	"tagfree/internal/code"
@@ -11,26 +12,44 @@ import (
 	"tagfree/internal/workloads"
 )
 
-// TestWorkloadsAllStrategies is the corpus-level soundness check: every
-// workload computes its documented result under all four collectors, with
-// heaps small enough that collections actually occur on the allocation-heavy
-// programs.
-func TestWorkloadsAllStrategies(t *testing.T) {
-	for _, w := range workloads.All {
-		w := w
+// TestCorpusAgrees is the corpus-level soundness check: every single-task
+// program, benchmark and showcase alike, computes its known result under
+// every collector, both disciplines of the tag-free ones and the
+// higher-order (0-CFA) gc_word elision — a wrong elision would crash or
+// corrupt the collector when a frame blocks at an elided closure-call site
+// — and prints the same output under each. The heaps are the programs'
+// recommended sizes, small enough that the allocation-heavy ones collect.
+func TestCorpusAgrees(t *testing.T) {
+	type config struct {
+		name string
+		opts pipeline.Options
+	}
+	var configs []config
+	for _, strat := range pipeline.Strategies {
+		configs = append(configs, config{strat.String(), pipeline.Options{Strategy: strat}})
+		if strat != gc.StratTagged {
+			configs = append(configs, config{strat.String() + "-ms", pipeline.Options{Strategy: strat, MarkSweep: true}})
+		}
+		configs = append(configs, config{strat.String() + "-cfa", pipeline.Options{Strategy: strat, UseCFA: true}})
+	}
+	for _, w := range slices.Concat(workloads.All, workloads.Showcase) {
 		t.Run(w.Name, func(t *testing.T) {
-			for _, strat := range pipeline.Strategies {
-				res, err := pipeline.Run(w.Source, pipeline.Options{
-					Strategy:  strat,
-					HeapWords: w.HeapWords,
-					MaxSteps:  500_000_000,
+			var output *string
+			for _, c := range configs {
+				t.Run(c.name, func(t *testing.T) {
+					c.opts.HeapWords, c.opts.MaxSteps = w.HeapWords, 500_000_000
+					res, err := pipeline.Run(w.Source, c.opts)
+					switch {
+					case err != nil:
+						t.Fatal(err)
+					case res.Value != w.Expect:
+						t.Errorf("result = %d, want %d", res.Value, w.Expect)
+					case output == nil:
+						output = &res.Output
+					case res.Output != *output:
+						t.Errorf("output %q differs from the first configuration's %q", res.Output, *output)
+					}
 				})
-				if err != nil {
-					t.Fatalf("[%v] %v", strat, err)
-				}
-				if res.Value != w.Expect {
-					t.Errorf("[%v] result = %d, want %d", strat, res.Value, w.Expect)
-				}
 			}
 		})
 	}
@@ -66,31 +85,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// TestWorkloadsMarkSweep runs the corpus under the mark/sweep discipline
-// (the paper's "will support mark/sweep collection as well", §2) for every
-// tag-free strategy and checks results and that sweeps actually happen.
-func TestWorkloadsMarkSweep(t *testing.T) {
-	for _, w := range workloads.All {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			for _, strat := range []gc.Strategy{gc.StratCompiled, gc.StratInterp, gc.StratAppel} {
-				res, err := pipeline.Run(w.Source, pipeline.Options{
-					Strategy:  strat,
-					HeapWords: w.HeapWords,
-					MarkSweep: true,
-					MaxSteps:  500_000_000,
-				})
-				if err != nil {
-					t.Fatalf("[%v ms] %v", strat, err)
-				}
-				if res.Value != w.Expect {
-					t.Errorf("[%v ms] result = %d, want %d", strat, res.Value, w.Expect)
-				}
-			}
-		})
-	}
-}
-
 // TestMarkSweepRejectsTagged ensures the discipline/representation
 // constraint is enforced.
 func TestMarkSweepRejectsTagged(t *testing.T) {
@@ -101,31 +95,6 @@ func TestMarkSweepRejectsTagged(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("tagged + mark/sweep must be rejected")
-	}
-}
-
-// TestWorkloadsWithCFA runs the corpus with the higher-order (0-CFA)
-// gc_word elision enabled — a wrong elision would crash or corrupt the
-// collector when a frame blocks at an elided closure-call site.
-func TestWorkloadsWithCFA(t *testing.T) {
-	for _, w := range workloads.All {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			for _, strat := range pipeline.Strategies {
-				res, err := pipeline.Run(w.Source, pipeline.Options{
-					Strategy:  strat,
-					HeapWords: w.HeapWords,
-					UseCFA:    true,
-					MaxSteps:  500_000_000,
-				})
-				if err != nil {
-					t.Fatalf("[%v cfa] %v", strat, err)
-				}
-				if res.Value != w.Expect {
-					t.Errorf("[%v cfa] result = %d, want %d", strat, res.Value, w.Expect)
-				}
-			}
-		})
 	}
 }
 
