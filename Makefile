@@ -11,18 +11,19 @@
 # collection, which also holds each stack's root resolution to the paper's
 # recursive resolver: 608 points, ≈ 55-65 s on 2 vCPUs (46 s before the
 # resolver joined the verifier). tier 1 runs a pairwise-covering subset.
-# tier2-serve is a 16000-request serve run under a timeout: it takes ~0.4 s
-# while a serve run is linear in its requests and ~3 s with a per-tick or
-# per-round rescan, far more under a loaded machine — a reintroduced rescan
+# tier2-serve is a 16000-request `tfgc serve` run under a timeout: it takes
+# ~0.4 s while a serve run is linear in its requests and ~3 s with a per-tick
+# or per-round rescan, far more under a loaded machine — a reintroduced rescan
 # fails here instead of slowing a benchmark row. It then runs the torture and
-# pressure lines below on a tfserve built with -race; each fails unless its
-# requests: line reads faulted=0 wrong=0. tier2-bench runs every Go
+# pressure lines below on a tfgc built with -race; each fails unless it
+# collects the number of times its line states and no task faults or
+# returns a value its program's header does not expect. tier2-bench runs every Go
 # micro-benchmark once, so one that stopped compiling or running fails here
 # rather than at the next profile; on a failure it prints the --- FAIL and
 # FAIL lines (and the line after each) of its log, .bench_build/tier2-bench.log.
 # fuzz (below) gives FuzzMarkSweepHoles, FuzzGeneratedProgram (internal/pipeline: a
 # generated program of any seed on every strategy and discipline, collecting
-# before every allocation under the heap verifier) and tfserve's FuzzFlagLine
+# before every allocation under the heap verifier) and tfgc's FuzzFlagLine
 # 30 s each; the root package's
 # TestMakefileNamesExistingTests fails when a name this file passes to -run,
 # -bench or -fuzz matches no test, which go test itself would pass.
@@ -117,38 +118,45 @@ tier2: tier1 tier2-lattice tier2-serve tier2-bench fuzz
 tier2-lattice:
 	GC_TORTURE_FULL=1 go test -run TestModeLattice -count=1 -timeout 60m ./internal/pipeline/
 
-# The torture and pressure lines, closed-loop runs of a task workload unless
-# they set -period (collections per line in brackets). They were the cells of
-# the .tfs scenarios tier2 ran before the DSL was deleted:
-#   poly-torture (torture.tfs)           taskpoly lines, copying and mark/sweep [1200 each]
-#   churn-pressure (torture.tfs)         the taskchurn -fail-every line [10]
-#   shard-churn (shard-torture.tfs)      taskchurn -shards 1, 2, 4, copying and mark/sweep [15, 14, 12]
-#   shard-pressure (shard-torture.tfs)   the taskmutate line [105]
-#   overload-torture (overload-torture.tfs) the taskserve line [707; completed 9, shed 63,
-#                                        dropped 21, p99 176114 — TestCLIOverloadTorture pins them]
+# The torture and pressure lines, each "<command> <program> <collections>
+# <flags>": a `tfgc tasks -stats` run of a task program of the corpus must
+# print collections=<collections>, the `tfgc serve` line gcs=<collections>.
+# They were the cells of the .tfs scenarios tier2 ran before the DSL was
+# deleted:
+#   poly-torture (torture.tfs)           the taskpoly lines, copying and mark/sweep
+#   churn-pressure (torture.tfs)         the taskchurn -fail-every line
+#   shard-churn (shard-torture.tfs)      taskchurn -shards 1, 2, 4, copying and mark/sweep
+#   shard-pressure (shard-torture.tfs)   the taskmutate line
+#   overload-torture (overload-torture.tfs) the taskserve line (completed 9, shed 63,
+#                                        dropped 21, p99 176114 — TestCLIOverloadTorture pins them)
 SERVE_LINES = \
-	'-workload taskpoly -gc-torture -verify-heap' \
-	'-workload taskpoly -gc-torture -verify-heap -marksweep' \
-	'-workload taskchurn -heap 1024 -fail-every 400 -heap-grow 1.5 -heap-max 8192' \
-	'-workload taskchurn -gc-nursery 256 -shards 1 -verify-heap' \
-	'-workload taskchurn -gc-nursery 256 -shards 2 -verify-heap' \
-	'-workload taskchurn -gc-nursery 256 -shards 4 -verify-heap' \
-	'-workload taskchurn -gc-nursery 256 -shards 1 -verify-heap -marksweep' \
-	'-workload taskchurn -gc-nursery 256 -shards 2 -verify-heap -marksweep' \
-	'-workload taskchurn -gc-nursery 256 -shards 4 -verify-heap -marksweep' \
-	'-workload taskmutate -heap 1024 -gc-nursery 128 -shards 4 -fail-every 400 -heap-grow 1.5 -heap-max 8192 -verify-heap' \
-	'-workload taskserve -period 1500 -burst 2 -requests 30 -seed 13 -queue 6 -inflight 3 -shed-heap 85 -retries 2 \
+	'tasks taskpoly 1200 -gc-torture -verify-heap' \
+	'tasks taskpoly 1200 -gc-torture -verify-heap -marksweep' \
+	'tasks taskchurn 10 -heap 1024 -fail-every 400 -heap-grow 1.5 -heap-max 8192' \
+	'tasks taskchurn 15 -gc-nursery 256 -shards 1 -verify-heap' \
+	'tasks taskchurn 14 -gc-nursery 256 -shards 2 -verify-heap' \
+	'tasks taskchurn 12 -gc-nursery 256 -shards 4 -verify-heap' \
+	'tasks taskchurn 15 -gc-nursery 256 -shards 1 -verify-heap -marksweep' \
+	'tasks taskchurn 14 -gc-nursery 256 -shards 2 -verify-heap -marksweep' \
+	'tasks taskchurn 12 -gc-nursery 256 -shards 4 -verify-heap -marksweep' \
+	'tasks taskmutate 105 -heap 1024 -gc-nursery 128 -shards 4 -fail-every 400 -heap-grow 1.5 -heap-max 8192 -verify-heap' \
+	'serve taskserve 707 -period 1500 -burst 2 -requests 30 -seed 13 -queue 6 -inflight 3 -shed-heap 85 -retries 2 \
 		-deadline 300000 -budget-steps 2000000 -mix req_tiny:4,req_small:2 -gc-torture -verify-heap -fail-every 400'
 
 tier2-serve:
 	mkdir -p .bench_build
-	go build -o .bench_build/tfserve ./cmd/tfserve
-	timeout 2 .bench_build/tfserve -marksweep -budget-steps 2000000 -period 3000 -requests 16000 -queue 8 -inflight 4 -retries 6 >/dev/null
-	go build -race -o .bench_build/tfserve-race ./cmd/tfserve
-	for args in $(SERVE_LINES); do \
-		out=$$(.bench_build/tfserve-race $$args) || exit 1; \
-		echo "$$out" | grep -q '^requests: .* faulted=0 wrong=0$$' || { echo "tfserve $$args:"; echo "$$out"; exit 1; }; \
-		echo "$$out" | grep -e '^requests: ' -e '^throughput: '; \
+	go build -o .bench_build/tfgc ./cmd/tfgc
+	timeout 2 .bench_build/tfgc serve -marksweep -budget-steps 2000000 -period 3000 -requests 16000 -queue 8 -inflight 4 -retries 6 \
+		internal/workloads/corpus/taskserve.ml >/dev/null
+	go build -race -o .bench_build/tfgc-race ./cmd/tfgc
+	for line in $(SERVE_LINES); do \
+		set -- $$line; cmd=$$1; prog=internal/workloads/corpus/$$2.ml; n=$$3; shift 3; \
+		if [ $$cmd = tasks ]; then set -- -stats "$$@"; fi; \
+		out=$$(.bench_build/tfgc-race $$cmd "$$@" $$prog) && case $$cmd in \
+			tasks) echo "$$out" | grep -q "^collections=$$n " && ! echo "$$out" | grep -q '^\[[a-z_]*\] faulted: ';; \
+			serve) echo "$$out" | grep -q "gcs=$$n)$$" && echo "$$out" | grep -q '^requests: .* faulted=0 wrong=0$$';; \
+		esac || { echo "tfgc $$cmd $$* $$prog: want $$n collections, no fault, no wrong value:"; echo "$$out"; exit 1; }; \
+		echo "$$out" | grep -e '^collections=' -e '^requests: ' -e '^throughput: ' | sed "s|^|$$cmd $$prog: |"; \
 	done
 
 tier2-bench:
@@ -258,4 +266,4 @@ bench:
 fuzz:
 	go test ./internal/heap/ -fuzz FuzzMarkSweepHoles -fuzztime 30s
 	go test ./internal/pipeline/ -run '^FuzzGeneratedProgram$$' -fuzz '^FuzzGeneratedProgram$$' -fuzztime 30s
-	go test ./cmd/tfserve/ -fuzz FuzzFlagLine -fuzztime 30s
+	go test ./cmd/tfgc/ -run '^FuzzFlagLine$$' -fuzz '^FuzzFlagLine$$' -fuzztime 30s

@@ -17,7 +17,7 @@
 //
 // List is the one registry of these tables: tfbench runs it, All and the
 // tests read it. The repository's optional modes (nursery, TLABs, shards,
-// serving) have no table here; tfbench telemetry and tfserve print their
+// serving) have no table here; tfbench telemetry and tfgc serve print their
 // counts.
 package experiments
 

@@ -327,11 +327,18 @@ func genProgram(seed int64) (string, int64) {
 	return b.String(), refEval(expr, map[string]int64{})
 }
 
+// runRecovered is Run with a panic of the run, a *gc.VerifyError among
+// them, returned as its error.
+func runRecovered(src string, opts Options) (res *Result, err error) {
+	defer recovered(&err)
+	return Run(src, opts)
+}
+
 func TestDifferentialRandomPrograms(t *testing.T) {
 	for seed := range int64(diffPrograms) {
 		src, want := genProgram(seed)
 		for _, strat := range Strategies {
-			res, err := Run(src, Options{Strategy: strat, HeapWords: 512, MaxSteps: 10_000_000, Torture: true, VerifyHeap: true})
+			res, err := runRecovered(src, Options{Strategy: strat, HeapWords: 512, MaxSteps: 10_000_000, Torture: true, VerifyHeap: true})
 			if err != nil {
 				t.Fatalf("seed %d [%v]: %v\nprogram:\n%s", seed, strat, err, src)
 			}
@@ -347,7 +354,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			{Strategy: gc.StratCompiled, HeapWords: 512, UseCFA: true, MaxSteps: 10_000_000, Torture: true, VerifyHeap: true},
 			{Strategy: gc.StratCompiled, HeapWords: 512, MarkSweep: true, UseCFA: true, MaxSteps: 10_000_000, Torture: true, VerifyHeap: true},
 		} {
-			res, err := Run(src, extra)
+			res, err := runRecovered(src, extra)
 			if err != nil {
 				t.Fatalf("seed %d [ms=%v cfa=%v]: %v\nprogram:\n%s",
 					seed, extra.MarkSweep, extra.UseCFA, err, src)
@@ -377,7 +384,7 @@ func FuzzGeneratedProgram(f *testing.F) {
 				if len(opts.violated(true)) > 0 {
 					continue
 				}
-				res, err := Run(src, opts)
+				res, err := runRecovered(src, opts)
 				if err != nil {
 					t.Fatalf("seed %d [%v ms=%v]: %v\nprogram:\n%s", seed, strat, ms, err, src)
 				}

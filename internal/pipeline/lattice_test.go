@@ -37,6 +37,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -231,8 +232,10 @@ type result struct {
 }
 
 // run executes the cell with the verifier on and returns its finished group;
-// err is a refusal or a compile error.
+// err is a refusal, a compile error or a panic of the run, a *gc.VerifyError
+// among them.
 func (c cell) run() (g *tasking.Group, r *result, err error) {
+	defer recovered(&err)
 	opts := c.opts
 	opts.VerifyHeap, opts.HeapWords = true, c.prog.heap
 	if opts.MarkSweep {
@@ -292,6 +295,19 @@ func (c cell) run() (g *tasking.Group, r *result, err error) {
 		r.snap = g.Heap.ActiveSnapshot()
 	}
 	return g, r, nil
+}
+
+// recovered, deferred by a runner, returns a panic of the run as its error
+// (a *gc.VerifyError as it is, any other with its stack), so that one failing
+// run fails one test and the package's later tests still report.
+func recovered(err *error) {
+	if v := recover(); v != nil {
+		if ve, ok := v.(*gc.VerifyError); ok {
+			*err = ve
+		} else {
+			*err = fmt.Errorf("panic: %v\n%s", v, debug.Stack())
+		}
+	}
 }
 
 // latticeMemo holds, by name, the result of every cell run as an oracle or a

@@ -13,8 +13,8 @@ import (
 // The mode table. Every knob a front end can set — its CLI spelling, the
 // range an outside value must lie in, the words a diagnostic uses for it and
 // the field it lands in — is one row of Knobs, and every combination of
-// knobs no runtime is built for is one row of Rules. The flag sets of tfgc,
-// tfserve and tfbench (BindFlags), the skip rows of tfbench telemetry,
+// knobs no runtime is built for is one row of Rules. The flag sets of tfgc
+// and tfbench (BindFlags), the skip rows of tfbench telemetry,
 // Options.validate and README's "Modes and flags" table are all read off
 // these two lists; nothing else in the tree spells a knob, a range or a
 // refusal.
@@ -100,7 +100,7 @@ var Knobs = []Knob{
 		Help: "hard ceiling for heap growth in semispace words"},
 
 	{Flag: "period", Kind: Int, Min: 1, Max: maxSteps, Noun: "period", Serve: true, Field: "Period",
-		Help: "inter-arrival period in steps (not given = closed-loop corpus run)"},
+		Help: "inter-arrival period in steps"},
 	{Flag: "burst", Kind: Int, Min: 1, Max: 1 << 10, Noun: "burst", Serve: true, Field: "Burst",
 		Help: "requests arriving together each period"},
 	{Flag: "requests", Kind: Int, Min: 1, Max: 1 << 20, Noun: "requests", Serve: true, Field: "Requests",
@@ -226,7 +226,7 @@ func (v flagValue) String() string {
 
 // BindFlags registers the flag of every knob whose field lives in one of
 // targets: a *Options (tfgc, tfbench), or a *Options and the *serve.Config
-// around it (tfserve). What the targets hold when bound is the default.
+// around it (tfgc serve). What the targets hold when bound is the default.
 func BindFlags(fs *flag.FlagSet, targets ...any) {
 	for i := range Knobs {
 		k := &Knobs[i]

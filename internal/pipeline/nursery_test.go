@@ -14,16 +14,20 @@ import (
 // Write-barrier fuzz: random interleavings of old→young stores with
 // allocation churn (which forces minor cycles between the stores), under
 // the heap verifier. A missed or mis-typed barrier surfaces either as a
-// verifier panic (stale pointer into the emptied nursery) or as a checksum
-// mismatch against the Go reference model.
+// verifier error (stale pointer into the emptied nursery) or as a checksum
+// mismatch against the Go reference model. A tuple wider than the smallest
+// nursery is born old with its initializing stores unbarriered, so the next
+// collection must be a major.
 // ---------------------------------------------------------------------------
 
 // fuzzProgram builds a random cell-mutation program and its reference
 // value. cells[i] starts as ref [i+1]; ops interleave stores of fresh
-// lists, churn allocations, and checksum reads.
+// lists, churn allocations, and checksum reads, and once a wide tuple of
+// fresh lists read back after a churn.
 func fuzzProgram(rng *rand.Rand) (string, int64) {
 	const cells = 6
 	const ops = 40
+	const wide = 20 // fields of a wide tuple: wider than a 16-word nursery
 	var b strings.Builder
 	b.WriteString(`
 let rec upto n = if n = 0 then [] else n :: upto (n - 1)
@@ -37,7 +41,20 @@ let rec sum xs = match xs with | [] -> 0 | x :: r -> x + sum r
 	b.WriteString("let main () =\n  (let t0 = 0 in\n")
 	var acc int64
 	tcount := 0
+	wideAt := rng.Intn(ops)
 	for i := 0; i < ops; i++ {
+		if i == wideAt { // a tuple that may be born old holds the only edges to fresh lists across a churn
+			var lists, names, sums []string
+			for j := 0; j < wide; j++ {
+				n := rng.Intn(4) + 1
+				lists, names = append(lists, fmt.Sprintf("upto %d", n)), append(names, fmt.Sprintf("l%d", j))
+				sums = append(sums, fmt.Sprintf("sum l%d", j))
+				acc += int64(n*(n+1)) / 2
+			}
+			fmt.Fprintf(&b, "  let t%d = t%d + (let w = (%s) in let _ = upto 20 in match w with | (%s) -> %s) in\n",
+				tcount+1, tcount, strings.Join(lists, ", "), strings.Join(names, ", "), strings.Join(sums, " + "))
+			tcount++
+		}
 		cell := rng.Intn(cells)
 		switch rng.Intn(3) {
 		case 0: // old→young store: repoint the cell at a fresh list
@@ -58,11 +75,11 @@ let rec sum xs = match xs with | [] -> 0 | x :: r -> x + sum r
 
 func TestNurseryWriteBarrierFuzz(t *testing.T) {
 	const seeds = 25
-	var barrierHits, minors int64
+	var barrierHits, minors, preTenured int64
 	for seed := 0; seed < seeds; seed++ {
 		src, want := fuzzProgram(rand.New(rand.NewSource(int64(seed))))
 		for _, ms := range []bool{false, true} {
-			for _, nursery := range []int{96, 192} {
+			for _, nursery := range []int{16, 96, 192} {
 				g, r, err := cell{prog: latticeProg{name: "fuzz", src: src, heap: 2048},
 					opts: Options{MarkSweep: ms, NurseryWords: nursery}}.run()
 				if err == nil && r.values[0] != want {
@@ -72,6 +89,7 @@ func TestNurseryWriteBarrierFuzz(t *testing.T) {
 					t.Fatalf("seed %d ms=%v nursery=%d: %v\nprogram:\n%s", seed, ms, nursery, err, src)
 				}
 				barrierHits += g.Col.Gen.BarrierHits
+				preTenured += g.Col.Gen.PreTenured
 				minors += g.Col.Gen.MinorCollections
 			}
 		}
@@ -82,6 +100,9 @@ func TestNurseryWriteBarrierFuzz(t *testing.T) {
 	}
 	if barrierHits == 0 {
 		t.Fatal("fuzz never fired the write barrier")
+	}
+	if preTenured == 0 {
+		t.Fatal("fuzz never allocated an object wider than the nursery")
 	}
 }
 

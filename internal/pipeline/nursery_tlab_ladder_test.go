@@ -9,7 +9,7 @@ import (
 
 // TestNurseryTLABLadder drives the generational nursery and per-task
 // allocation buffers together through the recovery ladder under fault
-// injection — the combination tfserve's overload runs lean on. Three
+// injection — the combination tfgc serve's overload runs lean on. Three
 // variants per discipline:
 //
 //   - fail-alloc: injected failures on the shared-heap slow path at a

@@ -36,7 +36,7 @@ type goldenRun struct {
 // goldenConfigs lists the pinned runs: the four overload cells E14 reads
 // (taskserve's classes behind open-loop arrivals on a copying heap, crossed
 // over arrival period × shed watermark × step budget; EXPERIMENTS.md gives
-// each one's tfserve line), and the repository benchmark's mark/sweep serve
+// each one's tfgc serve line), and the repository benchmark's mark/sweep serve
 // configuration over the same classes at two seeds.
 func goldenConfigs(t *testing.T) map[string]serve.Config {
 	t.Helper()

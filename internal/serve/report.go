@@ -8,69 +8,52 @@ import (
 	"tagfree/internal/stats"
 )
 
-// SnapshotSchema identifies the emitted JSON layout of a serve run's
-// snapshot (tfserve -json, -bench-json).
-const SnapshotSchema = "tagfree-bench/v1"
-
-// Report condenses a Result into the numbers the tables and snapshots
-// carry. Latency percentiles are in virtual-time steps: on a single-core
-// container wall-clock tails measure the host scheduler, while step
-// latencies are deterministic and comparable across runs (EXPERIMENTS.md,
-// E14).
+// Report condenses a Result into the numbers its table prints. Latency
+// percentiles are in virtual-time steps: on a single-core container
+// wall-clock tails measure the host scheduler, while step latencies are
+// deterministic and comparable across runs (EXPERIMENTS.md, E14).
 type Report struct {
-	Name     string `json:"name"`
-	Kind     string `json:"kind"` // "serve"
-	Workload string `json:"workload"`
-	Strategy string `json:"strategy"`
+	Workload string
+	Strategy string
 	// Discipline is "copying" or "mark/sweep".
-	Discipline string `json:"discipline"`
+	Discipline string
 
 	// The resolved arrival/admission configuration.
-	Period      int64 `json:"period,omitempty"`
-	Burst       int   `json:"burst,omitempty"`
-	QueueDepth  int   `json:"queue_depth,omitempty"`
-	MaxInflight int   `json:"max_inflight,omitempty"`
-	ShedHeapPct int   `json:"shed_heap_pct,omitempty"`
-	Deadline    int64 `json:"deadline,omitempty"`
-	BudgetSteps int64 `json:"budget_steps,omitempty"`
-	BudgetAlloc int64 `json:"budget_alloc_words,omitempty"`
+	Period      int64
+	Burst       int
+	QueueDepth  int
+	MaxInflight int
+	ShedHeapPct int
+	Deadline    int64
 
-	Stats Stats `json:"stats"`
+	Stats Stats
 
 	// Steps is the virtual run length; ThroughputRPMS the completed
 	// requests per million steps; WallNS the wall-clock run time.
-	Steps          int64   `json:"steps"`
-	WallNS         int64   `json:"wall_ns"`
-	ThroughputRPMS float64 `json:"throughput_rpmsteps"` // completed per 1e6 steps
+	Steps          int64
+	WallNS         int64
+	ThroughputRPMS float64 // completed per 1e6 steps
 
 	// Latency percentiles over completed requests, in steps.
-	LatencyP50  int64 `json:"latency_p50_steps"`
-	LatencyP99  int64 `json:"latency_p99_steps"`
-	LatencyP999 int64 `json:"latency_p999_steps"`
-	LatencyMax  int64 `json:"latency_max_steps"`
+	LatencyP50  int64
+	LatencyP99  int64
+	LatencyP999 int64
+	LatencyMax  int64
 
 	// Collector-side counters for the degradation ladder.
-	Collections  int64 `json:"gc_count,omitempty"`
-	BudgetFaults int64 `json:"budget_faults,omitempty"`
-	LadderRecov  int64 `json:"ladder_recovered,omitempty"`
-	LadderExh    int64 `json:"ladder_exhausted,omitempty"`
-}
-
-// Snapshot is the whole emitted file (tagfree-bench/v1 with "serve" runs).
-type Snapshot struct {
-	Schema string   `json:"schema"`
-	Runs   []Report `json:"runs"`
+	Collections  int64
+	BudgetFaults int64
+	LadderRecov  int64
+	LadderExh    int64
 }
 
 // NewReport folds a finished run into its report row.
-func NewReport(name string, cfg Config, res *Result) Report {
+func NewReport(cfg Config, res *Result) Report {
 	discipline := "copying"
 	if cfg.Opts.MarkSweep {
 		discipline = "mark/sweep"
 	}
 	r := Report{
-		Name:        name,
-		Kind:        "serve",
 		Workload:    cfg.Workload.Name,
 		Strategy:    cfg.Opts.Strategy.String(),
 		Discipline:  discipline,
@@ -80,8 +63,6 @@ func NewReport(name string, cfg Config, res *Result) Report {
 		MaxInflight: cfg.MaxInflight,
 		ShedHeapPct: cfg.ShedHeapPct,
 		Deadline:    cfg.Deadline,
-		BudgetSteps: cfg.Opts.BudgetSteps,
-		BudgetAlloc: cfg.Opts.BudgetAllocWords,
 		Stats:       res.Stats,
 		Steps:       res.Steps,
 		WallNS:      res.WallNS,
@@ -103,17 +84,13 @@ func NewReport(name string, cfg Config, res *Result) Report {
 	return r
 }
 
-// Table renders one report as the aligned text block tfserve prints.
+// Table renders one report as the aligned text block tfgc serve prints.
 func (r Report) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "serve: workload=%s strategy=%s discipline=%s\n",
 		r.Workload, r.Strategy, r.Discipline)
-	if r.Period > 0 {
-		fmt.Fprintf(&b, "arrivals: period=%d burst=%d queue=%d inflight=%d shed-heap%%=%d deadline=%d\n",
-			r.Period, r.Burst, r.QueueDepth, r.MaxInflight, r.ShedHeapPct, r.Deadline)
-	} else {
-		fmt.Fprintf(&b, "arrivals: closed-loop (corpus order, no admission control)\n")
-	}
+	fmt.Fprintf(&b, "arrivals: period=%d burst=%d queue=%d inflight=%d shed-heap%%=%d deadline=%d\n",
+		r.Period, r.Burst, r.QueueDepth, r.MaxInflight, r.ShedHeapPct, r.Deadline)
 	s := r.Stats
 	fmt.Fprintf(&b, "requests: issued=%d completed=%d shed=%d retries=%d dropped=%d canceled=%d faulted=%d wrong=%d\n",
 		s.Requests, s.Completed, s.Shed, s.Retries, s.Dropped, s.Canceled, s.Faulted, s.WrongResults)

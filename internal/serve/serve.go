@@ -16,12 +16,14 @@
 //
 // All scheduling and latency accounting is in virtual time (scheduler
 // steps), so a run is bit-for-bit deterministic for a given seed; wall
-// time appears only in throughput reporting. With Period == 0 the harness
-// degenerates to the closed-loop run of pipeline.RunTasks (tfgc tasks) —
-// the differential suite pins that mode bit-identical to it.
+// time appears only in throughput reporting. A closed set of tasks started
+// together, the paper's §4, is pipeline.RunTasks (tfgc tasks), not a mode of
+// this harness.
 package serve
 
 import (
+	pq "container/heap"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -53,9 +55,8 @@ type Config struct {
 	Opts pipeline.Options
 
 	// Open-loop arrival schedule, in virtual-time steps: Burst requests
-	// arrive every Period steps until Requests have been issued.
-	// Period == 0 selects closed-loop mode: the workload's entries are
-	// spawned once, up front, exactly as pipeline.RunTasks spawns them.
+	// arrive every Period steps until Requests have been issued. Both are
+	// required.
 	Period   int64
 	Burst    int
 	Requests int
@@ -72,7 +73,7 @@ type Config struct {
 
 	// Client retry policy for shed requests: up to MaxRetries attempts,
 	// backoff doubling from Backoff up to BackoffCap, plus jitter in
-	// [0, backoff/2]. Backoff defaults to Period (or 512 steps).
+	// [0, backoff/2]. Backoff defaults to Period.
 	MaxRetries int
 	Backoff    int64
 	BackoffCap int64
@@ -109,11 +110,8 @@ type Result struct {
 	// Steps is the final virtual time; WallNS the wall-clock run time.
 	Steps  int64
 	WallNS int64
-	// Values holds, in closed-loop mode, each entry's decoded result in
-	// workload order — the differential pin against pipeline.RunTasks.
-	Values []int64
-	// Group exposes the finished task group (live-heap signatures,
-	// telemetry) for the differential suite and reporting.
+	// Group exposes the finished task group (telemetry, heap, task
+	// registry) for tests and reporting.
 	Group *tasking.Group
 }
 
@@ -131,54 +129,26 @@ type request struct {
 	canceled bool
 }
 
-// arrivals is a binary min-heap of requests ordered by (arriveAt, id): the
-// deterministic order in which requests due at the same tick are judged.
-// (container/heap would collide with the runtime's own heap package.)
+// arrivals is a min-heap (container/heap) of requests ordered by
+// (arriveAt, id): the deterministic order in which requests due at the same
+// tick are judged.
 type arrivals []*request
 
-func (a arrivals) less(i, j int) bool {
+func (a arrivals) Len() int { return len(a) }
+func (a arrivals) Less(i, j int) bool {
 	if a[i].arriveAt != a[j].arriveAt {
 		return a[i].arriveAt < a[j].arriveAt
 	}
 	return a[i].id < a[j].id
 }
-
-func (a *arrivals) push(r *request) {
-	h := append(*a, r)
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	*a = h
-}
-
-// pop removes and returns the earliest request; the heap must be non-empty.
-func (a *arrivals) pop() *request {
+func (a arrivals) Swap(i, j int) { a[i], a[j] = a[j], a[i] }
+func (a *arrivals) Push(x any)   { *a = append(*a, x.(*request)) }
+func (a *arrivals) Pop() any {
 	h := *a
-	top := h[0]
-	n := len(h) - 1
-	h[0], h[n] = h[n], nil
-	h = h[:n]
-	for i := 0; ; {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if child+1 < n && h.less(child+1, child) {
-			child++
-		}
-		if !h.less(child, i) {
-			break
-		}
-		h[i], h[child] = h[child], h[i]
-		i = child
-	}
-	*a = h
-	return top
+	r := h[len(h)-1]
+	h[len(h)-1] = nil
+	*a = h[:len(h)-1]
+	return r
 }
 
 // fifo is the bounded admission queue: a ring over QueueDepth slots, so an
@@ -201,7 +171,7 @@ func (q *fifo) pop() *request {
 	return r
 }
 
-// driver holds the open-loop run state threaded through the Tick hook.
+// driver holds the run state threaded through the Tick hook.
 type driver struct {
 	cfg         Config
 	g           *tasking.Group
@@ -225,6 +195,9 @@ func Run(cfg Config) (*Result, error) {
 	if err := pipeline.RefuseNegative(&cfg); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
+	if cfg.Period == 0 {
+		return nil, errors.New("serve: no arrival period: a closed set of tasks runs through pipeline.RunTasks (tfgc tasks)")
+	}
 	if cfg.ShedHeapPct > 100 {
 		return nil, fmt.Errorf("serve: shed-heap %d percent is above 100", cfg.ShedHeapPct)
 	}
@@ -247,12 +220,7 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Group: group}
 	start := time.Now()
-	if cfg.Period == 0 {
-		err = runClosedLoop(cfg, group, entries, res)
-	} else {
-		err = runOpenLoop(cfg, group, mix, fidx, expect, res)
-	}
-	if err != nil {
+	if err := runOpenLoop(cfg, group, mix, fidx, expect, res); err != nil {
 		return nil, err
 	}
 	res.WallNS = time.Since(start).Nanoseconds()
@@ -268,54 +236,6 @@ func Run(cfg Config) (*Result, error) {
 			s.Completed, s.Dropped, s.Canceled, s.Faulted)
 	}
 	return res, nil
-}
-
-// runClosedLoop reproduces pipeline.RunTasks (tfgc tasks): one task per
-// workload entry, all spawned up front, no admission control. A Tick hook
-// observes completion times but mutates nothing, so execution is
-// bit-identical to it.
-func runClosedLoop(cfg Config, g *tasking.Group, entries []int, res *Result) error {
-	var pending []*tasking.Task // unresolved, in entry order
-	for _, e := range entries {
-		pending = append(pending, g.Spawn(e))
-		res.Stats.Requests++
-		res.Stats.Arrivals++
-		res.Stats.Admitted++
-	}
-	g.Tick = func(now int64) bool {
-		keep := pending[:0]
-		for _, t := range pending {
-			switch t.Status {
-			case tasking.Done:
-				res.Latencies = append(res.Latencies, now) // every entry arrived at step 0
-				res.Stats.Completed++
-			case tasking.Faulted:
-				res.Stats.Faulted++
-			default:
-				keep = append(keep, t)
-			}
-		}
-		pending = keep
-		return len(pending) > 0
-	}
-	if err := g.RunInit(); err != nil {
-		return err
-	}
-	if err := g.Run(); err != nil {
-		return err
-	}
-	g.Tick = nil
-	for i, t := range g.Tasks {
-		if t.Status == tasking.Faulted {
-			res.Values = append(res.Values, 0)
-			continue
-		}
-		res.Values = append(res.Values, code.DecodeInt(g.Prog.Repr, t.Result))
-		if i < len(cfg.Workload.Expect) && res.Values[i] != cfg.Workload.Expect[i] {
-			res.Stats.WrongResults++
-		}
-	}
-	return nil
 }
 
 // runOpenLoop drives the arrival schedule through the Tick hook.
@@ -343,12 +263,13 @@ func runOpenLoop(cfg Config, g *tasking.Group, mix []MixEntry, fidx map[string]i
 			pick -= m.Weight
 		}
 		at := int64(i/d.cfg.Burst) * cfg.Period
-		d.waiting.push(&request{
+		d.waiting = append(d.waiting, &request{
 			id: i, entry: entry, fidx: fidx[entry], expect: expect[entry],
 			arriveAt: at, first: at,
 		})
 		res.Stats.Requests++
 	}
+	pq.Init(&d.waiting)
 	g.Tick = d.tick
 	if err := g.RunInit(); err != nil {
 		return err
@@ -374,9 +295,6 @@ func withDefaults(cfg Config) Config {
 	}
 	if cfg.Backoff == 0 {
 		cfg.Backoff = cfg.Period
-		if cfg.Backoff == 0 {
-			cfg.Backoff = 512
-		}
 	}
 	if cfg.BackoffCap == 0 {
 		cfg.BackoffCap = 64 * cfg.Backoff
@@ -430,7 +348,7 @@ func (d *driver) tick(now int64) bool {
 	// Arrivals due now, in deterministic (time, id) order. A shed request
 	// re-enters the heap strictly after now, so it is not judged twice.
 	for len(d.waiting) > 0 && d.waiting[0].arriveAt <= now {
-		r := d.waiting.pop()
+		r := pq.Pop(&d.waiting).(*request)
 		d.stats.Arrivals++
 		if reason := d.shedReason(heapPressure); reason != "" {
 			d.shed(r, now, reason)
@@ -531,7 +449,7 @@ func (d *driver) shed(r *request, now int64, reason string) {
 	backoff += d.rng.Int63n(backoff/2 + 1) // jitter de-synchronizes retry herds
 	r.arriveAt = now + backoff
 	d.stats.Retries++
-	d.waiting.push(r)
+	pq.Push(&d.waiting, r)
 }
 
 // resolveMix validates the service mix (defaulting to uniform over the
@@ -555,7 +473,7 @@ func resolveMix(cfg Config) ([]MixEntry, error) {
 			return nil, fmt.Errorf("serve: mix entry %q has non-positive weight %d", m.Entry, m.Weight)
 		}
 	}
-	if cfg.Period > 0 && cfg.Requests <= 0 {
+	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("serve: open-loop mode needs Requests > 0")
 	}
 	return mix, nil

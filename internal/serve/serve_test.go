@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,50 +12,10 @@ import (
 	"tagfree/internal/workloads"
 )
 
-// The serve differential pins. Closed-loop mode must be bit-identical to
-// pipeline.RunTasks over the whole corpus (values, live-heap signature,
-// telemetry record count) — the harness adds observation, not behavior.
-// Open-loop mode at twice the sustainable arrival rate must finish with
-// zero global failures: every issued request accounted as completed,
-// dropped (after shed+retry), canceled (deadline), or faulted, and every
-// completed request returning its expected value.
-
-func TestClosedLoopMatchesRunTasks(t *testing.T) {
-	for _, w := range workloads.Tasking {
-		for _, ms := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/ms=%v", w.Name, ms), func(t *testing.T) {
-				opts := pipeline.Options{
-					Strategy:  gc.StratCompiled,
-					HeapWords: w.HeapWords,
-					MarkSweep: ms,
-				}
-				bench, err := pipeline.RunTasks(w.Source, w.Entries, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := Run(Config{Workload: w, Opts: opts})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprint(res.Values) != fmt.Sprint(bench.Values) {
-					t.Fatalf("values diverge: serve %v, bench %v", res.Values, bench.Values)
-				}
-				if res.Stats.Completed != int64(len(w.Entries)) || res.Stats.Faulted != 0 {
-					t.Fatalf("closed loop did not complete cleanly: %+v", res.Stats)
-				}
-				sSig := fmt.Sprint(res.Group.Col.LiveSignature(res.Group.Globals))
-				bSig := fmt.Sprint(bench.Group.Col.LiveSignature(bench.Group.Globals))
-				if sSig != bSig {
-					t.Fatal("live-heap signature diverges from pipeline.RunTasks")
-				}
-				if len(res.Group.Col.Telem.Records) != len(bench.Telemetry.Records) {
-					t.Fatalf("collection record counts diverge: serve %d, bench %d",
-						len(res.Group.Col.Telem.Records), len(bench.Telemetry.Records))
-				}
-			})
-		}
-	}
-}
+// The serve pins. Open-loop mode at twice the sustainable arrival rate must
+// finish with zero global failures: every issued request accounted as
+// completed, dropped (after shed+retry), canceled (deadline), or faulted,
+// and every completed request returning its expected value.
 
 // serveWorkload returns the taskserve corpus entry.
 func serveWorkload(t *testing.T) workloads.TaskWorkload {
@@ -67,16 +28,16 @@ func serveWorkload(t *testing.T) workloads.TaskWorkload {
 }
 
 // sustainablePeriod estimates the arrival period that matches service
-// capacity: the closed-loop run's virtual length is the whole corpus's
-// service demand, so demand per request divided by the server count is
-// the break-even inter-arrival time.
+// capacity: the virtual length of a run of every entry at once
+// (pipeline.RunTasks) is the whole workload's service demand, so demand per
+// request divided by the server count is the break-even inter-arrival time.
 func sustainablePeriod(t *testing.T, w workloads.TaskWorkload, opts pipeline.Options, inflight int) int64 {
 	t.Helper()
-	res, err := Run(Config{Workload: w, Opts: opts})
+	res, err := pipeline.RunTasks(w.Source, w.Entries, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perReq := res.Steps / int64(len(w.Entries))
+	perReq := res.Group.Now() / int64(len(w.Entries))
 	return perReq / int64(inflight)
 }
 
@@ -124,7 +85,7 @@ func TestOverloadTwiceSustainableAccountsEveryLoss(t *testing.T) {
 	if s.Completed+s.Dropped+s.Canceled+s.Faulted != s.Requests {
 		t.Fatalf("loss unaccounted: %+v", s)
 	}
-	rep := NewReport("overload", cfg, res)
+	rep := NewReport(cfg, res)
 	if rep.LatencyP50 <= 0 || rep.LatencyP999 < rep.LatencyP99 || rep.LatencyP99 < rep.LatencyP50 {
 		t.Fatalf("latency percentiles not ordered: %+v", rep)
 	}
@@ -252,6 +213,10 @@ func TestMixValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Workload: w, Period: 10}); err == nil {
 		t.Fatal("open loop without Requests not rejected")
+	}
+	// A closed set of tasks is pipeline.RunTasks; Run has no closed loop.
+	if _, err := Run(Config{Workload: w, Requests: 1}); err == nil || !strings.Contains(err.Error(), "pipeline.RunTasks") {
+		t.Fatalf("no period: %v, want a refusal naming pipeline.RunTasks", err)
 	}
 	// What the front ends' ranges refuse, a Go caller is refused too where no
 	// run survives it: MaxInflight -2 never admits a request, so the run

@@ -1,6 +1,6 @@
 // Package stats holds the small numeric helpers shared by the serving
-// harness and the benchmark tables, so latency rows emitted by tfserve
-// and tfbench can never disagree on methodology.
+// harness and the benchmark tables, so latency rows emitted by tfgc serve
+// and the repository benchmark can never disagree on methodology.
 package stats
 
 // Percentile returns the p-quantile (0 ≤ p ≤ 1) of an ascending-sorted

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"testing/fstest"
 )
 
 // TestCorpusFilesListedOnce: every corpus file is named by exactly one of
@@ -20,7 +19,9 @@ func TestCorpusFilesListedOnce(t *testing.T) {
 	lists := map[string]int{}
 	for _, name := range named {
 		lists[name]++
-		if _, err := parse(corpus, name); err != nil {
+		if b, err := corpus.ReadFile("corpus/" + name + ".ml"); err != nil {
+			t.Error(err)
+		} else if _, err := Parse(name+".ml", string(b)); err != nil {
 			t.Error(err)
 		}
 	}
@@ -31,7 +32,7 @@ func TestCorpusFilesListedOnce(t *testing.T) {
 	}
 }
 
-// TestParseHeader holds parse to its header grammar on files of its own.
+// TestParseHeader holds Parse to its header grammar on files of its own.
 func TestParseHeader(t *testing.T) {
 	const body = "\nlet main () = 1\n"
 	for _, c := range []struct {
@@ -52,13 +53,12 @@ func TestParseHeader(t *testing.T) {
 		{"(* expect: 1\n   heap: 512\n   alloc-heavy: maybe *)", "invalid syntax"},
 		{"let main () = 1", "no leading"},
 	} {
-		fsys := fstest.MapFS{"corpus/prog.ml": {Data: []byte(c.header + body)}}
-		p, err := parse(fsys, "prog")
+		p, err := Parse("corpus/prog.ml", c.header+body)
 		switch {
 		case c.err == "" && err != nil:
 			t.Errorf("%q: %v", c.header, err)
-		case c.err == "" && p.source != body:
-			t.Errorf("%q: source %q, want %q", c.header, p.source, body)
+		case c.err == "" && (p.Source != body || p.Name != "prog"):
+			t.Errorf("%q: %s source %q, want prog source %q", c.header, p.Name, p.Source, body)
 		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err) || !strings.Contains(err.Error(), "corpus/prog.ml")):
 			t.Errorf("%q: error %v, want one naming corpus/prog.ml and saying %q", c.header, err, c.err)
 		}

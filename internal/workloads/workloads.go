@@ -1,8 +1,9 @@
 // Package workloads is the program corpus: the MinML programs with known
 // results that the experiment harness (EXPERIMENTS.md), the Go benchmarks,
 // the mode lattice and the cross-strategy agreement tests all run. Each is
-// one file, corpus/<name>.ml, runnable as it stands with `tfgc run` or
-// `tfgc tasks`; its leading comment states its known results (see parse).
+// one file, corpus/<name>.ml, runnable as it stands with `tfgc run`,
+// `tfgc tasks` or `tfgc serve`; its leading comment states its known results
+// (see Parse).
 // The mix follows the paper's motivating workloads: list manipulation (the
 // append example of §2.4), trees, variant records (§2.3), closures and
 // higher-order polymorphism (§3), arithmetic-only code (the §5.1 analysis),
@@ -12,7 +13,7 @@ package workloads
 import (
 	"embed"
 	"fmt"
-	"io/fs"
+	"path"
 	"strconv"
 	"strings"
 )
@@ -57,7 +58,7 @@ var (
 	taskNames = []string{"taskchurn", "tasktree", "taskpoly", "taskmutate", "taskdeep",
 		"taskspine", "taskserve"}
 	showcaseNames = []string{"append", "partial", "envedge", "interp", "lambda", "mutual",
-		"polymorphic", "trees", "alias", "builtinval"}
+		"polymorphic", "trees", "alias", "builtinval", "arrowderiv"}
 )
 
 var (
@@ -66,7 +67,7 @@ var (
 	// Tasking is the multi-task corpus.
 	Tasking = func() (out []TaskWorkload) {
 		for _, p := range load(taskNames) {
-			out = append(out, TaskWorkload{p.name, p.source, p.entries, p.expect, p.heap})
+			out = append(out, TaskWorkload{p.Name, p.Source, p.Entries, p.Expect, p.Heap})
 		}
 		return out
 	}()
@@ -79,51 +80,51 @@ var (
 
 func singles(names []string) (out []Workload) {
 	for _, p := range load(names) {
-		out = append(out, Workload{p.name, p.source, p.expect[0], p.heap, p.allocHeavy})
+		out = append(out, Workload{p.Name, p.Source, p.Expect[0], p.Heap, p.AllocHeavy})
 	}
 	return out
 }
 
-// program is one corpus file: its header's keys and the source after it.
-type program struct {
-	name, source string
-	expect       []int64
-	heap         int
-	entries      []string
-	allocHeavy   bool
+// Program is one corpus file: its header's keys and the source after it.
+type Program struct {
+	Name, Source string
+	Expect       []int64
+	Heap         int
+	Entries      []string
+	AllocHeavy   bool
 }
 
 // load parses the named corpus files. The corpus is compiled in, so a bad
 // file is a bad build: it panics.
-func load(names []string) []program {
-	out := make([]program, len(names))
+func load(names []string) []Program {
+	out := make([]Program, len(names))
 	for i, name := range names {
-		p, err := parse(corpus, name)
+		file := "corpus/" + name + ".ml"
+		b, err := corpus.ReadFile(file)
+		if err == nil {
+			out[i], err = Parse(file, string(b))
+		}
 		if err != nil {
 			panic(err)
 		}
-		out[i] = p
 	}
 	return out
 }
 
-// parse reads corpus/<name>.ml. The file opens with a (* … *) comment whose
-// first lines, up to a blank line, are key: value lines: expect (main's
-// value, or each entry's, space-separated), heap (semispace words), entries
-// (a task program's entry functions, space-separated) and alloc-heavy (true
-// or false). The rest of the comment describes the program. Source is the
-// text after the comment.
-func parse(fsys fs.FS, name string) (program, error) {
-	file := "corpus/" + name + ".ml"
-	b, err := fs.ReadFile(fsys, file)
-	if err != nil {
-		return program{}, err
-	}
-	head, src, ok := strings.Cut(string(b), "*)")
+// Parse reads one program file, text, named file in its errors. The file
+// opens with a (* … *) comment whose first lines, up to a blank line, are
+// key: value lines: expect (main's value, or each entry's, space-separated),
+// heap (semispace words), entries (a task program's entry functions,
+// space-separated) and alloc-heavy (true or false). The rest of the comment
+// describes the program. Name is the file's base name without .ml; Source is
+// the text after the comment.
+func Parse(file, text string) (Program, error) {
+	head, src, ok := strings.Cut(text, "*)")
 	if !ok || !strings.HasPrefix(head, "(*") {
-		return program{}, fmt.Errorf("%s: no leading (* … *) header", file)
+		return Program{}, fmt.Errorf("%s: no leading (* … *) header", file)
 	}
-	p := program{name: name, source: src}
+	p := Program{Name: strings.TrimSuffix(path.Base(file), ".ml"), Source: src}
+	var err error
 	for _, line := range strings.Split(strings.TrimSpace(head[2:]), "\n") {
 		if line = strings.TrimSpace(line); line == "" {
 			break
@@ -137,30 +138,30 @@ func parse(fsys fs.FS, name string) (program, error) {
 				if n, err = strconv.ParseInt(f, 10, 64); err != nil {
 					break
 				}
-				p.expect = append(p.expect, n)
+				p.Expect = append(p.Expect, n)
 			}
 		case "heap":
-			p.heap, err = strconv.Atoi(val)
+			p.Heap, err = strconv.Atoi(val)
 		case "entries":
-			p.entries = strings.Fields(val)
+			p.Entries = strings.Fields(val)
 		case "alloc-heavy":
-			p.allocHeavy, err = strconv.ParseBool(val)
+			p.AllocHeavy, err = strconv.ParseBool(val)
 		default:
 			err = fmt.Errorf("unknown key %q", key)
 		}
 		if err != nil {
-			return program{}, fmt.Errorf("%s: header line %q: %v", file, line, err)
+			return Program{}, fmt.Errorf("%s: header line %q: %v", file, line, err)
 		}
 	}
 	switch {
-	case p.expect == nil:
-		return program{}, fmt.Errorf("%s: header has no expect", file)
-	case p.heap <= 0:
-		return program{}, fmt.Errorf("%s: header has no heap", file)
-	case p.entries == nil && len(p.expect) != 1:
-		return program{}, fmt.Errorf("%s: %d expected values for main", file, len(p.expect))
-	case p.entries != nil && len(p.expect) != len(p.entries):
-		return program{}, fmt.Errorf("%s: %d expected values for %d entries", file, len(p.expect), len(p.entries))
+	case p.Expect == nil:
+		return Program{}, fmt.Errorf("%s: header has no expect", file)
+	case p.Heap <= 0:
+		return Program{}, fmt.Errorf("%s: header has no heap", file)
+	case p.Entries == nil && len(p.Expect) != 1:
+		return Program{}, fmt.Errorf("%s: %d expected values for main", file, len(p.Expect))
+	case p.Entries != nil && len(p.Expect) != len(p.Entries):
+		return Program{}, fmt.Errorf("%s: %d expected values for %d entries", file, len(p.Expect), len(p.Entries))
 	}
 	return p, nil
 }
